@@ -23,9 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
-from ..core.qdpm import RunHistory
+from ..core.qdpm import RunHistory, run_lockstep
 from ..env.model_builder import build_dpm_model
 from ..env.slotted_env import SlottedDPMEnv
 from ..mdp import DeterministicPolicy
@@ -156,79 +154,39 @@ class ModelBasedAdaptiveDPM:
         produces (``td_error`` is zero — there is no TD learning here);
         re-optimization instants are in :attr:`log`.
         """
-        if n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        if record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
-        always_on = self.env.always_on_power() * self.env.slot_length
+        return run_lockstep(self.env, self._control_step, n_slots,
+                            record_every=record_every)
 
-        slots: List[int] = []
-        energy: List[float] = []
-        reward_hist: List[float] = []
-        queue_hist: List[float] = []
-        saving: List[float] = []
+    def _control_step(self) -> tuple:
+        """One slot: act on the current policy, feed the estimator and
+        detector, re-optimize once a detected change has settled."""
+        state = self.env.state
+        action = self._policy(state)
+        if action not in self.env.allowed_actions(state):
+            # stale policy may command an illegal action mid-transition;
+            # fall back to the forced action
+            action = self.env.allowed_actions(state)[0]
+        _, reward, info = self.env.step(action)
 
-        win_energy = win_reward = win_queue = 0.0
-        win_count = 0
-        for _ in range(n_slots):
-            state = self.env.state
-            action = self._policy(state)
-            if action not in self.env.allowed_actions(state):
-                # stale policy may command an illegal action mid-transition;
-                # fall back to the forced action
-                action = self.env.allowed_actions(state)[0]
-            _, reward, info = self.env.step(action)
+        t0 = time.perf_counter()
+        self.estimator.update(info.arrived)
+        self.log.estimator_seconds += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            self.estimator.update(info.arrived)
-            self.log.estimator_seconds += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        alarm = self.detector.update(info.arrived)
+        self.log.detector_seconds += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            alarm = self.detector.update(info.arrived)
-            self.log.detector_seconds += time.perf_counter() - t0
-
-            if alarm and self._pending_since is None:
-                # change detected: restart estimation on post-change data
-                self.estimator.reset()
-                self._pending_since = info.slot
-            if (
-                self._pending_since is not None
-                and self.estimator.n_samples >= self.min_samples
-                and info.slot - self._pending_since >= self.freeze_slots
-            ):
-                new_rate = self.estimator.estimate()
-                self._policy = self._optimize(new_rate, slot=info.slot)
-                self.detector.reset(new_rate)
-                self._pending_since = None
-
-            win_energy += info.energy
-            win_reward += reward
-            win_queue += info.queue
-            win_count += 1
-            if win_count == record_every:
-                slots.append(info.slot)
-                energy.append(win_energy / win_count)
-                reward_hist.append(win_reward / win_count)
-                queue_hist.append(win_queue / win_count)
-                ratio = (
-                    1.0 - (win_energy / win_count) / always_on if always_on > 0 else 0.0
-                )
-                saving.append(ratio)
-                win_energy = win_reward = win_queue = 0.0
-                win_count = 0
-        if win_count:
-            slots.append(self.env.current_slot - 1)
-            energy.append(win_energy / win_count)
-            reward_hist.append(win_reward / win_count)
-            queue_hist.append(win_queue / win_count)
-            ratio = 1.0 - (win_energy / win_count) / always_on if always_on > 0 else 0.0
-            saving.append(ratio)
-        zeros = np.zeros(len(slots))
-        return RunHistory(
-            slots=np.asarray(slots),
-            energy=np.asarray(energy),
-            reward=np.asarray(reward_hist),
-            queue=np.asarray(queue_hist),
-            saving_ratio=np.asarray(saving),
-            td_error=zeros,
-        )
+        if alarm and self._pending_since is None:
+            # change detected: restart estimation on post-change data
+            self.estimator.reset()
+            self._pending_since = info.slot
+        if (
+            self._pending_since is not None
+            and self.estimator.n_samples >= self.min_samples
+            and info.slot - self._pending_since >= self.freeze_slots
+        ):
+            new_rate = self.estimator.estimate()
+            self._policy = self._optimize(new_rate, slot=info.slot)
+            self.detector.reset(new_rate)
+            self._pending_since = None
+        return reward, info, 0.0

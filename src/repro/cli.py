@@ -34,8 +34,9 @@ K`` arms per-device circuit breakers that open after K consecutive
 failures, and ``--retry-budget C`` caps fleet-wide failover retries
 with a C-token bucket (exhaustion sheds instead of retry-storming).
 
-``--verify P`` shadow-runs fraction P of seed chunks / cells on the
-scalar reference path and compares field-for-field (any divergence
+``--verify P`` shadow-runs fraction P of seed chunks / cells on a
+reference path (for slotted chunks, the engine they did not run on)
+and compares field-for-field (any divergence
 aborts); ``--diagnostics DIR`` writes minimal-repro JSON bundles on
 invariant violations or worker failures.  Ctrl-C (or SIGTERM) during a
 checkpointed sweep flushes the journal, prints a one-line resume hint,
@@ -427,8 +428,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="P",
-        help="shadow-run fraction P of seed chunks / cells on the scalar "
-             "reference path and compare field-for-field (0 <= P <= 1; "
+        help="shadow-run fraction P of seed chunks / cells on a reference "
+             "path (slotted chunks: the other engine) and compare "
+             "field-for-field (0 <= P <= 1; "
              "any divergence aborts with a diagnostics bundle)",
     )
     parser.add_argument(

@@ -18,7 +18,7 @@ of the technique, which is the paper's efficiency argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -47,6 +47,99 @@ class RunHistory:
 
     def __len__(self) -> int:
         return int(self.slots.size)
+
+
+@dataclass
+class BatchRunHistory:
+    """Windowed per-replica traces recorded by
+    :meth:`~repro.runtime.BatchedQDPM.run`.
+
+    ``slots`` has shape ``(n_records,)``; every other array has shape
+    ``(n_records, B)`` — column ``i`` is replica ``i``'s trace.
+    """
+
+    slots: np.ndarray
+    energy: np.ndarray
+    reward: np.ndarray
+    queue: np.ndarray
+    saving_ratio: np.ndarray
+    td_error: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.slots.size)
+
+    @property
+    def n_replicas(self) -> int:
+        return int(self.reward.shape[1])
+
+    def replica(self, i: int) -> RunHistory:
+        """Scalar :class:`RunHistory` view of replica ``i``."""
+        return RunHistory(
+            slots=self.slots.copy(),
+            energy=self.energy[:, i].copy(),
+            reward=self.reward[:, i].copy(),
+            queue=self.queue[:, i].copy(),
+            saving_ratio=self.saving_ratio[:, i].copy(),
+            td_error=self.td_error[:, i].copy(),
+        )
+
+    def mean_history(self) -> RunHistory:
+        """Across-replica mean trace (the sweep's headline curve)."""
+        return RunHistory(
+            slots=self.slots.copy(),
+            energy=self.energy.mean(axis=1),
+            reward=self.reward.mean(axis=1),
+            queue=self.queue.mean(axis=1),
+            saving_ratio=self.saving_ratio.mean(axis=1),
+            td_error=self.td_error.mean(axis=1),
+        )
+
+
+def run_lockstep(
+    env,
+    step_fn: Callable[[], tuple],
+    n_slots: int,
+    record_every: int = 1000,
+    callback: Optional[Callable[[int], None]] = None,
+) -> Union[RunHistory, BatchRunHistory]:
+    """Drive ``step_fn`` for ``n_slots`` with windowed recording.
+
+    ``env`` is the group of ``env.n_replicas`` replicas that
+    ``step_fn() -> (reward, info, delta)`` advances one slot in lock
+    step: a :class:`~repro.env.SlottedDPMEnv` (one replica, floats, a
+    :class:`RunHistory` comes back) or a
+    :class:`~repro.runtime.BatchedSlottedEnv` (per-replica arrays, a
+    :class:`BatchRunHistory`).  Histories hold per-window means every
+    ``record_every`` slots plus a final partial window; ``callback(slot)``
+    fires at each full-window record point.  This is the single
+    recording loop behind every slotted rollout, scalar or batched.
+    """
+    if n_slots < 1:
+        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    always_on = env.always_on_power() * env.slot_length
+    rows: List[tuple] = []
+    for start in range(0, n_slots, record_every):
+        width = min(record_every, n_slots - start)
+        # ``+=`` adds floats, or allocates each window's arrays on the
+        # first slot and then accumulates in place
+        energy = reward = queue = td = 0.0
+        for _ in range(width):
+            r, info, delta = step_fn()
+            energy += info.energy
+            reward += r
+            queue += info.queue
+            td += delta
+        mean_energy = energy / width
+        saving = (1.0 - mean_energy / always_on if always_on > 0
+                  else 0.0 * mean_energy)
+        rows.append((info.slot, mean_energy, reward / width,
+                     queue / width, saving, td / width))
+        if width == record_every and callback is not None:
+            callback(info.slot)
+    columns = [np.asarray(column) for column in zip(*rows)]
+    return (BatchRunHistory if columns[1].ndim == 2 else RunHistory)(*columns)
 
 
 class QDPM:
@@ -155,56 +248,9 @@ class QDPM:
         invoked at each record point — experiments use it to snapshot the
         greedy policy.
         """
-        if n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        if record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
-        always_on = self.env.always_on_power() * self.env.slot_length
-
-        slots: List[int] = []
-        energy: List[float] = []
-        reward_hist: List[float] = []
-        queue_hist: List[float] = []
-        saving: List[float] = []
-        td: List[float] = []
-
-        win_energy = win_reward = win_queue = win_td = 0.0
-        win_count = 0
-        for _ in range(n_slots):
-            reward, info, delta = self.control_step(learn=learn)
-            win_energy += info.energy
-            win_reward += reward
-            win_queue += info.queue
-            win_td += delta
-            win_count += 1
-            if win_count == record_every:
-                slots.append(info.slot)
-                energy.append(win_energy / win_count)
-                reward_hist.append(win_reward / win_count)
-                queue_hist.append(win_queue / win_count)
-                ratio = 1.0 - (win_energy / win_count) / always_on if always_on > 0 else 0.0
-                saving.append(ratio)
-                td.append(win_td / win_count)
-                if callback is not None:
-                    callback(info.slot)
-                win_energy = win_reward = win_queue = win_td = 0.0
-                win_count = 0
-        if win_count:
-            # final partial window
-            slots.append(self.env.current_slot - 1)
-            energy.append(win_energy / win_count)
-            reward_hist.append(win_reward / win_count)
-            queue_hist.append(win_queue / win_count)
-            ratio = 1.0 - (win_energy / win_count) / always_on if always_on > 0 else 0.0
-            saving.append(ratio)
-            td.append(win_td / win_count)
-        return RunHistory(
-            slots=np.asarray(slots),
-            energy=np.asarray(energy),
-            reward=np.asarray(reward_hist),
-            queue=np.asarray(queue_hist),
-            saving_ratio=np.asarray(saving),
-            td_error=np.asarray(td),
+        return run_lockstep(
+            self.env, lambda: self.control_step(learn=learn), n_slots,
+            record_every=record_every, callback=callback,
         )
 
     # ------------------------------------------------------------------ #

@@ -140,6 +140,11 @@ class SlottedDPMEnv:
         self._slot: int = 0
         self.totals = EnvTotals()
 
+    #: replicas advanced per step: one, where a
+    #: :class:`~repro.runtime.BatchedSlottedEnv` has B (see
+    #: :func:`~repro.core.qdpm.run_lockstep`)
+    n_replicas = 1
+
     # ------------------------------------------------------------------ #
     # state indexing
     # ------------------------------------------------------------------ #

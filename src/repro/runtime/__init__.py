@@ -12,7 +12,9 @@ array ops and shards the resulting work units across processes:
   loop over disjoint row blocks of a single Q-table;
 - :class:`SweepRunner` — the unified multi-seed entry point
   (``run_many(spec, seeds, batch_size, n_jobs)``) every experiment
-  routes through, with bootstrap-CI aggregation;
+  routes through, with bootstrap-CI aggregation; seed chunks narrower
+  than a measured crossover run on the scalar stack instead, where
+  per-call NumPy overhead would dominate;
 - :mod:`~repro.runtime.executor` — the serial / multiprocessing
   executor abstraction that ships ``(spec, chunk_seeds)`` work units to
   worker processes and reassembles results in seed order;

@@ -29,127 +29,16 @@ serializing the loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ..core.qdpm import RunHistory
+# the recording loop and its batched history live with the scalar ones
+from ..core.qdpm import BatchRunHistory, run_lockstep
 from ..core.qtable import QTable
 from ..core.schedules import Schedule
 from ..mdp import DeterministicPolicy
 from .batched_env import BatchedSlottedEnv, _resolve_seeds
-
-
-@dataclass
-class BatchRunHistory:
-    """Windowed per-replica traces recorded by :meth:`BatchedQDPM.run`.
-
-    ``slots`` has shape ``(n_records,)``; every other array has shape
-    ``(n_records, B)`` — column ``i`` is replica ``i``'s trace.
-    """
-
-    slots: np.ndarray
-    energy: np.ndarray
-    reward: np.ndarray
-    queue: np.ndarray
-    saving_ratio: np.ndarray
-    td_error: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.slots.size)
-
-    @property
-    def n_replicas(self) -> int:
-        return int(self.reward.shape[1])
-
-    def replica(self, i: int) -> RunHistory:
-        """Scalar :class:`~repro.core.RunHistory` view of replica ``i``."""
-        return RunHistory(
-            slots=self.slots.copy(),
-            energy=self.energy[:, i].copy(),
-            reward=self.reward[:, i].copy(),
-            queue=self.queue[:, i].copy(),
-            saving_ratio=self.saving_ratio[:, i].copy(),
-            td_error=self.td_error[:, i].copy(),
-        )
-
-    def mean_history(self) -> RunHistory:
-        """Across-replica mean trace (the sweep's headline curve)."""
-        return RunHistory(
-            slots=self.slots.copy(),
-            energy=self.energy.mean(axis=1),
-            reward=self.reward.mean(axis=1),
-            queue=self.queue.mean(axis=1),
-            saving_ratio=self.saving_ratio.mean(axis=1),
-            td_error=self.td_error.mean(axis=1),
-        )
-
-
-def run_lockstep(
-    env: BatchedSlottedEnv,
-    step_fn: Callable[[], tuple],
-    n_slots: int,
-    record_every: int = 1000,
-    callback: Optional[Callable[[int], None]] = None,
-) -> BatchRunHistory:
-    """Drive ``step_fn`` for ``n_slots`` with QDPM-style window recording.
-
-    ``step_fn() -> (rewards, info, deltas)`` advances every replica one
-    slot.  Windowing matches :meth:`repro.core.QDPM.run`: per-window
-    means every ``record_every`` slots plus a final partial window;
-    ``callback(slot)`` fires at each full-window record point.  This is
-    the single recording loop behind both the batched learner and the
-    fixed-policy rollouts.
-    """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    b = env.n_replicas
-    always_on = env.always_on_power() * env.slot_length
-
-    slots: List[int] = []
-    records: List[np.ndarray] = []
-
-    win = np.zeros((4, b))  # energy, reward, queue, td
-    win_count = 0
-
-    def flush(slot_index: int) -> None:
-        means = win / win_count
-        saving = (
-            1.0 - means[0] / always_on if always_on > 0 else np.zeros(b)
-        )
-        slots.append(slot_index)
-        records.append(
-            np.stack([means[0], means[1], means[2], saving, means[3]])
-        )
-
-    for _ in range(n_slots):
-        rewards, info, deltas = step_fn()
-        win[0] += info.energy
-        win[1] += rewards
-        win[2] += info.queue
-        win[3] += deltas
-        win_count += 1
-        if win_count == record_every:
-            flush(info.slot)
-            if callback is not None:
-                callback(info.slot)
-            win[:] = 0.0
-            win_count = 0
-    if win_count:
-        flush(env.current_slot - 1)
-
-    stacked = np.stack(records)  # (n_records, 5, B)
-    return BatchRunHistory(
-        slots=np.asarray(slots),
-        energy=stacked[:, 0, :],
-        reward=stacked[:, 1, :],
-        queue=stacked[:, 2, :],
-        saving_ratio=stacked[:, 3, :],
-        td_error=stacked[:, 4, :],
-    )
 
 
 class BatchedQDPM:

@@ -4,12 +4,19 @@ Every reproduction experiment is, at its core, "roll the slotted system
 forward for N slots under some controller, for one or more seeds, and
 summarize".  :class:`SweepRunner` owns that loop once:
 
-- seeds are chunked into lock-step batches of ``batch_size`` and executed
-  on the vectorized engine (:class:`~repro.runtime.BatchedSlottedEnv` +
+- seeds are chunked into lock-step batches of ``batch_size``; each chunk
+  is dispatched by its width.  Chunks at least as wide as a measured
+  crossover run on the vectorized engine
+  (:class:`~repro.runtime.BatchedSlottedEnv` +
   :class:`~repro.runtime.BatchedQDPM`), so a 32-seed sweep costs one
-  NumPy-stride loop instead of 32 interpreter round-trip loops;
-- fixed policies (the frozen-optimal arms) run on the same batched
-  engine with a precomputed state->action lookup;
+  NumPy-stride loop instead of 32 interpreter round-trip loops; narrower
+  chunks (the experiments' default single seed among them) run on the
+  scalar stack — one :class:`~repro.env.SlottedDPMEnv` +
+  :class:`~repro.core.QDPM` per seed with ``FixedDrawEpsilonGreedy`` —
+  where per-call NumPy overhead would dominate.  Both engines give the
+  same bits per seed, and each is the other's shadow reference;
+- fixed policies (the frozen-optimal arms) run on either engine with a
+  precomputed state->action lookup;
 - controllers that cannot be batched (the model-based adaptive pipeline)
   fall back to a per-seed scalar loop behind the same interface;
 - seed chunks are embarrassingly parallel, so ``n_jobs > 1`` ships
@@ -27,16 +34,18 @@ dataclasses (``RolloutSpec.from_env_config``) and calls down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..analysis.bootstrap import CI, bootstrap_ci
-from ..core.qdpm import RunHistory
+from ..core.exploration import FixedDrawEpsilonGreedy
+from ..core.qdpm import QDPM, RunHistory
+from ..core.qlearning import QLearningAgent
 from ..core.schedules import Schedule
 from ..device import get_preset
-from ..env.slotted_env import EnvTotals
+from ..env.slotted_env import EnvTotals, SlottedDPMEnv
 from ..mdp import DeterministicPolicy
 from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
@@ -111,6 +120,21 @@ class RolloutSpec:
             discount=env_config.discount,
         )
         return replace(spec, **overrides) if overrides else spec
+
+    def scalar_env(self, seed: int, warmup: bool = False) -> SlottedDPMEnv:
+        """Scalar environment of one seed (main or warmup phase): the
+        twin of replica ``seed`` of :meth:`build_env`."""
+        offset = self.warmup_seed_offset if warmup else self.env_seed_offset
+        return SlottedDPMEnv(
+            get_preset(self.device),
+            self.warmup_schedule if warmup else self.schedule,
+            slot_length=self.slot_length,
+            queue_capacity=self.queue_capacity,
+            p_serve=self.p_serve,
+            perf_weight=self.perf_weight,
+            loss_penalty=self.loss_penalty,
+            seed=seed + offset,
+        )
 
     def build_env(self, seeds: Sequence[int],
                   warmup: bool = False) -> BatchedSlottedEnv:
@@ -195,10 +219,29 @@ class SweepResult:
         )
 
 
-def _policy_action_lut(env: BatchedSlottedEnv,
-                       policy: DeterministicPolicy) -> np.ndarray:
-    """State -> action lookup with the scalar experiments' fallback
-    (first allowed action when the policy's choice is illegal)."""
+#: Seed chunks narrower than these run on the scalar stack (one
+#: ``SlottedDPMEnv`` per seed) instead of the batched engine, whose
+#: per-slot NumPy overhead only pays off across enough replicas.
+#: Measured as the break-even of replica-slots per CPU second (2-core
+#: x86_64, Python 3.11.7, abstract3, 8,000 slots): learning, scalar
+#: ~50k per seed against batched ~10k at B=1, parity at B=4-5, 1.8x at
+#: B=8; fixed policy, scalar ~250k against batched ~28k at B=1, parity
+#: at B=12-14.  Shared-RNG specs have no scalar twin and always batch.
+LEARNING_CROSSOVER = 5
+FIXED_POLICY_CROSSOVER = 12
+
+
+def runs_scalar(spec: RolloutSpec, width: int) -> bool:
+    """Whether a chunk of ``width`` seeds runs on the scalar stack."""
+    crossover = (LEARNING_CROSSOVER if spec.policy is None
+                 else FIXED_POLICY_CROSSOVER)
+    return spec.rng_mode == "replica" and width < crossover
+
+
+def _policy_action_lut(env, policy: DeterministicPolicy) -> np.ndarray:
+    """State -> action lookup (for a scalar or batched env) with the
+    scalar experiments' fallback (first allowed action when the
+    policy's choice is illegal)."""
     qcap1 = env.queue_capacity + 1
     lut = np.empty(env.n_states, dtype=np.int64)
     for state in range(env.n_states):
@@ -232,22 +275,40 @@ def _horizon_mean(history: RunHistory, n_slots: int,
     return float((history.reward * weights).sum() / weights.sum())
 
 
+def _seed_run(spec: RolloutSpec, seed: int, history: RunHistory,
+              env) -> SeedRun:
+    """Summary of one scalar rollout over ``env``."""
+    return SeedRun(
+        seed=seed,
+        history=history,
+        mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
+        saving_ratio=float(env.energy_saving_ratio()),
+        totals=env.totals,
+    )
+
+
 def run_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
               on_record=None, on_chunk_done=None) -> List[SeedRun]:
     """Execute one seed chunk of ``spec`` — the sweep's unit of work.
 
-    Pure function of ``(spec, chunk_seeds)``: every RNG stream is
-    constructed from the chunk's seeds, so the same bits come out whether
-    the chunk runs in the parent process or a pool worker.  The optional
-    hooks are in-process callbacks and are never shipped to workers.
+    Chunks narrower than the crossover (:func:`runs_scalar`) run on the
+    scalar stack, the rest on the batched engine; both give the same
+    bits per seed.  Pure function of ``(spec, chunk_seeds)``: every RNG
+    stream is constructed from the chunk's seeds, so the same bits come
+    out whether the chunk runs in the parent process or a pool worker.
+    The optional hooks are in-process callbacks and are never shipped to
+    workers.
     """
+    scalar = runs_scalar(spec, len(chunk_seeds))
     with TELEMETRY.span("chunk", cat="sweep", kind="slotted",
-                        seeds=list(chunk_seeds)):
-        return _run_chunk_body(spec, chunk_seeds, on_record, on_chunk_done)
+                        seeds=list(chunk_seeds),
+                        engine="scalar" if scalar else "batched"):
+        body = _run_scalar_chunk if scalar else _run_batched_chunk
+        return body(spec, chunk_seeds, on_record, on_chunk_done)
 
 
-def _run_chunk_body(spec: RolloutSpec, chunk_seeds: Sequence[int],
-                    on_record=None, on_chunk_done=None) -> List[SeedRun]:
+def _run_batched_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
+                       on_record=None, on_chunk_done=None) -> List[SeedRun]:
     env = spec.build_env(chunk_seeds)
     if spec.policy is not None:
         lut = _policy_action_lut(env, spec.policy)
@@ -294,36 +355,32 @@ def _run_chunk_body(spec: RolloutSpec, chunk_seeds: Sequence[int],
     return runs
 
 
-def _reference_learning_seed(spec: RolloutSpec, seed: int) -> SeedRun:
-    """True scalar twin of one learning replica: a scalar
-    :class:`~repro.core.QDPM` over a scalar
-    :class:`~repro.env.SlottedDPMEnv`, consuming the batched engine's
-    exact per-slot RNG layout via ``FixedDrawEpsilonGreedy`` — the
-    bit-for-bit parity recipe the test suite pins (env seed
-    ``seed + env_seed_offset``, agent seed ``seed + 1``)."""
-    from ..core import QDPM
-    from ..core.exploration import FixedDrawEpsilonGreedy
-    from ..core.qlearning import QLearningAgent
-    from ..env.slotted_env import SlottedDPMEnv
+class ScalarChunkDriver:
+    """What the snapshot hooks see of a learning chunk run on the scalar
+    stack: :class:`BatchedQDPM`'s ``greedy_policy(i)`` over one scalar
+    :class:`~repro.core.QDPM` per seed."""
 
-    device = get_preset(spec.device)
+    def __init__(self, controllers: List[QDPM]) -> None:
+        self.controllers = controllers
 
-    def scalar_env(warmup: bool) -> SlottedDPMEnv:
-        offset = spec.warmup_seed_offset if warmup else spec.env_seed_offset
-        schedule = spec.warmup_schedule if warmup else spec.schedule
-        return SlottedDPMEnv(
-            device, schedule,
-            slot_length=spec.slot_length,
-            queue_capacity=spec.queue_capacity,
-            p_serve=spec.p_serve,
-            perf_weight=spec.perf_weight,
-            loss_penalty=spec.loss_penalty,
-            seed=seed + offset,
-        )
+    def greedy_policy(self, replica: int = 0,
+                      prefer_visited: bool = True) -> DeterministicPolicy:
+        """Greedy policy of one seed (semantics of ``QDPM.greedy_policy``)."""
+        return self.controllers[replica].greedy_policy(prefer_visited)
 
-    env = scalar_env(warmup=False)
+
+#: what the snapshot hooks of :meth:`SweepRunner.run_many` are handed
+Driver = Union[BatchedQDPM, ScalarChunkDriver]
+
+
+def _scalar_learner(spec: RolloutSpec, seed: int,
+                    env: SlottedDPMEnv) -> QDPM:
+    """Scalar twin of one :class:`BatchedQDPM` replica, warmed up and
+    switched to ``env``: a :class:`~repro.core.QDPM` consuming the
+    batched engine's per-slot RNG layout via ``FixedDrawEpsilonGreedy``
+    (agent seed ``seed + 1``)."""
     warmup = spec.warmup_schedule is not None and spec.warmup_slots > 0
-    start_env = scalar_env(warmup=True) if warmup else env
+    start_env = spec.scalar_env(seed, warmup=True) if warmup else env
     # QDPM's convenience ctor has no initial_q knob, so build the agent
     # explicitly to mirror every BatchedQDPM parameter
     agent = QLearningAgent(
@@ -339,33 +396,75 @@ def _reference_learning_seed(spec: RolloutSpec, seed: int) -> SeedRun:
     if warmup:
         controller.run(spec.warmup_slots, record_every=spec.warmup_slots)
         controller.env = env
-    history = controller.run(spec.n_slots, record_every=spec.record_every)
-    return SeedRun(
-        seed=seed,
-        history=history,
-        mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
-        saving_ratio=float(env.energy_saving_ratio()),
-        totals=env.totals,
-    )
+    return controller
+
+
+def _fixed_policy_step(env: SlottedDPMEnv, actions: List[int]):
+    def step():
+        _, reward, info = env.step(actions[env.state])
+        return reward, info, 0.0
+    return step
+
+
+def _run_in_turn(envs: Sequence[SlottedDPMEnv], steps, n_slots: int,
+                 record_every: int, callback=None) -> List[RunHistory]:
+    """One :func:`run_lockstep` history per scalar env.  With a callback
+    and several envs they advance one window at a time in turn, so the
+    callback sees all of them at the same slot."""
+    if callback is None or len(envs) == 1:
+        return [run_lockstep(env, step, n_slots, record_every=record_every,
+                             callback=callback)
+                for env, step in zip(envs, steps)]
+    parts: List[List[RunHistory]] = [[] for _ in envs]
+    for start in range(0, n_slots, record_every):
+        width = min(record_every, n_slots - start)
+        for env, step, part in zip(envs, steps, parts):
+            part.append(run_lockstep(env, step, width, record_every=width))
+        if width == record_every:
+            callback(envs[0].current_slot - 1)
+    names = [f.name for f in fields(RunHistory)]
+    return [RunHistory(*(np.concatenate([getattr(h, name) for h in part])
+                         for name in names))
+            for part in parts]
+
+
+def _run_scalar_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
+                      on_record=None, on_chunk_done=None) -> List[SeedRun]:
+    envs = [spec.scalar_env(seed) for seed in chunk_seeds]
+    callback = None
+    if spec.policy is not None:
+        actions = _policy_action_lut(envs[0], spec.policy).tolist()
+        steps = [_fixed_policy_step(env, actions) for env in envs]
+    else:
+        driver = ScalarChunkDriver([
+            _scalar_learner(spec, seed, env)
+            for seed, env in zip(chunk_seeds, envs)
+        ])
+        steps = [c.control_step for c in driver.controllers]
+        if on_record is not None:
+            callback = lambda slot: on_record(slot, driver, chunk_seeds)
+    histories = _run_in_turn(envs, steps, spec.n_slots, spec.record_every,
+                             callback)
+    if spec.policy is None and on_chunk_done is not None:
+        on_chunk_done(driver, chunk_seeds)
+    return [_seed_run(spec, seed, history, env)
+            for seed, history, env in zip(chunk_seeds, histories, envs)]
 
 
 def reference_seed_runs(spec: RolloutSpec,
                         chunk_seeds: Sequence[int]) -> List[SeedRun]:
-    """Reference path for one :func:`run_chunk` work unit.
+    """Reference path for one :func:`run_chunk` work unit: the engine
+    the chunk did *not* run on.
 
-    Learning chunks re-run each seed on the true scalar stack
-    (:func:`_reference_learning_seed` — the bit-exact parity recipe);
-    fixed-policy chunks, which have no scalar twin, re-run each seed on
-    the batched engine at ``B = 1``, which verifies the
-    batch-composition-invariance contract instead.  Either way the
-    comparison against the sweep's results is exact (``rtol = 0``).
+    Scalar-run chunks re-run each seed on the batched engine at
+    ``B = 1``; batched chunks re-run each seed on the scalar stack.
+    Either way the comparison against the sweep's results is exact
+    (``rtol = 0``).
     """
-    if spec.policy is None:
-        return [_reference_learning_seed(spec, s) for s in chunk_seeds]
-    runs: List[SeedRun] = []
-    for seed in chunk_seeds:
-        runs.extend(run_chunk(spec, [seed]))
-    return runs
+    if runs_scalar(spec, len(chunk_seeds)):
+        return [run for seed in chunk_seeds
+                for run in _run_batched_chunk(spec, [seed])]
+    return _run_scalar_chunk(spec, chunk_seeds)
 
 
 def _run_scalar_seed(spec: RolloutSpec, seed: int,
@@ -374,18 +473,11 @@ def _run_scalar_seed(spec: RolloutSpec, seed: int,
     worker when the factory itself is picklable)."""
     controller = controller_factory(seed)
     history = controller.run(spec.n_slots, record_every=spec.record_every)
-    env = controller.env
-    return SeedRun(
-        seed=seed,
-        history=history,
-        mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
-        saving_ratio=float(env.energy_saving_ratio()),
-        totals=env.totals,
-    )
+    return _seed_run(spec, seed, history, controller.env)
 
 
 class SweepRunner:
-    """Chunked multi-seed executor over the batched engine.
+    """Chunked multi-seed executor over the scalar and batched engines.
 
     Parameters
     ----------
@@ -413,14 +505,14 @@ class SweepRunner:
         hooks of :meth:`run_many` (resumed chunks never execute, so the
         hooks could not fire).
     verify_fraction:
-        Fraction of seed chunks to shadow-verify: sampled learning
-        chunks re-run per seed on the true scalar stack (scalar
-        ``QDPM`` with ``FixedDrawEpsilonGreedy``) and must match
-        **bit-for-bit**; fixed-policy chunks re-run at ``B = 1``
-        (batch-composition invariance).  Requires
-        ``rng_mode="replica"`` — shared-RNG specs record the
-        verification as skipped instead.  A divergence raises
-        :class:`~repro.runtime.verify.InvariantViolation`.
+        Fraction of seed chunks to shadow-verify on the engine they did
+        *not* run on: sampled batched chunks re-run per seed on the
+        scalar stack (scalar ``QDPM`` with ``FixedDrawEpsilonGreedy``,
+        or the scalar fixed-policy loop), sampled scalar chunks re-run
+        per seed on the batched engine at ``B = 1``.  Results must match
+        **bit-for-bit**.  Requires ``rng_mode="replica"`` — shared-RNG
+        specs record the verification as skipped instead.  A divergence
+        raises :class:`~repro.runtime.verify.InvariantViolation`.
     diagnostics_dir:
         Directory for minimal-repro JSON bundles written on invariant
         violations, shadow divergences, and unrecoverable chunk
@@ -458,8 +550,8 @@ class SweepRunner:
         seeds: Sequence[int],
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
-        on_record: Optional[Callable[[int, BatchedQDPM, Sequence[int]], None]] = None,
-        on_chunk_done: Optional[Callable[[BatchedQDPM, Sequence[int]], None]] = None,
+        on_record: Optional[Callable[[int, Driver, Sequence[int]], None]] = None,
+        on_chunk_done: Optional[Callable[[Driver, Sequence[int]], None]] = None,
         controller_factory: Optional[Callable[[int], object]] = None,
     ) -> SweepResult:
         """Run ``spec`` once per seed; batched and sharded wherever possible.
@@ -471,7 +563,11 @@ class SweepRunner:
         ``n_jobs = 1`` that is every chunk; with ``n_jobs > 1`` only the
         *first* chunk runs in the parent (overlapped with the worker
         pool), so hooks see exactly the lead chunk — the contract the
-        figure experiments rely on.  Hooks never change results.
+        figure experiments rely on.  The driver is a
+        :class:`BatchedQDPM` or, for a chunk on the scalar stack, a
+        :class:`ScalarChunkDriver`; on both, ``driver.greedy_policy(i)``
+        is seed ``chunk_seeds[i]``'s greedy policy at the hook's slot.
+        Hooks never change results.
         ``controller_factory(seed)`` switches to the scalar fallback: it
         must return an object with ``.run(n_slots, record_every)`` ->
         ``RunHistory`` and an ``.env`` exposing ``totals`` /
@@ -512,6 +608,11 @@ class SweepRunner:
         if controller_factory is not None:
             return self._run_scalar(spec, seeds, controller_factory, executor)
         chunks = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
+        for c in chunks:
+            # counted here, not in run_chunk: pool workers ship their
+            # metrics back only when tracing
+            TELEMETRY.inc("engine.slotted.scalar" if runs_scalar(spec, len(c))
+                          else "engine.slotted.batched")
         result = SweepResult(spec=spec)
         if self.checkpoint is not None:
             if on_record is not None or on_chunk_done is not None:
@@ -606,9 +707,12 @@ class SweepRunner:
             raise
         if self.verify_fraction == 0.0:
             return result
-        reference = (
-            "scalar QDPM (FixedDrawEpsilonGreedy)" if spec.policy is None
-            else "batched engine at B=1"
+        engines = {runs_scalar(spec, len(c)) for c in chunks}
+        reference = " + ".join(
+            label for scalar, label in (
+                (False, "scalar stack (batched chunks)"),
+                (True, "batched engine at B=1 (scalar chunks)"),
+            ) if scalar in engines
         )
         if spec.rng_mode != "replica":
             # shared-RNG replicas draw from one stream in batch order, so

@@ -787,8 +787,9 @@ def merge_verification_blocks(
         return dict(blocks[0])
     references = []
     for block in real:
-        if block["reference"] not in references:
-            references.append(block["reference"])
+        for reference in block["reference"].split(" + "):
+            if reference not in references:
+                references.append(reference)
     return {
         "fraction": real[0]["fraction"],
         "n_chunks": sum(b["n_chunks"] for b in real),

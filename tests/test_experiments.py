@@ -10,6 +10,7 @@ from repro.experiments import (
     Fig2Config,
     OverheadConfig,
     PolicyTableConfig,
+    SweepConfig,
     VariationConfig,
     run_fig1,
     run_fig2,
@@ -66,6 +67,27 @@ class TestFig1:
         assert "Fig.1" in text
         assert "optimal payoff/slot" in text
         assert "convergence slot" in text
+
+    def test_lead_seed_same_on_scalar_and_batched_engines(self):
+        """The snapshot hooks read ``driver.greedy_policy(0)`` whichever
+        engine ran the lead chunk: one seed (scalar stack) and eight
+        seeds in one chunk (batched engine) agree on the lead seed."""
+        # early records, while some allowed actions are still unvisited:
+        # there ``greedy_policy(prefer_visited=False)`` picks differently
+        base = dataclasses.replace(Fig1Config(), n_slots=1_000,
+                                   record_every=200)
+        scalar = run_fig1(base)
+        batched = run_fig1(dataclasses.replace(
+            base, sweep=SweepConfig(n_seeds=8, batch_size=8)))
+        assert np.array_equal(scalar.snapshot_reward,
+                              batched.snapshot_reward)
+        assert np.array_equal(scalar.online_reward, batched.online_reward)
+        assert (scalar.final_policy_agreement
+                == batched.final_policy_agreement)
+        engines = [r.execution["metrics"]["counters"]
+                   for r in (scalar, batched)]
+        assert engines[0]["engine.slotted.scalar"] == 1
+        assert engines[1]["engine.slotted.batched"] == 1
 
 
 class TestFig2:

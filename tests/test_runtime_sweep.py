@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import QDPM
+from repro.core import QDPM, HarmonicDecay
 from repro.device import abstract_three_state
 from repro.env import SlottedDPMEnv, build_dpm_model
-from repro.runtime import RolloutSpec, SweepRunner
+from repro.mdp import DeterministicPolicy
+from repro.runtime import RolloutSpec, SweepRunner, reference_seed_runs, run_chunk
+from repro.runtime.sweep import (
+    FIXED_POLICY_CROSSOVER,
+    LEARNING_CROSSOVER,
+    ScalarChunkDriver,
+    runs_scalar,
+)
 from repro.workload import ConstantRate, SinusoidalRate
 
 
@@ -216,3 +227,144 @@ class TestRolloutSpecHelpers:
         env = spec.build_env([0, 1])
         assert env.n_replicas == 2
         assert env.queue_capacity == 5
+
+
+class TestEngineDispatch:
+    """Chunks below the crossover run on the scalar stack, the rest on
+    the batched engine; either way every seed gets the same bits."""
+
+    @staticmethod
+    def _engine_counts(result):
+        counters = result.execution["metrics"]["counters"]
+        return (counters.get("engine.slotted.scalar", 0),
+                counters.get("engine.slotted.batched", 0))
+
+    def test_one_seed_runs_scalar(self, spec):
+        result = SweepRunner().run_many(spec, seeds=[3])
+        assert self._engine_counts(result) == (1, 0)
+
+    def test_wide_chunk_runs_batched(self, spec):
+        result = SweepRunner(batch_size=32).run_many(spec, range(32))
+        assert self._engine_counts(result) == (0, 1)
+
+    def test_shared_rng_always_batched(self, spec):
+        shared = RolloutSpec(
+            schedule=spec.schedule, n_slots=500, record_every=100,
+            queue_capacity=6, rng_mode="shared",
+        )
+        result = SweepRunner(batch_size=2).run_many(shared, range(3))
+        assert self._engine_counts(result) == (0, 2)
+
+    def test_mixed_chunk_widths(self, spec):
+        # 10 seeds at batch 8: one batched chunk of 8, one scalar tail of 2
+        result = SweepRunner(batch_size=8).run_many(spec, range(10))
+        assert self._engine_counts(result) == (1, 1)
+
+    def test_crossover_by_controller_kind(self, spec):
+        policy = DeterministicPolicy(np.zeros(4, dtype=int))
+        fixed = RolloutSpec(schedule=spec.schedule, n_slots=10,
+                            policy=policy)
+        assert runs_scalar(spec, LEARNING_CROSSOVER - 1)
+        assert not runs_scalar(spec, LEARNING_CROSSOVER)
+        assert runs_scalar(fixed, FIXED_POLICY_CROSSOVER - 1)
+        assert not runs_scalar(fixed, FIXED_POLICY_CROSSOVER)
+
+    def test_scalar_hooks_see_batched_driver_interface(self, spec):
+        seen = []
+
+        def on_record(slot, driver, chunk_seeds):
+            assert isinstance(driver, ScalarChunkDriver)
+            seen.append((slot, [driver.greedy_policy(i)
+                                for i in range(len(chunk_seeds))]))
+
+        SweepRunner(batch_size=2).run_many(spec, [1, 2],
+                                           on_record=on_record)
+        assert [slot for slot, _ in seen] == [999, 1999, 2999, 3999]
+        # every seed snapshots at the hook's slot: the final record
+        # matches a batched-engine rerun's driver at the same slot
+        batched = []
+        SweepRunner(batch_size=8).run_many(
+            spec, [1, 2, 3, 4, 5],
+            on_chunk_done=lambda d, seeds: batched.extend(
+                d.greedy_policy(i) for i in range(2)),
+        )
+        assert seen[-1][1] == batched
+
+    def test_scalar_hooks_never_change_results(self, spec):
+        # with a hook the seeds advance one window at a time in turn;
+        # the histories, final partial window included, are unchanged
+        partial = RolloutSpec(schedule=spec.schedule, n_slots=2_500,
+                              record_every=1_000, queue_capacity=6)
+        slots = []
+        hooked = SweepRunner(batch_size=3).run_many(
+            partial, [4, 5, 6], on_record=lambda slot, d, s: slots.append(slot))
+        plain = SweepRunner(batch_size=3).run_many(partial, [4, 5, 6])
+        assert slots == [999, 1999]
+        for a, b in zip(hooked.runs, plain.runs):
+            assert list(a.history.slots) == [999, 1999, 2499]
+            for name in ("slots", "energy", "reward", "queue",
+                         "saving_ratio", "td_error"):
+                assert np.array_equal(getattr(a.history, name),
+                                      getattr(b.history, name))
+            assert a.mean_reward == b.mean_reward
+
+
+def _policy(n_states: int, n_actions: int, seed: int) -> DeterministicPolicy:
+    """A random policy; on a multi-mode device most states forbid some
+    actions, so the illegal-choice fallback to ``allowed[0]`` fires."""
+    rng = np.random.default_rng(seed)
+    return DeterministicPolicy(rng.integers(0, n_actions, size=n_states))
+
+
+@st.composite
+def _chunk_specs(draw):
+    fixed = draw(st.booleans())
+    crossover = FIXED_POLICY_CROSSOVER if fixed else LEARNING_CROSSOVER
+    width = draw(st.integers(1, crossover + 2))
+    queue_capacity = draw(st.integers(1, 3))
+    warmup = draw(st.booleans())
+    spec = RolloutSpec(
+        schedule=SinusoidalRate(0.3, 0.2, 7),
+        n_slots=draw(st.integers(1, 40)),
+        record_every=draw(st.integers(1, 50)),
+        queue_capacity=queue_capacity,
+        p_serve=0.7,
+        epsilon=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        learning_rate=draw(st.sampled_from(
+            [0.1, HarmonicDecay(0.5, tau=2.0, minimum=0.01)])),
+        initial_q=draw(st.sampled_from([0.0, 1.0])),
+        warmup_schedule=ConstantRate(0.4) if warmup else None,
+        warmup_slots=draw(st.integers(1, 30)) if warmup else 0,
+        env_seed_offset=11,
+        warmup_seed_offset=23,
+    )
+    if fixed:
+        env = spec.scalar_env(0)
+        spec = replace(spec, policy=_policy(
+            env.n_states, env.n_actions, draw(st.integers(0, 9))))
+    return spec, list(range(draw(st.integers(0, 50)), 100)[:width])
+
+
+class TestScalarBatchedParity:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chunk_specs())
+    @example(case=(RolloutSpec(schedule=ConstantRate(0.5), n_slots=1,
+                               record_every=5, queue_capacity=1), [0]))
+    @example(case=(RolloutSpec(schedule=ConstantRate(0.5), n_slots=1,
+                               record_every=1, queue_capacity=1,
+                               epsilon=1.0), list(range(7))))
+    def test_chunk_matches_other_engine_bit_for_bit(self, case):
+        """Whichever engine ``run_chunk`` picks, the other one
+        (``reference_seed_runs``) reproduces every seed exactly."""
+        spec, seeds = case
+        got = run_chunk(spec, seeds)
+        want = reference_seed_runs(spec, seeds)
+        assert [r.seed for r in got] == [r.seed for r in want] == seeds
+        for a, b in zip(got, want):
+            assert a.mean_reward == b.mean_reward
+            assert a.saving_ratio == b.saving_ratio
+            assert a.totals == b.totals
+            for name in ("slots", "energy", "reward", "queue",
+                         "saving_ratio", "td_error"):
+                assert np.array_equal(getattr(a.history, name),
+                                      getattr(b.history, name)), name

@@ -371,8 +371,9 @@ class TestMergeVerificationBlocks:
         merged = merge_verification_blocks([
             {"verification": _block(1, [0], "scalar A")},
             {"verification": _block(1, [0], "scalar A")},
+            {"verification": _block(1, [0], "scalar B + scalar A")},
         ])
-        assert merged["reference"] == "scalar A"
+        assert merged["reference"] == "scalar A + scalar B"
 
     def test_skip_blocks_survive_only_when_all_skipped(self):
         skip = {"verification": {"fraction": 0.5, "skipped": "shared RNG"}}
