@@ -16,17 +16,17 @@ The tentpole claims of the fleet subsystem, measured at N=64 replicas:
   kernel invocation over a whole (seed x device) cell beats R x N
   per-trace kernel runs >= 1.5x (the win is invocation-overhead
   amortization; per-replica report compilation is shared cost).
-- ``fault_tolerant_routing`` — failure-aware dispatch (seeded fault
-  schedule + failover retries) on the vectorized engine (dense backlog
-  arrays + one whole-trace ``down_mask`` sweep) routes >= 1.5x faster
-  than the scalar failure-aware reference loop, with bit-identical
-  assignments/retries/dispatch times.  The bar shrank in PR 10: the
-  scalar reference now shares the vectorized mask sweep, so only the
-  dense-backlog epoch advance separates the paths.
+- ``fault_tolerant_routing`` — failover-only dispatch (seeded fault
+  schedule + failover retries) through the fault-aware routing loop
+  over the heap-settled dense backlog routes >= 1.5x faster than the
+  same loop over the list-walking reference backlog, with
+  bit-identical assignments/retries/dispatch times.  Both share the
+  loop and the whole-trace ``down_mask`` sweep, so only the backlog
+  separates the paths.
 - ``overload_resilience`` — the full graceful-degradation stack
   (brownout-capable faults, circuit breakers, a fleet-wide retry
-  budget, deadline-aware shedding) on the vectorized overload engine
-  >= 1.3x the scalar overload reference, bit-identical outcomes, with
+  budget, deadline-aware shedding) on the same loop: dense backlog
+  >= 1.3x the list-walking reference, bit-identical outcomes, with
   the degradation machinery demonstrably exercised (trips, retries,
   and budget sheds all non-zero).
 
@@ -232,9 +232,9 @@ def test_flattened_cell_speedup():
 
 
 def test_fault_tolerant_routing_speedup():
-    """The failure-aware routing bar: the vectorized engine (dense
-    backlog + whole-trace down_mask sweep) >= 1.5x the scalar
-    reference loop at N=64, bit-identical outcomes."""
+    """The failure-aware routing bar: the fault-aware loop over the
+    dense backlog >= 1.5x the same loop over the list-walking
+    reference backlog at N=64, bit-identical outcomes."""
     trace = _fleet_trace()
     faults = FaultProcess(mtbf=2_000.0, mttr=200.0)
     dispatcher = Dispatcher("jsq", N_DEVICES, get_preset(DEVICE),
@@ -284,8 +284,8 @@ def test_fault_tolerant_routing_speedup():
 
 
 def test_overload_resilience_speedup():
-    """The graceful-degradation bar: the vectorized overload engine
-    >= 1.3x the scalar overload reference at N=64 with breakers, a
+    """The graceful-degradation bar: the dense-backlog overload loop
+    >= 1.3x the list-walking reference at N=64 with breakers, a
     tight retry budget, and deadlines all armed — and the scenario must
     actually exercise them (trips, retries, and budget sheds > 0), or
     the bench pins a no-op."""

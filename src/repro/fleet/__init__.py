@@ -13,13 +13,16 @@ stream.  :class:`FleetSweepRunner` fans
 (fleet size x router x policy x trace seed) grids across the executor
 layer with bootstrap-CI aggregation — the `fleet-sweep` CLI entry.
 
-Layering mirrors the rest of the repo: every router is vectorized and
-pinned bit-identical to its scalar reference loop — stateless routers
-via closed-form ``route_batch``, queue-aware routers via the epoch-
-advance ``route_step_batch`` (dense per-device backlog arrays advanced
-one arrival per round) — and the sweep flattens each cell's
-(seed x device) sub-traces into a single lock-step kernel call
-(:func:`run_fleet_batch`).
+Layering mirrors the rest of the repo: each router's semantics of
+record is its per-request ``decide_one``, which the scalar ``route``
+loops; the fast paths are pinned bit-identical to it — stateless
+routers via closed-form ``route_batch``, queue-aware routers via the
+epoch-advance ``route_step_batch`` (dense per-device backlog arrays
+advanced one arrival per round).  Under faults or overload protection
+every router runs one fault-aware loop, :func:`route_with_overload`
+(failover-only routing is ``OverloadConfig(failover=...)``).  The sweep
+flattens each cell's (seed x device) sub-traces into a single lock-step
+kernel call (:func:`run_fleet_batch`).
 """
 
 from .dispatch import (
@@ -31,7 +34,6 @@ from .dispatch import (
     BreakerConfig,
     Dispatcher,
     FailoverConfig,
-    FailoverOutcome,
     JoinShortestQueueRouter,
     OverloadConfig,
     OverloadOutcome,
@@ -42,10 +44,7 @@ from .dispatch import (
     Router,
     RoundRobinRouter,
     make_router,
-    route_with_failover,
-    route_with_failover_step,
     route_with_overload,
-    route_with_overload_step,
 )
 from .evaluate import ENGINES, run_fleet, run_fleet_batch
 from .report import FleetReport, build_fleet_report
@@ -70,10 +69,7 @@ __all__ = [
     "make_router",
     "Dispatcher",
     "FailoverConfig",
-    "FailoverOutcome",
     "FAILOVER_POLICIES",
-    "route_with_failover",
-    "route_with_failover_step",
     "BreakerConfig",
     "RetryBudgetConfig",
     "OverloadConfig",
@@ -82,7 +78,6 @@ __all__ = [
     "SHED_DEADLINE",
     "SHED_BUDGET",
     "route_with_overload",
-    "route_with_overload_step",
     "ENGINES",
     "run_fleet",
     "run_fleet_batch",

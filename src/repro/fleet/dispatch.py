@@ -8,26 +8,32 @@ request to a device, and hands each device its sub-trace — the devices
 then run the ordinary single-device simulation (scalar event loop or
 vectorized busy-period kernel) on their own streams.
 
-Routers mirror the repo's stateless/stateful split everywhere else:
+Each router's semantics of record is :meth:`Router.decide_one`, one
+routing decision against the per-device backlog; the scalar
+:meth:`Router.route` loops it over a trace.  Two opt-in fast paths are
+pinned bit-identical against that loop:
 
 - **Stateless** routers (:class:`RoundRobinRouter`,
   :class:`RandomRouter`) are pure functions of the request index (plus a
   routing RNG stream), so :meth:`Router.route_batch` partitions the
-  whole trace with NumPy ops; the scalar :meth:`Router.route` loop is the
-  reference semantics and the two are pinned bit-identical in tests.
+  whole trace with NumPy ops.
 - **Queue-aware** routers (:class:`JoinShortestQueueRouter`,
   :class:`PowerAwareRouter`) depend on the evolving per-device backlog,
   so they cannot decide all requests at once — but they *can* advance
   the whole fleet one routing epoch (one arrival) per round over dense
   per-device arrays.  :meth:`Router.route_step_batch` is that path,
   the routing analogue of the lock-step
-  :func:`~repro.runtime.eventsim.run_step_batched` engine: queue
-  lengths and last-completion times live in ``(N,)`` arrays, settling
+  :func:`~repro.runtime.eventsim.run_step_batched` engine: settling
   pops a single completion heap (amortized one pop per request instead
   of an O(N) per-device walk), and each epoch's choice is a handful of
-  whole-fleet array ops.  It is pinned bit-identical to the scalar
-  :meth:`Router.route` reference, which remains the semantics of
-  record.
+  whole-fleet array ops.
+
+Under faults or overload protection every router goes through one
+per-request loop, :func:`route_with_overload`: failover retries,
+circuit breakers, a retry budget and deadline shedding, each a no-op
+when its :class:`OverloadConfig` knob is off.  It runs over either
+backlog — the heap-settled :class:`_DenseBacklog` or the list-walking
+:class:`_BacklogTracker` — which expose the same live arrays.
 
 Queue-aware routing uses the *dispatcher-level* service model: FIFO
 per-device backlog from arrival times and service demands, ignoring DPM
@@ -89,10 +95,20 @@ class Router(ABC):
     #: short name used in report tables and the CLI registry
     name: str = "router"
 
-    @abstractmethod
     def route(self, ctx: RouteContext) -> np.ndarray:
         """Reference semantics: one pass over the requests, one
-        assignment per request (int64 array in ``[0, n_devices)``)."""
+        assignment per request (int64 array in ``[0, n_devices)``).
+
+        The fault-aware loop :func:`route_with_overload` with nothing
+        failing and every knob off, over the list-walking
+        :class:`_BacklogTracker`: each request is one :meth:`decide_one`
+        call at its arrival instant, booked right after the decision.
+        """
+        # no intervals, so the schedule's horizon is never consulted
+        always_up = no_faults(ctx.n_devices, horizon=1.0)
+        return route_with_overload(
+            self, ctx, always_up, vectorized=False
+        ).assignments
 
     def route_batch(self, ctx: RouteContext) -> Optional[np.ndarray]:
         """Vectorized assignments, or None.
@@ -120,19 +136,20 @@ class Router(ABC):
         return None
 
     # ------------------------------------------------------------------ #
-    # per-decision form (the failure-aware engines' router interface)
+    # per-decision form: the semantics of record
     # ------------------------------------------------------------------ #
 
     def begin_route(self, ctx: RouteContext) -> dict:
         """Fresh per-trace decision state for :meth:`decide_one`.
 
-        The failure-aware engines own the backlog (they must book
+        The routing loops own the backlog (the fault-aware loop books
         retried requests at their delayed dispatch instants), so this
         state carries only what the router itself threads between
         decisions — a round-robin cursor, a resolved awake window.
         """
         return {}
 
+    @abstractmethod
     def decide_one(
         self,
         state: dict,
@@ -144,36 +161,24 @@ class Router(ABC):
     ) -> int:
         """One routing decision at instant ``now``.
 
-        This is the router's semantics factored to a single request so
-        the failure-aware engines (scalar reference and vectorized
-        epoch-advance) can interleave decisions with retries; with
-        ``alive=None`` a full pass over a trace must reproduce
-        :meth:`route` choice for choice (pinned in
-        tests/test_fleet_faults.py via the no-fault schedule).
+        This is the router's semantics factored to a single request:
+        :meth:`route` loops it over a trace, and
+        :func:`route_with_overload` interleaves it with retries.
 
-        ``alive`` is the live/dead mask of the fleet at ``now``: when
-        given (never all-False), the router must choose its best *live*
-        device — the mask-aware ranking failover falls back on.
-        ``queue_len`` / ``last_completion`` are the dispatcher-level
-        backlog views at ``now`` (post-settle), whichever backlog
-        structure the engine maintains.
+        ``alive`` is the admissible-device mask at ``now``: when given
+        (never all-False), the router must choose its best *admissible*
+        device — the mask-aware ranking failover and breakers fall back
+        on.  With ``alive=None`` the choice must not depend on the mask
+        at all.  ``queue_len`` / ``last_completion`` are the
+        dispatcher-level backlog views at ``now`` (post-settle), read
+        only.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement decide_one; "
-            "failure-aware routing needs the per-decision router form"
-        )
 
 
 class RoundRobinRouter(Router):
     """Cycle through the devices in request order (the classic default)."""
 
     name = "round_robin"
-
-    def route(self, ctx: RouteContext) -> np.ndarray:
-        out = np.empty(ctx.arrivals.size, dtype=np.int64)
-        for i in range(ctx.arrivals.size):
-            out[i] = i % ctx.n_devices
-        return out
 
     def route_batch(self, ctx: RouteContext) -> np.ndarray:
         return np.arange(ctx.arrivals.size, dtype=np.int64) % ctx.n_devices
@@ -205,12 +210,6 @@ class RandomRouter(Router):
 
     name = "random"
 
-    def route(self, ctx: RouteContext) -> np.ndarray:
-        out = np.empty(ctx.arrivals.size, dtype=np.int64)
-        for i in range(ctx.arrivals.size):
-            out[i] = int(ctx.rng.integers(0, ctx.n_devices))
-        return out
-
     def route_batch(self, ctx: RouteContext) -> np.ndarray:
         return ctx.rng.integers(0, ctx.n_devices, size=ctx.arrivals.size,
                                 dtype=np.int64)
@@ -219,12 +218,15 @@ class RandomRouter(Router):
                    alive=None) -> int:
         # one stream draw per decision in either mode; with every device
         # alive the masked draw indexes the identity, so a no-fault pass
-        # consumes the stream exactly like route()
+        # consumes the stream exactly like route_batch()
         if alive is None:
             return int(ctx.rng.integers(0, ctx.n_devices))
         live = np.flatnonzero(alive)
         return int(live[int(ctx.rng.integers(0, live.size))])
 
+
+#: queue length that ranks a masked-out device last in an argmin
+_NO_ROOM = np.iinfo(np.int64).max
 
 #: settled-prefix length past which :class:`_BacklogTracker` compacts a
 #: device's completion list (once the prefix also spans at least half
@@ -233,7 +235,14 @@ _COMPACT_MIN_SETTLED = 64
 
 
 class _BacklogTracker:
-    """Per-device FIFO backlog under the dispatcher-level service model."""
+    """Per-device FIFO backlog under the dispatcher-level service model.
+
+    The list-walking backlog behind the scalar reference paths.  Like
+    :class:`_DenseBacklog` it exposes live ``queue_len`` /
+    ``last_completion`` arrays (updated in place, so a routing loop can
+    hold on to them) plus :meth:`settle` / :meth:`assign`; the two
+    backlogs hold equal arrays after every operation (property-tested).
+    """
 
     def __init__(self, n_devices: int) -> None:
         # per device: completion times of assigned-but-possibly-pending
@@ -241,6 +250,7 @@ class _BacklogTracker:
         self._completions: List[List[float]] = [[] for _ in range(n_devices)]
         self._head: List[int] = [0] * n_devices
         self.last_completion = np.zeros(n_devices)
+        self.queue_len = np.zeros(n_devices, dtype=np.int64)
 
     def settle(self, now: float) -> None:
         """Drop requests already completed by ``now``.
@@ -250,6 +260,7 @@ class _BacklogTracker:
         compaction the lists grow O(n_requests) over a long trace even
         though only the unsettled tail ever matters again.
         """
+        queue_len = self.queue_len
         for d, comps in enumerate(self._completions):
             head = self._head[d]
             while head < len(comps) and comps[head] <= now:
@@ -258,10 +269,7 @@ class _BacklogTracker:
                 del comps[:head]
                 head = 0
             self._head[d] = head
-
-    def queue_len(self, d: int) -> int:
-        """Requests of device ``d`` still in queue/service (post-settle)."""
-        return len(self._completions[d]) - self._head[d]
+            queue_len[d] = len(comps) - head
 
     def assign(self, d: int, now: float, demand: float) -> None:
         """Book one request on device ``d`` arriving at ``now``."""
@@ -269,17 +277,17 @@ class _BacklogTracker:
         done = start + demand
         self._completions[d].append(done)
         self.last_completion[d] = done
+        self.queue_len[d] += 1
 
 
 class _DenseBacklog:
-    """Dense-array twin of :class:`_BacklogTracker` for the epoch path.
+    """Heap-settled twin of :class:`_BacklogTracker` for the fast paths.
 
-    Same service model, different data layout: queue lengths and last
-    completion times live in ``(N,)`` arrays, and settling pops one
-    completion min-heap shared by all devices instead of walking every
+    Same service model and interface, different settle: one completion
+    min-heap shared by all devices instead of a walk over every
     device's list per request — amortized one heap pop per request over
     a whole trace.  Arithmetic is kept operation-for-operation identical
-    to the scalar tracker (``max`` then ``+`` on Python floats), so the
+    to the list tracker (``max`` then ``+`` on Python floats), so the
     booked completion times — and therefore every downstream comparison
     — are bit-identical.
     """
@@ -315,18 +323,6 @@ class JoinShortestQueueRouter(Router):
 
     name = "jsq"
 
-    def route(self, ctx: RouteContext) -> np.ndarray:
-        tracker = _BacklogTracker(ctx.n_devices)
-        out = np.empty(ctx.arrivals.size, dtype=np.int64)
-        for i in range(ctx.arrivals.size):
-            now = float(ctx.arrivals[i])
-            tracker.settle(now)
-            lengths = [tracker.queue_len(d) for d in range(ctx.n_devices)]
-            choice = int(np.argmin(lengths))
-            tracker.assign(choice, now, float(ctx.demands[i]))
-            out[i] = choice
-        return out
-
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
         # inlined _DenseBacklog: jsq only ever reads the argmin of the
         # queue lengths, so last-completion times can stay Python floats
@@ -360,8 +356,8 @@ class JoinShortestQueueRouter(Router):
     def decide_one(self, state, queue_len, last_completion, now, ctx,
                    alive=None) -> int:
         if alive is None:
-            return int(np.argmin(queue_len))
-        masked = np.where(alive, queue_len, np.iinfo(np.int64).max)
+            return int(queue_len.argmin())
+        masked = np.where(alive, queue_len, _NO_ROOM)
         return int(np.argmin(masked))
 
 
@@ -402,34 +398,6 @@ class PowerAwareRouter(Router):
             device.deepest_state(), device.initial_state
         )
 
-    def route(self, ctx: RouteContext) -> np.ndarray:
-        window = self.resolve_window(ctx.device)
-        tracker = _BacklogTracker(ctx.n_devices)
-        out = np.empty(ctx.arrivals.size, dtype=np.int64)
-        for i in range(ctx.arrivals.size):
-            now = float(ctx.arrivals[i])
-            tracker.settle(now)
-            lengths = np.array(
-                [tracker.queue_len(d) for d in range(ctx.n_devices)]
-            )
-            awake = (lengths > 0) | (now - tracker.last_completion < window)
-            room = awake & (lengths < self._max_queue)
-            if room.any():
-                # shortest queue among awake devices with room, index ties
-                masked = np.where(room, lengths, np.iinfo(np.int64).max)
-                choice = int(np.argmin(masked))
-            elif not awake.all():
-                # awake devices are full (or none awake): wake the most
-                # recently used sleeping device
-                recency = np.where(~awake, tracker.last_completion, -np.inf)
-                choice = int(np.argmax(recency))
-            else:
-                # every device awake and full: plain shortest queue
-                choice = int(np.argmin(lengths))
-            tracker.assign(choice, now, float(ctx.demands[i]))
-            out[i] = choice
-        return out
-
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
         window = self.resolve_window(ctx.device)
         max_queue = self._max_queue
@@ -469,25 +437,24 @@ class PowerAwareRouter(Router):
 
     def decide_one(self, state, queue_len, last_completion, now, ctx,
                    alive=None) -> int:
-        # the route() decision tree with every eligibility test ANDed
-        # against the live mask; with alive=None (or all-True) each
-        # branch reduces to the unmasked original, so choices — and
-        # tie-breaks — match route() exactly
+        # the class docstring's decision tree with every eligibility
+        # test ANDed against the mask; with alive=None (or all-True)
+        # each branch reduces to the unmasked tree route_step_batch
+        # inlines, so choices — and tie-breaks — match it exactly
         window = state["window"]
-        full = np.iinfo(np.int64).max
         awake = (queue_len > 0) | (now - last_completion < window)
         eligible = alive if alive is not None else np.ones(
             ctx.n_devices, dtype=bool
         )
         room = awake & eligible & (queue_len < self._max_queue)
         if room.any():
-            return int(np.argmin(np.where(room, queue_len, full)))
+            return int(np.argmin(np.where(room, queue_len, _NO_ROOM)))
         sleeping = ~awake & eligible
         if sleeping.any():
             # wake the most recently used sleeping (live) device
             return int(np.argmax(np.where(sleeping, last_completion, -np.inf)))
         # every live device awake and full: plain shortest live queue
-        return int(np.argmin(np.where(eligible, queue_len, full)))
+        return int(np.argmin(np.where(eligible, queue_len, _NO_ROOM)))
 
 
 #: registry used by the sweep layer and the CLI ``--router`` flag
@@ -566,218 +533,16 @@ class FailoverConfig:
             )
 
 
-@dataclass
-class FailoverOutcome:
-    """Per-request result of one failure-aware routing pass.
-
-    ``assignments[i]`` is the landing device, or ``-1`` for a dropped
-    request; ``dispatch_times[i]`` the instant the request finally
-    dispatched (its arrival time plus any backoff delays — for dropped
-    requests, the instant the dispatcher gave up); ``retries[i]`` the
-    number of backoff delays taken.
-    """
-
-    arrivals: np.ndarray
-    assignments: np.ndarray
-    dispatch_times: np.ndarray
-    retries: np.ndarray
-
-    @property
-    def landed(self) -> np.ndarray:
-        """Boolean mask of requests that reached a device."""
-        return self.assignments >= 0
-
-    @property
-    def n_dropped(self) -> int:
-        """Requests that exhausted their retries."""
-        return int((~self.landed).sum())
-
-    @property
-    def n_retries(self) -> int:
-        """Total backoff retries across all requests."""
-        return int(self.retries.sum())
-
-    @property
-    def latency_inflation(self) -> float:
-        """Mean added dispatch delay (seconds) over landed requests."""
-        landed = self.landed
-        if not landed.any():
-            return 0.0
-        extra = self.dispatch_times[landed] - self.arrivals[landed]
-        return float(extra.mean())
-
-
 def _backoff_delay(k: int, config: FailoverConfig) -> float:
     """Delay before retry ``k`` (1-based): capped exponential."""
     return min(config.backoff_base * (2.0 ** (k - 1)), config.backoff_cap)
-
-
-def route_with_failover(
-    router: Router,
-    ctx: RouteContext,
-    faults: FaultSchedule,
-    config: FailoverConfig = FailoverConfig(),
-) -> FailoverOutcome:
-    """Scalar failure-aware reference loop (the semantics of record).
-
-    Walks the requests once; each request is resolved fully — natural
-    choice, backoff retries, landing or drop — before the next arrival
-    is considered (retried requests book at their *delayed* dispatch
-    instants, so a later-arriving request can observe their bookings;
-    the dispatcher-level service model already abstracts in-flight
-    detail, and inline resolution keeps the pass deterministic and
-    single-sweep).  Backlog bookkeeping is the list-walking
-    :class:`_BacklogTracker`; arrival-instant masks come from one
-    vectorized :meth:`~repro.workload.FaultSchedule.down_mask` sweep
-    (bit-equal to per-device :meth:`~repro.workload.FaultSchedule.is_down`
-    queries, pinned so in tests) and retry probes use the exact
-    point-query :meth:`~repro.workload.FaultSchedule.alive_mask` — the
-    vectorized twin :func:`route_with_failover_step` is pinned against
-    this loop bit for bit.
-    """
-    if faults.n_devices != ctx.n_devices:
-        raise ValueError(
-            f"fault schedule covers {faults.n_devices} devices, "
-            f"context has {ctx.n_devices}"
-        )
-    n = int(ctx.arrivals.size)
-    tracker = _BacklogTracker(ctx.n_devices)
-    state = router.begin_route(ctx)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
-
-    def backlog_view():
-        lengths = np.array(
-            [tracker.queue_len(d) for d in range(ctx.n_devices)],
-            dtype=np.int64,
-        )
-        return lengths, tracker.last_completion
-
-    for i in range(n):
-        now = float(ctx.arrivals[i])
-        t = now
-        k = 0
-        tracker.settle(t)
-        alive = alive_rows[i]
-        lengths, last = backlog_view()
-        choice = router.decide_one(state, lengths, last, t, ctx)
-        while not alive[choice]:
-            if k == config.max_retries:
-                choice = -1
-                break
-            k += 1
-            t = t + _backoff_delay(k, config)
-            tracker.settle(t)
-            alive = faults.alive_mask(t)
-            if config.policy == "resubmit":
-                lengths, last = backlog_view()
-                choice = router.decide_one(state, lengths, last, t, ctx)
-            elif alive.any():
-                lengths, last = backlog_view()
-                choice = router.decide_one(
-                    state, lengths, last, t, ctx, alive=alive
-                )
-            # whole fleet down under next_best: hold the choice, back off
-        if choice >= 0:
-            tracker.assign(choice, t, float(ctx.demands[i]))
-        assignments[i] = choice
-        dispatch_times[i] = t
-        retries[i] = k
-    return FailoverOutcome(
-        arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-    )
-
-
-def route_with_failover_step(
-    router: Router,
-    ctx: RouteContext,
-    faults: FaultSchedule,
-    config: FailoverConfig = FailoverConfig(),
-) -> FailoverOutcome:
-    """Epoch-advance failure-aware routing (the vectorized fast path).
-
-    Same attempt/backoff/landing semantics as
-    :func:`route_with_failover`, different mechanics: the backlog lives
-    in dense arrays settled through one shared completion heap
-    (:class:`_DenseBacklog`), and the live/dead masks at the *arrival*
-    instants come from one whole-trace
-    :meth:`~repro.workload.FaultSchedule.down_mask` sweep — one
-    searchsorted per device over the full arrival array instead of a
-    Python interval lookup per (request, device) pair.  Retry probes
-    (rare, and at off-arrival instants) use the exact
-    :meth:`~repro.workload.FaultSchedule.alive_mask` query the scalar
-    loop uses.  Booked completion times and backoff instants are
-    computed with the same Python-float arithmetic, masks are exact
-    boolean replays, and decisions go through the same
-    :meth:`Router.decide_one` — so the outcome is bit-identical to the
-    scalar reference (pinned in tests/test_fleet_faults.py and
-    asserted in-bench).
-    """
-    if faults.n_devices != ctx.n_devices:
-        raise ValueError(
-            f"fault schedule covers {faults.n_devices} devices, "
-            f"context has {ctx.n_devices}"
-        )
-    n = int(ctx.arrivals.size)
-    backlog = _DenseBacklog(ctx.n_devices)
-    queue_len = backlog.queue_len
-    last_completion = backlog.last_completion
-    settle = backlog.settle
-    assign = backlog.assign
-    state = router.begin_route(ctx)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
-
-    arrivals = ctx.arrivals.tolist()
-    demands = ctx.demands.tolist()
-    decide = router.decide_one
-    for i in range(n):
-        now = arrivals[i]
-        t = now
-        k = 0
-        settle(t)
-        alive = alive_rows[i]
-        choice = decide(state, queue_len, last_completion, t, ctx)
-        while not alive[choice]:
-            if k == config.max_retries:
-                choice = -1
-                break
-            k += 1
-            t = t + _backoff_delay(k, config)
-            settle(t)
-            alive = faults.alive_mask(t)
-            if config.policy == "resubmit":
-                choice = decide(state, queue_len, last_completion, t, ctx)
-            elif alive.any():
-                choice = decide(
-                    state, queue_len, last_completion, t, ctx, alive=alive
-                )
-        if choice >= 0:
-            assign(choice, t, demands[i])
-        assignments[i] = choice
-        dispatch_times[i] = t
-        retries[i] = k
-    return FailoverOutcome(
-        arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-    )
 
 
 # ---------------------------------------------------------------------- #
 # overload resilience: circuit breakers, retry budget, deadline shedding
 # ---------------------------------------------------------------------- #
 
-#: assignment sentinel — retries exhausted, request dropped (as in
-#: :class:`FailoverOutcome`)
+#: assignment sentinel — retries exhausted, request dropped
 DROPPED_ASSIGNMENT = -1
 #: assignment sentinel — request proactively shed (deadline or budget)
 SHED_ASSIGNMENT = -2
@@ -865,16 +630,16 @@ class RetryBudgetConfig:
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Graceful-degradation settings for the overload-aware engines.
+    """Settings of the fault-aware routing loop.
 
-    Composes the existing backoff/failover shape with three independent
+    Composes the backoff/failover shape with three independent
     protections, each disabled by default: per-device circuit breakers
     (``breaker``), a fleet-wide retry budget (``retry_budget``), and
     deadline-aware admission control (``slo`` seconds per request; a
     request whose predicted completion — backlog plus brownout-inflated
     demand — misses ``arrival + slo`` is shed instead of dispatched).
-    With all three left ``None`` the overload engines reduce exactly to
-    the plain failover path (pinned bit-identical in tests).
+    With all three left ``None`` — ``OverloadConfig(failover=...)`` —
+    the loop is plain failover routing: retries and drops only.
     """
 
     failover: FailoverConfig = FailoverConfig()
@@ -915,12 +680,10 @@ _BRK_CLOSED, _BRK_OPEN, _BRK_HALF_OPEN = 0, 1, 2
 
 
 class _BreakerFleet:
-    """Per-device breaker state shared by both overload engines.
+    """Per-device breaker state of the fault-aware routing loop.
 
-    Both the scalar reference and the vectorized engine instantiate this
-    exact class and feed it the same (choice, instant, wait) sequence,
-    so breaker decisions are bit-identical across engines by
-    construction.  With ``config=None`` every method is a no-op and
+    Fed the (choice, instant, wait) sequence of every dispatch attempt.
+    With ``config=None`` every method is a no-op and
     :meth:`routing_mask` returns None — the disabled path adds nothing
     to the failover semantics.
     """
@@ -931,6 +694,7 @@ class _BreakerFleet:
         if config is None:
             return
         self.state = np.zeros(n_devices, dtype=np.int8)
+        self.n_open = 0  # breakers in state open
         self.failures = np.zeros(n_devices, dtype=np.int64)
         self.successes = np.zeros(n_devices, dtype=np.int64)
         self.opened_at = np.zeros(n_devices)
@@ -938,22 +702,20 @@ class _BreakerFleet:
     def routing_mask(self, now: float) -> Optional[np.ndarray]:
         """Mask of breaker-admissible devices at ``now`` (True = route
         here), after promoting recovered breakers to half-open.  None
-        when breakers are disabled; an all-True mask when none is open
-        (equivalent to None for every router — decisions *and* RNG
-        stream consumption match, so trips alone perturb routing)."""
-        if self.config is None:
+        when breakers are disabled or none is open — an all-True mask
+        would mean the same to every router, decisions *and* RNG stream
+        consumption alike, so trips alone perturb routing."""
+        if self.config is None or not self.n_open:
             return None
         open_mask = self.state == _BRK_OPEN
-        if open_mask.any():
-            ready = open_mask & (
-                now - self.opened_at >= self.config.recovery_time
-            )
-            if ready.any():
-                self.state[ready] = _BRK_HALF_OPEN
-                self.successes[ready] = 0
-                open_mask &= ~ready
-        if not open_mask.any():
-            return ~open_mask
+        ready = open_mask & (now - self.opened_at >= self.config.recovery_time)
+        if ready.any():
+            self.state[ready] = _BRK_HALF_OPEN
+            self.successes[ready] = 0
+            open_mask &= ~ready
+            self.n_open -= int(ready.sum())
+            if not self.n_open:
+                return None
         mask = ~open_mask
         if not mask.any():
             return None  # whole fleet tripped: never black-hole it
@@ -967,12 +729,14 @@ class _BreakerFleet:
         if st == _BRK_HALF_OPEN:
             # failed reprobe: straight back to open
             self.state[d] = _BRK_OPEN
+            self.n_open += 1
             self.opened_at[d] = now
             self.trips += 1
         elif st == _BRK_CLOSED:
             self.failures[d] += 1
             if self.failures[d] >= self.config.failure_threshold:
                 self.state[d] = _BRK_OPEN
+                self.n_open += 1
                 self.opened_at[d] = now
                 self.failures[d] = 0
                 self.trips += 1
@@ -1004,13 +768,12 @@ class _BreakerFleet:
 
 
 class _RetryBudget:
-    """Fleet-wide retry token bucket shared by both overload engines.
+    """Fleet-wide retry token bucket of the fault-aware routing loop.
 
     Refill happens lazily at consumption instants with plain
     Python-float arithmetic; attempt instants are not globally monotone
     (a backed-off retry can pass a later arrival), so refill only ever
-    advances the clock — identical call sequences produce identical
-    levels in both engines.
+    advances the clock.
     """
 
     def __init__(self, config: Optional[RetryBudgetConfig]):
@@ -1051,12 +814,15 @@ def _routable(
 
 @dataclass
 class OverloadOutcome:
-    """Per-request result of one overload-aware routing pass.
+    """Per-request result of one fault-aware routing pass.
 
-    Extends the :class:`FailoverOutcome` encoding: ``assignments[i]`` is
-    the landing device, ``-1`` for a dropped request (retries exhausted,
-    fleet down) or ``-2`` for a *shed* request (deadline or retry-budget
-    admission control — see ``shed_reasons``).  ``completions[i]`` is
+    ``assignments[i]`` is the landing device, ``-1`` for a dropped
+    request (retries exhausted, fleet down) or ``-2`` for a *shed*
+    request (deadline or retry-budget admission control — see
+    ``shed_reasons``).  ``dispatch_times[i]`` is the instant the request
+    finally dispatched (its arrival plus any backoff delays; for a
+    dropped or shed request, the instant the dispatcher gave up) and
+    ``retries[i]`` the number of backoff delays taken.  ``completions[i]`` is
     the dispatcher-model booked completion instant for landed requests
     (NaN otherwise) and ``deadlines[i]`` the admission deadline
     (``arrival + slo``; +inf with deadlines disabled) — together they
@@ -1142,30 +908,42 @@ def route_with_overload(
     ctx: RouteContext,
     faults: FaultSchedule,
     config: OverloadConfig = OverloadConfig(),
+    vectorized: bool = True,
 ) -> OverloadOutcome:
-    """Scalar overload-aware reference loop (the semantics of record).
+    """The fault-aware routing loop: failover plus overload protection.
 
-    The :func:`route_with_failover` retry loop extended with the three
-    graceful-degradation mechanisms of :class:`OverloadConfig`, each a
-    provable no-op when disabled:
+    Walks the requests once; each request is resolved fully — natural
+    choice, backoff retries, landing, drop or shed — before the next
+    arrival is considered (retried requests book at their *delayed*
+    dispatch instants, so a later arrival can observe their bookings).
+    The first attempt is the router's natural choice, masked only by
+    open breakers.  While the chosen device is down:
 
-    - every decision consults the breaker mask
-      (:meth:`_BreakerFleet.routing_mask` — None when disabled, so the
-      natural choice stays fault- and breaker-oblivious);
+    - the failure is recorded against that device's breaker;
+    - after ``max_retries`` backoffs the request drops;
     - every backoff retry must first win a token from the fleet-wide
       retry budget, else the request is shed (``shed_reasons`` =
       budget);
-    - a retry instant past the request's deadline, or a booked
-      completion (backlog wait + brownout-inflated demand) that would
-      miss it, sheds the request instead of dispatching it
-      (``shed_reasons`` = deadline).
+    - a retry instant past the request's deadline sheds it
+      (``shed_reasons`` = deadline);
+    - otherwise the retry is re-decided: ``resubmit`` asks the router
+      again with only the breaker mask, ``next_best`` with the live
+      mask narrowed by the breakers (held while the whole fleet is
+      down).
 
-    Landed requests book ``demand × severity_at(device, t)`` — a
-    browned-out device serves, but slowly, and the deadline check sees
-    that inflated cost.  With breakers, budget, and deadlines disabled
-    and a fail-stop schedule, assignments, dispatch times, and retries
-    are bit-identical to :func:`route_with_failover` (severity is
-    exactly 1.0 on live devices, and ``x * 1.0 == x`` bitwise).
+    A landed request books ``demand × severity_at(device, t)`` — a
+    browned-out device serves, but slowly — unless that booked
+    completion misses the deadline, which sheds it instead.  Each knob
+    of :class:`OverloadConfig` left at None is a no-op, so
+    ``OverloadConfig(failover=...)`` is plain failover routing.
+
+    Arrival-instant live masks come from one whole-trace
+    :meth:`~repro.workload.FaultSchedule.down_mask` sweep; retry probes
+    use the exact :meth:`~repro.workload.FaultSchedule.alive_mask` point
+    query.  ``vectorized`` picks the backlog the loop runs over: the
+    heap-settled :class:`_DenseBacklog`, or the list-walking
+    :class:`_BacklogTracker` reference.  The two hold equal arrays after
+    every operation, so the outcome does not depend on the choice.
     """
     if faults.n_devices != ctx.n_devices:
         raise ValueError(
@@ -1174,130 +952,9 @@ def route_with_overload(
         )
     failover = config.failover
     n = int(ctx.arrivals.size)
-    tracker = _BacklogTracker(ctx.n_devices)
-    state = router.begin_route(ctx)
-    breaker = _BreakerFleet(ctx.n_devices, config.breaker)
-    budget = _RetryBudget(config.retry_budget)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    shed_reasons = np.zeros(n, dtype=np.int8)
-    deadlines = (
-        np.full(n, math.inf)
-        if config.slo is None
-        else ctx.arrivals + float(config.slo)
+    backlog = (_DenseBacklog if vectorized else _BacklogTracker)(
+        ctx.n_devices
     )
-    completions = np.full(n, math.nan)
-    effective_demands = np.array(ctx.demands, dtype=np.float64, copy=True)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
-
-    def backlog_view():
-        lengths = np.array(
-            [tracker.queue_len(d) for d in range(ctx.n_devices)],
-            dtype=np.int64,
-        )
-        return lengths, tracker.last_completion
-
-    for i in range(n):
-        now = float(ctx.arrivals[i])
-        t = now
-        k = 0
-        deadline = float(deadlines[i])
-        reason = SHED_NONE
-        tracker.settle(t)
-        alive = alive_rows[i]
-        lengths, last = backlog_view()
-        choice = router.decide_one(
-            state, lengths, last, t, ctx, alive=breaker.routing_mask(t)
-        )
-        while not alive[choice]:
-            breaker.record_failure(choice, t)
-            if k == failover.max_retries:
-                choice = DROPPED_ASSIGNMENT
-                break
-            if not budget.take(t):
-                choice = SHED_ASSIGNMENT
-                reason = SHED_BUDGET
-                break
-            k += 1
-            t = t + _backoff_delay(k, failover)
-            if t > deadline:
-                choice = SHED_ASSIGNMENT
-                reason = SHED_DEADLINE
-                break
-            tracker.settle(t)
-            alive = faults.alive_mask(t)
-            if failover.policy == "resubmit":
-                lengths, last = backlog_view()
-                choice = router.decide_one(
-                    state, lengths, last, t, ctx,
-                    alive=breaker.routing_mask(t),
-                )
-            elif alive.any():
-                lengths, last = backlog_view()
-                choice = router.decide_one(
-                    state, lengths, last, t, ctx,
-                    alive=_routable(alive, breaker.routing_mask(t)),
-                )
-            # whole fleet down under next_best: hold the choice, back off
-        if choice >= 0:
-            demand = float(ctx.demands[i]) * faults.severity_at(choice, t)
-            start = max(t, float(tracker.last_completion[choice]))
-            done = start + demand
-            if done > deadline:
-                choice = SHED_ASSIGNMENT
-                reason = SHED_DEADLINE
-            else:
-                tracker.assign(choice, t, demand)
-                completions[i] = done
-                effective_demands[i] = demand
-                breaker.record_outcome(choice, t, start - t)
-        assignments[i] = choice
-        dispatch_times[i] = t
-        retries[i] = k
-        shed_reasons[i] = reason
-    return OverloadOutcome(
-        arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-        shed_reasons=shed_reasons,
-        deadlines=deadlines,
-        completions=completions,
-        effective_demands=effective_demands,
-        n_breaker_trips=breaker.trips,
-    )
-
-
-def route_with_overload_step(
-    router: Router,
-    ctx: RouteContext,
-    faults: FaultSchedule,
-    config: OverloadConfig = OverloadConfig(),
-) -> OverloadOutcome:
-    """Epoch-advance overload-aware routing (the vectorized fast path).
-
-    Same semantics as :func:`route_with_overload`, same mechanics split
-    as the failover pair: dense backlog arrays settled through one
-    shared completion heap, arrival-instant masks from one whole-trace
-    :meth:`~repro.workload.FaultSchedule.down_mask` sweep, exact
-    :meth:`~repro.workload.FaultSchedule.alive_mask` point queries for
-    retry probes.  Breaker and retry-budget state live in the *same*
-    classes the scalar loop uses (:class:`_BreakerFleet`,
-    :class:`_RetryBudget`) and observe the same event sequence, so the
-    outcome — assignments, dispatch times, retries, shed mask and
-    reasons, booked completions, trip count — is bit-identical to the
-    scalar reference (pinned in tests/test_fleet_overload.py and
-    asserted in-bench).
-    """
-    if faults.n_devices != ctx.n_devices:
-        raise ValueError(
-            f"fault schedule covers {faults.n_devices} devices, "
-            f"context has {ctx.n_devices}"
-        )
-    failover = config.failover
-    n = int(ctx.arrivals.size)
-    backlog = _DenseBacklog(ctx.n_devices)
     queue_len = backlog.queue_len
     last_completion = backlog.last_completion
     settle = backlog.settle
@@ -1305,15 +962,15 @@ def route_with_overload_step(
     state = router.begin_route(ctx)
     breaker = _BreakerFleet(ctx.n_devices, config.breaker)
     budget = _RetryBudget(config.retry_budget)
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    shed_reasons = np.zeros(n, dtype=np.int8)
     deadlines = (
         np.full(n, math.inf)
         if config.slo is None
         else ctx.arrivals + float(config.slo)
     )
+    assignments = np.empty(n, dtype=np.int64)
+    dispatch_times = np.empty(n)
+    retries = np.zeros(n, dtype=np.int64)
+    shed_reasons = np.zeros(n, dtype=np.int8)
     completions = np.full(n, math.nan)
     effective_demands = np.array(ctx.demands, dtype=np.float64, copy=True)
     alive_rows = ~faults.down_mask(ctx.arrivals)
@@ -1481,36 +1138,18 @@ class Dispatcher:
         failover: FailoverConfig = FailoverConfig(),
         vectorized: bool = True,
         fault_seed: Optional[int] = None,
-    ) -> Tuple[List[Trace], FailoverOutcome]:
-        """Route under a fault schedule and split into per-device traces.
-
-        ``faults`` is a :class:`~repro.workload.FaultSchedule` or a
-        :class:`~repro.workload.FaultProcess` (realized over the trace
-        window with ``fault_seed``, defaulting to the routing seed).
-        Dropped requests appear in the returned
-        :class:`FailoverOutcome` but in no sub-trace; landed requests
-        enter their device's stream at their *delayed* dispatch instant
-        (a retried request can dispatch after a later arrival, so each
-        sub-trace is stable-sorted by dispatch time), and the shared
-        window is stretched to cover the latest landing.
-        """
-        schedule = resolve_fault_schedule(
-            faults,
-            self.n_devices,
-            trace.duration,
-            seed=self.seed if fault_seed is None else int(fault_seed),
-        )
-        if schedule is None:
+    ) -> Tuple[List[Trace], OverloadOutcome]:
+        """Failover-only routing: :meth:`dispatch_with_overload` under
+        ``OverloadConfig(failover=failover)``, for a required fault
+        schedule."""
+        if faults is None:
             raise ValueError(
                 "dispatch_with_faults needs a fault schedule; "
                 "use dispatch() for the fault-free path"
             )
-        ctx = self._context(trace)
-        engine = route_with_failover_step if vectorized else route_with_failover
-        outcome = engine(self.router, ctx, schedule, failover)
-        return (
-            self._split_outcome(outcome, ctx.demands, trace.duration),
-            outcome,
+        return self.dispatch_with_overload(
+            trace, faults, OverloadConfig(failover=failover),
+            vectorized=vectorized, fault_seed=fault_seed,
         )
 
     def dispatch_with_overload(
@@ -1521,16 +1160,20 @@ class Dispatcher:
         vectorized: bool = True,
         fault_seed: Optional[int] = None,
     ) -> Tuple[List[Trace], OverloadOutcome]:
-        """Route under overload protection and split into sub-traces.
+        """Route through :func:`route_with_overload` and split into
+        per-device traces.
 
-        The overload twin of :meth:`dispatch_with_faults`: breakers,
-        retry budget, deadline shedding, and brownout-inflated demands
-        per ``overload``.  ``faults`` may also be None — an always-up
-        schedule, so pure admission control can run without fault
-        injection.  Dropped *and shed* requests appear in the returned
-        :class:`OverloadOutcome` but in no sub-trace; landed requests
-        enter their device's stream at their delayed dispatch instant
-        with their brownout-inflated demand.
+        ``faults`` is a :class:`~repro.workload.FaultSchedule`, a
+        :class:`~repro.workload.FaultProcess` (realized over the trace
+        window with ``fault_seed``, defaulting to the routing seed), or
+        None — an always-up schedule, so pure admission control can run
+        without fault injection.  Dropped and shed requests appear in
+        the returned :class:`OverloadOutcome` but in no sub-trace.
+        Landed requests enter their device's stream at their *delayed*
+        dispatch instant with their brownout-inflated demand (a retried
+        request can dispatch after a later arrival, so each sub-trace is
+        stable-sorted by dispatch time), and the shared window is
+        stretched to cover the latest landing.
         """
         schedule = resolve_fault_schedule(
             faults,
@@ -1540,24 +1183,11 @@ class Dispatcher:
         )
         if schedule is None:
             schedule = no_faults(self.n_devices, trace.duration)
-        ctx = self._context(trace)
-        engine = route_with_overload_step if vectorized else route_with_overload
-        outcome = engine(self.router, ctx, schedule, overload)
-        return (
-            self._split_outcome(
-                outcome, outcome.effective_demands, trace.duration
-            ),
-            outcome,
+        outcome = route_with_overload(
+            self.router, self._context(trace), schedule, overload,
+            vectorized=vectorized,
         )
-
-    def _split_outcome(
-        self, outcome, demands: np.ndarray, duration: float
-    ) -> List[Trace]:
-        """Per-device sub-traces from a routing outcome: landed requests
-        at their delayed dispatch instants (stable-sorted — a retried
-        request can dispatch after a later arrival), shared window
-        stretched to the latest landing."""
-        duration = float(duration)
+        duration = float(trace.duration)
         landed = outcome.landed
         if landed.any():
             duration = max(
@@ -1567,13 +1197,10 @@ class Dispatcher:
         for d in range(self.n_devices):
             mask = outcome.assignments == d
             times = outcome.dispatch_times[mask]
-            sub_demands = demands[mask]
+            demands = outcome.effective_demands[mask]
             order = np.argsort(times, kind="stable")
             subs.append(
-                Trace(
-                    times[order],
-                    duration=duration,
-                    service_demands=sub_demands[order],
-                )
+                Trace(times[order], duration=duration,
+                      service_demands=demands[order])
             )
-        return subs
+        return subs, outcome

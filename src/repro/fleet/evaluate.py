@@ -6,31 +6,37 @@ stream across N device replicas, evaluate every sub-trace on the
 single-device engine, and fold the per-device reports into a
 :class:`~repro.fleet.report.FleetReport`.
 
+Routing makes one two-way decision per trace.  With no fault schedule
+and no overload protection the dispatcher's plain path runs
+(closed-form ``route_batch`` for stateless routers, epoch-advance
+``route_step_batch`` for queue-aware ones); otherwise — faults,
+overload knobs, or both — the trace goes through the fault-aware loop
+:func:`~repro.fleet.dispatch.route_with_overload`, failover-only routing
+being ``OverloadConfig(failover=...)``.
+
 Three engines, mirroring the repo's batched/scalar split:
 
-- ``engine="auto"`` — the per-trace fast path.  Routers assign with
-  their vectorized paths (``route_batch`` for stateless routers,
-  ``route_step_batch`` for the queue-aware ones); the per-device
-  sub-traces then ride
-  :func:`~repro.runtime.eventsim.simulate_traces_batch` — the
-  vectorized busy-period kernel per sub-trace for stateless policies,
-  the lock-step cross-replication engine over all N devices at once for
-  stateful batchable policies (adaptive, predictive), and the scalar
-  loop for everything else.
+- ``engine="auto"`` — the per-trace fast path: the vectorized routing
+  paths, then :func:`~repro.runtime.eventsim.simulate_traces_batch` on
+  the per-device sub-traces — the vectorized busy-period kernel per
+  sub-trace for stateless policies, the lock-step cross-replication
+  engine over all N devices at once for stateful batchable policies
+  (adaptive, predictive), and the scalar loop for everything else.
 - ``engine="flat"`` — the production sweep path: all sub-traces of the
   fleet run (and, via :func:`run_fleet_batch`, of *every seed of a
   sweep cell*) are flattened into one padded
   :func:`~repro.runtime.eventsim.run_step_batched` invocation, so a
   whole cell costs one kernel call instead of N x R per-trace runs.
 - ``engine="scalar"`` — the reference dispatcher: the router's scalar
-  assignment loop plus the scalar :class:`~repro.sim.DPMSimulator` event
-  loop per device.  tests/test_fleet_sweep.py pins the fast engines
-  against it field-for-field (rel tol <= 1e-9) on the fleet aggregate.
+  assignment loop (or the fault-aware loop over the list-walking
+  backlog) plus the scalar :class:`~repro.sim.DPMSimulator` event loop
+  per device.  tests/test_fleet_sweep.py pins the fast engines against
+  it field-for-field (rel tol <= 1e-9) on the fleet aggregate.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..device import PowerStateMachine
 from ..runtime.eventsim import run_step_batched, simulate_traces_batch
@@ -46,11 +52,64 @@ from .report import FleetReport, build_fleet_report
 ENGINES = ("auto", "flat", "scalar")
 
 
-def _landed_fraction(outcome) -> float:
-    """Fraction of offered requests that landed (1.0 for an empty
-    trace) — the deadline-free goodput of a failover outcome."""
-    n = int(outcome.arrivals.size)
-    return float(outcome.landed.sum()) / n if n else 1.0
+def _overload_config(
+    faults, failover: Optional[FailoverConfig],
+    overload: Optional[OverloadConfig],
+) -> Optional[OverloadConfig]:
+    """Settings of the fault-aware loop, or None for plain routing.
+
+    The one routing decision: no faults and no ``overload`` route on
+    the plain fast paths; anything else runs the fault-aware loop,
+    under ``overload`` or, failover-only, the ``failover`` shape.
+    """
+    if overload is not None and failover is not None:
+        raise ValueError(
+            "give the failover shape inside OverloadConfig "
+            "(overload.failover), not via the failover argument too"
+        )
+    if overload is not None or faults is None:
+        return overload
+    return OverloadConfig(
+        failover=failover if failover is not None else FailoverConfig()
+    )
+
+
+def _route(
+    dispatcher: Dispatcher,
+    trace: Trace,
+    faults,
+    fault_seed: int,
+    config: Optional[OverloadConfig],
+    vectorized: bool = True,
+) -> Tuple[List[Trace], dict]:
+    """Route one trace: ``(sub-traces, fault/overload report fields)``,
+    plainly when ``config`` is None, else through the fault-aware
+    loop."""
+    n_offered = int(trace.arrival_times.size)
+    if config is None:
+        return (dispatcher.dispatch(trace, vectorized=vectorized),
+                {"n_offered": n_offered})
+    schedule = None
+    if faults is not None:
+        schedule = resolve_fault_schedule(
+            faults, dispatcher.n_devices, trace.duration, seed=fault_seed,
+        )
+    subs, outcome = dispatcher.dispatch_with_overload(
+        trace, schedule, config, vectorized=vectorized,
+    )
+    return subs, {
+        "availability": 1.0 if schedule is None
+        else float(schedule.availability().mean()),
+        "n_retries": outcome.n_retries,
+        "n_dropped": outcome.n_dropped,
+        "failover_latency_inflation": outcome.latency_inflation,
+        "n_shed": outcome.n_shed,
+        "n_budget_shed": outcome.n_budget_shed,
+        "goodput": outcome.goodput,
+        "slo_attainment": outcome.slo_attainment,
+        "n_breaker_trips": outcome.n_breaker_trips,
+        "n_offered": n_offered,
+    }
 
 
 def run_fleet(
@@ -79,22 +138,15 @@ def run_fleet(
     ``faults`` injects device failures: a
     :class:`~repro.workload.FaultSchedule` or a
     :class:`~repro.workload.FaultProcess` (realized over the trace
-    window with ``fault_seed``, defaulting to ``route_seed``).  Routing
-    then goes through the failure-aware engines — the vectorized
-    epoch-advance path for ``auto``/``flat``, the scalar reference loop
-    for ``scalar``, pinned bit-identical — honouring ``failover``
-    (default :class:`~repro.fleet.dispatch.FailoverConfig`), and the
-    report carries availability/retry/drop/inflation metrics.
-
-    ``overload`` switches dispatch to the overload-aware engines
-    (circuit breakers, fleet-wide retry budget, deadline shedding,
-    brownout-inflated demands); give the failover shape inside
+    window with ``fault_seed``, defaulting to ``route_seed``).
+    ``overload`` adds circuit breakers, a fleet-wide retry budget and
+    deadline shedding; give the failover shape inside
     :class:`~repro.fleet.dispatch.OverloadConfig` then, not via
-    ``failover``.  A schedule with brownout (finite-severity) intervals
-    upgrades to the overload engines automatically — the plain failover
-    path has no notion of a slow-but-alive device.  The report then
-    additionally carries shed counts, goodput, SLO attainment, and
-    breaker trips.
+    ``failover``.  With either, routing goes through the fault-aware
+    loop (failover-only under ``OverloadConfig(failover=failover)``),
+    and the report carries availability, retry, drop, inflation, shed,
+    goodput, SLO-attainment and breaker-trip metrics.  Brownout
+    (finite-severity) intervals inflate the booked demands.
 
     The fleet quantiles always merge the exact per-device completion
     streams; ``keep_latencies=False`` drops the raw arrays from the
@@ -103,11 +155,7 @@ def run_fleet(
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if overload is not None and failover is not None:
-        raise ValueError(
-            "give the failover shape inside OverloadConfig "
-            "(overload.failover), not via the failover argument too"
-        )
+    config = _overload_config(faults, failover, overload)
     if engine == "flat":
         return run_fleet_batch(
             device, policy, [trace], router, n_devices,
@@ -120,58 +168,13 @@ def run_fleet(
     dispatcher = Dispatcher(
         router, n_devices, device, service_time=service_time, seed=route_seed,
     )
-    fault_kwargs = {"n_offered": int(trace.arrival_times.size)}
     with TELEMETRY.span("route", cat="fleet", engine=engine,
                         n_devices=n_devices):
-        schedule = None
-        if faults is not None:
-            schedule = resolve_fault_schedule(
-                faults, n_devices, trace.duration,
-                seed=route_seed if fault_seed is None else int(fault_seed),
-            )
-        if overload is not None or (
-            schedule is not None and schedule.has_brownouts
-        ):
-            cfg = overload if overload is not None else OverloadConfig(
-                failover=failover if failover is not None
-                else FailoverConfig()
-            )
-            sub_traces, outcome = dispatcher.dispatch_with_overload(
-                trace, schedule, overload=cfg,
-                vectorized=engine == "auto",
-            )
-            fault_kwargs.update(
-                availability=1.0 if schedule is None
-                else float(schedule.availability().mean()),
-                n_retries=outcome.n_retries,
-                n_dropped=outcome.n_dropped,
-                failover_latency_inflation=outcome.latency_inflation,
-                n_shed=outcome.n_shed,
-                n_budget_shed=outcome.n_budget_shed,
-                goodput=outcome.goodput,
-                slo_attainment=outcome.slo_attainment,
-                n_breaker_trips=outcome.n_breaker_trips,
-            )
-        elif schedule is None:
-            sub_traces = dispatcher.dispatch(
-                trace, vectorized=engine == "auto"
-            )
-        else:
-            sub_traces, outcome = dispatcher.dispatch_with_faults(
-                trace, schedule,
-                failover=failover if failover is not None
-                else FailoverConfig(),
-                vectorized=engine == "auto",
-            )
-            fault_kwargs.update(
-                availability=float(schedule.availability().mean()),
-                n_retries=outcome.n_retries,
-                n_dropped=outcome.n_dropped,
-                failover_latency_inflation=outcome.latency_inflation,
-                # no deadlines: every landed request is good, so
-                # goodput is exactly the dispatched fraction
-                goodput=_landed_fraction(outcome),
-            )
+        sub_traces, fault_kwargs = _route(
+            dispatcher, trace, faults,
+            route_seed if fault_seed is None else int(fault_seed),
+            config, vectorized=engine == "auto",
+        )
     with TELEMETRY.span("kernel", cat="fleet", engine=engine,
                         n_traces=len(sub_traces)):
         if engine == "auto":
@@ -223,24 +226,20 @@ def run_fleet_batch(
     reports are independent of which seeds share the batch — the
     chunking-invariance guarantee the sweep runner relies on.
 
-    Policies outside both batch families fall back to per-seed
-    :func:`run_fleet` on the ``auto`` engine (same reports, no
-    flattening to be had).  ``route_seeds`` defaults to 0 for every
+    Policies outside both batch families fall back to
+    :func:`~repro.runtime.eventsim.simulate_traces_batch` on the
+    sub-traces already routed (same reports as per-seed
+    :func:`run_fleet` on the ``auto`` engine, no flattening to be had,
+    no second routing pass).  ``route_seeds`` defaults to 0 for every
     trace, matching :func:`run_fleet`'s default; with ``faults`` given,
     ``fault_seeds`` (defaulting to the route seeds) realize a
     :class:`~repro.workload.FaultProcess` independently per trace, and
     each flattened sub-trace carries its failover-delayed dispatch
     instants — per-seed reports remain pure functions of their own
     ``(trace, route_seed, fault_seed)``, preserving chunking-invariance.
-    ``overload`` (or a brownout-bearing schedule) routes each trace
-    through the overload-aware dispatch engines, exactly as in
-    :func:`run_fleet`.
+    Routing follows :func:`run_fleet`'s two-way decision per trace.
     """
-    if overload is not None and failover is not None:
-        raise ValueError(
-            "give the failover shape inside OverloadConfig "
-            "(overload.failover), not via the failover argument too"
-        )
+    config = _overload_config(faults, failover, overload)
     traces = list(traces)
     if not traces:
         return []
@@ -271,71 +270,20 @@ def run_fleet_batch(
                 service_time=service_time, seed=seed,
             )
             router_name = dispatcher.router.name
-            n_offered = int(trace.arrival_times.size)
-            schedule = None
-            if faults is not None:
-                schedule = resolve_fault_schedule(
-                    faults, n_devices, trace.duration, seed=fseed,
-                )
-            if overload is not None or (
-                schedule is not None and schedule.has_brownouts
-            ):
-                cfg = overload if overload is not None else OverloadConfig(
-                    failover=failover if failover is not None
-                    else FailoverConfig()
-                )
-                subs, outcome = dispatcher.dispatch_with_overload(
-                    trace, schedule, overload=cfg,
-                )
-                sub_traces.extend(subs)
-                fault_kwargs.append({
-                    "availability": 1.0 if schedule is None
-                    else float(schedule.availability().mean()),
-                    "n_retries": outcome.n_retries,
-                    "n_dropped": outcome.n_dropped,
-                    "failover_latency_inflation": outcome.latency_inflation,
-                    "n_shed": outcome.n_shed,
-                    "n_budget_shed": outcome.n_budget_shed,
-                    "goodput": outcome.goodput,
-                    "slo_attainment": outcome.slo_attainment,
-                    "n_breaker_trips": outcome.n_breaker_trips,
-                    "n_offered": n_offered,
-                })
-            elif schedule is None:
-                sub_traces.extend(dispatcher.dispatch(trace))
-                fault_kwargs.append({"n_offered": n_offered})
-            else:
-                subs, outcome = dispatcher.dispatch_with_faults(
-                    trace, schedule,
-                    failover=failover if failover is not None
-                    else FailoverConfig(),
-                )
-                sub_traces.extend(subs)
-                fault_kwargs.append({
-                    "availability": float(schedule.availability().mean()),
-                    "n_retries": outcome.n_retries,
-                    "n_dropped": outcome.n_dropped,
-                    "failover_latency_inflation": outcome.latency_inflation,
-                    "goodput": _landed_fraction(outcome),
-                    "n_offered": n_offered,
-                })
+            subs, fields = _route(dispatcher, trace, faults, fseed, config)
+            sub_traces.extend(subs)
+            fault_kwargs.append(fields)
     with TELEMETRY.span("kernel", cat="fleet", engine="flat",
                         n_traces=len(sub_traces)):
         reports = run_step_batched(
             device, policy, sub_traces,
             service_time=service_time, oracle=oracle, allow_stateless=True,
         )
-    if reports is None:
-        return [
-            run_fleet(
-                device, policy, trace, router, n_devices,
-                service_time=service_time, oracle=oracle, route_seed=seed,
-                engine="auto", keep_latencies=keep_latencies,
-                faults=faults, failover=failover, fault_seed=fseed,
-                overload=overload,
+        if reports is None:
+            reports = simulate_traces_batch(
+                device, policy, sub_traces,
+                service_time=service_time, oracle=oracle,
             )
-            for trace, seed, fseed in zip(traces, route_seeds, fault_seeds)
-        ]
     home_power = device.state(device.initial_state).power
     with TELEMETRY.span("report", cat="fleet", n_devices=n_devices,
                         n_reports=len(traces)):

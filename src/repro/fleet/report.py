@@ -103,10 +103,9 @@ def build_fleet_report(
     retained ``device_reports`` once the exact merged-stream quantiles
     are computed — the fold is the last consumer, so sweep workers can
     ship the aggregate back without R x n_requests floats in the pickle.
-    The fault-injection fields (``availability`` and the failover
-    counters) come from the dispatcher's
-    :class:`~repro.fleet.dispatch.FailoverOutcome`, the overload fields
-    (shed counts, goodput, SLO attainment, breaker trips) from an
+    The fault-injection and overload fields (``availability``, the
+    failover counters, shed counts, goodput, SLO attainment, breaker
+    trips) come from the fault-aware loop's
     :class:`~repro.fleet.dispatch.OverloadOutcome`; their defaults
     describe a fault-free, shed-free run.  ``n_offered`` is the number
     of requests the dispatcher was offered; when > 0 the runtime

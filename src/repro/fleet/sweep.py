@@ -117,7 +117,9 @@ class FleetSweepSpec:
 
     @property
     def uses_overload(self) -> bool:
-        """True when cells route through the overload-aware engines."""
+        """True when cells can shed or book brownout-inflated demands
+        (overload knobs set, or brownout faults): the rendered table
+        then gains the shed / goodput columns."""
         if self.overload is not None:
             return True
         if isinstance(self.faults, FaultProcess):
@@ -467,10 +469,10 @@ class FleetSweepRunner:
             route_seconds_per_request(ROUTERS[name]) for name in spec.routers
         ]
         if spec.faults is not None or spec.overload is not None:
-            # failure- and overload-aware routing run every router
-            # through the epoch-advance engine — closed-form routers
-            # lose their free path and pay at least the per-arrival
-            # Python round
+            # faults and overload knobs run every router through the
+            # fault-aware per-arrival loop — closed-form routers lose
+            # their free path and pay at least the per-arrival Python
+            # round
             per_request_rates = [
                 max(rate, STEP_ROUTE_SECONDS_PER_REQUEST)
                 for rate in per_request_rates

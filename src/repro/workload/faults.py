@@ -116,6 +116,17 @@ class FaultSchedule:
             self._sevs.append(sev_arr)
         if not self._starts:
             raise ValueError("need at least one device")
+        # every device's fail-stop intervals in one flat table, so a
+        # whole-fleet point query is three array ops instead of one
+        # interval lookup per device
+        outage = [np.isinf(sev) for sev in self._sevs]
+        self._outage_starts = np.concatenate(
+            [s[m] for s, m in zip(self._starts, outage)])
+        self._outage_ends = np.concatenate(
+            [e[m] for e, m in zip(self._ends, outage)])
+        self._outage_devices = np.concatenate(
+            [np.full(int(m.sum()), d, dtype=np.int64)
+             for d, m in enumerate(outage)])
 
     @property
     def n_devices(self) -> int:
@@ -142,18 +153,21 @@ class FaultSchedule:
         1.0 outside any interval, the interval's severity inside
         (``math.inf`` for fail-stop outages)."""
         starts = self._starts[device]
-        i = int(np.searchsorted(starts, t, side="right")) - 1
+        i = int(starts.searchsorted(t, side="right")) - 1
         if i >= 0 and t < float(self._ends[device][i]):
             return float(self._sevs[device][i])
         return 1.0
 
     def alive_mask(self, t: float) -> np.ndarray:
         """Boolean ``(n_devices,)`` mask: True where the device is up at
-        ``t``.  Both routing engines use this exact function for retry
-        probes, so their masks agree bit for bit."""
-        return np.array(
-            [not self.is_down(d, t) for d in range(self.n_devices)]
-        )
+        ``t``; ``alive_mask(t)[d] == not is_down(d, t)``.  Each device's
+        intervals are disjoint, so "the last interval starting at or
+        before ``t`` contains ``t``" is "some interval contains ``t``",
+        which one pass over the flat outage table answers."""
+        alive = np.ones(self.n_devices, dtype=bool)
+        hit = (self._outage_starts <= t) & (t < self._outage_ends)
+        alive[self._outage_devices[hit]] = False
+        return alive
 
     def down_mask(self, times: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`is_down` over a time array: boolean

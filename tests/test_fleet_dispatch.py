@@ -1,18 +1,21 @@
 """Dispatcher and router semantics of :mod:`repro.fleet.dispatch`.
 
 The fleet mirrors the repo's stateless/stateful split: stateless routers
-must be bit-identical between their scalar reference loop and the
-closed-form ``route_batch`` path, queue-aware routers must be
-bit-identical between the scalar loop and the epoch-advance
-``route_step_batch`` path (dense backlog arrays, one arrival per round),
-and the dispatcher must partition traces without losing requests,
-demands, or window duration.
+must be bit-identical between their scalar reference loop (``route``,
+``decide_one`` over the list-walking backlog) and the closed-form
+``route_batch`` path, queue-aware routers must be bit-identical between
+the scalar loop and the epoch-advance ``route_step_batch`` path (dense
+backlog arrays, one arrival per round), the two backlog structures must
+agree after every operation, and the dispatcher must partition traces
+without losing requests, demands, or window duration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.device import get_preset
 from repro.fleet import (
@@ -25,7 +28,11 @@ from repro.fleet import (
     RoundRobinRouter,
     make_router,
 )
-from repro.fleet.dispatch import _COMPACT_MIN_SETTLED, _BacklogTracker
+from repro.fleet.dispatch import (
+    _COMPACT_MIN_SETTLED,
+    _BacklogTracker,
+    _DenseBacklog,
+)
 from repro.workload import Exponential, Trace, renewal_trace
 
 STATELESS = ("round_robin", "random")
@@ -182,7 +189,7 @@ class TestBacklogCompaction:
             tracker.assign(0, now, 0.5)
             now += 1.0
             tracker.settle(now)
-            assert tracker.queue_len(0) == 0
+            assert tracker.queue_len[0] == 0
             # without compaction this list would grow to 5000 entries
             assert len(tracker._completions[0]) <= 2 * _COMPACT_MIN_SETTLED
 
@@ -199,8 +206,8 @@ class TestBacklogCompaction:
             now += 0.25 if i % 3 else 0.0    # repeats exercise ties
             tracker.settle(now)
             pending = [[c for c in p if c > now] for p in pending]
-            assert tracker.queue_len(0) == len(pending[0])
-            assert tracker.queue_len(1) == len(pending[1])
+            assert tracker.queue_len[0] == len(pending[0])
+            assert tracker.queue_len[1] == len(pending[1])
             demand = 0.4 + (i % 5) * 0.3     # mixes drain and backlog
             start = max(now, last[d])
             done = start + demand
@@ -208,6 +215,87 @@ class TestBacklogCompaction:
             pending[d].append(done)
             tracker.assign(d, now, demand)
             assert float(tracker.last_completion[d]) == done
+
+
+#: instants on a coarse binary grid: sums of grid demands stay exact,
+#: so booked completions collide with later arrivals and settle instants
+_INSTANTS = st.integers(0, 40).map(lambda k: k * 0.25)
+_DEMANDS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.75])
+
+
+@st.composite
+def _backlog_programs(draw):
+    """A fleet size and a settle/assign sequence over it.
+
+    Instants are not monotone (the fault-aware loop settles at a
+    retry's delayed instant, then at the next, earlier arrival), bursts
+    book many requests on one device at one instant, and
+    ``settle_at_completion`` settles exactly on a booked completion —
+    the ``<=`` boundary.
+    """
+    n_devices = draw(st.integers(1, 4))
+    device = st.integers(0, n_devices - 1)
+    op = st.one_of(
+        st.tuples(st.just("settle"), _INSTANTS),
+        st.tuples(st.just("assign"), device, _INSTANTS, _DEMANDS),
+        st.tuples(st.just("settle_at_completion"), device),
+        st.tuples(st.just("burst"), device, st.integers(1, 80),
+                  _INSTANTS, _DEMANDS),
+    )
+    return n_devices, draw(st.lists(op, max_size=60))
+
+
+class TestBacklogEquivalence:
+    """The fault-aware loop and ``Router.route`` run over either backlog;
+    both must expose equal ``queue_len`` / ``last_completion`` arrays
+    after every settle and assign."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=_backlog_programs())
+    @example(program=(1, [("burst", 0, 3 * _COMPACT_MIN_SETTLED, 0.0, 0.0),
+                          ("settle", 10.0),
+                          ("assign", 0, 10.0, 0.5),
+                          ("settle", 10.0),
+                          ("settle_at_completion", 0)]))
+    @example(program=(1, [("burst", 0, _COMPACT_MIN_SETTLED + 6, 0.0, 0.0),
+                          ("assign", 0, 0.0, 0.5),
+                          ("settle", 0.0),
+                          ("settle_at_completion", 0)]))
+    @example(program=(2, [("assign", 0, 1.0, 0.0), ("assign", 0, 1.0, 0.0),
+                          ("settle", 1.0), ("assign", 1, 2.0, 0.5),
+                          ("settle", 0.5), ("settle_at_completion", 1)]))
+    def test_same_arrays_after_every_operation(self, program):
+        n_devices, ops = program
+        tracker = _BacklogTracker(n_devices)
+        dense = _DenseBacklog(n_devices)
+        for op in ops:
+            kind = op[0]
+            if kind == "settle_at_completion":
+                kind, op = "settle", ("settle",
+                                      float(tracker.last_completion[op[1]]))
+            if kind == "settle":
+                tracker.settle(op[1])
+                dense.settle(op[1])
+            else:
+                d, now, demand = op[1], op[-2], op[-1]
+                for _ in range(op[2] if kind == "burst" else 1):
+                    tracker.assign(d, now, demand)
+                    dense.assign(d, now, demand)
+            assert np.array_equal(tracker.queue_len, dense.queue_len), op
+            assert np.array_equal(tracker.last_completion,
+                                  dense.last_completion), op
+            assert (tracker.queue_len >= 0).all()
+
+    def test_compaction_reached_by_the_burst_example(self):
+        """The first explicit example above must cross the compaction
+        threshold, or the property never exercises a compacted list
+        (the second compacts under an unsettled tail)."""
+        tracker = _BacklogTracker(1)
+        for _ in range(3 * _COMPACT_MIN_SETTLED):
+            tracker.assign(0, 0.0, 0.0)
+        tracker.settle(10.0)
+        assert tracker._completions[0] == []
+        assert tracker.queue_len.tolist() == [0]
 
 
 class TestRoundRobin:

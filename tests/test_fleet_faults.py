@@ -1,19 +1,21 @@
-"""Failure-aware routing: scalar/vectorized pinning, failover semantics.
+"""Failure-aware routing: golden pin, failover semantics, fleet engines.
 
-The contract extends the fleet's determinism discipline to injected
-faults: the vectorized failure-aware engine
-(:func:`~repro.fleet.route_with_failover_step`, dense backlog + an
-incremental transition-replay mask) must be **bit-identical** to the
-scalar reference loop (:func:`~repro.fleet.route_with_failover`,
-list-walking backlog + exact per-device interval queries) on every
-router, preset, failover policy, and fault schedule — including the
-degenerate ones (lock-step correlated failures, cold-start cohorts,
-whole-fleet outages); a no-fault schedule must reproduce plain routing
-choice for choice; and the fleet engines (`auto`/`flat` vs `scalar`)
-must agree on every report field under faults at rel <= 1e-9.
+Failover-only routing is the fault-aware loop
+(:func:`~repro.fleet.route_with_overload`) under
+``OverloadConfig(failover=...)``.  Its outcomes are pinned to sha256
+digests recorded from the dedicated failover engine this loop replaced
+— every router x failover policy, over either backlog, on a seeded
+fault process with retries and drops.  A no-fault schedule must
+reproduce plain routing choice for choice, the failover semantics are
+checked case by case, and the fleet engines (`auto`/`flat` vs
+`scalar`) must agree on every report field under faults at
+rel <= 1e-9.
 """
 
 from __future__ import annotations
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -25,9 +27,9 @@ from repro.fleet import (
     Dispatcher,
     FailoverConfig,
     FleetSweepSpec,
+    OverloadConfig,
     make_router,
-    route_with_failover,
-    route_with_failover_step,
+    route_with_overload,
     run_fleet,
     run_fleet_batch,
 )
@@ -61,32 +63,45 @@ def make_context(trace, n_devices, device_name="mobile_hdd", seed=0,
     )
 
 
-def fault_scenarios(n_devices, horizon, seed=5):
-    """The schedule battery every pinning test runs: a realistic seeded
-    exponential process, the degenerate correlated lock-step process, a
-    cold-start cohort, a single long outage, and a whole-fleet blackout
-    window (every device down at once mid-trace)."""
-    scenarios = {
-        "exponential": FaultProcess(mtbf=40.0, mttr=6.0).realize(
-            n_devices, horizon, seed=seed
-        ),
-        "lockstep": FaultProcess(
-            mtbf=25.0, mttr=5.0, deterministic=True
-        ).realize(n_devices, horizon, seed=seed),
-        "cold_start": FaultProcess(
-            mtbf=60.0, mttr=10.0, start_down=0.5
-        ).realize(n_devices, horizon, seed=seed),
-        "long_outage": FaultSchedule(
-            [[(0.0, horizon * 0.9)]] + [[] for _ in range(n_devices - 1)],
-            horizon,
-        ),
-    }
-    if n_devices > 1:
-        blackout = (horizon * 0.3, horizon * 0.5)
-        scenarios["blackout"] = FaultSchedule(
-            [[blackout] for _ in range(n_devices)], horizon
-        )
-    return scenarios
+def route_with_failover(router, ctx, faults, config=FailoverConfig(),
+                        vectorized=True):
+    """Failover-only routing: the fault-aware loop, every overload knob
+    off."""
+    return route_with_overload(router, ctx, faults,
+                               OverloadConfig(failover=config),
+                               vectorized=vectorized)
+
+
+#: sha256 over the little-endian bytes of ``assignments``,
+#: ``dispatch_times`` and ``retries`` (in that order), recorded from the
+#: dedicated failover engine before it was folded into the fault-aware
+#: loop; each case has retries > 0 and at least one drop
+GOLDEN_DIGESTS = {
+    ("jsq", "next_best"):
+        "0bc366ab61663d5c323ceb40ea88ee670451c9c582ca61a1d6fd8a17d8e082b6",
+    ("jsq", "resubmit"):
+        "0e909cd7989157ca0d67ee093f48d85774e364dad5f2ec4149223bd7ca768e7f",
+    ("power_aware", "next_best"):
+        "3bf1aea7716c3e1ba4a3bfa59c6d1f118969fc04b87777f5e409aa9e0586eb3d",
+    ("power_aware", "resubmit"):
+        "181ed1e43b5b4d8a17d0abe036fb4053121ca418a37d78ea79d527f3e572b3cf",
+    ("random", "next_best"):
+        "0fa81ad1c66bac1de33d5f982ddffbfa3e6c50ce48de1f339303a09ba93b1168",
+    ("random", "resubmit"):
+        "ba9c2d64c456cd5e5b4dc8b74910348db68753f76440e98940154e9941ae49dd",
+    ("round_robin", "next_best"):
+        "91693f52ba61fe7db1346c7f82f397d5350885f4822293f0571b88a24fa3b053",
+    ("round_robin", "resubmit"):
+        "c8e70896d18f9d9fcdf9b86e4954d3adcd74efa307c7db4f9bb1c25451326336",
+}
+
+
+def outcome_digest(outcome):
+    h = hashlib.sha256()
+    h.update(outcome.assignments.astype("<i8").tobytes())
+    h.update(outcome.dispatch_times.astype("<f8").tobytes())
+    h.update(outcome.retries.astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 class TestFailoverConfig:
@@ -106,78 +121,76 @@ class TestFailoverConfig:
             FailoverConfig(**kwargs)
 
 
+class TestGoldenPin:
+    """Failover-only routing reproduces the recorded outcomes bit for
+    bit, over either backlog, with every overload mechanism inert."""
+
+    @pytest.mark.parametrize("vectorized", (True, False))
+    @pytest.mark.parametrize("policy", ("next_best", "resubmit"))
+    @pytest.mark.parametrize("name", sorted(ROUTERS))
+    def test_matches_recorded_digest(self, name, policy, vectorized):
+        trace = renewal_trace(Exponential(0.8), 300.0,
+                              np.random.default_rng(2024))
+        faults = FaultProcess(mtbf=10.0, mttr=8.0).realize(
+            4, trace.duration, seed=5)
+        config = FailoverConfig(policy=policy, max_retries=3,
+                                backoff_base=0.25, backoff_cap=2.0)
+        out = route_with_failover(
+            make_router(name), make_context(trace, 4, seed=9), faults,
+            config, vectorized=vectorized,
+        )
+        assert out.n_retries > 0
+        assert out.n_dropped > 0
+        assert outcome_digest(out) == GOLDEN_DIGESTS[(name, policy)]
+        # failover only: nothing shed, no breaker, no deadline
+        assert out.n_shed == 0
+        assert out.n_breaker_trips == 0
+        assert np.all(out.deadlines == math.inf)
+        assert np.array_equal(out.effective_demands[out.landed], np.full(
+            int(out.landed.sum()), 0.4))
+
+
 class TestNoFaultBitIdentity:
-    """With an always-up schedule the failure-aware engines must make
-    exactly the choices of plain routing: the first attempt is always
-    the router's natural, mask-oblivious decision."""
+    """With an always-up schedule failover routing must make exactly the
+    choices of plain routing: the first attempt is always the router's
+    natural, mask-oblivious decision."""
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
-    @pytest.mark.parametrize("engine",
-                             (route_with_failover, route_with_failover_step))
-    def test_matches_plain_route(self, name, engine, rng):
+    @pytest.mark.parametrize("vectorized", (True, False))
+    def test_matches_plain_route(self, name, vectorized, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
         router = make_router(name)
         plain = router.route(make_context(trace, 4, seed=9))
-        outcome = engine(router, make_context(trace, 4, seed=9),
-                         no_faults(4, trace.duration))
+        outcome = route_with_failover(
+            router, make_context(trace, 4, seed=9),
+            no_faults(4, trace.duration), vectorized=vectorized,
+        )
         assert np.array_equal(outcome.assignments, plain)
         assert outcome.n_retries == 0
         assert outcome.n_dropped == 0
         assert outcome.latency_inflation == 0.0
         assert np.array_equal(outcome.dispatch_times, trace.arrival_times)
 
-
-class TestScalarVectorizedPinning:
-    """route_with_failover_step must be bit-identical to the scalar
-    reference — assignments, dispatch instants, and retry counts —
-    across routers x presets x failover policies x fault scenarios."""
-
     @pytest.mark.parametrize("name", sorted(ROUTERS))
-    @pytest.mark.parametrize("device_name", PRESETS)
-    @pytest.mark.parametrize("policy", ("next_best", "resubmit"))
-    def test_pinned_across_scenarios(self, name, device_name, policy, rng):
-        trace = renewal_trace(Exponential(0.8), 300.0, rng)
-        router = make_router(name)
-        config = FailoverConfig(policy=policy, max_retries=3,
-                                backoff_base=0.25, backoff_cap=2.0)
-        for label, faults in fault_scenarios(4, trace.duration).items():
-            ref = route_with_failover(
-                router, make_context(trace, 4, device_name, seed=9),
-                faults, config,
-            )
-            fast = route_with_failover_step(
-                router, make_context(trace, 4, device_name, seed=9),
-                faults, config,
-            )
-            assert np.array_equal(ref.assignments, fast.assignments), label
-            assert np.array_equal(ref.retries, fast.retries), label
-            # bit-identical, not approximately equal
-            assert np.array_equal(ref.dispatch_times,
-                                  fast.dispatch_times), label
-
-    @pytest.mark.parametrize("name", sorted(ROUTERS))
-    def test_pinned_single_device_fleet(self, name, rng):
-        """n_devices=1: failover has nowhere to go, so outages must
-        produce drops (or backoff landings) identically on both paths."""
+    def test_single_device_fleet_drops_through_outages(self, name, rng):
+        """n_devices=1: failover has nowhere to go, so an outage longer
+        than the whole backoff schedule must produce drops."""
         trace = renewal_trace(Exponential(0.5), 100.0, rng)
         faults = FaultSchedule([[(10.0, 30.0), (60.0, 61.0)]], trace.duration)
-        router = make_router(name)
         config = FailoverConfig(max_retries=2, backoff_base=0.5,
                                 backoff_cap=4.0)
-        ref = route_with_failover(
-            router, make_context(trace, 1, seed=3), faults, config)
-        fast = route_with_failover_step(
-            router, make_context(trace, 1, seed=3), faults, config)
-        assert np.array_equal(ref.assignments, fast.assignments)
-        assert np.array_equal(ref.dispatch_times, fast.dispatch_times)
-        assert ref.n_dropped > 0  # the 20s outage outlives the backoff
+        out = route_with_failover(
+            make_router(name), make_context(trace, 1, seed=3), faults, config)
+        assert out.n_dropped > 0  # the 20s outage outlives the backoff
+        assert set(out.assignments.tolist()) <= {-1, 0}
 
     def test_device_count_mismatch_raises(self, rng):
         trace = renewal_trace(Exponential(0.5), 50.0, rng)
-        for engine in (route_with_failover, route_with_failover_step):
+        for vectorized in (True, False):
             with pytest.raises(ValueError, match="covers 2 devices"):
-                engine(make_router("jsq"), make_context(trace, 4),
-                       no_faults(2, trace.duration))
+                route_with_failover(make_router("jsq"), make_context(trace, 4),
+                                    no_faults(2, trace.duration),
+                                    vectorized=vectorized)
 
 
 class TestFailoverSemantics:

@@ -1,15 +1,15 @@
 """Overload-resilient routing: brownouts, breakers, budgets, deadlines.
 
-Three contracts under test.  First, **pinning**: the vectorized
-overload engine (:func:`~repro.fleet.route_with_overload_step`) must be
-bit-identical to the scalar reference
-(:func:`~repro.fleet.route_with_overload`) on every router, preset, and
-degradation scenario — fail-stop outages, brownouts (finite severity:
-the device serves, but slowly), whole-fleet blackouts, and
-retry-budget exhaustion.  Second, **reduction**: with breakers, budget,
-and deadlines all disabled, the overload engines must reproduce the
-plain failover path choice for choice, bit for bit — graceful
-degradation is strictly additive.  Third, the **semantics** of each
+Three contracts under test.  First, **backlog independence**: the
+fault-aware loop (:func:`~repro.fleet.route_with_overload`) must give
+bit-identical outcomes over the heap-settled and the list-walking
+backlog on every router, preset, and degradation scenario — fail-stop
+outages, brownouts (finite severity: the device serves, but slowly),
+whole-fleet blackouts, and retry-budget exhaustion.  Second,
+**reduction**: with breakers, budget, and deadlines disabled the loop
+reproduces the recorded failover-only outcomes bit for bit (pinned by
+digest), and with no faults and no pressure it reproduces plain routing
+choice for choice.  Third, the **semantics** of each
 mechanism in isolation: breaker trip/half-open/reprobe transitions,
 token-bucket exhaustion and refill, deadline-aware admission, and the
 conservation law dispatched + dropped + shed == offered.
@@ -36,10 +36,7 @@ from repro.fleet import (
     SHED_BUDGET,
     SHED_DEADLINE,
     make_router,
-    route_with_failover,
-    route_with_failover_step,
     route_with_overload,
-    route_with_overload_step,
     run_fleet,
 )
 from repro.fleet.dispatch import RouteContext
@@ -53,13 +50,14 @@ from repro.workload import (
     renewal_trace,
 )
 
+from test_fleet_faults import outcome_digest
 from test_fleet_sweep import assert_fleet_reports_match
 
 PRESETS = ("mobile_hdd", "wlan")
 
 #: the full-degradation config the pinning matrix runs under: breakers
 #: trip fast, the budget is tight, and deadlines bite — every code path
-#: of the engines is exercised, not just the happy one
+#: of the loop is exercised, not just the happy one
 FULL_CONFIG = OverloadConfig(
     failover=FailoverConfig(max_retries=3, backoff_base=0.25,
                             backoff_cap=2.0),
@@ -188,9 +186,10 @@ class TestConfigs:
                                     backoff_cap=0.1),
             retry_budget=RetryBudgetConfig(capacity=100.0),
         )
-        for engine in (route_with_overload, route_with_overload_step):
-            out = engine(make_router("round_robin"),
-                         make_context(trace, 2), faults, config)
+        for vectorized in (False, True):
+            out = route_with_overload(make_router("round_robin"),
+                                      make_context(trace, 2), faults, config,
+                                      vectorized=vectorized)
             # round_robin: request 0 picks dead device 0 and drops on
             # the spot; request 1 picks device 1 and lands
             assert out.assignments.tolist() == [-1, 1]
@@ -204,10 +203,38 @@ class TestConfigs:
 # --------------------------------------------------------------------- #
 
 
+#: sha256 over the little-endian bytes of ``assignments``,
+#: ``dispatch_times`` and ``retries`` (in that order), recorded from the
+#: dedicated failover engine before it was folded into the fault-aware
+#: loop, on the inputs of :class:`TestReductionToFailover`; the resubmit
+#: cases of jsq and power_aware drop requests, every case retries
+REDUCTION_DIGESTS = {
+    ("jsq", "next_best"):
+        "cb229b033338ef249ef7d2d2ec286c50042705f0eb9031de606b734f9aa87268",
+    ("jsq", "resubmit"):
+        "e97cf58908b06c26b374182447244264580620b5092333b8860304b8ace8e616",
+    ("power_aware", "next_best"):
+        "a94e3b2cd62248e99a3ab45f7266f6185a794d9844a8434b330002db89772e53",
+    ("power_aware", "resubmit"):
+        "f4a02d0da8069fb3e00fe32cadd7fffe6860265258673fd8a90234cc177958b5",
+    ("random", "next_best"):
+        "ad056d6d5d8072168e0f560eaa16dbeeeb8e4989d59f95639d4ca0785cee76c1",
+    ("random", "resubmit"):
+        "051615b76b0ac06e832aaee08665b9ec256834b586ad2696ceb0b619618224f9",
+    ("round_robin", "next_best"):
+        "721bd06e49d2001fbc8f8f24a9744d0adf81a7f1395daf01169265d4d7f2fd60",
+    ("round_robin", "resubmit"):
+        "ac082695754bee58af74d3a50143a0ab138f11278a40fd287c2180f7711cb998",
+}
+
+
 class TestReductionToFailover:
     """OverloadConfig with breakers, budget, and deadlines all None must
-    reproduce route_with_failover bit for bit on fail-stop schedules —
-    severity is exactly 1.0 on live devices and ``x * 1.0 == x``."""
+    reproduce failover-only routing bit for bit on fail-stop schedules —
+    severity is exactly 1.0 on live devices and ``x * 1.0 == x``.  The
+    reference outcomes are the recorded digests of the failover engine
+    this loop replaced; with no faults and no pressure the loop makes
+    plain routing's choices."""
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
     @pytest.mark.parametrize("policy", ("next_best", "resubmit"))
@@ -218,14 +245,13 @@ class TestReductionToFailover:
                                   backoff_base=0.25, backoff_cap=2.0)
         faults = FaultProcess(mtbf=40.0, mttr=6.0).realize(
             4, trace.duration, seed=5)
-        ref = route_with_failover(
-            router, make_context(trace, 4, seed=9), faults, failover)
-        for engine in (route_with_overload, route_with_overload_step):
-            out = engine(router, make_context(trace, 4, seed=9), faults,
-                         OverloadConfig(failover=failover))
-            assert np.array_equal(ref.assignments, out.assignments)
-            assert np.array_equal(ref.dispatch_times, out.dispatch_times)
-            assert np.array_equal(ref.retries, out.retries)
+        for vectorized in (False, True):
+            out = route_with_overload(
+                router, make_context(trace, 4, seed=9), faults,
+                OverloadConfig(failover=failover), vectorized=vectorized,
+            )
+            assert out.n_retries > 0
+            assert outcome_digest(out) == REDUCTION_DIGESTS[(name, policy)]
             assert out.n_shed == 0
             assert out.n_breaker_trips == 0
             assert np.all(out.deadlines == math.inf)
@@ -235,7 +261,7 @@ class TestReductionToFailover:
         trace = renewal_trace(Exponential(0.8), 200.0, rng)
         router = make_router(name)
         plain = router.route(make_context(trace, 4, seed=9))
-        out = route_with_overload_step(
+        out = route_with_overload(
             router, make_context(trace, 4, seed=9),
             no_faults(4, trace.duration), FULL_CONFIG,
         )
@@ -248,13 +274,13 @@ class TestReductionToFailover:
 
 
 # --------------------------------------------------------------------- #
-# pinning: scalar reference vs vectorized engine
+# backlog independence: list-walking reference vs heap-settled backlog
 # --------------------------------------------------------------------- #
 
 
 class TestScalarVectorizedPinning:
     """The acceptance matrix: every router x preset x scenario, full
-    degradation config, bit-identical outcomes."""
+    degradation config, bit-identical outcomes over either backlog."""
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
     @pytest.mark.parametrize("device_name", PRESETS)
@@ -273,9 +299,9 @@ class TestScalarVectorizedPinning:
                 )
             ref = route_with_overload(
                 router, make_context(trace, 4, device_name, seed=9),
-                faults, config,
+                faults, config, vectorized=False,
             )
-            fast = route_with_overload_step(
+            fast = route_with_overload(
                 router, make_context(trace, 4, device_name, seed=9),
                 faults, config,
             )
@@ -315,17 +341,19 @@ class TestScalarVectorizedPinning:
             [[(10.0, 30.0), (50.0, 60.0, 5.0)]], trace.duration)
         router = make_router(name)
         ref = route_with_overload(
-            router, make_context(trace, 1, seed=3), faults, FULL_CONFIG)
-        fast = route_with_overload_step(
+            router, make_context(trace, 1, seed=3), faults, FULL_CONFIG,
+            vectorized=False)
+        fast = route_with_overload(
             router, make_context(trace, 1, seed=3), faults, FULL_CONFIG)
         assert_outcomes_identical(ref, fast)
 
     def test_device_count_mismatch_raises(self, rng):
         trace = renewal_trace(Exponential(0.5), 50.0, rng)
-        for engine in (route_with_overload, route_with_overload_step):
+        for vectorized in (False, True):
             with pytest.raises(ValueError, match="covers 2 devices"):
-                engine(make_router("jsq"), make_context(trace, 4),
-                       no_faults(2, trace.duration))
+                route_with_overload(make_router("jsq"), make_context(trace, 4),
+                                    no_faults(2, trace.duration),
+                                    vectorized=vectorized)
 
 
 # --------------------------------------------------------------------- #
@@ -410,10 +438,10 @@ class TestBreakerSemantics:
         assert out.n_breaker_trips >= 2
         assert out.assignments[2] == 0      # successful reprobe landed
         assert out.assignments[3] >= 0      # closed breaker routes freely
-        # and both engines agree on the whole episode
-        fast = route_with_overload_step(
+        # and both backlogs agree on the whole episode
+        fast = route_with_overload(
             make_router("round_robin"), make_context(trace, 2), faults,
-            config,
+            config, vectorized=False,
         )
         assert_outcomes_identical(out, fast)
 
@@ -560,7 +588,7 @@ class TestConservation:
     def test_every_request_accounted(self, name, rng):
         trace = renewal_trace(Exponential(0.8), 300.0, rng)
         for label, faults in overload_scenarios(3, trace.duration).items():
-            out = route_with_overload_step(
+            out = route_with_overload(
                 make_router(name), make_context(trace, 3, seed=7),
                 faults, FULL_CONFIG,
             )
@@ -619,9 +647,9 @@ class TestFleetEnginesUnderOverload:
         assert 0.0 <= report.slo_attainment <= 1.0
 
     def test_brownout_schedule_auto_upgrades_failover_path(self, rng):
-        """Passing a brownout schedule through the plain ``failover``
-        argument must engage the overload engine (severity is not
-        representable on the fail-stop path) — and both engines agree."""
+        """A brownout schedule given with the plain ``failover``
+        argument still books brownout-inflated demands (failover-only
+        routing is the same fault-aware loop) — and the engines agree."""
         trace = renewal_trace(Exponential(0.8), 200.0, rng)
         device = get_preset("wlan")
         kwargs = dict(

@@ -31,6 +31,7 @@ from repro.experiments import (
 )
 from repro.fleet import (
     ROUTERS,
+    Dispatcher,
     FailoverConfig,
     FleetSweepRunner,
     FleetSweepSpec,
@@ -208,18 +209,31 @@ class TestRunFleetBatch:
                             route_seed=seed, engine="auto")
             assert_fleet_reports_match(ref, fast)
 
-    def test_scalar_only_policy_falls_back(self, rng):
+    def test_scalar_only_policy_falls_back(self, rng, monkeypatch):
         """Policies with neither batch hook cannot flatten; the batch
-        entry must return the same reports the auto engine produces."""
+        entry must return the same reports the auto engine produces —
+        evaluating the sub-traces it already routed, one routing call
+        per trace."""
         from test_runtime_eventsim_batch import _StatefulScalarOnly
 
         device = get_preset("mobile_hdd")
         traces = [renewal_trace(Exponential(0.5), 200.0, rng)
                   for _ in range(2)]
+        calls = []
+        for method in ("dispatch", "dispatch_with_overload"):
+            original = getattr(Dispatcher, method)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(self.seed)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Dispatcher, method, counted)
         batched = run_fleet_batch(
             device, _StatefulScalarOnly(), traces, make_router("jsq"), 2,
             service_time=0.4, route_seeds=[1, 2],
         )
+        assert calls == [1, 2]
+        monkeypatch.undo()
         for fast, (trace, seed) in zip(batched, zip(traces, [1, 2])):
             ref = run_fleet(device, _StatefulScalarOnly(), trace,
                             make_router("jsq"), 2, service_time=0.4,

@@ -30,11 +30,13 @@ class TestFaultSchedule:
         assert not sched.is_down(0, 9.0)
 
     def test_alive_mask_matches_is_down(self):
+        # device 3: a brownout, then an adjacent outage, then another
         sched = FaultSchedule(
-            [[(1.0, 3.0)], [], [(0.5, 2.0), (4.0, 6.0)]], horizon=10.0
+            [[(1.0, 3.0)], [], [(0.5, 2.0), (4.0, 6.0)],
+             [(0.0, 1.0, 2.0), (1.0, 3.0), (3.0, 4.0)]], horizon=10.0
         )
-        for t in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.5, 6.0, 9.9):
-            expected = [not sched.is_down(d, t) for d in range(3)]
+        for t in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.5, 6.0, 9.9):
+            expected = [not sched.is_down(d, t) for d in range(4)]
             assert sched.alive_mask(t).tolist() == expected
 
     def test_transitions_replay_equals_alive_mask(self):
