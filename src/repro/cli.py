@@ -293,7 +293,7 @@ _JOBBABLE = _SWEEPABLE + ("policies", "sim-sweep", "fleet-sweep")
 #: experiments that consume --devices / --router (fleet dispatch grid)
 _FLEETABLE = ("fleet-sweep",)
 #: experiments with a sampled shadow-execution path (--verify/--diagnostics);
-#: grid cells run through the executor directly and are excluded
+#: grid shares the sweep core but GridRunner exposes no verify setting
 _VERIFIABLE = ("fig1", "fig2", "variation", "sim-sweep", "fleet-sweep")
 
 

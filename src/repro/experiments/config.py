@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..runtime.sweep import SweepRunner
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -56,6 +58,12 @@ class SweepConfig:
         return [
             base_seed + i * self.seed_stride for i in range(self.n_seeds)
         ]
+
+    def runner(self) -> SweepRunner:
+        """The :class:`~repro.runtime.SweepRunner` these knobs configure."""
+        return SweepRunner(batch_size=self.batch_size, n_jobs=self.n_jobs,
+                           verify_fraction=self.verify_fraction,
+                           diagnostics_dir=self.diagnostics_dir)
 
 
 @dataclass(frozen=True)

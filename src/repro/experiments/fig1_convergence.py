@@ -31,7 +31,7 @@ import numpy as np
 from ..analysis import CI, ascii_chart, convergence_point
 from ..device import get_preset
 from ..env import build_dpm_model
-from ..runtime import RolloutSpec, SweepRunner
+from ..runtime import RolloutSpec
 from ..workload import ConstantRate
 from .config import Fig1Config
 
@@ -145,11 +145,7 @@ def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
         if chunk_seeds[0] == seeds[0]:
             lead["driver"] = driver
 
-    runner = SweepRunner(
-        batch_size=config.sweep.batch_size, n_jobs=config.sweep.n_jobs,
-        verify_fraction=config.sweep.verify_fraction,
-        diagnostics_dir=config.sweep.diagnostics_dir,
-    )
+    runner = config.sweep.runner()
     sweep = runner.run_many(
         spec, seeds, on_record=on_record, on_chunk_done=on_chunk_done
     )

@@ -28,7 +28,7 @@ from ..adaptive import (
 from ..analysis import CI, SwitchResponse, ascii_chart, switch_responses
 from ..device import get_preset
 from ..env import SlottedDPMEnv, build_dpm_model
-from ..runtime import RolloutSpec, SweepRunner, merge_verification_blocks
+from ..runtime import RolloutSpec, merge_verification_blocks
 from ..workload import PiecewiseConstantRate
 from .config import Fig2Config
 
@@ -181,11 +181,7 @@ def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
         epsilon=config.epsilon,
     )
     seeds = config.seeds()
-    runner = SweepRunner(
-        batch_size=config.sweep.batch_size, n_jobs=config.sweep.n_jobs,
-        verify_fraction=config.sweep.verify_fraction,
-        diagnostics_dir=config.sweep.diagnostics_dir,
-    )
+    runner = config.sweep.runner()
 
     # --- Q-DPM (batched) -----------------------------------------------
     sweep_q = runner.run_many(spec, seeds)

@@ -33,7 +33,7 @@ from typing import List, Optional
 from ..analysis import CI, format_table
 from ..device import get_preset
 from ..env import build_dpm_model
-from ..runtime import RolloutSpec, SweepRunner, merge_verification_blocks
+from ..runtime import RolloutSpec, merge_verification_blocks
 from ..workload import ConstantRate, SinusoidalRate
 from .config import VariationConfig
 
@@ -110,11 +110,7 @@ def run_variation(config: VariationConfig = VariationConfig()) -> VariationResul
         config.env.discount, "policy_iteration"
     ).policy
 
-    runner = SweepRunner(
-        batch_size=config.sweep.batch_size, n_jobs=config.sweep.n_jobs,
-        verify_fraction=config.sweep.verify_fraction,
-        diagnostics_dir=config.sweep.diagnostics_dir,
-    )
+    runner = config.sweep.runner()
     seeds = config.seeds()
     multi = len(seeds) > 1
 

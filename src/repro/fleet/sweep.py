@@ -3,8 +3,8 @@
 :class:`FleetSweepRunner` is the fleet counterpart of
 :class:`~repro.runtime.SimSweepRunner`: it fans the full
 (fleet size x router x DPM policy) grid, with ``n_traces`` seeded
-replications of the shared arrival stream per cell, across the executor
-layer (:mod:`repro.runtime.executor`) and aggregates each cell into
+replications of the shared arrival stream per cell, through the shared
+sweep core (:mod:`repro.runtime.chunked`) and aggregates each cell into
 mean +- bootstrap CI.  Work units are ``(cell, seed-chunk)`` pairs built
 from picklable values only — traces regenerate inside the worker from
 :class:`~repro.runtime.simsweep.TraceSpec` recipes and routers
@@ -16,23 +16,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from ..analysis.ascii_plot import format_table
-from ..analysis.bootstrap import CI, bootstrap_ci
+from ..analysis.bootstrap import CI
 from ..device import get_preset
-from ..runtime.checkpoint import run_chunks_checkpointed, spec_hash
-from ..runtime.executor import get_executor, resolve_n_jobs
-from ..runtime.simsweep import PolicySpec, TraceSpec, estimate_request_seconds
-from ..runtime.telemetry import TELEMETRY
-from ..runtime.verify import (
-    InvariantViolation,
-    check_fleet_report,
-    shadow_verify_chunks,
-    write_diagnostics_bundle,
+from ..runtime.chunked import ChunkedRunner, SweepPlan
+from ..runtime.simsweep import (
+    PolicySpec,
+    ReplicatedCell,
+    TraceSpec,
+    estimate_request_seconds,
 )
+from ..runtime.telemetry import TELEMETRY
+from ..runtime.verify import check_fleet_report
 from ..workload.faults import FaultProcess, FaultSchedule
 from .dispatch import (
     ROUTERS,
@@ -59,13 +59,11 @@ STEP_ROUTE_SECONDS_PER_REQUEST = 5e-6
 def route_seconds_per_request(router_cls: Type[Router]) -> float:
     """Estimated routing cost of one request on the fastest route path.
 
-    The :meth:`~repro.fleet.dispatch.Dispatcher.assignments` cascade in
-    cost-model form: closed-form ``route_batch`` routers cost ~nothing,
-    ``route_step_batch`` routers pay the epoch-advance rate, and
-    everything else pays the scalar reference-loop rate.  Keeping the
-    split here stops :func:`~repro.runtime.executor.resolve_n_jobs`'s
-    serial-degrade heuristic from wrongly forcing in-process execution
-    on cells whose routing is actually fast.
+    Closed-form ``route_batch`` routers cost ~nothing,
+    ``route_step_batch`` routers pay the epoch-advance rate (one Python
+    round per arrival), everything else the scalar reference-loop rate —
+    so :func:`~repro.runtime.executor.resolve_n_jobs` does not force
+    in-process execution on cells whose routing is actually fast.
     """
     if router_cls.route_batch is not Router.route_batch:
         return 0.0
@@ -210,33 +208,18 @@ class FleetSweepSpec:
 
 
 @dataclass
-class FleetCellResult:
-    """One (fleet size, router, policy) cell over its trace replications."""
+class FleetCellResult(ReplicatedCell):
+    """One (fleet size, router, policy) cell over its trace replications
+    (power and saving are fleet-wide: vs. an all-always-on fleet)."""
 
     n_devices: int
     router: str
     policy: str
     reports: List[FleetReport]
 
-    def _ci(self, attr: str, confidence: float = 0.95) -> CI:
-        values = np.array([getattr(r, attr) for r in self.reports])
-        return bootstrap_ci(values, confidence=confidence)
-
-    def power_ci(self, confidence: float = 0.95) -> CI:
-        """Across-replication fleet mean power."""
-        return self._ci("mean_power", confidence)
-
-    def saving_ci(self, confidence: float = 0.95) -> CI:
-        """Across-replication saving vs. an all-always-on fleet."""
-        return self._ci("energy_saving_ratio", confidence)
-
     def p99_ci(self, confidence: float = 0.95) -> CI:
         """Across-replication p99 latency of the merged stream."""
         return self._ci("p99_latency", confidence)
-
-    @property
-    def mean_shutdowns(self) -> float:
-        return float(np.mean([r.n_shutdowns for r in self.reports]))
 
     @property
     def mean_imbalance(self) -> float:
@@ -321,21 +304,15 @@ def run_fleet_chunk(
     failover: FailoverConfig = FailoverConfig(),
     overload: Optional[OverloadConfig] = None,
 ) -> List[FleetReport]:
-    """One (cell, seed-chunk) work unit — module-level and built from
-    picklable values only, so the executor can ship it to a worker.
-    The chunk's (seed x device) sub-traces flatten into a single
-    :func:`~repro.fleet.evaluate.run_fleet_batch` kernel invocation;
-    each seed's fleet report is still a pure function of the arguments
-    (every sub-trace resolves independently inside the batch), so
-    results are identical for every ``(chunk_size, n_jobs)``.  The
-    retained per-device reports are stripped of their raw latency
-    arrays (the merged-stream quantiles are already folded) so the
-    pickled results stay small.
+    """One (cell, seed-chunk) work unit, built from picklable values.
 
-    With ``faults`` given, each replication's fault stream realizes
-    from ``seed + FAULT_SEED_OFFSET`` — deterministic per replication,
-    decorrelated from both its trace and routing streams, and
-    independent of how replications are chunked."""
+    The chunk's (seed x device) sub-traces flatten into a single
+    :func:`~repro.fleet.evaluate.run_fleet_batch` call; each seed's
+    report is still a pure function of the arguments, so results are
+    identical for every ``(chunk_size, n_jobs)``.  Raw latency arrays
+    are dropped so the pickled results stay small.  Each replication's
+    fault stream realizes from ``seed + FAULT_SEED_OFFSET``,
+    decorrelated from its trace and routing streams."""
     with TELEMETRY.span("chunk", cat="sweep", kind="fleet",
                         device=device_name, n_devices=n_devices,
                         router=router_name, policy=policy_spec.label,
@@ -367,14 +344,10 @@ def reference_fleet_chunk(
     failover: FailoverConfig = FailoverConfig(),
     overload: Optional[OverloadConfig] = None,
 ) -> List[FleetReport]:
-    """Scalar reference path for one :func:`run_fleet_chunk` work unit.
-
-    Per-seed ``engine="scalar"`` fleet runs — the reference dispatcher
-    loop every vectorized fleet path is pinned against in the test
-    suite, with the same per-seed route/fault stream derivation the
-    fast chunk uses.  Shadow verification compares these
-    field-for-field against the flattened-kernel results.
-    """
+    """Scalar reference path for one :func:`run_fleet_chunk` work unit:
+    per-seed ``engine="scalar"`` fleet runs (the dispatcher loop every
+    vectorized fleet path is pinned against) with the same per-seed
+    route/fault stream derivation as the fast chunk."""
     device = get_preset(device_name)
     return [
         run_fleet(
@@ -391,41 +364,16 @@ def reference_fleet_chunk(
     ]
 
 
-class FleetSweepRunner:
+class FleetSweepRunner(ChunkedRunner):
     """Chunked executor fan-out over the fleet cell grid.
 
-    Parameters
-    ----------
-    chunk_size:
-        Trace replications per work unit.
-    n_jobs:
-        Worker processes to shard (cell, chunk) units across (1 = serial).
-    timeout:
-        Per-chunk wall-second bound when collecting pool results; a
-        chunk exceeding it (hung or silently-dead worker) reruns
-        in-process (see :meth:`MultiprocessExecutor.submit_all`).
-    max_retries:
-        Pool resubmissions of a chunk whose worker raised, before the
-        chunk degrades to an in-process rerun.
-    retry_backoff:
-        Base of the capped-exponential sleep between retries.
-    checkpoint:
-        Path of a chunk-result journal: completed chunks are recorded as
-        they finish and skipped on the next run with the same spec and
-        chunk size — resumed results are bit-identical to an
-        uninterrupted run.
-    verify_fraction:
-        Fraction of work units to shadow-verify: each sampled chunk is
-        re-run per-seed through the ``engine="scalar"`` reference
-        dispatcher and compared field-for-field (rel <= 1e-9).  The
-        sample is a deterministic function of the spec, so resumed and
-        fresh runs verify the same cells.  A divergence raises
-        :class:`~repro.runtime.verify.InvariantViolation`; the sample
-        and outcome land in the result's ``execution["verification"]``.
-    diagnostics_dir:
-        Directory for minimal-repro JSON bundles written on invariant
-        violations, shadow divergences, and unrecoverable chunk
-        failures.
+    ``chunk_size`` is the trace replications per work unit.  The other
+    settings are the shared ones of
+    :class:`~repro.runtime.chunked.ChunkedRunner`; ``verify_fraction``
+    re-runs each sampled chunk per seed through the ``engine="scalar"``
+    reference dispatcher (rel <= 1e-9), and ``n_jobs`` degrades to
+    in-process when :meth:`estimate_chunk_seconds` says a pool cannot
+    pay for itself.
     """
 
     def __init__(self, chunk_size: int = 4, n_jobs: int = 1,
@@ -434,34 +382,18 @@ class FleetSweepRunner:
                  checkpoint: Optional[str] = None,
                  verify_fraction: float = 0.0,
                  diagnostics_dir: Optional[str] = None) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= float(verify_fraction) <= 1.0:
-            raise ValueError(
-                f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        self.chunk_size = int(chunk_size)
-        self.n_jobs = int(n_jobs)
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.checkpoint = checkpoint
-        self.verify_fraction = float(verify_fraction)
-        self.diagnostics_dir = diagnostics_dir
+        self._configure("chunk_size", chunk_size, n_jobs, timeout,
+                        max_retries, retry_backoff, checkpoint,
+                        verify_fraction, diagnostics_dir)
 
     def estimate_chunk_seconds(self, spec: FleetSweepSpec) -> float:
         """Mean estimated wall seconds of one (cell, seed-chunk) unit.
 
-        Same request-count x engine-cost heuristic as
-        :meth:`~repro.runtime.SimSweepRunner.estimate_chunk_seconds`,
-        plus the routing cost via :func:`route_seconds_per_request`:
-        queue-aware routers advance one arrival per Python round even
-        on the epoch-advance path, which still dominates the batched
-        simulation engines (at a ~4x lower rate than the scalar loop).
-        The shared arrival stream's request count is fleet-wide, so the
-        per-chunk work does not grow with the fleet-size axis.
+        :meth:`~repro.runtime.SimSweepRunner.estimate_chunk_seconds`'s
+        request-count x engine-cost heuristic plus the routing cost
+        (:func:`route_seconds_per_request`).  The arrival stream's
+        request count is fleet-wide, so the per-chunk work does not grow
+        with the fleet-size axis.
         """
         chunk = min(self.chunk_size, spec.n_traces)
         requests = spec.trace.dist.rate() * spec.trace.duration
@@ -486,113 +418,46 @@ class FleetSweepRunner:
 
     def run(self, spec: FleetSweepSpec) -> FleetSweepResult:
         """Run the full grid; deterministic for any (chunk_size, n_jobs)."""
-        with TELEMETRY.metrics_scope() as metrics:
-            with TELEMETRY.span("sweep", cat="sweep", kind="fleet",
-                                n_traces=spec.n_traces,
-                                chunk_size=self.chunk_size,
-                                n_jobs=self.n_jobs):
-                result = self._run(spec)
-        result.execution["metrics"] = metrics.snapshot()
-        return result
-
-    def _run(self, spec: FleetSweepSpec) -> FleetSweepResult:
-        seeds = spec.seeds()
-        chunks = [
-            seeds[i:i + self.chunk_size]
-            for i in range(0, len(seeds), self.chunk_size)
-        ]
-        cell_keys: List[Tuple[int, str, str]] = []
-        tasks = []
-        for n_devices in spec.fleet_sizes:
-            for router_name in spec.routers:
-                for policy_spec in spec.policies:
-                    cell_keys.append(
-                        (int(n_devices), router_name, policy_spec.label)
-                    )
-                    for chunk in chunks:
-                        tasks.append(
-                            (spec.device, int(n_devices), router_name,
-                             policy_spec, spec.trace, spec.service_time, chunk,
-                             spec.faults, spec.failover, spec.overload)
-                        )
-        est = self.estimate_chunk_seconds(spec)
-        n_jobs, decision = resolve_n_jobs(self.n_jobs, est, len(tasks))
-        spec_key = spec_hash(spec, self.chunk_size)
-        chunk_reports, resilience = run_chunks_checkpointed(
-            get_executor(n_jobs), run_fleet_chunk, tasks,
-            spec_key=spec_key,
-            checkpoint=self.checkpoint, timeout=self.timeout,
-            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
-            diagnostics_dir=self.diagnostics_dir, spec=spec,
+        cells = [(int(n), router, policy) for n, router, policy in product(
+            spec.fleet_sizes, spec.routers, spec.policies)]
+        plan = SweepPlan(
+            spec=spec, cells=cells, seeds=spec.seeds(),
+            chunk_size=self.chunk_size, fn=run_fleet_chunk, seeds_at=6,
+            task=lambda cell, c: (
+                spec.device, *cell, spec.trace, spec.service_time, c,
+                spec.faults, spec.failover, spec.overload),
+            check=_check_fleet_report,
+            reference=reference_fleet_chunk,
+            reference_name="run_fleet scalar dispatcher",
+            # per-device sub-reports carry summation-order noise beyond
+            # the fleet-level pin; the folded fields are the contract
+            compare={"ignore": ("device_reports", "latencies")},
+            estimate=self.estimate_chunk_seconds(spec),
         )
-        self._check_invariants(spec, spec_key, tasks, chunk_reports)
-        verification = None
-        if self.verify_fraction > 0.0:
-            verification = shadow_verify_chunks(
-                tasks, chunk_reports, self.verify_fraction, spec_key,
-                reference_fleet_chunk, "run_fleet scalar dispatcher",
-                seeds_of=lambda task: task[6],
-                # per-device sub-reports carry summation-order noise
-                # beyond the fleet-level pin; the folded fields are the
-                # contract
-                ignore=("device_reports", "latencies"),
-                diagnostics_dir=self.diagnostics_dir, spec=spec,
-            )
+        per_cell, execution = self._sweep(
+            "fleet", plan, n_traces=spec.n_traces, chunk_size=self.chunk_size,
+        )
+        return FleetSweepResult(spec=spec, execution=execution, cells=[
+            FleetCellResult(n_devices=n, router=router, policy=policy.label,
+                            reports=reports)
+            for (n, router, policy), reports in zip(cells, per_cell)
+        ])
 
-        result = FleetSweepResult(spec=spec, execution={
-            "n_jobs_requested": self.n_jobs,
-            "n_jobs_effective": n_jobs,
-            "decision": decision,
-            "estimated_chunk_seconds": est,
-            **({"verification": verification} if verification else {}),
-            **resilience,
-        })
-        per_cell = len(chunks)
-        for c, (n_devices, router_name, policy_label) in enumerate(cell_keys):
-            reports: List[FleetReport] = []
-            for chunk_out in chunk_reports[c * per_cell:(c + 1) * per_cell]:
-                reports.extend(chunk_out)
-            result.cells.append(
-                FleetCellResult(
-                    n_devices=n_devices, router=router_name,
-                    policy=policy_label, reports=reports,
-                )
-            )
-        return result
 
-    def _check_invariants(self, spec: FleetSweepSpec, spec_key: str,
-                          tasks, chunk_reports) -> None:
-        """Always-on invariant pass over every collected fleet report:
-        request/energy/residency conservation laws that hold for any
-        correct engine — a dict walk per report, not a re-simulation."""
-        try:
-            for t, (task, reports) in enumerate(zip(tasks, chunk_reports)):
-                (_, n_devices, router_name, policy_spec, trace_spec,
-                 _, chunk, *_rest) = task
-                for seed, report in zip(chunk, reports):
-                    TELEMETRY.inc("fleet.requests", int(report.n_requests))
-                    TELEMETRY.inc("fleet.requests_dropped",
-                                  int(report.n_dropped))
-                    TELEMETRY.inc("fleet.requests_retried",
-                                  int(report.n_retries))
-                    TELEMETRY.inc("fleet.requests_shed",
-                                  int(report.n_shed))
-                    TELEMETRY.inc("breaker.trips",
-                                  int(report.n_breaker_trips))
-                    check_fleet_report(
-                        report, spec_key=spec_key, seed=seed,
-                        context={"chunk": t, "n_devices": int(n_devices),
-                                 "router": router_name,
-                                 "trace": trace_spec.name,
-                                 "policy": policy_spec.label},
-                    )
-        except InvariantViolation as exc:
-            if self.diagnostics_dir is not None:
-                write_diagnostics_bundle(
-                    self.diagnostics_dir, "invariant_violation", spec=spec,
-                    spec_key=spec_key, seed=exc.seed,
-                    chunk_id=exc.context.get("chunk"), details=exc.details,
-                    error=exc, extra={"invariant": exc.invariant,
-                                      "context": exc.context},
-                )
-            raise
+def _check_fleet_report(report: FleetReport, task: Tuple, seed: int,
+                        chunk: int, spec_key: str) -> None:
+    """Invariant check of one fleet report, plus its domain counters."""
+    _, n_devices, router_name, policy_spec, trace_spec, *_ = task
+    TELEMETRY.inc("fleet.requests", int(report.n_requests))
+    TELEMETRY.inc("fleet.requests_dropped", int(report.n_dropped))
+    TELEMETRY.inc("fleet.requests_retried", int(report.n_retries))
+    TELEMETRY.inc("fleet.requests_shed", int(report.n_shed))
+    TELEMETRY.inc("breaker.trips", int(report.n_breaker_trips))
+    # looked up at call time, so a wrapper installed on this module's
+    # ``check_fleet_report`` sees every check
+    check_fleet_report(
+        report, spec_key=spec_key, seed=seed,
+        context={"chunk": chunk, "n_devices": n_devices,
+                 "router": router_name, "trace": trace_spec.name,
+                 "policy": policy_spec.label},
+    )

@@ -10,16 +10,17 @@ array ops and shards the resulting work units across processes:
   per-replica RNG streams;
 - :class:`BatchedQDPM` — B independent Q-DPM learners trained in one
   loop over disjoint row blocks of a single Q-table;
+- :mod:`~repro.runtime.chunked` — the one chunked-sweep core behind
+  all four sweep runners: (cell x seed-chunk) work units through the
+  executor (:mod:`~repro.runtime.executor`) with retries, checkpoint
+  journal and interrupt handling, the always-on invariant pass,
+  sampled shadow verification, and per-cell regrouping in seed order;
 - :class:`SweepRunner` — the unified multi-seed entry point
-  (``run_many(spec, seeds, batch_size, n_jobs)``) every experiment
-  routes through, with bootstrap-CI aggregation; seed chunks narrower
-  than a measured crossover run on the scalar stack instead, where
-  per-call NumPy overhead would dominate;
-- :mod:`~repro.runtime.executor` — the serial / multiprocessing
-  executor abstraction that ships ``(spec, chunk_seeds)`` work units to
-  worker processes and reassembles results in seed order;
+  (``run_many(spec, seeds, batch_size, n_jobs)``) every slotted
+  experiment routes through; seed chunks narrower than a measured
+  crossover run on the scalar stack instead of the batched engine;
 - :class:`GridRunner` — grid-product scenario sweeps
-  (rate x device x horizon x controller) fanned across the executor;
+  (rate x device x horizon x controller) of slotted cells;
 - :mod:`~repro.runtime.eventsim` — vectorized busy-period kernel for
   the continuous-time event simulator (:func:`simulate_trace` runs
   stateless policies as NumPy array ops over all idle gaps at once,
@@ -28,9 +29,9 @@ array ops and shards the resulting work units across processes:
   R replication runs one idle gap per step with dense per-replica
   policy state);
 - :class:`SimSweepRunner` — (device x trace x policy) event-sim cell
-  grids fanned across the executor with bootstrap-CI aggregation,
-  degrading to in-process execution when pool dispatch cannot pay for
-  itself (:func:`resolve_n_jobs`).
+  grids with bootstrap-CI aggregation, degrading to in-process
+  execution when pool dispatch cannot pay for itself
+  (:func:`resolve_n_jobs`).
 """
 
 from .batched_env import BatchedEnvTotals, BatchedSlottedEnv, BatchStepInfo

@@ -54,7 +54,7 @@ from typing import (
 
 from .executor import ChunkExecutionError, Executor
 from .telemetry import TELEMETRY
-from .verify import SweepInterrupted, _InterruptSignal, trap_signals
+from .verify import sweep_interrupts
 
 
 def spec_hash(*parts: Any) -> str:
@@ -209,23 +209,20 @@ def run_chunks_checkpointed(
 ) -> Tuple[List[Any], Dict[str, Any]]:
     """Run chunked work units with optional resilience and checkpointing.
 
-    The single entry point the sweep runners share: fan ``tasks`` across
-    ``executor`` with the per-chunk ``timeout`` / ``max_retries`` /
-    ``retry_backoff`` contract of
+    The execute step of the shared sweep core
+    (:mod:`repro.runtime.chunked`): fan ``tasks`` across ``executor``
+    with the per-chunk ``timeout`` / ``max_retries`` / ``retry_backoff``
+    contract of
     :meth:`~repro.runtime.executor.MultiprocessExecutor.submit_all`, and
     — when ``checkpoint`` names a journal file — skip chunks already
     recorded under ``spec_key`` and journal each fresh result as it is
-    collected.  Returns ``(results, execution)`` where ``results`` is in
-    task order (resumed and fresh chunks interleaved transparently) and
-    ``execution`` records what happened: resumed/computed chunk counts
-    and the retry/timeout/degrade event log.
+    collected.  Returns ``(results, execution)``: results in task order,
+    and resumed/computed chunk counts plus the retry/timeout/degrade
+    event log.
 
-    Interruption is first-class: SIGINT (and SIGTERM, trapped for the
-    call's span) tears the pool down cleanly and raises
-    :class:`~repro.runtime.verify.SweepInterrupted` carrying how many
-    chunks were journaled and where — since every collected chunk was
-    already fsynced by the ``on_result`` hook, the resumed run is
-    bit-identical to an uninterrupted one.
+    SIGINT or SIGTERM tears the pool down and raises
+    :class:`~repro.runtime.verify.SweepInterrupted` with how many chunks
+    were journaled (each was fsynced on collection) and where.
 
     With ``diagnostics_dir`` set, an unrecoverable
     :class:`~repro.runtime.executor.ChunkExecutionError` additionally
@@ -269,9 +266,8 @@ def run_chunks_checkpointed(
         if reporter is not None:
             reporter.update(progress[0])
 
-    pending = None
     try:
-        with trap_signals():
+        with sweep_interrupts(len(tasks), lambda: progress[0], checkpoint):
             pending = executor.submit_all(
                 fn, [tasks[i] for i in todo],
                 timeout=timeout, max_retries=max_retries,
@@ -295,14 +291,6 @@ def run_chunks_checkpointed(
             bundle_for_exception(diagnostics_dir, remapped, spec=spec,
                                  spec_key=spec_key)
         raise remapped from exc.__cause__
-    except (KeyboardInterrupt, _InterruptSignal) as exc:
-        if pending is not None:
-            pending.cancel()
-        name = getattr(exc, "signal_name", "SIGINT")
-        raise SweepInterrupted(
-            name, progress[0], len(tasks),
-            checkpoint=checkpoint,
-        ) from None
     results = list(done.get(i) for i in range(len(tasks)))
     for j, i in enumerate(todo):
         results[i] = fresh[j]

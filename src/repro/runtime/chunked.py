@@ -1,0 +1,226 @@
+"""One chunked-sweep core behind every sweep runner.
+
+A sweep is a list of cells, each run over the same replication seeds in
+chunks.  One (cell, seed-chunk) pair is a work unit: a picklable task
+tuple for a module-level chunk function that returns one result per
+seed.  :class:`ChunkedRunner` owns what every runner shares, once: the
+execution settings and their validation, chunking the seeds into
+cell-major tasks, :func:`~repro.runtime.executor.resolve_n_jobs`,
+:func:`~repro.runtime.checkpoint.run_chunks_checkpointed`, the
+always-on invariant pass (with a diagnostics bundle on a violation),
+:func:`~repro.runtime.verify.shadow_verify_chunks`, regrouping chunk
+outputs into per-cell lists in seed order, and the metrics scope.
+
+A runner is an adapter: it describes one sweep as a :class:`SweepPlan`
+and wraps the per-cell lists in its own result type.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from .checkpoint import run_chunks_checkpointed, spec_hash
+from .executor import get_executor, resolve_n_jobs
+from .telemetry import TELEMETRY
+from .verify import (
+    InvariantViolation,
+    bundle_for_exception,
+    shadow_verify_chunks,
+    sweep_interrupts,
+    verification_block,
+)
+
+
+def positive(name: str, value: Any) -> int:
+    """``int(value)``, or ``ValueError`` when it is below 1."""
+    if int(value) < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def chunk_seeds(seeds: List[int], size: int) -> List[List[int]]:
+    """Consecutive seed chunks of at most ``size`` seeds."""
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
+
+
+@dataclass
+class SweepPlan:
+    """What one runner supplies for one sweep."""
+
+    #: identity of the whole sweep: hashed with ``chunk_size`` into the
+    #: journal / shadow-sample key and written into diagnostics bundles
+    spec: Any
+    cells: Sequence[Any]
+    seeds: List[int]
+    chunk_size: int
+    #: ``fn(*task)`` -> one result per seed of the task's chunk
+    fn: Callable[..., List[Any]]
+    #: ``task(cell, chunk_seeds)`` -> the picklable work-unit tuple
+    task: Callable[[Any, List[int]], Tuple]
+    #: position of the chunk's seed list in a task tuple
+    seeds_at: int
+    #: ``check(result, task, seed, chunk_index, spec_key)``; raises
+    #: :class:`~repro.runtime.verify.InvariantViolation`
+    check: Callable[[Any, Tuple, int, int, str], None]
+    #: shadow reference (same signature as ``fn``); ``None`` = none exists
+    reference: Optional[Callable[..., List[Any]]] = None
+    reference_name: str = ""
+    #: ``rtol`` / ``atol`` / ``ignore`` for the shadow comparison
+    compare: Dict[str, Any] = field(default_factory=dict)
+    #: why sampled chunks cannot be shadow-verified (recorded, not run)
+    verify_skip: Optional[str] = None
+    #: estimated wall seconds of one work unit (for ``resolve_n_jobs``)
+    estimate: Optional[float] = None
+    #: decision that forces in-process execution, e.g. an unpicklable task
+    serial_reason: Optional[str] = None
+    #: counters bumped once each inside the sweep's metrics scope
+    counters: Sequence[str] = ()
+
+    def tasks(self) -> List[Tuple]:
+        """Every work unit, cell-major and chunk-minor."""
+        chunks = chunk_seeds(self.seeds, self.chunk_size)
+        return [self.task(cell, c) for cell in self.cells for c in chunks]
+
+
+class ChunkedRunner:
+    """Execution settings and the run skeleton the sweep runners share.
+
+    Subclasses keep their own constructor signature and call
+    :meth:`_configure`; their public run method builds a
+    :class:`SweepPlan` and hands it to :meth:`_sweep`.  The settings:
+
+    n_jobs:
+        Worker processes to shard work units across (1 = in-process).
+        Work units are pure functions of their task tuple, so results
+        are bit-identical for every ``(chunk width, n_jobs)``.  With a
+        cost estimate in the plan, a pool that cannot pay for itself
+        degrades to in-process (``execution["decision"]``).
+    timeout:
+        Per-chunk wall-second bound when collecting pool results; a
+        chunk exceeding it (hung or silently-dead worker) reruns
+        in-process (see :meth:`MultiprocessExecutor.submit_all`).
+    max_retries:
+        Pool resubmissions of a chunk whose worker raised, before the
+        chunk degrades to an in-process rerun.
+    retry_backoff:
+        Base of the capped-exponential sleep between retries.
+    checkpoint:
+        Path of a chunk-result journal: completed chunks are skipped on
+        the next run with the same spec and chunk width, and resumed
+        results are bit-identical to an uninterrupted run.
+    verify_fraction:
+        Fraction of work units to re-run on the runner's reference path
+        and compare field for field (a deterministic sample of the
+        spec).  A divergence raises
+        :class:`~repro.runtime.verify.InvariantViolation`; the sample and
+        outcome land in ``execution["verification"]``.
+    diagnostics_dir:
+        Directory for minimal-repro JSON bundles written on invariant
+        violations, shadow divergences, and unrecoverable chunk
+        failures.
+    """
+
+    def _configure(self, size_name: str, size: int, n_jobs: int,
+                   timeout: Optional[float] = None, max_retries: int = 0,
+                   retry_backoff: float = 0.5,
+                   checkpoint: Optional[str] = None,
+                   verify_fraction: float = 0.0,
+                   diagnostics_dir: Optional[str] = None) -> None:
+        setattr(self, size_name, positive(size_name, size))
+        self.n_jobs = positive("n_jobs", n_jobs)
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if not 0.0 <= float(verify_fraction) <= 1.0:
+            raise ValueError(
+                f"verify_fraction must be in [0, 1], got {verify_fraction}"
+            )
+        self.timeout = timeout
+        self.max_retries = int(max_retries)
+        self.retry_backoff = float(retry_backoff)
+        self.checkpoint = checkpoint
+        self.verify_fraction = float(verify_fraction)
+        self.diagnostics_dir = diagnostics_dir
+
+    def _sweep(self, kind: str, plan: SweepPlan,
+               n_jobs: Optional[int] = None,
+               execute: Optional[Callable[..., Tuple]] = None,
+               **span: Any) -> Tuple[List[List[Any]], Dict[str, Any]]:
+        """Run ``plan``: ``(per-cell result lists, execution block)``.
+
+        ``n_jobs`` overrides the runner's setting for this run;
+        ``execute(plan, tasks, n_jobs) -> (chunk outputs, execution)``
+        replaces the checkpointed executor step.
+        """
+        requested = self.n_jobs if n_jobs is None else positive("n_jobs",
+                                                                n_jobs)
+        tasks = plan.tasks()
+        if plan.serial_reason is not None and requested > 1:
+            n_jobs, decision = 1, plan.serial_reason
+        elif plan.estimate is None:  # no cost model: honour the request
+            n_jobs = requested
+            decision = "parallel" if requested > 1 else "serial_requested"
+        else:
+            n_jobs, decision = resolve_n_jobs(requested, plan.estimate,
+                                              len(tasks))
+        execution: Dict[str, Any] = {"n_jobs_requested": requested,
+                                     "n_jobs_effective": n_jobs,
+                                     "decision": decision}
+        if plan.estimate is not None:
+            execution["estimated_chunk_seconds"] = plan.estimate
+        spec_key = spec_hash(plan.spec, plan.chunk_size)
+        with TELEMETRY.metrics_scope() as metrics:
+            with TELEMETRY.span("sweep", cat="sweep", kind=kind,
+                                n_jobs=requested, **span):
+                for name in plan.counters:
+                    TELEMETRY.inc(name)
+                outputs, resilience = (execute or self._execute)(
+                    plan, tasks, n_jobs)
+                # every chunk is in (and journaled) from here on
+                with sweep_interrupts(len(tasks), lambda: len(tasks),
+                                      self.checkpoint):
+                    self._check_invariants(plan, spec_key, tasks, outputs)
+                    if self.verify_fraction > 0.0 and plan.reference:
+                        execution["verification"] = self._verify(
+                            plan, spec_key, tasks, outputs)
+        execution.update(resilience, metrics=metrics.snapshot())
+        k = len(tasks) // len(plan.cells)
+        return [[r for out in outputs[c * k:(c + 1) * k] for r in out]
+                for c in range(len(plan.cells))], execution
+
+    def _execute(self, plan: SweepPlan, tasks: List[Tuple], n_jobs: int):
+        return run_chunks_checkpointed(
+            get_executor(n_jobs), plan.fn, tasks,
+            spec_key=spec_hash(plan.spec, plan.chunk_size),
+            checkpoint=self.checkpoint, timeout=self.timeout,
+            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
+            diagnostics_dir=self.diagnostics_dir, spec=plan.spec,
+        )
+
+    def _check_invariants(self, plan: SweepPlan, spec_key: str,
+                          tasks: List[Tuple], outputs: List[List]) -> None:
+        """Always-on invariant pass over every collected result: the
+        conservation laws hold for any correct engine, so the check
+        costs a field walk per result, not a re-simulation."""
+        try:
+            for t, (task, results) in enumerate(zip(tasks, outputs)):
+                for seed, result in zip(task[plan.seeds_at], results):
+                    plan.check(result, task, seed, t, spec_key)
+        except InvariantViolation as exc:
+            if self.diagnostics_dir is not None:
+                bundle_for_exception(self.diagnostics_dir, exc,
+                                     spec=plan.spec, spec_key=spec_key)
+            raise
+
+    def _verify(self, plan: SweepPlan, spec_key: str, tasks: List[Tuple],
+                outputs: List[List[Any]]) -> Dict[str, Any]:
+        if plan.verify_skip is not None:
+            return {**verification_block(self.verify_fraction, len(tasks),
+                                         [], [], plan.reference_name),
+                    "skipped": plan.verify_skip}
+        return shadow_verify_chunks(
+            tasks, outputs, self.verify_fraction, spec_key, plan.reference,
+            plan.reference_name, seeds_of=lambda task: task[plan.seeds_at],
+            diagnostics_dir=self.diagnostics_dir, spec=plan.spec,
+            **plan.compare,
+        )

@@ -3,8 +3,8 @@
 Sweep specs are cheap value objects, so a scenario grid is just the
 cartesian product of a few axes, each cell a :class:`RolloutSpec` run by
 the same chunked machinery as a single sweep.  :class:`GridRunner`
-flattens the full cell x seed-chunk matrix into one task list and fans
-it across the executor (:mod:`repro.runtime.executor`) — with
+flattens the full cell x seed-chunk matrix into one task list for the
+shared chunked-sweep core (:mod:`repro.runtime.chunked`) — with
 ``n_jobs > 1`` the whole grid shards across processes, not just one
 cell's chunks — then reassembles per-cell :class:`SweepResult`s with
 bootstrap-CI aggregation and renders a comparison table.
@@ -22,15 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI
 from ..device import get_preset
 from ..env import build_dpm_model
 from ..workload.nonstationary import ConstantRate, RateSchedule
-from .executor import get_executor
-from .sweep import RolloutSpec, SweepResult, run_chunk
+from .chunked import ChunkedRunner
+from .sweep import RolloutSpec, SweepResult, slotted_plan
 
 #: Controller kinds a grid axis may name.
 CONTROLLERS = ("qdpm", "frozen")
@@ -188,6 +188,9 @@ class GridResult:
     grid: GridSpec
     seeds: List[int]
     cells: List[GridCellResult] = field(default_factory=list)
+    #: how the runner executed the grid (job count and decision, chunk
+    #: counts, resilience events, ``metrics`` snapshot)
+    execution: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def n_seeds(self) -> int:
@@ -223,8 +226,11 @@ class GridResult:
         return format_table(headers, rows, title=title)
 
 
-class GridRunner:
-    """Fan a scenario grid's cell x chunk matrix across the executor.
+class GridRunner(ChunkedRunner):
+    """Fan a scenario grid's cell x chunk matrix across the executor,
+    through the shared sweep core (:mod:`repro.runtime.chunked`): every seed
+    run is invariant-checked and Ctrl-C raises
+    :class:`~repro.runtime.verify.SweepInterrupted`.
 
     Parameters
     ----------
@@ -237,12 +243,7 @@ class GridRunner:
     """
 
     def __init__(self, batch_size: int = 32, n_jobs: int = 1) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if int(n_jobs) < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.batch_size = int(batch_size)
-        self.n_jobs = int(n_jobs)
+        self._configure("batch_size", batch_size, n_jobs)
 
     def run(self, grid: GridSpec, seeds: Sequence[int],
             n_jobs: Optional[int] = None) -> GridResult:
@@ -252,25 +253,14 @@ class GridRunner:
         if not seeds:
             raise ValueError("need at least one seed")
         cells = grid.cells()
-        tasks: List[Tuple[RolloutSpec, List[int]]] = []
-        owner: List[int] = []
-        for idx, cell in enumerate(cells):
-            for start in range(0, len(seeds), self.batch_size):
-                tasks.append((cell.spec, seeds[start:start + self.batch_size]))
-                owner.append(idx)
-        executor = get_executor(n_jobs if n_jobs is not None else self.n_jobs)
-        chunk_runs = executor.map(run_chunk, tasks)
-        # tasks were emitted cell-major / seed-minor and the executor
-        # preserves order, so grouping by owner restores seed order
-        per_cell: List[List] = [[] for _ in cells]
-        for idx, runs in zip(owner, chunk_runs):
-            per_cell[idx].extend(runs)
-        result = GridResult(grid=grid, seeds=seeds)
-        for cell, runs in zip(cells, per_cell):
-            result.cells.append(
-                GridCellResult(
-                    cell=cell,
-                    result=SweepResult(spec=cell.spec, runs=runs),
-                )
-            )
-        return result
+        plan = slotted_plan(grid, [c.spec for c in cells], seeds,
+                            self.batch_size)
+        per_cell, execution = self._sweep(
+            "grid", plan, n_jobs, n_cells=len(cells), n_seeds=len(seeds),
+            batch_size=self.batch_size,
+        )
+        return GridResult(grid=grid, seeds=seeds, execution=execution, cells=[
+            GridCellResult(cell=cell, result=SweepResult(spec=cell.spec,
+                                                         runs=runs))
+            for cell, runs in zip(cells, per_cell)
+        ])

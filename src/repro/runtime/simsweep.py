@@ -3,8 +3,8 @@
 :class:`SimSweepRunner` is the event-sim counterpart of
 :class:`~repro.runtime.SweepRunner`: it fans the full
 (device x trace family x policy) cell grid, with ``n_traces`` seeded
-trace replications per cell, across the executor layer
-(:mod:`repro.runtime.executor`) and aggregates each cell's replications
+trace replications per cell, through the shared chunked-sweep core
+(:mod:`repro.runtime.chunked`) and aggregates each cell's replications
 into mean +- bootstrap CI.  Every work unit is a ``(cell, seed-chunk)``
 pair built from picklable values only — traces are *re-generated inside
 the worker* from ``(distribution, duration, seed)`` recipes rather than
@@ -27,6 +27,8 @@ records the decision in :attr:`SimSweepResult.execution`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,16 +41,10 @@ from ..sim.stats import SimReport
 from ..workload.arrivals import InterArrival
 from ..workload.generator import renewal_trace
 from ..sim.simulator import DPMSimulator
-from .checkpoint import run_chunks_checkpointed, spec_hash
+from .chunked import ChunkedRunner, SweepPlan
 from .eventsim import policy_batch_mode, simulate_traces_batch
-from .executor import get_executor, resolve_n_jobs
 from .telemetry import TELEMETRY
-from .verify import (
-    InvariantViolation,
-    check_sim_report,
-    shadow_verify_chunks,
-    write_diagnostics_bundle,
-)
+from .verify import check_sim_report
 
 #: rough wall seconds to simulate one request, by engine family
 #: (reference-container numbers from BENCH_sim.json: the busy-period /
@@ -120,14 +116,10 @@ class SimSweepSpec:
         return [self.seed + k * self.seed_stride for k in range(self.n_traces)]
 
 
-@dataclass
-class SimCellResult:
-    """One (device, trace, policy) cell aggregated over its replications."""
+class ReplicatedCell:
+    """Across-replication aggregates of a sweep cell's ``reports``."""
 
-    device: str
-    trace: str
-    policy: str
-    reports: List[SimReport]
+    reports: list
 
     def _ci(self, attr: str, confidence: float = 0.95) -> CI:
         values = np.array([getattr(r, attr) for r in self.reports])
@@ -141,13 +133,23 @@ class SimCellResult:
         """Across-replication energy saving vs. always-on at home power."""
         return self._ci("energy_saving_ratio", confidence)
 
-    def latency_ci(self, confidence: float = 0.95) -> CI:
-        """Across-replication mean request latency."""
-        return self._ci("mean_latency", confidence)
-
     @property
     def mean_shutdowns(self) -> float:
         return float(np.mean([r.n_shutdowns for r in self.reports]))
+
+
+@dataclass
+class SimCellResult(ReplicatedCell):
+    """One (device, trace, policy) cell aggregated over its replications."""
+
+    device: str
+    trace: str
+    policy: str
+    reports: List[SimReport]
+
+    def latency_ci(self, confidence: float = 0.95) -> CI:
+        """Across-replication mean request latency."""
+        return self._ci("mean_latency", confidence)
 
     @property
     def mean_wrong_shutdowns(self) -> float:
@@ -200,12 +202,10 @@ def run_sim_chunk(
     service_time: float,
     seeds: Sequence[int],
 ) -> List[SimReport]:
-    """One (cell, seed-chunk) work unit — module-level and built from
-    picklable values only, so the executor can ship it to a worker.
+    """One (cell, seed-chunk) work unit, built from picklable values.
     Each seed's report is a pure function of the arguments (the batched
-    engines are chunking-invariant), and per-request latency arrays are
-    dropped before pickling back — the sweep aggregates summary fields
-    only."""
+    engines are chunking-invariant); per-request latency arrays are
+    dropped before pickling back."""
     with TELEMETRY.span("chunk", cat="sweep", kind="sim",
                         device=device_name, trace=trace_spec.name,
                         policy=policy_spec.label, seeds=list(seeds)):
@@ -225,14 +225,9 @@ def reference_sim_chunk(
     service_time: float,
     seeds: Sequence[int],
 ) -> List[SimReport]:
-    """Scalar reference path for one :func:`run_sim_chunk` work unit.
-
-    Per-seed :class:`~repro.sim.DPMSimulator` event loops — the
-    reference every vectorized engine is pinned against in the test
-    suite.  Shadow verification re-runs sampled chunks through this and
-    compares field-for-field, so the pinning holds *during* a sweep,
-    not just at test time.
-    """
+    """Scalar reference path for one :func:`run_sim_chunk` work unit:
+    per-seed :class:`~repro.sim.DPMSimulator` event loops, the reference
+    every vectorized engine is pinned against."""
     device = get_preset(device_name)
     return [
         DPMSimulator(
@@ -243,42 +238,17 @@ def reference_sim_chunk(
     ]
 
 
-class SimSweepRunner:
+class SimSweepRunner(ChunkedRunner):
     """Chunked executor fan-out over the event-sim cell grid.
 
-    Parameters
-    ----------
-    chunk_size:
-        Trace replications per work unit; smaller chunks expose more
-        parallelism, larger ones amortize per-unit overhead.
-    n_jobs:
-        Worker processes to shard (cell, chunk) units across (1 = serial).
-    timeout:
-        Per-chunk wall-second bound when collecting pool results; a
-        chunk exceeding it (hung or silently-dead worker) reruns
-        in-process (see :meth:`MultiprocessExecutor.submit_all`).
-    max_retries:
-        Pool resubmissions of a chunk whose worker raised, before the
-        chunk degrades to an in-process rerun.
-    retry_backoff:
-        Base of the capped-exponential sleep between retries.
-    checkpoint:
-        Path of a chunk-result journal: completed chunks are recorded as
-        they finish and skipped on the next run with the same spec and
-        chunk size — resumed results are bit-identical to an
-        uninterrupted run.
-    verify_fraction:
-        Fraction of work units to shadow-verify: each sampled chunk is
-        re-run per-seed on the scalar :class:`~repro.sim.DPMSimulator`
-        reference and compared field-for-field (rel <= 1e-9).  The
-        sample is a deterministic function of the spec, so resumed and
-        fresh runs verify the same cells.  A divergence raises
-        :class:`~repro.runtime.verify.InvariantViolation`; the sample
-        and outcome land in the result's ``execution["verification"]``.
-    diagnostics_dir:
-        Directory for minimal-repro JSON bundles written on invariant
-        violations, shadow divergences, and unrecoverable chunk
-        failures.
+    ``chunk_size`` is the trace replications per work unit: smaller
+    chunks expose more parallelism, larger ones amortize per-unit
+    overhead.  The other settings are the shared ones of
+    :class:`~repro.runtime.chunked.ChunkedRunner`; ``verify_fraction``
+    re-runs each sampled chunk per seed on the scalar
+    :class:`~repro.sim.DPMSimulator` reference (rel <= 1e-9), and
+    ``n_jobs`` degrades to in-process when :meth:`estimate_chunk_seconds`
+    says a pool cannot pay for itself.
     """
 
     def __init__(self, chunk_size: int = 8, n_jobs: int = 1,
@@ -287,22 +257,9 @@ class SimSweepRunner:
                  checkpoint: Optional[str] = None,
                  verify_fraction: float = 0.0,
                  diagnostics_dir: Optional[str] = None) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= float(verify_fraction) <= 1.0:
-            raise ValueError(
-                f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        self.chunk_size = int(chunk_size)
-        self.n_jobs = int(n_jobs)
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.checkpoint = checkpoint
-        self.verify_fraction = float(verify_fraction)
-        self.diagnostics_dir = diagnostics_dir
+        self._configure("chunk_size", chunk_size, n_jobs, timeout,
+                        max_retries, retry_backoff, checkpoint,
+                        verify_fraction, diagnostics_dir)
 
     def estimate_chunk_seconds(self, spec: SimSweepSpec) -> float:
         """Mean estimated wall seconds of one (cell, seed-chunk) unit.
@@ -324,97 +281,34 @@ class SimSweepRunner:
 
     def run(self, spec: SimSweepSpec) -> SimSweepResult:
         """Run the full grid; deterministic for any (chunk_size, n_jobs)."""
-        with TELEMETRY.metrics_scope() as metrics:
-            with TELEMETRY.span("sweep", cat="sweep", kind="sim",
-                                n_traces=spec.n_traces,
-                                chunk_size=self.chunk_size,
-                                n_jobs=self.n_jobs):
-                result = self._run(spec)
-        result.execution["metrics"] = metrics.snapshot()
-        return result
-
-    def _run(self, spec: SimSweepSpec) -> SimSweepResult:
-        seeds = spec.seeds()
-        chunks = [
-            seeds[i:i + self.chunk_size]
-            for i in range(0, len(seeds), self.chunk_size)
-        ]
-        cell_keys: List[Tuple[str, str, str]] = []
-        tasks = []
-        for device in spec.devices:
-            for trace_spec in spec.traces:
-                for policy_spec in spec.policies:
-                    cell_keys.append((device, trace_spec.name, policy_spec.label))
-                    for chunk in chunks:
-                        tasks.append(
-                            (device, policy_spec, trace_spec,
-                             spec.service_time, chunk)
-                        )
-        est = self.estimate_chunk_seconds(spec)
-        n_jobs, decision = resolve_n_jobs(self.n_jobs, est, len(tasks))
-        spec_key = spec_hash(spec, self.chunk_size)
-        chunk_reports, resilience = run_chunks_checkpointed(
-            get_executor(n_jobs), run_sim_chunk, tasks,
-            spec_key=spec_key,
-            checkpoint=self.checkpoint, timeout=self.timeout,
-            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
-            diagnostics_dir=self.diagnostics_dir, spec=spec,
-        )
-        self._check_invariants(spec, spec_key, tasks, chunk_reports)
-        verification = None
-        if self.verify_fraction > 0.0:
-            verification = shadow_verify_chunks(
-                tasks, chunk_reports, self.verify_fraction, spec_key,
-                reference_sim_chunk, "DPMSimulator scalar event loop",
-                seeds_of=lambda task: task[4],
-                diagnostics_dir=self.diagnostics_dir, spec=spec,
-            )
-
-        result = SimSweepResult(spec=spec, execution={
-            "n_jobs_requested": self.n_jobs,
-            "n_jobs_effective": n_jobs,
-            "decision": decision,
-            "estimated_chunk_seconds": est,
-            **({"verification": verification} if verification else {}),
-            **resilience,
-        })
-        per_cell = len(chunks)
-        for c, (device, trace_name, policy_label) in enumerate(cell_keys):
-            reports: List[SimReport] = []
-            for chunk_out in chunk_reports[c * per_cell:(c + 1) * per_cell]:
-                reports.extend(chunk_out)
-            result.cells.append(
-                SimCellResult(
-                    device=device, trace=trace_name, policy=policy_label,
-                    reports=reports,
-                )
-            )
-        return result
-
-    def _check_invariants(self, spec: SimSweepSpec, spec_key: str,
-                          tasks, chunk_reports) -> None:
-        """Always-on invariant pass over every collected report: the
-        conservation laws hold for any correct engine, so the check
-        costs a dict walk per report, not a re-simulation."""
+        cells = list(product(spec.devices, spec.traces, spec.policies))
         devices = {name: get_preset(name) for name in spec.devices}
-        try:
-            for t, (task, reports) in enumerate(zip(tasks, chunk_reports)):
-                device_name, policy_spec, trace_spec, _, chunk = task
-                for seed, report in zip(chunk, reports):
-                    check_sim_report(
-                        report, device=devices[device_name],
-                        spec_key=spec_key, seed=seed,
-                        context={"chunk": t, "device": device_name,
-                                 "trace": trace_spec.name,
-                                 "policy": policy_spec.label},
-                    )
-        except InvariantViolation as exc:
-            if self.diagnostics_dir is not None:
-                write_diagnostics_bundle(
-                    self.diagnostics_dir, "invariant_violation", spec=spec,
-                    spec_key=spec_key, seed=exc.seed,
-                    chunk_id=exc.context.get("chunk"), details=exc.details,
-                    error=exc, extra={"invariant": exc.invariant,
-                                      "context": exc.context},
-                )
-            raise
+        plan = SweepPlan(
+            spec=spec, cells=cells, seeds=spec.seeds(),
+            chunk_size=self.chunk_size, fn=run_sim_chunk, seeds_at=4,
+            task=lambda cell, c: (cell[0], cell[2], cell[1],
+                                  spec.service_time, c),
+            check=partial(_check_sim_report, devices),
+            reference=reference_sim_chunk,
+            reference_name="DPMSimulator scalar event loop",
+            estimate=self.estimate_chunk_seconds(spec),
+        )
+        per_cell, execution = self._sweep(
+            "sim", plan, n_traces=spec.n_traces, chunk_size=self.chunk_size,
+        )
+        return SimSweepResult(spec=spec, execution=execution, cells=[
+            SimCellResult(device=device, trace=trace.name,
+                          policy=policy.label, reports=reports)
+            for (device, trace, policy), reports in zip(cells, per_cell)
+        ])
+
+
+def _check_sim_report(devices: Dict[str, Any], report: SimReport,
+                      task: Tuple, seed: int, chunk: int,
+                      spec_key: str) -> None:
+    device_name, policy_spec, trace_spec, _, _ = task
+    check_sim_report(
+        report, device=devices[device_name], spec_key=spec_key, seed=seed,
+        context={"chunk": chunk, "device": device_name,
+                 "trace": trace_spec.name, "policy": policy_spec.label},
+    )

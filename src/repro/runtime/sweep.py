@@ -4,25 +4,23 @@ Every reproduction experiment is, at its core, "roll the slotted system
 forward for N slots under some controller, for one or more seeds, and
 summarize".  :class:`SweepRunner` owns that loop once:
 
-- seeds are chunked into lock-step batches of ``batch_size``; each chunk
-  is dispatched by its width.  Chunks at least as wide as a measured
-  crossover run on the vectorized engine
+- seeds are chunked into lock-step batches of ``batch_size``; chunks at
+  least as wide as a measured crossover run on the vectorized engine
   (:class:`~repro.runtime.BatchedSlottedEnv` +
-  :class:`~repro.runtime.BatchedQDPM`), so a 32-seed sweep costs one
-  NumPy-stride loop instead of 32 interpreter round-trip loops; narrower
-  chunks (the experiments' default single seed among them) run on the
-  scalar stack — one :class:`~repro.env.SlottedDPMEnv` +
-  :class:`~repro.core.QDPM` per seed with ``FixedDrawEpsilonGreedy`` —
-  where per-call NumPy overhead would dominate.  Both engines give the
-  same bits per seed, and each is the other's shadow reference;
+  :class:`~repro.runtime.BatchedQDPM`), narrower ones (the experiments'
+  default single seed among them) on the scalar stack — one
+  :class:`~repro.env.SlottedDPMEnv` + :class:`~repro.core.QDPM` per seed
+  with ``FixedDrawEpsilonGreedy``.  Both engines give the same bits per
+  seed, and each is the other's shadow reference;
 - fixed policies (the frozen-optimal arms) run on either engine with a
   precomputed state->action lookup;
 - controllers that cannot be batched (the model-based adaptive pipeline)
-  fall back to a per-seed scalar loop behind the same interface;
+  fall back to one scalar rollout per seed, each its own work unit;
 - seed chunks are embarrassingly parallel, so ``n_jobs > 1`` ships
-  ``(spec, chunk_seeds)`` work units across a process pool
-  (:mod:`repro.runtime.executor`) and reassembles results in seed
-  order — per-seed results are bit-identical for every
+  ``(spec, chunk_seeds)`` work units across a process pool through the
+  shared chunked-sweep core (:mod:`repro.runtime.chunked`), which
+  also runs the invariant pass and shadow verification and reassembles
+  results in seed order — per-seed results are bit-identical for every
   ``(batch_size, n_jobs)`` combination;
 - per-seed summaries aggregate to mean +- bootstrap CI via the existing
   :mod:`repro.analysis.bootstrap`.
@@ -35,7 +33,8 @@ dataclasses (``RolloutSpec.from_env_config``) and calls down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,20 +49,10 @@ from ..mdp import DeterministicPolicy
 from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
 from .batched_qdpm import BatchedQDPM, BatchRunHistory, run_lockstep
-from .checkpoint import run_chunks_checkpointed, spec_hash
-from .executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    get_executor,
-    is_picklable,
-)
+from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, positive
+from .executor import get_executor, is_picklable
 from .telemetry import TELEMETRY
-from .verify import (
-    InvariantViolation,
-    check_seed_run,
-    shadow_verify_chunks,
-    write_diagnostics_bundle,
-)
+from .verify import check_seed_run, sweep_interrupts
 
 
 @dataclass(frozen=True)
@@ -121,37 +110,31 @@ class RolloutSpec:
         )
         return replace(spec, **overrides) if overrides else spec
 
+    def _env_args(self, warmup: bool):
+        """``(device, schedule, seed offset, shared env kwargs)`` of the
+        main or warmup phase."""
+        return (get_preset(self.device),
+                self.warmup_schedule if warmup else self.schedule,
+                self.warmup_seed_offset if warmup else self.env_seed_offset,
+                dict(slot_length=self.slot_length,
+                     queue_capacity=self.queue_capacity, p_serve=self.p_serve,
+                     perf_weight=self.perf_weight,
+                     loss_penalty=self.loss_penalty))
+
     def scalar_env(self, seed: int, warmup: bool = False) -> SlottedDPMEnv:
         """Scalar environment of one seed (main or warmup phase): the
         twin of replica ``seed`` of :meth:`build_env`."""
-        offset = self.warmup_seed_offset if warmup else self.env_seed_offset
-        return SlottedDPMEnv(
-            get_preset(self.device),
-            self.warmup_schedule if warmup else self.schedule,
-            slot_length=self.slot_length,
-            queue_capacity=self.queue_capacity,
-            p_serve=self.p_serve,
-            perf_weight=self.perf_weight,
-            loss_penalty=self.loss_penalty,
-            seed=seed + offset,
-        )
+        device, schedule, offset, kwargs = self._env_args(warmup)
+        return SlottedDPMEnv(device, schedule, seed=seed + offset, **kwargs)
 
     def build_env(self, seeds: Sequence[int],
                   warmup: bool = False) -> BatchedSlottedEnv:
         """Batched environment for one seed chunk (main or warmup phase)."""
-        offset = self.warmup_seed_offset if warmup else self.env_seed_offset
-        schedule = self.warmup_schedule if warmup else self.schedule
+        device, schedule, offset, kwargs = self._env_args(warmup)
         return BatchedSlottedEnv(
-            get_preset(self.device),
-            schedule,
-            n_replicas=len(seeds),
-            slot_length=self.slot_length,
-            queue_capacity=self.queue_capacity,
-            p_serve=self.p_serve,
-            perf_weight=self.perf_weight,
-            loss_penalty=self.loss_penalty,
-            seeds=[s + offset for s in seeds],
-            rng_mode=self.rng_mode,
+            device, schedule, n_replicas=len(seeds),
+            seeds=[s + offset for s in seeds], rng_mode=self.rng_mode,
+            **kwargs,
         )
 
 
@@ -172,9 +155,10 @@ class SweepResult:
 
     spec: RolloutSpec
     runs: List[SeedRun] = field(default_factory=list)
-    #: resilience/checkpoint record of how the runner executed the sweep
-    #: (resumed/computed chunk counts, retry/timeout/degrade events) —
-    #: empty for plain uncheckpointed runs with no incidents
+    #: how the runner executed the sweep: requested vs effective job
+    #: count and the decision, resumed/computed chunk counts, the
+    #: retry/timeout/degrade events, the shadow ``verification`` block
+    #: when sampled, and the ``metrics`` snapshot
     execution: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -341,17 +325,9 @@ def _run_batched_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
     runs: List[SeedRun] = []
     for i, seed in enumerate(chunk_seeds):
         history = hist.replica(i)
-        runs.append(
-            SeedRun(
-                seed=seed,
-                history=history,
-                mean_reward=_horizon_mean(
-                    history, spec.n_slots, spec.record_every
-                ),
-                saving_ratio=float(savings[i]),
-                totals=env.totals.replica(i),
-            )
-        )
+        mean = _horizon_mean(history, spec.n_slots, spec.record_every)
+        runs.append(SeedRun(seed, history, mean, float(savings[i]),
+                            env.totals.replica(i)))
     return runs
 
 
@@ -467,56 +443,76 @@ def reference_seed_runs(spec: RolloutSpec,
     return _run_scalar_chunk(spec, chunk_seeds)
 
 
-def _run_scalar_seed(spec: RolloutSpec, seed: int,
-                     controller_factory) -> SeedRun:
-    """One scalar-fallback rollout (module-level, so it can ship to a
-    worker when the factory itself is picklable)."""
-    controller = controller_factory(seed)
-    history = controller.run(spec.n_slots, record_every=spec.record_every)
-    return _seed_run(spec, seed, history, controller.env)
+def _run_factory_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
+                       controller_factory) -> List[SeedRun]:
+    """Scalar-fallback work unit: one ``controller_factory(seed)``
+    rollout per seed (module-level, so it can ship to a worker when the
+    factory itself is picklable)."""
+    runs = []
+    for seed in chunk_seeds:
+        controller = controller_factory(seed)
+        history = controller.run(spec.n_slots, record_every=spec.record_every)
+        runs.append(_seed_run(spec, seed, history, controller.env))
+    return runs
 
 
-class SweepRunner:
+def _check_seed_run(run: SeedRun, task: Tuple, seed: int, chunk: int,
+                    spec_key: str) -> None:
+    # looked up at call time, so a wrapper installed on this module's
+    # ``check_seed_run`` sees every check
+    check_seed_run(run, spec=task[0], spec_key=spec_key,
+                   context={"chunk": chunk})
+
+
+def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
+                 seeds: Sequence[int], chunk: int) -> SweepPlan:
+    """The :class:`SweepPlan` of ``cells`` x ``seeds`` on the slotted
+    engines: one cell for :class:`SweepRunner`, one per grid coordinate
+    for :class:`~repro.runtime.GridRunner`.  Each chunk is shadow-verified
+    on the engine it did *not* run on, bit-for-bit."""
+    chunks = chunk_seeds(seeds, chunk)
+    scalar = [runs_scalar(spec, len(c)) for spec in cells for c in chunks]
+    shared = [s.rng_mode for s in cells if s.rng_mode != "replica"]
+    return SweepPlan(
+        spec=spec_id, cells=cells, seeds=seeds, chunk_size=chunk,
+        fn=run_chunk, task=lambda spec, c: (spec, c), seeds_at=1,
+        check=_check_seed_run, reference=reference_seed_runs,
+        reference_name=" + ".join(
+            label for engine, label in (
+                (False, "scalar stack (batched chunks)"),
+                (True, "batched engine at B=1 (scalar chunks)"),
+            ) if engine in scalar
+        ),
+        compare={"rtol": 0.0, "atol": 0.0},
+        # shared-RNG replicas draw from one stream in batch order, so no
+        # per-seed twin exists; record the skip rather than report a
+        # false divergence
+        verify_skip=(f"rng_mode={shared[0]!r} has no per-seed scalar twin; "
+                     f"use rng_mode='replica' to verify") if shared else None,
+        # counted in the parent: pool workers ship their metrics back
+        # only when tracing
+        counters=["engine.slotted.scalar" if s else "engine.slotted.batched"
+                  for s in scalar],
+    )
+
+
+class SweepRunner(ChunkedRunner):
     """Chunked multi-seed executor over the scalar and batched engines.
 
-    Parameters
-    ----------
-    batch_size:
-        Maximum replicas per lock-step batch; seed lists longer than
-        this are processed in consecutive chunks.
-    n_jobs:
-        Worker processes to shard chunks across (default 1 = in-process).
-        Chunks are pure functions of their seeds, so per-seed results
-        are bit-identical for every ``(batch_size, n_jobs)`` combination.
-    timeout:
-        Per-chunk wall-second bound when collecting pool results; a
-        chunk exceeding it (hung or silently-dead worker) reruns
-        in-process (see :meth:`MultiprocessExecutor.submit_all`).
-    max_retries:
-        Pool resubmissions of a chunk whose worker raised, before the
-        chunk degrades to an in-process rerun.
-    retry_backoff:
-        Base of the capped-exponential sleep between retries.
-    checkpoint:
-        Path of a chunk-result journal: completed seed chunks are
-        recorded as they finish and skipped on the next run with the
-        same spec and batch size — resumed results are bit-identical to
-        an uninterrupted run.  Incompatible with the in-process snapshot
-        hooks of :meth:`run_many` (resumed chunks never execute, so the
-        hooks could not fire).
-    verify_fraction:
-        Fraction of seed chunks to shadow-verify on the engine they did
-        *not* run on: sampled batched chunks re-run per seed on the
-        scalar stack (scalar ``QDPM`` with ``FixedDrawEpsilonGreedy``,
-        or the scalar fixed-policy loop), sampled scalar chunks re-run
-        per seed on the batched engine at ``B = 1``.  Results must match
-        **bit-for-bit**.  Requires ``rng_mode="replica"`` — shared-RNG
-        specs record the verification as skipped instead.  A divergence
-        raises :class:`~repro.runtime.verify.InvariantViolation`.
-    diagnostics_dir:
-        Directory for minimal-repro JSON bundles written on invariant
-        violations, shadow divergences, and unrecoverable chunk
-        failures.
+    ``batch_size`` is the maximum replicas per lock-step batch; longer
+    seed lists run in consecutive chunks.  The other settings are the
+    shared ones of :class:`~repro.runtime.chunked.ChunkedRunner`, with
+    two specifics:
+
+    - ``checkpoint`` does not compose with the snapshot hooks of
+      :meth:`run_many` (resumed chunks never execute, so the hooks could
+      not fire) nor with ``controller_factory`` (the journal key cannot
+      see the factory);
+    - ``verify_fraction`` re-runs each sampled chunk per seed on the
+      engine it did *not* run on — batched chunks on the scalar stack,
+      scalar chunks on the batched engine at ``B = 1`` — and results
+      must match **bit-for-bit**.  Shared-RNG specs have no per-seed
+      twin and record the verification as skipped.
     """
 
     def __init__(self, batch_size: int = 32, n_jobs: int = 1,
@@ -525,24 +521,9 @@ class SweepRunner:
                  checkpoint: Optional[str] = None,
                  verify_fraction: float = 0.0,
                  diagnostics_dir: Optional[str] = None) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if int(n_jobs) < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not 0.0 <= float(verify_fraction) <= 1.0:
-            raise ValueError(
-                f"verify_fraction must be in [0, 1], got {verify_fraction}"
-            )
-        self.batch_size = int(batch_size)
-        self.n_jobs = int(n_jobs)
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.checkpoint = checkpoint
-        self.verify_fraction = float(verify_fraction)
-        self.diagnostics_dir = diagnostics_dir
+        self._configure("batch_size", batch_size, n_jobs, timeout,
+                        max_retries, retry_backoff, checkpoint,
+                        verify_fraction, diagnostics_dir)
 
     def run_many(
         self,
@@ -568,194 +549,78 @@ class SweepRunner:
         :class:`ScalarChunkDriver`; on both, ``driver.greedy_policy(i)``
         is seed ``chunk_seeds[i]``'s greedy policy at the hook's slot.
         Hooks never change results.
-        ``controller_factory(seed)`` switches to the scalar fallback: it
-        must return an object with ``.run(n_slots, record_every)`` ->
-        ``RunHistory`` and an ``.env`` exposing ``totals`` /
-        ``energy_saving_ratio()`` (e.g. the model-based pipeline).
-        Factories that pickle are sharded per seed; closures degrade to
-        the in-process loop.
+        ``controller_factory(seed)`` switches to the scalar fallback, one
+        work unit per seed (hooks do not apply): it returns an object
+        with ``.run(n_slots, record_every)`` -> ``RunHistory`` and an
+        ``.env`` with ``totals`` / ``energy_saving_ratio()`` (e.g. the
+        model-based pipeline).  Closures cannot ship and run in-process.
         """
         seeds = [int(s) for s in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
-        chunk = batch_size if batch_size is not None else self.batch_size
-        if chunk < 1:
-            raise ValueError(f"batch_size must be >= 1, got {chunk}")
-        jobs = n_jobs if n_jobs is not None else self.n_jobs
-        with TELEMETRY.metrics_scope() as metrics:
-            with TELEMETRY.span("sweep", cat="sweep", kind="slotted",
-                                n_seeds=len(seeds), batch_size=chunk,
-                                n_jobs=jobs):
-                result = self._run_many(
-                    spec, seeds, chunk, jobs,
-                    on_record=on_record, on_chunk_done=on_chunk_done,
-                    controller_factory=controller_factory,
-                )
-        result.execution["metrics"] = metrics.snapshot()
-        return result
-
-    def _run_many(
-        self,
-        spec: RolloutSpec,
-        seeds: List[int],
-        chunk: int,
-        n_jobs: int,
-        on_record=None,
-        on_chunk_done=None,
-        controller_factory=None,
-    ) -> SweepResult:
-        executor = get_executor(n_jobs)
+        chunk = positive("batch_size",
+                         self.batch_size if batch_size is None else batch_size)
+        hooked = on_record is not None or on_chunk_done is not None
+        if self.checkpoint is not None and (
+                hooked or controller_factory is not None):
+            raise ValueError(
+                "checkpointing does not compose with in-process snapshot "
+                "hooks or a controller_factory: resumed chunks load from "
+                "the journal without executing, so hooks could not fire, "
+                "and the journal key cannot see the factory"
+            )
+        execute = None
         if controller_factory is not None:
-            return self._run_scalar(spec, seeds, controller_factory, executor)
-        chunks = [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
-        for c in chunks:
-            # counted here, not in run_chunk: pool workers ship their
-            # metrics back only when tracing
-            TELEMETRY.inc("engine.slotted.scalar" if runs_scalar(spec, len(c))
-                          else "engine.slotted.batched")
-        result = SweepResult(spec=spec)
-        if self.checkpoint is not None:
-            if on_record is not None or on_chunk_done is not None:
-                raise ValueError(
-                    "checkpointing does not compose with in-process "
-                    "snapshot hooks: resumed chunks load from the journal "
-                    "without executing, so the hooks could not fire"
-                )
-            runs_per_chunk, execution = run_chunks_checkpointed(
-                executor, run_chunk, [(spec, c) for c in chunks],
-                spec_key=spec_hash(spec, chunk),
-                checkpoint=self.checkpoint, timeout=self.timeout,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff,
-                diagnostics_dir=self.diagnostics_dir, spec=spec,
+            plan = SweepPlan(
+                spec=spec, cells=[spec], seeds=seeds, chunk_size=1,
+                fn=_run_factory_chunk, seeds_at=1, check=_check_seed_run,
+                task=lambda spec, c: (spec, c, controller_factory),
+                serial_reason=(None if is_picklable(controller_factory)
+                               else "unpicklable_factory"),
             )
-            result.execution.update(execution)
-            for chunk_runs in runs_per_chunk:
-                result.runs.extend(chunk_runs)
-            return self._finalize(spec, chunk, chunks, result)
+        else:
+            plan = slotted_plan(spec, [spec], seeds, chunk)
+            if hooked:
+                execute = partial(self._run_hooked, on_record=on_record,
+                                  on_chunk_done=on_chunk_done)
+        (runs,), execution = self._sweep(
+            "slotted", plan, n_jobs, execute,
+            n_seeds=len(seeds), batch_size=plan.chunk_size,
+        )
+        return SweepResult(spec=spec, runs=runs, execution=execution)
+
+    def _run_hooked(self, plan: SweepPlan, tasks: List[Tuple], n_jobs: int,
+                    on_record=None, on_chunk_done=None):
+        """Execute step with snapshot hooks, the one case outside the
+        retry ladder: hook chunks run in the parent, never retried, so a
+        hook exception propagates as is and no hook fires twice.  With
+        ``n_jobs > 1`` only the lead chunk is one; the tail ships first
+        to ``n_jobs - 1`` workers and overlaps with it (a one-worker
+        pool runs eagerly in-process, so at ``n_jobs = 2`` nothing
+        overlaps)."""
+        tail = tasks[1:] if n_jobs > 1 else []
         reporter = TELEMETRY.progress_reporter(
-            total=len(chunks), workers=min(executor.n_jobs, len(chunks)),
-            label="sweep",
+            total=len(tasks), workers=min(n_jobs, len(tasks)), label="sweep",
         )
-        if isinstance(executor, SerialExecutor) or len(chunks) == 1:
-            for chunk_seeds in chunks:
-                result.runs.extend(
-                    run_chunk(spec, chunk_seeds, on_record, on_chunk_done)
-                )
-                TELEMETRY.inc("executor.chunks_completed")
-                if reporter is not None:
-                    reporter.update()
-            if reporter is not None:
-                reporter.finish()
-            return self._finalize(spec, chunk, chunks, result)
-        # Sharded path: ship the tail chunks to the pool first, then run
-        # the lead chunk in the parent (with the in-process hooks)
-        # overlapped with the workers.  The parent counts as one of the
-        # n_jobs lanes, so the pool gets n_jobs - 1 workers and total
-        # concurrency honors the knob.  pool order == submission order,
-        # so runs come back in seed order.  With a single tail chunk or
-        # n_jobs = 2, submit_all short-circuits to eager in-process
-        # execution (no overlap): the quick-snapshot bench showed pool
-        # spin-up dominating exactly those shapes, so they degrade to
-        # the serial path's cost instead of paying for a pool.
-        on_result = None
-        if reporter is not None:
-            on_result = lambda j, r: reporter.update()
-        pending = MultiprocessExecutor(executor.n_jobs - 1).submit_all(
-            run_chunk, [(spec, c) for c in chunks[1:]],
-            timeout=self.timeout, max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff, on_result=on_result,
-        )
-        try:
-            result.runs.extend(
-                run_chunk(spec, chunks[0], on_record, on_chunk_done)
+        tick = ((lambda *_: reporter.update()) if reporter is not None
+                else (lambda *_: None))
+        outputs: List[List[SeedRun]] = []
+        with sweep_interrupts(len(tasks)):
+            pending = get_executor(max(n_jobs - 1, 1)).submit_all(
+                run_chunk, tail, timeout=self.timeout,
+                max_retries=self.max_retries,
+                retry_backoff=self.retry_backoff, on_result=tick,
             )
-            TELEMETRY.inc("executor.chunks_completed")
-            if reporter is not None:
-                reporter.update()
-        except BaseException:
-            # lead chunk (or a user hook) failed: don't leak the pool
-            pending.cancel()
-            raise
-        for chunk_runs in pending.get():
-            result.runs.extend(chunk_runs)
+            try:
+                for task in tasks[:len(tasks) - len(tail)]:
+                    outputs.append(run_chunk(*task, on_record, on_chunk_done))
+                    TELEMETRY.inc("executor.chunks_completed")
+                    tick()
+            except BaseException:
+                # a lead chunk (or a user hook) failed: don't leak the pool
+                pending.cancel()
+                raise
+            outputs.extend(pending.get())
         if reporter is not None:
             reporter.finish()
-        if pending.events:
-            result.execution["resilience_events"] = list(pending.events)
-        return self._finalize(spec, chunk, chunks, result)
-
-    # ------------------------------------------------------------------ #
-    # runtime verification
-    # ------------------------------------------------------------------ #
-
-    def _finalize(self, spec: RolloutSpec, chunk_size: int,
-                  chunks: List[List[int]],
-                  result: SweepResult) -> SweepResult:
-        """Always-on invariant checks plus sampled shadow execution."""
-        spec_key = spec_hash(spec, chunk_size)
-        try:
-            for run in result.runs:
-                check_seed_run(run, spec=spec, spec_key=spec_key)
-        except InvariantViolation as exc:
-            if self.diagnostics_dir is not None:
-                write_diagnostics_bundle(
-                    self.diagnostics_dir, "invariant_violation", spec=spec,
-                    spec_key=spec_key, seed=exc.seed, details=exc.details,
-                    error=exc, extra={"invariant": exc.invariant},
-                )
-            raise
-        if self.verify_fraction == 0.0:
-            return result
-        engines = {runs_scalar(spec, len(c)) for c in chunks}
-        reference = " + ".join(
-            label for scalar, label in (
-                (False, "scalar stack (batched chunks)"),
-                (True, "batched engine at B=1 (scalar chunks)"),
-            ) if scalar in engines
-        )
-        if spec.rng_mode != "replica":
-            # shared-RNG replicas draw from one stream in batch order, so
-            # no per-seed scalar twin exists; record the skip rather than
-            # report a false divergence
-            result.execution["verification"] = {
-                "fraction": self.verify_fraction,
-                "n_chunks": len(chunks),
-                "verified_chunks": [], "n_verified": 0,
-                "reference": reference, "n_divergences": 0,
-                "divergences": [],
-                "skipped": f"rng_mode={spec.rng_mode!r} has no per-seed "
-                           f"scalar twin; use rng_mode='replica' to verify",
-            }
-            return result
-        chunk_results: List[List[SeedRun]] = []
-        offset = 0
-        for c in chunks:
-            chunk_results.append(result.runs[offset:offset + len(c)])
-            offset += len(c)
-        result.execution["verification"] = shadow_verify_chunks(
-            [(spec, c) for c in chunks], chunk_results,
-            self.verify_fraction, spec_key, reference_seed_runs, reference,
-            seeds_of=lambda task: task[1],
-            rtol=0.0, atol=0.0,
-            diagnostics_dir=self.diagnostics_dir, spec=spec,
-        )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # scalar fallback
-    # ------------------------------------------------------------------ #
-
-    def _run_scalar(self, spec: RolloutSpec, seeds: List[int],
-                    controller_factory, executor) -> SweepResult:
-        result = SweepResult(spec=spec)
-        tasks = [(spec, seed, controller_factory) for seed in seeds]
-        if not isinstance(executor, SerialExecutor) and is_picklable(
-            controller_factory
-        ):
-            result.runs.extend(executor.map(_run_scalar_seed, tasks))
-        else:
-            # closures (and other unpicklable factories) keep the
-            # in-process loop — same bits, no sharding
-            result.runs.extend(_run_scalar_seed(*t) for t in tasks)
-        return result
+        return outputs, {"resilience_events": list(pending.events)}

@@ -20,8 +20,8 @@ the test-time contracts into runtime checks the sweep runners apply
   compare field-for-field — test-time pinning as in-run
   cross-validation, summarized in a ``verification`` block of the
   execution metadata.
-- **Graceful interruption** (:func:`trap_signals`,
-  :class:`SweepInterrupted`): SIGINT/SIGTERM around chunk collection
+- **Graceful interruption** (:func:`sweep_interrupts`,
+  :class:`SweepInterrupted`): SIGINT/SIGTERM around chunk execution
   flush the checkpoint journal, tear the pool down cleanly, and
   surface a one-line resume hint instead of a stack trace.
 - **Diagnostics bundles** (:func:`write_diagnostics_bundle`): every
@@ -45,7 +45,7 @@ import signal
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -934,3 +934,20 @@ def trap_signals():
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+@contextmanager
+def sweep_interrupts(n_total: int, progress: Callable[[], int] = lambda: 0,
+                     checkpoint: Optional[Union[str, Path]] = None):
+    """Raise SIGINT (``KeyboardInterrupt``) or SIGTERM (trapped for the
+    block's span) inside the block as :class:`SweepInterrupted`, with
+    ``progress()`` of ``n_total`` chunks journaled.  Tearing down a pool
+    is the block's own job."""
+    try:
+        with trap_signals():
+            yield
+    except (KeyboardInterrupt, _InterruptSignal) as exc:
+        raise SweepInterrupted(
+            getattr(exc, "signal_name", "SIGINT"), progress(), n_total,
+            checkpoint=checkpoint,
+        ) from None

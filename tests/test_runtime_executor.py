@@ -231,11 +231,8 @@ class TestCallbackSemantics:
 
 
 class TestValidation:
-    def test_bad_runner_args_raise(self):
-        with pytest.raises(ValueError):
-            SweepRunner(batch_size=0)
-        with pytest.raises(ValueError):
-            SweepRunner(n_jobs=0)
+    # constructor settings are validated once for every runner:
+    # tests/test_runtime_chunked.py::TestValidation
 
     def test_bad_call_args_raise(self, spec):
         runner = SweepRunner()

@@ -434,10 +434,6 @@ class TestSimSweepCheckpointResume:
         for a, b in zip(first.cells, second.cells):
             assert a.reports == b.reports
 
-    def test_runner_validates_max_retries(self):
-        with pytest.raises(ValueError):
-            SimSweepRunner(max_retries=-1)
-
 
 class TestSweepRunnerCheckpointResume:
     def _spec(self) -> RolloutSpec:
