@@ -56,7 +56,6 @@ SPEEDUP_BARS = {
     "BENCH_fleet.json": {
         "fleet_kernel": 5.0,
         "queue_aware_routing": 5.0,
-        "flattened_cell": 1.5,
         # the scalar failure-aware reference now precomputes its
         # arrival-instant masks through the same vectorized down_mask
         # sweep as the fast path (PR 10), so the remaining gap is the

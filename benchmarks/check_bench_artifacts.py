@@ -32,8 +32,7 @@ EXPECTED_KEYS = {
     ),
     "BENCH_fleet.json": (
         "cpu_count", "host", "fleet_kernel", "queue_aware_routing",
-        "flattened_cell", "fault_tolerant_routing", "overload_resilience",
-        "fleet_sweep",
+        "fault_tolerant_routing", "overload_resilience", "fleet_sweep",
     ),
 }
 

@@ -12,10 +12,6 @@ The tentpole claims of the fleet subsystem, measured at N=64 replicas:
   requests >= 5x faster than the scalar per-request reference loop for
   ``jsq`` (the ``power_aware`` rate is recorded alongside; its dense
   mask arithmetic per epoch leaves less headroom).
-- ``flattened_cell`` — one :func:`~repro.fleet.run_fleet_batch`
-  kernel invocation over a whole (seed x device) cell beats R x N
-  per-trace kernel runs >= 1.5x (the win is invocation-overhead
-  amortization; per-replica report compilation is shared cost).
 - ``fault_tolerant_routing`` — failover-only dispatch (seeded fault
   schedule + failover retries) through the fault-aware routing loop
   over the heap-settled dense backlog routes >= 1.5x faster than the
@@ -61,7 +57,6 @@ from repro.fleet import (
     RetryBudgetConfig,
     make_router,
     run_fleet,
-    run_fleet_batch,
 )
 from repro.runtime import PolicySpec, TraceSpec
 from repro.workload import Exponential, FaultProcess, renewal_trace
@@ -173,61 +168,6 @@ def test_queue_aware_routing_speedup():
     })
     assert jsq_speedup >= BARS["queue_aware_routing"], (
         f"jsq epoch-advance routing only {jsq_speedup:.1f}x the scalar loop"
-    )
-
-
-def test_flattened_cell_speedup():
-    """The whole-cell flattening bar: one run_fleet_batch kernel call
-    over R seeds x N devices beats R per-trace auto-engine fleet runs
-    (the pre-flattening sweep path) >= 1.5x."""
-    device = get_preset(DEVICE)
-    rng = np.random.default_rng(29)
-    n_seeds = 16
-    traces = [
-        renewal_trace(Exponential(RATE), 1_000.0, rng) for _ in range(n_seeds)
-    ]
-    seeds = list(range(n_seeds))
-    router = "round_robin"  # isolates flattening from routing cost
-
-    start = time.perf_counter()
-    per_trace = [
-        run_fleet(device, FixedTimeout(), trace, make_router(router),
-                  N_DEVICES, service_time=SERVICE_TIME, route_seed=seed,
-                  engine="auto")
-        for trace, seed in zip(traces, seeds)
-    ]
-    per_trace_seconds = time.perf_counter() - start
-
-    flat_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        flattened = run_fleet_batch(
-            device, FixedTimeout(), traces, make_router(router), N_DEVICES,
-            service_time=SERVICE_TIME, route_seeds=seeds,
-        )
-        flat_seconds = min(flat_seconds, time.perf_counter() - start)
-    assert [r.n_requests for r in flattened] == \
-        [r.n_requests for r in per_trace]
-
-    speedup = per_trace_seconds / flat_seconds
-    n_requests = sum(len(t) for t in traces)
-    print()
-    print(f"cell ({n_seeds} seeds x {N_DEVICES} devices, "
-          f"{n_requests:,} requests): per-trace {per_trace_seconds:.3f}s "
-          f"vs flattened {flat_seconds:.3f}s ({speedup:.2f}x)")
-    record_bench(BENCH_PATH, "flattened_cell", {
-        "device": DEVICE,
-        "n_devices": N_DEVICES,
-        "n_seeds": n_seeds,
-        "router": router,
-        "policy": "timeout_break_even",
-        "n_requests": n_requests,
-        "per_trace_seconds": per_trace_seconds,
-        "flattened_seconds": flat_seconds,
-        "speedup": speedup,
-    })
-    assert speedup >= BARS["flattened_cell"], (
-        f"flattened cell only {speedup:.2f}x the per-trace engine"
     )
 
 
@@ -412,8 +352,8 @@ def test_bench_fleet_artifact_shape():
     assert BENCH_PATH.exists()
     data = json.loads(BENCH_PATH.read_text())
     for key in ("host", "fleet_kernel", "queue_aware_routing",
-                "flattened_cell", "fault_tolerant_routing",
-                "overload_resilience", "fleet_sweep"):
+                "fault_tolerant_routing", "overload_resilience",
+                "fleet_sweep"):
         assert key in data, f"BENCH_fleet.json missing {key!r}"
     for section, bar in BARS.items():
         assert data[section]["speedup"] >= bar, section

@@ -20,9 +20,9 @@ routers via closed-form ``route_batch``, queue-aware routers via the
 epoch-advance ``route_step_batch`` (dense per-device backlog arrays
 advanced one arrival per round).  Under faults or overload protection
 every router runs one fault-aware loop, :func:`route_with_overload`
-(failover-only routing is ``OverloadConfig(failover=...)``).  The sweep
-flattens each cell's (seed x device) sub-traces into a single lock-step
-kernel call (:func:`run_fleet_batch`).
+(failover-only routing is ``OverloadConfig(failover=...)``).  Each
+sweep chunk routes its seeds' traces and evaluates all (seed x device)
+sub-traces in one engine call (:func:`run_fleet_batch`).
 """
 
 from .dispatch import (

@@ -14,23 +14,19 @@ overload knobs, or both — the trace goes through the fault-aware loop
 :func:`~repro.fleet.dispatch.route_with_overload`, failover-only routing
 being ``OverloadConfig(failover=...)``.
 
-Three engines, mirroring the repo's batched/scalar split:
+Two engines, mirroring the repo's batched/scalar split:
 
-- ``engine="auto"`` — the per-trace fast path: the vectorized routing
-  paths, then :func:`~repro.runtime.eventsim.simulate_traces_batch` on
-  the per-device sub-traces — the vectorized busy-period kernel per
-  sub-trace for stateless policies, the lock-step cross-replication
-  engine over all N devices at once for stateful batchable policies
-  (adaptive, predictive), and the scalar loop for everything else.
-- ``engine="flat"`` — the production sweep path: all sub-traces of the
-  fleet run (and, via :func:`run_fleet_batch`, of *every seed of a
-  sweep cell*) are flattened into one padded
-  :func:`~repro.runtime.eventsim.run_step_batched` invocation, so a
-  whole cell costs one kernel call instead of N x R per-trace runs.
+- ``engine="auto"`` — :func:`run_fleet_batch` on the one trace, the
+  path every fleet sweep chunk runs: the vectorized routing paths, then
+  one :func:`~repro.runtime.eventsim.simulate_traces_batch` call on the
+  per-device sub-traces — the per-trace busy-period kernel for stateless
+  policies, the lock-step cross-replication engine over all sub-traces
+  at once for stateful batchable policies (adaptive, predictive), and
+  the scalar loop for everything else.
 - ``engine="scalar"`` — the reference dispatcher: the router's scalar
   assignment loop (or the fault-aware loop over the list-walking
   backlog) plus the scalar :class:`~repro.sim.DPMSimulator` event loop
-  per device.  tests/test_fleet_sweep.py pins the fast engines against
+  per device.  tests/test_fleet_sweep.py pins the fast engine against
   it field-for-field (rel tol <= 1e-9) on the fleet aggregate.
 """
 
@@ -39,7 +35,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..device import PowerStateMachine
-from ..runtime.eventsim import run_step_batched, simulate_traces_batch
+from ..runtime.eventsim import simulate_traces_batch
 from ..runtime.telemetry import TELEMETRY
 from ..sim.policy_api import EventPolicy
 from ..sim.simulator import DPMSimulator
@@ -49,7 +45,7 @@ from .dispatch import Dispatcher, FailoverConfig, OverloadConfig, Router
 from .report import FleetReport, build_fleet_report
 
 #: engines accepted by :func:`run_fleet`
-ENGINES = ("auto", "flat", "scalar")
+ENGINES = ("auto", "scalar")
 
 
 def _overload_config(
@@ -155,8 +151,7 @@ def run_fleet(
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    config = _overload_config(faults, failover, overload)
-    if engine == "flat":
+    if engine == "auto":
         return run_fleet_batch(
             device, policy, [trace], router, n_devices,
             service_time=service_time, oracle=oracle,
@@ -165,6 +160,7 @@ def run_fleet(
             fault_seeds=None if fault_seed is None else [fault_seed],
             overload=overload,
         )[0]
+    config = _overload_config(faults, failover, overload)
     dispatcher = Dispatcher(
         router, n_devices, device, service_time=service_time, seed=route_seed,
     )
@@ -173,21 +169,15 @@ def run_fleet(
         sub_traces, fault_kwargs = _route(
             dispatcher, trace, faults,
             route_seed if fault_seed is None else int(fault_seed),
-            config, vectorized=engine == "auto",
+            config, vectorized=False,
         )
     with TELEMETRY.span("kernel", cat="fleet", engine=engine,
                         n_traces=len(sub_traces)):
-        if engine == "auto":
-            reports = simulate_traces_batch(
-                device, policy, sub_traces,
-                service_time=service_time, oracle=oracle,
-            )
-        else:
-            reports = [
-                DPMSimulator(device, policy,
-                             service_time=service_time, oracle=oracle).run(sub)
-                for sub in sub_traces
-            ]
+        reports = [
+            DPMSimulator(device, policy,
+                         service_time=service_time, oracle=oracle).run(sub)
+            for sub in sub_traces
+        ]
     with TELEMETRY.span("report", cat="fleet", n_devices=n_devices):
         return build_fleet_report(
             router=dispatcher.router.name,
@@ -214,30 +204,25 @@ def run_fleet_batch(
     fault_seeds: Optional[Sequence[int]] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> List[FleetReport]:
-    """R seeded fleet runs of one cell as a single flattened kernel call.
+    """R seeded fleet runs of one cell: route each trace, then evaluate
+    every sub-trace in one call.
 
-    The whole-cell engine behind ``engine="flat"`` and the fleet sweep:
-    every trace is dispatched with the router's vectorized path, and the
-    R x N per-device sub-traces are flattened into *one*
-    :func:`~repro.runtime.eventsim.run_step_batched` invocation
-    (``allow_stateless=True`` lets gap-mode policies ride the lock-step
-    rounds; step-mode policies use their own hooks).  Each sub-trace's
-    report is a pure function of its own trace, so per-seed fleet
-    reports are independent of which seeds share the batch — the
+    The fast engine behind ``run_fleet(engine="auto")`` and every fleet
+    sweep chunk: each trace is routed once (the two-way decision of
+    :func:`run_fleet`), and the R x N per-device sub-traces go to one
+    :func:`~repro.runtime.eventsim.simulate_traces_batch` call — one
+    lock-step call across all of them for step-mode policies, the
+    per-trace busy-period kernel for gap-mode policies, the scalar loop
+    otherwise.  Each sub-trace's report is a pure function of its own
+    trace, so per-seed fleet reports are exactly those of per-seed
+    :func:`run_fleet` whichever seeds share the batch — the
     chunking-invariance guarantee the sweep runner relies on.
 
-    Policies outside both batch families fall back to
-    :func:`~repro.runtime.eventsim.simulate_traces_batch` on the
-    sub-traces already routed (same reports as per-seed
-    :func:`run_fleet` on the ``auto`` engine, no flattening to be had,
-    no second routing pass).  ``route_seeds`` defaults to 0 for every
-    trace, matching :func:`run_fleet`'s default; with ``faults`` given,
-    ``fault_seeds`` (defaulting to the route seeds) realize a
+    ``route_seeds`` defaults to 0 for every trace, matching
+    :func:`run_fleet`'s default; with ``faults`` given, ``fault_seeds``
+    (defaulting to the route seeds) realize a
     :class:`~repro.workload.FaultProcess` independently per trace, and
-    each flattened sub-trace carries its failover-delayed dispatch
-    instants — per-seed reports remain pure functions of their own
-    ``(trace, route_seed, fault_seed)``, preserving chunking-invariance.
-    Routing follows :func:`run_fleet`'s two-way decision per trace.
+    each sub-trace carries its failover-delayed dispatch instants.
     """
     config = _overload_config(faults, failover, overload)
     traces = list(traces)
@@ -262,7 +247,7 @@ def run_fleet_batch(
     router_name = None
     sub_traces: List[Trace] = []
     fault_kwargs: List[dict] = []
-    with TELEMETRY.span("route", cat="fleet", engine="flat",
+    with TELEMETRY.span("route", cat="fleet", engine="auto",
                         n_devices=n_devices, n_traces=len(traces)):
         for trace, seed, fseed in zip(traces, route_seeds, fault_seeds):
             dispatcher = Dispatcher(
@@ -273,17 +258,12 @@ def run_fleet_batch(
             subs, fields = _route(dispatcher, trace, faults, fseed, config)
             sub_traces.extend(subs)
             fault_kwargs.append(fields)
-    with TELEMETRY.span("kernel", cat="fleet", engine="flat",
+    with TELEMETRY.span("kernel", cat="fleet", engine="auto",
                         n_traces=len(sub_traces)):
-        reports = run_step_batched(
+        reports = simulate_traces_batch(
             device, policy, sub_traces,
-            service_time=service_time, oracle=oracle, allow_stateless=True,
+            service_time=service_time, oracle=oracle,
         )
-        if reports is None:
-            reports = simulate_traces_batch(
-                device, policy, sub_traces,
-                service_time=service_time, oracle=oracle,
-            )
     home_power = device.state(device.initial_state).power
     with TELEMETRY.span("report", cat="fleet", n_devices=n_devices,
                         n_reports=len(traces)):

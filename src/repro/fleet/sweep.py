@@ -306,7 +306,7 @@ def run_fleet_chunk(
 ) -> List[FleetReport]:
     """One (cell, seed-chunk) work unit, built from picklable values.
 
-    The chunk's (seed x device) sub-traces flatten into a single
+    The chunk's seeds run as one
     :func:`~repro.fleet.evaluate.run_fleet_batch` call; each seed's
     report is still a pure function of the arguments, so results are
     identical for every ``(chunk_size, n_jobs)``.  Raw latency arrays

@@ -433,7 +433,6 @@ def run_step_batched(
     wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
-    allow_stateless: bool = False,
 ) -> Optional[List[SimReport]]:
     """Lock-step engine for R replications of one stateful policy.
 
@@ -443,19 +442,10 @@ def run_step_batched(
     replica's report is a pure function of its own trace, so results
     are independent of which traces share the batch (the chunking-
     invariance guarantee the sweep runners rely on, mirroring
-    ``BatchedQDPM``).
-
-    ``allow_stateless=True`` additionally admits stateless (gap-mode)
-    policies: a pure :meth:`~repro.sim.policy_api.EventPolicy.
-    decide_batch` answers one-gap-per-replica rounds just as well as
-    all-gaps-per-trace columns, so the policy rides the same lock-step
-    rounds with no per-replica state (``end_step_batch`` is skipped —
-    a stateless ``on_idle_end`` observes nothing).  This is how the
-    fleet layer flattens a whole (seed × device) sweep cell into one
-    kernel invocation even though most fleet policies are stateless.
-    The flag is off by default because per-trace
-    :func:`run_vectorized` resolves all gaps of a trace at once and is
-    the better engine when traces are few and long.
+    ``BatchedQDPM``).  Stateless (gap-mode) policies are declined too:
+    per-trace :func:`run_vectorized` resolves all gaps of a trace at
+    once, where lock-step rounds would cost one round per idle gap of
+    the busiest replica.
 
     The busy-period trick per lock-step round: with zero wake delays a
     trace's busy periods are fixed ("pure" structure, one prefix-max
@@ -481,14 +471,8 @@ def run_step_batched(
     if not _wait_parking_is_free(device, home, wait):
         return None
     states = policy.make_step_state(n_reps, device, wait)
-    stateless = False
     if states is None:
-        if not allow_stateless:
-            return None
-        if type(policy).decide_batch is EventPolicy.decide_batch:
-            return None
-        policy.reset()
-        stateless = True
+        return None
 
     # ---- padded per-replica trace arrays ------------------------------ #
     n_arr = np.array([len(t) for t in traces], dtype=np.int64)
@@ -574,28 +558,16 @@ def run_step_batched(
             next_arrivals = np.where(mid, gap_end, np.nan)
         else:
             next_arrivals = np.full(n_reps, np.nan)
-        if stateless:
-            # one gap per replica instead of all gaps of one trace —
-            # a pure per-gap function cannot tell the difference
-            decision = policy.decide_batch(
-                BatchIdleContext(
-                    gap_starts=gap_start,
-                    next_arrivals=next_arrivals,
-                    device=device,
-                    wait_state=wait,
-                )
-            )
-        else:
-            decision = policy.decide_step_batch(
-                states,
-                StepBatchContext(
-                    gap_starts=gap_start,
-                    next_arrivals=next_arrivals,
-                    active=active,
-                    device=device,
-                    wait_state=wait,
-                ),
-            )
+        decision = policy.decide_step_batch(
+            states,
+            StepBatchContext(
+                gap_starts=gap_start,
+                next_arrivals=next_arrivals,
+                active=active,
+                device=device,
+                wait_state=wait,
+            ),
+        )
         if decision is None:
             return None
         timeouts = np.asarray(decision.timeouts, dtype=float)
@@ -663,8 +635,7 @@ def run_step_batched(
             span_by_target[idx] += np.where(sel, span, 0.0)
             ndown_by_target[idx] += sel
         idle_rounds.append((idle_len, active))
-        if not stateless:
-            policy.end_step_batch(states, idle_len, active)
+        policy.end_step_batch(states, idle_len, active)
 
         # trailing replicas are finished after their gap resolves
         final_target[trail] = target_idx[trail]

@@ -7,9 +7,9 @@ digests recorded from the dedicated failover engine this loop replaced
 — every router x failover policy, over either backlog, on a seeded
 fault process with retries and drops.  A no-fault schedule must
 reproduce plain routing choice for choice, the failover semantics are
-checked case by case, and the fleet engines (`auto`/`flat` vs
-`scalar`) must agree on every report field under faults at
-rel <= 1e-9.
+checked case by case, and the fast fleet engine (per-seed `auto` runs
+and multi-trace `run_fleet_batch` calls) must agree with `scalar` on
+every report field under faults at rel <= 1e-9.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.workload import (
     renewal_trace,
 )
 
-from test_fleet_sweep import assert_fleet_reports_match
+from test_fleet_sweep import assert_fleet_reports_match, engine_pairs
 
 PRESETS = ("mobile_hdd", "wlan")
 
@@ -333,14 +333,15 @@ class TestDispatchWithFaults:
 
 
 class TestFleetEnginesUnderFaults:
-    """run_fleet's auto/flat engines vs the scalar reference, with
-    faults injected: every FleetReport field at rel <= 1e-9 (assignments
-    and dispatch instants themselves are bit-identical upstream)."""
+    """The fast fleet engine — one auto run, or a run_fleet_batch call
+    over three traces — vs the scalar reference per seed, with faults
+    injected: every FleetReport field at rel <= 1e-9 (assignments and
+    dispatch instants themselves are bit-identical upstream)."""
 
     POLICIES = [("always_on", AlwaysOn), ("greedy", GreedySleep),
                 ("timeout", FixedTimeout)]
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("engine", ("auto", "batch"))
     @pytest.mark.parametrize("router_name", sorted(ROUTERS))
     @pytest.mark.parametrize(
         "policy_factory", [f for _, f in POLICIES],
@@ -349,62 +350,53 @@ class TestFleetEnginesUnderFaults:
     def test_engines_pinned_under_faults(self, engine, router_name,
                                          policy_factory, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
-        device = get_preset("mobile_hdd")
-        kwargs = dict(
-            service_time=0.4, route_seed=21,
+        for ref, fast in engine_pairs(
+            engine, get_preset("mobile_hdd"), policy_factory, trace,
+            router_name, 4, service_time=0.4, route_seed=21,
             faults=FaultProcess(mtbf=50.0, mttr=8.0), fault_seed=77,
             failover=FailoverConfig(max_retries=3),
-        )
-        ref = run_fleet(device, policy_factory(), trace,
-                        make_router(router_name), 4, engine="scalar",
-                        **kwargs)
-        fast = run_fleet(device, policy_factory(), trace,
-                         make_router(router_name), 4, engine=engine,
-                         **kwargs)
-        assert_fleet_reports_match(ref, fast)
-        for field in ("availability", "n_retries", "n_dropped",
-                      "failover_latency_inflation"):
-            assert getattr(ref, field) == getattr(fast, field), field
+        ):
+            assert_fleet_reports_match(ref, fast)
+            for field in ("availability", "n_retries", "n_dropped",
+                          "failover_latency_inflation"):
+                assert getattr(ref, field) == getattr(fast, field), field
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("engine", ("auto", "batch"))
     def test_degenerate_blackout_pinned(self, engine, rng):
         """Whole-fleet blackout mid-trace: drops occur, some devices may
         end up with empty sub-traces — engines must still agree."""
         trace = renewal_trace(Exponential(1.0), 120.0, rng)
-        device = get_preset("wlan")
         faults = FaultSchedule([[(30.0, 60.0)]] * 3, trace.duration)
-        kwargs = dict(service_time=0.4, route_seed=5, faults=faults,
-                      failover=FailoverConfig(max_retries=2,
-                                              backoff_base=0.5,
-                                              backoff_cap=2.0))
-        ref = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
-                        3, engine="scalar", **kwargs)
-        fast = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
-                         3, engine=engine, **kwargs)
-        assert ref.n_dropped > 0
-        assert_fleet_reports_match(ref, fast)
+        pairs = engine_pairs(
+            engine, get_preset("wlan"), FixedTimeout, trace, "jsq", 3,
+            service_time=0.4, route_seed=5, faults=faults,
+            failover=FailoverConfig(max_retries=2, backoff_base=0.5,
+                                    backoff_cap=2.0),
+        )
+        assert pairs[0][0].n_dropped > 0
+        for ref, fast in pairs:
+            assert_fleet_reports_match(ref, fast)
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("engine", ("auto", "batch"))
     def test_every_request_dropped_pinned(self, engine):
         """Whole fleet down for the whole window, zero retries: every
-        request drops, every sub-trace is empty — both engines must
-        still produce a coherent (all-zero traffic) report."""
+        request drops, every sub-trace is empty — the fast engine and
+        the reference must still produce coherent (all-zero traffic)
+        reports."""
         trace = Trace(np.array([1.0, 2.0, 3.0]), 100.0)
-        device = get_preset("mobile_hdd")
         faults = FaultSchedule([[(0.0, 100.0)], [(0.0, 100.0)]], 100.0)
-        kwargs = dict(service_time=0.4, route_seed=1, faults=faults,
-                      failover=FailoverConfig(max_retries=0))
-        ref = run_fleet(device, FixedTimeout(), trace,
-                        make_router("round_robin"), 2, engine="scalar",
-                        **kwargs)
-        fast = run_fleet(device, FixedTimeout(), trace,
-                         make_router("round_robin"), 2, engine=engine,
-                         **kwargs)
-        for report in (ref, fast):
-            assert report.n_dropped == len(trace)
-            assert report.n_requests == 0
-            assert report.availability == 0.0
-        assert_fleet_reports_match(ref, fast)
+        pairs = engine_pairs(
+            engine, get_preset("mobile_hdd"), FixedTimeout, trace,
+            "round_robin", 2, service_time=0.4, route_seed=1,
+            faults=faults, failover=FailoverConfig(max_retries=0),
+        )
+        assert pairs[0][0].n_offered == len(trace)
+        for ref, fast in pairs:
+            for report in (ref, fast):
+                assert report.n_dropped == report.n_offered
+                assert report.n_requests == 0
+                assert report.availability == 0.0
+            assert_fleet_reports_match(ref, fast)
 
     def test_report_metrics_reflect_faults(self, rng):
         trace = renewal_trace(Exponential(0.8), 300.0, rng)
@@ -424,8 +416,9 @@ class TestFleetEnginesUnderFaults:
         assert fault_free.n_dropped == 0
 
     def test_batch_matches_per_seed_runs(self, rng):
-        """Chunking invariance under faults: a flattened batch of R
-        seeded runs equals R independent run_fleet calls."""
+        """Chunking invariance under faults: a batch of R seeded runs
+        equals R independent run_fleet calls exactly, and each matches
+        the scalar reference."""
         traces = [renewal_trace(Exponential(0.8), 200.0,
                                 np.random.default_rng(s)) for s in (1, 2, 3)]
         device = get_preset("mobile_hdd")
@@ -437,14 +430,17 @@ class TestFleetEnginesUnderFaults:
         )
         for trace, rs, fs, got in zip(traces, (11, 12, 13), (21, 22, 23),
                                       batched):
-            solo = run_fleet(
-                device, GreedySleep(), trace, make_router("power_aware"), 3,
-                service_time=0.4, route_seed=rs, faults=proc, fault_seed=fs,
-                engine="flat",
-            )
-            assert_fleet_reports_match(solo, got)
-            assert solo.n_retries == got.n_retries
-            assert solo.n_dropped == got.n_dropped
+            kwargs = dict(service_time=0.4, route_seed=rs, faults=proc,
+                          fault_seed=fs)
+            solo = run_fleet(device, GreedySleep(), trace,
+                             make_router("power_aware"), 3, **kwargs)
+            ref = run_fleet(device, GreedySleep(), trace,
+                            make_router("power_aware"), 3, engine="scalar",
+                            **kwargs)
+            assert solo == got
+            assert_fleet_reports_match(ref, got)
+            assert ref.n_retries == got.n_retries
+            assert ref.n_dropped == got.n_dropped
 
 
 class TestFleetSweepSpecFaultValidation:

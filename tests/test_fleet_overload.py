@@ -51,7 +51,7 @@ from repro.workload import (
 )
 
 from test_fleet_faults import outcome_digest
-from test_fleet_sweep import assert_fleet_reports_match
+from test_fleet_sweep import assert_fleet_reports_match, engine_pairs
 
 PRESETS = ("mobile_hdd", "wlan")
 
@@ -618,23 +618,20 @@ class TestFleetEnginesUnderOverload:
     OVERLOAD_FIELDS = ("availability", "n_retries", "n_dropped", "n_shed",
                        "n_budget_shed", "n_breaker_trips", "n_offered")
 
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("engine", ("auto", "batch"))
     @pytest.mark.parametrize("router_name", ("jsq", "round_robin", "random"))
     def test_engines_pinned_under_overload(self, engine, router_name, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
-        device = get_preset("mobile_hdd")
-        ref = run_fleet(device, FixedTimeout(), trace,
-                        make_router(router_name), 4, engine="scalar",
-                        **self.KWARGS)
-        fast = run_fleet(device, FixedTimeout(), trace,
-                         make_router(router_name), 4, engine=engine,
-                         **self.KWARGS)
-        assert_fleet_reports_match(ref, fast)
-        for field in self.OVERLOAD_FIELDS:
-            assert getattr(ref, field) == getattr(fast, field), field
-        for field in ("goodput", "slo_attainment"):
-            assert getattr(fast, field) == pytest.approx(
-                getattr(ref, field), rel=1e-12), field
+        for ref, fast in engine_pairs(
+            engine, get_preset("mobile_hdd"), FixedTimeout, trace,
+            router_name, 4, **self.KWARGS,
+        ):
+            assert_fleet_reports_match(ref, fast)
+            for field in self.OVERLOAD_FIELDS:
+                assert getattr(ref, field) == getattr(fast, field), field
+            for field in ("goodput", "slo_attainment"):
+                assert getattr(fast, field) == pytest.approx(
+                    getattr(ref, field), rel=1e-12), field
 
     def test_report_conserves_and_bounds_goodput(self, rng):
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
@@ -651,20 +648,17 @@ class TestFleetEnginesUnderOverload:
         argument still books brownout-inflated demands (failover-only
         routing is the same fault-aware loop) — and the engines agree."""
         trace = renewal_trace(Exponential(0.8), 200.0, rng)
-        device = get_preset("wlan")
-        kwargs = dict(
+        pairs = engine_pairs(
+            "batch", get_preset("wlan"), FixedTimeout, trace, "jsq", 3,
             service_time=0.4, route_seed=3,
             faults=FaultProcess(mtbf=30.0, mttr=10.0, severity=3.0),
             fault_seed=11, failover=FailoverConfig(max_retries=2),
         )
-        ref = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
-                        3, engine="scalar", **kwargs)
-        fast = run_fleet(device, FixedTimeout(), trace, make_router("jsq"),
-                         3, engine="flat", **kwargs)
-        assert_fleet_reports_match(ref, fast)
-        # brownouts slow devices without killing them
-        assert ref.availability == 1.0
-        assert ref.n_dropped == 0
+        for ref, fast in pairs:
+            assert_fleet_reports_match(ref, fast)
+            # brownouts slow devices without killing them
+            assert ref.availability == 1.0
+            assert ref.n_dropped == 0
 
     def test_overload_and_failover_are_mutually_exclusive(self, rng):
         trace = renewal_trace(Exponential(0.8), 100.0, rng)

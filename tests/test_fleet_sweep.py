@@ -31,10 +31,12 @@ from repro.experiments import (
 )
 from repro.fleet import (
     ROUTERS,
+    BreakerConfig,
     Dispatcher,
     FailoverConfig,
     FleetSweepRunner,
     FleetSweepSpec,
+    OverloadConfig,
     Router,
     build_fleet_report,
     make_router,
@@ -49,7 +51,9 @@ from repro.fleet.sweep import (
 )
 from repro.runtime import PolicySpec, TraceSpec
 from repro.runtime.simsweep import estimate_request_seconds
-from repro.workload import Exponential, renewal_trace
+from repro.workload import Exponential, FaultProcess, renewal_trace
+
+from test_runtime_eventsim_batch import _StatefulScalarOnly
 
 FLEET_FIELDS = (
     "n_devices", "duration", "total_energy", "mean_power",
@@ -74,6 +78,50 @@ def assert_fleet_reports_match(ref, fast, rel=1e-9):
         ), key
 
 
+def companion_traces(trace, n=2):
+    """``n`` seeded renewal traces of ``trace``'s duration and rate."""
+    rate = max(len(trace), 1) / trace.duration
+    return [renewal_trace(Exponential(rate), trace.duration,
+                          np.random.default_rng(1_000 + i))
+            for i in range(n)]
+
+
+def engine_pairs(engine, device, policy_factory, trace, router_name,
+                 n_devices, route_seed=0, fault_seed=None, **kwargs):
+    """``(scalar reference, fast report)`` pairs for one engine case.
+
+    ``"auto"`` is one :func:`run_fleet` call on ``trace``.  ``"batch"``
+    runs ``trace`` plus two companion traces through one
+    :func:`run_fleet_batch` call — the multi-trace shape of a sweep
+    chunk — with consecutive route (and fault) seeds, and pairs each
+    seed with its own ``engine="scalar"`` run.
+    """
+    if engine == "auto":
+        traces = [trace]
+        fast = [run_fleet(device, policy_factory(), trace,
+                          make_router(router_name), n_devices,
+                          route_seed=route_seed, fault_seed=fault_seed,
+                          **kwargs)]
+    else:
+        assert engine == "batch", engine
+        traces = [trace, *companion_traces(trace)]
+        seeds = [route_seed + i for i in range(len(traces))]
+        fault_seeds = (None if fault_seed is None
+                       else [fault_seed + i for i in range(len(traces))])
+        fast = run_fleet_batch(
+            device, policy_factory(), traces, make_router(router_name),
+            n_devices, route_seeds=seeds, fault_seeds=fault_seeds, **kwargs,
+        )
+    refs = [
+        run_fleet(device, policy_factory(), t, make_router(router_name),
+                  n_devices, engine="scalar", route_seed=route_seed + i,
+                  fault_seed=None if fault_seed is None else fault_seed + i,
+                  **kwargs)
+        for i, t in enumerate(traces)
+    ]
+    return list(zip(refs, fast))
+
+
 POLICIES = [
     ("always_on", AlwaysOn, False),
     ("greedy", GreedySleep, False),
@@ -83,7 +131,7 @@ POLICIES = [
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("engine", ("auto", "flat"))
+    @pytest.mark.parametrize("engine", ("auto", "batch"))
     @pytest.mark.parametrize("router_name", sorted(ROUTERS))
     @pytest.mark.parametrize(
         "policy_factory,oracle", [(f, o) for _, f, o in POLICIES],
@@ -93,13 +141,11 @@ class TestEngineEquivalence:
         self, engine, router_name, policy_factory, oracle, rng
     ):
         trace = renewal_trace(Exponential(0.8), 800.0, rng)
-        device = get_preset("mobile_hdd")
-        kwargs = dict(service_time=0.4, oracle=oracle, route_seed=21)
-        ref = run_fleet(device, policy_factory(), trace,
-                        make_router(router_name), 5, engine="scalar", **kwargs)
-        fast = run_fleet(device, policy_factory(), trace,
-                         make_router(router_name), 5, engine=engine, **kwargs)
-        assert_fleet_reports_match(ref, fast)
+        for ref, fast in engine_pairs(
+            engine, get_preset("mobile_hdd"), policy_factory, trace,
+            router_name, 5, service_time=0.4, oracle=oracle, route_seed=21,
+        ):
+            assert_fleet_reports_match(ref, fast)
 
     def test_stateful_policy_rides_the_fleet_too(self, rng):
         """Stateful per-device policies ride the lock-step engine across
@@ -143,39 +189,53 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("device_name", ("mobile_hdd", "wlan", "sa1100"))
     @pytest.mark.parametrize("router_name", ("jsq", "power_aware"))
-    def test_flat_engine_across_presets(self, device_name, router_name, rng):
-        """The acceptance pin for the flattened cell: queue-aware routing
-        plus the one-kernel-call fleet run tracks the scalar dispatcher
-        on every preset (rel <= 1e-9) — assignments themselves are
-        asserted bit-identical down in test_fleet_dispatch."""
+    def test_batch_across_presets(self, device_name, router_name, rng):
+        """Queue-aware routing plus a multi-trace run_fleet_batch call
+        tracks the scalar dispatcher seed by seed on every preset
+        (rel <= 1e-9) — assignments themselves are asserted
+        bit-identical down in test_fleet_dispatch."""
         trace = renewal_trace(Exponential(1.2), 400.0, rng)
-        device = get_preset(device_name)
-        kwargs = dict(service_time=0.4, route_seed=3)
-        ref = run_fleet(device, FixedTimeout(), trace,
-                        make_router(router_name), 6, engine="scalar", **kwargs)
-        flat = run_fleet(device, FixedTimeout(), trace,
-                         make_router(router_name), 6, engine="flat", **kwargs)
-        assert_fleet_reports_match(ref, flat)
+        for ref, fast in engine_pairs(
+            "batch", get_preset(device_name), FixedTimeout, trace,
+            router_name, 6, service_time=0.4, route_seed=3,
+        ):
+            assert_fleet_reports_match(ref, fast)
 
-    def test_flat_engine_stateful_policy(self, rng):
-        """Step-mode policies ride the flattened call on their own hooks."""
+    def test_batch_stateful_policy(self, rng):
+        """Step-mode policies run all of a batch's sub-traces in one
+        lock-step call — each seed still matches the scalar reference."""
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
-        device = get_preset("mobile_hdd")
-        ref = run_fleet(device, AdaptiveTimeout(initial_timeout=1.0), trace,
-                        make_router("jsq"), 4, engine="scalar",
-                        service_time=0.4)
-        flat = run_fleet(device, AdaptiveTimeout(initial_timeout=1.0), trace,
-                         make_router("jsq"), 4, engine="flat",
-                         service_time=0.4)
-        assert_fleet_reports_match(ref, flat)
+        for ref, fast in engine_pairs(
+            "batch", get_preset("mobile_hdd"),
+            lambda: AdaptiveTimeout(initial_timeout=1.0), trace, "jsq", 4,
+            service_time=0.4,
+        ):
+            assert_fleet_reports_match(ref, fast)
+
+
+PER_SEED_POLICIES = [
+    ("timeout", FixedTimeout, False),
+    ("oracle", OracleShutdown, True),
+    ("adaptive", lambda: AdaptiveTimeout(initial_timeout=1.0), False),
+    ("scalar_only", _StatefulScalarOnly, False),
+]
+
+FAULTS_AND_OVERLOAD = dict(
+    faults=FaultProcess(mtbf=40.0, mttr=8.0, severity=4.0),
+    overload=OverloadConfig(
+        failover=FailoverConfig(max_retries=3),
+        breaker=BreakerConfig(failure_threshold=2, recovery_time=5.0),
+        slo=3.0,
+    ),
+)
 
 
 class TestRunFleetBatch:
-    """The whole-cell flattening entry the sweep workers call."""
+    """The many-trace entry the sweep workers call."""
 
     def test_batch_composition_never_matters(self, rng):
         """Per-seed reports are exact dataclass equals whether the seeds
-        share one flattened kernel call or run one by one — the property
+        share one run_fleet_batch call or run one by one — the property
         that keeps sweep results invariant to (chunk_size, n_jobs)."""
         device = get_preset("mobile_hdd")
         traces = [renewal_trace(Exponential(0.9), 300.0, rng)
@@ -194,28 +254,41 @@ class TestRunFleetBatch:
         ]
         assert batched == singles
 
-    def test_matches_per_seed_auto_runs(self, rng):
+    @pytest.mark.parametrize("faulted", (False, True),
+                             ids=("plain", "faults_overload"))
+    @pytest.mark.parametrize("router_name", ("jsq", "round_robin"))
+    @pytest.mark.parametrize(
+        "policy_factory,oracle", [(f, o) for _, f, o in PER_SEED_POLICIES],
+        ids=[name for name, _, _ in PER_SEED_POLICIES],
+    )
+    def test_matches_per_seed_auto_runs(self, policy_factory, oracle,
+                                        router_name, faulted, rng):
+        """One batch over three seeds is exactly three per-seed auto
+        runs (dataclass equality, device reports included) for every
+        policy family — gap-mode, oracle, step-mode, scalar-only — on
+        both routing paths, with and without faults and overload."""
         device = get_preset("mobile_hdd")
         traces = [renewal_trace(Exponential(0.9), 300.0, rng)
                   for _ in range(3)]
         seeds = [5, 6, 7]
+        kwargs = dict(service_time=0.4, oracle=oracle,
+                      **(FAULTS_AND_OVERLOAD if faulted else {}))
         batched = run_fleet_batch(
-            device, FixedTimeout(), traces, make_router("jsq"), 4,
-            service_time=0.4, route_seeds=seeds,
+            device, policy_factory(), traces, make_router(router_name), 4,
+            route_seeds=seeds, **kwargs,
         )
-        for fast, (trace, seed) in zip(batched, zip(traces, seeds)):
-            ref = run_fleet(device, FixedTimeout(), trace,
-                            make_router("jsq"), 4, service_time=0.4,
-                            route_seed=seed, engine="auto")
-            assert_fleet_reports_match(ref, fast)
+        singles = [
+            run_fleet(device, policy_factory(), trace,
+                      make_router(router_name), 4, route_seed=seed,
+                      engine="auto", **kwargs)
+            for trace, seed in zip(traces, seeds)
+        ]
+        assert batched == singles
 
     def test_scalar_only_policy_falls_back(self, rng, monkeypatch):
-        """Policies with neither batch hook cannot flatten; the batch
-        entry must return the same reports the auto engine produces —
-        evaluating the sub-traces it already routed, one routing call
-        per trace."""
-        from test_runtime_eventsim_batch import _StatefulScalarOnly
-
+        """Policies with neither batch hook run the scalar loop on the
+        sub-traces already routed — one routing call per trace — and
+        match the scalar reference dispatcher."""
         device = get_preset("mobile_hdd")
         traces = [renewal_trace(Exponential(0.5), 200.0, rng)
                   for _ in range(2)]
@@ -237,7 +310,7 @@ class TestRunFleetBatch:
         for fast, (trace, seed) in zip(batched, zip(traces, [1, 2])):
             ref = run_fleet(device, _StatefulScalarOnly(), trace,
                             make_router("jsq"), 2, service_time=0.4,
-                            route_seed=seed, engine="auto")
+                            route_seed=seed, engine="scalar")
             assert_fleet_reports_match(ref, fast)
 
     def test_validation_and_empty(self, rng):

@@ -233,27 +233,25 @@ STATELESS = [
 ]
 
 
-class TestStatelessBridge:
-    """``allow_stateless=True`` lets gap-mode policies ride the lock-step
-    rounds (the fleet layer's whole-cell flattening depends on it): a
-    pure per-gap ``decide_batch`` answers one-gap-per-replica rounds just
-    as well as all-gaps-per-trace columns, so per replica the bridge must
-    be indistinguishable from the per-trace busy-period kernel."""
+class TestStatelessPoliciesInBatch:
+    """Gap-mode policies in :func:`simulate_traces_batch`: the lock-step
+    engine declines them, and each replica's report is exactly its
+    per-trace :func:`simulate_trace` report (the busy-period kernel,
+    which resolves all gaps of a trace at once)."""
 
     @pytest.mark.parametrize("device_name", PRESETS)
     @pytest.mark.parametrize(
         "policy_factory,oracle", [(f, o) for _, f, o in STATELESS],
         ids=[name for name, _, _ in STATELESS],
     )
-    def test_bridge_matches_per_trace_kernel(
+    def test_batch_matches_per_trace_kernel(
         self, device_name, policy_factory, oracle, rng
     ):
         traces = replication_traces(rng)
-        batch = run_step_batched(
+        batch = simulate_traces_batch(
             get_preset(device_name), policy_factory(), traces,
-            service_time=0.4, oracle=oracle, allow_stateless=True,
+            service_time=0.4, oracle=oracle,
         )
-        assert batch is not None, "stateless bridge unexpectedly declined"
         refs = [
             simulate_trace(
                 get_preset(device_name), policy_factory(), trace,
@@ -261,18 +259,16 @@ class TestStatelessBridge:
             )
             for trace in traces
         ]
-        for ref, fast in zip(refs, batch):
-            assert_reports_match(ref, fast)
+        assert batch == refs
 
     @pytest.mark.parametrize("device_name", PRESETS)
-    def test_degenerate_traces_via_bridge(self, device_name):
+    def test_degenerate_traces_in_batch(self, device_name):
         traces = list(TestDegenerateInputs.DEGENERATES)
         for _, factory, oracle in STATELESS:
-            batch = run_step_batched(
+            batch = simulate_traces_batch(
                 get_preset(device_name), factory(), traces,
-                service_time=0.4, oracle=oracle, allow_stateless=True,
+                service_time=0.4, oracle=oracle,
             )
-            assert batch is not None
             refs = [
                 simulate_trace(
                     get_preset(device_name), factory(), trace,
@@ -280,38 +276,37 @@ class TestStatelessBridge:
                 )
                 for trace in traces
             ]
-            for ref, fast in zip(refs, batch):
-                assert_reports_match(ref, fast)
+            assert batch == refs
 
-    def test_bridge_is_opt_in(self, rng):
-        """Without the flag, stateless policies keep declining — the
-        per-trace all-gaps kernel stays their default engine."""
+    def test_lockstep_declines_gap_mode(self, rng):
+        """Stateless policies never enter the lock-step rounds — the
+        per-trace all-gaps kernel is their engine."""
         traces = replication_traces(rng, n=2, duration=400.0)
         assert run_step_batched(
             get_preset("mobile_hdd"), FixedTimeout(2.0), traces,
             service_time=0.4,
         ) is None
 
-    def test_stateful_policies_unaffected_by_flag(self, rng):
-        """The flag only widens admission; step-mode policies take the
-        exact same path with or without it."""
+    def test_step_mode_policies_take_lockstep(self, rng):
+        """simulate_traces_batch hands step-mode policies to the
+        lock-step engine unchanged."""
         traces = replication_traces(rng, n=3, duration=600.0)
-        with_flag = run_step_batched(
-            get_preset("mobile_hdd"), AdaptiveTimeout(initial_timeout=2.0),
-            traces, service_time=0.4, allow_stateless=True,
-        )
-        without = run_step_batched(
+        via_batch = simulate_traces_batch(
             get_preset("mobile_hdd"), AdaptiveTimeout(initial_timeout=2.0),
             traces, service_time=0.4,
         )
-        assert with_flag == without
+        direct = run_step_batched(
+            get_preset("mobile_hdd"), AdaptiveTimeout(initial_timeout=2.0),
+            traces, service_time=0.4,
+        )
+        assert via_batch == direct
 
-    def test_scalar_only_policy_still_declines(self, rng):
-        """A policy with neither batch hook has nothing to bridge."""
+    def test_lockstep_declines_scalar_only(self, rng):
+        """A policy with neither batch hook has no lock-step form."""
         traces = replication_traces(rng, n=2, duration=400.0)
         assert run_step_batched(
             get_preset("mobile_hdd"), _StatefulScalarOnly(), traces,
-            service_time=0.4, allow_stateless=True,
+            service_time=0.4,
         ) is None
 
 
