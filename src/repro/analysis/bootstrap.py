@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -32,17 +32,25 @@ class CI:
 
 def bootstrap_ci(
     samples: np.ndarray,
-    statistic: Callable[[np.ndarray], float] = np.mean,
+    statistic: Callable[..., Any] = np.mean,
     n_resamples: int = 2000,
     confidence: float = 0.95,
     rng: Optional[np.random.Generator] = None,
 ) -> CI:
-    """Percentile-bootstrap CI of an arbitrary statistic.
+    """Percentile-bootstrap CI of a statistic.
+
+    All resamples are drawn as one ``(n_resamples, n)`` index matrix and
+    reduced in one call, so ``statistic`` must accept an ``axis``
+    keyword, as ``np.mean`` and ``np.median`` do: ``statistic(samples)``
+    is the point estimate and ``statistic(resamples, axis=1)`` the
+    per-resample values.
 
     Raises
     ------
     ValueError
         On empty input or a confidence outside (0, 1).
+    TypeError
+        When ``statistic`` does not accept ``axis`` (and n > 1).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -57,7 +65,7 @@ def bootstrap_ci(
     if samples.size == 1:
         return CI(point, point, point, confidence)
     idx = rng.integers(0, samples.size, size=(n_resamples, samples.size))
-    stats = np.array([statistic(samples[row]) for row in idx])
+    stats = statistic(samples[idx], axis=1)
     alpha = (1.0 - confidence) / 2.0
     low, high = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
     return CI(point, float(low), float(high), confidence)

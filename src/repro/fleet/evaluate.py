@@ -16,13 +16,15 @@ being ``OverloadConfig(failover=...)``.
 
 Two engines, mirroring the repo's batched/scalar split:
 
-- ``engine="auto"`` — :func:`run_fleet_batch` on the one trace, the
-  path every fleet sweep chunk runs: the vectorized routing paths, then
-  one :func:`~repro.runtime.eventsim.simulate_traces_batch` call on the
-  per-device sub-traces — the per-trace busy-period kernel for stateless
-  policies, the lock-step cross-replication engine over all sub-traces
-  at once for stateful batchable policies (adaptive, predictive), and
-  the scalar loop for everything else.
+- ``engine="auto"`` — :func:`run_fleet_batch` on the one trace: the
+  vectorized routing paths (:func:`route_fleet_batch`), then one
+  :func:`~repro.runtime.eventsim.simulate_traces_batch` call on the
+  per-device sub-traces (:func:`evaluate_fleet_batch`) — the per-trace
+  busy-period kernel for stateless policies, the lock-step
+  cross-replication engine over all sub-traces at once for stateful
+  batchable policies (adaptive, predictive), and the scalar loop for
+  everything else.  Routing never sees the policy, so a fleet sweep
+  chunk routes its traces once and evaluates every policy on them.
 - ``engine="scalar"`` — the reference dispatcher: the router's scalar
   assignment loop (or the fault-aware loop over the list-walking
   backlog) plus the scalar :class:`~repro.sim.DPMSimulator` event loop
@@ -32,6 +34,7 @@ Two engines, mirroring the repo's batched/scalar split:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..device import PowerStateMachine
@@ -207,9 +210,10 @@ def run_fleet_batch(
     """R seeded fleet runs of one cell: route each trace, then evaluate
     every sub-trace in one call.
 
-    The fast engine behind ``run_fleet(engine="auto")`` and every fleet
-    sweep chunk: each trace is routed once (the two-way decision of
-    :func:`run_fleet`), and the R x N per-device sub-traces go to one
+    The fast engine behind ``run_fleet(engine="auto")``: the composition
+    of :func:`route_fleet_batch` and :func:`evaluate_fleet_batch`.  Each
+    trace is routed once (the two-way decision of :func:`run_fleet`),
+    and the R x N per-device sub-traces go to one
     :func:`~repro.runtime.eventsim.simulate_traces_batch` call — one
     lock-step call across all of them for step-mode policies, the
     per-trace busy-period kernel for gap-mode policies, the scalar loop
@@ -224,10 +228,45 @@ def run_fleet_batch(
     :class:`~repro.workload.FaultProcess` independently per trace, and
     each sub-trace carries its failover-delayed dispatch instants.
     """
+    routed = route_fleet_batch(
+        device, traces, router, n_devices, service_time=service_time,
+        route_seeds=route_seeds, faults=faults, failover=failover,
+        fault_seeds=fault_seeds, overload=overload,
+    )
+    return evaluate_fleet_batch(
+        device, policy, routed, service_time=service_time, oracle=oracle,
+        keep_latencies=keep_latencies,
+    )
+
+
+@dataclass(frozen=True)
+class RoutedBatch:
+    """R traces routed across one fleet, ready for any DPM policy:
+    routing never sees the policy, so one routed batch serves them all."""
+
+    router: Optional[str]
+    n_devices: int
+    #: R x N per-device sub-traces, trace-major
+    sub_traces: List[Trace]
+    #: per trace, the fault / overload fields of its fleet report
+    fields: List[dict]
+
+
+def route_fleet_batch(
+    device: PowerStateMachine,
+    traces: Sequence[Trace],
+    router: Router,
+    n_devices: int,
+    service_time: float = 0.5,
+    route_seeds: Optional[Sequence[int]] = None,
+    faults=None,
+    failover: Optional[FailoverConfig] = None,
+    fault_seeds: Optional[Sequence[int]] = None,
+    overload: Optional[OverloadConfig] = None,
+) -> RoutedBatch:
+    """The routing half of :func:`run_fleet_batch` (same arguments)."""
     config = _overload_config(faults, failover, overload)
     traces = list(traces)
-    if not traces:
-        return []
     if route_seeds is None:
         route_seeds = [0] * len(traces)
     route_seeds = [int(s) for s in route_seeds]
@@ -247,34 +286,53 @@ def run_fleet_batch(
     router_name = None
     sub_traces: List[Trace] = []
     fault_kwargs: List[dict] = []
-    with TELEMETRY.span("route", cat="fleet", engine="auto",
-                        n_devices=n_devices, n_traces=len(traces)):
-        for trace, seed, fseed in zip(traces, route_seeds, fault_seeds):
-            dispatcher = Dispatcher(
-                router, n_devices, device,
-                service_time=service_time, seed=seed,
-            )
-            router_name = dispatcher.router.name
-            subs, fields = _route(dispatcher, trace, faults, fseed, config)
-            sub_traces.extend(subs)
-            fault_kwargs.append(fields)
+    if traces:
+        with TELEMETRY.span("route", cat="fleet", engine="auto",
+                            n_devices=n_devices, n_traces=len(traces)):
+            for trace, seed, fseed in zip(traces, route_seeds, fault_seeds):
+                dispatcher = Dispatcher(
+                    router, n_devices, device,
+                    service_time=service_time, seed=seed,
+                )
+                router_name = dispatcher.router.name
+                subs, fields = _route(dispatcher, trace, faults, fseed,
+                                      config)
+                sub_traces.extend(subs)
+                fault_kwargs.append(fields)
+    return RoutedBatch(router_name, int(n_devices), sub_traces, fault_kwargs)
+
+
+def evaluate_fleet_batch(
+    device: PowerStateMachine,
+    policy: EventPolicy,
+    routed: RoutedBatch,
+    service_time: float = 0.5,
+    oracle: bool = False,
+    keep_latencies: bool = True,
+) -> List[FleetReport]:
+    """The evaluation half of :func:`run_fleet_batch`: every sub-trace
+    of ``routed`` under ``policy``, folded into one fleet report per
+    trace (the sub-traces are only read, so the batch can be reused)."""
+    if not routed.fields:
+        return []
     with TELEMETRY.span("kernel", cat="fleet", engine="auto",
-                        n_traces=len(sub_traces)):
+                        n_traces=len(routed.sub_traces)):
         reports = simulate_traces_batch(
-            device, policy, sub_traces,
+            device, policy, routed.sub_traces,
             service_time=service_time, oracle=oracle,
         )
     home_power = device.state(device.initial_state).power
-    with TELEMETRY.span("report", cat="fleet", n_devices=n_devices,
-                        n_reports=len(traces)):
+    n = routed.n_devices
+    with TELEMETRY.span("report", cat="fleet", n_devices=n,
+                        n_reports=len(routed.fields)):
         return [
             build_fleet_report(
-                router=router_name,
+                router=routed.router,
                 policy=policy.name,
                 home_power=home_power,
-                reports=reports[r * n_devices:(r + 1) * n_devices],
+                reports=reports[r * n:(r + 1) * n],
                 keep_latencies=keep_latencies,
-                **fault_kwargs[r],
+                **fields,
             )
-            for r in range(len(traces))
+            for r, fields in enumerate(routed.fields)
         ]

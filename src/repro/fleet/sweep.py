@@ -5,8 +5,12 @@
 (fleet size x router x DPM policy) grid, with ``n_traces`` seeded
 replications of the shared arrival stream per cell, through the shared
 sweep core (:mod:`repro.runtime.chunked`) and aggregates each cell into
-mean +- bootstrap CI.  Work units are ``(cell, seed-chunk)`` pairs built
-from picklable values only — traces regenerate inside the worker from
+mean +- bootstrap CI.  A work unit is one ``(cell, seed-chunk)`` pair.
+Its chunk function, :func:`run_fleet_chunk`, takes a list of policies:
+routers never see the DPM policy, so it realizes, fault-resolves and
+routes each seed's trace once and evaluates every listed policy on the
+same sub-traces.  Work units are built from picklable values only —
+traces regenerate inside the worker from
 :class:`~repro.runtime.simsweep.TraceSpec` recipes and routers
 reinstantiate from registry names — so per-seed fleet reports are
 identical for every ``(chunk_size, n_jobs)`` combination.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -41,7 +46,7 @@ from .dispatch import (
     Router,
     make_router,
 )
-from .evaluate import run_fleet, run_fleet_batch
+from .evaluate import evaluate_fleet_batch, route_fleet_batch, run_fleet
 from .report import FleetReport
 
 #: rough wall seconds to route one request through a router that only
@@ -296,18 +301,24 @@ def run_fleet_chunk(
     device_name: str,
     n_devices: int,
     router_name: str,
-    policy_spec: PolicySpec,
+    policy_specs: Sequence[PolicySpec],
     trace_spec: TraceSpec,
     service_time: float,
     seeds: Sequence[int],
     faults: Any = None,
     failover: FailoverConfig = FailoverConfig(),
     overload: Optional[OverloadConfig] = None,
-) -> List[FleetReport]:
-    """One (cell, seed-chunk) work unit, built from picklable values.
+) -> List[List[FleetReport]]:
+    """One work unit, built from picklable values: a (fleet size,
+    router, seed-chunk) triple and its policies, one report list per
+    policy.  :class:`FleetSweepRunner` gives each unit one policy (one
+    cell per task).
 
-    The chunk's seeds run as one
-    :func:`~repro.fleet.evaluate.run_fleet_batch` call; each seed's
+    The chunk's seeds are realized, fault-resolved and routed once
+    (:func:`~repro.fleet.evaluate.route_fleet_batch`), then every policy
+    evaluates the same sub-traces
+    (:func:`~repro.fleet.evaluate.evaluate_fleet_batch`) — per policy,
+    exactly :func:`~repro.fleet.evaluate.run_fleet_batch`.  Each seed's
     report is still a pure function of the arguments, so results are
     identical for every ``(chunk_size, n_jobs)``.  Raw latency arrays
     are dropped so the pickled results stay small.  Each replication's
@@ -315,52 +326,62 @@ def run_fleet_chunk(
     decorrelated from its trace and routing streams."""
     with TELEMETRY.span("chunk", cat="sweep", kind="fleet",
                         device=device_name, n_devices=n_devices,
-                        router=router_name, policy=policy_spec.label,
+                        router=router_name,
+                        policies=[p.label for p in policy_specs],
                         seeds=list(seeds)):
         device = get_preset(device_name)
-        return run_fleet_batch(
-            device, policy_spec.policy,
-            [trace_spec.realize(seed) for seed in seeds],
+        routed = route_fleet_batch(
+            device, [trace_spec.realize(seed) for seed in seeds],
             make_router(router_name), n_devices,
-            service_time=service_time, oracle=policy_spec.oracle,
+            service_time=service_time,
             route_seeds=[seed + ROUTE_SEED_OFFSET for seed in seeds],
-            keep_latencies=False,
             faults=faults,
             failover=None if overload is not None else failover,
             fault_seeds=[seed + FAULT_SEED_OFFSET for seed in seeds],
             overload=overload,
         )
+        return [
+            evaluate_fleet_batch(
+                device, p.policy, routed, service_time=service_time,
+                oracle=p.oracle, keep_latencies=False,
+            )
+            for p in policy_specs
+        ]
 
 
 def reference_fleet_chunk(
     device_name: str,
     n_devices: int,
     router_name: str,
-    policy_spec: PolicySpec,
+    policy_specs: Sequence[PolicySpec],
     trace_spec: TraceSpec,
     service_time: float,
     seeds: Sequence[int],
     faults: Any = None,
     failover: FailoverConfig = FailoverConfig(),
     overload: Optional[OverloadConfig] = None,
-) -> List[FleetReport]:
+) -> List[List[FleetReport]]:
     """Scalar reference path for one :func:`run_fleet_chunk` work unit:
-    per-seed ``engine="scalar"`` fleet runs (the dispatcher loop every
-    vectorized fleet path is pinned against) with the same per-seed
-    route/fault stream derivation as the fast chunk."""
+    per-policy, per-seed ``engine="scalar"`` fleet runs (the dispatcher
+    loop every vectorized fleet path is pinned against, routing again
+    for every policy) with the same per-seed route/fault stream
+    derivation as the fast chunk."""
     device = get_preset(device_name)
     return [
-        run_fleet(
-            device, policy_spec.policy, trace_spec.realize(seed),
-            make_router(router_name), n_devices,
-            service_time=service_time, oracle=policy_spec.oracle,
-            route_seed=seed + ROUTE_SEED_OFFSET, engine="scalar",
-            keep_latencies=False, faults=faults,
-            failover=None if overload is not None else failover,
-            fault_seed=seed + FAULT_SEED_OFFSET,
-            overload=overload,
-        )
-        for seed in seeds
+        [
+            run_fleet(
+                device, p.policy, trace_spec.realize(seed),
+                make_router(router_name), n_devices,
+                service_time=service_time, oracle=p.oracle,
+                route_seed=seed + ROUTE_SEED_OFFSET, engine="scalar",
+                keep_latencies=False, faults=faults,
+                failover=None if overload is not None else failover,
+                fault_seed=seed + FAULT_SEED_OFFSET,
+                overload=overload,
+            )
+            for seed in seeds
+        ]
+        for p in policy_specs
     ]
 
 
@@ -423,10 +444,11 @@ class FleetSweepRunner(ChunkedRunner):
         plan = SweepPlan(
             spec=spec, cells=cells, seeds=spec.seeds(),
             chunk_size=self.chunk_size, fn=run_fleet_chunk, seeds_at=6,
-            task=lambda cell, c: (
-                spec.device, *cell, spec.trace, spec.service_time, c,
-                spec.faults, spec.failover, spec.overload),
-            check=_check_fleet_report,
+            task=lambda group, c: (
+                spec.device, *group[0][:2], [p for *_, p in group],
+                spec.trace, spec.service_time, c, spec.faults,
+                spec.failover, spec.overload),
+            check=partial(_check_fleet_report, spec.trace.name),
             reference=reference_fleet_chunk,
             reference_name="run_fleet scalar dispatcher",
             # per-device sub-reports carry summation-order noise beyond
@@ -444,10 +466,10 @@ class FleetSweepRunner(ChunkedRunner):
         ])
 
 
-def _check_fleet_report(report: FleetReport, task: Tuple, seed: int,
-                        chunk: int, spec_key: str) -> None:
+def _check_fleet_report(trace_name: str, report: FleetReport, cell: Tuple,
+                        seed: int, chunk: int, spec_key: str) -> None:
     """Invariant check of one fleet report, plus its domain counters."""
-    _, n_devices, router_name, policy_spec, trace_spec, *_ = task
+    n_devices, router_name, policy_spec = cell
     TELEMETRY.inc("fleet.requests", int(report.n_requests))
     TELEMETRY.inc("fleet.requests_dropped", int(report.n_dropped))
     TELEMETRY.inc("fleet.requests_retried", int(report.n_retries))
@@ -458,6 +480,6 @@ def _check_fleet_report(report: FleetReport, task: Tuple, seed: int,
     check_fleet_report(
         report, spec_key=spec_key, seed=seed,
         context={"chunk": chunk, "n_devices": n_devices,
-                 "router": router_name, "trace": trace_spec.name,
+                 "router": router_name, "trace": trace_name,
                  "policy": policy_spec.label},
     )

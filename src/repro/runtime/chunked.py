@@ -1,15 +1,21 @@
 """One chunked-sweep core behind every sweep runner.
 
 A sweep is a list of cells, each run over the same replication seeds in
-chunks.  One (cell, seed-chunk) pair is a work unit: a picklable task
-tuple for a module-level chunk function that returns one result per
-seed.  :class:`ChunkedRunner` owns what every runner shares, once: the
-execution settings and their validation, chunking the seeds into
-cell-major tasks, :func:`~repro.runtime.executor.resolve_n_jobs`,
-:func:`~repro.runtime.checkpoint.run_chunks_checkpointed`, the
-always-on invariant pass (with a diagnostics bundle on a violation),
-:func:`~repro.runtime.verify.shadow_verify_chunks`, regrouping chunk
-outputs into per-cell lists in seed order, and the metrics scope.
+chunks.  Consecutive cells form groups of ``group_size`` cells that can
+share work (the fleet and sim grids group their policy axis: one routed
+or realized trace serves every policy), and one (group, seed-chunk)
+pair is a work unit: a picklable task tuple for a module-level chunk
+function that returns one result list per cell of its group, each with
+one result per seed.  :class:`ChunkedRunner` owns what every runner
+shares, once: the execution settings and their validation, chunking the
+seeds into group-major tasks,
+:func:`~repro.runtime.executor.resolve_n_jobs`,
+:func:`~repro.runtime.checkpoint.run_chunks_checkpointed` (keyed by the
+spec, the chunk width and the group layout), and, for every (cell,
+seed) result, the always-on invariant pass (with a diagnostics bundle
+on a violation), :func:`~repro.runtime.verify.shadow_verify_chunks`
+with per-cell divergence labels, regrouping into per-cell lists in seed
+order, and the metrics scope.
 
 A runner is an adapter: it describes one sweep as a :class:`SweepPlan`
 and wraps the per-cell lists in its own result type.
@@ -18,6 +24,7 @@ and wraps the per-cell lists in its own result type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .checkpoint import run_chunks_checkpointed, spec_hash
@@ -44,27 +51,40 @@ def chunk_seeds(seeds: List[int], size: int) -> List[List[int]]:
     return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 
+def one_cell(fn: Callable[..., List[Any]]) -> Callable[..., List[List[Any]]]:
+    """A one-cell chunk function (one result per seed) in the plan's
+    per-group shape; picklable whenever ``fn`` is."""
+    return partial(_one_cell, fn)
+
+
+def _one_cell(fn: Callable[..., List[Any]], *task: Any) -> List[List[Any]]:
+    return [fn(*task)]
+
+
 @dataclass
 class SweepPlan:
     """What one runner supplies for one sweep."""
 
-    #: identity of the whole sweep: hashed with ``chunk_size`` into the
-    #: journal / shadow-sample key and written into diagnostics bundles
+    #: identity of the whole sweep: hashed with ``chunk_size`` and
+    #: ``group_size`` into the journal / shadow-sample key and written
+    #: into diagnostics bundles
     spec: Any
     cells: Sequence[Any]
     seeds: List[int]
     chunk_size: int
-    #: ``fn(*task)`` -> one result per seed of the task's chunk
-    fn: Callable[..., List[Any]]
-    #: ``task(cell, chunk_seeds)`` -> the picklable work-unit tuple
-    task: Callable[[Any, List[int]], Tuple]
+    #: ``fn(*task)`` -> one result list per cell of the task's group,
+    #: each holding one result per seed of the task's chunk
+    fn: Callable[..., List[List[Any]]]
+    #: ``task(group_cells, chunk_seeds)`` -> the picklable work-unit tuple
+    task: Callable[[Sequence[Any], List[int]], Tuple]
     #: position of the chunk's seed list in a task tuple
     seeds_at: int
-    #: ``check(result, task, seed, chunk_index, spec_key)``; raises
+    #: ``check(result, cell, seed, chunk_index, spec_key)``; raises
     #: :class:`~repro.runtime.verify.InvariantViolation`
-    check: Callable[[Any, Tuple, int, int, str], None]
-    #: shadow reference (same signature as ``fn``); ``None`` = none exists
-    reference: Optional[Callable[..., List[Any]]] = None
+    check: Callable[[Any, Any, int, int, str], None]
+    #: shadow reference (same signature and result shape as ``fn``);
+    #: ``None`` = none exists
+    reference: Optional[Callable[..., List[List[Any]]]] = None
     reference_name: str = ""
     #: ``rtol`` / ``atol`` / ``ignore`` for the shadow comparison
     compare: Dict[str, Any] = field(default_factory=dict)
@@ -76,11 +96,19 @@ class SweepPlan:
     serial_reason: Optional[str] = None
     #: counters bumped once each inside the sweep's metrics scope
     counters: Sequence[str] = ()
+    #: consecutive cells sharing one work unit (divides the cell count)
+    group_size: int = 1
 
     def tasks(self) -> List[Tuple]:
-        """Every work unit, cell-major and chunk-minor."""
+        """Every work unit, group-major and chunk-minor."""
         chunks = chunk_seeds(self.seeds, self.chunk_size)
-        return [self.task(cell, c) for cell in self.cells for c in chunks]
+        size = self.group_size
+        return [self.task(self.cells[g:g + size], c)
+                for g in range(0, len(self.cells), size) for c in chunks]
+
+    def key(self) -> str:
+        """Journal / shadow-sample key: the spec and the task layout."""
+        return spec_hash(self.spec, self.chunk_size, self.group_size)
 
 
 class ChunkedRunner:
@@ -168,7 +196,7 @@ class ChunkedRunner:
                                      "decision": decision}
         if plan.estimate is not None:
             execution["estimated_chunk_seconds"] = plan.estimate
-        spec_key = spec_hash(plan.spec, plan.chunk_size)
+        spec_key = plan.key()
         with TELEMETRY.metrics_scope() as metrics:
             with TELEMETRY.span("sweep", cat="sweep", kind=kind,
                                 n_jobs=requested, **span):
@@ -176,36 +204,39 @@ class ChunkedRunner:
                     TELEMETRY.inc(name)
                 outputs, resilience = (execute or self._execute)(
                     plan, tasks, n_jobs)
+                shares = _cell_results(plan, tasks, outputs)
                 # every chunk is in (and journaled) from here on
                 with sweep_interrupts(len(tasks), lambda: len(tasks),
                                       self.checkpoint):
-                    self._check_invariants(plan, spec_key, tasks, outputs)
+                    self._check_invariants(plan, spec_key, shares)
                     if self.verify_fraction > 0.0 and plan.reference:
                         execution["verification"] = self._verify(
-                            plan, spec_key, tasks, outputs)
+                            plan, spec_key, tasks, shares)
         execution.update(resilience, metrics=metrics.snapshot())
-        k = len(tasks) // len(plan.cells)
-        return [[r for out in outputs[c * k:(c + 1) * k] for r in out]
-                for c in range(len(plan.cells))], execution
+        per_cell: List[List[Any]] = [[] for _ in plan.cells]
+        for per_task in shares:
+            for c, _, results in per_task:
+                per_cell[c].extend(results)
+        return per_cell, execution
 
     def _execute(self, plan: SweepPlan, tasks: List[Tuple], n_jobs: int):
         return run_chunks_checkpointed(
-            get_executor(n_jobs), plan.fn, tasks,
-            spec_key=spec_hash(plan.spec, plan.chunk_size),
+            get_executor(n_jobs), plan.fn, tasks, spec_key=plan.key(),
             checkpoint=self.checkpoint, timeout=self.timeout,
             max_retries=self.max_retries, retry_backoff=self.retry_backoff,
             diagnostics_dir=self.diagnostics_dir, spec=plan.spec,
         )
 
     def _check_invariants(self, plan: SweepPlan, spec_key: str,
-                          tasks: List[Tuple], outputs: List[List]) -> None:
+                          shares: List[List[CellChunk]]) -> None:
         """Always-on invariant pass over every collected result: the
         conservation laws hold for any correct engine, so the check
         costs a field walk per result, not a re-simulation."""
         try:
-            for t, (task, results) in enumerate(zip(tasks, outputs)):
-                for seed, result in zip(task[plan.seeds_at], results):
-                    plan.check(result, task, seed, t, spec_key)
+            for t, per_task in enumerate(shares):
+                for c, seeds, results in per_task:
+                    for seed, result in zip(seeds, results):
+                        plan.check(result, plan.cells[c], seed, t, spec_key)
         except InvariantViolation as exc:
             if self.diagnostics_dir is not None:
                 bundle_for_exception(self.diagnostics_dir, exc,
@@ -213,14 +244,37 @@ class ChunkedRunner:
             raise
 
     def _verify(self, plan: SweepPlan, spec_key: str, tasks: List[Tuple],
-                outputs: List[List[Any]]) -> Dict[str, Any]:
+                shares: List[List[CellChunk]]) -> Dict[str, Any]:
         if plan.verify_skip is not None:
             return {**verification_block(self.verify_fraction, len(tasks),
                                          [], [], plan.reference_name),
                     "skipped": plan.verify_skip}
+        reference = plan.reference
         return shadow_verify_chunks(
-            tasks, outputs, self.verify_fraction, spec_key, plan.reference,
-            plan.reference_name, seeds_of=lambda task: task[plan.seeds_at],
+            tasks, [[r for _, _, results in per_task for r in results]
+                    for per_task in shares],
+            self.verify_fraction, spec_key,
+            lambda *task: [r for results in reference(*task) for r in results],
+            plan.reference_name,
+            labels_of=lambda t: [{"cell": c, "seed": seed}
+                                 for c, seeds, _ in shares[t]
+                                 for seed in seeds],
             diagnostics_dir=self.diagnostics_dir, spec=plan.spec,
             **plan.compare,
         )
+
+
+#: one cell's share of one task: ``(cell index, chunk seeds, results)``
+CellChunk = Tuple[int, List[int], List[Any]]
+
+
+def _cell_results(plan: SweepPlan, tasks: List[Tuple],
+                  outputs: List[List[List[Any]]]) -> List[List[CellChunk]]:
+    """Each task's output split by cell, in task order."""
+    size = plan.group_size
+    n_chunks = len(tasks) // (len(plan.cells) // size)
+    return [
+        [(t // n_chunks * size + i, task[plan.seeds_at], results)
+         for i, results in enumerate(out)]
+        for t, (task, out) in enumerate(zip(tasks, outputs))
+    ]

@@ -5,10 +5,12 @@
 (device x trace family x policy) cell grid, with ``n_traces`` seeded
 trace replications per cell, through the shared chunked-sweep core
 (:mod:`repro.runtime.chunked`) and aggregates each cell's replications
-into mean +- bootstrap CI.  Every work unit is a ``(cell, seed-chunk)``
-pair built from picklable values only — traces are *re-generated inside
-the worker* from ``(distribution, duration, seed)`` recipes rather than
-shipped as arrays — so per-seed reports are identical for every
+into mean +- bootstrap CI.  The policy axis is one cell group: every
+work unit is a ``(device, trace family, seed-chunk)`` triple that
+realizes each trace once and evaluates every policy on it, built from
+picklable values only — traces are *re-generated inside the worker*
+from ``(distribution, duration, seed)`` recipes rather than shipped as
+arrays — so per-seed reports are identical for every
 ``(chunk_size, n_jobs)`` combination.
 
 Cells route through
@@ -53,6 +55,11 @@ from .verify import check_sim_report
 #: worth shipping to a worker process
 FAST_SECONDS_PER_REQUEST = 2e-6
 SCALAR_SECONDS_PER_REQUEST = 5e-4
+
+#: rough wall seconds to realize one request of a renewal trace
+#: (``TraceSpec.realize`` on an exponential stream: ~0.25 us per
+#: request on a 2-core x86_64 host, 800 s to 20,000 s windows)
+REALIZE_SECONDS_PER_REQUEST = 2.5e-7
 
 
 def estimate_request_seconds(policy: EventPolicy, n_requests: float) -> float:
@@ -197,44 +204,53 @@ class SimSweepResult:
 
 def run_sim_chunk(
     device_name: str,
-    policy_spec: PolicySpec,
+    policy_specs: Sequence[PolicySpec],
     trace_spec: TraceSpec,
     service_time: float,
     seeds: Sequence[int],
-) -> List[SimReport]:
-    """One (cell, seed-chunk) work unit, built from picklable values.
-    Each seed's report is a pure function of the arguments (the batched
-    engines are chunking-invariant); per-request latency arrays are
-    dropped before pickling back."""
+) -> List[List[SimReport]]:
+    """One (device, trace family, seed-chunk) work unit, built from
+    picklable values: each seed's trace is realized once and every
+    policy runs on it, one report list per policy.  Each seed's report
+    is a pure function of the arguments (the batched engines are
+    chunking-invariant); per-request latency arrays are dropped before
+    pickling back."""
     with TELEMETRY.span("chunk", cat="sweep", kind="sim",
                         device=device_name, trace=trace_spec.name,
-                        policy=policy_spec.label, seeds=list(seeds)):
+                        policies=[p.label for p in policy_specs],
+                        seeds=list(seeds)):
         device = get_preset(device_name)
-        return simulate_traces_batch(
-            device, policy_spec.policy,
-            [trace_spec.realize(seed) for seed in seeds],
-            service_time=service_time, oracle=policy_spec.oracle,
-            keep_latencies=False,
-        )
+        traces = [trace_spec.realize(seed) for seed in seeds]
+        return [
+            simulate_traces_batch(
+                device, p.policy, traces,
+                service_time=service_time, oracle=p.oracle,
+                keep_latencies=False,
+            )
+            for p in policy_specs
+        ]
 
 
 def reference_sim_chunk(
     device_name: str,
-    policy_spec: PolicySpec,
+    policy_specs: Sequence[PolicySpec],
     trace_spec: TraceSpec,
     service_time: float,
     seeds: Sequence[int],
-) -> List[SimReport]:
+) -> List[List[SimReport]]:
     """Scalar reference path for one :func:`run_sim_chunk` work unit:
-    per-seed :class:`~repro.sim.DPMSimulator` event loops, the reference
-    every vectorized engine is pinned against."""
+    per-policy, per-seed :class:`~repro.sim.DPMSimulator` event loops,
+    the reference every vectorized engine is pinned against."""
     device = get_preset(device_name)
     return [
-        DPMSimulator(
-            device, policy_spec.policy, service_time=service_time,
-            oracle=policy_spec.oracle, keep_latencies=False,
-        ).run(trace_spec.realize(seed))
-        for seed in seeds
+        [
+            DPMSimulator(
+                device, p.policy, service_time=service_time,
+                oracle=p.oracle, keep_latencies=False,
+            ).run(trace_spec.realize(seed))
+            for seed in seeds
+        ]
+        for p in policy_specs
     ]
 
 
@@ -262,7 +278,9 @@ class SimSweepRunner(ChunkedRunner):
                         verify_fraction, diagnostics_dir)
 
     def estimate_chunk_seconds(self, spec: SimSweepSpec) -> float:
-        """Mean estimated wall seconds of one (cell, seed-chunk) unit.
+        """Mean estimated wall seconds of one (device, trace family,
+        seed-chunk) unit: one realization of the chunk's traces plus
+        every policy's evaluation of them.
 
         Expected request count per replication comes from each trace
         family's rate x duration (0 for infinite-mean heavy tails —
@@ -270,14 +288,13 @@ class SimSweepRunner(ChunkedRunner):
         per-request cost depends on which engine the policy rides.
         """
         chunk = min(self.chunk_size, spec.n_traces)
-        requests = float(
+        requests = chunk * float(
             np.mean([t.dist.rate() * t.duration for t in spec.traces])
         )
-        per_policy = [
-            estimate_request_seconds(p.policy, chunk * requests)
+        return requests * REALIZE_SECONDS_PER_REQUEST + sum(
+            estimate_request_seconds(p.policy, requests)
             for p in spec.policies
-        ]
-        return float(np.mean(per_policy))
+        )
 
     def run(self, spec: SimSweepSpec) -> SimSweepResult:
         """Run the full grid; deterministic for any (chunk_size, n_jobs)."""
@@ -286,8 +303,9 @@ class SimSweepRunner(ChunkedRunner):
         plan = SweepPlan(
             spec=spec, cells=cells, seeds=spec.seeds(),
             chunk_size=self.chunk_size, fn=run_sim_chunk, seeds_at=4,
-            task=lambda cell, c: (cell[0], cell[2], cell[1],
-                                  spec.service_time, c),
+            task=lambda group, c: (group[0][0], spec.policies, group[0][1],
+                                   spec.service_time, c),
+            group_size=len(spec.policies),
             check=partial(_check_sim_report, devices),
             reference=reference_sim_chunk,
             reference_name="DPMSimulator scalar event loop",
@@ -304,9 +322,9 @@ class SimSweepRunner(ChunkedRunner):
 
 
 def _check_sim_report(devices: Dict[str, Any], report: SimReport,
-                      task: Tuple, seed: int, chunk: int,
+                      cell: Tuple, seed: int, chunk: int,
                       spec_key: str) -> None:
-    device_name, policy_spec, trace_spec, _, _ = task
+    device_name, trace_spec, policy_spec = cell
     check_sim_report(
         report, device=devices[device_name], spec_key=spec_key, seed=seed,
         context={"chunk": chunk, "device": device_name,

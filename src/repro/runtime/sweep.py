@@ -49,7 +49,7 @@ from ..mdp import DeterministicPolicy
 from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
 from .batched_qdpm import BatchedQDPM, BatchRunHistory, run_lockstep
-from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, positive
+from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, one_cell, positive
 from .executor import get_executor, is_picklable
 from .telemetry import TELEMETRY
 from .verify import check_seed_run, sweep_interrupts
@@ -456,11 +456,11 @@ def _run_factory_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
     return runs
 
 
-def _check_seed_run(run: SeedRun, task: Tuple, seed: int, chunk: int,
+def _check_seed_run(run: SeedRun, spec: RolloutSpec, seed: int, chunk: int,
                     spec_key: str) -> None:
     # looked up at call time, so a wrapper installed on this module's
     # ``check_seed_run`` sees every check
-    check_seed_run(run, spec=task[0], spec_key=spec_key,
+    check_seed_run(run, spec=spec, spec_key=spec_key,
                    context={"chunk": chunk})
 
 
@@ -475,8 +475,9 @@ def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
     shared = [s.rng_mode for s in cells if s.rng_mode != "replica"]
     return SweepPlan(
         spec=spec_id, cells=cells, seeds=seeds, chunk_size=chunk,
-        fn=run_chunk, task=lambda spec, c: (spec, c), seeds_at=1,
-        check=_check_seed_run, reference=reference_seed_runs,
+        fn=one_cell(run_chunk), task=lambda cell, c: (cell[0], c),
+        seeds_at=1, check=_check_seed_run,
+        reference=one_cell(reference_seed_runs),
         reference_name=" + ".join(
             label for engine, label in (
                 (False, "scalar stack (batched chunks)"),
@@ -573,8 +574,9 @@ class SweepRunner(ChunkedRunner):
         if controller_factory is not None:
             plan = SweepPlan(
                 spec=spec, cells=[spec], seeds=seeds, chunk_size=1,
-                fn=_run_factory_chunk, seeds_at=1, check=_check_seed_run,
-                task=lambda spec, c: (spec, c, controller_factory),
+                fn=one_cell(_run_factory_chunk), seeds_at=1,
+                check=_check_seed_run,
+                task=lambda cell, c: (cell[0], c, controller_factory),
                 serial_reason=(None if is_picklable(controller_factory)
                                else "unpicklable_factory"),
             )
@@ -604,16 +606,17 @@ class SweepRunner(ChunkedRunner):
         )
         tick = ((lambda *_: reporter.update()) if reporter is not None
                 else (lambda *_: None))
-        outputs: List[List[SeedRun]] = []
+        outputs: List[List[List[SeedRun]]] = []
         with sweep_interrupts(len(tasks)):
             pending = get_executor(max(n_jobs - 1, 1)).submit_all(
-                run_chunk, tail, timeout=self.timeout,
+                plan.fn, tail, timeout=self.timeout,
                 max_retries=self.max_retries,
                 retry_backoff=self.retry_backoff, on_result=tick,
             )
             try:
                 for task in tasks[:len(tasks) - len(tail)]:
-                    outputs.append(run_chunk(*task, on_record, on_chunk_done))
+                    outputs.append(
+                        [run_chunk(*task, on_record, on_chunk_done)])
                     TELEMETRY.inc("executor.chunks_completed")
                     tick()
             except BaseException:

@@ -685,7 +685,7 @@ def shadow_verify_chunks(
     spec_key: str,
     reference_fn: Callable[..., Sequence[Any]],
     reference_name: str,
-    seeds_of: Optional[Callable[[Tuple], Sequence[int]]] = None,
+    labels_of: Optional[Callable[[int], Sequence[Dict[str, Any]]]] = None,
     rtol: float = SHADOW_RTOL,
     atol: float = SHADOW_ATOL,
     ignore: Sequence[str] = (),
@@ -703,8 +703,10 @@ def shadow_verify_chunks(
     ``chunk_results``.  Returns the ``verification`` metadata block on
     success; on any divergence, writes a diagnostics bundle (when
     ``diagnostics_dir`` is set) and raises :class:`InvariantViolation`
-    with every diverging field.  ``seeds_of(task)`` labels divergences
-    with the chunk's replication seeds.
+    with every diverging field.  ``labels_of(chunk_index)`` gives one
+    label dict per result of that chunk (e.g. its cell and replication
+    seed), merged into each of the result's divergences; unlabeled
+    divergences carry ``seed=None``.
     """
     verified = shadow_indices(len(tasks), fraction, spec_key)
     TELEMETRY.inc("verify.shadow_chunks", len(verified))
@@ -714,8 +716,7 @@ def shadow_verify_chunks(
                             reference=reference_name):
             want = list(reference_fn(*tasks[t]))
         got = list(chunk_results[t])
-        seeds: Sequence[Optional[int]]
-        seeds = list(seeds_of(tasks[t])) if seeds_of is not None else []
+        labels = list(labels_of(t)) if labels_of is not None else []
         if len(got) != len(want):
             divergences.append({
                 "chunk": t, "field": "__len__",
@@ -723,9 +724,9 @@ def shadow_verify_chunks(
             })
             continue
         for k, (g, w) in enumerate(zip(got, want)):
-            seed = seeds[k] if k < len(seeds) else None
+            label = labels[k] if k < len(labels) else {"seed": None}
             divergences.extend(
-                {"chunk": t, "seed": seed, **d}
+                {"chunk": t, **label, **d}
                 for d in compare_reports(g, w, rtol=rtol, atol=atol,
                                          ignore=ignore)
             )

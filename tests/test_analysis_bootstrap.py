@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import CI, bootstrap_ci
 
@@ -54,3 +56,71 @@ class TestBootstrapCI:
         a = bootstrap_ci(samples)
         b = bootstrap_ci(samples)
         assert (a.low, a.high) == (b.low, b.high)
+
+
+# --------------------------------------------------------------------- #
+# independent oracle: the per-resample loop, bit for bit
+# --------------------------------------------------------------------- #
+
+
+def _loop_ci(samples, statistic, n_resamples, confidence, seed):
+    """Test-only percentile bootstrap: one ``statistic`` call per
+    resample row, over the same index matrix draw."""
+    samples = np.asarray(samples, dtype=float)
+    point = float(statistic(samples))
+    if samples.size == 1:
+        return point, point, point
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, samples.size, size=(n_resamples, samples.size))
+    stats = np.array([statistic(samples[row]) for row in idx])
+    alpha = (1.0 - confidence) / 2.0
+    low, high = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
+    return point, float(low), float(high)
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def _sample_arrays(draw):
+    n = draw(st.integers(min_value=1, max_value=200))
+    shape = draw(st.sampled_from(["free", "constant", "ties"]))
+    if shape == "constant":
+        return np.full(n, draw(_finite))
+    if shape == "ties":
+        pool = draw(st.lists(_finite, min_size=1, max_size=3))
+        return np.array(draw(st.lists(st.sampled_from(pool),
+                                      min_size=n, max_size=n)))
+    return np.array(draw(st.lists(_finite, min_size=n, max_size=n)))
+
+
+class TestBootstrapOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=_sample_arrays(),
+        statistic=st.sampled_from([np.mean, np.median]),
+        n_resamples=st.integers(min_value=1, max_value=60),
+        confidence=st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_resample_loop_bit_for_bit(
+        self, samples, statistic, n_resamples, confidence, seed
+    ):
+        ci = bootstrap_ci(samples, statistic=statistic,
+                          n_resamples=n_resamples, confidence=confidence,
+                          rng=np.random.default_rng(seed))
+        want = _loop_ci(samples, statistic, n_resamples, confidence, seed)
+        assert (ci.estimate, ci.low, ci.high) == want
+        assert ci.confidence == confidence
+
+    def test_default_resample_count_matches_loop(self, rng):
+        samples = rng.exponential(2.0, size=32)
+        for statistic in (np.mean, np.median):
+            ci = bootstrap_ci(samples, statistic=statistic)
+            assert (ci.estimate, ci.low, ci.high) == _loop_ci(
+                samples, statistic, 2000, 0.95, 0)
+
+    def test_statistic_without_axis_raises(self):
+        with pytest.raises(TypeError):
+            bootstrap_ci(np.arange(5.0), statistic=lambda x: float(x.mean()))

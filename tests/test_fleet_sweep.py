@@ -490,7 +490,7 @@ class TestSweepExecution:
 
     def test_chunk_worker_is_pure(self):
         spec = small_spec()
-        args = ("mobile_hdd", 2, "random", spec.policies[1], spec.trace,
+        args = ("mobile_hdd", 2, "random", spec.policies, spec.trace,
                 spec.service_time, [5, 16])
         assert run_fleet_chunk(*args) == run_fleet_chunk(*args)
 
@@ -499,8 +499,8 @@ class TestSweepExecution:
         the per-device raw arrays never ride the result pickle — while a
         direct run_fleet call still keeps them for downstream merging."""
         spec = small_spec()
-        chunk = run_fleet_chunk(
-            "mobile_hdd", 2, "round_robin", spec.policies[1], spec.trace,
+        (chunk,) = run_fleet_chunk(
+            "mobile_hdd", 2, "round_robin", spec.policies[1:2], spec.trace,
             spec.service_time, [5],
         )
         for fleet_report in chunk:

@@ -383,15 +383,17 @@ class TestSimSweepCheckpointResume:
         chunks = [
             seeds[i:i + chunk_size] for i in range(0, len(seeds), chunk_size)
         ]
+        # one task per (device, trace family, chunk): the policy axis
+        # is one cell group
         tasks = []
         for device in spec.devices:
             for trace_spec in spec.traces:
-                for policy_spec in spec.policies:
-                    for chunk in chunks:
-                        tasks.append((device, policy_spec, trace_spec,
-                                      spec.service_time, chunk))
+                for chunk in chunks:
+                    tasks.append((device, spec.policies, trace_spec,
+                                  spec.service_time, chunk))
         ck = tmp_path / "sweep.ck"
-        journal = CheckpointJournal(ck, spec_hash(spec, chunk_size))
+        journal = CheckpointJournal(
+            ck, spec_hash(spec, chunk_size, len(spec.policies)))
         n_prefix = len(tasks) // 2
         for i in range(n_prefix):
             journal.append(i, run_sim_chunk(*tasks[i]))
@@ -416,8 +418,9 @@ class TestSimSweepCheckpointResume:
         first = SimSweepRunner(chunk_size=2, checkpoint=str(ck)).run(spec)
         with pytest.raises(CheckpointMismatchError) as err:
             SimSweepRunner(chunk_size=1, checkpoint=str(ck)).run(spec)
-        assert err.value.spec_key == spec_hash(spec, 1)
-        assert spec_hash(spec, 2) in err.value.found_keys
+        groups = len(spec.policies)
+        assert err.value.spec_key == spec_hash(spec, 1, groups)
+        assert spec_hash(spec, 2, groups) in err.value.found_keys
         # deleting the stale journal recovers, bit-identically
         ck.unlink()
         again = SimSweepRunner(chunk_size=1, checkpoint=str(ck)).run(spec)

@@ -81,7 +81,7 @@ class TestGridExecution:
 
     def test_chunk_worker_is_pure(self):
         spec = small_spec()
-        args = ("mobile_hdd", spec.policies[1], spec.traces[0],
+        args = ("mobile_hdd", spec.policies, spec.traces[0],
                 spec.service_time, [5, 16])
         assert run_sim_chunk(*args) == run_sim_chunk(*args)
 

@@ -436,7 +436,8 @@ class TestShadowVerifyChunks:
         block = shadow_verify_chunks(
             tasks, results, 1.0, "ff00", lambda name, seeds: results[
                 0 if name == "cell-a" else 1],
-            "identity", seeds_of=lambda t: t[1],
+            "identity",
+            labels_of=lambda t: [{"seed": s} for s in tasks[t][1]],
         )
         assert block["n_verified"] == 2
         assert block["n_divergences"] == 0
@@ -447,7 +448,8 @@ class TestShadowVerifyChunks:
             shadow_verify_chunks(
                 tasks, results, 1.0, "ff00",
                 lambda name, seeds: [_Toy(99.0), _Toy(99.0)],
-                "identity", seeds_of=lambda t: t[1],
+                "identity",
+                labels_of=lambda t: [{"seed": s} for s in tasks[t][1]],
                 diagnostics_dir=tmp_path,
             )
         assert err.value.invariant == "shadow_divergence"
