@@ -117,20 +117,15 @@ class FixedDrawEpsilonGreedy(ExplorationStrategy):
         step: int,
         rng: np.random.Generator,
     ) -> int:
-        allowed = np.asarray(allowed, dtype=int)
-        if allowed.size == 0:
+        n = len(allowed)
+        if n == 0:
             raise ValueError("allowed action set must be non-empty")
         # the fixed per-slot block, in the batched engine's layout
-        draws = rng.random(3)
-        row = table._q[observation, allowed]  # noqa: SLF001 - hot path
-        near = row >= row.max() - self._tolerance
-        count = int(near.sum())
-        kth = min(int(draws[2] * count), count - 1)
-        greedy = int(allowed[np.nonzero(near)[0][kth]])
-        if draws[0] < self.epsilon_at(step):
-            pick = min(int(draws[1] * allowed.size), allowed.size - 1)
-            return int(allowed[pick])
-        return greedy
+        explore, pick, tie = rng.random(3).tolist()
+        if explore < self._epsilon.value(step):
+            return int(allowed[min(int(pick * n), n - 1)])
+        ties = table.near_best(observation, allowed, self._tolerance)
+        return int(ties[min(int(tie * len(ties)), len(ties) - 1)])
 
     def __repr__(self) -> str:
         return f"FixedDrawEpsilonGreedy({self._epsilon!r})"

@@ -9,7 +9,7 @@ not every power command is legal in every mode.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class QTable:
             raise ValueError("table dimensions must be >= 1")
         self._q = np.full((n_observations, n_actions), initial_value, dtype=dtype)
         self._visits = np.zeros((n_observations, n_actions), dtype=np.int64)
+        # float64 rows do the per-slot arithmetic on (identical) Python
+        # floats; other dtypes keep NumPy scalars, which round to the dtype
+        self._float64 = self._q.dtype == np.float64
 
     @property
     def n_observations(self) -> int:
@@ -70,7 +73,7 @@ class QTable:
 
     def visits(self, observation: int, action: int) -> int:
         """Number of updates applied to the pair so far."""
-        return int(self._visits[observation, action])
+        return self._visits.item(observation, action)
 
     # ------------------------------------------------------------------ #
     # the two O(|A|) runtime operations of Q-DPM
@@ -89,22 +92,39 @@ class QTable:
         ValueError
             If ``allowed`` is empty.
         """
+        if rng is None:
+            return int(self.near_best(observation, allowed)[0])
         allowed = np.asarray(allowed, dtype=int)
         if allowed.size == 0:
             raise ValueError("allowed action set must be non-empty")
         row = self._q[observation, allowed]
         best = row.max()
         ties = allowed[row >= best - 1e-12]
-        if rng is not None and ties.size > 1:
+        if ties.size > 1:
             return int(rng.choice(ties))
         return int(ties[0])
 
+    def near_best(self, observation: int, allowed: Sequence[int],
+                  tolerance: float = 1e-12) -> List[int]:
+        """Allowed actions within ``tolerance`` of their row max, in
+        ``allowed`` order; ``ValueError`` if ``allowed`` is empty."""
+        values = self._values(observation, allowed)
+        best = max(values)
+        floor = (best - tolerance if self._float64
+                 else float(self._q.dtype.type(best) - tolerance))
+        return [a for a, v in zip(allowed, values) if v >= floor]
+
     def max_value(self, observation: int, allowed: Sequence[int]) -> float:
-        """max_a Q(observation, a) over the allowed actions."""
-        allowed = np.asarray(allowed, dtype=int)
-        if allowed.size == 0:
+        """max_a Q(observation, a) over the allowed actions (the last of
+        equal maxima, -0.0 or 0.0, as NumPy's reduction keeps)."""
+        return float(max(reversed(self._values(observation, allowed))))
+
+    def _values(self, observation: int, allowed: Sequence[int]) -> List[float]:
+        q = self._q[observation].tolist()  # no NumPy call per action
+        values = [q[a] for a in allowed]
+        if not values:
             raise ValueError("allowed action set must be non-empty")
-        return float(self._q[observation, allowed].max())
+        return values
 
     def update_toward(
         self,
@@ -120,7 +140,8 @@ class QTable:
         """
         if not 0.0 <= learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in [0, 1], got {learning_rate}")
-        old = self._q[observation, action]
+        old = (self._q.item(observation, action) if self._float64
+               else self._q[observation, action])
         new = (1.0 - learning_rate) * old + learning_rate * target
         self._q[observation, action] = new
         self._visits[observation, action] += 1

@@ -30,7 +30,7 @@ from ..workload.nonstationary import ConstantRate, RateSchedule
 from .states import Mode, ModeSpace
 
 
-@dataclass
+@dataclass(slots=True)
 class StepInfo:
     """Per-slot diagnostics returned by :meth:`SlottedDPMEnv.step`."""
 
@@ -134,6 +134,10 @@ class SlottedDPMEnv:
         self.perf_weight = float(perf_weight)
         self.loss_penalty = float(loss_penalty)
         self._rng = np.random.default_rng(seed)
+        # per-slot invariants: state stride and count, mode labels
+        self._qcap1 = self.queue_capacity + 1
+        self._n_states = self.mode_space.n_modes * self._qcap1
+        self._mode_labels = [m.label for m in self.mode_space.modes]
 
         self._mode: int = self.mode_space.steady_mode_index(device.initial_state)
         self._queue: int = 0
@@ -152,7 +156,7 @@ class SlottedDPMEnv:
     @property
     def n_states(self) -> int:
         """Total state count: modes x queue levels."""
-        return self.mode_space.n_modes * (self.queue_capacity + 1)
+        return self._n_states
 
     @property
     def n_actions(self) -> int:
@@ -170,13 +174,13 @@ class SlottedDPMEnv:
             raise ValueError(f"queue out of range: {queue}")
         if not 0 <= mode_index < self.mode_space.n_modes:
             raise ValueError(f"mode index out of range: {mode_index}")
-        return mode_index * (self.queue_capacity + 1) + queue
+        return mode_index * self._qcap1 + queue
 
     def decode(self, state: int) -> Tuple[Mode, int]:
         """Inverse of :meth:`encode`: returns (Mode, queue length)."""
         if not 0 <= state < self.n_states:
             raise ValueError(f"state index out of range: {state}")
-        mode_index, queue = divmod(state, self.queue_capacity + 1)
+        mode_index, queue = divmod(state, self._qcap1)
         return self.mode_space.mode(mode_index), queue
 
     def state_label(self, state: int) -> str:
@@ -186,13 +190,12 @@ class SlottedDPMEnv:
 
     def allowed_actions(self, state: int) -> List[int]:
         """Action indices playable in ``state`` (mode-determined)."""
-        mode_index = state // (self.queue_capacity + 1)
-        return self.mode_space.allowed_actions(mode_index)
+        return self.mode_space.allowed_actions(state // self._qcap1)
 
     @property
     def state(self) -> int:
-        """Current flattened state index."""
-        return self.encode(self._mode, self._queue)
+        """Current flattened state index (always in range: no checks)."""
+        return self._mode * self._qcap1 + self._queue
 
     @property
     def current_slot(self) -> int:
@@ -256,7 +259,7 @@ class SlottedDPMEnv:
             arrived=arrived,
             served=served,
             lost=lost,
-            mode_label=self.mode_space.mode(effect.next_mode).label,
+            mode_label=self._mode_labels[effect.next_mode],
             arrival_rate=rate,
         )
 

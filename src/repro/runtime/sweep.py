@@ -207,12 +207,12 @@ class SweepResult:
 #: ``SlottedDPMEnv`` per seed) instead of the batched engine, whose
 #: per-slot NumPy overhead only pays off across enough replicas.
 #: Measured as the break-even of replica-slots per CPU second (2-core
-#: x86_64, Python 3.11.7, abstract3, 8,000 slots): learning, scalar
-#: ~50k per seed against batched ~10k at B=1, parity at B=4-5, 1.8x at
-#: B=8; fixed policy, scalar ~250k against batched ~28k at B=1, parity
-#: at B=12-14.  Shared-RNG specs have no scalar twin and always batch.
-LEARNING_CROSSOVER = 5
-FIXED_POLICY_CROSSOVER = 12
+#: x86_64, Python 3.11.7, abstract3, 8,000 slots, best of 7): learning,
+#: scalar ~115-125k per seed against batched ~11k at B=1, parity at
+#: B=11-12; fixed policy, scalar ~400-425k against batched ~25k at B=1,
+#: parity at B=19-20.  Shared-RNG specs have no scalar twin and always batch.
+LEARNING_CROSSOVER = 12
+FIXED_POLICY_CROSSOVER = 20
 
 
 def runs_scalar(spec: RolloutSpec, width: int) -> bool:

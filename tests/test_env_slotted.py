@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.device import abstract_three_state
+from repro.device import abstract_three_state, get_preset
 from repro.env import SlottedDPMEnv
 from repro.workload import ConstantRate, PiecewiseConstantRate
 
@@ -41,6 +41,29 @@ class TestIndexing:
     def test_state_label(self):
         env = make_env()
         assert env.state_label(env.state) == "active|q=0"
+
+
+class TestRolloutIndexing:
+    @pytest.mark.parametrize("device", ["abstract3", "two_state", "mobile_hdd"])
+    def test_step_state_and_label_match_the_encoding(self, device):
+        """Every step's returned state, ``env.state`` and ``encode`` of
+        the decoded pair agree, and ``mode_label`` names the decoded mode."""
+        env = SlottedDPMEnv(get_preset(device), ConstantRate(0.4),
+                            queue_capacity=3, p_serve=0.6, seed=3)
+        rng = np.random.default_rng(0)
+        modes = env.mode_space.modes
+        labels = set()
+        for _ in range(400):
+            allowed = env.allowed_actions(env.state)
+            action = allowed[rng.integers(len(allowed))]
+            next_state, _, info = env.step(action)
+            mode, queue = env.decode(next_state)
+            mode_index = modes.index(mode)
+            assert next_state == env.state == env.encode(mode_index, queue)
+            assert info.queue == queue
+            assert info.mode_label == env.mode_space.mode(mode_index).label
+            labels.add(info.mode_label)
+        assert len(labels) > 1
 
 
 class TestConstruction:

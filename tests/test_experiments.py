@@ -18,6 +18,7 @@ from repro.experiments import (
     run_policy_table,
     run_variation,
 )
+from repro.runtime.sweep import LEARNING_CROSSOVER
 
 
 @pytest.fixture(scope="module")
@@ -70,15 +71,16 @@ class TestFig1:
 
     def test_lead_seed_same_on_scalar_and_batched_engines(self):
         """The snapshot hooks read ``driver.greedy_policy(0)`` whichever
-        engine ran the lead chunk: one seed (scalar stack) and eight
-        seeds in one chunk (batched engine) agree on the lead seed."""
+        engine ran the lead chunk: one seed (scalar stack) and a chunk at
+        the crossover width (batched engine) agree on the lead seed."""
         # early records, while some allowed actions are still unvisited:
         # there ``greedy_policy(prefer_visited=False)`` picks differently
         base = dataclasses.replace(Fig1Config(), n_slots=1_000,
                                    record_every=200)
         scalar = run_fig1(base)
         batched = run_fig1(dataclasses.replace(
-            base, sweep=SweepConfig(n_seeds=8, batch_size=8)))
+            base, sweep=SweepConfig(n_seeds=LEARNING_CROSSOVER,
+                                    batch_size=LEARNING_CROSSOVER)))
         assert np.array_equal(scalar.snapshot_reward,
                               batched.snapshot_reward)
         assert np.array_equal(scalar.online_reward, batched.online_reward)

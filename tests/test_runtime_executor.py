@@ -25,6 +25,7 @@ from repro.runtime import (
     get_executor,
     is_picklable,
 )
+from repro.runtime.sweep import LEARNING_CROSSOVER
 from repro.workload import ConstantRate
 
 
@@ -133,10 +134,16 @@ class TestShardedDeterminism:
             _assert_identical(serial, sharded)
 
     def test_bit_identical_across_batch_sizes_while_sharded(self, spec):
-        seeds = [10, 20, 30, 40, 50]
+        # two chunks at the crossover width (batched engine) and a
+        # one-seed tail (scalar stack), spread over the pool
+        seeds = list(range(10, 10 * (2 * LEARNING_CROSSOVER + 2), 10))
         a = SweepRunner(batch_size=1, n_jobs=3).run_many(spec, seeds)
         b = SweepRunner(batch_size=3, n_jobs=2).run_many(spec, seeds)
-        c = SweepRunner(batch_size=8, n_jobs=4).run_many(spec, seeds)
+        c = SweepRunner(batch_size=LEARNING_CROSSOVER,
+                        n_jobs=4).run_many(spec, seeds)
+        counters = c.execution["metrics"]["counters"]
+        assert counters.get("engine.slotted.batched", 0) == 2
+        assert counters.get("engine.slotted.scalar", 0) == 1
         _assert_identical(a, b)
         _assert_identical(a, c)
 

@@ -256,8 +256,9 @@ class TestEngineDispatch:
         assert self._engine_counts(result) == (0, 2)
 
     def test_mixed_chunk_widths(self, spec):
-        # 10 seeds at batch 8: one batched chunk of 8, one scalar tail of 2
-        result = SweepRunner(batch_size=8).run_many(spec, range(10))
+        # one batched chunk at the crossover width, one scalar tail of 2
+        result = SweepRunner(batch_size=LEARNING_CROSSOVER).run_many(
+            spec, range(LEARNING_CROSSOVER + 2))
         assert self._engine_counts(result) == (1, 1)
 
     def test_crossover_by_controller_kind(self, spec):
@@ -283,11 +284,12 @@ class TestEngineDispatch:
         # every seed snapshots at the hook's slot: the final record
         # matches a batched-engine rerun's driver at the same slot
         batched = []
-        SweepRunner(batch_size=8).run_many(
-            spec, [1, 2, 3, 4, 5],
+        rerun = SweepRunner(batch_size=LEARNING_CROSSOVER).run_many(
+            spec, range(1, LEARNING_CROSSOVER + 1),
             on_chunk_done=lambda d, seeds: batched.extend(
                 d.greedy_policy(i) for i in range(2)),
         )
+        assert self._engine_counts(rerun) == (0, 1)
         assert seen[-1][1] == batched
 
     def test_scalar_hooks_never_change_results(self, spec):
@@ -324,6 +326,8 @@ def _chunk_specs(draw):
     queue_capacity = draw(st.integers(1, 3))
     warmup = draw(st.booleans())
     spec = RolloutSpec(
+        # three mode graphs; only two_state lacks a zero-latency switch
+        device=draw(st.sampled_from(["abstract3", "two_state", "mobile_hdd"])),
         schedule=SinusoidalRate(0.3, 0.2, 7),
         n_slots=draw(st.integers(1, 40)),
         record_every=draw(st.integers(1, 50)),
