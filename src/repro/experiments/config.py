@@ -216,10 +216,11 @@ class FleetConfig:
     ``mtbf`` switches on fault injection: each device fails and repairs
     on its own seeded exponential renewal process
     (:class:`~repro.workload.FaultProcess` with means ``mtbf`` /
-    ``mttr``), and requests routed to a down device fail over under
-    ``failover_policy`` with up to ``max_retries`` capped-exponential
-    backoff retries.  ``checkpoint`` names a chunk-result journal file
-    so an interrupted sweep resumes without recomputation.
+    ``mttr``), and requests routed to a down device fail over to the
+    router's best surviving device with up to ``max_retries``
+    capped-exponential backoff retries.  ``checkpoint`` names a
+    chunk-result journal file so an interrupted sweep resumes without
+    recomputation.
 
     The overload knobs layer graceful degradation on top of the fault
     model.  ``brownout_severity`` makes fault intervals brownouts
@@ -230,9 +231,11 @@ class FleetConfig:
     arms a per-device circuit breaker that opens after that many
     consecutive failures, and ``retry_budget`` caps fleet-wide failover
     retries with a token bucket of that capacity (exhaustion sheds the
-    request instead of retrying).  Any of them set implies the overload
-    dispatch path; all ``None`` reproduces the plain failover sweep
-    bit-for-bit.
+    request instead of retrying).  ``mtbf`` or any of these knobs set
+    routes through the fault-aware loop under one
+    :class:`~repro.fleet.OverloadConfig` (see
+    :func:`~repro.experiments.fleet_sweep.build_spec`); each knob left
+    ``None`` is a no-op stage of that loop.
     """
 
     device: str = "mobile_hdd"
@@ -250,7 +253,6 @@ class FleetConfig:
     n_jobs: int = 1
     mtbf: Optional[float] = None   #: mean time between failures (s); None = no faults
     mttr: float = 50.0             #: mean time to repair (s)
-    failover_policy: str = "next_best"
     max_retries: int = 3           #: failover retries before a request drops
     brownout_severity: Optional[float] = None  #: demand multiplier during faults (>= 1)
     slo: Optional[float] = None    #: per-request deadline = arrival + slo (s)

@@ -40,29 +40,28 @@ def _policy_roster() -> tuple:
 
 
 def build_spec(config: FleetConfig = FleetConfig()) -> FleetSweepSpec:
-    """The :class:`~repro.fleet.FleetSweepSpec` this config realizes."""
+    """The :class:`~repro.fleet.FleetSweepSpec` this config realizes.
+
+    One :class:`~repro.fleet.OverloadConfig` carries the whole
+    fault-routing setting: built when ``mtbf`` or any protection knob is
+    set (the failover shape plus whichever protections are on), None
+    for a plain fault-free sweep.
+    """
     get_preset(config.device)  # fail fast on unknown presets
     faults = None
-    failover = FailoverConfig()
     if config.mtbf is not None:
         fault_kwargs = {"mtbf": config.mtbf, "mttr": config.mttr}
         if config.brownout_severity is not None:
             fault_kwargs["severity"] = float(config.brownout_severity)
         faults = FaultProcess(**fault_kwargs)
-        failover = FailoverConfig(
-            policy=config.failover_policy, max_retries=config.max_retries,
-        )
     elif config.brownout_severity is not None:
         raise ValueError("brownout_severity requires mtbf (a fault process)")
     overload = None
-    if (config.slo is not None or config.breaker is not None
-            or config.retry_budget is not None
-            or config.brownout_severity is not None):
-        # The sweep spec requires spec.failover == overload.failover, so
-        # the overload path reduces exactly to the failover path when the
-        # degradation features are individually disabled.
+    if (faults is not None or config.slo is not None
+            or config.breaker is not None
+            or config.retry_budget is not None):
         overload = OverloadConfig(
-            failover=failover,
+            failover=FailoverConfig(max_retries=config.max_retries),
             breaker=(BreakerConfig(failure_threshold=int(config.breaker))
                      if config.breaker is not None else None),
             retry_budget=(RetryBudgetConfig(capacity=float(config.retry_budget))
@@ -84,7 +83,6 @@ def build_spec(config: FleetConfig = FleetConfig()) -> FleetSweepSpec:
         seed_stride=config.seed_stride,
         service_time=config.service_time,
         faults=faults,
-        failover=failover,
         overload=overload,
     )
 

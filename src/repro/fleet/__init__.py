@@ -19,8 +19,10 @@ loops; the fast paths are pinned bit-identical to it — stateless
 routers via closed-form ``route_batch``, queue-aware routers via the
 epoch-advance ``route_step_batch`` (dense per-device backlog arrays
 advanced one arrival per round).  Under faults or overload protection
-every router runs one fault-aware loop, :func:`route_with_overload`
-(failover-only routing is ``OverloadConfig(failover=...)``).  Each
+every router runs one fault-aware loop, :func:`route_with_overload`,
+configured by one :class:`OverloadConfig` (the failover shape is its
+``failover`` field; the fleet entry points and :class:`FleetSweepSpec`
+take it as ``overload=``).  Each
 sweep chunk routes its seeds' traces and evaluates all (seed x device)
 sub-traces in one engine call (:func:`run_fleet_batch`).
 """

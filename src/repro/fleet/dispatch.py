@@ -480,6 +480,18 @@ def make_router(name: str) -> Router:
 FAILOVER_POLICIES = ("next_best", "resubmit")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count setting that is not a whole number >= ``minimum``.
+
+    The routing loop compares its integer counters against these with
+    ``==`` / ``>=``, so a fractional cap would silently never bind.
+    """
+    if not (float(value).is_integer() and value >= minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class FailoverConfig:
     """How the dispatcher absorbs a request routed to a down device.
@@ -518,15 +530,12 @@ class FailoverConfig:
                 f"unknown failover policy {self.policy!r}; "
                 f"choose from {FAILOVER_POLICIES}"
             )
-        if int(self.max_retries) < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
+        _check_count("max_retries", self.max_retries, 0)
         if self.backoff_base <= 0:
             raise ValueError(
                 f"backoff_base must be > 0, got {self.backoff_base}"
             )
-        if int(self.max_retries) > 0 and self.backoff_cap < self.backoff_base:
+        if self.max_retries > 0 and self.backoff_cap < self.backoff_base:
             raise ValueError(
                 f"backoff_cap must be >= backoff_base, got "
                 f"{self.backoff_cap} < {self.backoff_base}"
@@ -582,19 +591,12 @@ class BreakerConfig:
     latency_threshold: float = math.inf
 
     def __post_init__(self) -> None:
-        if int(self.failure_threshold) < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
+        _check_count("failure_threshold", self.failure_threshold, 1)
         if not self.recovery_time > 0:
             raise ValueError(
                 f"recovery_time must be > 0, got {self.recovery_time}"
             )
-        if int(self.half_open_successes) < 1:
-            raise ValueError(
-                f"half_open_successes must be >= 1, "
-                f"got {self.half_open_successes}"
-            )
+        _check_count("half_open_successes", self.half_open_successes, 1)
         if math.isnan(self.latency_threshold) or self.latency_threshold <= 0:
             raise ValueError(
                 f"latency_threshold must be > 0 (inf = latency-blind), "
@@ -1103,8 +1105,11 @@ class Dispatcher:
         """Per-request device assignments.
 
         ``vectorized=True`` uses :meth:`Router.route_batch` when the
-        router offers it (bit-identical to the scalar path for stateless
-        routers); ``vectorized=False`` forces the scalar reference loop.
+        router offers it (closed form, stateless routers), else
+        :meth:`Router.route_step_batch` (epoch-advance, queue-aware
+        routers), else the scalar loop — each fast path bit-identical to
+        :meth:`Router.route`; ``vectorized=False`` forces the scalar
+        reference loop.
         """
         ctx = self._context(trace)
         if vectorized:

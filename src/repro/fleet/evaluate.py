@@ -6,13 +6,15 @@ stream across N device replicas, evaluate every sub-trace on the
 single-device engine, and fold the per-device reports into a
 :class:`~repro.fleet.report.FleetReport`.
 
-Routing makes one two-way decision per trace.  With no fault schedule
-and no overload protection the dispatcher's plain path runs
+Routing makes one two-way decision per trace (:func:`_route`).  With
+no ``faults`` and no ``overload`` the dispatcher's plain path runs
 (closed-form ``route_batch`` for stateless routers, epoch-advance
-``route_step_batch`` for queue-aware ones); otherwise — faults,
-overload knobs, or both — the trace goes through the fault-aware loop
-:func:`~repro.fleet.dispatch.route_with_overload`, failover-only routing
-being ``OverloadConfig(failover=...)``.
+``route_step_batch`` for queue-aware ones); otherwise the trace goes
+through the fault-aware loop
+:func:`~repro.fleet.dispatch.route_with_overload` under ``overload``,
+or ``OverloadConfig()`` when only ``faults`` is given.  The
+:class:`~repro.fleet.dispatch.OverloadConfig` is the one fault-routing
+setting: the failover shape is its ``failover`` field.
 
 Two engines, mirroring the repo's batched/scalar split:
 
@@ -44,33 +46,11 @@ from ..sim.policy_api import EventPolicy
 from ..sim.simulator import DPMSimulator
 from ..workload.faults import resolve_fault_schedule
 from ..workload.trace import Trace
-from .dispatch import Dispatcher, FailoverConfig, OverloadConfig, Router
+from .dispatch import Dispatcher, OverloadConfig, Router
 from .report import FleetReport, build_fleet_report
 
 #: engines accepted by :func:`run_fleet`
 ENGINES = ("auto", "scalar")
-
-
-def _overload_config(
-    faults, failover: Optional[FailoverConfig],
-    overload: Optional[OverloadConfig],
-) -> Optional[OverloadConfig]:
-    """Settings of the fault-aware loop, or None for plain routing.
-
-    The one routing decision: no faults and no ``overload`` route on
-    the plain fast paths; anything else runs the fault-aware loop,
-    under ``overload`` or, failover-only, the ``failover`` shape.
-    """
-    if overload is not None and failover is not None:
-        raise ValueError(
-            "give the failover shape inside OverloadConfig "
-            "(overload.failover), not via the failover argument too"
-        )
-    if overload is not None or faults is None:
-        return overload
-    return OverloadConfig(
-        failover=failover if failover is not None else FailoverConfig()
-    )
 
 
 def _route(
@@ -78,14 +58,17 @@ def _route(
     trace: Trace,
     faults,
     fault_seed: int,
-    config: Optional[OverloadConfig],
+    overload: Optional[OverloadConfig],
     vectorized: bool = True,
 ) -> Tuple[List[Trace], dict]:
-    """Route one trace: ``(sub-traces, fault/overload report fields)``,
-    plainly when ``config`` is None, else through the fault-aware
-    loop."""
+    """Route one trace: ``(sub-traces, fault/overload report fields)``.
+
+    The one routing decision: with no ``faults`` and no ``overload``
+    the trace takes the plain fast paths; otherwise it runs the
+    fault-aware loop under ``overload or OverloadConfig()``.
+    """
     n_offered = int(trace.arrival_times.size)
-    if config is None:
+    if faults is None and overload is None:
         return (dispatcher.dispatch(trace, vectorized=vectorized),
                 {"n_offered": n_offered})
     schedule = None
@@ -94,7 +77,7 @@ def _route(
             faults, dispatcher.n_devices, trace.duration, seed=fault_seed,
         )
     subs, outcome = dispatcher.dispatch_with_overload(
-        trace, schedule, config, vectorized=vectorized,
+        trace, schedule, overload or OverloadConfig(), vectorized=vectorized,
     )
     return subs, {
         "availability": 1.0 if schedule is None
@@ -123,7 +106,6 @@ def run_fleet(
     engine: str = "auto",
     keep_latencies: bool = True,
     faults=None,
-    failover: Optional[FailoverConfig] = None,
     fault_seed: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> FleetReport:
@@ -138,14 +120,14 @@ def run_fleet(
     :class:`~repro.workload.FaultSchedule` or a
     :class:`~repro.workload.FaultProcess` (realized over the trace
     window with ``fault_seed``, defaulting to ``route_seed``).
-    ``overload`` adds circuit breakers, a fleet-wide retry budget and
-    deadline shedding; give the failover shape inside
-    :class:`~repro.fleet.dispatch.OverloadConfig` then, not via
-    ``failover``.  With either, routing goes through the fault-aware
-    loop (failover-only under ``OverloadConfig(failover=failover)``),
-    and the report carries availability, retry, drop, inflation, shed,
-    goodput, SLO-attainment and breaker-trip metrics.  Brownout
-    (finite-severity) intervals inflate the booked demands.
+    ``overload`` (an :class:`~repro.fleet.dispatch.OverloadConfig`)
+    sets the failover shape and the optional circuit breakers,
+    fleet-wide retry budget and deadline shedding; faults without it
+    run under ``OverloadConfig()``.  With either, routing goes through
+    the fault-aware loop, and the report carries availability, retry,
+    drop, inflation, shed, goodput, SLO-attainment and breaker-trip
+    metrics.  Brownout (finite-severity) intervals inflate the booked
+    demands.
 
     The fleet quantiles always merge the exact per-device completion
     streams; ``keep_latencies=False`` drops the raw arrays from the
@@ -159,11 +141,10 @@ def run_fleet(
             device, policy, [trace], router, n_devices,
             service_time=service_time, oracle=oracle,
             route_seeds=[route_seed], keep_latencies=keep_latencies,
-            faults=faults, failover=failover,
+            faults=faults,
             fault_seeds=None if fault_seed is None else [fault_seed],
             overload=overload,
         )[0]
-    config = _overload_config(faults, failover, overload)
     dispatcher = Dispatcher(
         router, n_devices, device, service_time=service_time, seed=route_seed,
     )
@@ -172,7 +153,7 @@ def run_fleet(
         sub_traces, fault_kwargs = _route(
             dispatcher, trace, faults,
             route_seed if fault_seed is None else int(fault_seed),
-            config, vectorized=False,
+            overload, vectorized=False,
         )
     with TELEMETRY.span("kernel", cat="fleet", engine=engine,
                         n_traces=len(sub_traces)):
@@ -203,7 +184,6 @@ def run_fleet_batch(
     route_seeds: Optional[Sequence[int]] = None,
     keep_latencies: bool = True,
     faults=None,
-    failover: Optional[FailoverConfig] = None,
     fault_seeds: Optional[Sequence[int]] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> List[FleetReport]:
@@ -230,8 +210,8 @@ def run_fleet_batch(
     """
     routed = route_fleet_batch(
         device, traces, router, n_devices, service_time=service_time,
-        route_seeds=route_seeds, faults=faults, failover=failover,
-        fault_seeds=fault_seeds, overload=overload,
+        route_seeds=route_seeds, faults=faults, fault_seeds=fault_seeds,
+        overload=overload,
     )
     return evaluate_fleet_batch(
         device, policy, routed, service_time=service_time, oracle=oracle,
@@ -260,12 +240,10 @@ def route_fleet_batch(
     service_time: float = 0.5,
     route_seeds: Optional[Sequence[int]] = None,
     faults=None,
-    failover: Optional[FailoverConfig] = None,
     fault_seeds: Optional[Sequence[int]] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> RoutedBatch:
     """The routing half of :func:`run_fleet_batch` (same arguments)."""
-    config = _overload_config(faults, failover, overload)
     traces = list(traces)
     if route_seeds is None:
         route_seeds = [0] * len(traces)
@@ -296,7 +274,7 @@ def route_fleet_batch(
                 )
                 router_name = dispatcher.router.name
                 subs, fields = _route(dispatcher, trace, faults, fseed,
-                                      config)
+                                      overload)
                 sub_traces.extend(subs)
                 fault_kwargs.append(fields)
     return RoutedBatch(router_name, int(n_devices), sub_traces, fault_kwargs)

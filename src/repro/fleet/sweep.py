@@ -5,7 +5,9 @@
 (fleet size x router x DPM policy) grid, with ``n_traces`` seeded
 replications of the shared arrival stream per cell, through the shared
 sweep core (:mod:`repro.runtime.chunked`) and aggregates each cell into
-mean +- bootstrap CI.  A work unit is one ``(cell, seed-chunk)`` pair.
+mean +- bootstrap CI.  Fault routing has one setting,
+:attr:`FleetSweepSpec.overload`; the failover shape is its ``failover``
+field.  A work unit is one ``(cell, seed-chunk)`` pair.
 Its chunk function, :func:`run_fleet_chunk`, takes a list of policies:
 routers never see the DPM policy, so it realizes, fault-resolves and
 routes each seed's trace once and evaluates every listed policy on the
@@ -39,13 +41,7 @@ from ..runtime.simsweep import (
 from ..runtime.telemetry import TELEMETRY
 from ..runtime.verify import check_fleet_report
 from ..workload.faults import FaultProcess, FaultSchedule
-from .dispatch import (
-    ROUTERS,
-    FailoverConfig,
-    OverloadConfig,
-    Router,
-    make_router,
-)
+from .dispatch import ROUTERS, OverloadConfig, Router, make_router
 from .evaluate import evaluate_fleet_batch, route_fleet_batch, run_fleet
 from .report import FleetReport
 
@@ -111,19 +107,25 @@ class FleetSweepSpec:
     #: single-fleet-size sweeps — a concrete
     #: :class:`~repro.workload.FaultSchedule`
     faults: Any = None
-    #: failover behaviour when routing under faults
-    failover: FailoverConfig = FailoverConfig()
-    #: optional overload protection (circuit breakers, retry budget,
-    #: deadline shedding); also engaged automatically when ``faults``
-    #: carries brownout (finite-severity) intervals
+    #: the fault-aware routing loop's settings: the failover shape and
+    #: the optional circuit breakers, retry budget and deadline
+    #: shedding.  ``None`` with ``faults`` set routes under
+    #: ``OverloadConfig()``; ``None`` without faults routes plainly.
     overload: Optional[OverloadConfig] = None
 
     @property
     def uses_overload(self) -> bool:
-        """True when cells can shed or book brownout-inflated demands
-        (overload knobs set, or brownout faults): the rendered table
-        then gains the shed / goodput columns."""
-        if self.overload is not None:
+        """True when cells can shed or book brownout-inflated demands (a
+        breaker, retry budget or SLO set, or brownout faults): the
+        rendered table then gains the shed / goodput columns.  With
+        every protection off nothing is shed and goodput is just
+        1 - dropped/offered, so a failover-only table omits them."""
+        overload = self.overload
+        if overload is not None and (
+            overload.breaker is not None
+            or overload.retry_budget is not None
+            or overload.slo is not None
+        ):
             return True
         if isinstance(self.faults, FaultProcess):
             return math.isfinite(self.faults.severity)
@@ -147,22 +149,13 @@ class FleetSweepSpec:
             raise ValueError(f"seed_stride must be >= 1, got {self.seed_stride}")
         if self.service_time <= 0:
             raise ValueError(f"service_time must be > 0, got {self.service_time}")
-        if not isinstance(self.failover, FailoverConfig):
+        if self.overload is not None and not isinstance(
+            self.overload, OverloadConfig
+        ):
             raise ValueError(
-                f"failover must be a FailoverConfig, got {self.failover!r}"
+                f"overload must be an OverloadConfig or None, "
+                f"got {self.overload!r}"
             )
-        if self.overload is not None:
-            if not isinstance(self.overload, OverloadConfig):
-                raise ValueError(
-                    f"overload must be an OverloadConfig or None, "
-                    f"got {self.overload!r}"
-                )
-            if self.failover != self.overload.failover:
-                raise ValueError(
-                    "with overload given, the failover shape lives in "
-                    "overload.failover; leave the spec's failover at its "
-                    "default or set both to the same config"
-                )
         self._validate_faults()
 
     def _validate_faults(self) -> None:
@@ -306,7 +299,6 @@ def run_fleet_chunk(
     service_time: float,
     seeds: Sequence[int],
     faults: Any = None,
-    failover: FailoverConfig = FailoverConfig(),
     overload: Optional[OverloadConfig] = None,
 ) -> List[List[FleetReport]]:
     """One work unit, built from picklable values: a (fleet size,
@@ -323,7 +315,8 @@ def run_fleet_chunk(
     identical for every ``(chunk_size, n_jobs)``.  Raw latency arrays
     are dropped so the pickled results stay small.  Each replication's
     fault stream realizes from ``seed + FAULT_SEED_OFFSET``,
-    decorrelated from its trace and routing streams."""
+    decorrelated from its trace and routing streams; ``faults`` and
+    ``overload`` route as in :func:`~repro.fleet.evaluate.run_fleet`."""
     with TELEMETRY.span("chunk", cat="sweep", kind="fleet",
                         device=device_name, n_devices=n_devices,
                         router=router_name,
@@ -336,7 +329,6 @@ def run_fleet_chunk(
             service_time=service_time,
             route_seeds=[seed + ROUTE_SEED_OFFSET for seed in seeds],
             faults=faults,
-            failover=None if overload is not None else failover,
             fault_seeds=[seed + FAULT_SEED_OFFSET for seed in seeds],
             overload=overload,
         )
@@ -358,7 +350,6 @@ def reference_fleet_chunk(
     service_time: float,
     seeds: Sequence[int],
     faults: Any = None,
-    failover: FailoverConfig = FailoverConfig(),
     overload: Optional[OverloadConfig] = None,
 ) -> List[List[FleetReport]]:
     """Scalar reference path for one :func:`run_fleet_chunk` work unit:
@@ -375,9 +366,7 @@ def reference_fleet_chunk(
                 service_time=service_time, oracle=p.oracle,
                 route_seed=seed + ROUTE_SEED_OFFSET, engine="scalar",
                 keep_latencies=False, faults=faults,
-                failover=None if overload is not None else failover,
-                fault_seed=seed + FAULT_SEED_OFFSET,
-                overload=overload,
+                fault_seed=seed + FAULT_SEED_OFFSET, overload=overload,
             )
             for seed in seeds
         ]
@@ -447,7 +436,7 @@ class FleetSweepRunner(ChunkedRunner):
             task=lambda group, c: (
                 spec.device, *group[0][:2], [p for *_, p in group],
                 spec.trace, spec.service_time, c, spec.faults,
-                spec.failover, spec.overload),
+                spec.overload),
             check=partial(_check_fleet_report, spec.trace.name),
             reference=reference_fleet_chunk,
             reference_name="run_fleet scalar dispatcher",

@@ -354,7 +354,7 @@ class TestFleetEnginesUnderFaults:
             engine, get_preset("mobile_hdd"), policy_factory, trace,
             router_name, 4, service_time=0.4, route_seed=21,
             faults=FaultProcess(mtbf=50.0, mttr=8.0), fault_seed=77,
-            failover=FailoverConfig(max_retries=3),
+            overload=OverloadConfig(failover=FailoverConfig(max_retries=3)),
         ):
             assert_fleet_reports_match(ref, fast)
             for field in ("availability", "n_retries", "n_dropped",
@@ -370,8 +370,8 @@ class TestFleetEnginesUnderFaults:
         pairs = engine_pairs(
             engine, get_preset("wlan"), FixedTimeout, trace, "jsq", 3,
             service_time=0.4, route_seed=5, faults=faults,
-            failover=FailoverConfig(max_retries=2, backoff_base=0.5,
-                                    backoff_cap=2.0),
+            overload=OverloadConfig(failover=FailoverConfig(
+                max_retries=2, backoff_base=0.5, backoff_cap=2.0)),
         )
         assert pairs[0][0].n_dropped > 0
         for ref, fast in pairs:
@@ -388,7 +388,8 @@ class TestFleetEnginesUnderFaults:
         pairs = engine_pairs(
             engine, get_preset("mobile_hdd"), FixedTimeout, trace,
             "round_robin", 2, service_time=0.4, route_seed=1,
-            faults=faults, failover=FailoverConfig(max_retries=0),
+            faults=faults,
+            overload=OverloadConfig(failover=FailoverConfig(max_retries=0)),
         )
         assert pairs[0][0].n_offered == len(trace)
         for ref, fast in pairs:
@@ -493,5 +494,6 @@ class TestFleetSweepSpecFaultValidation:
             self._spec(faults=0.5)
 
     def test_failover_type_checked(self):
-        with pytest.raises(ValueError, match="FailoverConfig"):
-            self._spec(failover={"policy": "next_best"})
+        # the failover shape goes inside OverloadConfig, never bare
+        with pytest.raises(ValueError, match="OverloadConfig"):
+            self._spec(overload=FailoverConfig())

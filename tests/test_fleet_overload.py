@@ -156,6 +156,38 @@ class TestConfigs:
         with pytest.raises(ValueError):
             RetryBudgetConfig(**kwargs)
 
+    @pytest.mark.parametrize("cls, kwargs", [
+        (FailoverConfig, {"max_retries": 2.5}),
+        (FailoverConfig, {"max_retries": float("inf")}),
+        (BreakerConfig, {"failure_threshold": 2.5}),
+        (BreakerConfig, {"failure_threshold": float("inf")}),
+        (BreakerConfig, {"half_open_successes": 1.5}),
+    ], ids=["retries-2.5", "retries-inf", "threshold-2.5", "threshold-inf",
+            "half-open-1.5"])
+    def test_fractional_counts_rejected(self, cls, kwargs):
+        """The loop compares integer counters against these caps with
+        ``==`` / ``>=``: a fractional ``max_retries`` never equals the
+        retry count, so the cap would silently switch off."""
+        with pytest.raises(ValueError, match="integer"):
+            cls(**kwargs)
+
+    def test_integral_counts_accepted_and_cap_binds(self):
+        """Whole-valued counts of any numeric type are accepted, and the
+        retry cap binds: one device down over [0, 90) drops all three
+        requests after exactly two retries."""
+        assert BreakerConfig(failure_threshold=np.int64(2),
+                             half_open_successes=2.0).failure_threshold == 2
+        trace = Trace([1.0, 2.0, 3.0], duration=100.0)
+        faults = FaultSchedule([[(0.0, 90.0)]], 100.0)
+        for max_retries in (2, 2.0, np.int64(2)):
+            out = route_with_overload(
+                make_router("round_robin"), make_context(trace, 1), faults,
+                OverloadConfig(failover=FailoverConfig(
+                    max_retries=max_retries)),
+            )
+            assert out.assignments.tolist() == [-1, -1, -1]
+            assert out.retries.tolist() == [2, 2, 2]
+
     def test_invalid_overload_rejected(self):
         with pytest.raises(TypeError):
             OverloadConfig(failover={"policy": "next_best"})
@@ -644,30 +676,22 @@ class TestFleetEnginesUnderOverload:
         assert 0.0 <= report.slo_attainment <= 1.0
 
     def test_brownout_schedule_auto_upgrades_failover_path(self, rng):
-        """A brownout schedule given with the plain ``failover``
-        argument still books brownout-inflated demands (failover-only
-        routing is the same fault-aware loop) — and the engines agree."""
+        """A brownout schedule under a failover-only ``OverloadConfig``
+        still books brownout-inflated demands (failover-only routing is
+        the same fault-aware loop) — and the engines agree."""
         trace = renewal_trace(Exponential(0.8), 200.0, rng)
         pairs = engine_pairs(
             "batch", get_preset("wlan"), FixedTimeout, trace, "jsq", 3,
             service_time=0.4, route_seed=3,
             faults=FaultProcess(mtbf=30.0, mttr=10.0, severity=3.0),
-            fault_seed=11, failover=FailoverConfig(max_retries=2),
+            fault_seed=11,
+            overload=OverloadConfig(failover=FailoverConfig(max_retries=2)),
         )
         for ref, fast in pairs:
             assert_fleet_reports_match(ref, fast)
             # brownouts slow devices without killing them
             assert ref.availability == 1.0
             assert ref.n_dropped == 0
-
-    def test_overload_and_failover_are_mutually_exclusive(self, rng):
-        trace = renewal_trace(Exponential(0.8), 100.0, rng)
-        with pytest.raises(ValueError, match="overload.failover"):
-            run_fleet(get_preset("mobile_hdd"), AlwaysOn(), trace,
-                      make_router("jsq"), 2, service_time=0.4,
-                      faults=FaultProcess(mtbf=30.0, mttr=5.0),
-                      failover=FailoverConfig(),
-                      overload=OverloadConfig())
 
 
 class TestDispatcherOverload:
@@ -728,17 +752,36 @@ class TestSweepIntegration:
         assert "shed" in table
         assert "goodput" in table
 
-    def test_spec_failover_must_match_overload(self):
-        spec = self._spec()
-        with pytest.raises(ValueError, match="overload.failover"):
-            FleetSweepSpec(
-                device=spec.device, fleet_sizes=spec.fleet_sizes,
-                routers=spec.routers, policies=spec.policies,
-                trace=spec.trace, n_traces=spec.n_traces,
-                service_time=spec.service_time, faults=spec.faults,
-                failover=FailoverConfig(max_retries=7),
-                overload=OverloadConfig(),
-            )
+    @pytest.mark.parametrize("knob, columns", [
+        (None, False),
+        ("breaker", True),
+        ("retry_budget", True),
+        ("slo", True),
+    ])
+    def test_shed_goodput_columns_follow_the_knobs(self, knob, columns):
+        """A failover-only spec (an ``OverloadConfig`` with every
+        protection off) renders no shed / goodput columns: nothing is
+        shed and goodput is 1 - dropped/offered.  Any protection knob
+        adds them."""
+        knobs = {"breaker": BreakerConfig(failure_threshold=2),
+                 "retry_budget": RetryBudgetConfig(capacity=4.0),
+                 "slo": 5.0}
+        overload = OverloadConfig(
+            failover=FailoverConfig(max_retries=1),
+            **({} if knob is None else {knob: knobs[knob]}),
+        )
+        spec = FleetSweepSpec(
+            device="mobile_hdd", fleet_sizes=(2,), routers=("jsq",),
+            policies=(PolicySpec("always_on", AlwaysOn()),),
+            trace=TraceSpec("exp", Exponential(1.0), 60.0),
+            n_traces=2, service_time=0.4,
+            faults=FaultProcess(mtbf=20.0, mttr=5.0), overload=overload,
+        )
+        assert spec.uses_overload is columns
+        headers = FleetSweepRunner().run(spec).render().splitlines()[1]
+        assert "retries" in headers
+        assert ("shed" in headers) is columns
+        assert ("goodput" in headers) is columns
 
     def test_brownout_process_implies_overload(self):
         spec = FleetSweepSpec(

@@ -578,13 +578,15 @@ class TestExperimentHarness:
         config = dataclasses.replace(
             FleetConfig(), fleet_sizes=(2,), routers=("round_robin",),
             duration=300.0, n_traces=3, mtbf=60.0, mttr=10.0,
-            failover_policy="resubmit", max_retries=5,
+            max_retries=5,
         )
         spec = build_fleet_sweep_spec(config)
         assert spec.faults is not None
         assert spec.faults.mtbf == 60.0 and spec.faults.mttr == 10.0
-        assert spec.failover.policy == "resubmit"
-        assert spec.failover.max_retries == 5
+        # failover-only: one OverloadConfig, every protection off
+        assert spec.overload == OverloadConfig(
+            failover=FailoverConfig(max_retries=5))
+        assert not spec.uses_overload
         result = run_fleet_sweep(config)
         assert all(
             r.availability < 1.0
@@ -596,7 +598,6 @@ class TestExperimentHarness:
     def test_faultless_config_keeps_faultless_spec(self):
         spec = build_fleet_sweep_spec(FleetConfig())
         assert spec.faults is None
-        assert spec.failover == FailoverConfig()
         assert spec.overload is None
 
     def test_overload_config_realizes_overload_spec(self):
@@ -609,8 +610,7 @@ class TestExperimentHarness:
         spec = build_fleet_sweep_spec(config)
         assert spec.uses_overload
         assert spec.faults.severity == 2.5
-        assert spec.overload.failover == spec.failover
-        assert spec.overload.failover.max_retries == 5
+        assert spec.overload.failover == FailoverConfig(max_retries=5)
         assert spec.overload.breaker.failure_threshold == 4
         assert spec.overload.retry_budget.capacity == 16.0
         assert spec.overload.slo == 30.0

@@ -82,7 +82,6 @@ ROUTING = {
             retry_budget=RetryBudgetConfig(capacity=6.0),
             slo=12.0,
         ),
-        failover=FailoverConfig(max_retries=2),
     ),
 }
 
@@ -128,7 +127,6 @@ def per_cell_fleet_reports(spec: FleetSweepSpec):
             oracle=p.oracle,
             route_seeds=[s + ROUTE_SEED_OFFSET for s in seeds],
             keep_latencies=False, faults=spec.faults,
-            failover=None if spec.overload is not None else spec.failover,
             fault_seeds=[s + FAULT_SEED_OFFSET for s in seeds],
             overload=spec.overload,
         )
@@ -148,8 +146,7 @@ def fleet_chunk_task(spec: FleetSweepSpec, n_devices: int, router: str,
                      seeds):
     """One run_fleet_chunk task over every policy of ``spec``."""
     return (spec.device, n_devices, router, spec.policies, spec.trace,
-            spec.service_time, seeds, spec.faults, spec.failover,
-            spec.overload)
+            spec.service_time, seeds, spec.faults, spec.overload)
 
 
 class TestFleetEqualsPerCell:
