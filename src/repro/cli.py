@@ -34,6 +34,13 @@ K`` arms per-device circuit breakers that open after K consecutive
 failures, and ``--retry-budget C`` caps fleet-wide failover retries
 with a C-token bucket (exhaustion sheds instead of retry-storming).
 
+Which command takes which flag is declared once, in :data:`_COMMANDS`
+(tabulated in EXPERIMENTS.md): each entry names the experiment's run
+function, its default config, its ``--quick`` preset, and the config
+field every flag it takes sets.  A flag the command does not take is an
+error — for ``sweep``, one that none of fig1/fig2/variation takes — and
+under ``all`` it prints a ``note:`` line per command it skips.
+
 ``--verify P`` shadow-runs fraction P of seed chunks / cells on a
 reference path (for slotted chunks, the engine they did not run on)
 and compares field-for-field (any divergence
@@ -61,7 +68,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from .experiments import (
     Fig1Config,
@@ -86,25 +93,6 @@ from .runtime.telemetry import TELEMETRY, export_trace
 from .runtime.verify import SweepInterrupted
 
 
-def _sweep_settings(config, n_seeds: Optional[int], batch: Optional[int],
-                    jobs: Optional[int] = None,
-                    verify: Optional[float] = None,
-                    diagnostics: Optional[str] = None):
-    """Overlay CLI sweep flags onto a config's ``sweep`` block."""
-    sweep = config.sweep
-    if n_seeds is not None:
-        sweep = dataclasses.replace(sweep, n_seeds=n_seeds)
-    if batch is not None:
-        sweep = dataclasses.replace(sweep, batch_size=batch)
-    if jobs is not None:
-        sweep = dataclasses.replace(sweep, n_jobs=jobs)
-    if verify is not None:
-        sweep = dataclasses.replace(sweep, verify_fraction=verify)
-    if diagnostics is not None:
-        sweep = dataclasses.replace(sweep, diagnostics_dir=diagnostics)
-    return dataclasses.replace(config, sweep=sweep)
-
-
 def _verification_line(execution) -> str:
     """One-line shadow-verification summary for a sweep's metadata."""
     block = (execution or {}).get("verification")
@@ -119,182 +107,90 @@ def _verification_line(execution) -> str:
     )
 
 
-def _fig1(quick: bool, n_seeds: Optional[int] = None,
-          batch: Optional[int] = None, jobs: Optional[int] = None,
-          verify: Optional[float] = None,
-          diagnostics: Optional[str] = None) -> str:
-    config = Fig1Config()
-    if quick:
-        config = dataclasses.replace(config, n_slots=30_000, record_every=1_000)
-    result = run_fig1(
-        _sweep_settings(config, n_seeds, batch, jobs, verify, diagnostics)
-    )
-    line = _verification_line(result.execution)
-    return result.render() + ("\n" + line if line else "")
+def _set_field(config, path: str, value):
+    """``config`` with the (dotted) field ``path`` set to ``value``; a
+    tuple-valued field is an axis, and a flag sets it to one value."""
+    head, _, rest = path.partition(".")
+    current = getattr(config, head)
+    if rest:
+        value = _set_field(current, rest, value)
+    elif isinstance(current, tuple):
+        value = (value,)
+    return dataclasses.replace(config, **{head: value})
 
 
-def _fig2(quick: bool, n_seeds: Optional[int] = None,
-          batch: Optional[int] = None, jobs: Optional[int] = None,
-          verify: Optional[float] = None,
-          diagnostics: Optional[str] = None) -> str:
-    config = Fig2Config()
-    if quick:
-        config = dataclasses.replace(
-            config, segment_slots=8_000, record_every=500, mb_min_samples=400,
-            mb_freeze_slots=800,
-        )
-    result = run_fig2(
-        _sweep_settings(config, n_seeds, batch, jobs, verify, diagnostics)
-    )
-    line = _verification_line(result.execution)
-    return result.render() + ("\n" + line if line else "")
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One experiment behind the CLI.
+
+    ``quick`` holds the ``--quick`` overrides of the default ``config``;
+    ``flags`` maps each flag the command accepts (by its argparse dest)
+    to the config field it sets, dotted for the ``sweep`` block.
+    """
+
+    run: Callable[[Any], Any]
+    config: Callable[[], Any]
+    quick: Mapping[str, Any]
+    flags: Mapping[str, str]
+
+    def __call__(self, quick: bool, **kwargs) -> str:
+        config = self.config()
+        if quick:
+            config = dataclasses.replace(config, **self.quick)
+        for dest, value in kwargs.items():
+            config = _set_field(config, self.flags[dest], value)
+        result = self.run(config)
+        line = _verification_line(getattr(result, "execution", None))
+        return result.render() + ("\n" + line if line else "")
 
 
-def _overhead(quick: bool, n_seeds: Optional[int] = None,
-              batch: Optional[int] = None, jobs: Optional[int] = None) -> str:
-    config = OverheadConfig()
-    if quick:
-        config = dataclasses.replace(
-            config, queue_capacities=(4, 8), n_q_ops=2_000
-        )
-    if batch is not None:
-        config = dataclasses.replace(config, batch_size=batch)
-    return run_overhead(config).render()
-
-
-def _variation(quick: bool, n_seeds: Optional[int] = None,
-               batch: Optional[int] = None, jobs: Optional[int] = None,
-               verify: Optional[float] = None,
-               diagnostics: Optional[str] = None) -> str:
-    config = VariationConfig()
-    if quick:
-        config = dataclasses.replace(
-            config, n_slots=20_000, warmup_slots=15_000
-        )
-    result = run_variation(
-        _sweep_settings(config, n_seeds, batch, jobs, verify, diagnostics)
-    )
-    line = _verification_line(result.execution)
-    return result.render() + ("\n" + line if line else "")
-
-
-def _policies(quick: bool, n_seeds: Optional[int] = None,
-              batch: Optional[int] = None, jobs: Optional[int] = None) -> str:
-    config = PolicyTableConfig()
-    if quick:
-        config = dataclasses.replace(config, duration=5_000.0)
-    if jobs is not None:
-        config = dataclasses.replace(config, n_jobs=jobs)
-    return run_policy_table(config).render()
-
-
-def _grid(quick: bool, n_seeds: Optional[int] = None,
-          batch: Optional[int] = None, jobs: Optional[int] = None) -> str:
-    config = GridConfig()
-    if quick:
-        config = dataclasses.replace(
-            config, horizons=(5_000,), record_every=1_000
-        )
-    return run_grid(_sweep_settings(config, n_seeds, batch, jobs)).render()
-
-
-def _sim_sweep(quick: bool, n_seeds: Optional[int] = None,
-               batch: Optional[int] = None, jobs: Optional[int] = None,
-               verify: Optional[float] = None,
-               diagnostics: Optional[str] = None) -> str:
-    config = SimSweepConfig()
-    if quick:
-        config = dataclasses.replace(config, duration=2_000.0, n_traces=4)
-    if n_seeds is not None:
-        config = dataclasses.replace(config, n_traces=n_seeds)
-    if jobs is not None:
-        config = dataclasses.replace(config, n_jobs=jobs)
-    if verify is not None:
-        config = dataclasses.replace(config, verify_fraction=verify)
-    if diagnostics is not None:
-        config = dataclasses.replace(config, diagnostics_dir=diagnostics)
-    result = run_sim_sweep(config)
-    out = result.render()
-    line = _verification_line(getattr(result, "execution", None))
-    return out + "\n" + line if line else out
-
-
-def _fleet_sweep(quick: bool, n_seeds: Optional[int] = None,
-                 batch: Optional[int] = None, jobs: Optional[int] = None,
-                 devices: Optional[int] = None,
-                 router: Optional[str] = None,
-                 mtbf: Optional[float] = None,
-                 mttr: Optional[float] = None,
-                 max_retries: Optional[int] = None,
-                 brownout_severity: Optional[float] = None,
-                 slo: Optional[float] = None,
-                 breaker: Optional[int] = None,
-                 retry_budget: Optional[float] = None,
-                 checkpoint: Optional[str] = None,
-                 verify: Optional[float] = None,
-                 diagnostics: Optional[str] = None) -> str:
-    config = FleetConfig()
-    if quick:
-        config = dataclasses.replace(config, duration=500.0, n_traces=4)
-    if n_seeds is not None:
-        config = dataclasses.replace(config, n_traces=n_seeds)
-    if jobs is not None:
-        config = dataclasses.replace(config, n_jobs=jobs)
-    if devices is not None:
-        config = dataclasses.replace(config, fleet_sizes=(devices,))
-    if router is not None:
-        config = dataclasses.replace(config, routers=(router,))
-    if mtbf is not None:
-        config = dataclasses.replace(config, mtbf=mtbf)
-    if mttr is not None:
-        config = dataclasses.replace(config, mttr=mttr)
-    if max_retries is not None:
-        config = dataclasses.replace(config, max_retries=max_retries)
-    if brownout_severity is not None:
-        config = dataclasses.replace(config, brownout_severity=brownout_severity)
-    if slo is not None:
-        config = dataclasses.replace(config, slo=slo)
-    if breaker is not None:
-        config = dataclasses.replace(config, breaker=breaker)
-    if retry_budget is not None:
-        config = dataclasses.replace(config, retry_budget=retry_budget)
-    if checkpoint is not None:
-        config = dataclasses.replace(config, checkpoint=checkpoint)
-    if verify is not None:
-        config = dataclasses.replace(config, verify_fraction=verify)
-    if diagnostics is not None:
-        config = dataclasses.replace(config, diagnostics_dir=diagnostics)
-    result = run_fleet_sweep(config)
-    out = result.render()
-    line = _verification_line(getattr(result, "execution", None))
-    return out + "\n" + line if line else out
-
+_SWEEP_FLAGS = {"n_seeds": "sweep.n_seeds", "batch": "sweep.batch_size",
+                "jobs": "sweep.n_jobs"}
+_VERIFY_FLAGS = {"verify": "sweep.verify_fraction",
+                 "diagnostics": "sweep.diagnostics_dir"}
+_EVENT_FLAGS = {"n_seeds": "n_traces", "jobs": "n_jobs",
+                "verify": "verify_fraction", "diagnostics": "diagnostics_dir"}
 
 _COMMANDS: Dict[str, Callable[..., str]] = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "grid": _grid,
-    "overhead": _overhead,
-    "variation": _variation,
-    "policies": _policies,
-    "sim-sweep": _sim_sweep,
-    "fleet-sweep": _fleet_sweep,
+    "fig1": _Command(run_fig1, Fig1Config,
+                     dict(n_slots=30_000, record_every=1_000),
+                     {**_SWEEP_FLAGS, **_VERIFY_FLAGS}),
+    "fig2": _Command(run_fig2, Fig2Config,
+                     dict(segment_slots=8_000, record_every=500,
+                          mb_min_samples=400, mb_freeze_slots=800),
+                     {**_SWEEP_FLAGS, **_VERIFY_FLAGS}),
+    "grid": _Command(run_grid, GridConfig,
+                     dict(horizons=(5_000,), record_every=1_000),
+                     _SWEEP_FLAGS),
+    "overhead": _Command(run_overhead, OverheadConfig,
+                         dict(queue_capacities=(4, 8), n_q_ops=2_000),
+                         {"batch": "batch_size"}),
+    "variation": _Command(run_variation, VariationConfig,
+                          dict(n_slots=20_000, warmup_slots=15_000),
+                          {**_SWEEP_FLAGS, **_VERIFY_FLAGS}),
+    "policies": _Command(run_policy_table, PolicyTableConfig,
+                         dict(duration=5_000.0), {"jobs": "n_jobs"}),
+    "sim-sweep": _Command(run_sim_sweep, SimSweepConfig,
+                          dict(duration=2_000.0, n_traces=4), _EVENT_FLAGS),
+    "fleet-sweep": _Command(
+        run_fleet_sweep, FleetConfig, dict(duration=500.0, n_traces=4),
+        {**_EVENT_FLAGS, "devices": "fleet_sizes", "router": "routers",
+         **{name: name for name in (
+             "mtbf", "mttr", "max_retries", "brownout_severity", "slo",
+             "breaker", "retry_budget", "checkpoint")}},
+    ),
 }
 
-#: experiments with a multi-seed (batched-engine) path
-_SWEEPABLE = ("fig1", "fig2", "grid", "variation")
-#: experiments that consume --seeds (batched-engine replicas, plus the
-#: event-sim sweeps where N means trace replications per cell)
-_SEEDABLE = _SWEEPABLE + ("sim-sweep", "fleet-sweep")
-#: experiments that consume --batch (sweepable + the batched Q-op timing)
-_BATCHABLE = _SWEEPABLE + ("overhead",)
-#: experiments that consume --jobs (multiprocess-sharded work units)
-_JOBBABLE = _SWEEPABLE + ("policies", "sim-sweep", "fleet-sweep")
-#: experiments that consume --devices / --router (fleet dispatch grid)
-_FLEETABLE = ("fleet-sweep",)
-#: experiments with a sampled shadow-execution path (--verify/--diagnostics);
-#: grid shares the sweep core but GridRunner exposes no verify setting
-_VERIFIABLE = ("fig1", "fig2", "variation", "sim-sweep", "fleet-sweep")
+#: the flags each command accepts, read from the table once so the checks
+#: hold whatever callable is registered under the name
+_ACCEPTS = {name: tuple(command.flags) for name, command in _COMMANDS.items()}
+#: every table flag, in first-declared order
+_FLAGS = tuple(dict.fromkeys(d for flags in _ACCEPTS.values() for d in flags))
+
+
+def _flag(dest: str) -> str:
+    """The command-line spelling of an argparse dest."""
+    return "--seeds" if dest == "n_seeds" else "--" + dest.replace("_", "-")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -315,6 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--seeds",
+        dest="n_seeds",
         type=int,
         default=None,
         metavar="N",
@@ -464,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "when stderr is not a TTY",
     )
     args = parser.parse_args(argv)
-    if args.seeds is not None and args.seeds < 1:
+    if args.n_seeds is not None and args.n_seeds < 1:
         parser.error("--seeds must be >= 1")
     if args.batch is not None and args.batch < 1:
         parser.error("--batch must be >= 1")
@@ -533,60 +430,22 @@ def _finish_telemetry(args) -> None:
 def _run_experiments(args, parser) -> int:
     """Dispatch the chosen experiment(s); returns the exit code."""
     if args.experiment == "sweep":
-        n_seeds = args.seeds if args.seeds is not None else 8
         names = ("fig1", "fig2", "variation")
-        for name in names:
-            print(f"=== {name} (x{n_seeds} seeds) ===")
-            try:
-                print(_COMMANDS[name](
-                    args.quick, n_seeds=n_seeds, batch=args.batch,
-                    jobs=args.jobs, verify=args.verify,
-                    diagnostics=args.diagnostics,
-                ))
-            except SweepInterrupted as exc:
-                print(f"\n{name}: {exc.resume_hint()}", file=sys.stderr)
-                return 130
-            print()
-        return 0
-
+        if args.n_seeds is None:
+            args.n_seeds = 8
+    elif args.experiment == "all":
+        names = sorted(_COMMANDS)
+    else:
+        names = (args.experiment,)
+    given = [dest for dest in _FLAGS if getattr(args, dest) is not None]
     if args.experiment != "all":
-        if args.seeds is not None and args.experiment not in _SEEDABLE:
-            parser.error(
-                f"--seeds is not supported for {args.experiment!r} "
-                f"(multi-seed experiments: {', '.join(sorted(_SEEDABLE))})"
-            )
-        if args.batch is not None and args.experiment not in _BATCHABLE:
-            parser.error(
-                f"--batch is not supported for {args.experiment!r} "
-                f"(batched experiments: {', '.join(sorted(_BATCHABLE))})"
-            )
-        if args.jobs is not None and args.experiment not in _JOBBABLE:
-            parser.error(
-                f"--jobs is not supported for {args.experiment!r} "
-                f"(sharded experiments: {', '.join(sorted(_JOBBABLE))})"
-            )
-        for flag, value in (("--devices", args.devices),
-                            ("--router", args.router),
-                            ("--mtbf", args.mtbf),
-                            ("--mttr", args.mttr),
-                            ("--max-retries", args.max_retries),
-                            ("--brownout-severity", args.brownout_severity),
-                            ("--slo", args.slo),
-                            ("--breaker", args.breaker),
-                            ("--retry-budget", args.retry_budget),
-                            ("--checkpoint", args.checkpoint),
-                            ("--resume", args.resume or None)):
-            if value is not None and args.experiment not in _FLEETABLE:
+        accepted = {dest for name in names for dest in _ACCEPTS[name]}
+        for dest in given:
+            if dest not in accepted:
+                takers = sorted(n for n, a in _ACCEPTS.items() if dest in a)
                 parser.error(
-                    f"{flag} is not supported for {args.experiment!r} "
-                    f"(fleet experiments: {', '.join(sorted(_FLEETABLE))})"
-                )
-        for flag, value in (("--verify", args.verify),
-                            ("--diagnostics", args.diagnostics)):
-            if value is not None and args.experiment not in _VERIFIABLE:
-                parser.error(
-                    f"{flag} is not supported for {args.experiment!r} "
-                    f"(verifiable experiments: {', '.join(sorted(_VERIFIABLE))})"
+                    f"{_flag(dest)} is not supported for "
+                    f"{args.experiment!r} (accepted by: {', '.join(takers)})"
                 )
 
     if (args.checkpoint is not None and not args.resume
@@ -595,55 +454,19 @@ def _run_experiments(args, parser) -> int:
         # not silently resumed
         os.remove(args.checkpoint)
 
-    names = sorted(_COMMANDS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        print(f"=== {name} ===")
-        if name not in _SEEDABLE and args.seeds is not None:
-            print(f"note: --seeds has no effect on {name!r}")
-        if name not in _BATCHABLE and args.batch is not None:
-            print(f"note: --batch has no effect on {name!r}")
-        if name not in _JOBBABLE and args.jobs is not None:
-            print(f"note: --jobs has no effect on {name!r}")
-        if name not in _FLEETABLE and any(
-            v is not None
-            for v in (args.devices, args.router, args.mtbf, args.mttr,
-                      args.max_retries, args.brownout_severity, args.slo,
-                      args.breaker, args.retry_budget, args.checkpoint)
-        ):
-            print(f"note: fleet-sweep flags have no effect on {name!r}")
-        if name not in _VERIFIABLE and (
-            args.verify is not None or args.diagnostics is not None
-        ):
-            print(f"note: --verify/--diagnostics have no effect on {name!r}")
+        if args.experiment == "sweep":
+            print(f"=== {name} (x{args.n_seeds} seeds) ===")
+        else:
+            print(f"=== {name} ===")
         kwargs = {}
-        if args.seeds is not None and name in _SEEDABLE:
-            kwargs["n_seeds"] = args.seeds
-        if args.batch is not None and name in _BATCHABLE:
-            kwargs["batch"] = args.batch
-        if args.jobs is not None and name in _JOBBABLE:
-            kwargs["jobs"] = args.jobs
-        if name in _FLEETABLE:
-            for key, value in (("devices", args.devices),
-                               ("router", args.router),
-                               ("mtbf", args.mtbf),
-                               ("mttr", args.mttr),
-                               ("max_retries", args.max_retries),
-                               ("brownout_severity", args.brownout_severity),
-                               ("slo", args.slo),
-                               ("breaker", args.breaker),
-                               ("retry_budget", args.retry_budget),
-                               ("checkpoint", args.checkpoint)):
-                if value is not None:
-                    kwargs[key] = value
-        if name in _VERIFIABLE:
-            if args.verify is not None:
-                kwargs["verify"] = args.verify
-            if args.diagnostics is not None:
-                kwargs["diagnostics"] = args.diagnostics
-        # no flags -> exactly one positional arg (the dispatch contract)
+        for dest in given:
+            if dest in _ACCEPTS[name]:
+                kwargs[dest] = getattr(args, dest)
+            else:
+                print(f"note: {_flag(dest)} has no effect on {name!r}")
         try:
-            out = (_COMMANDS[name](args.quick, **kwargs) if kwargs
-                   else _COMMANDS[name](args.quick))
+            out = _COMMANDS[name](args.quick, **kwargs)
         except SweepInterrupted as exc:
             print(f"\n{name}: {exc.resume_hint()}", file=sys.stderr)
             return 130

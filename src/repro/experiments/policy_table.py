@@ -147,7 +147,7 @@ def run_policy_table(
         for policy, oracle in _policies(config, break_even):
             tasks.append((config, trace, policy, oracle))
             labels.append((trace_name, _policy_label(policy, break_even, config)))
-    reports = get_executor(config.n_jobs).map(_simulate_cell, tasks)
+    reports = get_executor(config.n_jobs).submit_all(_simulate_cell, tasks).get()
 
     rows: List[PolicyTableRow] = []
     base_power = 0.0

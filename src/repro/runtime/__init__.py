@@ -16,7 +16,7 @@ array ops and shards the resulting work units across processes:
   journal and interrupt handling, the always-on invariant pass,
   sampled shadow verification, and per-cell regrouping in seed order;
 - :class:`SweepRunner` — the unified multi-seed entry point
-  (``run_many(spec, seeds, batch_size, n_jobs)``) every slotted
+  (``SweepRunner(batch_size, n_jobs).run_many(spec, seeds)``) every slotted
   experiment routes through; seed chunks narrower than a measured
   crossover run on the scalar stack instead of the batched engine;
 - :class:`GridRunner` — grid-product scenario sweeps

@@ -297,7 +297,6 @@ def run_chunks_checkpointed(
     execution: Dict[str, Any] = {
         "resumed_chunks": len(done),
         "computed_chunks": len(todo),
-        "resilience_events": list(pending.events),
     }
     if checkpoint is not None:
         execution["checkpoint"] = str(checkpoint)

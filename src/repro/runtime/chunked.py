@@ -171,17 +171,14 @@ class ChunkedRunner:
         self.diagnostics_dir = diagnostics_dir
 
     def _sweep(self, kind: str, plan: SweepPlan,
-               n_jobs: Optional[int] = None,
                execute: Optional[Callable[..., Tuple]] = None,
                **span: Any) -> Tuple[List[List[Any]], Dict[str, Any]]:
         """Run ``plan``: ``(per-cell result lists, execution block)``.
 
-        ``n_jobs`` overrides the runner's setting for this run;
         ``execute(plan, tasks, n_jobs) -> (chunk outputs, execution)``
         replaces the checkpointed executor step.
         """
-        requested = self.n_jobs if n_jobs is None else positive("n_jobs",
-                                                                n_jobs)
+        requested = self.n_jobs
         tasks = plan.tasks()
         if plan.serial_reason is not None and requested > 1:
             n_jobs, decision = 1, plan.serial_reason
@@ -202,7 +199,7 @@ class ChunkedRunner:
                                 n_jobs=requested, **span):
                 for name in plan.counters:
                     TELEMETRY.inc(name)
-                outputs, resilience = (execute or self._execute)(
+                outputs, executed = (execute or self._execute)(
                     plan, tasks, n_jobs)
                 shares = _cell_results(plan, tasks, outputs)
                 # every chunk is in (and journaled) from here on
@@ -212,7 +209,7 @@ class ChunkedRunner:
                     if self.verify_fraction > 0.0 and plan.reference:
                         execution["verification"] = self._verify(
                             plan, spec_key, tasks, shares)
-        execution.update(resilience, metrics=metrics.snapshot())
+        execution.update(executed, metrics=metrics.snapshot())
         per_cell: List[List[Any]] = [[] for _ in plan.cells]
         for per_task in shares:
             for c, _, results in per_task:

@@ -9,8 +9,8 @@ supplies the executor abstraction that ships those units out:
 - :class:`SerialExecutor` — in-process loop; the ``n_jobs = 1`` path and
   the reference semantics;
 - :class:`MultiprocessExecutor` — a stdlib :mod:`multiprocessing` pool of
-  ``n_jobs`` workers; ``map`` preserves task order, so callers reassemble
-  results in seed order for free.
+  ``n_jobs`` workers; ``submit_all(...).get()`` preserves task order, so
+  callers reassemble results in seed order for free.
 
 Work functions must be module-level (picklable by reference) and their
 arguments/results picklable by value — every runtime work unit
@@ -152,7 +152,7 @@ class AsyncTasks:
     e.g. ``os._exit``) is rerun in-process immediately, and the pool is
     torn down with ``terminate`` afterwards since a hung or dead worker
     slot cannot be reclaimed.  Every decision is recorded in
-    :attr:`events` for the caller's execution metadata; if even the
+    :attr:`events` (and counted by telemetry); if even the
     in-process rerun fails, :class:`ChunkExecutionError` surfaces with
     the failing chunk's index/spec and all completed results attached.
     """
@@ -300,11 +300,6 @@ class SerialExecutor:
 
     n_jobs = 1
 
-    def map(self, fn: Callable[..., Any],
-            tasks: Sequence[Tuple]) -> List[Any]:
-        """``[fn(*task) for task in tasks]`` — order-preserving."""
-        return [fn(*task) for task in tasks]
-
     def submit_all(
         self,
         fn: Callable[..., Any],
@@ -352,15 +347,6 @@ class MultiprocessExecutor:
     def _pool(self, n_tasks: int):
         ctx = get_context(self._start_method)
         return ctx.Pool(processes=min(self.n_jobs, n_tasks))
-
-    def map(self, fn: Callable[..., Any],
-            tasks: Sequence[Tuple]) -> List[Any]:
-        """Order-preserving parallel ``starmap`` over the worker pool."""
-        tasks = list(tasks)
-        if len(tasks) <= 1 or self.n_jobs == 1:
-            return [fn(*task) for task in tasks]
-        with self._pool(len(tasks)) as pool:
-            return pool.starmap(fn, tasks)
 
     def submit_all(
         self,

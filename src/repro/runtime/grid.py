@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI
@@ -245,8 +245,7 @@ class GridRunner(ChunkedRunner):
     def __init__(self, batch_size: int = 32, n_jobs: int = 1) -> None:
         self._configure("batch_size", batch_size, n_jobs)
 
-    def run(self, grid: GridSpec, seeds: Sequence[int],
-            n_jobs: Optional[int] = None) -> GridResult:
+    def run(self, grid: GridSpec, seeds: Sequence[int]) -> GridResult:
         """Run every grid cell for every seed; bit-identical for any
         ``(batch_size, n_jobs)`` combination."""
         seeds = [int(s) for s in seeds]
@@ -256,7 +255,7 @@ class GridRunner(ChunkedRunner):
         plan = slotted_plan(grid, [c.spec for c in cells], seeds,
                             self.batch_size)
         per_cell, execution = self._sweep(
-            "grid", plan, n_jobs, n_cells=len(cells), n_seeds=len(seeds),
+            "grid", plan, n_cells=len(cells), n_seeds=len(seeds),
             batch_size=self.batch_size,
         )
         return GridResult(grid=grid, seeds=seeds, execution=execution, cells=[

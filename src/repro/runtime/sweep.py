@@ -49,7 +49,7 @@ from ..mdp import DeterministicPolicy
 from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
 from .batched_qdpm import BatchedQDPM, BatchRunHistory, run_lockstep
-from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, one_cell, positive
+from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, one_cell
 from .executor import get_executor, is_picklable
 from .telemetry import TELEMETRY
 from .verify import check_seed_run, sweep_interrupts
@@ -530,8 +530,6 @@ class SweepRunner(ChunkedRunner):
         self,
         spec: RolloutSpec,
         seeds: Sequence[int],
-        batch_size: Optional[int] = None,
-        n_jobs: Optional[int] = None,
         on_record: Optional[Callable[[int, Driver, Sequence[int]], None]] = None,
         on_chunk_done: Optional[Callable[[Driver, Sequence[int]], None]] = None,
         controller_factory: Optional[Callable[[int], object]] = None,
@@ -559,8 +557,6 @@ class SweepRunner(ChunkedRunner):
         seeds = [int(s) for s in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
-        chunk = positive("batch_size",
-                         self.batch_size if batch_size is None else batch_size)
         hooked = on_record is not None or on_chunk_done is not None
         if self.checkpoint is not None and (
                 hooked or controller_factory is not None):
@@ -581,12 +577,12 @@ class SweepRunner(ChunkedRunner):
                                else "unpicklable_factory"),
             )
         else:
-            plan = slotted_plan(spec, [spec], seeds, chunk)
+            plan = slotted_plan(spec, [spec], seeds, self.batch_size)
             if hooked:
                 execute = partial(self._run_hooked, on_record=on_record,
                                   on_chunk_done=on_chunk_done)
         (runs,), execution = self._sweep(
-            "slotted", plan, n_jobs, execute,
+            "slotted", plan, execute,
             n_seeds=len(seeds), batch_size=plan.chunk_size,
         )
         return SweepResult(spec=spec, runs=runs, execution=execution)
@@ -626,4 +622,4 @@ class SweepRunner(ChunkedRunner):
             outputs.extend(pending.get())
         if reporter is not None:
             reporter.finish()
-        return outputs, {"resilience_events": list(pending.events)}
+        return outputs, {}

@@ -41,9 +41,9 @@ records into:
 The executor's resilience decisions (retry/timeout/degrade) are recorded
 through :meth:`Telemetry.resilience_event`, which is the *single* event
 system: it bumps the matching metric counter, records an instant trace
-event, and returns the payload dict that the legacy
-``execution["resilience_events"]`` lists keep exposing as a
-compatibility view.
+event, and returns the payload dict that lands in
+:attr:`~repro.runtime.executor.AsyncTasks.events` and
+:attr:`~repro.runtime.executor.ChunkExecutionError.events`.
 
 Everything hangs off the module-level :data:`TELEMETRY` singleton so the
 instrumentation points stay one attribute access away from a no-op when
@@ -508,8 +508,8 @@ class Telemetry:
 
         The single event system behind the retry/timeout/degrade ladder:
         bumps the matching metric counter, records an instant trace
-        event, and hands the payload back for the legacy
-        ``execution["resilience_events"]`` compatibility view.
+        event, and hands the payload back for the executor's event log
+        (``AsyncTasks.events`` / ``ChunkExecutionError.events``).
         """
         action = payload.get("action", "event")
         metric = _EVENT_METRICS.get(action)

@@ -77,13 +77,15 @@ class TestExecutorPrimitives:
         with pytest.raises(ValueError):
             get_executor(bad)
 
-    def test_serial_map_preserves_order(self):
+    def test_serial_submit_all_preserves_order(self):
         tasks = [(i,) for i in range(7)]
-        assert SerialExecutor().map(_square, tasks) == [i * i for i in range(7)]
+        assert SerialExecutor().submit_all(_square, tasks).get() == [
+            i * i for i in range(7)
+        ]
 
-    def test_multiprocess_map_preserves_order(self):
+    def test_multiprocess_submit_all_preserves_order(self):
         tasks = [(i,) for i in range(9)]
-        assert MultiprocessExecutor(3).map(_square, tasks) == [
+        assert MultiprocessExecutor(3).submit_all(_square, tasks).get() == [
             i * i for i in range(9)
         ]
 
@@ -188,13 +190,6 @@ class TestShardedDeterminism:
         )
         _assert_identical(serial, result)
 
-    def test_run_many_n_jobs_override(self, spec):
-        seeds = [1, 2, 3, 4]
-        base = SweepRunner(batch_size=2, n_jobs=1)
-        a = base.run_many(spec, seeds)
-        b = base.run_many(spec, seeds, n_jobs=4)
-        _assert_identical(a, b)
-
 
 class TestCallbackSemantics:
     def test_hooks_fire_for_lead_chunk_only_when_sharded(self, spec):
@@ -245,7 +240,3 @@ class TestValidation:
         runner = SweepRunner()
         with pytest.raises(ValueError):
             runner.run_many(spec, seeds=[])
-        with pytest.raises(ValueError):
-            runner.run_many(spec, seeds=[1], batch_size=0)
-        with pytest.raises(ValueError):
-            runner.run_many(spec, seeds=[1], n_jobs=0)

@@ -11,8 +11,8 @@ The load-bearing contracts:
   chunking/jobs-invariant; timing metrics are recorded but never
   asserted on;
 - the executor's resilience events flow through telemetry (counters +
-  instant trace events) while the legacy ``resilience_events`` /
-  ``ChunkExecutionError.events`` views keep their old shape;
+  instant trace events) while ``AsyncTasks.events`` /
+  ``ChunkExecutionError.events`` keep their shape;
 - progress/summary output goes to stderr, plain off-TTY, no ANSI under
   ``NO_COLOR``.
 """
