@@ -57,8 +57,8 @@ SPEEDUP_BARS = {
         "fleet_kernel": 5.0,
         "queue_aware_routing": 5.0,
         # the scalar failure-aware reference now precomputes its
-        # arrival-instant masks through the same vectorized down_mask
-        # sweep as the fast path (PR 10), so the remaining gap is the
+        # arrival-instant masks through the same vectorized interval
+        # lookup as the fast path, so the remaining gap is the
         # dense-backlog epoch advance: ~2x measured, 1.5x asserted
         "fault_tolerant_routing": 1.5,
         "overload_resilience": 1.3,

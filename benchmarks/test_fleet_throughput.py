@@ -8,17 +8,17 @@ The tentpole claims of the fleet subsystem, measured at N=64 replicas:
   dispatcher (scalar routing loop + one
   :class:`~repro.sim.DPMSimulator` event loop per device).
 - ``queue_aware_routing`` — the epoch-advance ``route_step_batch``
-  path (dense backlog arrays + a shared completion heap) assigns
-  requests >= 5x faster than the scalar per-request reference loop for
-  ``jsq`` (the ``power_aware`` rate is recorded alongside; its dense
-  mask arithmetic per epoch leaves less headroom).
+  path (a shared completion heap + a scan over per-device Python
+  lists) assigns requests >= 5x faster than the scalar per-request
+  reference loop for ``jsq`` (the ``power_aware`` rate is recorded
+  alongside, not asserted).
 - ``fault_tolerant_routing`` — failover-only dispatch (seeded fault
   schedule + failover retries) through the fault-aware routing loop
   over the heap-settled dense backlog routes >= 1.5x faster than the
   same loop over the list-walking reference backlog, with
   bit-identical assignments/retries/dispatch times.  Both share the
-  loop and the whole-trace ``down_mask`` sweep, so only the backlog
-  separates the paths.
+  loop and the whole-trace ``severity_rows`` lookup, so only the
+  backlog separates the paths.
 - ``overload_resilience`` — the full graceful-degradation stack
   (brownout-capable faults, circuit breakers, a fleet-wide retry
   budget, deadline-aware shedding) on the same loop: dense backlog

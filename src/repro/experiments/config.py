@@ -209,9 +209,9 @@ class FleetConfig:
     stream replications per cell fan across ``n_jobs`` worker processes
     in chunks of ``chunk_size`` and aggregate to mean +- bootstrap CI.
     Stateless routers partition the stream with NumPy ops, queue-aware
-    routers (jsq, power_aware) advance dense backlog arrays one arrival
-    per round (``route_step_batch``), and every sub-trace rides the
-    vectorized busy-period kernel.
+    routers (jsq, power_aware) advance their per-device backlog one
+    arrival per round on Python scalars (``route_step_batch``), and
+    every sub-trace rides the vectorized busy-period kernel.
 
     ``mtbf`` switches on fault injection: each device fails and repairs
     on its own seeded exponential renewal process

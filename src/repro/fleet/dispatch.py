@@ -20,13 +20,12 @@ pinned bit-identical against that loop:
 - **Queue-aware** routers (:class:`JoinShortestQueueRouter`,
   :class:`PowerAwareRouter`) depend on the evolving per-device backlog,
   so they cannot decide all requests at once — but they *can* advance
-  the whole fleet one routing epoch (one arrival) per round over dense
-  per-device arrays.  :meth:`Router.route_step_batch` is that path,
-  the routing analogue of the lock-step
-  :func:`~repro.runtime.eventsim.run_step_batched` engine: settling
-  pops a single completion heap (amortized one pop per request instead
-  of an O(N) per-device walk), and each epoch's choice is a handful of
-  whole-fleet array ops.
+  the whole fleet one routing epoch (one arrival) per round.
+  :meth:`Router.route_step_batch` is that path: settling pops a single
+  completion heap (amortized one pop per request instead of an O(N)
+  per-device walk), and each epoch's choice is a scan over per-device
+  Python lists — at fleet sizes of 2-64, NumPy's per-call overhead
+  would cost more than the scan.
 
 Under faults or overload protection every router goes through one
 per-request loop, :func:`route_with_overload`: failover retries,
@@ -126,10 +125,11 @@ class Router(ABC):
 
         Second opt-in fast path, mirroring
         :meth:`~repro.sim.policy_api.EventPolicy.decide_step_batch`: a
-        queue-aware router advances dense per-device backlog arrays one
-        routing epoch (one arrival) per round, so each request costs a
-        few whole-fleet array ops instead of an O(N) Python walk over
-        the devices.  It must reproduce :meth:`route` bit-for-bit
+        queue-aware router advances its per-device backlog one routing
+        epoch (one arrival) per round, settling from one shared
+        completion heap and deciding with a scan over Python lists
+        instead of the reference loop's per-device settle walk and
+        backlog arrays.  It must reproduce :meth:`route` bit-for-bit
         (pinned in tests/test_fleet_dispatch.py).  Consulted by the
         dispatcher only after :meth:`route_batch` declined.
         """
@@ -225,9 +225,6 @@ class RandomRouter(Router):
         return int(live[int(ctx.rng.integers(0, live.size))])
 
 
-#: queue length that ranks a masked-out device last in an argmin
-_NO_ROOM = np.iinfo(np.int64).max
-
 #: settled-prefix length past which :class:`_BacklogTracker` compacts a
 #: device's completion list (once the prefix also spans at least half
 #: the list, so each compaction frees >= half and stays amortized O(1))
@@ -313,6 +310,22 @@ class _DenseBacklog:
         heapq.heappush(self._heap, (done, d))
 
 
+def _shortest_live(queue_len: List[int], live: List[bool]) -> int:
+    """Index of the shortest queue among live devices, on Python ints.
+
+    Strict ``<`` keeps the lowest index on ties, and an all-dead mask
+    gives 0 — both as NumPy's argmin over queue lengths with dead
+    devices set to a sentinel maximum.
+    """
+    choice = 0
+    best = -1
+    for d, (q, ok) in enumerate(zip(queue_len, live)):
+        if ok and (best < 0 or q < best):
+            choice = d
+            best = q
+    return choice
+
+
 class JoinShortestQueueRouter(Router):
     """Send each request to the device with the fewest pending requests.
 
@@ -357,8 +370,7 @@ class JoinShortestQueueRouter(Router):
                    alive=None) -> int:
         if alive is None:
             return int(queue_len.argmin())
-        masked = np.where(alive, queue_len, _NO_ROOM)
-        return int(np.argmin(masked))
+        return _shortest_live(queue_len.tolist(), alive.tolist())
 
 
 class PowerAwareRouter(Router):
@@ -383,10 +395,10 @@ class PowerAwareRouter(Router):
         awake_window: Optional[float] = None,
         max_queue: int = 4,
     ) -> None:
-        if awake_window is not None and awake_window < 0:
+        # the step path relies on ``window >= 0``, which NaN fails
+        if awake_window is not None and not awake_window >= 0:
             raise ValueError(f"awake_window must be >= 0, got {awake_window}")
-        if int(max_queue) < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        _check_count("max_queue", max_queue, 1)
         self._awake_window = awake_window
         self._max_queue = int(max_queue)
 
@@ -399,38 +411,63 @@ class PowerAwareRouter(Router):
         )
 
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
+        # inlined _DenseBacklog on Python lists (as in jsq), and the
+        # decide_one tree as one scan per branch: strict < / > keep the
+        # lowest index on ties, as NumPy's argmin / argmax do
         window = self.resolve_window(ctx.device)
         max_queue = self._max_queue
+        devices = range(ctx.n_devices)
         n = int(ctx.arrivals.size)
-        out = np.empty(n, dtype=np.int64)
-        backlog = _DenseBacklog(ctx.n_devices)
-        queue_len = backlog.queue_len
-        last_completion = backlog.last_completion
-        settle = backlog.settle
-        assign = backlog.assign
-        full = np.iinfo(np.int64).max
+        heap: List[Tuple[float, int]] = []
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        qlen = [0] * ctx.n_devices
+        last = [0.0] * ctx.n_devices
+        out = [0] * n
         arrivals = ctx.arrivals.tolist()
         demands = ctx.demands.tolist()
         for i in range(n):
             now = arrivals[i]
-            settle(now)
-            # provably equal to the scalar reference's
-            # ``(queue_len > 0) | (now - last_completion < window)``:
-            # queue_len > 0 implies an unsettled completion strictly past
-            # ``now``, hence last_completion > now, hence (IEEE: x - y == 0
-            # iff x == y) now - last_completion < 0 <= window already
-            awake = now - last_completion < window
-            room = awake & (queue_len < max_queue)
-            if room.any():
-                choice = int(np.argmin(np.where(room, queue_len, full)))
-            elif not awake.all():
-                recency = np.where(~awake, last_completion, -np.inf)
-                choice = int(np.argmax(recency))
-            else:
-                choice = int(np.argmin(queue_len))
-            assign(choice, now, demands[i])
+            while heap and heap[0][0] <= now:
+                qlen[heappop(heap)[1]] -= 1
+            # shortest awake queue with room; ``q < best`` from
+            # max_queue is the room test and the argmin in one.  Awake
+            # is ``now - last < window`` alone, provably equal to
+            # decide_one's ``q > 0 or now - lc < window``: q > 0 implies
+            # an unsettled completion strictly past ``now``, hence
+            # last > now, hence (IEEE: x - y == 0 iff x == y)
+            # now - last < 0 <= window already (NaN windows are rejected)
+            choice = -1
+            best = max_queue
+            for d in devices:
+                q = qlen[d]
+                if q < best and now - last[d] < window:
+                    choice = d
+                    best = q
+            if choice < 0:
+                # wake the most recently used sleeping device
+                recent = -math.inf
+                for d in devices:
+                    lc = last[d]
+                    if lc > recent and not now - lc < window:
+                        choice = d
+                        recent = lc
+                if choice < 0:
+                    # every device awake and full: shortest queue
+                    choice = 0
+                    best = qlen[0]
+                    for d in devices:
+                        if qlen[d] < best:
+                            choice = d
+                            best = qlen[d]
+            lc = last[choice]
+            start = lc if lc > now else now  # == max(now, lc)
+            done = start + demands[i]
+            last[choice] = done
+            qlen[choice] += 1
+            heappush(heap, (done, choice))
             out[i] = choice
-        return out
+        return np.asarray(out, dtype=np.int64)
 
     def begin_route(self, ctx: RouteContext) -> dict:
         return {"window": self.resolve_window(ctx.device)}
@@ -438,23 +475,34 @@ class PowerAwareRouter(Router):
     def decide_one(self, state, queue_len, last_completion, now, ctx,
                    alive=None) -> int:
         # the class docstring's decision tree with every eligibility
-        # test ANDed against the mask; with alive=None (or all-True)
-        # each branch reduces to the unmasked tree route_step_batch
-        # inlines, so choices — and tie-breaks — match it exactly
+        # test ANDed against the mask, on Python values; with alive=None
+        # (or all-True) each branch reduces to the unmasked tree
+        # route_step_batch inlines, so choices — and tie-breaks — match
+        # it exactly
         window = state["window"]
-        awake = (queue_len > 0) | (now - last_completion < window)
-        eligible = alive if alive is not None else np.ones(
-            ctx.n_devices, dtype=bool
-        )
-        room = awake & eligible & (queue_len < self._max_queue)
-        if room.any():
-            return int(np.argmin(np.where(room, queue_len, _NO_ROOM)))
-        sleeping = ~awake & eligible
-        if sleeping.any():
-            # wake the most recently used sleeping (live) device
-            return int(np.argmax(np.where(sleeping, last_completion, -np.inf)))
+        qs = queue_len.tolist()
+        lcs = last_completion.tolist()
+        devices = range(len(qs))
+        eligible = [True] * len(qs) if alive is None else alive.tolist()
+        awake = [q > 0 or now - lc < window for q, lc in zip(qs, lcs)]
+        choice = -1
+        best = self._max_queue  # room test and argmin in one compare
+        for d in devices:
+            if qs[d] < best and awake[d] and eligible[d]:
+                choice = d
+                best = qs[d]
+        if choice >= 0:
+            return choice
+        # wake the most recently used sleeping (live) device
+        recent = -math.inf
+        for d in devices:
+            if lcs[d] > recent and not awake[d] and eligible[d]:
+                choice = d
+                recent = lcs[d]
+        if choice >= 0:
+            return choice
         # every live device awake and full: plain shortest live queue
-        return int(np.argmin(np.where(eligible, queue_len, _NO_ROOM)))
+        return _shortest_live(qs, eligible)
 
 
 #: registry used by the sweep layer and the CLI ``--router`` flag
@@ -677,7 +725,7 @@ class OverloadConfig:
             )
 
 
-#: breaker states (int8 codes in :class:`_BreakerFleet`)
+#: breaker states (per-device codes in :class:`_BreakerFleet`)
 _BRK_CLOSED, _BRK_OPEN, _BRK_HALF_OPEN = 0, 1, 2
 
 
@@ -687,7 +735,9 @@ class _BreakerFleet:
     Fed the (choice, instant, wait) sequence of every dispatch attempt.
     With ``config=None`` every method is a no-op and
     :meth:`routing_mask` returns None — the disabled path adds nothing
-    to the failover semantics.
+    to the failover semantics.  Per-device state lives in Python lists:
+    the loop touches one device per call, and a NumPy mask is built
+    only while some breaker is open.
     """
 
     def __init__(self, n_devices: int, config: Optional[BreakerConfig]):
@@ -695,11 +745,11 @@ class _BreakerFleet:
         self.trips = 0
         if config is None:
             return
-        self.state = np.zeros(n_devices, dtype=np.int8)
+        self.state = [_BRK_CLOSED] * n_devices
         self.n_open = 0  # breakers in state open
-        self.failures = np.zeros(n_devices, dtype=np.int64)
-        self.successes = np.zeros(n_devices, dtype=np.int64)
-        self.opened_at = np.zeros(n_devices)
+        self.failures = [0] * n_devices
+        self.successes = [0] * n_devices
+        self.opened_at = [0.0] * n_devices
 
     def routing_mask(self, now: float) -> Optional[np.ndarray]:
         """Mask of breaker-admissible devices at ``now`` (True = route
@@ -709,25 +759,24 @@ class _BreakerFleet:
         consumption alike, so trips alone perturb routing."""
         if self.config is None or not self.n_open:
             return None
-        open_mask = self.state == _BRK_OPEN
-        ready = open_mask & (now - self.opened_at >= self.config.recovery_time)
-        if ready.any():
-            self.state[ready] = _BRK_HALF_OPEN
-            self.successes[ready] = 0
-            open_mask &= ~ready
-            self.n_open -= int(ready.sum())
-            if not self.n_open:
-                return None
-        mask = ~open_mask
-        if not mask.any():
-            return None  # whole fleet tripped: never black-hole it
-        return mask
+        state = self.state
+        recovery = self.config.recovery_time
+        for d, opened in enumerate(self.opened_at):
+            if state[d] == _BRK_OPEN and now - opened >= recovery:
+                state[d] = _BRK_HALF_OPEN
+                self.successes[d] = 0
+                self.n_open -= 1
+        if not self.n_open or self.n_open == len(state):
+            # none open any more, or the whole fleet tripped: never
+            # black-hole it
+            return None
+        return np.array([st != _BRK_OPEN for st in state])
 
     def record_failure(self, d: int, now: float) -> None:
         """A dispatch attempt on ``d`` failed (dead pick or timeout)."""
         if self.config is None:
             return
-        st = int(self.state[d])
+        st = self.state[d]
         if st == _BRK_HALF_OPEN:
             # failed reprobe: straight back to open
             self.state[d] = _BRK_OPEN
@@ -748,7 +797,7 @@ class _BreakerFleet:
         """A dispatch attempt on ``d`` booked within the threshold."""
         if self.config is None:
             return
-        st = int(self.state[d])
+        st = self.state[d]
         if st == _BRK_HALF_OPEN:
             self.successes[d] += 1
             if self.successes[d] >= self.config.half_open_successes:
@@ -939,10 +988,14 @@ def route_with_overload(
     of :class:`OverloadConfig` left at None is a no-op, so
     ``OverloadConfig(failover=...)`` is plain failover routing.
 
-    Arrival-instant live masks come from one whole-trace
-    :meth:`~repro.workload.FaultSchedule.down_mask` sweep; retry probes
-    use the exact :meth:`~repro.workload.FaultSchedule.alive_mask` point
-    query.  ``vectorized`` picks the backlog the loop runs over: the
+    A device is down exactly where its severity is infinite.
+    Arrival-instant severities come from one whole-trace
+    :meth:`~repro.workload.FaultSchedule.severity_rows` sweep; a retry
+    reads its choice's severity from the exact
+    :meth:`~repro.workload.FaultSchedule.severity_at` point query, and
+    ``next_best`` its live mask from
+    :meth:`~repro.workload.FaultSchedule.alive_mask`.
+    ``vectorized`` picks the backlog the loop runs over: the
     heap-settled :class:`_DenseBacklog`, or the list-walking
     :class:`_BacklogTracker` reference.  The two hold equal arrays after
     every operation, so the outcome does not depend on the choice.
@@ -953,6 +1006,8 @@ def route_with_overload(
             f"context has {ctx.n_devices}"
         )
     failover = config.failover
+    max_retries = failover.max_retries
+    resubmit = failover.policy == "resubmit"
     n = int(ctx.arrivals.size)
     backlog = (_DenseBacklog if vectorized else _BacklogTracker)(
         ctx.n_devices
@@ -963,25 +1018,33 @@ def route_with_overload(
     assign = backlog.assign
     state = router.begin_route(ctx)
     breaker = _BreakerFleet(ctx.n_devices, config.breaker)
-    budget = _RetryBudget(config.retry_budget)
+    routing_mask = breaker.routing_mask
+    record_failure = breaker.record_failure
+    record_outcome = breaker.record_outcome
+    take_token = _RetryBudget(config.retry_budget).take
     deadlines = (
         np.full(n, math.inf)
         if config.slo is None
         else ctx.arrivals + float(config.slo)
     )
-    assignments = np.empty(n, dtype=np.int64)
-    dispatch_times = np.empty(n)
-    retries = np.zeros(n, dtype=np.int64)
-    shed_reasons = np.zeros(n, dtype=np.int8)
-    completions = np.full(n, math.nan)
-    effective_demands = np.array(ctx.demands, dtype=np.float64, copy=True)
-    alive_rows = ~faults.down_mask(ctx.arrivals)
+    # first-attempt severities (inf = down) for the whole trace in one
+    # vectorized interval lookup, read as one Python float per request
+    # (kept as a (T, N) array: no T x N Python objects); retries use the
+    # point queries
+    first_severity = faults.severity_rows(ctx.arrivals).item
+    assignments = [0] * n
+    dispatch_times = [0.0] * n
+    retries = [0] * n
+    shed_reasons = [SHED_NONE] * n
+    completions = [math.nan] * n
 
     arrivals = ctx.arrivals.tolist()
     demands = ctx.demands.tolist()
+    effective_demands = list(demands)
     deadline_list = deadlines.tolist()
     decide = router.decide_one
     severity_at = faults.severity_at
+    alive_mask = faults.alive_mask
     for i in range(n):
         now = arrivals[i]
         t = now
@@ -989,17 +1052,17 @@ def route_with_overload(
         deadline = deadline_list[i]
         reason = SHED_NONE
         settle(t)
-        alive = alive_rows[i]
         choice = decide(
             state, queue_len, last_completion, t, ctx,
-            alive=breaker.routing_mask(t),
+            alive=routing_mask(t),
         )
-        while not alive[choice]:
-            breaker.record_failure(choice, t)
-            if k == failover.max_retries:
+        severity = first_severity(i, choice)
+        while severity == math.inf:  # the chosen device is down
+            record_failure(choice, t)
+            if k == max_retries:
                 choice = DROPPED_ASSIGNMENT
                 break
-            if not budget.take(t):
+            if not take_token(t):
                 choice = SHED_ASSIGNMENT
                 reason = SHED_BUDGET
                 break
@@ -1010,20 +1073,22 @@ def route_with_overload(
                 reason = SHED_DEADLINE
                 break
             settle(t)
-            alive = faults.alive_mask(t)
-            if failover.policy == "resubmit":
+            if resubmit:
                 choice = decide(
                     state, queue_len, last_completion, t, ctx,
-                    alive=breaker.routing_mask(t),
+                    alive=routing_mask(t),
                 )
-            elif alive.any():
-                choice = decide(
-                    state, queue_len, last_completion, t, ctx,
-                    alive=_routable(alive, breaker.routing_mask(t)),
-                )
-            # whole fleet down under next_best: hold the choice, back off
+            else:
+                alive = alive_mask(t)
+                if alive.any():
+                    choice = decide(
+                        state, queue_len, last_completion, t, ctx,
+                        alive=_routable(alive, routing_mask(t)),
+                    )
+                # whole fleet down: hold the choice, back off
+            severity = severity_at(choice, t)
         if choice >= 0:
-            demand = demands[i] * severity_at(choice, t)
+            demand = demands[i] * severity
             start = max(t, float(last_completion[choice]))
             done = start + demand
             if done > deadline:
@@ -1033,20 +1098,20 @@ def route_with_overload(
                 assign(choice, t, demand)
                 completions[i] = done
                 effective_demands[i] = demand
-                breaker.record_outcome(choice, t, start - t)
+                record_outcome(choice, t, start - t)
         assignments[i] = choice
         dispatch_times[i] = t
         retries[i] = k
         shed_reasons[i] = reason
     return OverloadOutcome(
         arrivals=ctx.arrivals,
-        assignments=assignments,
-        dispatch_times=dispatch_times,
-        retries=retries,
-        shed_reasons=shed_reasons,
+        assignments=np.array(assignments, dtype=np.int64),
+        dispatch_times=np.array(dispatch_times, dtype=np.float64),
+        retries=np.array(retries, dtype=np.int64),
+        shed_reasons=np.array(shed_reasons, dtype=np.int8),
         deadlines=deadlines,
-        completions=completions,
-        effective_demands=effective_demands,
+        completions=np.array(completions, dtype=np.float64),
+        effective_demands=np.array(effective_demands, dtype=np.float64),
         n_breaker_trips=breaker.trips,
     )
 

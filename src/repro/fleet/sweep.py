@@ -51,9 +51,9 @@ from .report import FleetReport
 SCALAR_ROUTE_SECONDS_PER_REQUEST = 2e-5
 
 #: rough wall seconds per request for queue-aware routers on the
-#: epoch-advance ``route_step_batch`` path (dense backlog arrays + a
-#: shared completion heap; still one Python round per arrival, hence
-#: not free like the closed-form ``route_batch`` routers)
+#: epoch-advance ``route_step_batch`` path (a shared completion heap and
+#: a scan over per-device Python lists; still one Python round per
+#: arrival, hence not free like the closed-form ``route_batch`` routers)
 STEP_ROUTE_SECONDS_PER_REQUEST = 5e-6
 
 

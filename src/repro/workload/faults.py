@@ -34,7 +34,8 @@ interval costs ``severity ×`` its nominal service demand — thermal
 throttling or contention rather than a crash.  Fail-stop queries
 (``is_down`` / ``alive_mask`` / ``down_mask`` / ``transitions``) see
 only infinite-severity intervals; :meth:`FaultSchedule.severity_at`
-exposes the demand multiplier (1.0 outside any interval).
+exposes the demand multiplier (1.0 outside any interval), and
+:meth:`FaultSchedule.severity_rows` the same for a whole time array.
 """
 
 from __future__ import annotations
@@ -169,14 +170,13 @@ class FaultSchedule:
         alive[self._outage_devices[hit]] = False
         return alive
 
-    def down_mask(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_down` over a time array: boolean
-        ``(T, n_devices)`` where ``[k, d]`` is True iff device ``d`` is
-        fail-stop down at ``times[k]``.  One searchsorted per device
-        instead of one Python interval lookup per (time, device) pair;
-        ``down_mask(t)[k] == ~alive_mask(times[k])`` bit for bit."""
+    def severity_rows(self, times: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`severity_at` over a time array: float
+        ``(T, n_devices)`` where ``[k, d] == severity_at(d, times[k])``
+        bit for bit.  One searchsorted per device instead of one Python
+        interval lookup per (time, device) pair."""
         times = np.asarray(times, dtype=np.float64)
-        out = np.zeros((times.size, self.n_devices), dtype=bool)
+        out = np.ones((times.size, self.n_devices))
         for d in range(self.n_devices):
             starts = self._starts[d]
             if starts.size == 0:
@@ -185,9 +185,16 @@ class FaultSchedule:
             inside = idx >= 0
             safe = np.where(inside, idx, 0)
             inside &= times < self._ends[d][safe]
-            inside &= np.isinf(self._sevs[d][safe])
-            out[:, d] = inside
+            out[:, d] = np.where(inside, self._sevs[d][safe], 1.0)
         return out
+
+    def down_mask(self, times: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`is_down` over a time array: boolean
+        ``(T, n_devices)`` where ``[k, d]`` is True iff device ``d`` is
+        fail-stop down at ``times[k]`` — an infinite
+        :meth:`severity_rows` entry; ``down_mask(t)[k] ==
+        ~alive_mask(times[k])`` bit for bit."""
+        return np.isinf(self.severity_rows(times))
 
     @property
     def has_brownouts(self) -> bool:

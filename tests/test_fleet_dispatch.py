@@ -4,10 +4,10 @@ The fleet mirrors the repo's stateless/stateful split: stateless routers
 must be bit-identical between their scalar reference loop (``route``,
 ``decide_one`` over the list-walking backlog) and the closed-form
 ``route_batch`` path, queue-aware routers must be bit-identical between
-the scalar loop and the epoch-advance ``route_step_batch`` path (dense
-backlog arrays, one arrival per round), the two backlog structures must
-agree after every operation, and the dispatcher must partition traces
-without losing requests, demands, or window duration.
+the scalar loop and the epoch-advance ``route_step_batch`` path (a
+shared completion heap, one arrival per round), the two backlog
+structures must agree after every operation, and the dispatcher must
+partition traces without losing requests, demands, or window duration.
 """
 
 from __future__ import annotations
@@ -368,6 +368,22 @@ class TestPowerAware:
             PowerAwareRouter(awake_window=-1.0)
         with pytest.raises(ValueError):
             PowerAwareRouter(max_queue=0)
+
+    def test_nan_window_rejected(self):
+        """A NaN window passes a ``< 0`` check but breaks the step
+        path's ``window >= 0`` premise (it drops the busy term of the
+        awake test), so the fast and scalar paths would disagree."""
+        with pytest.raises(ValueError, match="awake_window"):
+            PowerAwareRouter(awake_window=float("nan"))
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    def test_fractional_max_queue_rejected(self, bad):
+        """A fractional cap used to be floored silently (2.5 -> 2)."""
+        with pytest.raises(ValueError, match="max_queue"):
+            PowerAwareRouter(max_queue=bad)
+
+    def test_whole_float_max_queue_accepted(self):
+        assert PowerAwareRouter(max_queue=2.0)._max_queue == 2
 
 
 class TestDispatcher:

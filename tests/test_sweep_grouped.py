@@ -388,14 +388,16 @@ class TestGroupedCostModel:
 
 
 class TestOverloadPathFires:
-    def test_ci_overload_config_sheds_retries_drops_and_trips(self):
-        """The CI smoke line ``fleet-sweep --quick --devices 2 --router
-        jsq --mtbf 120 --mttr 15 --slo 30 --breaker 3 --retry-budget 16``
-        through the runner: every overload counter must move, so the
-        multi-policy chunk under active overload cannot go idle."""
+    @pytest.mark.parametrize("router", ["jsq", "power_aware"])
+    def test_ci_overload_config_sheds_retries_drops_and_trips(self, router):
+        """The CI smoke lines ``fleet-sweep --quick --devices 2 --router
+        {jsq,power_aware} --mtbf 120 --mttr 15 --slo 30 --breaker 3
+        --retry-budget 16`` through the runner: every overload counter
+        must move, so the multi-policy chunk under active overload
+        cannot go idle."""
         config = dataclasses.replace(
             FleetConfig(), duration=500.0, n_traces=4, fleet_sizes=(2,),
-            routers=("jsq",), mtbf=120.0, mttr=15.0, slo=30.0, breaker=3,
+            routers=(router,), mtbf=120.0, mttr=15.0, slo=30.0, breaker=3,
             retry_budget=16.0,
         )
         spec = build_fleet_sweep_spec(config)

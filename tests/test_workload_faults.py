@@ -9,8 +9,12 @@ for bit at every query instant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import (
     FaultProcess,
@@ -192,6 +196,81 @@ class TestDownMaskVectorized:
             for i, t in enumerate(times):
                 for d in range(3):
                     assert mask[i, d] == sched.is_down(d, float(t))
+
+
+class TestSeverityRows:
+    """``severity_rows(times)`` is the whole-trace first-attempt lookup
+    of the fault-aware routing loop: every entry must equal the
+    ``severity_at`` point query bit for bit, and ``down_mask`` must be
+    exactly its infinite entries."""
+
+    @staticmethod
+    def assert_matches_point_queries(sched, times):
+        rows = sched.severity_rows(times)
+        assert rows.shape == (times.size, sched.n_devices)
+        assert rows.dtype == np.float64
+        for k, t in enumerate(times.tolist()):
+            for d in range(sched.n_devices):
+                want = np.float64(sched.severity_at(d, t))
+                assert rows[k, d].tobytes() == want.tobytes(), (t, d)
+        assert np.array_equal(sched.down_mask(times), np.isinf(rows))
+
+    def test_adjacent_intervals_and_exact_boundaries(self):
+        # device 0: fail-stop then brownout then fail-stop, each ending
+        # exactly where the next starts; device 1 has no intervals;
+        # device 2 a brownout touching the horizon's end
+        sched = FaultSchedule(
+            [[(1.0, 2.0), (2.0, 3.0, 2.5), (3.0, 4.0)], [],
+             [(0.0, 1.0, 1.0), (6.0, 10.0, 4.0)]],
+            horizon=10.0,
+        )
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0]
+        times = np.array(sorted(
+            edges
+            + [np.nextafter(e, -np.inf) for e in edges]
+            + [np.nextafter(e, np.inf) for e in edges]
+            + [-1.0, 5.0, 11.0]
+        ))
+        self.assert_matches_point_queries(sched, times)
+        rows = sched.severity_rows(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert rows[:, 0].tolist() == [np.inf, 2.5, np.inf, 1.0]
+        assert rows[:, 1].tolist() == [1.0] * 4
+
+    def test_empty_times_and_fleet_without_faults(self):
+        assert FaultSchedule([[(1.0, 2.0)], []], 10.0).severity_rows(
+            np.array([])).shape == (0, 2)
+        rows = no_faults(3, 10.0).severity_rows(np.array([0.0, 5.0]))
+        assert rows.tolist() == [[1.0] * 3] * 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spans=st.lists(
+            st.lists(
+                st.tuples(st.integers(1, 4),
+                          st.sampled_from([math.inf, 1.0, 1.5, 3.0])),
+                max_size=5,
+            ),
+            min_size=1, max_size=3,
+        ),
+        gaps=st.lists(st.integers(0, 2), min_size=15, max_size=15),
+        ticks=st.lists(st.integers(-2, 82), max_size=30),
+    )
+    def test_random_schedules_match_point_queries(self, spans, gaps, ticks):
+        """Intervals on a quarter-second grid, often exactly adjacent
+        (gap 0), queried on the same grid: every start and end is hit."""
+        intervals = []
+        gap = iter(gaps)
+        for device_spans in spans:
+            t = 0
+            device = []
+            for length, sev in device_spans:
+                t += next(gap)
+                device.append((t * 0.25, (t + length) * 0.25, sev))
+                t += length
+            intervals.append(device)
+        sched = FaultSchedule(intervals, horizon=20.0)
+        times = np.array(ticks, dtype=np.float64) * 0.25
+        self.assert_matches_point_queries(sched, times)
 
 
 class TestTransitionsAvailabilityOracle:
