@@ -21,9 +21,9 @@ Two engines, mirroring the repo's batched/scalar split:
 - ``engine="auto"`` — :func:`run_fleet_batch` on the one trace: the
   vectorized routing paths (:func:`route_fleet_batch`), then one
   :func:`~repro.runtime.eventsim.simulate_traces_batch` call on the
-  per-device sub-traces (:func:`evaluate_fleet_batch`) — the per-trace
-  busy-period kernel for stateless policies, the lock-step
-  cross-replication engine over all sub-traces at once for stateful
+  per-device sub-traces (:func:`evaluate_fleet_batch`) — the
+  busy-period kernel over all gaps of all sub-traces for stateless
+  policies, the lock-step engine over all sub-traces at once for stateful
   batchable policies (adaptive, predictive), and the scalar loop for
   everything else.  Routing never sees the policy, so a fleet sweep
   chunk routes its traces once and evaluates every policy on them.
@@ -195,8 +195,8 @@ def run_fleet_batch(
     trace is routed once (the two-way decision of :func:`run_fleet`),
     and the R x N per-device sub-traces go to one
     :func:`~repro.runtime.eventsim.simulate_traces_batch` call — one
-    lock-step call across all of them for step-mode policies, the
-    per-trace busy-period kernel for gap-mode policies, the scalar loop
+    lock-step call across all of them for step-mode policies, one
+    busy-period kernel call for gap-mode policies, the scalar loop
     otherwise.  Each sub-trace's report is a pure function of its own
     trace, so per-seed fleet reports are exactly those of per-seed
     :func:`run_fleet` whichever seeds share the batch — the

@@ -22,12 +22,10 @@ array ops and shards the resulting work units across processes:
 - :class:`GridRunner` — grid-product scenario sweeps
   (rate x device x horizon x controller) of slotted cells;
 - :mod:`~repro.runtime.eventsim` — vectorized busy-period kernel for
-  the continuous-time event simulator (:func:`simulate_trace` runs
-  stateless policies as NumPy array ops over all idle gaps at once,
-  scalar fallback otherwise), plus the lock-step cross-replication
-  engine for stateful policies (:func:`simulate_traces_batch` advances
-  R replication runs one idle gap per step with dense per-replica
-  policy state);
+  the continuous-time event simulator (:func:`simulate_traces_batch`
+  runs stateless policies as NumPy array ops over all idle gaps of R
+  traces at once, stateful ones in lock-step across the R replication
+  runs with dense per-replica policy state, scalar fallback otherwise);
 - :class:`SimSweepRunner` — (device x trace x policy) event-sim cell
   grids with bootstrap-CI aggregation, degrading to in-process
   execution when pool dispatch cannot pay for itself
@@ -38,6 +36,7 @@ from .batched_env import BatchedEnvTotals, BatchedSlottedEnv, BatchStepInfo
 from .batched_qdpm import BatchedQDPM, BatchRunHistory
 from .eventsim import (
     policy_batch_mode,
+    run_gap_batched,
     run_step_batched,
     run_vectorized,
     simulate_trace,
@@ -132,6 +131,7 @@ __all__ = [
     "GridResult",
     "GridRunner",
     "run_vectorized",
+    "run_gap_batched",
     "simulate_trace",
     "simulate_traces_batch",
     "run_step_batched",

@@ -23,21 +23,22 @@ independent idle gaps:
     induction walks forward), giving convergence in at most ``n + 1``
     passes — typically 2-3, since wake delays rarely cascade.
 
-Equivalence with the scalar event loop is pinned field-for-field on the
+:func:`run_gap_batched` runs this over all gaps of R traces at once:
+the traces lie end to end in flat arrays, the prefix max resets at each
+trace boundary, and each pass asks the policy once for every trace's
+gaps, laid out trace by trace (each trace's trailing gap last).  A
+converged trace is a fixed point, so passes that other traces still
+need leave it unchanged, and each report is bit-identical to the trace
+run alone; :func:`run_vectorized` is the R = 1 call.  Equivalence with
+the scalar event loop is pinned field-for-field on the
 :class:`~repro.sim.SimReport` (tests/test_runtime_eventsim.py), including
 the loop's tie-breaking (arrivals pre-empt same-time timeouts), the
 "timeout events at or beyond the observation window are dropped" rule,
 zero-latency transition lumps, and zero-span residency keys.
 
-:func:`simulate_trace` is the drop-in entry point: it runs the kernel
-when the policy and device qualify and falls back to the scalar
-:class:`~repro.sim.DPMSimulator` automatically (stateful policies such as
-the adaptive and predictive baselines, non-free wait-state parking,
-or exotic decision targets).
-
-Stateful policies cannot use the all-gaps-at-once kernel — each gap's
-decision depends on the realized idle history — but sweep cells always
-run R seeded *replications* of the same (device, policy) pair, and the
+Stateful policies cannot use the all-gaps kernel — each gap's decision
+depends on the realized idle history — but sweep cells always run R
+seeded *replications* of the same (device, policy) pair, and the
 replication axis is embarrassingly parallel.  :func:`run_step_batched`
 therefore batches *across replications*: R traces are padded into
 ``(R, n)`` arrays, every replica advances one idle gap per lock-step
@@ -48,8 +49,11 @@ array ops: the zero-wake (pure) busy-period structure is precomputed
 once, each realized busy period is the pure one shifted by the opener's
 wake delay (``completion = max(pure, shift + cum_demand)``), and a gap
 swallowed by a wake delay merges its pure period into the running one.
-:func:`simulate_traces_batch` is the many-trace entry point that picks
-this engine, the per-trace kernel, or the scalar loop automatically.
+
+:func:`simulate_traces_batch` picks the engine by
+:func:`policy_batch_mode`; other policies, costly wait-state parking and
+exotic decision targets fall back per trace to :func:`simulate_trace`,
+the kernel or else the scalar :class:`~repro.sim.DPMSimulator`.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from ..sim.policy_api import BatchIdleContext, EventPolicy, StepBatchContext
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
 from ..sim.stats import SimReport, compile_report
 from ..workload.trace import Trace
+from .telemetry import TELEMETRY
 
 
 @dataclass(frozen=True)
@@ -135,105 +140,129 @@ def _target_costs(
     )
 
 
-def _fold_target_costs(
-    residency: Dict[str, float],
-    total_energy: float,
-    tc: _TargetCosts,
-    n_down: int,
-    n_up: int,
-    span: float,
+def _compile_run(
+    device: PowerStateMachine,
     home: str,
     wait: str,
-) -> float:
-    """Fold one shutdown target's residency span and transition costs
-    into a run's accounting; returns the updated energy total.
+    busy_time: float,
+    wait_total: float,
+    folds: Sequence[Tuple[_TargetCosts, int, int, float]],
+    **fields,
+) -> SimReport:
+    """One run's residency and energy, compiled to its report.
 
-    Shared by the all-gaps kernel and the lock-step engine so the two
-    cannot drift in how transition labels and energies are derived
-    (mirroring what :func:`~repro.sim.stats.compile_report` does for the
-    summary metrics).
+    ``folds`` holds each used shutdown target's (costs, downs, ups, span)
+    in fold order.  Shared by the all-gaps kernel and the lock-step
+    engine so the two cannot drift in how transition labels and energies
+    are derived.  Residency keys mirror the scalar meter exactly,
+    including the zero-span entries its set_condition sequence creates.
     """
-    residency[tc.name] = residency.get(tc.name, 0.0) + span
-    total_energy += tc.power * span
-    if tc.down_latency > 0:
-        label = f"{wait}->{tc.name}"
-        residency[label] = residency.get(label, 0.0) + n_down * tc.down_latency
-        total_energy += tc.down_mean_power * tc.down_latency * n_down
+    home_power = device.state(home).power
+    residency: Dict[str, float] = {home: busy_time}
+    if wait != home:
+        residency[wait] = wait_total
     else:
-        total_energy += tc.down_energy * n_down
-    if n_up:
-        if tc.up_latency > 0:
-            label = f"{tc.name}->{home}"
-            residency[label] = residency.get(label, 0.0) + n_up * tc.up_latency
-            total_energy += tc.up_mean_power * tc.up_latency * n_up
+        residency[home] += wait_total
+    total_energy = home_power * busy_time + device.state(wait).power * wait_total
+    for tc, n_down, n_up, span in folds:
+        residency[tc.name] = residency.get(tc.name, 0.0) + span
+        total_energy += tc.power * span
+        if tc.down_latency > 0:
+            label = f"{wait}->{tc.name}"
+            residency[label] = residency.get(label, 0.0) + n_down * tc.down_latency
+            total_energy += tc.down_mean_power * tc.down_latency * n_down
         else:
-            total_energy += tc.up_energy * n_up
-    return total_energy
+            total_energy += tc.down_energy * n_down
+        if n_up:
+            if tc.up_latency > 0:
+                label = f"{tc.name}->{home}"
+                residency[label] = residency.get(label, 0.0) + n_up * tc.up_latency
+                total_energy += tc.up_mean_power * tc.up_latency * n_up
+            else:
+                total_energy += tc.up_energy * n_up
+    return compile_report(home_power=home_power, total_energy=total_energy,
+                          state_residency=residency, **fields)
 
 
-def run_vectorized(
+def run_gap_batched(
     device: PowerStateMachine,
     policy: EventPolicy,
-    trace: Trace,
+    traces: Sequence[Trace],
     service_time: float = 0.5,
     wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
-) -> Optional[SimReport]:
-    """Run the busy-period kernel; None when the run does not qualify.
+) -> Optional[List[SimReport]]:
+    """The busy-period kernel over all gaps of R traces: one report per
+    trace, or None when the run does not qualify.
 
     Mirrors :class:`~repro.sim.DPMSimulator`'s constructor contract
     (``service_time`` validation, wait-state existence check); a None
     return means the caller should use the scalar loop, which either
     simulates the run or raises the error the configuration deserves.
+
+    A trace of n requests owns n + 1 consecutive *slots* of the flat
+    arrays: one per request (the gap it ends, if one opens), then its
+    trailing gap.  Scans and sums run per trace slice, so each report
+    is bit-identical to the trace run alone.
     """
     if service_time <= 0:
         raise ValueError(f"service_time must be > 0, got {service_time}")
     home = device.initial_state
     wait = wait_state if wait_state is not None else default_wait_state(device)
     device.state(wait)  # existence check
+    traces = list(traces)
+    if not traces:
+        return []
     if not _wait_parking_is_free(device, home, wait):
         return None
 
-    arrivals = trace.arrival_times
-    n = int(arrivals.size)
-    demands = resolve_demands(trace, service_time)
-    duration = trace.duration
+    n_arr = np.array([len(t) for t in traces], dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(n_arr)))  # request offsets
+    n = int(bounds[-1])
+    arrivals = np.concatenate([t.arrival_times for t in traces])
+    demands = np.concatenate([resolve_demands(t, service_time) for t in traces])
+    durations = np.array([float(t.duration) for t in traces])
+    req_spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    # pass-invariant demand prefix sums, one sequential cumsum per trace
+    total_demand = np.empty(n)
+    for s, e in req_spans:
+        np.cumsum(demands[s:e], out=total_demand[s:e])
+    demand_before = total_demand - demands
+
+    # slot layout: request j of trace r sits at slot bounds[r] + r + j
+    first_slot = bounds[:-1] + np.arange(len(traces))
+    is_trail_slot = np.insert(np.zeros(n, dtype=bool), bounds[1:], True)
+    after_req = ~np.roll(is_trail_slot, 1)  # a trace's first slot follows none
+    # begin_idle(0.0) always opens the first gap; the trailing gap always
+    # opens after the last completion
+    forced = is_trail_slot | ~after_req
+    # a gap ends at its arrival; a shutdown rule's horizon for the
+    # trailing gap is the observation window
+    slot_end = np.insert(arrivals, bounds[1:], durations)
+    slot_start = np.zeros(slot_end.size)  # previous completion (0.0 first)
 
     policy.reset()
     costs: Dict[int, _TargetCosts] = {}
 
     # ---- fixpoint over wake-up delays --------------------------------- #
     wake = np.zeros(n)
-    converged = False
+    completions = np.empty(n)
     for _ in range(n + 2):
-        if n:
-            total_demand = np.cumsum(demands)
-            earliest = arrivals + wake
-            floor = np.maximum.accumulate(earliest - (total_demand - demands))
-            completions = floor + total_demand
-            prev_completion = np.concatenate(([0.0], completions[:-1]))
-            opens = arrivals > prev_completion
-            opens[0] = True  # begin_idle(0.0) always opens the first gap
-            gap_starts = prev_completion[opens]
-            gap_ends = arrivals[opens]
-            final_start = float(completions[-1])
-        else:
-            completions = np.empty(0)
-            opens = np.zeros(0, dtype=bool)
-            gap_starts = np.empty(0)
-            gap_ends = np.empty(0)
-            final_start = 0.0
-
-        starts = np.concatenate((gap_starts, [final_start]))
-        if oracle:
-            next_arrivals = np.concatenate((gap_ends, [np.nan]))
-        else:
-            next_arrivals = np.full(starts.size, np.nan)
+        np.add(arrivals, wake, out=completions)
+        completions -= demand_before
+        for s, e in req_spans:  # the Lindley max-scan resets per trace
+            np.maximum.accumulate(completions[s:e], out=completions[s:e])
+        completions += total_demand
+        slot_start[after_req] = completions
+        gap_slot = np.flatnonzero(forced | (slot_end > slot_start))
+        starts = slot_start[gap_slot]
+        ends = slot_end[gap_slot]
+        mid = ~is_trail_slot[gap_slot]
         decision = policy.decide_batch(
             BatchIdleContext(
                 gap_starts=starts,
-                next_arrivals=next_arrivals,
+                next_arrivals=np.where(mid & oracle, ends, np.nan),
                 device=device,
                 wait_state=wait,
             )
@@ -242,9 +271,8 @@ def run_vectorized(
             return None
         timeouts = np.asarray(decision.timeouts, dtype=float)
         target_idx = np.asarray(decision.target_idx, dtype=np.int64)
-        if timeouts.shape != starts.shape or target_idx.shape != starts.shape:
-            return None
-        if (timeouts < 0).any():
+        if (timeouts.shape != starts.shape or target_idx.shape != starts.shape
+                or (timeouts < 0).any()):
             return None
         for idx in np.unique(target_idx[target_idx >= 0]):
             idx = int(idx)
@@ -260,10 +288,9 @@ def run_vectorized(
         # before the gap-ending arrival (arrivals pre-empt same-time
         # timeouts) and, for the trailing gap, strictly before the
         # observation window ends.
-        rule_ends = np.concatenate((gap_ends, [duration]))
         shutdown = (target_idx >= 0) & (
             (timeouts == 0.0)
-            | (np.isfinite(timeouts) & (starts + timeouts < rule_ends))
+            | (np.isfinite(timeouts) & (starts + timeouts < ends))
         )
         down_lat = np.zeros(starts.size)
         up_lat = np.zeros(starts.size)
@@ -274,89 +301,104 @@ def run_vectorized(
         shutdown_times = starts + timeouts
         down_done = shutdown_times + down_lat
 
-        new_wake = np.zeros(n)
-        if n:
-            # a mid-trace gap's opener starts service only after the
-            # device finishes any in-flight down transition and wakes
-            with np.errstate(invalid="ignore"):
-                delays = np.maximum(gap_ends, down_done[:-1]) + up_lat[:-1] - gap_ends
-            new_wake[opens] = np.where(shutdown[:-1], delays, 0.0)
+        # a mid-trace gap's opener starts service only after the device
+        # finishes any in-flight down transition and wakes
+        with np.errstate(invalid="ignore"):
+            delays = np.maximum(ends, down_done) + up_lat - ends
+        slot_wake = np.zeros(slot_end.size)
+        slot_wake[gap_slot] = np.where(shutdown & mid, delays, 0.0)
+        new_wake = slot_wake[~is_trail_slot]
         if np.array_equal(new_wake, wake):
-            converged = True
             break
         wake = new_wake
-    if not converged:  # pragma: no cover - n+1 passes provably suffice
+        # the flat layout holds every trace at once: free each pass's
+        # arrays before the next pass (and the fixpoint's before the
+        # accounting) allocates, to bound peak memory
+        del gap_slot, starts, ends, mid, decision, timeouts, target_idx
+        del shutdown, down_lat, up_lat, shutdown_times, down_done, delays
+    else:  # pragma: no cover - n+1 passes provably suffice
         return None
 
-    # ---- accounting ---------------------------------------------------- #
-    i_final = int(starts.size - 1)
-    final_target = int(target_idx[i_final])
-    final_shutdown = bool(shutdown[i_final])
-    end_time = float(duration)
-    if n:
-        end_time = max(end_time, float(completions[-1]))
-    if final_shutdown and costs[final_target].down_latency > 0:
-        end_time = max(end_time, float(down_done[i_final]))
-
-    idle_lengths = np.concatenate(
-        (gap_ends - gap_starts, [end_time - final_start])
-    )
-    n_shutdowns = int(np.count_nonzero(shutdown))
-    n_wrong = 0
-    if n:
-        be = np.zeros(starts.size)
-        for idx, tc in costs.items():
-            be[target_idx == idx] = tc.break_even
-        remaining = gap_ends - shutdown_times[:-1]
-        n_wrong = int(np.count_nonzero(shutdown[:-1] & (remaining < be[:-1])))
-
-    home_power = device.state(home).power
-    wait_power = device.state(wait).power
-    busy_time = float(demands.sum())
-    phase_ends = np.concatenate((gap_ends, [end_time]))
-    wait_total = float(
-        (np.where(shutdown, shutdown_times, phase_ends) - starts).sum()
-    )
-    target_spans = np.zeros(starts.size)
-    if n:
-        with np.errstate(invalid="ignore"):
-            target_spans[:-1] = np.where(
-                shutdown[:-1], np.maximum(0.0, gap_ends - down_done[:-1]), 0.0
-            )
-    if final_shutdown:
-        target_spans[i_final] = end_time - down_done[i_final]
-
-    # residency keys mirror the scalar meter exactly, including the
-    # zero-span entries its set_condition sequence creates
-    residency: Dict[str, float] = {home: busy_time}
-    if wait != home:
-        residency[wait] = wait_total
-    else:
-        residency[home] += wait_total
-    total_energy = home_power * busy_time + wait_power * wait_total
-
+    # ---- accounting: elementwise on the flat arrays, sums per trace --- #
+    del wake, new_wake, slot_wake, slot_start, slot_end, total_demand, demand_before
+    del delays, up_lat, forced, after_req
+    # gap_bounds[r]: trace r's first gap (every trace has at least one)
+    gap_bounds = np.append(np.searchsorted(gap_slot, first_slot), gap_slot.size)
+    trail_gap = gap_bounds[1:] - 1
+    final_shutdown = shutdown[trail_gap]
+    final_target = target_idx[trail_gap]
+    # the window, stretched by a final service completion past it and by
+    # a trailing down transition in flight
+    end_times = np.where(n_arr > 0, np.maximum(durations, starts[trail_gap]),
+                         durations)
+    stretch = final_shutdown & (down_lat[trail_gap] > 0)
+    end_times = np.where(stretch, np.maximum(end_times, down_done[trail_gap]),
+                         end_times)
+    phase_ends = ends.copy()
+    phase_ends[trail_gap] = end_times
+    idle_lengths = phase_ends - starts
+    wait_spans = np.where(shutdown, shutdown_times, phase_ends) - starts
+    be = np.zeros(starts.size)
     for idx, tc in costs.items():
-        sel_shut = (target_idx == idx) & shutdown
-        n_down = int(np.count_nonzero(sel_shut))
-        if n_down == 0:
-            continue
-        n_up = n_down - (1 if (final_shutdown and final_target == idx) else 0)
-        span = float(target_spans[sel_shut].sum())
-        total_energy = _fold_target_costs(
-            residency, total_energy, tc, n_down, n_up, span, home, wait
-        )
+        be[target_idx == idx] = tc.break_even
+    wrong = shutdown & mid & (ends - shutdown_times < be)
+    with np.errstate(invalid="ignore"):
+        target_spans = np.where(shutdown & mid,
+                                np.maximum(0.0, ends - down_done), 0.0)
+    target_spans[trail_gap] = np.where(
+        final_shutdown, end_times - down_done[trail_gap], 0.0)
+    latencies = np.subtract(completions, arrivals, out=completions)
 
-    return compile_report(
-        home_power=home_power,
-        end_time=end_time,
-        total_energy=total_energy,
-        latencies=completions - arrivals,
-        idle_lengths=idle_lengths,
-        n_shutdowns=n_shutdowns,
-        n_wrong_shutdowns=n_wrong,
-        state_residency=residency,
-        keep_latencies=keep_latencies,
+    n_shutdowns = np.add.reduceat(shutdown, gap_bounds[:-1], dtype=np.int64)
+    n_wrong = np.add.reduceat(wrong, gap_bounds[:-1], dtype=np.int64)
+    # per target, in index order (so the fold order never depends on
+    # which traces share the batch): the shutdown spans compacted, and
+    # each trace's offsets into them
+    by_target = []
+    for idx in sorted(costs):
+        sel = shutdown & (target_idx == idx)
+        cum = np.concatenate(([0], np.cumsum(sel)))[gap_bounds].tolist()
+        by_target.append((costs[idx], idx, target_spans[sel], cum))
+
+    reports: List[SimReport] = []
+    for r, (s, e) in enumerate(req_spans):
+        g0, g1 = int(gap_bounds[r]), int(gap_bounds[r + 1])
+        final = int(final_target[r]) if final_shutdown[r] else -1
+        folds = []
+        for tc, idx, spans, cum in by_target:
+            c0, c1 = cum[r], cum[r + 1]
+            if c1 > c0:
+                folds.append((tc, c1 - c0, c1 - c0 - (1 if idx == final else 0),
+                              float(spans[c0:c1].sum())))
+        reports.append(_compile_run(
+            device, home, wait, float(demands[s:e].sum()),
+            float(wait_spans[g0:g1].sum()), folds,
+            end_time=float(end_times[r]),
+            latencies=latencies[s:e],
+            idle_lengths=idle_lengths[g0:g1],
+            n_shutdowns=int(n_shutdowns[r]),
+            n_wrong_shutdowns=int(n_wrong[r]),
+            keep_latencies=keep_latencies,
+        ))
+    return reports
+
+
+def run_vectorized(
+    device: PowerStateMachine,
+    policy: EventPolicy,
+    trace: Trace,
+    service_time: float = 0.5,
+    wait_state: Optional[str] = None,
+    oracle: bool = False,
+    keep_latencies: bool = True,
+) -> Optional[SimReport]:
+    """:func:`run_gap_batched` on one trace: its report, or None when
+    the run does not qualify."""
+    reports = run_gap_batched(
+        device, policy, [trace], service_time=service_time,
+        wait_state=wait_state, oracle=oracle, keep_latencies=keep_latencies,
     )
+    return None if reports is None else reports[0]
 
 
 def simulate_trace(
@@ -409,13 +451,14 @@ def policy_batch_mode(policy: EventPolicy) -> str:
     """Which fast path a policy family can ride, by hook introspection.
 
     - ``"gap"`` — overrides :meth:`~repro.sim.policy_api.EventPolicy.
-      decide_batch`: stateless, all gaps of one trace at once.
+      decide_batch`: stateless, all gaps of R traces at once.
     - ``"step"`` — overrides ``make_step_state``: stateful but
       batchable across replications in lock-step.
     - ``"scalar"`` — neither hook: only the scalar event loop.
 
-    Advisory (the engines still verify at run time and fall back); used
-    by the sweep runners to estimate per-chunk work.
+    :func:`simulate_traces_batch` picks its engine by it (the engines
+    still verify at run time and fall back); the sweep runners use it
+    to estimate per-chunk work.
     """
     cls = type(policy)
     if cls.decide_batch is not EventPolicy.decide_batch:
@@ -443,9 +486,9 @@ def run_step_batched(
     are independent of which traces share the batch (the chunking-
     invariance guarantee the sweep runners rely on, mirroring
     ``BatchedQDPM``).  Stateless (gap-mode) policies are declined too:
-    per-trace :func:`run_vectorized` resolves all gaps of a trace at
-    once, where lock-step rounds would cost one round per idle gap of
-    the busiest replica.
+    :func:`run_gap_batched` resolves all gaps of R traces at once, where
+    lock-step rounds would cost one round per idle gap of the busiest
+    replica.
 
     The busy-period trick per lock-step round: with zero wake delays a
     trace's busy periods are fixed ("pure" structure, one prefix-max
@@ -694,48 +737,33 @@ def run_step_batched(
     shift_full = shift_at[rows[:, None], ffill_idx]
     with np.errstate(invalid="ignore"):
         completions = np.maximum(pure, shift_full + cum)
-        latencies = completions - arrivals
+        latencies = np.subtract(completions, arrivals, out=completions)
 
     # (round, replica) idle-length matrix -> per-replica chronological runs
     idle_mat = np.array([lengths for lengths, _ in idle_rounds])
     idle_mask = np.array([mask for _, mask in idle_rounds])
 
-    # ---- per-replica accounting (mirrors run_vectorized) -------------- #
-    home_power = device.state(home).power
-    wait_power = device.state(wait).power
+    # ---- per-replica accounting (mirrors run_gap_batched) ------------- #
     reports: List[SimReport] = []
     for r in range(n_reps):
         n_r = int(n_arr[r])
-        busy_time = float(demands[r, :n_r].sum())
-        residency: Dict[str, float] = {home: busy_time}
-        if wait != home:
-            residency[wait] = float(wait_total[r])
-        else:
-            residency[home] += float(wait_total[r])
-        total_energy = home_power * busy_time + wait_power * float(wait_total[r])
+        folds = []
         for idx, tc in costs.items():
             n_down = int(ndown_by_target[idx][r])
-            if n_down == 0:
-                continue
-            is_final = bool(final_shutdown[r]) and int(final_target[r]) == idx
-            n_up = n_down - (1 if is_final else 0)
-            span = float(span_by_target[idx][r])
-            total_energy = _fold_target_costs(
-                residency, total_energy, tc, n_down, n_up, span, home, wait
-            )
-        reports.append(
-            compile_report(
-                home_power=home_power,
-                end_time=float(end_times[r]),
-                total_energy=total_energy,
-                latencies=latencies[r, :n_r],
-                idle_lengths=idle_mat[idle_mask[:, r], r],
-                n_shutdowns=int(n_shutdowns[r]),
-                n_wrong_shutdowns=int(n_wrong[r]),
-                state_residency=residency,
-                keep_latencies=keep_latencies,
-            )
-        )
+            if n_down:
+                is_final = bool(final_shutdown[r]) and int(final_target[r]) == idx
+                folds.append((tc, n_down, n_down - (1 if is_final else 0),
+                              float(span_by_target[idx][r])))
+        reports.append(_compile_run(
+            device, home, wait, float(demands[r, :n_r].sum()),
+            float(wait_total[r]), folds,
+            end_time=float(end_times[r]),
+            latencies=latencies[r, :n_r],
+            idle_lengths=idle_mat[idle_mask[:, r], r],
+            n_shutdowns=int(n_shutdowns[r]),
+            n_wrong_shutdowns=int(n_wrong[r]),
+            keep_latencies=keep_latencies,
+        ))
     return reports
 
 
@@ -750,28 +778,27 @@ def simulate_traces_batch(
 ) -> List[SimReport]:
     """R replications of one (device, policy) cell, fastest valid engine.
 
-    Stateful-batchable policies (step hooks) ride the lock-step engine
-    across the replication axis; everything else degrades to per-trace
-    :func:`simulate_trace` — the busy-period kernel for stateless
-    policies, the scalar event loop for policies with neither batch
-    hook.  Reports are returned in trace order and each is a pure
-    function of its own trace (batch composition never matters).
+    Gap-mode policies (:func:`policy_batch_mode`) run all gaps of the R
+    traces in one :func:`run_gap_batched` call, step-mode ones the
+    lock-step engine; the rest, or a declined batch, fall back to
+    per-trace :func:`simulate_trace`.  Reports come in trace order, each
+    a pure function of its own trace.  ``engine.eventsim.{vector,
+    lockstep,scalar}`` count the traces each path served, and
+    ``engine.eventsim.vector_declined`` the gap-mode batches declined.
     """
     traces = list(traces)
     if not traces:
         return []
-    reports = run_step_batched(
-        device, policy, traces,
-        service_time=service_time, wait_state=wait_state, oracle=oracle,
-        keep_latencies=keep_latencies,
-    )
+    kwargs = dict(service_time=service_time, wait_state=wait_state,
+                  oracle=oracle, keep_latencies=keep_latencies)
+    mode = policy_batch_mode(policy)
+    engine = {"gap": run_gap_batched, "step": run_step_batched}.get(mode)
+    reports = None if engine is None else engine(device, policy, traces, **kwargs)
     if reports is not None:
+        name = "vector" if mode == "gap" else "lockstep"
+        TELEMETRY.inc(f"engine.eventsim.{name}", len(traces))
         return reports
-    return [
-        simulate_trace(
-            device, policy, trace,
-            service_time=service_time, wait_state=wait_state, oracle=oracle,
-            keep_latencies=keep_latencies,
-        )
-        for trace in traces
-    ]
+    if mode == "gap":
+        TELEMETRY.inc("engine.eventsim.vector_declined")
+    TELEMETRY.inc("engine.eventsim.scalar", len(traces))
+    return [simulate_trace(device, policy, trace, **kwargs) for trace in traces]

@@ -15,7 +15,7 @@ arrays — so per-seed reports are identical for every
 
 Cells route through
 :func:`~repro.runtime.eventsim.simulate_traces_batch`, so stateless
-policies ride the vectorized busy-period kernel per trace, stateful
+policies ride the busy-period kernel over the whole seed chunk, stateful
 batchable ones (adaptive, predictive) ride the lock-step
 cross-replication engine over the whole seed chunk, and policies with
 neither batch hook transparently use the scalar event loop.

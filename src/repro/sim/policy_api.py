@@ -58,18 +58,20 @@ class IdleContext:
 
 @dataclass(frozen=True)
 class BatchIdleContext:
-    """All idle periods of one run, handed to a policy at once.
+    """All idle periods of R runs, handed to a policy at once.
 
     The vectorized event kernel (:mod:`repro.runtime.eventsim`) extracts
-    every idle gap of a trace up front and asks the policy for all its
-    decisions in one call instead of one :meth:`EventPolicy.on_idle`
-    round-trip per gap.
+    every idle gap of R traces up front and asks the policy for all
+    their decisions in one call instead of one :meth:`EventPolicy.
+    on_idle` round-trip per gap.  The batch's makeup must not matter, so
+    :meth:`EventPolicy.decide_batch` must be a pure per-gap function.
 
     Attributes
     ----------
     gap_starts:
-        Idle-start times, one per gap, in chronological order (the last
-        entry is the trailing gap after the final service completion).
+        Idle-start times, one per gap, trace by trace; within a trace in
+        chronological order, its trailing gap (after the final service
+        completion) last.
     next_arrivals:
         Arrival time ending each gap; ``nan`` where the policy must stay
         causal (simulator not in oracle mode) and for the trailing gap
@@ -154,9 +156,10 @@ class EventPolicy(ABC):
 
         Opt-in fast-path hook: a policy may implement this only when it
         is *stateless* — :meth:`on_idle` a pure function of the
-        :class:`IdleContext` and :meth:`on_idle_end` a no-op — and the
-        returned decisions must match what per-gap :meth:`on_idle` calls
-        would produce.  Returning None (the default) keeps the policy on
+        :class:`IdleContext` and :meth:`on_idle_end` a no-op — and entry
+        ``i`` of the returned decisions must match what :meth:`on_idle`
+        would produce for gap ``i`` alone (the gaps of several runs
+        share one call).  Returning None (the default) keeps the policy on
         the scalar event loop.
         """
         return None
