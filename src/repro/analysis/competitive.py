@@ -35,11 +35,10 @@ def idle_period_energy_timeout(
     idle_length: float,
     timeout: float,
     rest_state: Optional[str] = None,
-    wait_state: Optional[str] = None,
 ) -> float:
     """Exact energy of a timeout policy over one idle period.
 
-    Waits ``timeout`` seconds in ``wait_state`` (default: home), then
+    Waits ``timeout`` seconds in the home state, then
     moves to ``rest_state`` (default: deepest) for the remainder; charges
     the round-trip transition energy if the shutdown happened.  Matches
     the break-even accounting of
@@ -50,29 +49,24 @@ def idle_period_energy_timeout(
     if timeout < 0:
         raise ValueError("timeout must be >= 0")
     home = device.initial_state
-    wait = wait_state if wait_state is not None else home
     rest = rest_state if rest_state is not None else device.deepest_state()
-    p_wait = device.state(wait).power
+    p_home = device.state(home).power
     if idle_length <= timeout:
-        return p_wait * idle_length
+        return p_home * idle_length
     rt_energy, rt_latency = device.round_trip(home, rest)
     resident = max(0.0, idle_length - timeout - rt_latency)
-    return p_wait * timeout + rt_energy + device.state(rest).power * resident
+    return p_home * timeout + rt_energy + device.state(rest).power * resident
 
 
 def idle_period_energy_oracle(
     device: PowerStateMachine,
     idle_length: float,
     rest_state: Optional[str] = None,
-    wait_state: Optional[str] = None,
 ) -> float:
-    """Oracle energy: min(stay in wait state, shut down immediately)."""
-    stay = idle_period_energy_timeout(
-        device, idle_length, timeout=np.inf, wait_state=wait_state
-    )
+    """Oracle energy: min(stay home, shut down immediately)."""
+    stay = idle_period_energy_timeout(device, idle_length, timeout=np.inf)
     sleep = idle_period_energy_timeout(
         device, idle_length, timeout=0.0, rest_state=rest_state,
-        wait_state=wait_state,
     )
     return min(stay, sleep)
 

@@ -369,19 +369,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.devices is not None and args.devices < 1:
         parser.error("--devices must be >= 1")
-    if args.mtbf is not None and args.mtbf <= 0:
+    # float settings are checked as ``not value > 0`` (or ``>= 1`` /
+    # ``>= 0``) so that NaN fails them too
+    if args.mtbf is not None and not args.mtbf > 0:
         parser.error("--mtbf must be > 0")
-    if args.mttr is not None and args.mttr <= 0:
+    if args.mttr is not None and not args.mttr > 0:
         parser.error("--mttr must be > 0")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
-    if args.brownout_severity is not None and args.brownout_severity < 1.0:
+    if (args.brownout_severity is not None
+            and not args.brownout_severity >= 1.0):
         parser.error("--brownout-severity must be >= 1")
-    if args.slo is not None and args.slo <= 0:
+    if args.slo is not None and not args.slo > 0:
         parser.error("--slo must be > 0")
     if args.breaker is not None and args.breaker < 1:
         parser.error("--breaker must be >= 1")
-    if args.retry_budget is not None and args.retry_budget < 0:
+    if args.retry_budget is not None and not args.retry_budget >= 0:
         parser.error("--retry-budget must be >= 0")
     for flag, value in (("--mttr", args.mttr),
                         ("--max-retries", args.max_retries),

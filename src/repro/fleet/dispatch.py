@@ -579,11 +579,12 @@ class FailoverConfig:
                 f"choose from {FAILOVER_POLICIES}"
             )
         _check_count("max_retries", self.max_retries, 0)
-        if self.backoff_base <= 0:
+        # ``not x > y`` also rejects NaN
+        if not self.backoff_base > 0:
             raise ValueError(
                 f"backoff_base must be > 0, got {self.backoff_base}"
             )
-        if self.max_retries > 0 and self.backoff_cap < self.backoff_base:
+        if self.max_retries > 0 and not self.backoff_cap >= self.backoff_base:
             raise ValueError(
                 f"backoff_cap must be >= backoff_base, got "
                 f"{self.backoff_cap} < {self.backoff_base}"

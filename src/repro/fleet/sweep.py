@@ -162,7 +162,7 @@ class FleetSweepSpec:
         """Reject degenerate fault configs before they cost a sweep.
 
         ``FaultProcess`` already refuses nonsensical parameters
-        (MTBF/MTTR <= 0, a whole-fleet ``start_down`` cohort); the spec
+        (MTBF/MTTR not > 0, a whole-fleet ``start_down`` cohort); the spec
         layer adds the checks that need sweep context — a fleet that
         churns faster than it serves, or a concrete schedule that
         starts with every device dead.
@@ -171,8 +171,6 @@ class FleetSweepSpec:
         if faults is None:
             return
         if isinstance(faults, FaultProcess):
-            if faults.mttr <= 0:
-                raise ValueError(f"MTTR must be > 0, got {faults.mttr}")
             if faults.mtbf < self.service_time:
                 raise ValueError(
                     f"MTBF {faults.mtbf} is shorter than a single request's "

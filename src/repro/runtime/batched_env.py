@@ -260,10 +260,6 @@ class BatchedSlottedEnv:
         self.totals = BatchedEnvTotals.zeros(self.n_replicas)
         return self.states
 
-    def set_schedule(self, schedule: RateSchedule) -> None:
-        """Swap the arrival schedule (phase changes keep RNG streams)."""
-        self.schedule = schedule
-
     def step(
         self, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, BatchStepInfo]:

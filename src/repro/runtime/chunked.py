@@ -94,8 +94,6 @@ class SweepPlan:
     estimate: Optional[float] = None
     #: decision that forces in-process execution, e.g. an unpicklable task
     serial_reason: Optional[str] = None
-    #: counters bumped once each inside the sweep's metrics scope
-    counters: Sequence[str] = ()
     #: consecutive cells sharing one work unit (divides the cell count)
     group_size: int = 1
 
@@ -197,8 +195,6 @@ class ChunkedRunner:
         with TELEMETRY.metrics_scope() as metrics:
             with TELEMETRY.span("sweep", cat="sweep", kind=kind,
                                 n_jobs=requested, **span):
-                for name in plan.counters:
-                    TELEMETRY.inc(name)
                 outputs, executed = (execute or self._execute)(
                     plan, tasks, n_jobs)
                 shares = _cell_results(plan, tasks, outputs)

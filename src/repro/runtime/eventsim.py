@@ -51,9 +51,12 @@ wake delay (``completion = max(pure, shift + cum_demand)``), and a gap
 swallowed by a wake delay merges its pure period into the running one.
 
 :func:`simulate_traces_batch` picks the engine by
-:func:`policy_batch_mode`; other policies, costly wait-state parking and
-exotic decision targets fall back per trace to :func:`simulate_trace`,
-the kernel or else the scalar :class:`~repro.sim.DPMSimulator`.
+:func:`policy_batch_mode`; other policies and exotic decision targets
+fall back per trace to :func:`simulate_trace`, the kernel or else the
+scalar :class:`~repro.sim.DPMSimulator`.  Every engine parks the idle
+device in :func:`~repro.sim.simulator.default_wait_state`: home, or a
+state with a free, instant round trip from home, so the park folds into
+plain residency accounting.
 """
 
 from __future__ import annotations
@@ -84,27 +87,6 @@ class _TargetCosts:
     up_energy: float
     up_mean_power: float
     break_even: float
-
-
-def _wait_parking_is_free(
-    device: PowerStateMachine, home: str, wait: str
-) -> bool:
-    """True when parking in ``wait`` is a free, instant round trip.
-
-    The kernel folds the park into plain residency accounting; a costly
-    wait-state trip would need event-level integration, so such devices
-    stay on the scalar loop.
-    """
-    if wait == home:
-        return True
-    if not (device.can_transition(home, wait) and device.can_transition(wait, home)):
-        return False
-    down = device.transition(home, wait)
-    up = device.transition(wait, home)
-    return (
-        down.energy == 0 and down.latency == 0
-        and up.energy == 0 and up.latency == 0
-    )
 
 
 def _target_costs(
@@ -189,17 +171,16 @@ def run_gap_batched(
     policy: EventPolicy,
     traces: Sequence[Trace],
     service_time: float = 0.5,
-    wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
 ) -> Optional[List[SimReport]]:
     """The busy-period kernel over all gaps of R traces: one report per
     trace, or None when the run does not qualify.
 
-    Mirrors :class:`~repro.sim.DPMSimulator`'s constructor contract
-    (``service_time`` validation, wait-state existence check); a None
-    return means the caller should use the scalar loop, which either
-    simulates the run or raises the error the configuration deserves.
+    Mirrors :class:`~repro.sim.DPMSimulator`'s ``service_time``
+    validation; a None return means the caller should use the scalar
+    loop, which either simulates the run or raises the error the
+    configuration deserves.
 
     A trace of n requests owns n + 1 consecutive *slots* of the flat
     arrays: one per request (the gap it ends, if one opens), then its
@@ -209,13 +190,10 @@ def run_gap_batched(
     if service_time <= 0:
         raise ValueError(f"service_time must be > 0, got {service_time}")
     home = device.initial_state
-    wait = wait_state if wait_state is not None else default_wait_state(device)
-    device.state(wait)  # existence check
+    wait = default_wait_state(device)
     traces = list(traces)
     if not traces:
         return []
-    if not _wait_parking_is_free(device, home, wait):
-        return None
 
     n_arr = np.array([len(t) for t in traces], dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(n_arr)))  # request offsets
@@ -388,15 +366,14 @@ def run_vectorized(
     policy: EventPolicy,
     trace: Trace,
     service_time: float = 0.5,
-    wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
 ) -> Optional[SimReport]:
     """:func:`run_gap_batched` on one trace: its report, or None when
     the run does not qualify."""
     reports = run_gap_batched(
-        device, policy, [trace], service_time=service_time,
-        wait_state=wait_state, oracle=oracle, keep_latencies=keep_latencies,
+        device, policy, [trace], service_time=service_time, oracle=oracle,
+        keep_latencies=keep_latencies,
     )
     return None if reports is None else reports[0]
 
@@ -406,10 +383,8 @@ def simulate_trace(
     policy: EventPolicy,
     trace: Trace,
     service_time: float = 0.5,
-    wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
-    verify: bool = False,
 ) -> SimReport:
     """One device + one trace + one policy, on the fastest valid engine.
 
@@ -417,33 +392,18 @@ def simulate_trace(
     :meth:`~repro.sim.policy_api.EventPolicy.decide_batch` and the device
     shape qualifies, and falls back to the scalar
     :class:`~repro.sim.DPMSimulator` event loop otherwise — same
-    :class:`~repro.sim.SimReport` either way.
-
-    ``verify=True`` runs the finished report through the
-    :func:`~repro.runtime.verify.check_sim_report` invariant suite
-    (conservation laws, monotone percentiles, finite fields) and raises
-    :class:`~repro.runtime.verify.InvariantViolation` on any breach —
-    the opt-in for direct callers outside the sweep runners, which
-    check their chunk results centrally.
+    :class:`~repro.sim.SimReport` either way.  Direct callers check a
+    report's invariants with :func:`~repro.runtime.verify.check_sim_report`.
     """
     report = run_vectorized(
-        device, policy, trace,
-        service_time=service_time, wait_state=wait_state, oracle=oracle,
+        device, policy, trace, service_time=service_time, oracle=oracle,
         keep_latencies=keep_latencies,
     )
     if report is None:
         report = DPMSimulator(
-            device, policy,
-            service_time=service_time, wait_state=wait_state, oracle=oracle,
+            device, policy, service_time=service_time, oracle=oracle,
             keep_latencies=keep_latencies,
         ).run(trace)
-    if verify:
-        from .verify import check_sim_report
-
-        check_sim_report(
-            report, device=device,
-            context={"policy": type(policy).__name__, "engine": "simulate_trace"},
-        )
     return report
 
 
@@ -473,15 +433,14 @@ def run_step_batched(
     policy: EventPolicy,
     traces: Sequence[Trace],
     service_time: float = 0.5,
-    wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
 ) -> Optional[List[SimReport]]:
     """Lock-step engine for R replications of one stateful policy.
 
-    None when the run does not qualify (policy without step hooks, a
-    costly wait-state park, or decisions outside the modeled shapes) —
-    the caller then uses per-trace :func:`simulate_trace`.  Each
+    None when the run does not qualify (policy without step hooks, or
+    decisions outside the modeled shapes) — the caller then uses
+    per-trace :func:`simulate_trace`.  Each
     replica's report is a pure function of its own trace, so results
     are independent of which traces share the batch (the chunking-
     invariance guarantee the sweep runners rely on, mirroring
@@ -505,14 +464,11 @@ def run_step_batched(
     if service_time <= 0:
         raise ValueError(f"service_time must be > 0, got {service_time}")
     home = device.initial_state
-    wait = wait_state if wait_state is not None else default_wait_state(device)
-    device.state(wait)  # existence check
+    wait = default_wait_state(device)
     traces = list(traces)
     n_reps = len(traces)
     if n_reps == 0:
         return []
-    if not _wait_parking_is_free(device, home, wait):
-        return None
     states = policy.make_step_state(n_reps, device, wait)
     if states is None:
         return None
@@ -772,7 +728,6 @@ def simulate_traces_batch(
     policy: EventPolicy,
     traces: Sequence[Trace],
     service_time: float = 0.5,
-    wait_state: Optional[str] = None,
     oracle: bool = False,
     keep_latencies: bool = True,
 ) -> List[SimReport]:
@@ -789,8 +744,8 @@ def simulate_traces_batch(
     traces = list(traces)
     if not traces:
         return []
-    kwargs = dict(service_time=service_time, wait_state=wait_state,
-                  oracle=oracle, keep_latencies=keep_latencies)
+    kwargs = dict(service_time=service_time, oracle=oracle,
+                  keep_latencies=keep_latencies)
     mode = policy_batch_mode(policy)
     engine = {"gap": run_gap_batched, "step": run_step_batched}.get(mode)
     reports = None if engine is None else engine(device, policy, traces, **kwargs)

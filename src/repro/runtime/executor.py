@@ -30,7 +30,7 @@ import time
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .telemetry import TELEMETRY, TracedCall, unwrap_result
+from .telemetry import TELEMETRY, TracedCall
 
 
 def is_picklable(obj: Any) -> bool:
@@ -175,8 +175,8 @@ class AsyncTasks:
         self._pool = pool
         self._handles = handles
         self._fn = fn
-        # per-task pool-shipped callables (telemetry-wrapped when tracing
-        # was on at submission); retries must resubmit the same wrapper
+        # per-task pool-shipped TracedCall wrappers; retries must
+        # resubmit the same wrapper
         self._calls = calls
         self._tasks = list(tasks) if tasks is not None else None
         self._timeout = timeout
@@ -232,8 +232,9 @@ class AsyncTasks:
                 with TELEMETRY.span("collect", cat="executor", chunk=i,
                                     attempt=attempt):
                     if self._timeout is None:
-                        return unwrap_result(handle.get())
-                    return unwrap_result(handle.get(self._timeout))
+                        return TELEMETRY.absorb_envelope(handle.get())
+                    return TELEMETRY.absorb_envelope(
+                        handle.get(self._timeout))
             except multiprocessing.TimeoutError:
                 # the worker is hung or died silently; its slot is not
                 # reclaimable, so rerun here and terminate the pool on
@@ -259,8 +260,7 @@ class AsyncTasks:
                     "backoff_seconds": delay, "error": repr(exc),
                 }))
                 time.sleep(delay)
-                call = self._calls[i] if self._calls is not None else self._fn
-                handle = self._pool.apply_async(call, self._tasks[i])
+                handle = self._pool.apply_async(self._calls[i], self._tasks[i])
 
     def _degrade(self, i: int, completed: Dict[int, Any]) -> Any:
         """Last resort: run the chunk in-process, serially."""
@@ -385,19 +385,16 @@ class MultiprocessExecutor:
                 retry_backoff=retry_backoff, on_result=on_result,
             )
             return AsyncTasks(results=results, events=events)
-        # when tracing, ship each task under a TracedCall wrapper so the
-        # worker's spans come back with its result (unwrapped at collect,
-        # before on_result — checkpoint journals never see envelopes)
-        calls: Optional[List[Callable[..., Any]]] = None
-        if TELEMETRY.tracing:
-            calls = [TracedCall(fn, i) for i in range(len(tasks))]
+        # ship each task under a TracedCall wrapper so the worker's
+        # metrics (and, when tracing, its spans) come back with its
+        # result (unwrapped at collect, before on_result — checkpoint
+        # journals never see envelopes)
+        calls = [TracedCall(fn, i) for i in range(len(tasks))]
         with TELEMETRY.span("pool-submit", cat="executor",
                             n_tasks=len(tasks), n_jobs=self.n_jobs):
             pool = self._pool(len(tasks))
-            handles = [
-                pool.apply_async(calls[i] if calls is not None else fn, task)
-                for i, task in enumerate(tasks)
-            ]
+            handles = [pool.apply_async(call, task)
+                       for call, task in zip(calls, tasks)]
         return AsyncTasks(
             pool=pool, handles=handles,
             fn=fn, tasks=tasks, timeout=timeout, max_retries=max_retries,

@@ -283,11 +283,11 @@ def run_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
     The optional hooks are in-process callbacks and are never shipped to
     workers.
     """
-    scalar = runs_scalar(spec, len(chunk_seeds))
+    engine = "scalar" if runs_scalar(spec, len(chunk_seeds)) else "batched"
+    TELEMETRY.inc(f"engine.slotted.{engine}")
     with TELEMETRY.span("chunk", cat="sweep", kind="slotted",
-                        seeds=list(chunk_seeds),
-                        engine="scalar" if scalar else "batched"):
-        body = _run_scalar_chunk if scalar else _run_batched_chunk
+                        seeds=list(chunk_seeds), engine=engine):
+        body = _run_scalar_chunk if engine == "scalar" else _run_batched_chunk
         return body(spec, chunk_seeds, on_record, on_chunk_done)
 
 
@@ -490,10 +490,6 @@ def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
         # false divergence
         verify_skip=(f"rng_mode={shared[0]!r} has no per-seed scalar twin; "
                      f"use rng_mode='replica' to verify") if shared else None,
-        # counted in the parent: pool workers ship their metrics back
-        # only when tracing
-        counters=["engine.slotted.scalar" if s else "engine.slotted.batched"
-                  for s in scalar],
     )
 
 

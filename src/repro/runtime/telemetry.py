@@ -11,20 +11,22 @@ records into:
   (``sweep -> chunk -> route/kernel/report`` and
   ``pool-submit -> worker-run -> collect``) with monotonic-clock
   timestamps and free-form attributes.  Recording is thread-safe, and
-  process-safe through :class:`TracedCall`: a work unit executed in a
-  multiprocessing worker captures its spans into a per-worker buffer that
-  ships back with the chunk result (:class:`TelemetryEnvelope`) and is
-  merged by the parent — each worker becomes one track of the exported
-  trace.  Tracing is **off by default** and non-interfering: a span
-  touches only the wall/perf clocks, never an RNG stream, so enabling
-  telemetry cannot change a single result bit (pinned by the
-  bit-identity test in tests/test_runtime_telemetry.py).
+  process-safe through :class:`TracedCall`: a traced work unit executed
+  in a multiprocessing worker captures its spans into a per-worker
+  buffer that ships back with the chunk result
+  (:class:`TelemetryEnvelope`) and is merged by the parent — each worker
+  becomes one track of the exported trace.  Tracing is **off by
+  default** and non-interfering: a span touches only the wall/perf
+  clocks, never an RNG stream, so enabling telemetry cannot change a
+  single result bit (pinned by the bit-identity test in
+  tests/test_runtime_telemetry.py).
 - **Metrics** (:class:`MetricsRegistry`): counters, gauges, and
   min/max/mean histograms for chunks completed/resumed, pool retries,
   serial degrades, chunk timeouts, shadow-verification runs and
   divergences, invariant checks, dropped/retried fleet requests, and
   per-worker busy time.  Always on (a dict increment per chunk-boundary
-  event, nothing per slot/request); the sweep runners snapshot a scoped
+  event, nothing per slot/request), and a pool worker's counters ship
+  back with every chunk result; the sweep runners snapshot a scoped
   registry into their results' ``execution["metrics"]`` block, and
   :meth:`MetricsRegistry.render` prints the end-of-run summary table.
 - **Exporters**: :func:`export_chrome_trace` writes Chrome trace-event
@@ -58,7 +60,7 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -522,21 +524,15 @@ class Telemetry:
 
     @contextmanager
     def worker_capture(self):
-        """Worker-side capture of spans *and* a metrics delta.
-
-        Yields a dict whose ``spans`` / ``metrics`` keys are filled in
-        on exit — the payload :class:`TracedCall` ships back.
-        """
-        shipment: Dict[str, Any] = {"spans": [], "metrics": None}
+        """Worker-side capture of a metrics delta: yields a registry
+        that records every counter the block bumps — the metrics half of
+        what :class:`TracedCall` ships back."""
         delta = MetricsRegistry()
         self._metrics_stack.append(delta)
         try:
-            with self.tracer.capture() as buffer:
-                yield shipment
+            yield delta
         finally:
             self._metrics_stack.remove(delta)
-            shipment["spans"] = buffer
-            shipment["metrics"] = delta.snapshot()
 
     def absorb_envelope(self, envelope: "TelemetryEnvelope") -> Any:
         """Merge a worker's shipped telemetry; return the real result."""
@@ -561,10 +557,9 @@ class Telemetry:
         self.progress_stream = None
 
     def progress_reporter(self, total: int, done: int = 0, workers: int = 1,
-                          label: str = "sweep",
-                          force: bool = False) -> Optional[ProgressReporter]:
-        """A reporter when progress is on (globally or ``force``d)."""
-        if not (self.progress_enabled or force):
+                          label: str = "sweep") -> Optional[ProgressReporter]:
+        """A reporter when progress is on."""
+        if not self.progress_enabled:
             return None
         return ProgressReporter(
             total=total, done=done, workers=workers, label=label,
@@ -602,34 +597,31 @@ class TelemetryEnvelope:
 class TracedCall:
     """Picklable wrapper running one work unit under worker telemetry.
 
-    Applied by the executor at submission time when tracing is enabled:
-    the worker runs the unit inside a ``worker-run`` span with a fresh
-    capture buffer and returns a :class:`TelemetryEnvelope`; the
-    executor unwraps it at collection (:func:`unwrap_result`), so every
-    downstream consumer — checkpoint journal, shadow verification,
-    result assembly — sees exactly the bytes an untraced run produces.
+    The executor ships every pooled task under it: the worker runs the
+    unit with a fresh metrics delta and returns a
+    :class:`TelemetryEnvelope`, so counters a worker bumps reach the
+    parent's registries whether or not tracing is on.  Spans (a
+    ``worker-run`` span around the unit, in a fresh capture buffer) ship
+    only when tracing was on at submission, so an untraced run records
+    and absorbs none.  The executor unwraps the envelope at collection
+    (:meth:`Telemetry.absorb_envelope`), so every downstream consumer —
+    checkpoint journal, shadow verification, result assembly — sees
+    exactly the bytes the bare work unit returns.
     """
 
     def __init__(self, fn, chunk_index: int) -> None:
         self.fn = fn
         self.chunk_index = int(chunk_index)
+        self.tracing = TELEMETRY.tracing
 
     def __call__(self, *args: Any) -> TelemetryEnvelope:
-        with TELEMETRY.worker_capture() as shipment:
+        spans = TELEMETRY.tracer.capture() if self.tracing else nullcontext([])
+        with TELEMETRY.worker_capture() as delta, spans as buffer:
             with TELEMETRY.span("worker-run", cat="executor",
                                 chunk=self.chunk_index):
                 result = self.fn(*args)
-        return TelemetryEnvelope(
-            result=result, spans=shipment["spans"],
-            metrics=shipment["metrics"],
-        )
-
-
-def unwrap_result(raw: Any) -> Any:
-    """Collection-side unwrap: merge shipped telemetry, return result."""
-    if isinstance(raw, TelemetryEnvelope):
-        return TELEMETRY.absorb_envelope(raw)
-    return raw
+        return TelemetryEnvelope(result=result, spans=buffer,
+                                 metrics=delta.snapshot())
 
 
 # --------------------------------------------------------------------- #
@@ -675,27 +667,20 @@ def _chrome_events(records: Sequence[SpanRecord],
     return events
 
 
-def export_chrome_trace(
-    path: Union[str, Path],
-    records: Optional[Sequence[SpanRecord]] = None,
-    metrics: Optional[Dict[str, Any]] = None,
-) -> Path:
+def export_chrome_trace(path: Union[str, Path]) -> Path:
     """Write a Chrome trace-event JSON file (Perfetto-loadable).
 
-    Defaults to everything the singleton tracer recorded plus the root
+    Holds everything the singleton tracer recorded plus the root
     metrics snapshot (stored under ``otherData`` for humans reading the
     raw file).  One track per worker process, spans as complete (``X``)
     events, resilience decisions as instant (``i``) events.
     """
-    if records is None:
-        records = TELEMETRY.tracer.records()
-    if metrics is None:
-        metrics = TELEMETRY.root_metrics.snapshot()
     path = Path(path)
     payload = {
-        "traceEvents": _chrome_events(records, main_pid=os.getpid()),
+        "traceEvents": _chrome_events(TELEMETRY.tracer.records(),
+                                      main_pid=os.getpid()),
         "displayTimeUnit": "ms",
-        "otherData": {"metrics": metrics},
+        "otherData": {"metrics": TELEMETRY.root_metrics.snapshot()},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -703,20 +688,13 @@ def export_chrome_trace(
     return path
 
 
-def export_jsonl(
-    path: Union[str, Path],
-    records: Optional[Sequence[SpanRecord]] = None,
-    metrics: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Write the JSONL event stream: one JSON object per span/instant,
-    a trailing ``{"type": "metrics", ...}`` snapshot line."""
-    if records is None:
-        records = TELEMETRY.tracer.records()
-    if metrics is None:
-        metrics = TELEMETRY.root_metrics.snapshot()
+def export_jsonl(path: Union[str, Path]) -> Path:
+    """Write the JSONL event stream: one JSON object per recorded
+    span/instant, a trailing ``{"type": "metrics", ...}`` root snapshot
+    line."""
     path = Path(path)
     with open(path, "w") as fh:
-        for record in records:
+        for record in TELEMETRY.tracer.records():
             fh.write(json.dumps({
                 "type": "instant" if record.dur_us is None else "span",
                 "name": record.name, "cat": record.cat,
@@ -724,7 +702,8 @@ def export_jsonl(
                 "pid": record.pid, "depth": record.depth,
                 "args": record.args,
             }) + "\n")
-        fh.write(json.dumps({"type": "metrics", **metrics}) + "\n")
+        fh.write(json.dumps({"type": "metrics",
+                             **TELEMETRY.root_metrics.snapshot()}) + "\n")
     return path
 
 

@@ -11,9 +11,10 @@ Semantics
 ---------
 - Requests are served one at a time, in the device's *home* (initial,
   servicing) state, each taking its trace demand or ``service_time``.
-- When the queue drains, the device parks in ``wait_state`` (default: the
-  cheapest state with a free round trip to home, typically "idle") and
-  the policy's :meth:`~repro.sim.policy_api.EventPolicy.on_idle` decides
+- When the queue drains, the device parks in its wait state
+  (:func:`default_wait_state`: the cheapest state with a free, instant
+  round trip to home, typically "idle", else home itself) and the
+  policy's :meth:`~repro.sim.policy_api.EventPolicy.on_idle` decides
   whether/when to fall to a deeper state.
 - Arrivals always trigger a wake-up.  A down transition in flight cannot
   be preempted: the device completes it, then immediately transitions up
@@ -90,9 +91,6 @@ class DPMSimulator:
     service_time:
         Default per-request service demand, used when the trace carries
         no demands.
-    wait_state:
-        Where the device lingers before a (possible) shutdown; defaults
-        to :func:`default_wait_state`.
     oracle:
         If True the policy is shown the true next arrival time in its
         :class:`~repro.sim.policy_api.IdleContext` (for oracle baselines).
@@ -107,7 +105,6 @@ class DPMSimulator:
         device: PowerStateMachine,
         policy: EventPolicy,
         service_time: float = 0.5,
-        wait_state: Optional[str] = None,
         oracle: bool = False,
         keep_latencies: bool = True,
     ) -> None:
@@ -117,8 +114,8 @@ class DPMSimulator:
         self.policy = policy
         self.service_time = float(service_time)
         self.home = device.initial_state
-        self.wait_state = wait_state if wait_state is not None else default_wait_state(device)
-        device.state(self.wait_state)  # existence check
+        #: where the device lingers before a (possible) shutdown
+        self.wait_state = default_wait_state(device)
         self.oracle = oracle
         self.keep_latencies = keep_latencies
 

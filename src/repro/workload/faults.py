@@ -14,16 +14,17 @@ failover load.  This module supplies the fault model:
   routing streams follow.
 - :class:`FaultSchedule` — the *realization*: per-device sorted,
   non-overlapping down intervals ``[start, end)`` over a horizon, with
-  point queries (:meth:`FaultSchedule.is_down`), whole-fleet masks
-  (:meth:`FaultSchedule.alive_mask` for one instant,
-  :meth:`FaultSchedule.down_mask` for a whole time array), and a merged
-  transition stream (:meth:`FaultSchedule.transitions`) that the
-  vectorized failure-aware routing engine advances incrementally.
+  point queries (:meth:`FaultSchedule.is_down`,
+  :meth:`FaultSchedule.severity_at`), a whole-fleet alive mask for one
+  instant (:meth:`FaultSchedule.alive_mask`), and severities for a whole
+  time array (:meth:`FaultSchedule.severity_rows`), from which the
+  fault-aware routing loop reads every first-attempt device state in one
+  lookup.
 
 Interval convention: a device is **down** on ``[start, end)`` — down at
 the instant it fails, up again at the instant repair completes.  Every
-query helper follows the same convention, so the scalar and vectorized
-routing engines observe bit-identical masks.
+query helper follows the same convention, so the point and whole-array
+queries agree bit for bit.
 
 Severity: each interval optionally carries a *severity*, a
 service-demand multiplier ``>= 1.0``.  ``math.inf`` (the default) is a
@@ -32,10 +33,10 @@ semantics.  A finite severity is a **brownout**: the device stays alive
 (``is_down`` is False) but every request dispatched to it during the
 interval costs ``severity ×`` its nominal service demand — thermal
 throttling or contention rather than a crash.  Fail-stop queries
-(``is_down`` / ``alive_mask`` / ``down_mask`` / ``transitions``) see
-only infinite-severity intervals; :meth:`FaultSchedule.severity_at`
-exposes the demand multiplier (1.0 outside any interval), and
-:meth:`FaultSchedule.severity_rows` the same for a whole time array.
+(``is_down`` / ``alive_mask``) see only infinite-severity intervals;
+:meth:`FaultSchedule.severity_at` exposes the demand multiplier (1.0
+outside any interval), and :meth:`FaultSchedule.severity_rows` the same
+for a whole time array (``isinf`` of it is the fail-stop mask).
 """
 
 from __future__ import annotations
@@ -188,14 +189,6 @@ class FaultSchedule:
             out[:, d] = np.where(inside, self._sevs[d][safe], 1.0)
         return out
 
-    def down_mask(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_down` over a time array: boolean
-        ``(T, n_devices)`` where ``[k, d]`` is True iff device ``d`` is
-        fail-stop down at ``times[k]`` — an infinite
-        :meth:`severity_rows` entry; ``down_mask(t)[k] ==
-        ~alive_mask(times[k])`` bit for bit."""
-        return np.isinf(self.severity_rows(times))
-
     @property
     def has_brownouts(self) -> bool:
         """True when any interval carries a finite (brownout) severity."""
@@ -215,36 +208,6 @@ class FaultSchedule:
     def interval_severities(self, device: int) -> List[float]:
         """Severity of each interval, aligned with :meth:`intervals`."""
         return self._sevs[device].tolist()
-
-    def transitions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged fail-stop fault events: ``(times, devices, down_flags)``.
-
-        Sorted by time (stable); ``down_flags[k]`` is True for a
-        failure, False for a repair.  Repairs are emitted before
-        failures within each device, so exactly-adjacent intervals
-        (``end == next start``) replay to the *down* state at the shared
-        instant — intervals are half-open ``[start, end)``.  Applying
-        every event with ``time <= t`` to an all-up mask reproduces
-        exactly ``~alive_mask(t)``.  Brownout intervals do not take the
-        device down and are excluded.
-        """
-        times = []
-        devices = []
-        downs = []
-        for d in range(self.n_devices):
-            stops = np.isinf(self._sevs[d])
-            for arr, flag in (
-                (self._ends[d][stops], False),
-                (self._starts[d][stops], True),
-            ):
-                times.append(arr)
-                devices.append(np.full(arr.size, d, dtype=np.int64))
-                downs.append(np.full(arr.size, flag, dtype=bool))
-        t = np.concatenate(times) if times else np.empty(0)
-        dev = np.concatenate(devices) if devices else np.empty(0, np.int64)
-        dn = np.concatenate(downs) if downs else np.empty(0, bool)
-        order = np.argsort(t, kind="stable")
-        return t[order], dev[order], dn[order]
 
     def down_time(self, device: int) -> float:
         """Total seconds ``device`` spends fail-stop down within the
@@ -320,9 +283,10 @@ class FaultProcess:
     severity: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.mtbf <= 0:
+        # ``not x > 0`` also rejects NaN
+        if not self.mtbf > 0:
             raise ValueError(f"mtbf must be > 0, got {self.mtbf}")
-        if self.mttr <= 0:
+        if not self.mttr > 0:
             raise ValueError(f"mttr must be > 0, got {self.mttr}")
         if not 0.0 <= self.start_down < 1.0:
             raise ValueError(

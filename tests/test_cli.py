@@ -176,6 +176,24 @@ class TestDispatch:
         cli.main(["fleet-sweep", "--slo", "10"])
         assert seen == {"slo": 10.0}
 
+    @pytest.mark.parametrize("flags", [
+        ["--mtbf", "nan"],
+        ["--mtbf", "100", "--mttr", "nan"],
+        ["--slo", "nan"],
+        ["--mtbf", "100", "--brownout-severity", "nan"],
+        ["--retry-budget", "nan"],
+    ])
+    def test_nan_settings_are_parser_errors(self, monkeypatch, flags):
+        """NaN fails every range check at parse time: exit 2, and the
+        sweep never starts."""
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "fleet-sweep",
+                            lambda quick, **kwargs: ran.append(kwargs) or "")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fleet-sweep", *flags])
+        assert exc.value.code == 2
+        assert ran == []
+
     def test_overload_flag_validation(self):
         with pytest.raises(SystemExit):
             cli.main(["fleet-sweep", "--brownout-severity", "2"])  # needs --mtbf

@@ -115,10 +115,19 @@ class TestFailoverConfig:
         {"backoff_base": 0.0},
         {"backoff_base": -1.0},
         {"backoff_cap": 0.1, "backoff_base": 0.5},
+        {"backoff_base": math.nan},
+        {"backoff_base": math.nan, "max_retries": 0},
+        {"backoff_cap": math.nan, "max_retries": 8},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FailoverConfig(**kwargs)
+
+    def test_cap_unchecked_without_retries(self):
+        """``max_retries == 0`` never backs off, so the cap is not
+        validated, NaN included."""
+        assert FailoverConfig(max_retries=0, backoff_cap=math.nan)
+        assert FailoverConfig(max_retries=0, backoff_cap=0.1)
 
 
 class TestGoldenPin:

@@ -232,25 +232,6 @@ class TestFallback:
         ).run(trace)
         assert_reports_match(ref, report)
 
-    def test_costly_wait_state_falls_back(self, rng):
-        """An explicit wait state without a free instant round trip keeps
-        the scalar loop (the kernel cannot fold the park into residency)."""
-        # wlan's on<->doze trip costs energy and latency
-        trace = renewal_trace(Exponential(0.05), 500.0, rng)
-        assert run_vectorized(
-            get_preset("wlan"), FixedTimeout(), trace, service_time=0.4,
-            wait_state="doze",
-        ) is None
-        ref = DPMSimulator(
-            get_preset("wlan"), FixedTimeout(), service_time=0.4,
-            wait_state="doze",
-        ).run(trace)
-        fast = simulate_trace(
-            get_preset("wlan"), FixedTimeout(), trace, service_time=0.4,
-            wait_state="doze",
-        )
-        assert fast == ref
-
     def test_invalid_service_time_raises_like_simulator(self):
         with pytest.raises(ValueError):
             run_vectorized(

@@ -379,28 +379,6 @@ class TestDispatchAndFallback:
         ]
         assert batch == singles
 
-    def test_costly_wait_state_declines(self, rng):
-        """A wait state without a free instant round trip keeps the
-        scalar loop — the lock-step engine cannot fold the park into
-        plain residency (wlan's on<->doze trip costs energy)."""
-        traces = replication_traces(rng, n=2, duration=400.0)
-        assert run_step_batched(
-            get_preset("wlan"), AdaptiveTimeout(initial_timeout=1.0), traces,
-            service_time=0.4, wait_state="doze",
-        ) is None
-        batch = simulate_traces_batch(
-            get_preset("wlan"), AdaptiveTimeout(initial_timeout=1.0), traces,
-            service_time=0.4, wait_state="doze",
-        )
-        refs = [
-            DPMSimulator(
-                get_preset("wlan"), AdaptiveTimeout(initial_timeout=1.0),
-                service_time=0.4, wait_state="doze",
-            ).run(trace)
-            for trace in traces
-        ]
-        assert batch == refs
-
     def test_batched_run_never_touches_the_instance(self, rng):
         """Batch state is external: a lock-step run must leave the
         policy instance exactly as constructed (so a later scalar

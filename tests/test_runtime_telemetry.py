@@ -115,6 +115,7 @@ class TestSpans:
         assert {r.pid for r in worker_runs} == worker_pids
 
     def test_traced_call_returns_envelope_with_worker_spans(self):
+        TELEMETRY.enable_tracing()  # spans ship only if tracing at submission
         call = TracedCall(_square, 7)
         envelope = call(6)
         assert isinstance(envelope, TelemetryEnvelope)
@@ -122,13 +123,52 @@ class TestSpans:
         names = [s.name for s in envelope.spans]
         assert "worker-run" in names and "square" in names
         # in-process invocation must not leak the captured spans into
-        # the (disabled) global buffer
+        # the global buffer
+        assert TELEMETRY.tracer.records() == []
+
+    def test_untraced_call_ships_metrics_and_no_spans(self):
+        envelope = TracedCall(_square, 7)(6)
+        assert envelope.result == 36
+        assert envelope.spans == []
+        assert envelope.metrics["counters"] == {"square.calls": 1}
         assert TELEMETRY.tracer.records() == []
 
 
 def _square(x):
+    TELEMETRY.inc("square.calls")
     with TELEMETRY.span("square"):
         return x * x
+
+
+def _three_traces(seed):
+    """Serve three traces through the batched event engines."""
+    from repro.baselines import FixedTimeout
+    from repro.device import get_preset
+    from repro.runtime import TraceSpec, simulate_traces_batch
+    from repro.workload import Exponential
+
+    traces = [TraceSpec("exp", Exponential(0.2), 60.0).realize(seed + k)
+              for k in range(3)]
+    return len(simulate_traces_batch(get_preset("mobile_hdd"),
+                                     FixedTimeout(), traces))
+
+
+class TestWorkerMetrics:
+    """A pool worker's counters reach the parent with or without
+    tracing: every pooled task ships its metrics delta back."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_worker_counters_reach_parent(self, traced):
+        if traced:
+            TELEMETRY.enable_tracing()
+        with TELEMETRY.metrics_scope() as metrics:
+            results = MultiprocessExecutor(2).submit_all(
+                _three_traces, [(s,) for s in range(4)]).get()
+        assert results == [3] * 4
+        counters = metrics.snapshot()["counters"]
+        assert counters["engine.eventsim.vector"] == 12
+        names = {r.name for r in TELEMETRY.tracer.records()}
+        assert ("worker-run" in names) == traced
 
 
 class TestBitIdentity:

@@ -462,7 +462,7 @@ class TestShadowVerifyChunks:
 
 
 # --------------------------------------------------------------------- #
-# eventsim opt-in hook + empty-latency guards
+# direct simulate_trace callers + empty-latency guards
 # --------------------------------------------------------------------- #
 
 
@@ -471,7 +471,8 @@ class TestEventsimVerifyHook:
         device = PRESETS["mobile_hdd"]()
         trace = TraceSpec("exp", Exponential(0.1), 300.0).realize(5)
         report = simulate_trace(device, FixedTimeout(), trace,
-                                service_time=0.3, verify=True)
+                                service_time=0.3)
+        check_sim_report(report, device=device)
         assert report.n_requests >= 0
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     AlwaysOn,
@@ -85,6 +87,44 @@ class TestDefaultWaitState:
 
         assert default_wait_state(tied(["nap_a", "nap_b"])) == "nap_a"
         assert default_wait_state(tied(["nap_b", "nap_a"])) == "nap_b"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_park_is_home_or_free_instant_round_trip(self, data):
+        """Every event engine parks the idle device here and folds the
+        park into plain residency, which is only exact when the round
+        trip from home costs no energy and no time in either direction."""
+        n = data.draw(st.integers(2, 5), label="n_states")
+        power = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5])
+        states = [PowerState(f"s{i}", data.draw(power, label=f"p{i}"),
+                             can_service=i == 0) for i in range(n)]
+        # missing edge, free edge, or one costing energy, latency or both
+        edge = st.sampled_from([None, (0.0, 0.0), (0.3, 0.0), (0.0, 0.4),
+                                (0.3, 0.4)])
+        transitions = []
+        for a in states:
+            for b in states:
+                if a is not b:
+                    cost = data.draw(edge, label=f"{a.name}->{b.name}")
+                    if cost is not None:
+                        transitions.append(Transition(a.name, b.name, *cost))
+        device = PowerStateMachine("random", states, transitions,
+                                   initial_state="s0")
+        home = device.initial_state
+
+        def free_round_trip(name):
+            if not (device.can_transition(home, name)
+                    and device.can_transition(name, home)):
+                return False
+            legs = (device.transition(home, name), device.transition(name, home))
+            return all(t.energy == 0 and t.latency == 0 for t in legs)
+
+        wait = default_wait_state(device)
+        assert wait == home or free_round_trip(wait)
+        # and it is the cheapest such park
+        for name in device.state_names:
+            if name == home or free_round_trip(name):
+                assert device.state(wait).power <= device.state(name).power
 
 
 class TestAlwaysOnScenario:

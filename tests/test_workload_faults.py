@@ -1,9 +1,9 @@
 """Fault model: seeded schedules, interval conventions, determinism.
 
-The contract under test is the one the failure-aware routing engines
-build on: a schedule is a pure function of ``(seed, n_devices,
-horizon)``, a device is down on ``[start, end)`` exactly, and the merged
-transition stream replayed incrementally reproduces ``alive_mask`` bit
+The contract under test is the one the failure-aware routing loop
+builds on: a schedule is a pure function of ``(seed, n_devices,
+horizon)``, a device is down on ``[start, end)`` exactly, and the
+whole-array ``severity_rows`` lookup agrees with the point queries bit
 for bit at every query instant.
 """
 
@@ -24,6 +24,11 @@ from repro.workload import (
 )
 
 
+def down_mask(sched, times):
+    """Fail-stop mask ``(T, n_devices)``: the infinite severities."""
+    return np.isinf(sched.severity_rows(times))
+
+
 class TestFaultSchedule:
     def test_interval_convention_half_open(self):
         sched = FaultSchedule([[(2.0, 5.0)]], horizon=10.0)
@@ -42,21 +47,6 @@ class TestFaultSchedule:
         for t in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.5, 6.0, 9.9):
             expected = [not sched.is_down(d, t) for d in range(4)]
             assert sched.alive_mask(t).tolist() == expected
-
-    def test_transitions_replay_equals_alive_mask(self):
-        """Applying every event with time <= t reproduces the mask —
-        the invariant the vectorized routing engine relies on."""
-        sched = FaultSchedule(
-            [[(1.0, 3.0), (5.0, 7.0)], [(3.0, 4.0)], []], horizon=10.0
-        )
-        times, devices, downs = sched.transitions()
-        assert np.all(np.diff(times) >= 0)
-        for t in (0.0, 0.5, 1.0, 2.9, 3.0, 4.0, 5.0, 6.5, 7.0, 10.0):
-            alive = np.ones(3, dtype=bool)
-            for k in range(times.size):
-                if times[k] <= t:
-                    alive[devices[k]] = not downs[k]
-            assert np.array_equal(alive, sched.alive_mask(t))
 
     def test_availability_and_down_time(self):
         sched = FaultSchedule([[(0.0, 2.0), (6.0, 8.0)], []], horizon=10.0)
@@ -125,15 +115,6 @@ class TestBrownoutSeverity:
         assert sched.interval_severities(0) == [2.0, float("inf")]
         assert sched.availability().tolist() == [0.8]
 
-    def test_transitions_cover_fail_stop_only(self):
-        sched = FaultSchedule(
-            [[(1.0, 2.0, 2.0), (4.0, 6.0)], [(3.0, 5.0)]], horizon=10.0)
-        times, devices, downs = sched.transitions()
-        # the brownout interval contributes no down/up events
-        assert times.tolist() == [3.0, 4.0, 5.0, 6.0]
-        assert devices.tolist() == [1, 0, 1, 0]
-        assert downs.tolist() == [True, True, False, False]
-
     @pytest.mark.parametrize("bad", [
         [[(1.0, 2.0, 0.5)]],               # severity < 1
         [[(1.0, 2.0, 0.0)]],
@@ -148,9 +129,9 @@ class TestBrownoutSeverity:
 
 
 class TestDownMaskVectorized:
-    """Satellite: ``down_mask(times)`` is one searchsorted sweep per
-    device; it must agree with per-instant ``is_down`` point queries on
-    every boundary convention."""
+    """The fail-stop mask ``isinf(severity_rows(times))`` is one
+    searchsorted sweep per device; it must agree with per-instant
+    ``is_down`` point queries on every boundary convention."""
 
     def test_matches_point_queries(self):
         sched = FaultSchedule(
@@ -159,7 +140,7 @@ class TestDownMaskVectorized:
         )
         times = np.array([0.0, 0.5, 1.0, 1.999, 2.0, 3.0, 4.0, 5.0, 6.0,
                           6.999, 7.0, 9.9])
-        mask = sched.down_mask(times)
+        mask = down_mask(sched, times)
         assert mask.shape == (times.size, 3)
         for i, t in enumerate(times):
             for d in range(3):
@@ -168,18 +149,18 @@ class TestDownMaskVectorized:
     def test_unsorted_and_repeated_query_times(self):
         sched = FaultSchedule([[(2.0, 5.0)]], horizon=10.0)
         times = np.array([9.0, 2.0, 2.0, 1.0, 4.999, 5.0])
-        assert sched.down_mask(times)[:, 0].tolist() == [
+        assert down_mask(sched, times)[:, 0].tolist() == [
             False, True, True, False, True, False]
 
     def test_brownouts_never_masked_down(self):
         sched = FaultSchedule([[(0.0, 10.0, 100.0)]], horizon=10.0)
         times = np.linspace(0.0, 9.9, 23)
-        assert not sched.down_mask(times).any()
+        assert not down_mask(sched, times).any()
 
     def test_empty_times_and_empty_device(self):
         sched = FaultSchedule([[(1.0, 2.0)], []], horizon=10.0)
-        assert sched.down_mask(np.array([])).shape == (0, 2)
-        assert not sched.down_mask(np.array([1.5]))[:, 1].any()
+        assert down_mask(sched, np.array([])).shape == (0, 2)
+        assert not down_mask(sched, np.array([1.5]))[:, 1].any()
 
     def test_random_schedules_fuzz(self):
         rng = np.random.default_rng(424242)
@@ -192,7 +173,7 @@ class TestDownMaskVectorized:
             )
             sched = proc.realize(3, 200.0, seed=trial)
             times = rng.uniform(-5.0, 205.0, size=64)
-            mask = sched.down_mask(times)
+            mask = down_mask(sched, times)
             for i, t in enumerate(times):
                 for d in range(3):
                     assert mask[i, d] == sched.is_down(d, float(t))
@@ -201,8 +182,8 @@ class TestDownMaskVectorized:
 class TestSeverityRows:
     """``severity_rows(times)`` is the whole-trace first-attempt lookup
     of the fault-aware routing loop: every entry must equal the
-    ``severity_at`` point query bit for bit, and ``down_mask`` must be
-    exactly its infinite entries."""
+    ``severity_at`` point query bit for bit, and its infinite entries
+    must be exactly the devices ``alive_mask`` reports down."""
 
     @staticmethod
     def assert_matches_point_queries(sched, times):
@@ -213,7 +194,7 @@ class TestSeverityRows:
             for d in range(sched.n_devices):
                 want = np.float64(sched.severity_at(d, t))
                 assert rows[k, d].tobytes() == want.tobytes(), (t, d)
-        assert np.array_equal(sched.down_mask(times), np.isinf(rows))
+            assert np.array_equal(np.isinf(rows[k]), ~sched.alive_mask(t))
 
     def test_adjacent_intervals_and_exact_boundaries(self):
         # device 0: fail-stop then brownout then fail-stop, each ending
@@ -274,10 +255,9 @@ class TestSeverityRows:
 
 
 class TestTransitionsAvailabilityOracle:
-    """Satellite: property-style fuzz — transitions() replay and
-    availability() must agree with a brute-force per-timestep oracle on
-    randomized interval sets, including adjacent and near-zero-length
-    intervals."""
+    """Property-style fuzz: availability() must agree with a brute-force
+    per-timestep oracle on randomized interval sets, including adjacent
+    and near-zero-length intervals."""
 
     def _random_schedule(self, rng, horizon=50.0):
         """Random sorted, non-overlapping intervals per device, with
@@ -306,28 +286,13 @@ class TestTransitionsAvailabilityOracle:
             intervals.append(dev)
         return FaultSchedule(intervals, horizon=horizon)
 
-    def test_transitions_replay_matches_alive_mask(self):
-        rng = np.random.default_rng(99)
-        for _ in range(20):
-            sched = self._random_schedule(rng)
-            times, devices, downs = sched.transitions()
-            assert np.all(np.diff(times) >= 0)
-            probes = np.concatenate([
-                rng.uniform(0.0, 50.0, size=40), times, times - 1e-9])
-            for t in probes:
-                alive = np.ones(sched.n_devices, dtype=bool)
-                for k in range(times.size):
-                    if times[k] <= t:
-                        alive[devices[k]] = not downs[k]
-                assert np.array_equal(alive, sched.alive_mask(float(t))), t
-
     def test_availability_matches_riemann_oracle(self):
         rng = np.random.default_rng(7)
         grid = np.arange(0.0, 50.0, 0.01)
         for _ in range(10):
             sched = self._random_schedule(rng)
             availability = sched.availability()
-            down = sched.down_mask(grid)
+            down = down_mask(sched, grid)
             for d in range(sched.n_devices):
                 oracle = 1.0 - down[:, d].mean()
                 assert availability[d] == pytest.approx(oracle, abs=2e-3)
@@ -397,6 +362,8 @@ class TestFaultProcess:
         {"mtbf": 1.0, "mttr": 1.0, "start_down": -0.1},
         {"mtbf": 1.0, "mttr": 1.0, "severity": 0.5},
         {"mtbf": 1.0, "mttr": 1.0, "severity": float("nan")},
+        {"mtbf": float("nan"), "mttr": 1.0},
+        {"mtbf": 1.0, "mttr": float("nan")},
     ])
     def test_invalid_process_raises(self, kwargs):
         with pytest.raises(ValueError):
