@@ -14,8 +14,8 @@ measurable tail-latency price visible in the merged p99.
 Every row here runs fully vectorized: the stateless routers partition
 the trace with closed-form NumPy (`route_batch`), the queue-aware pair
 (`jsq`, `power_aware`) rides the epoch-advance `route_step_batch` path
-— dense backlog arrays plus a shared completion heap, bit-identical to
-the scalar reference loop — and each of the N sub-traces runs on the
+— per-device backlog lists settled from one shared completion heap,
+bit-identical to the scalar reference loop — and each of the N sub-traces runs on the
 busy-period kernel (`engine="auto"`).
 
 Run:  python examples/fleet_dispatch.py

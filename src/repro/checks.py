@@ -1,0 +1,40 @@
+"""Argument checks shared by every layer that takes counts or demands.
+
+One rule per kind of setting, so the simulator, the sweep runners, the
+executor and the dispatcher accept and refuse exactly the same values.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any
+
+
+def check_count(name: str, value: Any, minimum: int = 1) -> int:
+    """``value`` as an ``int``, or ``ValueError`` unless it is a whole
+    number >= ``minimum``.
+
+    A fractional count is refused, never truncated: a truncated fleet
+    size or chunk width runs a different configuration than the one
+    asked for, and a fractional cap compared with ``==`` / ``>=``
+    silently never binds.
+    """
+    try:
+        ok = float(value).is_integer() and value >= minimum
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
+
+
+def check_service_time(service_time: Any) -> float:
+    """``service_time`` as a ``float``, or ``ValueError`` unless it is
+    finite and > 0 (NaN fails both comparisons)."""
+    if not 0 < service_time < math.inf:
+        raise ValueError(
+            f"service_time must be finite and > 0, got {service_time}"
+        )
+    return float(service_time)

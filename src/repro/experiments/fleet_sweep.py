@@ -62,7 +62,7 @@ def build_spec(config: FleetConfig = FleetConfig()) -> FleetSweepSpec:
             or config.retry_budget is not None):
         overload = OverloadConfig(
             failover=FailoverConfig(max_retries=config.max_retries),
-            breaker=(BreakerConfig(failure_threshold=int(config.breaker))
+            breaker=(BreakerConfig(failure_threshold=config.breaker)
                      if config.breaker is not None else None),
             retry_budget=(RetryBudgetConfig(capacity=float(config.retry_budget))
                           if config.retry_budget is not None else None),
@@ -70,7 +70,7 @@ def build_spec(config: FleetConfig = FleetConfig()) -> FleetSweepSpec:
         )
     return FleetSweepSpec(
         device=config.device,
-        fleet_sizes=tuple(int(n) for n in config.fleet_sizes),
+        fleet_sizes=config.fleet_sizes,
         routers=tuple(config.routers),
         policies=_policy_roster(),
         trace=TraceSpec(

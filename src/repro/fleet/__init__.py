@@ -17,8 +17,10 @@ Layering mirrors the rest of the repo: each router's semantics of
 record is its per-request ``decide_one``, which the scalar ``route``
 loops; the fast paths are pinned bit-identical to it — stateless
 routers via closed-form ``route_batch``, queue-aware routers via the
-epoch-advance ``route_step_batch`` (one arrival per round: a shared
-completion heap and a scan over per-device Python lists).  Under faults or overload protection
+epoch-advance ``route_step_batch`` (one arrival per round over the
+heap-settled backlog's per-device Python lists).  Per-request routing
+state — backlogs, breaker and live masks — is Python lists throughout;
+NumPy stays at the whole-trace boundary.  Under faults or overload protection
 every router runs one fault-aware loop, :func:`route_with_overload`,
 configured by one :class:`OverloadConfig` (the failover shape is its
 ``failover`` field; the fleet entry points and :class:`FleetSweepSpec`

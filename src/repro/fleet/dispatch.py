@@ -21,18 +21,23 @@ pinned bit-identical against that loop:
   :class:`PowerAwareRouter`) depend on the evolving per-device backlog,
   so they cannot decide all requests at once — but they *can* advance
   the whole fleet one routing epoch (one arrival) per round.
-  :meth:`Router.route_step_batch` is that path: settling pops a single
-  completion heap (amortized one pop per request instead of an O(N)
-  per-device walk), and each epoch's choice is a scan over per-device
-  Python lists — at fleet sizes of 2-64, NumPy's per-call overhead
-  would cost more than the scan.
+  :meth:`Router.route_step_batch` is that path: it runs over the
+  heap-settled :class:`_DenseBacklog` (amortized one completion-heap
+  pop per request instead of an O(N) per-device walk), and each
+  epoch's choice is an inlined scan of its Python lists.
 
 Under faults or overload protection every router goes through one
 per-request loop, :func:`route_with_overload`: failover retries,
 circuit breakers, a retry budget and deadline shedding, each a no-op
 when its :class:`OverloadConfig` knob is off.  It runs over either
 backlog — the heap-settled :class:`_DenseBacklog` or the list-walking
-:class:`_BacklogTracker` — which expose the same live arrays.
+:class:`_BacklogTracker` — which expose the same live lists.
+
+Per-request routing state is Python lists end to end (backlogs,
+breaker and live masks): at fleet sizes of 1-64 a NumPy call costs
+more than the scan it would replace.  NumPy stays at the whole-trace
+boundary — the arrival and demand arrays, the severity sweep and the
+:class:`OverloadOutcome` arrays.
 
 Queue-aware routing uses the *dispatcher-level* service model: FIFO
 per-device backlog from arrival times and service demands, ignoring DPM
@@ -46,14 +51,15 @@ awake window, is presumed still awake.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
+from ..checks import check_count, check_service_time
 from ..device import PowerStateMachine
 from ..sim.simulator import resolve_demands
 from ..workload.faults import FaultSchedule, no_faults, resolve_fault_schedule
@@ -126,10 +132,10 @@ class Router(ABC):
         Second opt-in fast path, mirroring
         :meth:`~repro.sim.policy_api.EventPolicy.decide_step_batch`: a
         queue-aware router advances its per-device backlog one routing
-        epoch (one arrival) per round, settling from one shared
-        completion heap and deciding with a scan over Python lists
-        instead of the reference loop's per-device settle walk and
-        backlog arrays.  It must reproduce :meth:`route` bit-for-bit
+        epoch (one arrival) per round over :class:`_DenseBacklog`
+        (one shared completion heap instead of the reference loop's
+        per-device settle walk), with its decision scan inlined.  It
+        must reproduce :meth:`route` bit-for-bit
         (pinned in tests/test_fleet_dispatch.py).  Consulted by the
         dispatcher only after :meth:`route_batch` declined.
         """
@@ -153,11 +159,11 @@ class Router(ABC):
     def decide_one(
         self,
         state: dict,
-        queue_len: np.ndarray,
-        last_completion: np.ndarray,
+        queue_len: List[int],
+        last_completion: List[float],
         now: float,
         ctx: RouteContext,
-        alive: Optional[np.ndarray] = None,
+        alive: Optional[List[bool]] = None,
     ) -> int:
         """One routing decision at instant ``now``.
 
@@ -165,13 +171,13 @@ class Router(ABC):
         :meth:`route` loops it over a trace, and
         :func:`route_with_overload` interleaves it with retries.
 
-        ``alive`` is the admissible-device mask at ``now``: when given
-        (never all-False), the router must choose its best *admissible*
-        device — the mask-aware ranking failover and breakers fall back
-        on.  With ``alive=None`` the choice must not depend on the mask
-        at all.  ``queue_len`` / ``last_completion`` are the
-        dispatcher-level backlog views at ``now`` (post-settle), read
-        only.
+        ``alive`` is the admissible-device mask at ``now``, one bool
+        per device: when given (never all-False), the router must
+        choose its best *admissible* device — the mask-aware ranking
+        failover and breakers fall back on.  With ``alive=None`` the
+        choice must not depend on the mask at all.  ``queue_len`` /
+        ``last_completion`` are the backlog's live per-device lists at
+        ``now`` (post-settle), read only.
         """
 
 
@@ -221,8 +227,8 @@ class RandomRouter(Router):
         # consumes the stream exactly like route_batch()
         if alive is None:
             return int(ctx.rng.integers(0, ctx.n_devices))
-        live = np.flatnonzero(alive)
-        return int(live[int(ctx.rng.integers(0, live.size))])
+        live = [d for d, ok in enumerate(alive) if ok]
+        return live[int(ctx.rng.integers(0, len(live)))]
 
 
 #: settled-prefix length past which :class:`_BacklogTracker` compacts a
@@ -235,10 +241,11 @@ class _BacklogTracker:
     """Per-device FIFO backlog under the dispatcher-level service model.
 
     The list-walking backlog behind the scalar reference paths.  Like
-    :class:`_DenseBacklog` it exposes live ``queue_len`` /
-    ``last_completion`` arrays (updated in place, so a routing loop can
-    hold on to them) plus :meth:`settle` / :meth:`assign`; the two
-    backlogs hold equal arrays after every operation (property-tested).
+    :class:`_DenseBacklog` it exposes live ``queue_len: List[int]`` /
+    ``last_completion: List[float]`` (updated in place, so a routing
+    loop can hold on to them) plus :meth:`settle` / :meth:`assign`; the
+    two backlogs hold equal lists after every operation
+    (property-tested).
     """
 
     def __init__(self, n_devices: int) -> None:
@@ -246,8 +253,8 @@ class _BacklogTracker:
         # requests (monotone per device, so popping the head suffices)
         self._completions: List[List[float]] = [[] for _ in range(n_devices)]
         self._head: List[int] = [0] * n_devices
-        self.last_completion = np.zeros(n_devices)
-        self.queue_len = np.zeros(n_devices, dtype=np.int64)
+        self.last_completion: List[float] = [0.0] * n_devices
+        self.queue_len: List[int] = [0] * n_devices
 
     def settle(self, now: float) -> None:
         """Drop requests already completed by ``now``.
@@ -270,7 +277,7 @@ class _BacklogTracker:
 
     def assign(self, d: int, now: float, demand: float) -> None:
         """Book one request on device ``d`` arriving at ``now``."""
-        start = max(now, float(self.last_completion[d]))
+        start = max(now, self.last_completion[d])
         done = start + demand
         self._completions[d].append(done)
         self.last_completion[d] = done
@@ -286,12 +293,13 @@ class _DenseBacklog:
     a whole trace.  Arithmetic is kept operation-for-operation identical
     to the list tracker (``max`` then ``+`` on Python floats), so the
     booked completion times — and therefore every downstream comparison
-    — are bit-identical.
+    — are bit-identical.  The queue-aware step loops run over it too,
+    binding :meth:`settle` / :meth:`assign` once per trace.
     """
 
     def __init__(self, n_devices: int) -> None:
-        self.last_completion = np.zeros(n_devices)
-        self.queue_len = np.zeros(n_devices, dtype=np.int64)
+        self.last_completion: List[float] = [0.0] * n_devices
+        self.queue_len: List[int] = [0] * n_devices
         self._heap: List[Tuple[float, int]] = []
 
     def settle(self, now: float) -> None:
@@ -299,15 +307,15 @@ class _DenseBacklog:
         heap = self._heap
         queue_len = self.queue_len
         while heap and heap[0][0] <= now:
-            queue_len[heapq.heappop(heap)[1]] -= 1
+            queue_len[heappop(heap)[1]] -= 1
 
     def assign(self, d: int, now: float, demand: float) -> None:
         """Book one request on device ``d`` arriving at ``now``."""
-        start = max(now, float(self.last_completion[d]))
-        done = start + demand
+        lc = self.last_completion[d]
+        done = (lc if lc > now else now) + demand  # == max(now, lc)
         self.last_completion[d] = done
         self.queue_len[d] += 1
-        heapq.heappush(self._heap, (done, d))
+        heappush(self._heap, (done, d))
 
 
 def _shortest_live(queue_len: List[int], live: List[bool]) -> int:
@@ -337,40 +345,31 @@ class JoinShortestQueueRouter(Router):
     name = "jsq"
 
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
-        # inlined _DenseBacklog: jsq only ever reads the argmin of the
-        # queue lengths, so last-completion times can stay Python floats
-        # (same IEEE doubles, so booked completions stay bit-identical)
-        n = int(ctx.arrivals.size)
-        heap: List[Tuple[float, int]] = []
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        queue_len = np.zeros(ctx.n_devices, dtype=np.int64)
-        # bound-method argmin: same values, same lowest-index
-        # tie-breaking as the scalar list scan
-        qargmin = queue_len.argmin
-        last = [0.0] * ctx.n_devices
-        out = [0] * n
-        arrivals = ctx.arrivals.tolist()
-        demands = ctx.demands.tolist()
-        for i in range(n):
-            now = arrivals[i]
-            while heap and heap[0][0] <= now:
-                queue_len[heappop(heap)[1]] -= 1
-            choice = int(qargmin())
-            lc = last[choice]
-            start = lc if lc > now else now  # == max(now, lc)
-            done = start + demands[i]
-            last[choice] = done
-            queue_len[choice] += 1
-            heappush(heap, (done, choice))
-            out[i] = choice
+        backlog = _DenseBacklog(ctx.n_devices)
+        settle = backlog.settle
+        assign = backlog.assign
+        queue_len = backlog.queue_len
+        first_of = queue_len.index
+        out = []
+        book = out.append
+        for now, demand in zip(ctx.arrivals.tolist(), ctx.demands.tolist()):
+            settle(now)
+            # an empty queue is the minimum: the first one found is the
+            # lowest-index tie, so the full min() scan runs only when
+            # every device is busy
+            choice = first_of(0) if 0 in queue_len else first_of(
+                min(queue_len)
+            )
+            assign(choice, now, demand)
+            book(choice)
         return np.asarray(out, dtype=np.int64)
 
     def decide_one(self, state, queue_len, last_completion, now, ctx,
                    alive=None) -> int:
         if alive is None:
-            return int(queue_len.argmin())
-        return _shortest_live(queue_len.tolist(), alive.tolist())
+            # first of the ties, as argmin
+            return queue_len.index(min(queue_len))
+        return _shortest_live(queue_len, alive)
 
 
 class PowerAwareRouter(Router):
@@ -398,9 +397,8 @@ class PowerAwareRouter(Router):
         # the step path relies on ``window >= 0``, which NaN fails
         if awake_window is not None and not awake_window >= 0:
             raise ValueError(f"awake_window must be >= 0, got {awake_window}")
-        _check_count("max_queue", max_queue, 1)
         self._awake_window = awake_window
-        self._max_queue = int(max_queue)
+        self._max_queue = check_count("max_queue", max_queue)
 
     def resolve_window(self, device: PowerStateMachine) -> float:
         """The configured awake window, or the device's default."""
@@ -411,25 +409,21 @@ class PowerAwareRouter(Router):
         )
 
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
-        # inlined _DenseBacklog on Python lists (as in jsq), and the
-        # decide_one tree as one scan per branch: strict < / > keep the
-        # lowest index on ties, as NumPy's argmin / argmax do
+        # the decide_one tree inlined as one scan per branch: strict
+        # < / > keep the lowest index on ties, as NumPy's argmin /
+        # argmax do
         window = self.resolve_window(ctx.device)
         max_queue = self._max_queue
         devices = range(ctx.n_devices)
-        n = int(ctx.arrivals.size)
-        heap: List[Tuple[float, int]] = []
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        qlen = [0] * ctx.n_devices
-        last = [0.0] * ctx.n_devices
-        out = [0] * n
-        arrivals = ctx.arrivals.tolist()
-        demands = ctx.demands.tolist()
-        for i in range(n):
-            now = arrivals[i]
-            while heap and heap[0][0] <= now:
-                qlen[heappop(heap)[1]] -= 1
+        backlog = _DenseBacklog(ctx.n_devices)
+        settle = backlog.settle
+        assign = backlog.assign
+        qlen = backlog.queue_len
+        last = backlog.last_completion
+        out = []
+        book = out.append
+        for now, demand in zip(ctx.arrivals.tolist(), ctx.demands.tolist()):
+            settle(now)
             # shortest awake queue with room; ``q < best`` from
             # max_queue is the room test and the argmin in one.  Awake
             # is ``now - last < window`` alone, provably equal to
@@ -454,19 +448,9 @@ class PowerAwareRouter(Router):
                         recent = lc
                 if choice < 0:
                     # every device awake and full: shortest queue
-                    choice = 0
-                    best = qlen[0]
-                    for d in devices:
-                        if qlen[d] < best:
-                            choice = d
-                            best = qlen[d]
-            lc = last[choice]
-            start = lc if lc > now else now  # == max(now, lc)
-            done = start + demands[i]
-            last[choice] = done
-            qlen[choice] += 1
-            heappush(heap, (done, choice))
-            out[i] = choice
+                    choice = qlen.index(min(qlen))
+            assign(choice, now, demand)
+            book(choice)
         return np.asarray(out, dtype=np.int64)
 
     def begin_route(self, ctx: RouteContext) -> dict:
@@ -480,29 +464,29 @@ class PowerAwareRouter(Router):
         # route_step_batch inlines, so choices — and tie-breaks — match
         # it exactly
         window = state["window"]
-        qs = queue_len.tolist()
-        lcs = last_completion.tolist()
-        devices = range(len(qs))
-        eligible = [True] * len(qs) if alive is None else alive.tolist()
-        awake = [q > 0 or now - lc < window for q, lc in zip(qs, lcs)]
+        devices = range(len(queue_len))
+        eligible = [True] * len(queue_len) if alive is None else alive
+        awake = [q > 0 or now - lc < window
+                 for q, lc in zip(queue_len, last_completion)]
         choice = -1
         best = self._max_queue  # room test and argmin in one compare
         for d in devices:
-            if qs[d] < best and awake[d] and eligible[d]:
+            if queue_len[d] < best and awake[d] and eligible[d]:
                 choice = d
-                best = qs[d]
+                best = queue_len[d]
         if choice >= 0:
             return choice
         # wake the most recently used sleeping (live) device
         recent = -math.inf
         for d in devices:
-            if lcs[d] > recent and not awake[d] and eligible[d]:
+            lc = last_completion[d]
+            if lc > recent and not awake[d] and eligible[d]:
                 choice = d
-                recent = lcs[d]
+                recent = lc
         if choice >= 0:
             return choice
         # every live device awake and full: plain shortest live queue
-        return _shortest_live(qs, eligible)
+        return _shortest_live(queue_len, eligible)
 
 
 #: registry used by the sweep layer and the CLI ``--router`` flag
@@ -526,18 +510,6 @@ def make_router(name: str) -> Router:
 
 #: failover policies accepted by :class:`FailoverConfig`
 FAILOVER_POLICIES = ("next_best", "resubmit")
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a count setting that is not a whole number >= ``minimum``.
-
-    The routing loop compares its integer counters against these with
-    ``==`` / ``>=``, so a fractional cap would silently never bind.
-    """
-    if not (float(value).is_integer() and value >= minimum):
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -578,7 +550,7 @@ class FailoverConfig:
                 f"unknown failover policy {self.policy!r}; "
                 f"choose from {FAILOVER_POLICIES}"
             )
-        _check_count("max_retries", self.max_retries, 0)
+        check_count("max_retries", self.max_retries, 0)
         # ``not x > y`` also rejects NaN
         if not self.backoff_base > 0:
             raise ValueError(
@@ -640,12 +612,12 @@ class BreakerConfig:
     latency_threshold: float = math.inf
 
     def __post_init__(self) -> None:
-        _check_count("failure_threshold", self.failure_threshold, 1)
+        check_count("failure_threshold", self.failure_threshold)
         if not self.recovery_time > 0:
             raise ValueError(
                 f"recovery_time must be > 0, got {self.recovery_time}"
             )
-        _check_count("half_open_successes", self.half_open_successes, 1)
+        check_count("half_open_successes", self.half_open_successes)
         if math.isnan(self.latency_threshold) or self.latency_threshold <= 0:
             raise ValueError(
                 f"latency_threshold must be > 0 (inf = latency-blind), "
@@ -737,8 +709,8 @@ class _BreakerFleet:
     With ``config=None`` every method is a no-op and
     :meth:`routing_mask` returns None — the disabled path adds nothing
     to the failover semantics.  Per-device state lives in Python lists:
-    the loop touches one device per call, and a NumPy mask is built
-    only while some breaker is open.
+    the loop touches one device per call, and a mask list is built only
+    while some breaker is open.
     """
 
     def __init__(self, n_devices: int, config: Optional[BreakerConfig]):
@@ -752,7 +724,7 @@ class _BreakerFleet:
         self.successes = [0] * n_devices
         self.opened_at = [0.0] * n_devices
 
-    def routing_mask(self, now: float) -> Optional[np.ndarray]:
+    def routing_mask(self, now: float) -> Optional[List[bool]]:
         """Mask of breaker-admissible devices at ``now`` (True = route
         here), after promoting recovered breakers to half-open.  None
         when breakers are disabled or none is open — an all-True mask
@@ -771,7 +743,7 @@ class _BreakerFleet:
             # none open any more, or the whole fleet tripped: never
             # black-hole it
             return None
-        return np.array([st != _BRK_OPEN for st in state])
+        return [st != _BRK_OPEN for st in state]
 
     def record_failure(self, d: int, now: float) -> None:
         """A dispatch attempt on ``d`` failed (dead pick or timeout)."""
@@ -853,15 +825,15 @@ class _RetryBudget:
 
 
 def _routable(
-    alive: np.ndarray, breaker_mask: Optional[np.ndarray]
-) -> np.ndarray:
+    alive: List[bool], breaker_mask: Optional[List[bool]]
+) -> List[bool]:
     """Live devices, narrowed to breaker-admissible ones when any such
     device survives — breakers refine failover, they never turn a
     reachable fleet into a black hole."""
     if breaker_mask is None:
         return alive
-    both = alive & breaker_mask
-    return both if both.any() else alive
+    both = [a and b for a, b in zip(alive, breaker_mask)]
+    return both if any(both) else alive
 
 
 @dataclass
@@ -998,7 +970,7 @@ def route_with_overload(
     :meth:`~repro.workload.FaultSchedule.alive_mask`.
     ``vectorized`` picks the backlog the loop runs over: the
     heap-settled :class:`_DenseBacklog`, or the list-walking
-    :class:`_BacklogTracker` reference.  The two hold equal arrays after
+    :class:`_BacklogTracker` reference.  The two hold equal lists after
     every operation, so the outcome does not depend on the choice.
     """
     if faults.n_devices != ctx.n_devices:
@@ -1080,8 +1052,8 @@ def route_with_overload(
                     alive=routing_mask(t),
                 )
             else:
-                alive = alive_mask(t)
-                if alive.any():
+                alive = alive_mask(t).tolist()
+                if any(alive):
                     choice = decide(
                         state, queue_len, last_completion, t, ctx,
                         alive=_routable(alive, routing_mask(t)),
@@ -1090,7 +1062,7 @@ def route_with_overload(
             severity = severity_at(choice, t)
         if choice >= 0:
             demand = demands[i] * severity
-            start = max(t, float(last_completion[choice]))
+            start = max(t, last_completion[choice])
             done = start + demand
             if done > deadline:
                 choice = SHED_ASSIGNMENT
@@ -1148,14 +1120,10 @@ class Dispatcher:
             router = make_router(router)
         if not isinstance(router, Router):
             raise TypeError(f"router must be a Router or name, got {router!r}")
-        if int(n_devices) < 1:
-            raise ValueError(f"n_devices must be >= 1, got {n_devices}")
-        if service_time <= 0:
-            raise ValueError(f"service_time must be > 0, got {service_time}")
         self.router = router
-        self.n_devices = int(n_devices)
+        self.n_devices = check_count("n_devices", n_devices)
         self.device = device
-        self.service_time = float(service_time)
+        self.service_time = check_service_time(service_time)
         self.seed = int(seed)
 
     def _context(self, trace: Trace) -> RouteContext:

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI
+from ..checks import check_count, check_service_time
 from ..device import get_preset
 from ..runtime.chunked import ChunkedRunner, SweepPlan
 from ..runtime.simsweep import (
@@ -136,19 +137,19 @@ class FleetSweepSpec:
     def __post_init__(self) -> None:
         if not (self.fleet_sizes and self.routers and self.policies):
             raise ValueError("need at least one fleet size, router, and policy")
-        if any(int(n) < 1 for n in self.fleet_sizes):
-            raise ValueError(f"fleet sizes must be >= 1, got {self.fleet_sizes}")
+        object.__setattr__(self, "fleet_sizes", tuple(
+            check_count("fleet size", n) for n in self.fleet_sizes
+        ))
         for name in self.routers:
             if name not in ROUTERS:
                 raise ValueError(
                     f"unknown router {name!r}; choose from {sorted(ROUTERS)}"
                 )
-        if self.n_traces < 1:
-            raise ValueError(f"n_traces must be >= 1, got {self.n_traces}")
-        if self.seed_stride < 1:
-            raise ValueError(f"seed_stride must be >= 1, got {self.seed_stride}")
-        if self.service_time <= 0:
-            raise ValueError(f"service_time must be > 0, got {self.service_time}")
+        for name, minimum in (("n_traces", 1), ("seed", 0), ("seed_stride", 1)):
+            object.__setattr__(
+                self, name, check_count(name, getattr(self, name), minimum)
+            )
+        check_service_time(self.service_time)
         if self.overload is not None and not isinstance(
             self.overload, OverloadConfig
         ):

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..checks import check_count
 from .checkpoint import run_chunks_checkpointed, spec_hash
 from .executor import get_executor, resolve_n_jobs
 from .telemetry import TELEMETRY
@@ -37,13 +38,6 @@ from .verify import (
     sweep_interrupts,
     verification_block,
 )
-
-
-def positive(name: str, value: Any) -> int:
-    """``int(value)``, or ``ValueError`` when it is below 1."""
-    if int(value) < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
 
 
 def chunk_seeds(seeds: List[int], size: int) -> List[List[int]]:
@@ -153,16 +147,14 @@ class ChunkedRunner:
                    checkpoint: Optional[str] = None,
                    verify_fraction: float = 0.0,
                    diagnostics_dir: Optional[str] = None) -> None:
-        setattr(self, size_name, positive(size_name, size))
-        self.n_jobs = positive("n_jobs", n_jobs)
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        setattr(self, size_name, check_count(size_name, size))
+        self.n_jobs = check_count("n_jobs", n_jobs)
         if not 0.0 <= float(verify_fraction) <= 1.0:
             raise ValueError(
                 f"verify_fraction must be in [0, 1], got {verify_fraction}"
             )
         self.timeout = timeout
-        self.max_retries = int(max_retries)
+        self.max_retries = check_count("max_retries", max_retries, 0)
         self.retry_backoff = float(retry_backoff)
         self.checkpoint = checkpoint
         self.verify_fraction = float(verify_fraction)

@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import check_service_time
 from ..device import PowerStateMachine
 from ..sim.policy_api import BatchIdleContext, EventPolicy, StepBatchContext
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
@@ -187,8 +188,7 @@ def run_gap_batched(
     trailing gap.  Scans and sums run per trace slice, so each report
     is bit-identical to the trace run alone.
     """
-    if service_time <= 0:
-        raise ValueError(f"service_time must be > 0, got {service_time}")
+    check_service_time(service_time)
     home = device.initial_state
     wait = default_wait_state(device)
     traces = list(traces)
@@ -461,8 +461,7 @@ def run_step_batched(
     later), so per-replica state is just (next pure period, previous
     completion, policy state) and every round is O(R) array work.
     """
-    if service_time <= 0:
-        raise ValueError(f"service_time must be > 0, got {service_time}")
+    check_service_time(service_time)
     home = device.initial_state
     wait = default_wait_state(device)
     traces = list(traces)

@@ -30,6 +30,7 @@ import time
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..checks import check_count
 from .telemetry import TELEMETRY, TracedCall
 
 
@@ -339,9 +340,7 @@ class MultiprocessExecutor:
     """
 
     def __init__(self, n_jobs: int, start_method: Optional[str] = None) -> None:
-        if int(n_jobs) < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.n_jobs = int(n_jobs)
+        self.n_jobs = check_count("n_jobs", n_jobs)
         self._start_method = start_method
 
     def _pool(self, n_tasks: int):
@@ -471,16 +470,7 @@ def get_executor(n_jobs: int = 1) -> Executor:
     ValueError
         If ``n_jobs`` is not a positive integer.
     """
-    try:
-        as_int = int(n_jobs)
-        exact = as_int == n_jobs
-    except (TypeError, ValueError):
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
-    if not exact:
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
-    n_jobs = as_int
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = check_count("n_jobs", n_jobs)
     if n_jobs == 1:
         return SerialExecutor()
     return MultiprocessExecutor(n_jobs)

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI, bootstrap_ci
+from ..checks import check_count, check_service_time
 from ..device import get_preset
 from ..sim.policy_api import EventPolicy
 from ..sim.stats import SimReport
@@ -111,12 +112,11 @@ class SimSweepSpec:
     def __post_init__(self) -> None:
         if not (self.devices and self.traces and self.policies):
             raise ValueError("need at least one device, trace, and policy")
-        if self.n_traces < 1:
-            raise ValueError(f"n_traces must be >= 1, got {self.n_traces}")
-        if self.seed_stride < 1:
-            raise ValueError(f"seed_stride must be >= 1, got {self.seed_stride}")
-        if self.service_time <= 0:
-            raise ValueError(f"service_time must be > 0, got {self.service_time}")
+        for name, minimum in (("n_traces", 1), ("seed", 0), ("seed_stride", 1)):
+            object.__setattr__(
+                self, name, check_count(name, getattr(self, name), minimum)
+            )
+        check_service_time(self.service_time)
 
     def seeds(self) -> List[int]:
         """Replication seeds, shared across cells so comparisons pair."""

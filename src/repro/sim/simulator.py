@@ -32,6 +32,7 @@ from typing import Deque, Optional, Tuple
 
 import numpy as np
 
+from ..checks import check_service_time
 from ..device import PowerStateMachine
 from ..workload.trace import Trace
 from .events import ARRIVAL, SERVICE_DONE, TIMEOUT, TRANSITION_DONE, Event, EventQueue
@@ -108,11 +109,9 @@ class DPMSimulator:
         oracle: bool = False,
         keep_latencies: bool = True,
     ) -> None:
-        if service_time <= 0:
-            raise ValueError(f"service_time must be > 0, got {service_time}")
         self.device = device
         self.policy = policy
-        self.service_time = float(service_time)
+        self.service_time = check_service_time(service_time)
         self.home = device.initial_state
         #: where the device lingers before a (possible) shutdown
         self.wait_state = default_wait_state(device)

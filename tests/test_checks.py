@@ -1,0 +1,105 @@
+"""Every entry point refuses a non-finite service time and a fractional
+count, through the one rule of :mod:`repro.checks` — rather than
+simulating with NaN demands, failing late, or truncating a count."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.baselines import FixedTimeout
+from repro.checks import check_count
+from repro.device import get_preset
+from repro.fleet import Dispatcher, FleetSweepRunner
+from repro.fleet.dispatch import PowerAwareRouter
+from repro.runtime import (
+    GridRunner,
+    SimSweepRunner,
+    SweepRunner,
+    run_gap_batched,
+    run_step_batched,
+)
+from repro.runtime.executor import MultiprocessExecutor
+from repro.sim import DPMSimulator
+from repro.workload import Trace
+
+from test_fleet_sweep import small_spec as fleet_spec
+from test_runtime_simsweep import small_spec as sim_spec
+
+DEVICE = get_preset("mobile_hdd")
+TRACE = Trace([1.0, 2.0], duration=5.0)
+
+SERVICE_TIME_ENTRY_POINTS = {
+    "DPMSimulator": lambda v: DPMSimulator(
+        DEVICE, FixedTimeout(), service_time=v
+    ).run(TRACE),
+    "run_gap_batched": lambda v: run_gap_batched(
+        DEVICE, FixedTimeout(), [TRACE], service_time=v
+    ),
+    "run_step_batched": lambda v: run_step_batched(
+        DEVICE, FixedTimeout(), [TRACE], service_time=v
+    ),
+    "SimSweepSpec": lambda v: sim_spec(service_time=v),
+    "FleetSweepSpec": lambda v: fleet_spec(service_time=v),
+    "Dispatcher": lambda v: Dispatcher("jsq", 2, DEVICE, service_time=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(SERVICE_TIME_ENTRY_POINTS))
+def test_bad_service_time_rejected(entry, value):
+    with pytest.raises(ValueError, match="service_time"):
+        SERVICE_TIME_ENTRY_POINTS[entry](value)
+
+
+COUNT_ENTRY_POINTS = {
+    "Dispatcher.n_devices": lambda v: Dispatcher("jsq", v, DEVICE),
+    "SweepRunner.batch_size": lambda v: SweepRunner(batch_size=v),
+    "GridRunner.batch_size": lambda v: GridRunner(batch_size=v),
+    "SimSweepRunner.chunk_size": lambda v: SimSweepRunner(chunk_size=v),
+    "FleetSweepRunner.n_jobs": lambda v: FleetSweepRunner(n_jobs=v),
+    "MultiprocessExecutor.n_jobs": lambda v: MultiprocessExecutor(v),
+    "FleetSweepSpec.fleet_sizes": lambda v: fleet_spec(fleet_sizes=(2, v)),
+    "FleetSweepSpec.n_traces": lambda v: fleet_spec(n_traces=v),
+    "FleetSweepSpec.seed_stride": lambda v: fleet_spec(seed_stride=v),
+    "SimSweepSpec.n_traces": lambda v: sim_spec(n_traces=v),
+    "SimSweepSpec.seed_stride": lambda v: sim_spec(seed_stride=v),
+    "PowerAwareRouter.max_queue": lambda v: PowerAwareRouter(max_queue=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 0, "3", None])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_fractional_or_invalid_count_rejected(entry, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        COUNT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, math.inf, -1, "two"])
+@pytest.mark.parametrize("spec", [sim_spec, fleet_spec])
+def test_bad_seed_rejected(spec, value):
+    """Seed 0 is valid; a fractional seed used to yield float
+    replication seeds and fail inside the first chunk."""
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        spec(seed=value)
+    assert spec(seed=0).seeds()[0] == 0
+
+
+def test_whole_counts_normalized_to_int():
+    """A whole float is accepted and stored as the int it names, so
+    seeds stay ints."""
+    spec = fleet_spec(fleet_sizes=[2.0], n_traces=2.0, seed_stride=3.0)
+    assert spec.fleet_sizes == (2,)
+    assert spec.seeds() == [5, 8]
+    assert all(type(s) is int for s in spec.seeds())
+    assert sim_spec(n_traces=2.0, seed_stride=1.0).seeds() == [5, 6]
+    assert Dispatcher("jsq", 3.0, DEVICE).n_devices == 3
+    assert SweepRunner(batch_size=4.0).batch_size == 4
+
+
+def test_zero_minimum_counts():
+    assert check_count("n", 0, minimum=0) == 0
+    assert FleetSweepRunner(max_retries=0).max_retries == 0
+    with pytest.raises(ValueError, match="max_retries"):
+        FleetSweepRunner(max_retries=0.5)

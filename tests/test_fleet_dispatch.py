@@ -247,7 +247,7 @@ def _backlog_programs(draw):
 
 class TestBacklogEquivalence:
     """The fault-aware loop and ``Router.route`` run over either backlog;
-    both must expose equal ``queue_len`` / ``last_completion`` arrays
+    both must expose equal ``queue_len`` / ``last_completion`` lists
     after every settle and assign."""
 
     @settings(max_examples=200, deadline=None)
@@ -284,7 +284,7 @@ class TestBacklogEquivalence:
             assert np.array_equal(tracker.queue_len, dense.queue_len), op
             assert np.array_equal(tracker.last_completion,
                                   dense.last_completion), op
-            assert (tracker.queue_len >= 0).all()
+            assert min(tracker.queue_len) >= 0
 
     def test_compaction_reached_by_the_burst_example(self):
         """The first explicit example above must cross the compaction
@@ -295,7 +295,7 @@ class TestBacklogEquivalence:
             tracker.assign(0, 0.0, 0.0)
         tracker.settle(10.0)
         assert tracker._completions[0] == []
-        assert tracker.queue_len.tolist() == [0]
+        assert tracker.queue_len == [0]
 
 
 class TestRoundRobin:
