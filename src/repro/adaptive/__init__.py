@@ -1,14 +1,12 @@
 """Model-based adaptive DPM: estimator, change detection, re-optimization."""
 
-from .change_detect import BernoulliCUSUM, PageHinkley
-from .estimator import ExponentialEstimator, SlidingWindowEstimator
+from .change_detect import BernoulliCUSUM
+from .estimator import SlidingWindowEstimator
 from .model_based import AdaptationEvent, AdaptationLog, ModelBasedAdaptiveDPM
 
 __all__ = [
     "SlidingWindowEstimator",
-    "ExponentialEstimator",
     "BernoulliCUSUM",
-    "PageHinkley",
     "ModelBasedAdaptiveDPM",
     "AdaptationEvent",
     "AdaptationLog",

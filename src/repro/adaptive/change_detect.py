@@ -3,20 +3,14 @@
 A model-based adaptive DPM re-optimizes only when it believes the
 workload parameters changed; the component that decides this is what the
 paper calls the mode-switch controller and describes as "fairly time
-consuming".  Two standard sequential detectors over the per-slot arrival
-indicator stream:
-
-- :class:`BernoulliCUSUM` — two-sided CUSUM of the standardized deviation
-  from the currently assumed rate;
-- :class:`PageHinkley` — Page-Hinkley cumulative-deviation test.
-
-Both expose ``update(x) -> bool`` (True = alarm) and carry the
-detection-delay bookkeeping the Fig. 2 analysis reports.
+consuming".  :class:`BernoulliCUSUM` is the standard sequential detector
+over the per-slot arrival indicator stream: a two-sided CUSUM of the
+deviation from the currently assumed rate, with ``update(x) -> bool``
+(True = alarm) and ``reset`` to re-arm around a new rate.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 
@@ -46,22 +40,15 @@ class BernoulliCUSUM:
         self._threshold = float(threshold)
         self._g_pos = 0.0
         self._g_neg = 0.0
-        self._since_reset = 0
 
     @property
     def target_rate(self) -> float:
         """The rate currently assumed to be in force."""
         return self._p0
 
-    @property
-    def slots_since_reset(self) -> int:
-        """Observations consumed since the last (re)arming."""
-        return self._since_reset
-
     def update(self, arrived: bool) -> bool:
         """Feed one observation; True means "parameter change detected"."""
         x = float(bool(arrived))
-        self._since_reset += 1
         self._g_pos = max(0.0, self._g_pos + (x - self._p0 - self._drift))
         self._g_neg = max(0.0, self._g_neg + (self._p0 - x - self._drift))
         return self._g_pos > self._threshold or self._g_neg > self._threshold
@@ -74,51 +61,3 @@ class BernoulliCUSUM:
             self._p0 = float(target_rate)
         self._g_pos = 0.0
         self._g_neg = 0.0
-        self._since_reset = 0
-
-
-class PageHinkley:
-    """Page-Hinkley test on the running mean of the stream.
-
-    Tracks ``m_t = sum (x_i - mean_i - delta)`` and alarms when
-    ``max(m) - m_t > lambda_`` (downward shift) or the symmetric upward
-    statistic trips.  Parameter names follow the usual PH formulation.
-    """
-
-    def __init__(self, delta: float = 0.02, lambda_: float = 50.0) -> None:
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        if lambda_ <= 0:
-            raise ValueError(f"lambda_ must be > 0, got {lambda_}")
-        self._delta = float(delta)
-        self._lambda = float(lambda_)
-        self.reset()
-
-    def update(self, arrived: bool) -> bool:
-        """Feed one observation; True means "change detected"."""
-        x = float(bool(arrived))
-        self._n += 1
-        self._mean += (x - self._mean) / self._n
-        self._m_down += x - self._mean + self._delta
-        self._m_up += x - self._mean - self._delta
-        self._max_down = max(self._max_down, self._m_down)
-        self._min_up = min(self._min_up, self._m_up)
-        down_trip = self._max_down - self._m_down > self._lambda
-        up_trip = self._m_up - self._min_up > self._lambda
-        return down_trip or up_trip
-
-    def reset(self, target_rate: Optional[float] = None) -> None:
-        """Re-arm; ``target_rate`` seeds the running mean if given."""
-        self._n = 0
-        self._mean = float(target_rate) if target_rate is not None else 0.0
-        if target_rate is not None:
-            self._n = 1
-        self._m_down = 0.0
-        self._m_up = 0.0
-        self._max_down = 0.0
-        self._min_up = 0.0
-
-    @property
-    def running_mean(self) -> float:
-        """Current running mean of the stream."""
-        return self._mean

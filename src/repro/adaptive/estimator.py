@@ -2,13 +2,9 @@
 
 A model-based DPM controller must estimate the workload parameters before
 it can optimize a policy.  For the slotted environment the unknown is the
-per-slot Bernoulli arrival probability; the estimators here are the two
-standard causal choices:
-
-- :class:`SlidingWindowEstimator` — MLE over the last ``window`` slots
-  (unbiased, lag ~ window/2 after a switch);
-- :class:`ExponentialEstimator` — exponentially weighted moving average
-  (cheaper memory, tunable lag).
+per-slot Bernoulli arrival probability, and
+:class:`SlidingWindowEstimator` is the standard causal choice: the MLE
+over the last ``window`` slots (unbiased, lag ~ window/2 after a switch).
 
 The paper's complaint: "the parameter estimation also consumes a lot of
 time to maintain a reasonable accuracy".  The CLAIM-EFF bench counts this
@@ -19,8 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Deque, Optional
-
-import numpy as np
 
 
 class SlidingWindowEstimator:
@@ -68,48 +62,3 @@ class SlidingWindowEstimator:
             self._prior = float(prior_rate)
         self._buffer.clear()
         self._sum = 0
-
-    def confidence_interval(self, z: float = 1.96) -> tuple:
-        """Normal-approximation CI of the current estimate."""
-        n = max(1, len(self._buffer))
-        p = self.estimate()
-        half = z * np.sqrt(max(p * (1.0 - p), 1e-12) / n)
-        return (max(0.0, p - half), min(1.0, p + half))
-
-
-class ExponentialEstimator:
-    """EWMA rate estimator: ``p <- (1 - a) p + a x``."""
-
-    def __init__(self, smoothing: float = 0.01, prior_rate: float = 0.5) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
-        if not 0.0 <= prior_rate <= 1.0:
-            raise ValueError(f"prior_rate must be in [0, 1], got {prior_rate}")
-        self._alpha = float(smoothing)
-        self._prior = float(prior_rate)
-        self._estimate = float(prior_rate)
-        self._n = 0
-
-    @property
-    def n_samples(self) -> int:
-        """Number of updates seen since the last reset."""
-        return self._n
-
-    def update(self, arrived: bool) -> None:
-        """Feed one slot's arrival indicator."""
-        x = float(bool(arrived))
-        self._estimate = (1.0 - self._alpha) * self._estimate + self._alpha * x
-        self._n += 1
-
-    def estimate(self) -> float:
-        """Current rate estimate."""
-        return self._estimate
-
-    def reset(self, prior_rate: Optional[float] = None) -> None:
-        """Forget history (restart from the prior)."""
-        if prior_rate is not None:
-            if not 0.0 <= prior_rate <= 1.0:
-                raise ValueError("prior_rate must be in [0, 1]")
-            self._prior = float(prior_rate)
-        self._estimate = self._prior
-        self._n = 0

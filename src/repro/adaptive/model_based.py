@@ -56,10 +56,6 @@ class AdaptationLog:
     def optimize_seconds(self) -> float:
         return sum(e.optimize_seconds for e in self.events)
 
-    def total_overhead_seconds(self) -> float:
-        """Estimation + detection + optimization wall clock."""
-        return self.estimator_seconds + self.detector_seconds + self.optimize_seconds
-
 
 class ModelBasedAdaptiveDPM:
     """Estimator + change detector + offline optimizer, online.

@@ -15,8 +15,6 @@ from .metrics import (
     SwitchResponse,
     convergence_point,
     latency_percentiles,
-    regret_vs_reference,
-    steady_state_mean,
     switch_responses,
 )
 
@@ -34,8 +32,6 @@ __all__ = [
     "convergence_point",
     "switch_responses",
     "SwitchResponse",
-    "steady_state_mean",
-    "regret_vs_reference",
     "latency_percentiles",
     "TAIL_QUANTILES",
 ]

@@ -93,28 +93,6 @@ def switch_responses(
     return results
 
 
-def steady_state_mean(series: np.ndarray, tail_fraction: float = 0.25) -> float:
-    """Mean of the trailing fraction of a series (post-burn-in estimate)."""
-    series = np.asarray(series)
-    if series.size == 0:
-        raise ValueError("series is empty")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    start = int(series.size * (1.0 - tail_fraction))
-    return float(series[start:].mean())
-
-
-def regret_vs_reference(
-    series: np.ndarray,
-    reference: float,
-) -> float:
-    """Mean shortfall of a series against a fixed reference value."""
-    series = np.asarray(series)
-    if series.size == 0:
-        raise ValueError("series is empty")
-    return float(np.mean(reference - series))
-
-
 #: tail-latency quantiles reported by simulator and fleet summaries
 TAIL_QUANTILES = (50.0, 95.0, 99.0)
 

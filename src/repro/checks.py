@@ -1,7 +1,8 @@
 """Argument checks shared by every layer that takes counts or demands.
 
 One rule per kind of setting, so the simulator, the sweep runners, the
-executor and the dispatcher accept and refuse exactly the same values.
+executor, the dispatcher and the workload builders accept and refuse
+exactly the same values.
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ def check_count(name: str, value: Any, minimum: int = 1) -> int:
     return int(value)
 
 
-def check_service_time(service_time: Any) -> float:
-    """``service_time`` as a ``float``, or ``ValueError`` unless it is
-    finite and > 0 (NaN fails both comparisons)."""
-    if not 0 < service_time < math.inf:
-        raise ValueError(
-            f"service_time must be finite and > 0, got {service_time}"
-        )
-    return float(service_time)
+def check_duration(name: str, value: Any) -> float:
+    """``value`` as a ``float``, or ``ValueError`` unless it is finite
+    and > 0 (NaN fails both comparisons).
+
+    The one rule for every time span the program takes: a service
+    demand, a trace window, a fault horizon.  A NaN window would realize
+    an empty trace of NaN duration, and an infinite fault horizon would
+    never finish drawing.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return float(value)

@@ -9,7 +9,7 @@ not every power command is legal in every mode.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -258,13 +258,6 @@ class QTable:
     def memory_bytes(self) -> int:
         """Bytes held by the Q matrix itself (the CLAIM-MEM number)."""
         return int(self._q.nbytes)
-
-    def greedy_actions(self, allowed_per_obs: Iterable[Sequence[int]]) -> np.ndarray:
-        """Vector of greedy actions given per-observation allowed sets."""
-        out = np.empty(self.n_observations, dtype=int)
-        for obs, allowed in enumerate(allowed_per_obs):
-            out[obs] = self.best_action(obs, allowed)
-        return out
 
     def copy(self) -> "QTable":
         """Deep copy (used for snapshotting during experiments)."""

@@ -12,7 +12,7 @@ from .presets import (
     two_state,
     wlan_card,
 )
-from .validate import ModelIssue, assert_valid, validate_machine
+from .validate import ModelIssue, validate_machine
 
 __all__ = [
     "PowerState",
@@ -28,5 +28,4 @@ __all__ = [
     "sensor_node_radio",
     "ModelIssue",
     "validate_machine",
-    "assert_valid",
 ]

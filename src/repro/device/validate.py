@@ -146,11 +146,3 @@ def validate_machine(machine: PowerStateMachine) -> List[ModelIssue]:
                     )
                 )
     return issues
-
-
-def assert_valid(machine: PowerStateMachine) -> None:
-    """Raise ``ValueError`` listing all error-severity issues, if any."""
-    errors = [i for i in validate_machine(machine) if i.severity == ERROR]
-    if errors:
-        details = "; ".join(str(e) for e in errors)
-        raise ValueError(f"device model {machine.name!r} is invalid: {details}")

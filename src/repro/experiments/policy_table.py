@@ -24,7 +24,7 @@ from ..baselines import (
     PredictiveShutdown,
 )
 from ..device import get_preset
-from ..runtime import get_executor, simulate_trace
+from ..runtime import check_sim_report, get_executor, simulate_trace
 from ..sim import SimReport
 from ..workload import Exponential, Pareto, Trace, renewal_trace
 from .config import PolicyTableConfig
@@ -121,7 +121,10 @@ def run_policy_table(
     ``config.n_jobs > 1`` shards the (policy x trace) cells — including
     the per-trace always-on normalization runs — across worker
     processes; cell results are independent, so the table is identical
-    at any job count.
+    at any job count.  Every cell's report goes through
+    :func:`~repro.runtime.check_sim_report` in the parent (energy
+    conservation against the device included), as every sweep's
+    reports do.
     """
     device = get_preset(config.device)
     deepest = device.deepest_state()
@@ -152,6 +155,9 @@ def run_policy_table(
     rows: List[PolicyTableRow] = []
     base_power = 0.0
     for (trace_name, policy_label), report in zip(labels, reports):
+        check_sim_report(report, device=device, context={
+            "trace": trace_name, "policy": policy_label or AlwaysOn.name,
+        })
         if policy_label is None:
             # normalize saving to the measured always-on power on this trace
             base_power = report.mean_power

@@ -4,7 +4,6 @@ from .dtmc import (
     start_occupancy,
     is_stochastic,
     long_run_occupancy,
-    occupancy_weighted,
     stationary_distribution,
 )
 from .evaluation import (
@@ -50,5 +49,4 @@ __all__ = [
     "stationary_distribution",
     "long_run_occupancy",
     "start_occupancy",
-    "occupancy_weighted",
 ]

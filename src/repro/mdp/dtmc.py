@@ -172,12 +172,3 @@ def start_occupancy(
     if total <= 0:
         raise ValueError("no closed class reachable from the start state")
     return out / total
-
-
-def occupancy_weighted(pi: np.ndarray, values: np.ndarray) -> float:
-    """Convenience: long-run average of per-state ``values`` under ``pi``."""
-    pi = np.asarray(pi, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if pi.shape != values.shape:
-        raise ValueError("pi and values must have the same shape")
-    return float(pi @ values)

@@ -97,12 +97,6 @@ class FiniteMDP:
         """Indices of actions playable in ``state``."""
         return np.nonzero(self.allowed[state])[0]
 
-    def masked_reward(self) -> np.ndarray:
-        """Reward with ``-inf`` at disallowed pairs (for max-reductions)."""
-        out = self.reward.copy()
-        out[~self.allowed] = -np.inf
-        return out
-
     def memory_bytes(self) -> dict:
         """Footprint report used by the CLAIM-MEM experiment.
 

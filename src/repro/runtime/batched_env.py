@@ -221,22 +221,9 @@ class BatchedSlottedEnv:
         return self._modes.copy()
 
     @property
-    def queues(self) -> np.ndarray:
-        """(B,) current queue lengths (copy)."""
-        return self._queues.copy()
-
-    @property
     def current_slot(self) -> int:
         """Index of the next slot to be simulated (lock-step)."""
         return self._slot
-
-    def allowed_mask(self, states: Optional[np.ndarray] = None) -> np.ndarray:
-        """(B, n_actions) legality mask for the given (or current) states."""
-        if states is None:
-            modes = self._modes
-        else:
-            modes = np.asarray(states, dtype=np.int64) // (self.queue_capacity + 1)
-        return self.tables.allowed[modes]
 
     # ------------------------------------------------------------------ #
     # dynamics

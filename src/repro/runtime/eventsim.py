@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import check_service_time
+from ..checks import check_duration
 from ..device import PowerStateMachine
 from ..sim.policy_api import BatchIdleContext, EventPolicy, StepBatchContext
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
@@ -188,7 +188,7 @@ def run_gap_batched(
     trailing gap.  Scans and sums run per trace slice, so each report
     is bit-identical to the trace run alone.
     """
-    check_service_time(service_time)
+    check_duration("service_time", service_time)
     home = device.initial_state
     wait = default_wait_state(device)
     traces = list(traces)
@@ -461,7 +461,7 @@ def run_step_batched(
     later), so per-replica state is just (next pure period, previous
     completion, policy state) and every round is O(R) array work.
     """
-    check_service_time(service_time)
+    check_duration("service_time", service_time)
     home = device.initial_state
     wait = default_wait_state(device)
     traces = list(traces)

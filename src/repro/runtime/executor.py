@@ -27,7 +27,6 @@ import multiprocessing
 import os
 import pickle
 import time
-from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..checks import check_count
@@ -332,20 +331,13 @@ class MultiprocessExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker process count (>= 1).
-    start_method:
-        Forwarded to :func:`multiprocessing.get_context`; ``None`` uses
-        the platform default (``fork`` on Linux, ``spawn`` elsewhere —
+        Worker process count (>= 1).  The pool uses the platform's
+        default start method (``fork`` on Linux, ``spawn`` elsewhere —
         work functions are module-level, so both work).
     """
 
-    def __init__(self, n_jobs: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, n_jobs: int) -> None:
         self.n_jobs = check_count("n_jobs", n_jobs)
-        self._start_method = start_method
-
-    def _pool(self, n_tasks: int):
-        ctx = get_context(self._start_method)
-        return ctx.Pool(processes=min(self.n_jobs, n_tasks))
 
     def submit_all(
         self,
@@ -391,7 +383,7 @@ class MultiprocessExecutor:
         calls = [TracedCall(fn, i) for i in range(len(tasks))]
         with TELEMETRY.span("pool-submit", cat="executor",
                             n_tasks=len(tasks), n_jobs=self.n_jobs):
-            pool = self._pool(len(tasks))
+            pool = multiprocessing.Pool(min(self.n_jobs, len(tasks)))
             handles = [pool.apply_async(call, task)
                        for call, task in zip(calls, tasks)]
         return AsyncTasks(
@@ -407,14 +399,10 @@ class MultiprocessExecutor:
 #: Executors accepted wherever an ``n_jobs`` knob is exposed.
 Executor = Union[SerialExecutor, MultiprocessExecutor]
 
-#: estimated per-chunk wall seconds below which shipping a work unit to a
-#: process pool costs more than it buys (pool spin-up alone is ~0.1-0.3s;
-#: BENCH_{sim,fleet}.json showed 2-job sweeps of tiny chunks *slower*
-#: than serial, 0.62-0.99x)
-MIN_CHUNK_SECONDS = 0.05
-
 #: wall seconds a pool must save over serial execution to justify its
-#: spin-up — many small chunks may still clear this bar together
+#: spin-up (~0.1-0.3 s; BENCH_{sim,fleet}.json showed 2-job sweeps of
+#: tiny chunks *slower* than serial, 0.62-0.99x) — many small chunks
+#: may still clear this bar together
 MIN_POOL_SAVING_SECONDS = 0.3
 
 
@@ -425,20 +413,19 @@ def _host_cpu_count() -> int:
 
 def resolve_n_jobs(
     n_jobs: int,
-    est_chunk_seconds: Optional[float] = None,
-    n_tasks: Optional[int] = None,
-    min_chunk_seconds: float = MIN_CHUNK_SECONDS,
+    est_chunk_seconds: float,
+    n_tasks: int,
 ) -> Tuple[int, str]:
     """Degrade a requested ``n_jobs`` when a pool cannot pay for itself.
 
     Extends the ``submit_all`` short-circuit (fewer than two tasks / one
     worker) to whole sweeps: multiprocess dispatch is kept only when the
     host actually has more than one core *and* the estimated work is
-    large enough to amortize pool spin-up and result pickling.  With
-    ``n_tasks`` given, the test is the aggregate saving at ``n_jobs``
-    workers clearing the spin-up cost (so a sweep of many small chunks
-    still parallelizes, while a handful of medium ones does not);
-    without it, the per-chunk estimate against ``min_chunk_seconds``.
+    large enough to amortize pool spin-up and result pickling.  The test
+    is the aggregate saving of ``n_tasks`` chunks of ``est_chunk_seconds``
+    each at ``n_jobs`` workers against ``MIN_POOL_SAVING_SECONDS`` (so a
+    sweep of many small chunks still parallelizes, while a handful of
+    medium ones does not).
 
     Returns ``(effective_n_jobs, decision)`` where ``decision`` is one
     of ``"serial_requested"``, ``"single_core_host"``,
@@ -449,16 +436,11 @@ def resolve_n_jobs(
         return 1, "serial_requested"
     if _host_cpu_count() <= 1:
         return 1, "single_core_host"
-    if est_chunk_seconds is not None:
-        if n_tasks is not None:
-            # n_tasks chunks across min(n_jobs, n_tasks) workers still
-            # take ceil(n_tasks / n_jobs) rounds on the critical path
-            rounds = -(-n_tasks // n_jobs)
-            saving = est_chunk_seconds * (n_tasks - rounds)
-            if saving < MIN_POOL_SAVING_SECONDS:
-                return 1, "small_chunks"
-        elif est_chunk_seconds < min_chunk_seconds:
-            return 1, "small_chunks"
+    # n_tasks chunks across min(n_jobs, n_tasks) workers still take
+    # ceil(n_tasks / n_jobs) rounds on the critical path
+    rounds = -(-n_tasks // n_jobs)
+    if est_chunk_seconds * (n_tasks - rounds) < MIN_POOL_SAVING_SECONDS:
+        return 1, "small_chunks"
     return int(n_jobs), "parallel"
 
 

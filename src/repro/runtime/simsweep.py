@@ -21,9 +21,9 @@ cross-replication engine over the whole seed chunk, and policies with
 neither batch hook transparently use the scalar event loop.
 
 Chunks are shipped to worker processes only when that pays: on a
-single-core host, or when the estimated per-chunk work is too small to
-amortize pool spin-up, the runner degrades to in-process execution and
-records the decision in :attr:`SimSweepResult.execution`.
+single-core host, or when the chunks' estimated work together is too
+small to amortize pool spin-up, the runner degrades to in-process
+execution and records the decision in :attr:`SimSweepResult.execution`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI, bootstrap_ci
-from ..checks import check_count, check_service_time
+from ..checks import check_count, check_duration
 from ..device import get_preset
 from ..sim.policy_api import EventPolicy
 from ..sim.stats import SimReport
@@ -80,8 +80,7 @@ class TraceSpec:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        check_duration("duration", self.duration)
 
     def realize(self, seed: int):
         """Generate the trace replication for ``seed``."""
@@ -116,7 +115,7 @@ class SimSweepSpec:
             object.__setattr__(
                 self, name, check_count(name, getattr(self, name), minimum)
             )
-        check_service_time(self.service_time)
+        check_duration("service_time", self.service_time)
 
     def seeds(self) -> List[int]:
         """Replication seeds, shared across cells so comparisons pair."""

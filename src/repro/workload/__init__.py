@@ -1,4 +1,4 @@
-"""Synthetic workload generation: distributions, schedules, sources, traces."""
+"""Synthetic workload generation: distributions, schedules, traces, faults."""
 
 from .arrivals import (
     DISTRIBUTIONS,
@@ -12,32 +12,14 @@ from .arrivals import (
     from_dict,
 )
 from .faults import FaultProcess, FaultSchedule, no_faults, resolve_fault_schedule
-from .generator import (
-    bernoulli_arrivals,
-    piecewise_renewal_trace,
-    renewal_trace,
-    trace_from_slots,
-)
-from .mmpp import MMPP, two_regime_mmpp
+from .generator import renewal_trace
 from .nonstationary import (
     ConstantRate,
     PiecewiseConstantRate,
-    RandomWalkRate,
     RateSchedule,
     SinusoidalRate,
-    fig2_schedule,
 )
-from .onoff import OnOffSource
 from .trace import Trace, TraceStats
-from .trace_analysis import (
-    IdleHistogram,
-    TraceCharacter,
-    burstiness,
-    characterize,
-    hill_tail_index,
-    idle_histogram,
-    interarrival_autocorrelation,
-)
 
 __all__ = [
     "InterArrival",
@@ -55,24 +37,9 @@ __all__ = [
     "resolve_fault_schedule",
     "Trace",
     "TraceStats",
-    "IdleHistogram",
-    "idle_histogram",
-    "hill_tail_index",
-    "burstiness",
-    "interarrival_autocorrelation",
-    "TraceCharacter",
-    "characterize",
-    "MMPP",
-    "two_regime_mmpp",
-    "OnOffSource",
     "RateSchedule",
     "ConstantRate",
     "PiecewiseConstantRate",
     "SinusoidalRate",
-    "RandomWalkRate",
-    "fig2_schedule",
     "renewal_trace",
-    "piecewise_renewal_trace",
-    "bernoulli_arrivals",
-    "trace_from_slots",
 ]

@@ -47,6 +47,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import check_duration
+
 
 class FaultSchedule:
     """Realized per-device down intervals over ``[0, horizon]``.
@@ -70,9 +72,7 @@ class FaultSchedule:
         down_intervals: Sequence[Sequence[Tuple[float, ...]]],
         horizon: float,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        self.horizon = float(horizon)
+        self.horizon = check_duration("horizon", horizon)
         self._starts: List[np.ndarray] = []
         self._ends: List[np.ndarray] = []
         self._sevs: List[np.ndarray] = []
@@ -217,14 +217,6 @@ class FaultSchedule:
             (self._ends[device][stops] - self._starts[device][stops]).sum()
         )
 
-    def degraded_time(self, device: int) -> float:
-        """Total seconds ``device`` spends browned out (alive but with a
-        finite service-demand multiplier) within the horizon."""
-        slow = np.isfinite(self._sevs[device])
-        return float(
-            (self._ends[device][slow] - self._starts[device][slow]).sum()
-        )
-
     def availability(self) -> np.ndarray:
         """Per-device uptime fraction over the horizon."""
         down = np.array([self.down_time(d) for d in range(self.n_devices)])
@@ -312,8 +304,7 @@ class FaultProcess:
         size and of every other device."""
         if int(n_devices) < 1:
             raise ValueError(f"n_devices must be >= 1, got {n_devices}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
+        check_duration("horizon", horizon)
         n_start_down = int(np.floor(self.start_down * int(n_devices)))
         sev = float(self.severity)
         intervals: List[List[Tuple[float, float, float]]] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class RateSchedule(ABC):
         """Slot indices (within ``[0, horizon)``) where the regime changes.
 
         Only piecewise-constant schedules have true switch points; smooth
-        or stochastic schedules return an empty list.
+        schedules return an empty list.
         """
         return []
 
@@ -171,74 +171,3 @@ class SinusoidalRate(RateSchedule):
             f"SinusoidalRate(base={self._base}, amplitude={self._amplitude}, "
             f"period={self._period})"
         )
-
-
-class RandomWalkRate(RateSchedule):
-    """Bounded-random-walk drift, pre-generated for reproducibility.
-
-    Each ``step_every`` slots the rate moves by a uniform step in
-    ``[-step, +step]`` and reflects off ``[low, high]``.  The walk is
-    realized lazily from a dedicated generator seeded at construction, so
-    ``rate_at`` is a pure function of the slot index.
-    """
-
-    def __init__(
-        self,
-        start: float,
-        step: float,
-        low: float = 0.0,
-        high: float = 1.0,
-        step_every: int = 100,
-        seed: int = 0,
-    ) -> None:
-        if not 0 <= low < high <= 1:
-            raise ValueError(f"need 0 <= low < high <= 1, got [{low}, {high}]")
-        self._start = _check_prob(start, "start")
-        if not low <= start <= high:
-            raise ValueError(f"start {start} outside bounds [{low}, {high}]")
-        if step <= 0:
-            raise ValueError(f"step must be > 0, got {step}")
-        if step_every <= 0:
-            raise ValueError(f"step_every must be > 0, got {step_every}")
-        self._step = float(step)
-        self._low = float(low)
-        self._high = float(high)
-        self._every = int(step_every)
-        self._rng = np.random.default_rng(seed)
-        self._walk: List[float] = [self._start]
-
-    def _extend_to(self, idx: int) -> None:
-        while len(self._walk) <= idx:
-            prev = self._walk[-1]
-            nxt = prev + self._rng.uniform(-self._step, self._step)
-            # reflect off the bounds
-            if nxt < self._low:
-                nxt = 2 * self._low - nxt
-            if nxt > self._high:
-                nxt = 2 * self._high - nxt
-            nxt = min(self._high, max(self._low, nxt))
-            self._walk.append(nxt)
-
-    def rate_at(self, slot: int) -> float:
-        if slot < 0:
-            raise ValueError(f"slot must be >= 0, got {slot}")
-        idx = slot // self._every
-        self._extend_to(idx)
-        return self._walk[idx]
-
-    def max_rate(self, horizon: int) -> float:
-        return self._high
-
-    def __repr__(self) -> str:
-        return (
-            f"RandomWalkRate(start={self._start}, step={self._step}, "
-            f"bounds=[{self._low}, {self._high}], every={self._every})"
-        )
-
-
-def fig2_schedule(
-    rates: Sequence[float] = (0.30, 0.05, 0.20, 0.02),
-    segment_slots: int = 50_000,
-) -> PiecewiseConstantRate:
-    """The default piecewise-stationary schedule of the Fig. 2 reproduction."""
-    return PiecewiseConstantRate([(segment_slots, r) for r in rates])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adaptive import BernoulliCUSUM, PageHinkley
+from repro.adaptive import BernoulliCUSUM
 
 
 def feed(detector, rng, rate, n):
@@ -49,10 +49,40 @@ class TestCUSUM:
         det = BernoulliCUSUM(0.1, drift=0.02, threshold=5.0)
         feed(det, rng, 0.9, 100)
         det.reset(0.9)
-        assert det.slots_since_reset == 0
         assert det.target_rate == 0.9
         # now 0.9 is normal: no alarm
         assert feed(det, rng, 0.9, 500) is None
+
+    def test_upward_alarm_slot_exact(self):
+        # g+ gains 1 - 0 - 0.05 = 0.95 per arrival: 0.95, 1.9, 2.85 > 2
+        det = BernoulliCUSUM(target_rate=0.0, drift=0.05, threshold=2.0)
+        assert [det.update(True) for _ in range(3)] == [False, False, True]
+
+    def test_downward_alarm_slot_exact(self):
+        # g- gains 0.5 - 0 - 0.1 = 0.4 per empty slot: 0.4, 0.8, 1.2 > 1
+        det = BernoulliCUSUM(target_rate=0.5, drift=0.1, threshold=1.0)
+        assert [det.update(False) for _ in range(3)] == [False, False, True]
+
+    def test_threshold_is_strict(self):
+        det = BernoulliCUSUM(target_rate=0.0, drift=0.0, threshold=2.0)
+        assert det.update(True) is False
+        assert det.update(True) is False  # g+ == threshold: no alarm yet
+        assert det.update(True) is True
+
+    def test_statistics_clamp_at_zero(self):
+        # five arrivals lift g+ to 2.5; five empty slots pull it back to
+        # 0, not to -2.5 ... so seven more arrivals are needed to pass 3
+        det = BernoulliCUSUM(target_rate=0.5, drift=0.0, threshold=3.0)
+        assert not any(det.update(x) for x in [True] * 5 + [False] * 5)
+        alarms = [det.update(True) for _ in range(7)]
+        assert alarms == [False] * 6 + [True]
+
+    def test_reset_without_rate_keeps_target(self):
+        det = BernoulliCUSUM(target_rate=0.2, drift=0.0, threshold=1.0)
+        det.update(True)  # g+ = 0.8, one arrival short of an alarm
+        det.reset()
+        assert det.target_rate == 0.2
+        assert det.update(True) is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,45 +93,3 @@ class TestCUSUM:
             BernoulliCUSUM(0.5, threshold=0.0)
         with pytest.raises(ValueError):
             BernoulliCUSUM(0.5).reset(target_rate=2.0)
-
-
-class TestPageHinkley:
-    def test_detects_downward_shift(self, rng):
-        det = PageHinkley()
-        for _ in range(3000):
-            det.update(rng.random() < 0.4)
-        delay = feed(det, rng, 0.02, 5000)
-        assert delay is not None
-        assert delay < 1000
-
-    def test_detects_upward_shift(self, rng):
-        det = PageHinkley()
-        for _ in range(3000):
-            det.update(rng.random() < 0.05)
-        delay = feed(det, rng, 0.5, 5000)
-        assert delay is not None
-        assert delay < 600
-
-    def test_quiet_on_stationary(self):
-        rng = np.random.default_rng(3)
-        det = PageHinkley()
-        alarms = sum(det.update(rng.random() < 0.3) for _ in range(20_000))
-        assert alarms == 0
-
-    def test_running_mean(self, rng):
-        det = PageHinkley()
-        for _ in range(2000):
-            det.update(rng.random() < 0.25)
-        assert det.running_mean == pytest.approx(0.25, abs=0.04)
-
-    def test_reset_with_seed_rate(self):
-        det = PageHinkley()
-        det.update(True)
-        det.reset(target_rate=0.7)
-        assert det.running_mean == 0.7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PageHinkley(delta=-0.1)
-        with pytest.raises(ValueError):
-            PageHinkley(lambda_=0.0)

@@ -1,11 +1,10 @@
 """Parameter estimator tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive import ExponentialEstimator, SlidingWindowEstimator
+from repro.adaptive import SlidingWindowEstimator
 
 
 class TestSlidingWindow:
@@ -42,22 +41,19 @@ class TestSlidingWindow:
         assert est.n_samples == 0
         assert est.estimate() == 0.8
 
-    def test_confidence_interval_shrinks(self, rng):
-        est = SlidingWindowEstimator(window=10_000)
-        for x in rng.random(100) < 0.5:
-            est.update(bool(x))
-        wide = est.confidence_interval()
-        for x in rng.random(9_900) < 0.5:
-            est.update(bool(x))
-        narrow = est.confidence_interval()
-        assert (narrow[1] - narrow[0]) < (wide[1] - wide[0])
+    def test_reset_without_prior_keeps_prior(self):
+        est = SlidingWindowEstimator(window=10, prior_rate=0.4)
+        est.update(1)
+        est.reset()
+        assert est.n_samples == 0
+        assert est.estimate() == 0.4
 
-    def test_ci_contains_truth_usually(self, rng):
-        est = SlidingWindowEstimator(window=2000)
-        for x in rng.random(2000) < 0.4:
-            est.update(bool(x))
-        low, high = est.confidence_interval()
-        assert low <= 0.4 <= high
+    def test_window_one_is_last_observation(self):
+        est = SlidingWindowEstimator(window=1)
+        for x in (1, 0, 0, 1):
+            est.update(x)
+            assert est.estimate() == x
+        assert est.window == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,34 +71,15 @@ class TestSlidingWindow:
             est.update(b)
         assert 0.0 <= est.estimate() <= 1.0
 
-
-class TestExponential:
-    def test_prior_before_data(self):
-        est = ExponentialEstimator(prior_rate=0.6)
-        assert est.estimate() == 0.6
-
-    def test_update_formula(self):
-        est = ExponentialEstimator(smoothing=0.5, prior_rate=0.0)
-        est.update(True)
-        assert est.estimate() == pytest.approx(0.5)
-        est.update(True)
-        assert est.estimate() == pytest.approx(0.75)
-
-    def test_tracks_rate(self, rng):
-        est = ExponentialEstimator(smoothing=0.005)
-        for x in rng.random(20_000) < 0.15:
-            est.update(bool(x))
-        assert est.estimate() == pytest.approx(0.15, abs=0.03)
-
-    def test_reset(self):
-        est = ExponentialEstimator(prior_rate=0.5)
-        est.update(True)
-        est.reset()
-        assert est.estimate() == 0.5
-        assert est.n_samples == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialEstimator(smoothing=0.0)
-        with pytest.raises(ValueError):
-            ExponentialEstimator(prior_rate=-0.5)
+    @given(bits=st.lists(st.booleans(), max_size=60),
+           window=st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_running_sum_matches_window_mean(self, bits, window):
+        """The incremental sum equals a recount of the last ``window``
+        observations after every update."""
+        est = SlidingWindowEstimator(window=window)
+        for i, b in enumerate(bits):
+            est.update(b)
+            recent = bits[max(0, i + 1 - window):i + 1]
+            assert est.n_samples == len(recent)
+            assert est.estimate() == sum(recent) / len(recent)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.adaptive import (
+    AdaptationEvent,
+    AdaptationLog,
     BernoulliCUSUM,
     ModelBasedAdaptiveDPM,
     SlidingWindowEstimator,
@@ -103,9 +105,6 @@ class TestAdaptation:
         log = controller.log
         assert log.estimator_seconds > 0
         assert log.detector_seconds > 0
-        assert log.total_overhead_seconds() >= (
-            log.estimator_seconds + log.detector_seconds
-        )
 
     def test_history_compatible_with_qdpm(self):
         env = make_env(ConstantRate(0.2), seed=5)
@@ -125,3 +124,24 @@ class TestAdaptation:
                                            initial_rate=0.2)
         with pytest.raises(ValueError):
             controller.run(0)
+
+
+class TestAdaptationLog:
+    def test_totals_over_events(self):
+        log = AdaptationLog()
+        assert log.n_reoptimizations == 0
+        assert log.optimize_seconds == 0
+        log.events.append(AdaptationEvent(slot=10, detected_rate=0.1,
+                                          optimize_seconds=0.25))
+        log.events.append(AdaptationEvent(slot=90, detected_rate=0.3,
+                                          optimize_seconds=0.5))
+        assert log.n_reoptimizations == 2
+        assert log.optimize_seconds == 0.75
+
+    def test_initial_solve_is_not_an_adaptation(self):
+        controller = ModelBasedAdaptiveDPM(
+            make_env(ConstantRate(0.2)), solver="value_iteration",
+            initial_rate=0.2,
+        )
+        assert controller.log.n_reoptimizations == 0
+        assert controller.detector.target_rate == 0.2

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    convergence_point,
-    regret_vs_reference,
-    steady_state_mean,
-    switch_responses,
-)
+from repro.analysis import convergence_point, switch_responses
 
 
 class TestConvergencePoint:
@@ -31,6 +26,11 @@ class TestConvergencePoint:
         slots = np.array([0, 10])
         series = np.array([0.0, 1.0])
         assert convergence_point(slots, series, 1.0, 0.05, sustain=5) == 10
+
+    def test_band_edge_counts_as_inside(self):
+        slots = np.array([0, 10, 20])
+        series = np.array([0.0, 0.75, 0.75])
+        assert convergence_point(slots, series, 1.0, 0.25, sustain=2) == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,33 +75,27 @@ class TestSwitchResponses:
         assert responses[0].response_slots == 10
         assert responses[1].response_slots == 10
 
+    def test_switch_without_records_reports_nothing(self):
+        slots = np.arange(0, 50, 10)
+        series = np.ones(5)
+        resp = switch_responses(slots, series, [100], [1.0], tolerance=0.05)[0]
+        assert np.isnan(resp.dip)
+        assert resp.recovery_slot is None
+        assert resp.response_slots is None
+
+    def test_horizon_truncates_the_segment(self):
+        slots = np.arange(0, 100, 10)
+        series = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        full = switch_responses(slots, series, [20], [1.0], 0.05, sustain=2)
+        cut = switch_responses(slots, series, [20], [1.0], 0.05, sustain=2,
+                               horizon=50)
+        assert full[0].response_slots == 30
+        assert cut[0].response_slots is None  # recovery lies past slot 50
+        assert cut[0].dip == 0.0
+
     def test_alignment_validation(self):
         with pytest.raises(ValueError):
             switch_responses(np.array([0]), np.array([1.0]), [1], [], 0.1)
-
-
-class TestSteadyStateMean:
-    def test_tail_mean(self):
-        series = np.array([0.0, 0.0, 0.0, 1.0])
-        assert steady_state_mean(series, tail_fraction=0.25) == 1.0
-
-    def test_full_mean(self):
-        assert steady_state_mean(np.array([1.0, 3.0]), 1.0) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            steady_state_mean(np.array([]))
-        with pytest.raises(ValueError):
-            steady_state_mean(np.array([1.0]), 0.0)
-
-
-class TestRegret:
-    def test_mean_shortfall(self):
-        assert regret_vs_reference(np.array([0.8, 0.6]), 1.0) == pytest.approx(0.3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            regret_vs_reference(np.array([]), 1.0)
 
 
 class TestLatencyPercentiles:

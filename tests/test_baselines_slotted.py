@@ -3,8 +3,9 @@
 import pytest
 
 from repro.baselines import always_on_policy, greedy_sleep_policy, threshold_policy
-from repro.device import abstract_three_state
-from repro.env import build_dpm_model
+from repro.device import PRESETS, abstract_three_state, get_preset
+from repro.env import SlottedDPMEnv, build_dpm_model
+from repro.workload import ConstantRate
 
 
 class TestAlwaysOn:
@@ -86,3 +87,41 @@ class TestThreshold:
     def test_validation(self, small_env):
         with pytest.raises(ValueError):
             threshold_policy(small_env, 0)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+class TestEveryPreset:
+    """The reference policies are built from each device's own home and
+    deepest states, so they must be well-formed on every preset, not
+    only on the three-state device the figures use."""
+
+    @pytest.fixture
+    def env(self, name):
+        return SlottedDPMEnv(get_preset(name), ConstantRate(0.2),
+                             queue_capacity=4, p_serve=0.9)
+
+    def test_only_allowed_actions(self, env):
+        for policy in (always_on_policy(env), greedy_sleep_policy(env),
+                       threshold_policy(env, 1), threshold_policy(env, 3)):
+            for state in range(env.n_states):
+                assert policy(state) in env.allowed_actions(state)
+
+    def test_greedy_sleeps_on_empty_wakes_on_work(self, env):
+        policy = greedy_sleep_policy(env)
+        sleep = env.mode_space.action_index(env.device.deepest_state())
+        home = env.mode_space.action_index(env.device.initial_state)
+        for state in range(env.n_states):
+            _, queue = env.decode(state)
+            want = sleep if queue == 0 else home
+            if want in env.allowed_actions(state):
+                assert policy(state) == want
+
+    def test_threshold_one_is_greedy_sleep(self, env):
+        assert threshold_policy(env, 1) == greedy_sleep_policy(env)
+
+    def test_always_on_saves_nothing(self, env, name):
+        model = build_dpm_model(get_preset(name), arrival_rate=0.2,
+                                queue_capacity=4, p_serve=0.9)
+        perf = model.evaluate_policy(always_on_policy(env))
+        assert perf.energy_saving_ratio == pytest.approx(0.0, abs=1e-9)
+        assert perf.mean_power == pytest.approx(model.always_on_power())

@@ -1,11 +1,13 @@
-"""Every entry point refuses a non-finite service time and a fractional
-count, through the one rule of :mod:`repro.checks` — rather than
-simulating with NaN demands, failing late, or truncating a count."""
+"""Every entry point refuses a non-finite service time or window and a
+fractional count, through the one rule of :mod:`repro.checks` — rather
+than simulating with NaN demands, generating without end, failing late,
+or truncating a count."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.baselines import FixedTimeout
@@ -17,12 +19,19 @@ from repro.runtime import (
     GridRunner,
     SimSweepRunner,
     SweepRunner,
+    TraceSpec,
     run_gap_batched,
     run_step_batched,
 )
 from repro.runtime.executor import MultiprocessExecutor
 from repro.sim import DPMSimulator
-from repro.workload import Trace
+from repro.workload import (
+    Exponential,
+    FaultProcess,
+    FaultSchedule,
+    Trace,
+    renewal_trace,
+)
 
 from test_fleet_sweep import small_spec as fleet_spec
 from test_runtime_simsweep import small_spec as sim_spec
@@ -51,6 +60,28 @@ SERVICE_TIME_ENTRY_POINTS = {
 def test_bad_service_time_rejected(entry, value):
     with pytest.raises(ValueError, match="service_time"):
         SERVICE_TIME_ENTRY_POINTS[entry](value)
+
+
+#: (argument name, call) per entry point that takes a time window; an
+#: infinite window is refused before any draw, so no case generates
+WINDOW_ENTRY_POINTS = {
+    "TraceSpec": ("duration", lambda v: TraceSpec(
+        "exp", Exponential(1.0), v).realize(0)),
+    "renewal_trace": ("duration", lambda v: renewal_trace(
+        Exponential(1.0), v, np.random.default_rng(0))),
+    "FaultSchedule": ("horizon", lambda v: FaultSchedule(
+        [[(0.0, 1.0)]], v).availability()),
+    "FaultProcess.realize": ("horizon", lambda v: FaultProcess(
+        10.0, 1.0).realize(1, v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
+def test_bad_window_rejected(entry, value):
+    name, call = WINDOW_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        call(value)
 
 
 COUNT_ENTRY_POINTS = {

@@ -98,16 +98,19 @@ class TestSelection:
         assert table.max_value(0, [0, 1]) == 7.0
         assert table.max_value(0, [0, 2]) == 0.0
 
+    def test_near_best_keeps_allowed_order_within_tolerance(self):
+        table = QTable(1, 4)
+        table.set(0, 0, 1.0)
+        table.set(0, 1, 0.99)
+        table.set(0, 2, 0.5)
+        table.set(0, 3, 1.0)
+        assert table.near_best(0, [3, 2, 1, 0]) == [3, 0]
+        assert table.near_best(0, [3, 2, 1, 0], tolerance=0.05) == [3, 1, 0]
+        assert table.best_action(0, [1, 2]) == 1
+
     def test_max_value_empty_raises(self):
         with pytest.raises(ValueError):
             QTable(1, 2).max_value(0, [])
-
-    def test_greedy_actions_vector(self):
-        table = QTable(2, 2)
-        table.set(0, 1, 1.0)
-        table.set(1, 0, 1.0)
-        actions = table.greedy_actions([[0, 1], [0, 1]])
-        assert actions.tolist() == [1, 0]
 
 
 class TestCopy:

@@ -1,12 +1,9 @@
 """Semantic device-model checks."""
 
-import pytest
-
 from repro.device import (
     PowerState,
     PowerStateMachine,
     Transition,
-    assert_valid,
     validate_machine,
 )
 from repro.device.validate import ERROR, INFO, WARNING
@@ -73,17 +70,6 @@ def test_dominated_state_flagged():
     ]
     machine = PowerStateMachine("m", states, trs, initial_state="on")
     assert "dominated-state" in codes(machine)
-
-
-def test_assert_valid_raises_on_errors():
-    states = [PowerState("on", 1.0, can_service=True), PowerState("island", 0.5)]
-    machine = PowerStateMachine("m", states, [], initial_state="on")
-    with pytest.raises(ValueError, match="unreachable"):
-        assert_valid(machine)
-
-
-def test_assert_valid_passes_clean_model(device3):
-    assert_valid(device3)  # must not raise
 
 
 def test_issue_str_format():

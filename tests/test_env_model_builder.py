@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import always_on_policy, greedy_sleep_policy
-from repro.device import abstract_three_state
+from repro.baselines import always_on_policy, greedy_sleep_policy, threshold_policy
+from repro.device import PRESETS, abstract_three_state, get_preset
 from repro.env import SlottedDPMEnv, build_dpm_model
-from repro.mdp import DeterministicPolicy
+from repro.mdp import DeterministicPolicy, policy_evaluation
 from repro.workload import ConstantRate
 
 PARAMS = dict(
@@ -172,3 +172,39 @@ class TestSolverDispatch:
         ]
         for other in results[1:]:
             assert np.allclose(results[0].values, other.values, atol=1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+class TestEveryPreset:
+    """The exact solvers on every preset device, not only the three-state
+    one: the three must agree, and the optimum must dominate each fixed
+    reference policy in every state (Bellman optimality, checked with an
+    independent linear solve of each policy's discounted value)."""
+
+    DISCOUNT = 0.95
+
+    @pytest.fixture
+    def model(self, name):
+        return build_dpm_model(get_preset(name), **PARAMS)
+
+    def test_all_methods_agree(self, model):
+        results = [
+            model.solve(self.DISCOUNT, m)
+            for m in ("value_iteration", "policy_iteration", "linear_programming")
+        ]
+        for other in results[1:]:
+            assert np.allclose(results[0].values, other.values, atol=1e-4)
+
+    def test_optimum_dominates_reference_policies(self, model, name):
+        env = SlottedDPMEnv(
+            get_preset(name),
+            ConstantRate(PARAMS["arrival_rate"]),
+            queue_capacity=PARAMS["queue_capacity"],
+            p_serve=PARAMS["p_serve"],
+        )
+        best = model.solve(self.DISCOUNT, "policy_iteration").policy
+        v_best = policy_evaluation(model.mdp, best, self.DISCOUNT)
+        for policy in (always_on_policy(env), greedy_sleep_policy(env),
+                       threshold_policy(env, 3)):
+            v = policy_evaluation(model.mdp, policy, self.DISCOUNT)
+            assert np.all(v_best >= v - 1e-9)

@@ -207,3 +207,24 @@ class TestPolicyTable:
         text = result.render()
         assert "EXT-POLICY" in text
         assert "oracle" in text
+
+    def test_every_cell_report_is_invariant_checked(self, monkeypatch):
+        """A cell whose report breaks ``mean_power x duration =
+        total_energy`` fails the run instead of landing in the table."""
+        from repro.experiments import policy_table
+        from repro.runtime import InvariantViolation
+
+        simulate = policy_table._simulate_cell
+
+        def corrupted(config, trace, policy, oracle):
+            report = simulate(config, trace, policy, oracle)
+            if policy.name == "greedy":
+                report = dataclasses.replace(
+                    report, total_energy=2.0 * report.total_energy)
+            return report
+
+        monkeypatch.setattr(policy_table, "_simulate_cell", corrupted)
+        config = dataclasses.replace(PolicyTableConfig(), duration=500.0)
+        with pytest.raises(InvariantViolation) as err:
+            run_policy_table(config)
+        assert err.value.context["policy"] == "greedy"

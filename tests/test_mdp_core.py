@@ -78,15 +78,6 @@ class TestHelpers:
         mdp = FiniteMDP(transition, np.zeros((1, 3)), allowed)
         assert mdp.allowed_actions(0).tolist() == [0, 2]
 
-    def test_masked_reward(self):
-        transition = np.zeros((1, 2, 1))
-        transition[0, 0, 0] = 1.0
-        allowed = np.array([[True, False]])
-        mdp = FiniteMDP(transition, np.array([[5.0, 9.0]]), allowed)
-        masked = mdp.masked_reward()
-        assert masked[0, 0] == 5.0
-        assert masked[0, 1] == -np.inf
-
     def test_memory_bytes(self):
         mdp = tiny_mdp()
         mem = mdp.memory_bytes()

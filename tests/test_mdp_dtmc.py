@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.mdp import (
     is_stochastic,
     long_run_occupancy,
-    occupancy_weighted,
     start_occupancy,
     stationary_distribution,
 )
@@ -72,6 +71,11 @@ class TestLongRunOccupancy:
         occ = long_run_occupancy(chain, start)
         # Cesaro averaging converges O(1/k); modest tolerance
         assert occ == pytest.approx(stationary_distribution(chain), abs=1e-4)
+
+    def test_periodic_chain_time_average(self):
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        occ = long_run_occupancy(flip, np.array([1.0, 0.0]))
+        assert occ == pytest.approx([0.5, 0.5], abs=1e-4)
 
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
@@ -150,14 +154,3 @@ class TestStartOccupancy:
             start_occupancy(np.array([[0.5, 0.1], [0.5, 0.5]]), 0)
         with pytest.raises(ValueError):
             start_occupancy(np.eye(2), 5)
-
-
-class TestOccupancyWeighted:
-    def test_weighted_average(self):
-        assert occupancy_weighted(
-            np.array([0.25, 0.75]), np.array([4.0, 8.0])
-        ) == pytest.approx(7.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            occupancy_weighted(np.array([1.0]), np.array([1.0, 2.0]))

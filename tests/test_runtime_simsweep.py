@@ -131,25 +131,16 @@ class TestSerialDegrade:
     in-process, and the decision is recorded in the result metadata."""
 
     def test_resolve_n_jobs_decisions(self, monkeypatch):
-        assert resolve_n_jobs(1) == (1, "serial_requested")
+        assert resolve_n_jobs(1, 100.0, 8) == (1, "serial_requested")
         monkeypatch.setattr(executor_mod, "_host_cpu_count", lambda: 1)
-        assert resolve_n_jobs(4, est_chunk_seconds=100.0) == (
-            1, "single_core_host"
-        )
+        assert resolve_n_jobs(4, 100.0, 8) == (1, "single_core_host")
         monkeypatch.setattr(executor_mod, "_host_cpu_count", lambda: 8)
-        assert resolve_n_jobs(4, est_chunk_seconds=1e-4) == (1, "small_chunks")
-        assert resolve_n_jobs(4, est_chunk_seconds=100.0) == (4, "parallel")
-        assert resolve_n_jobs(4) == (4, "parallel")  # no estimate: trust caller
-        assert resolve_n_jobs(
-            4, est_chunk_seconds=0.02, min_chunk_seconds=0.01
-        ) == (4, "parallel")
+        assert resolve_n_jobs(4, 100.0, 8) == (4, "parallel")
         # many small chunks together still amortize the pool spin-up...
         assert resolve_n_jobs(
             4, est_chunk_seconds=0.04, n_tasks=200
         ) == (4, "parallel")
-        # ...but a handful of them do not, even just above the
-        # per-chunk floor (the aggregate test governs when n_tasks is
-        # known)
+        # ...but a handful of them do not
         assert resolve_n_jobs(
             4, est_chunk_seconds=0.01, n_tasks=8
         ) == (1, "small_chunks")
@@ -181,7 +172,9 @@ class TestSerialDegrade:
         bit-identical results."""
         spec = small_spec()
         est = SimSweepRunner(chunk_size=2).estimate_chunk_seconds(spec)
-        assert est < executor_mod.MIN_CHUNK_SECONDS
+        # the whole sweep's serial work is less than a pool must save
+        n_chunks = len(spec.devices) * len(spec.traces) * -(-spec.n_traces // 2)
+        assert est * n_chunks < executor_mod.MIN_POOL_SAVING_SECONDS
         a = SimSweepRunner(chunk_size=2, n_jobs=1).run(spec)
         b = SimSweepRunner(chunk_size=2, n_jobs=2).run(spec)
         assert b.execution["n_jobs_effective"] == 1

@@ -103,7 +103,6 @@ class TestBrownoutSeverity:
         assert sched.severity_at(0, 0.5) == 1.0   # outside: nominal
         assert sched.severity_at(0, 3.0) == 1.0   # half-open [start, end)
         assert sched.down_time(0) == 0.0
-        assert sched.degraded_time(0) == pytest.approx(2.0)
         assert sched.availability().tolist() == [1.0]
 
     def test_mixed_intervals_split_accounting(self):
@@ -111,7 +110,6 @@ class TestBrownoutSeverity:
             [[(1.0, 2.0, 2.0), (4.0, 6.0)]], horizon=10.0)
         assert sched.has_brownouts
         assert sched.down_time(0) == pytest.approx(2.0)
-        assert sched.degraded_time(0) == pytest.approx(1.0)
         assert sched.interval_severities(0) == [2.0, float("inf")]
         assert sched.availability().tolist() == [0.8]
 

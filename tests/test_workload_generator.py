@@ -6,17 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workload import (
-    ConstantRate,
     Deterministic,
     Exponential,
     Pareto,
     Trace,
     Uniform,
-    PiecewiseConstantRate,
-    bernoulli_arrivals,
-    piecewise_renewal_trace,
     renewal_trace,
-    trace_from_slots,
 )
 
 
@@ -55,7 +50,8 @@ def loop_renewal_trace(dist, duration, rng, max_requests=10_000_000):
 
 def assert_matches_loop(dist, duration, seed, **kwargs):
     """Same arrivals, bit for bit, and the same RNG state afterwards (a
-    piecewise trace draws its next segment from the same stream)."""
+    caller that draws its next trace from the same generator sees the
+    same stream)."""
     fast_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
     fast = renewal_trace(dist, duration, fast_rng, **kwargs)
     loop = loop_renewal_trace(dist, duration, loop_rng, **kwargs)
@@ -100,57 +96,3 @@ class TestRenewalTraceMatchesLoop:
         trace = assert_matches_loop(Exponential(100.0), 1e6, 3,
                                     max_requests=cap)
         assert len(trace) == cap
-
-
-class TestPiecewiseRenewal:
-    def test_switch_times(self, rng):
-        trace, switches = piecewise_renewal_trace(
-            [(Exponential(1.0), 100.0), (Exponential(0.1), 200.0)], rng
-        )
-        assert switches == [100.0]
-        assert trace.duration == 300.0
-
-    def test_rates_differ_across_segments(self, rng):
-        trace, _ = piecewise_renewal_trace(
-            [(Exponential(1.0), 5_000.0), (Exponential(0.1), 5_000.0)], rng
-        )
-        first = trace.slice(0.0, 5_000.0).stats().arrival_rate
-        second = trace.slice(5_000.0, 10_000.0).stats().arrival_rate
-        assert first == pytest.approx(1.0, rel=0.1)
-        assert second == pytest.approx(0.1, rel=0.2)
-
-    def test_empty_segments_rejected(self, rng):
-        with pytest.raises(ValueError):
-            piecewise_renewal_trace([], rng)
-
-
-class TestBernoulliArrivals:
-    def test_statistics(self, rng):
-        arrivals = bernoulli_arrivals(ConstantRate(0.3), 50_000, rng)
-        assert arrivals.shape == (50_000,)
-        assert set(np.unique(arrivals)) <= {0, 1}
-        assert arrivals.mean() == pytest.approx(0.3, abs=0.01)
-
-    def test_piecewise_rates_respected(self, rng):
-        schedule = PiecewiseConstantRate([(20_000, 0.4), (20_000, 0.05)])
-        arrivals = bernoulli_arrivals(schedule, 40_000, rng)
-        assert arrivals[:20_000].mean() == pytest.approx(0.4, abs=0.02)
-        assert arrivals[20_000:].mean() == pytest.approx(0.05, abs=0.01)
-
-    def test_zero_slots(self, rng):
-        assert bernoulli_arrivals(ConstantRate(0.5), 0, rng).size == 0
-
-    def test_negative_slots_rejected(self, rng):
-        with pytest.raises(ValueError):
-            bernoulli_arrivals(ConstantRate(0.5), -1, rng)
-
-
-class TestTraceFromSlots:
-    def test_conversion(self):
-        trace = trace_from_slots(np.array([0, 1, 0, 1, 1]), slot_length=2.0)
-        assert trace.arrival_times.tolist() == [2.0, 6.0, 8.0]
-        assert trace.duration == 10.0
-
-    def test_bad_slot_length(self):
-        with pytest.raises(ValueError):
-            trace_from_slots(np.array([1]), slot_length=0.0)

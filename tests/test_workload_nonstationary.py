@@ -1,4 +1,4 @@
-"""Rate schedule tests (Fig. 2's switching input and the drift models)."""
+"""Rate schedule tests (Fig. 2's switching input and the sinusoidal drift)."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.workload import (
     ConstantRate,
     PiecewiseConstantRate,
-    RandomWalkRate,
     SinusoidalRate,
-    fig2_schedule,
 )
 
 
@@ -72,6 +70,37 @@ class TestPiecewiseConstant:
     def test_max_rate(self):
         assert self.make().max_rate(400) == 0.5
 
+    def test_mean_rate_partial_horizon(self):
+        # first 150 slots: 100 at 0.3, then 50 at 0.1
+        expected = (100 * 0.3 + 50 * 0.1) / 150
+        assert self.make().mean_rate(150) == pytest.approx(expected)
+
+    def test_mean_rate_zero_horizon_is_first_rate(self):
+        assert self.make().mean_rate(0) == 0.3
+
+    def test_switch_points_exclude_the_final_end(self):
+        # the last segment holds forever, so its end is no switch
+        assert self.make().switch_points(10_000) == [100, 300]
+
+    def test_segments_is_a_copy(self):
+        s = self.make()
+        s.segments.append((50, 0.9))
+        assert s.total_slots == 400
+        assert len(s.segments) == 3
+
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(1, 40), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+            min_size=1, max_size=5,
+        ),
+        horizon=st.integers(1, 250),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mean_rate_matches_per_slot_average(self, segments, horizon):
+        s = PiecewiseConstantRate(segments)
+        brute = sum(s.rate_at(t) for t in range(horizon)) / horizon
+        assert s.mean_rate(horizon) == pytest.approx(brute)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PiecewiseConstantRate([])
@@ -79,11 +108,6 @@ class TestPiecewiseConstant:
             PiecewiseConstantRate([(0, 0.5)])
         with pytest.raises(ValueError):
             PiecewiseConstantRate([(10, 1.5)])
-
-    def test_fig2_schedule_shape(self):
-        s = fig2_schedule()
-        assert s.total_slots == 200_000
-        assert len(s.switch_points(200_000)) == 3
 
 
 class TestSinusoidal:
@@ -98,7 +122,22 @@ class TestSinusoidal:
         s = SinusoidalRate(0.9, 0.5, period=10)
         assert all(0.0 <= s.rate_at(t) <= 1.0 for t in range(30))
 
+    def test_peak_and_trough_clip_exactly(self):
+        high = SinusoidalRate(0.9, 0.5, period=8)
+        assert high.rate_at(2) == 1.0  # quarter period: 0.9 + 0.5
+        assert high.max_rate(8) == 1.0
+        low = SinusoidalRate(0.2, 0.5, period=8)
+        assert low.rate_at(6) == 0.0  # three quarters: 0.2 - 0.5
+        assert low.max_rate(8) == pytest.approx(0.7)
+
+    def test_periodic(self):
+        s = SinusoidalRate(0.4, 0.2, period=37)
+        for t in range(0, 200, 13):
+            assert s.rate_at(t + 37) == pytest.approx(s.rate_at(t))
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            SinusoidalRate(1.5, 0.1, 10)
         with pytest.raises(ValueError):
             SinusoidalRate(0.5, -0.1, 10)
         with pytest.raises(ValueError):
@@ -113,39 +152,3 @@ class TestSinusoidal:
     def test_always_a_probability(self, base, amplitude, slot):
         s = SinusoidalRate(base, amplitude, period=1000)
         assert 0.0 <= s.rate_at(slot) <= 1.0
-
-
-class TestRandomWalk:
-    def test_deterministic_given_seed(self):
-        a = RandomWalkRate(0.3, 0.05, seed=5)
-        b = RandomWalkRate(0.3, 0.05, seed=5)
-        assert [a.rate_at(t) for t in range(0, 5000, 97)] == [
-            b.rate_at(t) for t in range(0, 5000, 97)
-        ]
-
-    def test_pure_function_of_slot(self):
-        s = RandomWalkRate(0.3, 0.05, seed=1)
-        later = s.rate_at(10_000)
-        earlier = s.rate_at(100)
-        assert s.rate_at(10_000) == later
-        assert s.rate_at(100) == earlier
-
-    def test_bounds_respected(self):
-        s = RandomWalkRate(0.5, 0.2, low=0.2, high=0.8, step_every=10, seed=3)
-        values = [s.rate_at(t) for t in range(0, 20_000, 10)]
-        assert min(values) >= 0.2
-        assert max(values) <= 0.8
-
-    def test_constant_within_step_window(self):
-        s = RandomWalkRate(0.3, 0.05, step_every=100, seed=2)
-        assert s.rate_at(0) == s.rate_at(99)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomWalkRate(0.3, 0.0)
-        with pytest.raises(ValueError):
-            RandomWalkRate(0.9, 0.1, low=0.0, high=0.5)
-        with pytest.raises(ValueError):
-            RandomWalkRate(0.3, 0.1, step_every=0)
-        with pytest.raises(ValueError):
-            RandomWalkRate(0.3, 0.1, seed=1).rate_at(-5)
