@@ -7,6 +7,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .metrics import sorted_percentiles
+
 
 @dataclass(frozen=True)
 class CI:
@@ -67,5 +69,8 @@ def bootstrap_ci(
     idx = rng.integers(0, samples.size, size=(n_resamples, samples.size))
     stats = statistic(samples[idx], axis=1)
     alpha = (1.0 - confidence) / 2.0
-    low, high = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
-    return CI(point, float(low), float(high), confidence)
+    low, high = sorted_percentiles(
+        np.sort(np.asarray(stats, dtype=float), axis=None),
+        (100 * alpha, 100 * (1 - alpha)),
+    )
+    return CI(point, low, high, confidence)

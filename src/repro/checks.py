@@ -1,4 +1,5 @@
-"""Argument checks shared by every layer that takes counts or demands.
+"""Argument checks shared by every layer that takes counts, demands or
+rates.
 
 One rule per kind of setting, so the simulator, the sweep runners, the
 executor, the dispatcher and the workload builders accept and refuse
@@ -31,14 +32,15 @@ def check_count(name: str, value: Any, minimum: int = 1) -> int:
     return int(value)
 
 
-def check_duration(name: str, value: Any) -> float:
+def check_positive(name: str, value: Any) -> float:
     """``value`` as a ``float``, or ``ValueError`` unless it is finite
     and > 0 (NaN fails both comparisons).
 
-    The one rule for every time span the program takes: a service
-    demand, a trace window, a fault horizon.  A NaN window would realize
-    an empty trace of NaN duration, and an infinite fault horizon would
-    never finish drawing.
+    The one rule for every time span and every rate or scale the
+    program takes: a service demand, a trace window, a fault horizon,
+    an inter-arrival distribution's parameters.  A NaN window would
+    realize an empty trace of NaN duration, an infinite fault horizon
+    would never finish drawing, and a NaN arrival rate samples NaN gaps.
     """
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")

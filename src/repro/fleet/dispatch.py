@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..checks import check_count, check_duration
+from ..checks import check_count, check_positive
 from ..device import PowerStateMachine
 from ..sim.simulator import resolve_demands
 from ..workload.faults import FaultSchedule, no_faults, resolve_fault_schedule
@@ -1123,7 +1123,7 @@ class Dispatcher:
         self.router = router
         self.n_devices = check_count("n_devices", n_devices)
         self.device = device
-        self.service_time = check_duration("service_time", service_time)
+        self.service_time = check_positive("service_time", service_time)
         self.seed = int(seed)
 
     def _context(self, trace: Trace) -> RouteContext:

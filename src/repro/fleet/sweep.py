@@ -30,7 +30,7 @@ import numpy as np
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI
-from ..checks import check_count, check_duration
+from ..checks import check_count, check_positive
 from ..device import get_preset
 from ..runtime.chunked import ChunkedRunner, SweepPlan
 from ..runtime.simsweep import (
@@ -149,7 +149,7 @@ class FleetSweepSpec:
             object.__setattr__(
                 self, name, check_count(name, getattr(self, name), minimum)
             )
-        check_duration("service_time", self.service_time)
+        check_positive("service_time", self.service_time)
         if self.overload is not None and not isinstance(
             self.overload, OverloadConfig
         ):

@@ -21,12 +21,18 @@ independent idle gaps:
     iterates 1+2 to a fixpoint.  Each pass makes at least one further
     prefix of completions exact (the first gap's start never moves, so
     induction walks forward), giving convergence in at most ``n + 1``
-    passes — typically 2-3, since wake delays rarely cascade.
+    passes.  Wake delays can cascade: on the ``fleet`` benchmark grid
+    (1 request/s split over 2 or 8 disks, 1,200 s traces) a device's
+    trace run alone needs a median of 3 passes, but under greedy sleep
+    its 90th percentile is 18 and its maximum 34, and a batch runs as
+    many passes as its slowest trace.
 
 :func:`run_gap_batched` runs this over all gaps of R traces at once:
 the traces lie end to end in flat arrays, the prefix max resets at each
 trace boundary, and each pass asks the policy once for every trace's
-gaps, laid out trace by trace (each trace's trailing gap last).  A
+gaps, laid out trace by trace (each trace's trailing gap last).  The
+shutdown targets' constants are one lookup table per call, one row per
+state plus a zero "stay" row for every negative target index.  A
 converged trace is a fixed point, so passes that other traces still
 need leave it unchanged, and each report is bit-identical to the trace
 run alone; :func:`run_vectorized` is the R = 1 call.  Equivalence with
@@ -66,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import check_duration
+from ..checks import check_positive
 from ..device import PowerStateMachine
 from ..sim.policy_api import BatchIdleContext, EventPolicy, StepBatchContext
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
@@ -93,13 +99,10 @@ class _TargetCosts:
 def _target_costs(
     device: PowerStateMachine, home: str, wait: str, idx: int
 ) -> Optional[_TargetCosts]:
-    """Constants for shutdown target ``state_names[idx]``, or None if the
-    target is outside the shapes the kernel models (missing edges, or a
-    degenerate home/wait target)."""
-    names = device.state_names
-    if idx < 0 or idx >= len(names):
-        return None
-    name = names[idx]
+    """Constants for shutdown target ``state_names[idx]`` (a valid
+    index), or None if the target is outside the shapes the kernel
+    models (missing edges, or a degenerate home/wait target)."""
+    name = device.state_names[idx]
     if name == home or name == wait:
         return None
     if not (device.can_transition(wait, name) and device.can_transition(name, home)):
@@ -188,7 +191,7 @@ def run_gap_batched(
     trailing gap.  Scans and sums run per trace slice, so each report
     is bit-identical to the trace run alone.
     """
-    check_duration("service_time", service_time)
+    check_positive("service_time", service_time)
     home = device.initial_state
     wait = default_wait_state(device)
     traces = list(traces)
@@ -221,7 +224,14 @@ def run_gap_batched(
     slot_start = np.zeros(slot_end.size)  # previous completion (0.0 first)
 
     policy.reset()
-    costs: Dict[int, _TargetCosts] = {}
+    # every state's target constants, once per call; the trailing zero
+    # entry serves every negative ("stay") target index
+    n_states = len(device.state_names)
+    costs = [_target_costs(device, home, wait, i) for i in range(n_states)]
+    usable = np.array([tc is not None for tc in costs] + [True])
+    down_tab = np.array([tc.down_latency if tc else 0.0 for tc in costs] + [0.0])
+    up_tab = np.array([tc.up_latency if tc else 0.0 for tc in costs] + [0.0])
+    be_tab = np.array([tc.break_even if tc else 0.0 for tc in costs] + [0.0])
 
     # ---- fixpoint over wake-up delays --------------------------------- #
     wake = np.zeros(n)
@@ -252,13 +262,9 @@ def run_gap_batched(
         if (timeouts.shape != starts.shape or target_idx.shape != starts.shape
                 or (timeouts < 0).any()):
             return None
-        for idx in np.unique(target_idx[target_idx >= 0]):
-            idx = int(idx)
-            if idx not in costs:
-                tc = _target_costs(device, home, wait, idx)
-                if tc is None:
-                    return None
-                costs[idx] = tc
+        key = np.maximum(target_idx, -1)
+        if key.max() >= n_states or not usable[key].all():
+            return None
 
         # Shutdown rule, matching the event loop's tie-breaking: a zero
         # timeout executes inline at idle start (no horizon check); a
@@ -270,12 +276,8 @@ def run_gap_batched(
             (timeouts == 0.0)
             | (np.isfinite(timeouts) & (starts + timeouts < ends))
         )
-        down_lat = np.zeros(starts.size)
-        up_lat = np.zeros(starts.size)
-        for idx, tc in costs.items():
-            sel = target_idx == idx
-            down_lat[sel] = tc.down_latency
-            up_lat[sel] = tc.up_latency
+        down_lat = down_tab[key]
+        up_lat = up_tab[key]
         shutdown_times = starts + timeouts
         down_done = shutdown_times + down_lat
 
@@ -292,7 +294,7 @@ def run_gap_batched(
         # the flat layout holds every trace at once: free each pass's
         # arrays before the next pass (and the fixpoint's before the
         # accounting) allocates, to bound peak memory
-        del gap_slot, starts, ends, mid, decision, timeouts, target_idx
+        del gap_slot, starts, ends, mid, decision, timeouts, target_idx, key
         del shutdown, down_lat, up_lat, shutdown_times, down_done, delays
     else:  # pragma: no cover - n+1 passes provably suffice
         return None
@@ -316,10 +318,7 @@ def run_gap_batched(
     phase_ends[trail_gap] = end_times
     idle_lengths = phase_ends - starts
     wait_spans = np.where(shutdown, shutdown_times, phase_ends) - starts
-    be = np.zeros(starts.size)
-    for idx, tc in costs.items():
-        be[target_idx == idx] = tc.break_even
-    wrong = shutdown & mid & (ends - shutdown_times < be)
+    wrong = shutdown & mid & (ends - shutdown_times < be_tab[key])
     with np.errstate(invalid="ignore"):
         target_spans = np.where(shutdown & mid,
                                 np.maximum(0.0, ends - down_done), 0.0)
@@ -329,11 +328,11 @@ def run_gap_batched(
 
     n_shutdowns = np.add.reduceat(shutdown, gap_bounds[:-1], dtype=np.int64)
     n_wrong = np.add.reduceat(wrong, gap_bounds[:-1], dtype=np.int64)
-    # per target, in index order (so the fold order never depends on
-    # which traces share the batch): the shutdown spans compacted, and
-    # each trace's offsets into them
+    # per target the final pass shut down to, in index order (so the
+    # fold order never depends on which traces share the batch): the
+    # shutdown spans compacted, and each trace's offsets into them
     by_target = []
-    for idx in sorted(costs):
+    for idx in np.unique(target_idx[shutdown]).tolist():
         sel = shutdown & (target_idx == idx)
         cum = np.concatenate(([0], np.cumsum(sel)))[gap_bounds].tolist()
         by_target.append((costs[idx], idx, target_spans[sel], cum))
@@ -461,7 +460,7 @@ def run_step_batched(
     later), so per-replica state is just (next pure period, previous
     completion, policy state) and every round is O(R) array work.
     """
-    check_duration("service_time", service_time)
+    check_positive("service_time", service_time)
     home = device.initial_state
     wait = default_wait_state(device)
     traces = list(traces)

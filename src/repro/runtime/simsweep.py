@@ -37,7 +37,7 @@ import numpy as np
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI, bootstrap_ci
-from ..checks import check_count, check_duration
+from ..checks import check_count, check_positive
 from ..device import get_preset
 from ..sim.policy_api import EventPolicy
 from ..sim.stats import SimReport
@@ -80,7 +80,7 @@ class TraceSpec:
     duration: float
 
     def __post_init__(self) -> None:
-        check_duration("duration", self.duration)
+        check_positive("duration", self.duration)
 
     def realize(self, seed: int):
         """Generate the trace replication for ``seed``."""
@@ -115,7 +115,7 @@ class SimSweepSpec:
             object.__setattr__(
                 self, name, check_count(name, getattr(self, name), minimum)
             )
-        check_duration("service_time", self.service_time)
+        check_positive("service_time", self.service_time)
 
     def seeds(self) -> List[int]:
         """Replication seeds, shared across cells so comparisons pair."""

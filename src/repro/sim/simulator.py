@@ -32,7 +32,7 @@ from typing import Deque, Optional, Tuple
 
 import numpy as np
 
-from ..checks import check_duration
+from ..checks import check_positive
 from ..device import PowerStateMachine
 from ..workload.trace import Trace
 from .events import ARRIVAL, SERVICE_DONE, TIMEOUT, TRANSITION_DONE, Event, EventQueue
@@ -111,7 +111,7 @@ class DPMSimulator:
     ) -> None:
         self.device = device
         self.policy = policy
-        self.service_time = check_duration("service_time", service_time)
+        self.service_time = check_positive("service_time", service_time)
         self.home = device.initial_state
         #: where the device lingers before a (possible) shutdown
         self.wait_state = default_wait_state(device)

@@ -98,15 +98,6 @@ class LatencyTracker:
         """Recorded latencies in arrival order (for report assembly)."""
         return list(self._latencies)
 
-    def mean(self) -> float:
-        return float(np.mean(self._latencies)) if self._latencies else 0.0
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self._latencies, q)) if self._latencies else 0.0
-
-    def maximum(self) -> float:
-        return float(np.max(self._latencies)) if self._latencies else 0.0
-
 
 class IdleTracker:
     """Idle-period bookkeeping: lengths, shutdowns, wrong shutdowns."""
@@ -125,9 +116,6 @@ class IdleTracker:
         self.n_shutdowns += 1
         if idle_length is not None and idle_length < break_even:
             self.n_wrong_shutdowns += 1
-
-    def mean_idle(self) -> float:
-        return float(np.mean(self.idle_lengths)) if self.idle_lengths else 0.0
 
 
 def compile_report(

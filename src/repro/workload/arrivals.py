@@ -17,6 +17,8 @@ from typing import Dict, Sequence, Type
 
 import numpy as np
 
+from ..checks import check_positive
+
 
 class InterArrival(ABC):
     """Distribution of the time between consecutive service requests."""
@@ -58,8 +60,7 @@ class Exponential(InterArrival):
     kind = "exponential"
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
+        check_positive("rate", rate)
         self._rate = rate
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
@@ -78,8 +79,7 @@ class Deterministic(InterArrival):
     kind = "deterministic"
 
     def __init__(self, period: float) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
+        check_positive("period", period)
         self._period = period
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
@@ -98,10 +98,9 @@ class Uniform(InterArrival):
     kind = "uniform"
 
     def __init__(self, low: float, high: float) -> None:
+        check_positive("high", high)
         if not 0 <= low <= high:
             raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
-        if high == 0:
-            raise ValueError("high must be > 0")
         self._low = low
         self._high = high
 
@@ -126,10 +125,8 @@ class Pareto(InterArrival):
     kind = "pareto"
 
     def __init__(self, alpha: float, xm: float) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if xm <= 0:
-            raise ValueError(f"xm must be > 0, got {xm}")
+        check_positive("alpha", alpha)
+        check_positive("xm", xm)
         self._alpha = alpha
         self._xm = xm
 
@@ -161,9 +158,9 @@ class HyperExponential(InterArrival):
         probs = list(probs)
         if len(rates) != len(probs) or not rates:
             raise ValueError("rates and probs must be equal-length, non-empty")
-        if any(r <= 0 for r in rates):
-            raise ValueError(f"all rates must be > 0, got {rates}")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        for r in rates:
+            check_positive("rates", r)
+        if not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:
             raise ValueError(f"probs must be >= 0 and sum to 1, got {probs}")
         self._rates = rates
         self._probs = probs
@@ -186,10 +183,8 @@ class Weibull(InterArrival):
     kind = "weibull"
 
     def __init__(self, shape: float, scale: float) -> None:
-        if shape <= 0:
-            raise ValueError(f"shape must be > 0, got {shape}")
-        if scale <= 0:
-            raise ValueError(f"scale must be > 0, got {scale}")
+        check_positive("shape", shape)
+        check_positive("scale", scale)
         self._shape = shape
         self._scale = scale
 

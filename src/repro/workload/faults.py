@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import check_duration
+from ..checks import check_count, check_positive
 
 
 class FaultSchedule:
@@ -72,7 +72,7 @@ class FaultSchedule:
         down_intervals: Sequence[Sequence[Tuple[float, ...]]],
         horizon: float,
     ) -> None:
-        self.horizon = check_duration("horizon", horizon)
+        self.horizon = check_positive("horizon", horizon)
         self._starts: List[np.ndarray] = []
         self._ends: List[np.ndarray] = []
         self._sevs: List[np.ndarray] = []
@@ -302,13 +302,12 @@ class FaultProcess:
         ``(n_devices, horizon, seed)``; device ``d``'s stream is keyed
         ``(seed, d)``, so its fault history is independent of the fleet
         size and of every other device."""
-        if int(n_devices) < 1:
-            raise ValueError(f"n_devices must be >= 1, got {n_devices}")
-        check_duration("horizon", horizon)
-        n_start_down = int(np.floor(self.start_down * int(n_devices)))
+        n_devices = check_count("n_devices", n_devices)
+        check_positive("horizon", horizon)
+        n_start_down = int(np.floor(self.start_down * n_devices))
         sev = float(self.severity)
         intervals: List[List[Tuple[float, float, float]]] = []
-        for d in range(int(n_devices)):
+        for d in range(n_devices):
             rng = np.random.default_rng([int(seed), d])
             spans: List[Tuple[float, float, float]] = []
             t = 0.0
@@ -329,7 +328,8 @@ class FaultProcess:
 
 def no_faults(n_devices: int, horizon: float) -> FaultSchedule:
     """An always-up schedule (the reliability baseline in tests)."""
-    return FaultSchedule([[] for _ in range(int(n_devices))], horizon)
+    return FaultSchedule(
+        [[] for _ in range(check_count("n_devices", n_devices))], horizon)
 
 
 def resolve_fault_schedule(

@@ -8,7 +8,7 @@ from typing import List
 
 import numpy as np
 
-from ..checks import check_duration
+from ..checks import check_positive
 from .arrivals import InterArrival
 from .trace import Trace
 
@@ -27,7 +27,7 @@ def renewal_trace(
     per-gap loop).  ``max_requests`` guards against runaway generation
     from very high rates or degenerate distributions.
     """
-    check_duration("duration", duration)
+    check_positive("duration", duration)
     parts: List[np.ndarray] = []
     n, t = 0, 0.0
     while t < duration and n < max_requests:

@@ -150,8 +150,9 @@ class SinusoidalRate(RateSchedule):
 
     def __init__(self, base: float, amplitude: float, period: int) -> None:
         self._base = _check_prob(base, "base")
-        if amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+        if not 0 <= amplitude < math.inf:
+            raise ValueError(
+                f"amplitude must be finite and >= 0, got {amplitude}")
         if period <= 0:
             raise ValueError(f"period must be > 0, got {period}")
         self._amplitude = float(amplitude)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import convergence_point, switch_responses
+from repro.analysis import convergence_point, latency_percentiles, switch_responses
+from repro.analysis.metrics import sorted_percentiles
 
 
 class TestConvergencePoint:
@@ -125,3 +128,61 @@ class TestLatencyPercentiles:
             latency_percentiles([1.0], qs=(101.0,))
         with pytest.raises(ValueError):
             latency_percentiles([1.0], qs=(-1.0,))
+
+
+#: the quantile sets the package asks for: the tail summary, the
+#: bootstrap's 95% interval, the ends, and t = 0.5 exactly at n = 3
+QS = st.sampled_from([(50.0, 95.0, 99.0), (2.5, 97.5), (0.0, 100.0), (25.0, 75.0)])
+#: ties and zeros come from a small pool of values.  ``+ 0.0`` turns
+#: -0.0 into 0.0: the two zeros tie, and ``np.percentile``'s partition
+#: orders tied values differently from a sort (no latency or resampled
+#: mean is -0.0)
+VALUES = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0.0, 0.1, 0.7, 1.0, 3.0, 1e-300]),
+).map(lambda x: x + 0.0)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestQuantileRuleMatchesNumpy:
+    """:func:`sorted_percentiles` is ``np.percentile``, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(VALUES, min_size=1, max_size=300),
+           qs=st.one_of(QS, st.lists(st.floats(0.0, 100.0), min_size=1,
+                                     max_size=4).map(tuple)))
+    @example(values=[0.1, 0.7, 3.0], qs=(25.0, 75.0))
+    @example(values=[0.0], qs=(0.0, 100.0))
+    @example(values=[0.5, 0.5], qs=(2.5, 97.5))
+    @example(values=[0.3, 0.1], qs=(50.0, 95.0, 99.0))
+    def test_bit_identical(self, values, qs):
+        expected = np.percentile(np.asarray(values), qs)
+        got = sorted_percentiles(np.sort(values), qs)
+        assert hexes(got) == hexes(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=600),
+           qs=QS)
+    def test_latency_percentiles_bit_identical(self, values, qs):
+        assert hexes(latency_percentiles(values, qs)) == hexes(
+            np.percentile(values, qs))
+
+    def test_default_tail_on_many_streams(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 150, 151, 599, 600):
+            for _ in range(20):
+                values = rng.exponential(size=n)
+                assert hexes(latency_percentiles(values)) == hexes(
+                    np.percentile(values, (50.0, 95.0, 99.0)))
+
+    def test_nan_yields_nan_like_numpy(self):
+        values = np.sort([1.0, np.nan, 2.0])
+        assert all(np.isnan(sorted_percentiles(values, (0.0, 50.0))))
+
+    def test_non_finite_latency_refused(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="1 non-finite"):
+                latency_percentiles([1.0, bad, 2.0])

@@ -26,10 +26,17 @@ from repro.runtime import (
 from repro.runtime.executor import MultiprocessExecutor
 from repro.sim import DPMSimulator
 from repro.workload import (
+    Deterministic,
     Exponential,
     FaultProcess,
     FaultSchedule,
+    HyperExponential,
+    Pareto,
+    SinusoidalRate,
     Trace,
+    Uniform,
+    Weibull,
+    no_faults,
     renewal_trace,
 )
 
@@ -97,6 +104,8 @@ COUNT_ENTRY_POINTS = {
     "SimSweepSpec.n_traces": lambda v: sim_spec(n_traces=v),
     "SimSweepSpec.seed_stride": lambda v: sim_spec(seed_stride=v),
     "PowerAwareRouter.max_queue": lambda v: PowerAwareRouter(max_queue=v),
+    "FaultProcess.realize": lambda v: FaultProcess(10.0, 1.0).realize(v, 100.0),
+    "no_faults": lambda v: no_faults(v, 10.0),
 }
 
 
@@ -134,3 +143,56 @@ def test_zero_minimum_counts():
     assert FleetSweepRunner(max_retries=0).max_retries == 0
     with pytest.raises(ValueError, match="max_retries"):
         FleetSweepRunner(max_retries=0.5)
+
+
+#: (argument name, constructor) per inter-arrival parameter that must be
+#: finite and > 0
+ARRIVAL_PARAMETERS = {
+    "Exponential.rate": ("rate", lambda v: Exponential(v)),
+    "Deterministic.period": ("period", lambda v: Deterministic(v)),
+    "Uniform.high": ("high", lambda v: Uniform(0.0, v)),
+    "Pareto.alpha": ("alpha", lambda v: Pareto(v, 1.0)),
+    "Pareto.xm": ("xm", lambda v: Pareto(2.0, v)),
+    "HyperExponential.rates": ("rates",
+                               lambda v: HyperExponential([1.0, v], [0.5, 0.5])),
+    "Weibull.shape": ("shape", lambda v: Weibull(v, 1.0)),
+    "Weibull.scale": ("scale", lambda v: Weibull(1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(ARRIVAL_PARAMETERS))
+def test_bad_arrival_parameter_rejected(entry, value):
+    """``Exponential(nan)`` used to build, sample NaN gaps and realize
+    an empty trace without error."""
+    name, build = ARRIVAL_PARAMETERS[entry]
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        build(value)
+
+
+@pytest.mark.parametrize("low", [math.nan, -1.0, 3.0])
+def test_bad_uniform_low_rejected(low):
+    with pytest.raises(ValueError, match="0 <= low <= high"):
+        Uniform(low, 2.0)
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 0.5], [math.inf, 0.5], [-0.5, 1.5]])
+def test_bad_hyperexponential_probs_rejected(probs):
+    with pytest.raises(ValueError, match="probs"):
+        HyperExponential([1.0, 2.0], probs)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -0.1])
+def test_bad_sinusoid_amplitude_rejected(amplitude):
+    """A NaN amplitude used to build a schedule whose ``rate_at`` read
+    0.0 in every slot."""
+    with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
+        SinusoidalRate(0.3, amplitude, 10)
+
+
+def test_valid_arrival_parameters_kept_as_given():
+    assert Exponential(2).params() == {"rate": 2}
+    assert Uniform(0, 2).params() == {"low": 0, "high": 2}
+    assert SinusoidalRate(0.3, 0.0, 10).rate_at(3) == 0.3
+    assert no_faults(2.0, 10.0).n_devices == 2
+    assert FaultProcess(10.0, 1.0).realize(3.0, 100.0).n_devices == 3
