@@ -56,11 +56,5 @@ SPEEDUP_BARS = {
     "BENCH_fleet.json": {
         "fleet_kernel": 5.0,
         "queue_aware_routing": 5.0,
-        # the scalar failure-aware reference now precomputes its
-        # arrival-instant masks through the same vectorized interval
-        # lookup as the fast path, so the remaining gap is the
-        # dense-backlog epoch advance: ~2x measured, 1.5x asserted
-        "fault_tolerant_routing": 1.5,
-        "overload_resilience": 1.3,
     },
 }

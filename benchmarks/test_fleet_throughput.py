@@ -1,4 +1,5 @@
-"""Fleet throughput bench: vectorized fleet paths vs. scalar references.
+"""Fleet throughput bench: vectorized fleet paths vs. scalar references,
+plus the per-request fault-aware routing loop timed on its own.
 
 The tentpole claims of the fleet subsystem, measured at N=64 replicas:
 
@@ -12,23 +13,21 @@ The tentpole claims of the fleet subsystem, measured at N=64 replicas:
   lists) assigns requests >= 5x faster than the scalar per-request
   reference loop for ``jsq`` (the ``power_aware`` rate is recorded
   alongside, not asserted).
+
+Bars are deliberately conservative against CI-runner noise.  Three
+further cases are recorded, not asserted:
+
 - ``fault_tolerant_routing`` — failover-only dispatch (seeded fault
-  schedule + failover retries) through the fault-aware routing loop
-  over the heap-settled dense backlog routes >= 1.5x faster than the
-  same loop over the list-walking reference backlog, with
-  bit-identical assignments/retries/dispatch times.  Both share the
-  loop and the whole-trace ``severity_rows`` lookup, so only the
-  backlog separates the paths.
+  schedule + failover retries) through the fault-aware routing loop:
+  its seconds (min of 3) and its retry/drop counts.
 - ``overload_resilience`` — the full graceful-degradation stack
   (brownout-capable faults, circuit breakers, a fleet-wide retry
-  budget, deadline-aware shedding) on the same loop: dense backlog
-  >= 1.3x the list-walking reference, bit-identical outcomes, with
-  the degradation machinery demonstrably exercised (trips, retries,
-  and budget sheds all non-zero).
-
-Bars are deliberately conservative against CI-runner noise.  A further
-case times the (fleet size x router x policy) sweep at 1 and 2 jobs
-(recorded, not asserted: speedup needs real cores).
+  budget, deadline-aware shedding) on the same loop: its seconds and
+  counts, with the degradation machinery demonstrably exercised
+  (trips, retries, and budget sheds all non-zero).  The loop's
+  outcomes are pinned by tests/test_fleet_overload_replay.py.
+- ``fleet_sweep`` — the (fleet size x router x policy) sweep at 1 and
+  2 jobs (speedup needs real cores).
 
 Numbers are recorded into ``BENCH_fleet.json`` at the repo root
 (sibling of ``BENCH_engine.json`` / ``BENCH_sim.json``), with host
@@ -171,39 +170,32 @@ def test_queue_aware_routing_speedup():
     )
 
 
-def test_fault_tolerant_routing_speedup():
-    """The failure-aware routing bar: the fault-aware loop over the
-    dense backlog >= 1.5x the same loop over the list-walking
-    reference backlog at N=64, bit-identical outcomes."""
+def _min_seconds(route, repeats: int = 3):
+    """``(best seconds, outcome)`` of ``repeats`` calls of ``route``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        _, outcome = route()
+        best = min(best, time.perf_counter() - start)
+    return best, outcome
+
+
+def test_fault_tolerant_routing():
+    """Failover-only routing through the fault-aware loop at N=64:
+    seconds and counts recorded."""
     trace = _fleet_trace()
     faults = FaultProcess(mtbf=2_000.0, mttr=200.0)
     dispatcher = Dispatcher("jsq", N_DEVICES, get_preset(DEVICE),
                             service_time=SERVICE_TIME, seed=7)
+    seconds, out = _min_seconds(lambda: dispatcher.dispatch_with_faults(
+        trace, faults, fault_seed=5,
+    ))
+    assert out.n_retries > 0
 
-    start = time.perf_counter()
-    _, scalar_out = dispatcher.dispatch_with_faults(
-        trace, faults, vectorized=False, fault_seed=5,
-    )
-    scalar_seconds = time.perf_counter() - start
-
-    vec_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        _, vec_out = dispatcher.dispatch_with_faults(
-            trace, faults, vectorized=True, fault_seed=5,
-        )
-        vec_seconds = min(vec_seconds, time.perf_counter() - start)
-
-    assert np.array_equal(scalar_out.assignments, vec_out.assignments)
-    assert np.array_equal(scalar_out.retries, vec_out.retries)
-    assert np.array_equal(scalar_out.dispatch_times, vec_out.dispatch_times)
-
-    speedup = scalar_seconds / vec_seconds
     print()
     print(f"fault-tolerant routing (jsq, {len(trace):,} requests, "
-          f"{scalar_out.n_retries} retries, {scalar_out.n_dropped} drops): "
-          f"scalar {scalar_seconds:.3f}s vs vectorized {vec_seconds:.3f}s "
-          f"({speedup:.1f}x)")
+          f"{out.n_retries} retries, {out.n_dropped} drops): "
+          f"{seconds:.3f}s")
     record_bench(BENCH_PATH, "fault_tolerant_routing", {
         "device": DEVICE,
         "n_devices": N_DEVICES,
@@ -211,24 +203,17 @@ def test_fault_tolerant_routing_speedup():
         "mtbf": 2_000.0,
         "mttr": 200.0,
         "n_requests": len(trace),
-        "n_retries": int(scalar_out.n_retries),
-        "n_dropped": int(scalar_out.n_dropped),
-        "scalar_seconds": scalar_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": speedup,
+        "n_retries": int(out.n_retries),
+        "n_dropped": int(out.n_dropped),
+        "seconds": seconds,
     })
-    assert speedup >= BARS["fault_tolerant_routing"], (
-        f"vectorized failure-aware routing only {speedup:.1f}x the "
-        f"scalar reference"
-    )
 
 
-def test_overload_resilience_speedup():
-    """The graceful-degradation bar: the dense-backlog overload loop
-    >= 1.3x the list-walking reference at N=64 with breakers, a
-    tight retry budget, and deadlines all armed — and the scenario must
-    actually exercise them (trips, retries, and budget sheds > 0), or
-    the bench pins a no-op."""
+def test_overload_resilience():
+    """The graceful-degradation stack at N=64 with breakers, a tight
+    retry budget, and deadlines all armed: seconds and counts recorded.
+    The scenario must actually exercise them (trips, retries, and
+    budget sheds > 0), or the bench times a no-op."""
     trace = _fleet_trace()
     faults = FaultProcess(mtbf=500.0, mttr=120.0)
     config = OverloadConfig(
@@ -241,39 +226,18 @@ def test_overload_resilience_speedup():
     )
     dispatcher = Dispatcher("jsq", N_DEVICES, get_preset(DEVICE),
                             service_time=SERVICE_TIME, seed=7)
-
-    start = time.perf_counter()
-    _, scalar_out = dispatcher.dispatch_with_overload(
-        trace, faults, config, vectorized=False, fault_seed=5,
-    )
-    scalar_seconds = time.perf_counter() - start
-
-    vec_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        _, vec_out = dispatcher.dispatch_with_overload(
-            trace, faults, config, vectorized=True, fault_seed=5,
-        )
-        vec_seconds = min(vec_seconds, time.perf_counter() - start)
-
-    assert np.array_equal(scalar_out.assignments, vec_out.assignments)
-    assert np.array_equal(scalar_out.retries, vec_out.retries)
-    assert np.array_equal(scalar_out.dispatch_times, vec_out.dispatch_times)
-    assert np.array_equal(scalar_out.shed_reasons, vec_out.shed_reasons)
-    assert np.array_equal(scalar_out.completions, vec_out.completions,
-                          equal_nan=True)
-    assert scalar_out.n_breaker_trips == vec_out.n_breaker_trips
+    seconds, out = _min_seconds(lambda: dispatcher.dispatch_with_overload(
+        trace, faults, config, fault_seed=5,
+    ))
     # the degradation machinery must be live, not configured away
-    assert scalar_out.n_breaker_trips > 0
-    assert scalar_out.n_retries > 0
-    assert scalar_out.n_budget_shed > 0
+    assert out.n_breaker_trips > 0
+    assert out.n_retries > 0
+    assert out.n_budget_shed > 0
 
-    speedup = scalar_seconds / vec_seconds
     print()
     print(f"overload routing (jsq, {len(trace):,} requests, "
-          f"{scalar_out.n_breaker_trips} trips, {scalar_out.n_shed} shed, "
-          f"goodput {scalar_out.goodput:.4f}): scalar {scalar_seconds:.3f}s "
-          f"vs vectorized {vec_seconds:.3f}s ({speedup:.1f}x)")
+          f"{out.n_breaker_trips} trips, {out.n_shed} shed, "
+          f"goodput {out.goodput:.4f}): {seconds:.3f}s")
     record_bench(BENCH_PATH, "overload_resilience", {
         "device": DEVICE,
         "n_devices": N_DEVICES,
@@ -282,19 +246,13 @@ def test_overload_resilience_speedup():
         "mttr": 120.0,
         "slo": 4.0,
         "n_requests": len(trace),
-        "n_retries": int(scalar_out.n_retries),
-        "n_shed": int(scalar_out.n_shed),
-        "n_budget_shed": int(scalar_out.n_budget_shed),
-        "n_breaker_trips": int(scalar_out.n_breaker_trips),
-        "goodput": float(scalar_out.goodput),
-        "scalar_seconds": scalar_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": speedup,
+        "n_retries": int(out.n_retries),
+        "n_shed": int(out.n_shed),
+        "n_budget_shed": int(out.n_budget_shed),
+        "n_breaker_trips": int(out.n_breaker_trips),
+        "goodput": float(out.goodput),
+        "seconds": seconds,
     })
-    assert speedup >= BARS["overload_resilience"], (
-        f"vectorized overload routing only {speedup:.1f}x the "
-        f"scalar reference"
-    )
 
 
 def _sweep_seconds(n_jobs: int, spec: FleetSweepSpec):

@@ -21,17 +21,15 @@ pinned bit-identical against that loop:
   :class:`PowerAwareRouter`) depend on the evolving per-device backlog,
   so they cannot decide all requests at once — but they *can* advance
   the whole fleet one routing epoch (one arrival) per round.
-  :meth:`Router.route_step_batch` is that path: it runs over the
-  heap-settled :class:`_DenseBacklog` (amortized one completion-heap
-  pop per request instead of an O(N) per-device walk), and each
-  epoch's choice is an inlined scan of its Python lists.
+  :meth:`Router.route_step_batch` is that path: each epoch's choice
+  is an inlined scan of the backlog's Python lists.
 
 Under faults or overload protection every router goes through one
 per-request loop, :func:`route_with_overload`: failover retries,
 circuit breakers, a retry budget and deadline shedding, each a no-op
-when its :class:`OverloadConfig` knob is off.  It runs over either
-backlog — the heap-settled :class:`_DenseBacklog` or the list-walking
-:class:`_BacklogTracker` — which expose the same live lists.
+when its :class:`OverloadConfig` knob is off.  Every routing loop runs
+over the one per-device backlog, the heap-settled :class:`_Backlog`
+(amortized one completion-heap pop per request).
 
 Per-request routing state is Python lists end to end (backlogs,
 breaker and live masks): at fleet sizes of 1-64 a NumPy call costs
@@ -105,15 +103,13 @@ class Router(ABC):
         assignment per request (int64 array in ``[0, n_devices)``).
 
         The fault-aware loop :func:`route_with_overload` with nothing
-        failing and every knob off, over the list-walking
-        :class:`_BacklogTracker`: each request is one :meth:`decide_one`
-        call at its arrival instant, booked right after the decision.
+        failing and every knob off: each request is one
+        :meth:`decide_one` call at its arrival instant, booked right
+        after the decision.
         """
         # no intervals, so the schedule's horizon is never consulted
         always_up = no_faults(ctx.n_devices, horizon=1.0)
-        return route_with_overload(
-            self, ctx, always_up, vectorized=False
-        ).assignments
+        return route_with_overload(self, ctx, always_up).assignments
 
     def route_batch(self, ctx: RouteContext) -> Optional[np.ndarray]:
         """Vectorized assignments, or None.
@@ -131,13 +127,12 @@ class Router(ABC):
 
         Second opt-in fast path, mirroring
         :meth:`~repro.sim.policy_api.EventPolicy.decide_step_batch`: a
-        queue-aware router advances its per-device backlog one routing
-        epoch (one arrival) per round over :class:`_DenseBacklog`
-        (one shared completion heap instead of the reference loop's
-        per-device settle walk), with its decision scan inlined.  It
-        must reproduce :meth:`route` bit-for-bit
-        (pinned in tests/test_fleet_dispatch.py).  Consulted by the
-        dispatcher only after :meth:`route_batch` declined.
+        queue-aware router advances its per-device backlog
+        (:class:`_Backlog`, or its settle and assign inlined) one epoch
+        (one arrival) per round, with its decision scan inlined instead
+        of a :meth:`decide_one` call.  It must reproduce :meth:`route`
+        bit-for-bit (pinned in tests/test_fleet_dispatch.py).  Consulted
+        by the dispatcher only after :meth:`route_batch` declined.
         """
         return None
 
@@ -231,70 +226,15 @@ class RandomRouter(Router):
         return live[int(ctx.rng.integers(0, len(live)))]
 
 
-#: settled-prefix length past which :class:`_BacklogTracker` compacts a
-#: device's completion list (once the prefix also spans at least half
-#: the list, so each compaction frees >= half and stays amortized O(1))
-_COMPACT_MIN_SETTLED = 64
-
-
-class _BacklogTracker:
+class _Backlog:
     """Per-device FIFO backlog under the dispatcher-level service model.
 
-    The list-walking backlog behind the scalar reference paths.  Like
-    :class:`_DenseBacklog` it exposes live ``queue_len: List[int]`` /
-    ``last_completion: List[float]`` (updated in place, so a routing
-    loop can hold on to them) plus :meth:`settle` / :meth:`assign`; the
-    two backlogs hold equal lists after every operation
-    (property-tested).
-    """
-
-    def __init__(self, n_devices: int) -> None:
-        # per device: completion times of assigned-but-possibly-pending
-        # requests (monotone per device, so popping the head suffices)
-        self._completions: List[List[float]] = [[] for _ in range(n_devices)]
-        self._head: List[int] = [0] * n_devices
-        self.last_completion: List[float] = [0.0] * n_devices
-        self.queue_len: List[int] = [0] * n_devices
-
-    def settle(self, now: float) -> None:
-        """Drop requests already completed by ``now``.
-
-        Settled completions are compacted away once a device's settled
-        prefix is both long and at least half its list — without the
-        compaction the lists grow O(n_requests) over a long trace even
-        though only the unsettled tail ever matters again.
-        """
-        queue_len = self.queue_len
-        for d, comps in enumerate(self._completions):
-            head = self._head[d]
-            while head < len(comps) and comps[head] <= now:
-                head += 1
-            if head >= _COMPACT_MIN_SETTLED and head * 2 >= len(comps):
-                del comps[:head]
-                head = 0
-            self._head[d] = head
-            queue_len[d] = len(comps) - head
-
-    def assign(self, d: int, now: float, demand: float) -> None:
-        """Book one request on device ``d`` arriving at ``now``."""
-        start = max(now, self.last_completion[d])
-        done = start + demand
-        self._completions[d].append(done)
-        self.last_completion[d] = done
-        self.queue_len[d] += 1
-
-
-class _DenseBacklog:
-    """Heap-settled twin of :class:`_BacklogTracker` for the fast paths.
-
-    Same service model and interface, different settle: one completion
-    min-heap shared by all devices instead of a walk over every
-    device's list per request — amortized one heap pop per request over
-    a whole trace.  Arithmetic is kept operation-for-operation identical
-    to the list tracker (``max`` then ``+`` on Python floats), so the
-    booked completion times — and therefore every downstream comparison
-    — are bit-identical.  The queue-aware step loops run over it too,
-    binding :meth:`settle` / :meth:`assign` once per trace.
+    Exposes live ``queue_len: List[int]`` / ``last_completion:
+    List[float]`` (updated in place, so a routing loop can hold on to
+    them and bind :meth:`settle` / :meth:`assign` once per trace).  One
+    completion min-heap shared by all devices settles the backlog:
+    amortized one heap pop per request over a whole trace, instead of a
+    walk over every device's pending list per request.
     """
 
     def __init__(self, n_devices: int) -> None:
@@ -345,22 +285,29 @@ class JoinShortestQueueRouter(Router):
     name = "jsq"
 
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
-        backlog = _DenseBacklog(ctx.n_devices)
-        settle = backlog.settle
-        assign = backlog.assign
-        queue_len = backlog.queue_len
+        # _Backlog's settle and assign inlined: the two method calls are
+        # a quarter of this loop's per-request cost, and the bench bar
+        # wants it >= 5x route(), which runs over _Backlog itself
+        heap: List[Tuple[float, int]] = []
+        queue_len = [0] * ctx.n_devices
+        last = [0.0] * ctx.n_devices
         first_of = queue_len.index
         out = []
         book = out.append
         for now, demand in zip(ctx.arrivals.tolist(), ctx.demands.tolist()):
-            settle(now)
+            while heap and heap[0][0] <= now:
+                queue_len[heappop(heap)[1]] -= 1
             # an empty queue is the minimum: the first one found is the
             # lowest-index tie, so the full min() scan runs only when
             # every device is busy
             choice = first_of(0) if 0 in queue_len else first_of(
                 min(queue_len)
             )
-            assign(choice, now, demand)
+            lc = last[choice]
+            done = (lc if lc > now else now) + demand
+            last[choice] = done
+            queue_len[choice] += 1
+            heappush(heap, (done, choice))
             book(choice)
         return np.asarray(out, dtype=np.int64)
 
@@ -415,7 +362,7 @@ class PowerAwareRouter(Router):
         window = self.resolve_window(ctx.device)
         max_queue = self._max_queue
         devices = range(ctx.n_devices)
-        backlog = _DenseBacklog(ctx.n_devices)
+        backlog = _Backlog(ctx.n_devices)
         settle = backlog.settle
         assign = backlog.assign
         qlen = backlog.queue_len
@@ -932,7 +879,6 @@ def route_with_overload(
     ctx: RouteContext,
     faults: FaultSchedule,
     config: OverloadConfig = OverloadConfig(),
-    vectorized: bool = True,
 ) -> OverloadOutcome:
     """The fault-aware routing loop: failover plus overload protection.
 
@@ -967,11 +913,8 @@ def route_with_overload(
     reads its choice's severity from the exact
     :meth:`~repro.workload.FaultSchedule.severity_at` point query, and
     ``next_best`` its live mask from
-    :meth:`~repro.workload.FaultSchedule.alive_mask`.
-    ``vectorized`` picks the backlog the loop runs over: the
-    heap-settled :class:`_DenseBacklog`, or the list-walking
-    :class:`_BacklogTracker` reference.  The two hold equal lists after
-    every operation, so the outcome does not depend on the choice.
+    :meth:`~repro.workload.FaultSchedule.alive_mask`.  The loop runs
+    over :class:`_Backlog`.
     """
     if faults.n_devices != ctx.n_devices:
         raise ValueError(
@@ -982,9 +925,7 @@ def route_with_overload(
     max_retries = failover.max_retries
     resubmit = failover.policy == "resubmit"
     n = int(ctx.arrivals.size)
-    backlog = (_DenseBacklog if vectorized else _BacklogTracker)(
-        ctx.n_devices
-    )
+    backlog = _Backlog(ctx.n_devices)
     queue_len = backlog.queue_len
     last_completion = backlog.last_completion
     settle = backlog.settle
@@ -1175,7 +1116,6 @@ class Dispatcher:
         trace: Trace,
         faults,
         failover: FailoverConfig = FailoverConfig(),
-        vectorized: bool = True,
         fault_seed: Optional[int] = None,
     ) -> Tuple[List[Trace], OverloadOutcome]:
         """Failover-only routing: :meth:`dispatch_with_overload` under
@@ -1188,7 +1128,7 @@ class Dispatcher:
             )
         return self.dispatch_with_overload(
             trace, faults, OverloadConfig(failover=failover),
-            vectorized=vectorized, fault_seed=fault_seed,
+            fault_seed=fault_seed,
         )
 
     def dispatch_with_overload(
@@ -1196,7 +1136,6 @@ class Dispatcher:
         trace: Trace,
         faults,
         overload: OverloadConfig = OverloadConfig(),
-        vectorized: bool = True,
         fault_seed: Optional[int] = None,
     ) -> Tuple[List[Trace], OverloadOutcome]:
         """Route through :func:`route_with_overload` and split into
@@ -1224,7 +1163,6 @@ class Dispatcher:
             schedule = no_faults(self.n_devices, trace.duration)
         outcome = route_with_overload(
             self.router, self._context(trace), schedule, overload,
-            vectorized=vectorized,
         )
         duration = float(trace.duration)
         landed = outcome.landed

@@ -28,10 +28,10 @@ Two engines, mirroring the repo's batched/scalar split:
   everything else.  Routing never sees the policy, so a fleet sweep
   chunk routes its traces once and evaluates every policy on them.
 - ``engine="scalar"`` — the reference dispatcher: the router's scalar
-  assignment loop (or the fault-aware loop over the list-walking
-  backlog) plus the scalar :class:`~repro.sim.DPMSimulator` event loop
-  per device.  tests/test_fleet_sweep.py pins the fast engine against
-  it field-for-field (rel tol <= 1e-9) on the fleet aggregate.
+  assignment loop (or the fault-aware loop) plus the scalar
+  :class:`~repro.sim.DPMSimulator` event loop per device.
+  tests/test_fleet_sweep.py pins the fast engine against it
+  field-for-field (rel tol <= 1e-9) on the fleet aggregate.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def _route(
     """Route one trace: ``(sub-traces, fault/overload report fields)``.
 
     The one routing decision: with no ``faults`` and no ``overload``
-    the trace takes the plain fast paths; otherwise it runs the
+    the trace takes the plain dispatch (its fast paths unless
+    ``vectorized=False`` forces the scalar loop); otherwise it runs the
     fault-aware loop under ``overload or OverloadConfig()``.
     """
     n_offered = int(trace.arrival_times.size)
@@ -77,7 +78,7 @@ def _route(
             faults, dispatcher.n_devices, trace.duration, seed=fault_seed,
         )
     subs, outcome = dispatcher.dispatch_with_overload(
-        trace, schedule, overload or OverloadConfig(), vectorized=vectorized,
+        trace, schedule, overload or OverloadConfig(),
     )
     return subs, {
         "availability": 1.0 if schedule is None

@@ -340,8 +340,9 @@ def resolve_fault_schedule(
     fleet entry points take."""
     if faults is None:
         return None
+    n_devices = check_count("n_devices", n_devices)
     if isinstance(faults, FaultSchedule):
-        if faults.n_devices != int(n_devices):
+        if faults.n_devices != n_devices:
             raise ValueError(
                 f"fault schedule covers {faults.n_devices} devices, "
                 f"fleet has {n_devices}"

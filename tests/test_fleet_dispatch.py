@@ -2,12 +2,12 @@
 
 The fleet mirrors the repo's stateless/stateful split: stateless routers
 must be bit-identical between their scalar reference loop (``route``,
-``decide_one`` over the list-walking backlog) and the closed-form
-``route_batch`` path, queue-aware routers must be bit-identical between
-the scalar loop and the epoch-advance ``route_step_batch`` path (a
-shared completion heap, one arrival per round), the two backlog
-structures must agree after every operation, and the dispatcher must
-partition traces without losing requests, demands, or window duration.
+one ``decide_one`` per request) and the closed-form ``route_batch``
+path, queue-aware routers must be bit-identical between the scalar loop
+and the epoch-advance ``route_step_batch`` path (one arrival per
+round), the heap-settled backlog must agree after every operation with
+plain per-device pending lists, and the dispatcher must partition traces
+without losing requests, demands, or window duration.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from repro.fleet import (
     RoundRobinRouter,
     make_router,
 )
-from repro.fleet.dispatch import (
-    _COMPACT_MIN_SETTLED,
-    _BacklogTracker,
-    _DenseBacklog,
-)
+from repro.fleet.dispatch import _Backlog
 from repro.workload import Exponential, Trace, renewal_trace
 
 STATELESS = ("round_robin", "random")
@@ -178,45 +174,6 @@ class TestQueueAwareEpochPath:
             )
 
 
-class TestBacklogCompaction:
-    """settle() compacts settled completion prefixes so per-device lists
-    stay bounded by the live backlog, not by the trace length."""
-
-    def test_long_trace_memory_stays_bounded(self):
-        tracker = _BacklogTracker(1)
-        now = 0.0
-        for _ in range(5000):
-            tracker.assign(0, now, 0.5)
-            now += 1.0
-            tracker.settle(now)
-            assert tracker.queue_len[0] == 0
-            # without compaction this list would grow to 5000 entries
-            assert len(tracker._completions[0]) <= 2 * _COMPACT_MIN_SETTLED
-
-    def test_compaction_preserves_scalar_semantics(self):
-        """Queue lengths and booked completions must match a plain
-        uncompacted reference through interleaved assigns and settles
-        (including partial settles that leave an unsettled tail)."""
-        tracker = _BacklogTracker(2)
-        pending = [[], []]
-        last = [0.0, 0.0]
-        now = 0.0
-        for i in range(400):
-            d = i % 2
-            now += 0.25 if i % 3 else 0.0    # repeats exercise ties
-            tracker.settle(now)
-            pending = [[c for c in p if c > now] for p in pending]
-            assert tracker.queue_len[0] == len(pending[0])
-            assert tracker.queue_len[1] == len(pending[1])
-            demand = 0.4 + (i % 5) * 0.3     # mixes drain and backlog
-            start = max(now, last[d])
-            done = start + demand
-            last[d] = done
-            pending[d].append(done)
-            tracker.assign(d, now, demand)
-            assert float(tracker.last_completion[d]) == done
-
-
 #: instants on a coarse binary grid: sums of grid demands stay exact,
 #: so booked completions collide with later arrivals and settle instants
 _INSTANTS = st.integers(0, 40).map(lambda k: k * 0.25)
@@ -245,19 +202,40 @@ def _backlog_programs(draw):
     return n_devices, draw(st.lists(op, max_size=60))
 
 
+class PendingLists:
+    """Test-local reference backlog: per device, the booked completions
+    still pending, filtered with ``c > now`` on every settle."""
+
+    def __init__(self, n_devices):
+        self.pending = [[] for _ in range(n_devices)]
+        self.last_completion = [0.0] * n_devices
+
+    @property
+    def queue_len(self):
+        return [len(p) for p in self.pending]
+
+    def settle(self, now):
+        self.pending = [[c for c in p if c > now] for p in self.pending]
+
+    def assign(self, d, now, demand):
+        done = max(now, self.last_completion[d]) + demand
+        self.pending[d].append(done)
+        self.last_completion[d] = done
+
+
 class TestBacklogEquivalence:
-    """The fault-aware loop and ``Router.route`` run over either backlog;
-    both must expose equal ``queue_len`` / ``last_completion`` lists
-    after every settle and assign."""
+    """Every routing loop runs over :class:`_Backlog`; it must expose
+    the reference's ``queue_len`` / ``last_completion`` lists after
+    every settle and assign."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=_backlog_programs())
-    @example(program=(1, [("burst", 0, 3 * _COMPACT_MIN_SETTLED, 0.0, 0.0),
+    @example(program=(1, [("burst", 0, 3 * 64, 0.0, 0.0),
                           ("settle", 10.0),
                           ("assign", 0, 10.0, 0.5),
                           ("settle", 10.0),
                           ("settle_at_completion", 0)]))
-    @example(program=(1, [("burst", 0, _COMPACT_MIN_SETTLED + 6, 0.0, 0.0),
+    @example(program=(1, [("burst", 0, 64 + 6, 0.0, 0.0),
                           ("assign", 0, 0.0, 0.5),
                           ("settle", 0.0),
                           ("settle_at_completion", 0)]))
@@ -266,36 +244,53 @@ class TestBacklogEquivalence:
                           ("settle", 0.5), ("settle_at_completion", 1)]))
     def test_same_arrays_after_every_operation(self, program):
         n_devices, ops = program
-        tracker = _BacklogTracker(n_devices)
-        dense = _DenseBacklog(n_devices)
+        reference = PendingLists(n_devices)
+        backlog = _Backlog(n_devices)
         for op in ops:
             kind = op[0]
             if kind == "settle_at_completion":
                 kind, op = "settle", ("settle",
-                                      float(tracker.last_completion[op[1]]))
+                                      reference.last_completion[op[1]])
             if kind == "settle":
-                tracker.settle(op[1])
-                dense.settle(op[1])
+                reference.settle(op[1])
+                backlog.settle(op[1])
             else:
                 d, now, demand = op[1], op[-2], op[-1]
                 for _ in range(op[2] if kind == "burst" else 1):
-                    tracker.assign(d, now, demand)
-                    dense.assign(d, now, demand)
-            assert np.array_equal(tracker.queue_len, dense.queue_len), op
-            assert np.array_equal(tracker.last_completion,
-                                  dense.last_completion), op
-            assert min(tracker.queue_len) >= 0
+                    reference.assign(d, now, demand)
+                    backlog.assign(d, now, demand)
+            assert backlog.queue_len == reference.queue_len, op
+            assert backlog.last_completion == reference.last_completion, op
+            assert min(backlog.queue_len) >= 0
 
-    def test_compaction_reached_by_the_burst_example(self):
-        """The first explicit example above must cross the compaction
-        threshold, or the property never exercises a compacted list
-        (the second compacts under an unsettled tail)."""
-        tracker = _BacklogTracker(1)
-        for _ in range(3 * _COMPACT_MIN_SETTLED):
-            tracker.assign(0, 0.0, 0.0)
-        tracker.settle(10.0)
-        assert tracker._completions[0] == []
-        assert tracker.queue_len == [0]
+
+class TestBacklogMemory:
+    """settle() pops every completed request off the shared heap, so
+    the heap stays bounded by the live backlog, not by the trace
+    length."""
+
+    def test_long_trace_memory_stays_bounded(self):
+        backlog = _Backlog(2)
+        now = 0.0
+        for i in range(5000):
+            backlog.assign(i % 2, now, 0.5)
+            now += 1.0
+            backlog.settle(now)
+            assert backlog.queue_len == [0, 0]
+            # without the pops this heap would grow to 5000 entries
+            assert backlog._heap == []
+
+    def test_heap_holds_exactly_the_live_backlog(self):
+        """Partial settles leave an unsettled tail: the heap keeps one
+        entry per pending request, no more."""
+        backlog = _Backlog(2)
+        now = 0.0
+        for i in range(400):
+            now += 0.25 if i % 3 else 0.0    # repeats exercise ties
+            backlog.settle(now)
+            assert len(backlog._heap) == sum(backlog.queue_len)
+            assert all(done > now for done, _ in backlog._heap)
+            backlog.assign(i % 2, now, 0.4 + (i % 5) * 0.3)
 
 
 class TestRoundRobin:

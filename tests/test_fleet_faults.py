@@ -4,8 +4,8 @@ Failover-only routing is the fault-aware loop
 (:func:`~repro.fleet.route_with_overload`) under
 ``OverloadConfig(failover=...)``.  Its outcomes are pinned to sha256
 digests recorded from the dedicated failover engine this loop replaced
-— every router x failover policy, over either backlog, on a seeded
-fault process with retries and drops.  A no-fault schedule must
+— every router x failover policy, on a seeded fault process with
+retries and drops.  A no-fault schedule must
 reproduce plain routing choice for choice, the failover semantics are
 checked case by case, and the fast fleet engine (per-seed `auto` runs
 and multi-trace `run_fleet_batch` calls) must agree with `scalar` on
@@ -63,13 +63,11 @@ def make_context(trace, n_devices, device_name="mobile_hdd", seed=0,
     )
 
 
-def route_with_failover(router, ctx, faults, config=FailoverConfig(),
-                        vectorized=True):
+def route_with_failover(router, ctx, faults, config=FailoverConfig()):
     """Failover-only routing: the fault-aware loop, every overload knob
     off."""
     return route_with_overload(router, ctx, faults,
-                               OverloadConfig(failover=config),
-                               vectorized=vectorized)
+                               OverloadConfig(failover=config))
 
 
 #: sha256 over the little-endian bytes of ``assignments``,
@@ -132,22 +130,30 @@ class TestFailoverConfig:
 
 class TestGoldenPin:
     """Failover-only routing reproduces the recorded outcomes bit for
-    bit, over either backlog, with every overload mechanism inert."""
+    bit, with every overload mechanism inert."""
 
-    @pytest.mark.parametrize("vectorized", (True, False))
+    @pytest.mark.parametrize("entry", ("loop", "dispatcher"))
     @pytest.mark.parametrize("policy", ("next_best", "resubmit"))
     @pytest.mark.parametrize("name", sorted(ROUTERS))
-    def test_matches_recorded_digest(self, name, policy, vectorized):
+    def test_matches_recorded_digest(self, name, policy, entry):
+        """Pinned through the loop itself and through
+        ``Dispatcher.dispatch_with_faults``, the entry the fleet engine
+        calls."""
         trace = renewal_trace(Exponential(0.8), 300.0,
                               np.random.default_rng(2024))
         faults = FaultProcess(mtbf=10.0, mttr=8.0).realize(
             4, trace.duration, seed=5)
         config = FailoverConfig(policy=policy, max_retries=3,
                                 backoff_base=0.25, backoff_cap=2.0)
-        out = route_with_failover(
-            make_router(name), make_context(trace, 4, seed=9), faults,
-            config, vectorized=vectorized,
-        )
+        if entry == "loop":
+            out = route_with_failover(
+                make_router(name), make_context(trace, 4, seed=9), faults,
+                config,
+            )
+        else:
+            _, out = Dispatcher(
+                name, 4, get_preset("mobile_hdd"), service_time=0.4, seed=9,
+            ).dispatch_with_faults(trace, faults, config)
         assert out.n_retries > 0
         assert out.n_dropped > 0
         assert outcome_digest(out) == GOLDEN_DIGESTS[(name, policy)]
@@ -165,14 +171,22 @@ class TestNoFaultBitIdentity:
     natural, mask-oblivious decision."""
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
-    @pytest.mark.parametrize("vectorized", (True, False))
-    def test_matches_plain_route(self, name, vectorized, rng):
+    @pytest.mark.parametrize("plain_path", ("route", "fast"))
+    def test_matches_plain_route(self, name, plain_path, rng):
+        """Against the scalar ``Router.route`` and against the fast
+        path (``route_batch`` / ``route_step_batch``) that plain fleet
+        dispatch takes."""
         trace = renewal_trace(Exponential(0.8), 400.0, rng)
         router = make_router(name)
-        plain = router.route(make_context(trace, 4, seed=9))
+        if plain_path == "route":
+            plain = router.route(make_context(trace, 4, seed=9))
+        else:
+            plain = Dispatcher(
+                router, 4, get_preset("mobile_hdd"), service_time=0.4, seed=9,
+            ).assignments(trace, vectorized=True)
         outcome = route_with_failover(
             router, make_context(trace, 4, seed=9),
-            no_faults(4, trace.duration), vectorized=vectorized,
+            no_faults(4, trace.duration),
         )
         assert np.array_equal(outcome.assignments, plain)
         assert outcome.n_retries == 0
@@ -195,11 +209,9 @@ class TestNoFaultBitIdentity:
 
     def test_device_count_mismatch_raises(self, rng):
         trace = renewal_trace(Exponential(0.5), 50.0, rng)
-        for vectorized in (True, False):
-            with pytest.raises(ValueError, match="covers 2 devices"):
-                route_with_failover(make_router("jsq"), make_context(trace, 4),
-                                    no_faults(2, trace.duration),
-                                    vectorized=vectorized)
+        with pytest.raises(ValueError, match="covers 2 devices"):
+            route_with_failover(make_router("jsq"), make_context(trace, 4),
+                                no_faults(2, trace.duration))
 
 
 class TestFailoverSemantics:

@@ -1,11 +1,12 @@
 """Overload-resilient routing: brownouts, breakers, budgets, deadlines.
 
-Three contracts under test.  First, **backlog independence**: the
+Three contracts under test.  First, **agreement with the replay**: the
 fault-aware loop (:func:`~repro.fleet.route_with_overload`) must give
-bit-identical outcomes over the heap-settled and the list-walking
-backlog on every router, preset, and degradation scenario — fail-stop
-outages, brownouts (finite severity: the device serves, but slowly),
-whole-fleet blackouts, and retry-budget exhaustion.  Second,
+the outcome of the independent per-request replay of
+``test_fleet_overload_replay`` on every router, preset, and degradation
+scenario — fail-stop outages, brownouts (finite severity: the device
+serves, but slowly), whole-fleet blackouts, and retry-budget
+exhaustion.  Second,
 **reduction**: with breakers, budget, and deadlines disabled the loop
 reproduces the recorded failover-only outcomes bit for bit (pinned by
 digest), and with no faults and no pressure it reproduces plain routing
@@ -39,7 +40,7 @@ from repro.fleet import (
     route_with_overload,
     run_fleet,
 )
-from repro.fleet.dispatch import RouteContext
+from repro.fleet.dispatch import PowerAwareRouter, RouteContext
 from repro.runtime import PolicySpec, TraceSpec
 from repro.workload import (
     Exponential,
@@ -51,6 +52,7 @@ from repro.workload import (
 )
 
 from test_fleet_faults import outcome_digest
+from test_fleet_overload_replay import ROUTE_SEED, ReplayRouter, replay
 from test_fleet_sweep import assert_fleet_reports_match, engine_pairs
 
 PRESETS = ("mobile_hdd", "wlan")
@@ -111,21 +113,6 @@ def overload_scenarios(n_devices, horizon, seed=5):
             horizon,
         )
     return scenarios
-
-
-def assert_outcomes_identical(ref, fast, label=""):
-    """Bit-identical OverloadOutcome comparison — every array, no
-    tolerance."""
-    assert np.array_equal(ref.assignments, fast.assignments), label
-    assert np.array_equal(ref.dispatch_times, fast.dispatch_times), label
-    assert np.array_equal(ref.retries, fast.retries), label
-    assert np.array_equal(ref.shed_reasons, fast.shed_reasons), label
-    assert np.array_equal(ref.deadlines, fast.deadlines), label
-    assert np.array_equal(ref.completions, fast.completions,
-                          equal_nan=True), label
-    assert np.array_equal(ref.effective_demands, fast.effective_demands,
-                          equal_nan=True), label
-    assert ref.n_breaker_trips == fast.n_breaker_trips, label
 
 
 # --------------------------------------------------------------------- #
@@ -218,16 +205,14 @@ class TestConfigs:
                                     backoff_cap=0.1),
             retry_budget=RetryBudgetConfig(capacity=100.0),
         )
-        for vectorized in (False, True):
-            out = route_with_overload(make_router("round_robin"),
-                                      make_context(trace, 2), faults, config,
-                                      vectorized=vectorized)
-            # round_robin: request 0 picks dead device 0 and drops on
-            # the spot; request 1 picks device 1 and lands
-            assert out.assignments.tolist() == [-1, 1]
-            assert out.dispatch_times.tolist() == [1.0, 2.0]
-            assert out.n_retries == 0
-            assert out.n_shed == 0
+        out = route_with_overload(make_router("round_robin"),
+                                  make_context(trace, 2), faults, config)
+        # round_robin: request 0 picks dead device 0 and drops on the
+        # spot; request 1 picks device 1 and lands
+        assert out.assignments.tolist() == [-1, 1]
+        assert out.dispatch_times.tolist() == [1.0, 2.0]
+        assert out.n_retries == 0
+        assert out.n_shed == 0
 
 
 # --------------------------------------------------------------------- #
@@ -277,16 +262,15 @@ class TestReductionToFailover:
                                   backoff_base=0.25, backoff_cap=2.0)
         faults = FaultProcess(mtbf=40.0, mttr=6.0).realize(
             4, trace.duration, seed=5)
-        for vectorized in (False, True):
-            out = route_with_overload(
-                router, make_context(trace, 4, seed=9), faults,
-                OverloadConfig(failover=failover), vectorized=vectorized,
-            )
-            assert out.n_retries > 0
-            assert outcome_digest(out) == REDUCTION_DIGESTS[(name, policy)]
-            assert out.n_shed == 0
-            assert out.n_breaker_trips == 0
-            assert np.all(out.deadlines == math.inf)
+        out = route_with_overload(
+            router, make_context(trace, 4, seed=9), faults,
+            OverloadConfig(failover=failover),
+        )
+        assert out.n_retries > 0
+        assert outcome_digest(out) == REDUCTION_DIGESTS[(name, policy)]
+        assert out.n_shed == 0
+        assert out.n_breaker_trips == 0
+        assert np.all(out.deadlines == math.inf)
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
     def test_no_fault_schedule_reproduces_plain_routing(self, name, rng):
@@ -306,13 +290,37 @@ class TestReductionToFailover:
 
 
 # --------------------------------------------------------------------- #
-# backlog independence: list-walking reference vs heap-settled backlog
+# agreement with the independent per-request replay
 # --------------------------------------------------------------------- #
 
 
-class TestScalarVectorizedPinning:
+def assert_matches_replay(router, ctx, faults, config, label=""):
+    """Route through the loop and through the independent replay of
+    ``test_fleet_overload_replay``, fed the schedule's raw intervals;
+    ``ctx`` must be seeded with ``ROUTE_SEED``, the replay's routing
+    seed.  Every outcome field must agree exactly."""
+    out = route_with_overload(router, ctx, faults, config)
+    n = ctx.n_devices
+    intervals = [
+        [(start, end, sev) for (start, end), sev in
+         zip(faults.intervals(d), faults.interval_severities(d))]
+        for d in range(n)
+    ]
+    # window and max_queue of the default PowerAwareRouter
+    want, trips = replay(
+        ctx.arrivals, ctx.demands, n, intervals, config,
+        ReplayRouter(router.name, n,
+                     PowerAwareRouter().resolve_window(ctx.device), 4),
+    )
+    for key, values in want.items():
+        assert np.array_equal(getattr(out, key), np.array(values),
+                              equal_nan=True), (label, key)
+    assert out.n_breaker_trips == trips, label
+
+
+class TestReplayPinning:
     """The acceptance matrix: every router x preset x scenario, full
-    degradation config, bit-identical outcomes over either backlog."""
+    degradation config, outcomes equal to the independent replay."""
 
     @pytest.mark.parametrize("name", sorted(ROUTERS))
     @pytest.mark.parametrize("device_name", PRESETS)
@@ -329,15 +337,10 @@ class TestScalarVectorizedPinning:
                                                    refill_rate=0.01),
                     slo=FULL_CONFIG.slo,
                 )
-            ref = route_with_overload(
-                router, make_context(trace, 4, device_name, seed=9),
-                faults, config, vectorized=False,
+            assert_matches_replay(
+                router, make_context(trace, 4, device_name, seed=ROUTE_SEED),
+                faults, config, f"{name}/{device_name}/{label}",
             )
-            fast = route_with_overload(
-                router, make_context(trace, 4, device_name, seed=9),
-                faults, config,
-            )
-            assert_outcomes_identical(ref, fast, f"{name}/{device_name}/{label}")
 
     def test_budget_storm_actually_sheds(self, rng):
         """The budget_storm scenario must exercise the exhaustion path,
@@ -371,21 +374,16 @@ class TestScalarVectorizedPinning:
         trace = renewal_trace(Exponential(0.5), 100.0, rng)
         faults = FaultSchedule(
             [[(10.0, 30.0), (50.0, 60.0, 5.0)]], trace.duration)
-        router = make_router(name)
-        ref = route_with_overload(
-            router, make_context(trace, 1, seed=3), faults, FULL_CONFIG,
-            vectorized=False)
-        fast = route_with_overload(
-            router, make_context(trace, 1, seed=3), faults, FULL_CONFIG)
-        assert_outcomes_identical(ref, fast)
+        assert_matches_replay(
+            make_router(name), make_context(trace, 1, seed=ROUTE_SEED),
+            faults, FULL_CONFIG,
+        )
 
     def test_device_count_mismatch_raises(self, rng):
         trace = renewal_trace(Exponential(0.5), 50.0, rng)
-        for vectorized in (False, True):
-            with pytest.raises(ValueError, match="covers 2 devices"):
-                route_with_overload(make_router("jsq"), make_context(trace, 4),
-                                    no_faults(2, trace.duration),
-                                    vectorized=vectorized)
+        with pytest.raises(ValueError, match="covers 2 devices"):
+            route_with_overload(make_router("jsq"), make_context(trace, 4),
+                                no_faults(2, trace.duration))
 
 
 # --------------------------------------------------------------------- #
@@ -470,12 +468,6 @@ class TestBreakerSemantics:
         assert out.n_breaker_trips >= 2
         assert out.assignments[2] == 0      # successful reprobe landed
         assert out.assignments[3] >= 0      # closed breaker routes freely
-        # and both backlogs agree on the whole episode
-        fast = route_with_overload(
-            make_router("round_robin"), make_context(trace, 2), faults,
-            config, vectorized=False,
-        )
-        assert_outcomes_identical(out, fast)
 
     def test_all_open_fleet_is_never_black_holed(self):
         """A single-device fleet whose breaker is open must still route

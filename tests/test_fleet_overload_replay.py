@@ -1,19 +1,18 @@
 """The fault-aware routing loop against an independent per-request replay.
 
-:func:`~repro.fleet.route_with_overload` is pinned elsewhere by digests
-and by agreement between its two backlogs — checks that a shared bug
-in the loop itself would pass.  The replay below restates the loop's
-contract from its docstrings and shares no code with it: its own
-backlog (per-device pending lists filtered on every settle), capped
-exponential backoff, token bucket, deadline checks, brownout inflation
-(read off the raw interval lists, not the
-:class:`~repro.workload.FaultSchedule` queries) and router decisions
-(whole-fleet NumPy oracles; the breaker is the NumPy state machine of
-``test_fleet_routing_oracle``).  Every field of the
-:class:`~repro.fleet.OverloadOutcome` must agree exactly, over both
-backlogs, on grid-aligned inputs where ties, simultaneous arrivals,
-zero demands, exactly adjacent fail-stop / brownout intervals, deadline
-boundaries, single-device fleets and whole-fleet outages are common.
+:func:`~repro.fleet.route_with_overload` is pinned elsewhere by the
+recorded digests of failover-only outcomes, which say what an engine
+once returned, not why.  The replay below restates the loop's contract
+from its docstrings and shares no code with it: its own backlog
+(per-device pending lists filtered on every settle), capped exponential
+backoff, token bucket, deadline checks, brownout inflation (read off
+the raw interval lists, not the :class:`~repro.workload.FaultSchedule`
+queries) and router decisions (whole-fleet NumPy oracles; the breaker
+is the NumPy state machine of ``test_fleet_routing_oracle``).  Every
+field of the :class:`~repro.fleet.OverloadOutcome` must agree exactly,
+on grid-aligned inputs where ties, simultaneous arrivals, zero demands,
+exactly adjacent fail-stop / brownout intervals, deadline boundaries,
+single-device fleets and whole-fleet outages are common.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def cases(draw):
             router, window, max_queue)
 
 
-def route(case, vectorized):
+def route(case):
     arrivals, demands, n, intervals, horizon, config, name, window, \
         max_queue = case
     router = (PowerAwareRouter(awake_window=window, max_queue=max_queue)
@@ -254,7 +253,7 @@ def route(case, vectorized):
     ctx = RouteContext(arrivals=arrivals, demands=demands, n_devices=n,
                        device=DEVICE, rng=np.random.default_rng(ROUTE_SEED))
     return route_with_overload(router, ctx, FaultSchedule(intervals, horizon),
-                               config, vectorized=vectorized)
+                               config)
 
 
 def _case(arrivals, demands, n, intervals, config, name="jsq", window=0.5,
@@ -308,27 +307,26 @@ class TestReplayOracle:
             max_queue = case
         want, trips = replay(arrivals, demands, n, intervals, config,
                              ReplayRouter(name, n, window, max_queue))
-        for vectorized in (True, False):
-            got = route(case, vectorized)
-            assert got.assignments.dtype == np.int64
-            assert got.arrivals is arrivals
-            for key, values in want.items():
-                assert np.array_equal(getattr(got, key), np.array(values),
-                                      equal_nan=True), (key, vectorized)
-            assert got.n_breaker_trips == trips
+        got = route(case)
+        assert got.assignments.dtype == np.int64
+        assert got.arrivals is arrivals
+        for key, values in want.items():
+            assert np.array_equal(getattr(got, key), np.array(values),
+                                  equal_nan=True), key
+        assert got.n_breaker_trips == trips
 
     def test_refill_example_binds(self):
         """Each request of the refill example spends exactly one token:
         the first drains the full bucket, the second finds it refilled to
         its cap of one token after a quiet spell."""
-        out = route(_case(*_REFILL), vectorized=True)
+        out = route(_case(*_REFILL))
         assert out.retries.tolist() == [1, 1]
         assert out.shed_reasons.tolist() == [SHED_BUDGET, SHED_BUDGET]
 
     def test_deadline_example_binds(self):
         """In the deadline example a retry reaches the deadline exactly
         and still lands, and a booked completion equals its deadline."""
-        out = route(_case(*_AT_DEADLINE), vectorized=True)
+        out = route(_case(*_AT_DEADLINE))
         assert out.assignments.tolist() == [0, 0, -2]
         assert out.dispatch_times[0] == out.deadlines[0]
         assert out.completions[1] == out.deadlines[1]

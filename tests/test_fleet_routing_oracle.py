@@ -1,7 +1,7 @@
 """Per-request routing against independent NumPy oracles.
 
-``PowerAwareRouter.decide_one`` / ``route_step_batch``,
-``JoinShortestQueueRouter.decide_one`` and the circuit-breaker state of
+``PowerAwareRouter`` and ``JoinShortestQueueRouter`` (``decide_one``,
+``route_step_batch`` and ``route``) and the circuit-breaker state of
 the fault-aware loop run on Python scalars and lists.  The oracles below
 state the same rules with whole-fleet NumPy array ops (``np.where``,
 ``argmin`` / ``argmax``, boolean-mask assignment) and share no code
@@ -53,10 +53,10 @@ def oracle_jsq(queue_len, alive=None):
     return int(np.argmin(np.where(alive, queue_len, _NO_ROOM)))
 
 
-def oracle_power_aware_trace(arrivals, demands, n_devices, window,
-                             max_queue):
+def oracle_trace(arrivals, demands, n_devices, decide):
     """The epoch-advance path: a per-device completion list settled by
-    a full scan, NumPy backlog arrays, one oracle decision per arrival."""
+    a full scan, NumPy backlog arrays, one oracle decision
+    ``decide(queue_len, last_completion, now)`` per arrival."""
     pending = [[] for _ in range(n_devices)]
     queue_len = np.zeros(n_devices, dtype=np.int64)
     last_completion = np.zeros(n_devices)
@@ -66,8 +66,7 @@ def oracle_power_aware_trace(arrivals, demands, n_devices, window,
         for d in range(n_devices):
             pending[d] = [c for c in pending[d] if c > now]
             queue_len[d] = len(pending[d])
-        choice = oracle_power_aware(queue_len, last_completion, now,
-                                    window, max_queue)
+        choice = decide(queue_len, last_completion, now)
         done = max(now, float(last_completion[choice])) + demand
         pending[choice].append(done)
         last_completion[choice] = done
@@ -182,8 +181,11 @@ class TestPowerAwareOracle:
     def test_route_step_batch_and_route_match_oracle(self, case):
         arrivals, demands, n_devices, window, max_queue = case
         router = PowerAwareRouter(awake_window=window, max_queue=max_queue)
-        want = oracle_power_aware_trace(arrivals, demands, n_devices,
-                                        window, max_queue)
+        want = oracle_trace(
+            arrivals, demands, n_devices,
+            lambda q, lc, now: oracle_power_aware(q, lc, now, window,
+                                                  max_queue),
+        )
         stepped = router.route_step_batch(
             context(arrivals, demands, n_devices)
         )
@@ -209,6 +211,26 @@ class TestJoinShortestQueueOracle:
         )
         assert type(got) is int
         assert got == oracle_jsq(queue_len, alive)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=traces())
+    # completions land exactly on later arrivals: settled at ``<=``, so
+    # device 0 is empty again for the second and the fourth request
+    @example(case=(np.array([0.0, 0.5, 0.5, 1.0]),
+                   np.array([0.5, 0.5, 0.0, 0.5]), 2, 0.0, 1))
+    @example(case=(np.empty(0), np.empty(0), 8, 0.0, 1))
+    def test_route_step_batch_and_route_match_oracle(self, case):
+        arrivals, demands, n_devices, _, _ = case
+        want = oracle_trace(arrivals, demands, n_devices,
+                            lambda q, lc, now: oracle_jsq(q))
+        router = JoinShortestQueueRouter()
+        stepped = router.route_step_batch(
+            context(arrivals, demands, n_devices)
+        )
+        assert stepped.dtype == np.int64
+        assert stepped.tolist() == want.tolist()
+        routed = router.route(context(arrivals, demands, n_devices))
+        assert routed.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------- #

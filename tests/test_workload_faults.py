@@ -403,3 +403,14 @@ class TestResolveFaultSchedule:
     def test_wrong_type_raises(self):
         with pytest.raises(TypeError):
             resolve_fault_schedule(0.5, 2, 10.0)
+
+    @pytest.mark.parametrize("n_devices", (2.5, math.nan, math.inf))
+    def test_non_integral_count_rejected(self, n_devices):
+        """A fractional, NaN or infinite fleet size is refused, never
+        truncated into a match with a schedule's device count."""
+        schedule = FaultSchedule([[(1.0, 2.0)], []], 10.0)
+        with pytest.raises(ValueError, match="n_devices must be an integer"):
+            resolve_fault_schedule(schedule, n_devices, 10.0)
+        with pytest.raises(ValueError, match="n_devices must be an integer"):
+            resolve_fault_schedule(FaultProcess(mtbf=5.0, mttr=1.0),
+                                   n_devices, 10.0)
