@@ -5,7 +5,7 @@ The tentpole claims of the vectorized + sharded runtime, measured:
 - training B independent Q-DPM seeds lock-step on
   :class:`~repro.runtime.BatchedQDPM` sustains >= 5x the
   replica-slots/sec of the scalar :class:`~repro.core.QDPM` loop at
-  B >= 32 (shared-RNG mode);
+  B = 64, with every replica bit-for-bit its scalar twin;
 - sharding a multi-chunk sweep across 4 worker processes
   (``SweepRunner(n_jobs=4)``) sustains >= 2x the wall-clock throughput
   of the serial chunk loop on a >= 4-core host (skipped, not failed,
@@ -61,12 +61,11 @@ def _scalar_slots_per_sec(n_slots: int = N_SLOTS, repeats: int = 3) -> float:
     return best
 
 
-def _batched_slots_per_sec(n_replicas: int, rng_mode: str,
-                           n_slots: int = N_SLOTS) -> float:
+def _batched_slots_per_sec(n_replicas: int, n_slots: int = N_SLOTS) -> float:
     """Batched training throughput in replica-slots/sec."""
     env = BatchedSlottedEnv(
         abstract_three_state(), ConstantRate(0.15), n_replicas=n_replicas,
-        seeds=0, rng_mode=rng_mode, **ENV_KW,
+        seeds=0, **ENV_KW,
     )
     driver = BatchedQDPM(env, epsilon=0.08, seed=1)
     start = time.perf_counter()
@@ -96,33 +95,27 @@ def test_engine_throughput():
     print()
     print(f"scalar QDPM:                {scalar:12,.0f} slots/sec")
     results = {}
-    for rng_mode in ("replica", "shared"):
-        for b in (32, 64, 128):
-            sps = _batched_slots_per_sec(b, rng_mode)
-            results[(rng_mode, b)] = sps
-            print(
-                f"batched[{rng_mode:7s}] B={b:3d}: {sps:12,.0f} "
-                f"replica-slots/sec ({sps / scalar:5.1f}x)"
-            )
+    for b in (32, 64, 128):
+        sps = _batched_slots_per_sec(b)
+        results[b] = sps
+        print(
+            f"batched B={b:3d}: {sps:12,.0f} "
+            f"replica-slots/sec ({sps / scalar:5.1f}x)"
+        )
     _record_bench("engine_throughput", {
         "n_slots": N_SLOTS,
         "scalar_slots_per_sec": scalar,
         "batched_replica_slots_per_sec": {
-            f"{mode}_B{b}": sps for (mode, b), sps in results.items()
+            f"replica_B{b}": sps for b, sps in results.items()
         },
     })
 
-    # the acceptance bar: >= 5x scalar throughput at B >= 32.  The
-    # bit-exact per-replica-stream mode pays O(B) generator calls per
-    # slot and crosses 5x by B=64; the shared-stream mode (opt-in via
-    # RolloutSpec(rng_mode="shared")) must clear the bar comfortably.
-    assert results[("shared", 64)] >= 5.0 * scalar, (
-        f"batched engine only {results[('shared', 64)] / scalar:.1f}x "
-        f"scalar at B=64 (shared rng)"
+    # the acceptance bar: >= 5x scalar throughput at B = 64
+    assert results[64] >= 5.0 * scalar, (
+        f"batched engine only {results[64] / scalar:.1f}x scalar at B=64"
     )
     # monotone scaling: more replicas per batch amortize better
-    assert results[("shared", 128)] > results[("shared", 32)]
-    assert results[("replica", 128)] > results[("replica", 32)]
+    assert results[128] > results[32]
 
 
 @pytest.mark.slow
@@ -285,13 +278,13 @@ def test_quick_throughput_snapshot():
     bench job) still writes the ``BENCH_engine.json`` artifact."""
     n_slots = 2_000
     scalar = _scalar_slots_per_sec(n_slots=n_slots, repeats=1)
-    batched = _batched_slots_per_sec(16, "shared", n_slots=n_slots)
+    batched = _batched_slots_per_sec(16, n_slots=n_slots)
     serial = _sweep_seconds(1, n_seeds=4, batch_size=2, n_slots=n_slots)
     sharded = _sweep_seconds(2, n_seeds=4, batch_size=2, n_slots=n_slots)
     _record_bench("quick_snapshot", {
         "n_slots": n_slots,
         "scalar_slots_per_sec": scalar,
-        "batched_shared_B16_replica_slots_per_sec": batched,
+        "batched_replica_B16_replica_slots_per_sec": batched,
         "sweep_serial_seconds": serial,
         "sweep_jobs2_seconds": sharded,
     })

@@ -98,8 +98,6 @@ def _verification_line(execution) -> str:
     block = (execution or {}).get("verification")
     if not block:
         return ""
-    if "skipped" in block:
-        return f"verification: skipped — {block['skipped']}"
     return (
         f"verification: {block['n_verified']}/{block['n_chunks']} chunks "
         f"shadow-verified against {block['reference']} — "

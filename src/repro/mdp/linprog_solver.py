@@ -17,8 +17,6 @@ single Q-table update.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .mdp import FiniteMDP
 from .policy import greedy_policy
@@ -40,6 +38,10 @@ def linear_programming(
     """
     if not 0.0 <= discount < 1.0:
         raise ValueError(f"discount must be in [0, 1), got {discount}")
+    # scipy costs more to import than all of ``repro``; only LP solves pay it
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n_states, n_actions = mdp.n_states, mdp.n_actions
 
     # Constraint rows: (beta * P(.|s,a) - e_s) . V <= -R(s,a) per allowed pair.

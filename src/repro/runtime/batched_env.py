@@ -13,9 +13,11 @@ totals.  Semantics are bit-for-bit those of the scalar environment:
   then the arrival draw) — so replica ``i`` of a batched run reproduces
   a scalar run seeded ``seeds[i]`` to the last bit.
 
-The per-slot cost is O(B) generator calls plus a constant number of
-vectorized array ops, instead of the scalar path's O(B) full Python
-interpreter round-trips.
+Each replica's uniforms are pre-drawn in blocks (``Generator.random(n)``
+yields the same doubles as n scalar calls) and read through a
+per-replica cursor, so a slot costs a constant number of vectorized
+array ops instead of the scalar path's O(B) Python round-trips; the
+O(B) generator calls recur once per few hundred slots, at a refill.
 """
 
 from __future__ import annotations
@@ -123,18 +125,11 @@ class BatchedSlottedEnv:
     batch width B and ``seeds`` the per-replica RNG streams (an int is
     expanded to the consecutive block ``seed, seed+1, ...``; a sequence
     is used verbatim, matching ``SlottedDPMEnv(seed=seeds[i])``).
-
-    ``rng_mode`` trades exactness against speed:
-
-    - ``"replica"`` (default) — one PCG64 stream per replica, consumed in
-      the scalar draw order: replica ``i`` is bit-for-bit a scalar env
-      seeded ``seeds[i]``.  Costs O(B) generator calls per slot.
-    - ``"shared"`` — one generator draws a ``(2, B)`` uniform block per
-      slot (service row, arrival row; the service row is consumed even
-      when unused so the stream layout is slot-indexed).  Statistically
-      identical, not stream-matched to any scalar run, and the fastest
-      path at large B.
+    Replica ``i`` is bit-for-bit a scalar env seeded ``seeds[i]``.
     """
+
+    #: uniforms pre-drawn per replica; a slot reads one or two of them
+    _DRAW_BLOCK = 512
 
     def __init__(
         self,
@@ -147,14 +142,9 @@ class BatchedSlottedEnv:
         perf_weight: float = 0.5,
         loss_penalty: float = 2.0,
         seeds: Optional[Union[int, Sequence[Optional[int]]]] = None,
-        rng_mode: str = "replica",
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        if rng_mode not in ("replica", "shared"):
-            raise ValueError(
-                f"rng_mode must be 'replica' or 'shared', got {rng_mode!r}"
-            )
         if queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
         if not 0.0 < p_serve <= 1.0:
@@ -171,7 +161,6 @@ class BatchedSlottedEnv:
         self.p_serve = float(p_serve)
         self.perf_weight = float(perf_weight)
         self.loss_penalty = float(loss_penalty)
-        self.rng_mode = rng_mode
         self._seed_rngs(seeds)
 
         start = self.mode_space.steady_mode_index(device.initial_state)
@@ -184,17 +173,22 @@ class BatchedSlottedEnv:
         self, seeds: Optional[Union[int, Sequence[Optional[int]]]]
     ) -> None:
         resolved = _resolve_seeds(seeds, self.n_replicas)
-        if self.rng_mode == "replica":
-            self._rngs = [np.random.default_rng(s) for s in resolved]
-            self._draw = [rng.random for rng in self._rngs]
-            self._shared_rng = None
-        else:
-            entropy = None if all(s is None for s in resolved) else [
-                0 if s is None else s for s in resolved
-            ]
-            self._rngs = []
-            self._draw = []
-            self._shared_rng = np.random.default_rng(entropy)
+        self._rngs = [np.random.default_rng(s) for s in resolved]
+        # row i holds replica i's next uniforms from column _pos[i] on
+        self._block = np.empty((self.n_replicas, self._DRAW_BLOCK))
+        for rng, row in zip(self._rngs, self._block):
+            rng.random(out=row)
+        self._flat = self._block.reshape(-1)
+        self._base = np.arange(self.n_replicas) * self._DRAW_BLOCK
+        self._pos = np.zeros(self.n_replicas, dtype=np.int64)
+
+    def _refill(self) -> None:
+        """Move each row's unread tail to the front; draw the rest."""
+        for rng, row, pos in zip(self._rngs, self._block, self._pos.tolist()):
+            tail = self._DRAW_BLOCK - pos
+            row[:tail] = row[pos:]
+            rng.random(out=row[tail:])
+        self._pos[:] = 0
 
     # ------------------------------------------------------------------ #
     # state indexing (same encoding as the scalar env)
@@ -286,20 +280,16 @@ class BatchedSlottedEnv:
         rate = self.schedule.rate_at(self._slot)
 
         need_serve = tables.can_service[modes, actions] & (self._queues > 0)
-        if self._shared_rng is not None:
-            # one (2, B) block per slot: service row, arrival row
-            draws = self._shared_rng.random((2, self.n_replicas)).T
-        else:
-            # scalar draw order per replica: service (conditional), then
-            # arrival — tuple elements evaluate left-to-right, so each
-            # replica's stream is consumed exactly as its scalar twin's
-            draws = np.array([
-                (d(), d()) if n else (2.0, d())
-                for n, d in zip(need_serve.tolist(), self._draw)
-            ])
-        served = need_serve & (draws[:, 0] < self.p_serve)
+        # scalar draw order per replica: the service draw only where the
+        # slot can serve, then the arrival draw
+        at = self._base + self._pos
+        first = self._flat[at]
+        served = need_serve & (first < self.p_serve)
         queues = self._queues - served
-        arrived = draws[:, 1] < rate
+        arrived = np.where(need_serve, self._flat[at + 1], first) < rate
+        self._pos += 1 + need_serve
+        if self._pos.max() > self._DRAW_BLOCK - 2:
+            self._refill()
         lost = arrived & (queues >= self.queue_capacity)
         queues = queues + (arrived & ~lost)
 

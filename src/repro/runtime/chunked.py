@@ -36,7 +36,6 @@ from .verify import (
     bundle_for_exception,
     shadow_verify_chunks,
     sweep_interrupts,
-    verification_block,
 )
 
 
@@ -82,8 +81,6 @@ class SweepPlan:
     reference_name: str = ""
     #: ``rtol`` / ``atol`` / ``ignore`` for the shadow comparison
     compare: Dict[str, Any] = field(default_factory=dict)
-    #: why sampled chunks cannot be shadow-verified (recorded, not run)
-    verify_skip: Optional[str] = None
     #: estimated wall seconds of one work unit (for ``resolve_n_jobs``)
     estimate: Optional[float] = None
     #: decision that forces in-process execution, e.g. an unpicklable task
@@ -230,10 +227,6 @@ class ChunkedRunner:
 
     def _verify(self, plan: SweepPlan, spec_key: str, tasks: List[Tuple],
                 shares: List[List[CellChunk]]) -> Dict[str, Any]:
-        if plan.verify_skip is not None:
-            return {**verification_block(self.verify_fraction, len(tasks),
-                                         [], [], plan.reference_name),
-                    "skipped": plan.verify_skip}
         reference = plan.reference
         return shadow_verify_chunks(
             tasks, [[r for _, _, results in per_task for r in results]

@@ -85,7 +85,6 @@ class RolloutSpec:
     warmup_slots: int = 0
     env_seed_offset: int = 0
     warmup_seed_offset: int = 0
-    rng_mode: str = "replica"   #: "replica" = bit-exact streams, "shared" = fastest
 
     @classmethod
     def from_env_config(cls, env_config, schedule: RateSchedule,
@@ -133,8 +132,7 @@ class RolloutSpec:
         device, schedule, offset, kwargs = self._env_args(warmup)
         return BatchedSlottedEnv(
             device, schedule, n_replicas=len(seeds),
-            seeds=[s + offset for s in seeds], rng_mode=self.rng_mode,
-            **kwargs,
+            seeds=[s + offset for s in seeds], **kwargs,
         )
 
 
@@ -210,7 +208,7 @@ class SweepResult:
 #: x86_64, Python 3.11.7, abstract3, 8,000 slots, best of 7): learning,
 #: scalar ~115-125k per seed against batched ~11k at B=1, parity at
 #: B=11-12; fixed policy, scalar ~400-425k against batched ~25k at B=1,
-#: parity at B=19-20.  Shared-RNG specs have no scalar twin and always batch.
+#: parity at B=19-20.
 LEARNING_CROSSOVER = 12
 FIXED_POLICY_CROSSOVER = 20
 
@@ -219,7 +217,7 @@ def runs_scalar(spec: RolloutSpec, width: int) -> bool:
     """Whether a chunk of ``width`` seeds runs on the scalar stack."""
     crossover = (LEARNING_CROSSOVER if spec.policy is None
                  else FIXED_POLICY_CROSSOVER)
-    return spec.rng_mode == "replica" and width < crossover
+    return width < crossover
 
 
 def _policy_action_lut(env, policy: DeterministicPolicy) -> np.ndarray:
@@ -472,7 +470,6 @@ def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
     on the engine it did *not* run on, bit-for-bit."""
     chunks = chunk_seeds(seeds, chunk)
     scalar = [runs_scalar(spec, len(c)) for spec in cells for c in chunks]
-    shared = [s.rng_mode for s in cells if s.rng_mode != "replica"]
     return SweepPlan(
         spec=spec_id, cells=cells, seeds=seeds, chunk_size=chunk,
         fn=one_cell(run_chunk), task=lambda cell, c: (cell[0], c),
@@ -485,11 +482,6 @@ def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
             ) if engine in scalar
         ),
         compare={"rtol": 0.0, "atol": 0.0},
-        # shared-RNG replicas draw from one stream in batch order, so no
-        # per-seed twin exists; record the skip rather than report a
-        # false divergence
-        verify_skip=(f"rng_mode={shared[0]!r} has no per-seed scalar twin; "
-                     f"use rng_mode='replica' to verify") if shared else None,
     )
 
 
@@ -508,8 +500,7 @@ class SweepRunner(ChunkedRunner):
     - ``verify_fraction`` re-runs each sampled chunk per seed on the
       engine it did *not* run on — batched chunks on the scalar stack,
       scalar chunks on the batched engine at ``B = 1`` — and results
-      must match **bit-for-bit**.  Shared-RNG specs have no per-seed
-      twin and record the verification as skipped.
+      must match **bit-for-bit**.
     """
 
     def __init__(self, batch_size: int = 32, n_jobs: int = 1,

@@ -773,9 +773,7 @@ def merge_verification_blocks(
 
     Experiments such as fig2 and variation drive more than one
     :class:`~repro.runtime.sweep.SweepRunner` sweep per invocation; the
-    CLI summary line wants a single block covering all of them.  Skip
-    blocks only survive when *every* sweep was skipped — one verified
-    sweep is worth reporting even if a sibling could not be.
+    CLI summary line wants a single block covering all of them.
     """
     blocks = [
         exe["verification"] for exe in executions
@@ -783,22 +781,19 @@ def merge_verification_blocks(
     ]
     if not blocks:
         return None
-    real = [b for b in blocks if "skipped" not in b]
-    if not real:
-        return dict(blocks[0])
     references = []
-    for block in real:
+    for block in blocks:
         for reference in block["reference"].split(" + "):
             if reference not in references:
                 references.append(reference)
     return {
-        "fraction": real[0]["fraction"],
-        "n_chunks": sum(b["n_chunks"] for b in real),
-        "verified_chunks": [i for b in real for i in b["verified_chunks"]],
-        "n_verified": sum(b["n_verified"] for b in real),
+        "fraction": blocks[0]["fraction"],
+        "n_chunks": sum(b["n_chunks"] for b in blocks),
+        "verified_chunks": [i for b in blocks for i in b["verified_chunks"]],
+        "n_verified": sum(b["n_verified"] for b in blocks),
         "reference": " + ".join(references),
-        "n_divergences": sum(b["n_divergences"] for b in real),
-        "divergences": [d for b in real for d in b["divergences"]],
+        "n_divergences": sum(b["n_divergences"] for b in blocks),
+        "divergences": [d for b in blocks for d in b["divergences"]],
     }
 
 

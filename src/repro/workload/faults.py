@@ -175,8 +175,11 @@ class FaultSchedule:
         """Vectorized :meth:`severity_at` over a time array: float
         ``(T, n_devices)`` where ``[k, d] == severity_at(d, times[k])``
         bit for bit.  One searchsorted per device instead of one Python
-        interval lookup per (time, device) pair."""
+        interval lookup per (time, device) pair; a schedule without
+        intervals returns a read-only all-1.0 view that allocates nothing."""
         times = np.asarray(times, dtype=np.float64)
+        if not any(starts.size for starts in self._starts):
+            return np.broadcast_to(1.0, (times.size, self.n_devices))
         out = np.ones((times.size, self.n_devices))
         for d in range(self.n_devices):
             starts = self._starts[d]

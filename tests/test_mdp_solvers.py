@@ -1,5 +1,10 @@
 """Exact MDP solver tests: closed forms, cross-solver agreement, masks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,3 +146,16 @@ class TestPolicyContainer:
 
     def test_callable(self):
         assert DeterministicPolicy(np.array([3]))(0) == 3
+
+
+def test_import_leaves_scipy_unloaded():
+    """Only an LP solve imports scipy; importing the package and the CLI
+    must not (scipy's import costs more than the rest of ``repro``)."""
+    code = ("import sys, repro, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

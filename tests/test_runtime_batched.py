@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import QTable
 from repro.device import abstract_three_state, two_state
@@ -112,18 +114,6 @@ class TestEnvEquivalence:
                 device3, ConstantRate(0.1), n_replicas=3, seeds=[1, 2]
             )
 
-    def test_shared_rng_mode_runs_and_differs_only_stochastically(self, device3):
-        env = BatchedSlottedEnv(
-            device3, ConstantRate(0.3), n_replicas=4, seeds=5,
-            rng_mode="shared", queue_capacity=4,
-        )
-        states = env.reset()
-        assert states.shape == (4,)
-        for _ in range(50):
-            _, rewards, _ = env.step(np.zeros(4, dtype=int))
-        assert env.totals.slots == 50
-        assert rewards.shape == (4,)
-
     def test_reset_restores_initial_state(self, device3):
         env = BatchedSlottedEnv(device3, ConstantRate(0.3), n_replicas=2, seeds=1)
         for _ in range(20):
@@ -136,6 +126,71 @@ class TestEnvEquivalence:
         s1, r1, _ = env.step(np.zeros(2, dtype=int))
         s2, r2, _ = ref.step(np.zeros(2, dtype=int))
         assert np.array_equal(s1, s2) and np.array_equal(r1, r2)
+
+
+class TestBlockDrawParity:
+    """Each replica reads its uniforms from a pre-drawn block through its
+    own cursor, advancing one or two per slot.  Pinned slot by slot
+    against scalar twins over several refills, which land while the
+    replicas' cursors differ, and across both kinds of mid-run reset."""
+
+    K = BatchedSlottedEnv._DRAW_BLOCK
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        b=st.sampled_from([1, 2, 7]),
+        seed=st.integers(0, 2**16),
+        p_serve=st.sampled_from([0.3, 0.75, 0.95]),
+        queue_capacity=st.sampled_from([1, 2, 5]),
+        rates=st.lists(st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+                       min_size=1, max_size=4),
+        segment=st.integers(1, 400),
+        reset_at=st.integers(1, 3 * K),
+        reseed=st.booleans(),
+    )
+    def test_every_slot_matches_scalar_twins(self, b, seed, p_serve,
+                                             queue_capacity, rates, segment,
+                                             reset_at, reseed):
+        device3 = abstract_three_state()
+        n_slots = 3 * self.K + 2 * self.K // 3
+        schedule = PiecewiseConstantRate(
+            [(segment, r) for r in rates + [0.0, 1.0]])
+        kw = dict(queue_capacity=queue_capacity, p_serve=p_serve)
+        seeds = [seed + 31 * i for i in range(b)]
+        scalars = [SlottedDPMEnv(device3, schedule, seed=s, **kw)
+                   for s in seeds]
+        batched = BatchedSlottedEnv(device3, schedule, n_replicas=b,
+                                    seeds=seeds, **kw)
+        picks = np.random.default_rng(seed).random((n_slots, b))
+        for t in range(n_slots):
+            if t == reset_at:
+                if reseed:
+                    batched.reset(seeds=[s + 1 for s in seeds])
+                    for env, s in zip(scalars, seeds):
+                        env.reset(seed=s + 1)
+                else:
+                    batched.reset()
+                    for env in scalars:
+                        env.reset()
+            actions = []
+            for env, u in zip(scalars, picks[t]):
+                allowed = env.allowed_actions(env.state)
+                actions.append(allowed[int(u * len(allowed))])
+            states, rewards, info = batched.step(np.array(actions))
+            for i, (env, action) in enumerate(zip(scalars, actions)):
+                state, reward, step_info = env.step(action)
+                assert (state, reward) == (states[i], rewards[i]), (t, i)
+                assert step_info.slot == info.slot
+                assert step_info.energy == info.energy[i]
+                assert step_info.queue == info.queue[i]
+                assert step_info.arrived == info.arrived[i]
+                assert step_info.served == info.served[i]
+                assert step_info.lost == info.lost[i]
+                assert step_info.mode_label == batched.mode_space.mode(
+                    int(info.modes[i])).label
+                assert step_info.arrival_rate == info.arrival_rate
+        for i, env in enumerate(scalars):
+            assert env.totals == batched.totals.replica(i)
 
 
 class TestQTableBatchOps:
@@ -319,7 +374,7 @@ class TestFixedDrawStreamParity:
         n_slots, record_every, eps = 2_500, 500, 0.08
         benv = BatchedSlottedEnv(
             device3, ConstantRate(0.15), n_replicas=len(seeds),
-            queue_capacity=6, p_serve=0.9, seeds=seeds, rng_mode="replica",
+            queue_capacity=6, p_serve=0.9, seeds=seeds,
         )
         driver = BatchedQDPM(benv, epsilon=eps, seed=[s + 1 for s in seeds])
         batched = driver.run(n_slots, record_every=record_every)
@@ -356,7 +411,7 @@ class TestFixedDrawStreamParity:
         lr = HarmonicDecay(0.5)
         benv = BatchedSlottedEnv(
             device3, ConstantRate(0.2), n_replicas=1, queue_capacity=6,
-            p_serve=0.9, seeds=[seed], rng_mode="replica",
+            p_serve=0.9, seeds=[seed],
         )
         driver = BatchedQDPM(
             benv, epsilon=eps, learning_rate=lr, seed=[seed + 1]

@@ -247,14 +247,6 @@ class TestEngineDispatch:
         result = SweepRunner(batch_size=32).run_many(spec, range(32))
         assert self._engine_counts(result) == (0, 1)
 
-    def test_shared_rng_always_batched(self, spec):
-        shared = RolloutSpec(
-            schedule=spec.schedule, n_slots=500, record_every=100,
-            queue_capacity=6, rng_mode="shared",
-        )
-        result = SweepRunner(batch_size=2).run_many(shared, range(3))
-        assert self._engine_counts(result) == (0, 2)
-
     def test_mixed_chunk_widths(self, spec):
         # one batched chunk at the crossover width, one scalar tail of 2
         result = SweepRunner(batch_size=LEARNING_CROSSOVER).run_many(

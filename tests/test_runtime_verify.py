@@ -375,15 +375,6 @@ class TestMergeVerificationBlocks:
         ])
         assert merged["reference"] == "scalar A + scalar B"
 
-    def test_skip_blocks_survive_only_when_all_skipped(self):
-        skip = {"verification": {"fraction": 0.5, "skipped": "shared RNG"}}
-        assert "skipped" in merge_verification_blocks([skip, skip])
-        merged = merge_verification_blocks(
-            [skip, {"verification": _block(2, [0], "scalar A")}]
-        )
-        assert "skipped" not in merged
-        assert merged["n_chunks"] == 2
-
     def test_empty_or_missing_blocks_merge_to_none(self):
         assert merge_verification_blocks([]) is None
         assert merge_verification_blocks([None, {}, {"other": 1}]) is None

@@ -221,6 +221,13 @@ class TestSeverityRows:
         rows = no_faults(3, 10.0).severity_rows(np.array([0.0, 5.0]))
         assert rows.tolist() == [[1.0] * 3] * 2
 
+    def test_interval_free_schedule_builds_no_table(self):
+        sched = FaultSchedule([[], [], [], []], horizon=5.0)
+        times = np.array([-1.0, 0.0, 2.5, 5.0, 6.0])
+        self.assert_matches_point_queries(sched, times)
+        rows = sched.severity_rows(times)
+        assert rows.strides == (0, 0) and not rows.flags.writeable
+
     @settings(max_examples=100, deadline=None)
     @given(
         spans=st.lists(
