@@ -45,12 +45,12 @@ def record_bench(path: Path, section: str, payload: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-#: asserted speedup bars per artifact section — the single source for
-#: both the bench modules' assertions and the CI artifact checker
-#: (check_bench_artifacts.py), so the gate can never drift from the
-#: bars the benches actually enforce.  Sections whose recorded speedup
-#: is informational only (e.g. sweep serial/2-jobs ratios, which need
-#: real cores) are deliberately absent.
+#: speedup bars per artifact section, enforced by the CI artifact
+#: checker (check_bench_artifacts.py) on the recorded numbers.  The
+#: bench modules record these speedups but do not assert them: a single
+#: wall-clock ratio on a shared 2-core host dips below a bar now and
+#: then.  Sections whose recorded speedup is informational only (e.g.
+#: sweep serial/2-jobs ratios, which need real cores) are absent.
 SPEEDUP_BARS = {
     "BENCH_sim.json": {"event_sim_kernel": 5.0, "stateful_batch": 5.0},
     "BENCH_fleet.json": {

@@ -5,9 +5,10 @@ A silently-skipped benchmark used to produce an empty (or partial)
 ``BENCH_*.json`` that still uploaded fine — the artifact looked alive
 while carrying no numbers.  This checker fails loudly instead: each
 artifact must exist and contain every expected top-level section, and
-every section whose bench *asserts* a speedup bar must have recorded a
-``speedup`` at or above that bar — so the artifacts double as a
-perf-regression guard even on runs that deselect the assertion itself.
+every section with a speedup bar in ``SPEEDUP_BARS`` must have recorded
+a ``speedup`` at or above that bar.  This is the only place the bars
+are enforced: the bench modules record the speedups without asserting
+them.
 
 Run:  python benchmarks/check_bench_artifacts.py [repo_root]
 Exit: 0 when every artifact is complete, 1 otherwise.
@@ -64,7 +65,7 @@ def check_artifacts(root: Path) -> list:
             elif speedup < bar:
                 problems.append(
                     f"{name}: {section} speedup {speedup:.2f}x regressed "
-                    f"below its asserted {bar:.0f}x bar"
+                    f"below its {bar:.0f}x bar"
                 )
     return problems
 

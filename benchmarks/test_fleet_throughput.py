@@ -12,10 +12,13 @@ The tentpole claims of the fleet subsystem, measured at N=64 replicas:
   path (a shared completion heap + a scan over per-device Python
   lists) assigns requests >= 5x faster than the scalar per-request
   reference loop for ``jsq`` (the ``power_aware`` rate is recorded
-  alongside, not asserted).
+  alongside).
 
-Bars are deliberately conservative against CI-runner noise.  Three
-further cases are recorded, not asserted:
+Both speedups are recorded here and enforced by
+``check_bench_artifacts.py`` against ``SPEEDUP_BARS``, not asserted in
+the test bodies: one wall-clock reading on a shared 2-core host can
+dip below a bar the code clears.  Three further cases are recorded
+only:
 
 - ``fault_tolerant_routing`` — failover-only dispatch (seeded fault
   schedule + failover retries) through the fault-aware routing loop:
@@ -92,8 +95,8 @@ def _requests_per_sec(trace, engine: str, repeats: int = 1) -> float:
 
 
 def test_fleet_vectorized_speedup():
-    """The acceptance bar: vectorized fleet >= 5x the scalar loop at
-    N=64 devices."""
+    """Vectorized fleet vs. the scalar loop at N=64 devices (its 5x bar
+    is checked on the artifact)."""
     trace = _fleet_trace()
     scalar = _requests_per_sec(trace, "scalar")
     vectorized = _requests_per_sec(trace, "auto", repeats=3)
@@ -113,9 +116,6 @@ def test_fleet_vectorized_speedup():
         "vectorized_requests_per_sec": vectorized,
         "speedup": speedup,
     })
-    assert speedup >= BARS["fleet_kernel"], (
-        f"vectorized fleet only {speedup:.1f}x the scalar reference dispatcher"
-    )
 
 
 def _route_seconds(router_name: str, trace, vectorized: bool,
@@ -134,9 +134,9 @@ def _route_seconds(router_name: str, trace, vectorized: bool,
 
 
 def test_queue_aware_routing_speedup():
-    """The routing acceptance bar: the epoch-advance path assigns >= 5x
-    faster than the scalar reference loop for jsq at N=64 (power_aware
-    recorded alongside) — with bit-identical assignments."""
+    """Epoch-advance routing vs. the scalar reference loop for jsq at
+    N=64 (power_aware recorded alongside; the 5x jsq bar is checked on
+    the artifact) — with bit-identical assignments."""
     trace = _fleet_trace()
     timings = {}
     for name in ("jsq", "power_aware"):
@@ -165,9 +165,6 @@ def test_queue_aware_routing_speedup():
         "power_aware_speedup": timings["power_aware"][2],
         "speedup": jsq_speedup,
     })
-    assert jsq_speedup >= BARS["queue_aware_routing"], (
-        f"jsq epoch-advance routing only {jsq_speedup:.1f}x the scalar loop"
-    )
 
 
 def _min_seconds(route, repeats: int = 3):
@@ -306,12 +303,13 @@ def test_fleet_sweep_sharded_timings():
 
 
 def test_bench_fleet_artifact_shape():
-    """The artifact the CI bench job gates on: expected top-level keys."""
+    """The artifact the CI bench job gates on: expected top-level keys,
+    and a recorded speedup for every barred section."""
     assert BENCH_PATH.exists()
     data = json.loads(BENCH_PATH.read_text())
     for key in ("host", "fleet_kernel", "queue_aware_routing",
                 "fault_tolerant_routing", "overload_resilience",
                 "fleet_sweep"):
         assert key in data, f"BENCH_fleet.json missing {key!r}"
-    for section, bar in BARS.items():
-        assert data[section]["speedup"] >= bar, section
+    for section in BARS:
+        assert isinstance(data[section]["speedup"], float), section

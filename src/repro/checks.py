@@ -45,3 +45,16 @@ def check_positive(name: str, value: Any) -> float:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return float(value)
+
+
+def check_nonnegative(name: str, value: Any) -> float:
+    """``value`` as a ``float``, or ``ValueError`` unless it is finite
+    and >= 0 (NaN fails both comparisons).
+
+    The rule for every setting that may be zero: a reward weight, a
+    rate amplitude, a token refill rate.  A NaN reward weight would turn
+    every reward into NaN.
+    """
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)

@@ -177,7 +177,7 @@ class QTable:
         sequence order — a boolean mask carries no order, so callers
         that need order-sensitive tie-breaking (e.g. "prefer the stay
         action") must resolve ties themselves (see
-        ``BatchedQDPM._select_actions``).
+        ``BatchedQDPM.control_step``).
 
         Raises
         ------

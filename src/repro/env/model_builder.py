@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..checks import check_count, check_nonnegative
 from ..device import PowerStateMachine
 from ..mdp import (
     DeterministicPolicy,
@@ -183,12 +184,11 @@ def build_dpm_model(
     """
     if not 0.0 <= arrival_rate <= 1.0:
         raise ValueError(f"arrival_rate must be in [0, 1], got {arrival_rate}")
-    if queue_capacity < 1:
-        raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
+    queue_capacity = check_count("queue_capacity", queue_capacity)
     if not 0.0 < p_serve <= 1.0:
         raise ValueError(f"p_serve must be in (0, 1], got {p_serve}")
-    if perf_weight < 0 or loss_penalty < 0:
-        raise ValueError("perf_weight and loss_penalty must be >= 0")
+    perf_weight = check_nonnegative("perf_weight", perf_weight)
+    loss_penalty = check_nonnegative("loss_penalty", loss_penalty)
 
     space = ModeSpace(device, slot_length)
     n_q = queue_capacity + 1

@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..checks import check_count, check_nonnegative
 from ..device import PowerStateMachine
 from ..workload.nonstationary import ConstantRate, RateSchedule
 from .states import Mode, ModeSpace
@@ -119,20 +120,16 @@ class SlottedDPMEnv:
         loss_penalty: float = 2.0,
         seed: Optional[int] = None,
     ) -> None:
-        if queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
+        self.queue_capacity = check_count("queue_capacity", queue_capacity)
         if not 0.0 < p_serve <= 1.0:
             raise ValueError(f"p_serve must be in (0, 1], got {p_serve}")
-        if perf_weight < 0 or loss_penalty < 0:
-            raise ValueError("perf_weight and loss_penalty must be >= 0")
+        self.perf_weight = check_nonnegative("perf_weight", perf_weight)
+        self.loss_penalty = check_nonnegative("loss_penalty", loss_penalty)
         self.device = device
         self.mode_space = ModeSpace(device, slot_length)
         self.schedule = schedule if schedule is not None else ConstantRate(0.1)
         self.slot_length = float(slot_length)
-        self.queue_capacity = int(queue_capacity)
         self.p_serve = float(p_serve)
-        self.perf_weight = float(perf_weight)
-        self.loss_penalty = float(loss_penalty)
         self._rng = np.random.default_rng(seed)
         # per-slot invariants: state stride and count, mode labels
         self._qcap1 = self.queue_capacity + 1
@@ -208,14 +205,17 @@ class SlottedDPMEnv:
 
     def reset(self, seed: Optional[int] = None, queue: int = 0,
               mode: Optional[str] = None) -> int:
-        """Restart the episode; returns the initial state index."""
+        """Restart the episode (all arguments are checked first);
+        returns the initial state index."""
+        queue = check_count("queue", queue, minimum=0)
+        if queue > self.queue_capacity:
+            raise ValueError(f"queue out of range: {queue}")
+        start = self.mode_space.steady_mode_index(
+            mode if mode is not None else self.device.initial_state)
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-        start = mode if mode is not None else self.device.initial_state
-        self._mode = self.mode_space.steady_mode_index(start)
-        if not 0 <= queue <= self.queue_capacity:
-            raise ValueError(f"queue out of range: {queue}")
-        self._queue = int(queue)
+        self._mode = start
+        self._queue = queue
         self._slot = 0
         self.totals = EnvTotals()
         return self.state

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..checks import check_count, check_positive
+from ..checks import check_count, check_nonnegative, check_positive
 from ..device import PowerStateMachine
 from ..sim.simulator import resolve_demands
 from ..workload.faults import FaultSchedule, no_faults, resolve_fault_schedule
@@ -591,11 +591,7 @@ class RetryBudgetConfig:
             raise ValueError(
                 f"capacity must be >= 0, got {self.capacity}"
             )
-        if not 0 <= self.refill_rate < math.inf:
-            raise ValueError(
-                f"refill_rate must be finite and >= 0, "
-                f"got {self.refill_rate}"
-            )
+        check_nonnegative("refill_rate", self.refill_rate)
 
 
 @dataclass(frozen=True)

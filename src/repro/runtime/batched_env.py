@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..checks import check_count, check_nonnegative
 from ..device import PowerStateMachine
 from ..env.slotted_env import EnvTotals
 from ..env.states import ModeSpace
@@ -100,23 +101,6 @@ class BatchedEnvTotals:
             losses=int(self.losses[i]),
         )
 
-    def mean_power(self, slot_length: float) -> np.ndarray:
-        """Per-replica average power (watts)."""
-        if self.slots == 0:
-            return np.zeros_like(self.energy)
-        return self.energy / (self.slots * slot_length)
-
-    def mean_queue(self) -> np.ndarray:
-        """Per-replica time-average queue length."""
-        if self.slots == 0:
-            return np.zeros_like(self.queue_integral)
-        return self.queue_integral / self.slots
-
-    def loss_rate(self) -> np.ndarray:
-        """Per-replica fraction of arrivals dropped."""
-        arrivals = np.maximum(self.arrivals, 1)
-        return np.where(self.arrivals > 0, self.losses / arrivals, 0.0)
-
 
 class BatchedSlottedEnv:
     """B lock-step replicas of :class:`~repro.env.SlottedDPMEnv`.
@@ -143,52 +127,56 @@ class BatchedSlottedEnv:
         loss_penalty: float = 2.0,
         seeds: Optional[Union[int, Sequence[Optional[int]]]] = None,
     ) -> None:
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        if queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
+        self.n_replicas = check_count("n_replicas", n_replicas)
+        self.queue_capacity = check_count("queue_capacity", queue_capacity)
         if not 0.0 < p_serve <= 1.0:
             raise ValueError(f"p_serve must be in (0, 1], got {p_serve}")
-        if perf_weight < 0 or loss_penalty < 0:
-            raise ValueError("perf_weight and loss_penalty must be >= 0")
+        self.perf_weight = check_nonnegative("perf_weight", perf_weight)
+        self.loss_penalty = check_nonnegative("loss_penalty", loss_penalty)
         self.device = device
         self.mode_space = ModeSpace(device, slot_length)
         self.tables = self.mode_space.dense_tables()
         self.schedule = schedule if schedule is not None else ConstantRate(0.1)
-        self.n_replicas = int(n_replicas)
         self.slot_length = float(slot_length)
-        self.queue_capacity = int(queue_capacity)
         self.p_serve = float(p_serve)
-        self.perf_weight = float(perf_weight)
-        self.loss_penalty = float(loss_penalty)
+        self._qcap1 = self.queue_capacity + 1
+        self._n_actions = self.mode_space.n_actions
+        # the step tables raveled once, read with one flat index
+        # ``mode * n_actions + action`` per slot (views: the dense tables
+        # are read-only and contiguous)
+        self._next_mode_flat = self.tables.next_mode.ravel()
+        self._energy_flat = self.tables.energy.ravel()
+        self._can_service_flat = self.tables.can_service.ravel()
         self._seed_rngs(seeds)
-
-        start = self.mode_space.steady_mode_index(device.initial_state)
-        self._modes = np.full(n_replicas, start, dtype=np.int64)
-        self._queues = np.zeros(n_replicas, dtype=np.int64)
-        self._slot = 0
-        self.totals = BatchedEnvTotals.zeros(n_replicas)
+        self.reset()
 
     def _seed_rngs(
         self, seeds: Optional[Union[int, Sequence[Optional[int]]]]
     ) -> None:
         resolved = _resolve_seeds(seeds, self.n_replicas)
         self._rngs = [np.random.default_rng(s) for s in resolved]
-        # row i holds replica i's next uniforms from column _pos[i] on
+        # row i holds replica i's uniforms; _at[i] is the next unread one
         self._block = np.empty((self.n_replicas, self._DRAW_BLOCK))
         for rng, row in zip(self._rngs, self._block):
             rng.random(out=row)
         self._flat = self._block.reshape(-1)
         self._base = np.arange(self.n_replicas) * self._DRAW_BLOCK
-        self._pos = np.zeros(self.n_replicas, dtype=np.int64)
+        self._at = self._base.copy()
+        self._slots_left = self._DRAW_BLOCK // 2
 
     def _refill(self) -> None:
-        """Move each row's unread tail to the front; draw the rest."""
-        for rng, row, pos in zip(self._rngs, self._block, self._pos.tolist()):
+        """Move each row's unread tail to the front; draw the rest.
+
+        A slot reads at most two uniforms per replica, so the
+        ``_DRAW_BLOCK // 2`` slots between refills always fit.
+        """
+        pos_list = (self._at - self._base).tolist()
+        for rng, row, pos in zip(self._rngs, self._block, pos_list):
             tail = self._DRAW_BLOCK - pos
             row[:tail] = row[pos:]
             rng.random(out=row[tail:])
-        self._pos[:] = 0
+        self._at = self._base.copy()
+        self._slots_left = self._DRAW_BLOCK // 2
 
     # ------------------------------------------------------------------ #
     # state indexing (same encoding as the scalar env)
@@ -206,8 +194,15 @@ class BatchedSlottedEnv:
 
     @property
     def states(self) -> np.ndarray:
-        """(B,) flattened state indices."""
-        return self._modes * (self.queue_capacity + 1) + self._queues
+        """(B,) flattened state indices (read-only; kept until the next
+        ``step`` or ``reset``)."""
+        return self._states
+
+    def _cache_states(self) -> np.ndarray:
+        states = self._modes * self._qcap1 + self._queues
+        states.setflags(write=False)
+        self._states = states
+        return states
 
     @property
     def modes(self) -> np.ndarray:
@@ -229,17 +224,21 @@ class BatchedSlottedEnv:
         queue: int = 0,
         mode: Optional[str] = None,
     ) -> np.ndarray:
-        """Restart every replica; returns the (B,) initial state vector."""
+        """Restart every replica (all arguments are checked first);
+        returns the (B,) initial state vector."""
+        queue = check_count("queue", queue, minimum=0)
+        if queue > self.queue_capacity:
+            raise ValueError(f"queue out of range: {queue}")
+        start = self.mode_space.steady_mode_index(
+            mode if mode is not None else self.device.initial_state)
         if seeds is not None:
             self._seed_rngs(seeds)
-        start = mode if mode is not None else self.device.initial_state
-        self._modes[:] = self.mode_space.steady_mode_index(start)
-        if not 0 <= queue <= self.queue_capacity:
-            raise ValueError(f"queue out of range: {queue}")
-        self._queues[:] = int(queue)
+        b = self.n_replicas
+        self._modes = np.full(b, start, dtype=np.int64)
+        self._queues = np.full(b, queue, dtype=np.int64)
         self._slot = 0
-        self.totals = BatchedEnvTotals.zeros(self.n_replicas)
-        return self.states
+        self.totals = BatchedEnvTotals.zeros(b)
+        return self._cache_states()
 
     def step(
         self, actions: np.ndarray
@@ -258,17 +257,18 @@ class BatchedSlottedEnv:
             raise ValueError(
                 f"actions must have shape ({self.n_replicas},), got {actions.shape}"
             )
-        out_of_range = (actions < 0) | (actions >= self.n_actions)
-        if out_of_range.any():
-            bad = int(np.nonzero(out_of_range)[0][0])
+        n_actions = self._n_actions
+        # one unsigned max catches negative indices too
+        if actions.view(np.uint64).max() >= n_actions:
+            bad = int(np.nonzero(actions.view(np.uint64) >= n_actions)[0][0])
             raise KeyError(
                 f"action index {int(actions[bad])} out of range "
-                f"[0, {self.n_actions}) (replica {bad})"
+                f"[0, {n_actions}) (replica {bad})"
             )
-        tables = self.tables
         modes = self._modes
-        next_modes = tables.next_mode[modes, actions]
-        if (next_modes < 0).any():
+        ma = modes * n_actions + actions
+        next_modes = self._next_mode_flat.take(ma)
+        if next_modes.min() < 0:
             bad = int(np.nonzero(next_modes < 0)[0][0])
             raise KeyError(
                 f"action {self.mode_space.action_names[int(actions[bad])]!r} "
@@ -276,22 +276,24 @@ class BatchedSlottedEnv:
                 f"{self.mode_space.mode(int(modes[bad])).label!r} "
                 f"(replica {bad})"
             )
-        energy = tables.energy[modes, actions]
+        energy = self._energy_flat.take(ma)
         rate = self.schedule.rate_at(self._slot)
 
-        need_serve = tables.can_service[modes, actions] & (self._queues > 0)
+        need_serve = self._can_service_flat.take(ma) & (self._queues > 0)
         # scalar draw order per replica: the service draw only where the
         # slot can serve, then the arrival draw
-        at = self._base + self._pos
-        first = self._flat[at]
-        served = need_serve & (first < self.p_serve)
+        at = self._at
+        served = need_serve & (self._flat.take(at) < self.p_serve)
         queues = self._queues - served
-        arrived = np.where(need_serve, self._flat[at + 1], first) < rate
-        self._pos += 1 + need_serve
-        if self._pos.max() > self._DRAW_BLOCK - 2:
+        at = at + need_serve
+        arrived = self._flat.take(at) < rate
+        self._at = at + 1
+        self._slots_left -= 1
+        if not self._slots_left:
             self._refill()
         lost = arrived & (queues >= self.queue_capacity)
-        queues = queues + (arrived & ~lost)
+        queues += arrived
+        queues -= lost
 
         rewards = (
             -energy
@@ -310,17 +312,18 @@ class BatchedSlottedEnv:
             arrival_rate=rate,
         )
 
-        self.totals.slots += 1
-        self.totals.energy += energy
-        self.totals.queue_integral += queues
-        self.totals.arrivals += arrived
-        self.totals.completions += served
-        self.totals.losses += lost
+        totals = self.totals
+        totals.slots += 1
+        totals.energy += energy
+        totals.queue_integral += queues
+        totals.arrivals += arrived
+        totals.completions += served
+        totals.losses += lost
 
         self._modes = next_modes
         self._queues = queues
         self._slot += 1
-        return self.states, rewards, info
+        return self._cache_states(), rewards, info
 
     # ------------------------------------------------------------------ #
     # reference quantities

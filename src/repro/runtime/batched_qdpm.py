@@ -5,12 +5,13 @@ Q-table), but all B tables live as disjoint row blocks of one
 :class:`~repro.core.QTable` with ``B * n_states`` rows, so one slot of
 training for all replicas is:
 
-1. one masked argmax over the padded allowed-action table for the
-   greedy actions (ties break in allowed-list order, like the scalar
-   agent's deterministic branch),
-2. one vectorized epsilon-greedy overwrite for exploration,
+1. one gather of each replica's Q row over its allowed actions (in
+   allowed-list order) and one masked max that marks the near-max ones,
+2. one column pick per replica: the k-th allowed action when the slot
+   explores, else the k-th near-max one, k from the slot's uniforms,
 3. one :meth:`BatchedSlottedEnv.step`,
-4. one masked-max bootstrap + one :meth:`QTable.batch_update`.
+4. one masked-max bootstrap and the Eqn.-3 relaxation written in place
+   at the flat table indices ``obs * n_actions + action``.
 
 Replica row blocks are disjoint, so the vectorized update is exactly B
 sequential scalar updates.  The *environment* trajectories are bit-exact
@@ -71,26 +72,25 @@ class BatchedQDPM:
     ) -> None:
         if not 0.0 <= discount < 1.0:
             raise ValueError(f"discount must be in [0, 1), got {discount}")
-        if isinstance(learning_rate, Schedule):
-            self._lr_schedule: Optional[Schedule] = learning_rate
-            self._lr_const = 0.0
-        else:
+        if not isinstance(learning_rate, Schedule):
             if not 0.0 <= learning_rate <= 1.0:
                 raise ValueError(
                     f"learning_rate must be in [0, 1], got {learning_rate}"
                 )
-            self._lr_schedule = None
-            self._lr_const = float(learning_rate)
+            learning_rate = float(learning_rate)
+        self._lr = learning_rate
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        self.env = env
         self.discount = float(discount)
         self.epsilon = float(epsilon)
         b, s = env.n_replicas, env.n_states
         self.table = QTable(b * s, env.n_actions, initial_value=initial_q)
+        self._n_actions = env.n_actions
         self._offsets = np.arange(b, dtype=np.int64) * s
-        self._replica_arange = np.arange(b)
-        self._pad_arange = np.arange(env.tables.allowed_padded.shape[1])
+        self.env = env
+        # evaluation slots read this fixed row: it never explores
+        # (epsilon <= 1) and picks the first near-max action
+        self._greedy_draws = np.tile([1.0, 0.0, 0.0], (b, 1))
         self._rngs = [
             np.random.default_rng(sd) for sd in _resolve_seeds(seed, b)
         ]
@@ -105,6 +105,20 @@ class BatchedQDPM:
     #: uniforms per replica per learning slot: explore?, random pick, tie pick
     DRAWS_PER_SLOT = 3
     _DRAW_BLOCK_SLOTS = 256
+
+    @property
+    def env(self) -> BatchedSlottedEnv:
+        """The environment stepped; a warm-up env may be swapped for
+        the measured one between runs."""
+        return self._env
+
+    @env.setter
+    def env(self, env: BatchedSlottedEnv) -> None:
+        # which columns of each mode's padded allowed-action row are real
+        padded = env.tables.allowed_padded
+        self._valid = np.arange(padded.shape[1]) < env.tables.n_allowed[:, None]
+        self._row_k = np.arange(env.n_replicas) * padded.shape[1]
+        self._env = env
 
     @property
     def n_replicas(self) -> int:
@@ -130,84 +144,58 @@ class BatchedQDPM:
     # one lock-step slot for all replicas
     # ------------------------------------------------------------------ #
 
-    def _greedy_actions(self, obs: np.ndarray, modes: np.ndarray,
-                        tie_uniform: Optional[np.ndarray] = None) -> np.ndarray:
-        """Greedy action per replica over the allowed set.
-
-        With ``tie_uniform`` (one uniform per replica), ties within
-        1e-12 of the row max break *uniformly at random* — the behavior
-        of the scalar training path, which always hands
-        :meth:`QTable.best_action` its rng.  Without it, the first
-        action in allowed-list order wins (the stay action; the scalar
-        deterministic branch used for evaluation / policy extraction).
-        """
-        tables = self.env.tables
-        padded = tables.allowed_padded[modes]               # (B, K)
-        rows = self.table._q[obs[:, None], padded]          # (B, K)
-        valid = self._pad_arange < tables.n_allowed[modes][:, None]
-        masked = np.where(valid, rows, -np.inf)
-        best = masked.max(axis=1, keepdims=True)
-        near = valid & (rows >= best - 1e-12)
-        if tie_uniform is None:
-            pick = near.argmax(axis=1)                      # first in allowed order
-        else:
-            counts = near.sum(axis=1)
-            kth = np.minimum(
-                (tie_uniform * counts).astype(np.int64), counts - 1
-            )
-            pick = (near.cumsum(axis=1) > kth[:, None]).argmax(axis=1)
-        return padded[self._replica_arange, pick]
-
-    def _select_actions(self, obs: np.ndarray, modes: np.ndarray,
-                        learn: bool) -> np.ndarray:
-        if not learn:
-            return self._greedy_actions(obs, modes)
-        # three uniforms per replica per slot, from each replica's own
-        # stream: explore?, random-action pick, greedy tie-break pick
-        draws = self._next_draws()
-        greedy = self._greedy_actions(obs, modes, tie_uniform=draws[:, 2])
-        if self.epsilon <= 0.0:
-            return greedy
-        tables = self.env.tables
-        explore = draws[:, 0] < self.epsilon
-        n_allowed = tables.n_allowed[modes]
-        pick = np.minimum(
-            (draws[:, 1] * n_allowed).astype(np.int64), n_allowed - 1
-        )
-        random_actions = tables.allowed_padded[modes, pick]
-        return np.where(explore, random_actions, greedy)
-
-    def _learning_rates(self, obs: np.ndarray,
-                        actions: np.ndarray) -> Union[float, np.ndarray]:
-        if self._lr_schedule is None:
-            return self._lr_const
-        visits = self.table._visits[obs, actions]
-        return np.array(
-            [self._lr_schedule.value(int(v)) for v in visits]
-        )
-
     def control_step(self, learn: bool = True) -> tuple:
-        """One slot for every replica; returns (rewards, info, deltas)."""
-        env = self.env
-        states = env.states
-        obs = states + self._offsets
-        actions = self._select_actions(obs, env._modes, learn)
-        lrs = self._learning_rates(obs, actions) if learn else None
+        """One slot for every replica; returns (rewards, info, deltas).
+
+        Learning slots act epsilon-greedily on three uniforms per replica
+        (explore?, random pick, tie-break pick), breaking ties within
+        1e-12 of the row max uniformly at random like the scalar agent,
+        and relax Q toward the TD target.  Evaluation slots take the
+        first near-max action in allowed-list order (the scalar agent's
+        deterministic branch) and leave the table alone.
+        """
+        env = self._env
+        tables = env.tables
+        q = self.table._q
+        modes = env._modes
+        padded = tables.allowed_padded.take(modes, axis=0)  # (B, K) actions
+        valid = self._valid.take(modes, axis=0)
+        row = (env._states + self._offsets) * self._n_actions
+        values = q.take(row[:, None] + padded)
+        best = np.where(valid, values, -np.inf).max(axis=1, keepdims=True)
+        near = valid & (values >= best - 1e-12)
+        draws = self._next_draws() if learn else self._greedy_draws
+        explore = draws[:, 0] < self.epsilon
+        # the k-th member of the candidate set (every allowed action when
+        # exploring, the near-max ones otherwise) for k = floor(u * size):
+        # the first column whose running count exceeds u * size.  u < 1,
+        # so this is the scalar agent's min(int(u * n), n - 1).
+        counts = np.where(explore[:, None], valid, near).cumsum(axis=1)
+        u = np.where(explore, draws[:, 1], draws[:, 2])
+        column = (counts > (u * counts[:, -1])[:, None]).argmax(axis=1)
+        column += self._row_k
+        actions = padded.take(column)
+        old = values.take(column)
         next_states, rewards, info = env.step(actions)
         if not learn:
             return rewards, info, np.zeros(self.n_replicas)
-        next_obs = next_states + self._offsets
-        next_mask = env.tables.allowed[env._modes]
-        bootstrap = self.table.batch_max_value(
-            next_obs, next_mask, validate=False
-        )
+        next_rows = q.take(next_states + self._offsets, axis=0)
+        bootstrap = np.where(tables.allowed.take(env._modes, axis=0),
+                             next_rows, -np.inf).max(axis=1)
         targets = rewards + self.discount * bootstrap
-        # replica row blocks are disjoint -> pairs are unique by construction
-        deltas = self.table.batch_update(
-            obs, actions, targets, lrs, unique=True
-        )
+        # replica row blocks are disjoint -> indices are unique
+        index = row + actions
+        visits = self.table._visits.take(index)
+        lr = self._lr
+        if isinstance(lr, Schedule):  # a constant rate was checked once
+            lr = np.array([lr.value(n) for n in visits.tolist()])
+            if lr.min() < 0.0 or lr.max() > 1.0:
+                raise ValueError("learning rates must be in [0, 1]")
+        new = (1.0 - lr) * old + lr * targets
+        q.put(index, new)
+        self.table._visits.put(index, visits + 1)
         self._steps += 1
-        return rewards, info, deltas
+        return rewards, info, np.abs(new - old)
 
     def run(
         self,

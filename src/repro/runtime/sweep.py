@@ -239,7 +239,7 @@ def _run_fixed_policy(env: BatchedSlottedEnv, lut: np.ndarray,
     no_td = np.zeros(env.n_replicas)
 
     def step():
-        actions = lut[env.states]
+        actions = lut.take(env.states)
         _, rewards, info = env.step(actions)
         return rewards, info, no_td
 

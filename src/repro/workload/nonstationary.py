@@ -18,6 +18,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import check_nonnegative
+
 
 def _check_prob(p: float, what: str = "rate") -> float:
     if not 0.0 <= p <= 1.0:
@@ -150,12 +152,9 @@ class SinusoidalRate(RateSchedule):
 
     def __init__(self, base: float, amplitude: float, period: int) -> None:
         self._base = _check_prob(base, "base")
-        if not 0 <= amplitude < math.inf:
-            raise ValueError(
-                f"amplitude must be finite and >= 0, got {amplitude}")
+        self._amplitude = check_nonnegative("amplitude", amplitude)
         if period <= 0:
             raise ValueError(f"period must be > 0, got {period}")
-        self._amplitude = float(amplitude)
         self._period = int(period)
 
     def rate_at(self, slot: int) -> float:

@@ -13,9 +13,11 @@ import pytest
 from repro.baselines import FixedTimeout
 from repro.checks import check_count
 from repro.device import get_preset
+from repro.env import SlottedDPMEnv, build_dpm_model
 from repro.fleet import Dispatcher, FleetSweepRunner
 from repro.fleet.dispatch import PowerAwareRouter
 from repro.runtime import (
+    BatchedSlottedEnv,
     GridRunner,
     SimSweepRunner,
     SweepRunner,
@@ -26,6 +28,7 @@ from repro.runtime import (
 from repro.runtime.executor import MultiprocessExecutor
 from repro.sim import DPMSimulator
 from repro.workload import (
+    ConstantRate,
     Deterministic,
     Exponential,
     FaultProcess,
@@ -106,6 +109,14 @@ COUNT_ENTRY_POINTS = {
     "PowerAwareRouter.max_queue": lambda v: PowerAwareRouter(max_queue=v),
     "FaultProcess.realize": lambda v: FaultProcess(10.0, 1.0).realize(v, 100.0),
     "no_faults": lambda v: no_faults(v, 10.0),
+    "SlottedDPMEnv.queue_capacity": lambda v: SlottedDPMEnv(
+        DEVICE, queue_capacity=v),
+    "BatchedSlottedEnv.queue_capacity": lambda v: BatchedSlottedEnv(
+        DEVICE, queue_capacity=v),
+    "BatchedSlottedEnv.n_replicas": lambda v: BatchedSlottedEnv(
+        DEVICE, n_replicas=v),
+    "build_dpm_model.queue_capacity": lambda v: build_dpm_model(
+        DEVICE, 0.1, queue_capacity=v),
 }
 
 
@@ -114,6 +125,57 @@ COUNT_ENTRY_POINTS = {
 def test_fractional_or_invalid_count_rejected(entry, value):
     with pytest.raises(ValueError, match="must be an integer"):
         COUNT_ENTRY_POINTS[entry](value)
+
+
+#: the slotted environments and their exact model take the same reward
+#: weights
+WEIGHT_ENTRY_POINTS = {
+    "SlottedDPMEnv": lambda **kw: SlottedDPMEnv(DEVICE, **kw),
+    "BatchedSlottedEnv": lambda **kw: BatchedSlottedEnv(DEVICE, **kw),
+    "build_dpm_model": lambda **kw: build_dpm_model(DEVICE, 0.1, **kw),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["perf_weight", "loss_penalty"])
+@pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+def test_bad_reward_weight_rejected(entry, name, value):
+    """A NaN weight used to be accepted and turn every reward into NaN."""
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        WEIGHT_ENTRY_POINTS[entry](**{name: value})
+    WEIGHT_ENTRY_POINTS[entry](**{name: 0})
+
+
+@pytest.mark.parametrize("queue", [2.5, math.nan, -1, 4])
+@pytest.mark.parametrize("batched", [False, True])
+def test_bad_reset_queue_changes_nothing(batched, queue):
+    """``reset(queue=2.5)`` used to start at queue 2, and a refused
+    reset used to reseed the scalar env or rebuild the batched env's
+    draw block before it raised."""
+    if batched:
+        def make():
+            return BatchedSlottedEnv(DEVICE, ConstantRate(0.4),
+                                     n_replicas=2, queue_capacity=3, seeds=1)
+        reseed = {"seeds": 7}
+    else:
+        def make():
+            return SlottedDPMEnv(DEVICE, ConstantRate(0.4),
+                                 queue_capacity=3, seed=1)
+        reseed = {"seed": 7}
+    env, twin = make(), make()
+    home = env.mode_space.action_index(DEVICE.initial_state)
+    action = np.full(2, home) if batched else home
+    for _ in range(5):
+        env.step(action)
+        twin.step(action)
+    with pytest.raises(ValueError, match="queue"):
+        env.reset(queue=queue, **reseed)
+    for _ in range(20):
+        state, reward, _ = env.step(action)
+        twin_state, twin_reward, _ = twin.step(action)
+        assert np.array_equal(state, twin_state)
+        assert np.array_equal(reward, twin_reward)
+    assert env.current_slot == twin.current_slot == 25
 
 
 @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, -1, "two"])

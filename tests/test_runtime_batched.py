@@ -108,6 +108,28 @@ class TestEnvEquivalence:
         with pytest.raises(KeyError):
             env.step(np.array([0, env.n_actions]))
 
+    def test_action_check_messages(self, device3):
+        """Both checks name the first bad replica; -1 is out of range,
+        not a wrapped index into the step tables."""
+        env = BatchedSlottedEnv(device3, ConstantRate(0.1), n_replicas=2, seeds=0)
+        with pytest.raises(KeyError) as err:
+            env.step(np.array([0, -1]))
+        assert err.value.args[0] == "action index -1 out of range [0, 3) (replica 1)"
+        with pytest.raises(KeyError) as err:
+            env.step(np.array([3, 0]))
+        assert err.value.args[0] == "action index 3 out of range [0, 3) (replica 0)"
+        env._modes[:] = env.mode_space.steady_mode_index("sleep")
+        with pytest.raises(KeyError) as err:
+            env.step(np.array([0, 1]))
+        assert err.value.args[0] == "action 'idle' not allowed in mode 'sleep' (replica 1)"
+
+    def test_states_are_read_only(self, device3):
+        env = BatchedSlottedEnv(device3, ConstantRate(0.1), n_replicas=2, seeds=0)
+        for states in (env.reset(), env.step(np.zeros(2, dtype=int))[0],
+                       env.states):
+            with pytest.raises(ValueError):
+                states[0] = 1
+
     def test_seed_count_mismatch_raises(self, device3):
         with pytest.raises(ValueError):
             BatchedSlottedEnv(
@@ -403,6 +425,96 @@ class TestFixedDrawStreamParity:
                 driver.replica_table(i).visit_counts,
             )
             assert env.totals == benv.totals.replica(i)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        b=st.sampled_from([1, 2, 7]),
+        seed=st.integers(0, 2**16),
+        epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+        initial_q=st.sampled_from([0.0, -4.0]),
+        harmonic=st.booleans(),
+        queue_capacity=st.sampled_from([1, 4]),
+        warmup=st.integers(0, 150),
+        n_train=st.integers(1, 400),
+        n_after_reset=st.integers(1, 150),
+        n_eval=st.integers(1, 150),
+    )
+    def test_every_replica_is_a_scalar_run(self, b, seed, epsilon, initial_q,
+                                          harmonic, queue_capacity, warmup,
+                                          n_train, n_after_reset, n_eval):
+        """Replica i of the lock-step learner is a scalar QDPM with
+        FixedDrawEpsilonGreedy, slot for slot: actions, TD changes, Q,
+        visits and totals, through a warm-up env swap, a reseeding reset
+        and greedy evaluation after training.  Rows start all tied, so
+        tie-breaking is exercised from the first slot."""
+        from repro.core import FixedDrawEpsilonGreedy, HarmonicDecay, QDPM, QLearningAgent
+
+        device = abstract_three_state()
+        lr = HarmonicDecay(0.5) if harmonic else 0.2
+        kw = dict(queue_capacity=queue_capacity, p_serve=0.8)
+        seeds = [seed + 13 * i for i in range(b)]
+        warm_schedule, schedule = ConstantRate(0.5), ConstantRate(0.25)
+
+        def recording(env, log):
+            step = env.step
+
+            def logged(actions):
+                log.append(actions)
+                return step(actions)
+            env.step = logged
+            return env
+
+        batched_actions = []
+        benv = recording(BatchedSlottedEnv(device, schedule, n_replicas=b,
+                                           seeds=seeds, **kw), batched_actions)
+        warm = recording(BatchedSlottedEnv(device, warm_schedule, n_replicas=b,
+                                           seeds=[s + 1 for s in seeds], **kw),
+                         batched_actions)
+        driver = BatchedQDPM(warm if warmup else benv, epsilon=epsilon,
+                             learning_rate=lr, initial_q=initial_q,
+                             seed=[s + 1 for s in seeds])
+        histories = []
+        if warmup:
+            histories.append(driver.run(warmup, record_every=50))
+            driver.env = benv
+        histories.append(driver.run(n_train, record_every=100))
+        benv.reset(seeds=[s + 2 for s in seeds])
+        histories.append(driver.run(n_after_reset, record_every=100))
+        histories.append(driver.run(n_eval, learn=False, record_every=100))
+        batched_actions = np.array(batched_actions)
+
+        for i, s in enumerate(seeds):
+            actions = []
+            env = recording(SlottedDPMEnv(device, schedule, seed=s, **kw), actions)
+            warm_env = recording(SlottedDPMEnv(device, warm_schedule, seed=s + 1,
+                                               **kw), actions)
+            agent = QLearningAgent(
+                n_observations=env.n_states, n_actions=env.n_actions,
+                learning_rate=lr, initial_q=initial_q, seed=s + 1,
+                exploration=FixedDrawEpsilonGreedy(epsilon),
+            )
+            controller = QDPM(warm_env if warmup else env, agent=agent)
+            scalar = []
+            if warmup:
+                scalar.append(controller.run(warmup, record_every=50))
+                controller.env = env
+            scalar.append(controller.run(n_train, record_every=100))
+            env.reset(seed=s + 2)
+            scalar.append(controller.run(n_after_reset, record_every=100))
+            scalar.append(controller.run(n_eval, learn=False, record_every=100))
+
+            assert np.array_equal(batched_actions[:, i], actions)
+            for one, many in zip(scalar, histories):
+                replica = many.replica(i)
+                for field in ("reward", "energy", "queue", "td_error"):
+                    assert np.array_equal(getattr(one, field),
+                                          getattr(replica, field)), field
+            table = driver.replica_table(i)
+            assert np.array_equal(agent.table.values, table.values)
+            assert np.array_equal(agent.table.visit_counts, table.visit_counts)
+            assert env.totals == benv.totals.replica(i)
+            if warmup:
+                assert warm_env.totals == warm.totals.replica(i)
 
     def test_learning_rate_schedule_also_matches(self, device3):
         from repro.core import QDPM, FixedDrawEpsilonGreedy, HarmonicDecay, QLearningAgent
