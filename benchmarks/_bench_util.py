@@ -52,6 +52,7 @@ def record_bench(path: Path, section: str, payload: dict) -> None:
 #: then.  Sections whose recorded speedup is informational only (e.g.
 #: sweep serial/2-jobs ratios, which need real cores) are absent.
 SPEEDUP_BARS = {
+    "BENCH_engine.json": {"engine_throughput": 5.0},
     "BENCH_sim.json": {"event_sim_kernel": 5.0, "stateful_batch": 5.0},
     "BENCH_fleet.json": {
         "fleet_kernel": 5.0,

@@ -6,9 +6,10 @@ A silently-skipped benchmark used to produce an empty (or partial)
 while carrying no numbers.  This checker fails loudly instead: each
 artifact must exist and contain every expected top-level section, and
 every section with a speedup bar in ``SPEEDUP_BARS`` must have recorded
-a ``speedup`` at or above that bar.  This is the only place the bars
-are enforced: the bench modules record the speedups without asserting
-them.
+a ``speedup`` at or above that bar, and the engine bench's B=128
+throughput must beat its B=32 throughput.  This is the only place the
+bars are enforced: the bench modules record the numbers without
+asserting them.
 
 Run:  python benchmarks/check_bench_artifacts.py [repo_root]
 Exit: 0 when every artifact is complete, 1 otherwise.
@@ -26,7 +27,8 @@ from _bench_util import SPEEDUP_BARS  # noqa: E402  (sibling module)
 #: artifact -> top-level keys the bench suite must have recorded
 EXPECTED_KEYS = {
     "BENCH_engine.json": (
-        "cpu_count", "host", "quick_snapshot", "telemetry_overhead",
+        "cpu_count", "host", "engine_throughput", "quick_snapshot",
+        "telemetry_overhead",
     ),
     "BENCH_sim.json": (
         "cpu_count", "host", "event_sim_kernel", "stateful_batch", "sim_sweep",
@@ -67,7 +69,23 @@ def check_artifacts(root: Path) -> list:
                     f"{name}: {section} speedup {speedup:.2f}x regressed "
                     f"below its {bar:.0f}x bar"
                 )
+        if name == "BENCH_engine.json" and "engine_throughput" in data:
+            problems.extend(_engine_scaling_problems(data["engine_throughput"]))
     return problems
+
+
+def _engine_scaling_problems(section: dict) -> list:
+    """More replicas per batch must amortize better: the recorded B=128
+    throughput has to beat B=32's."""
+    rates = section.get("batched_replica_slots_per_sec", {})
+    b32, b128 = rates.get("replica_B32"), rates.get("replica_B128")
+    if not all(isinstance(v, (int, float)) for v in (b32, b128)):
+        return ["BENCH_engine.json: engine_throughput recorded no B=32 "
+                "and B=128 throughput"]
+    if not b128 > b32:
+        return [f"BENCH_engine.json: engine_throughput B=128 "
+                f"({b128:,.0f}/s) does not beat B=32 ({b32:,.0f}/s)"]
+    return []
 
 
 def main(argv=None) -> int:

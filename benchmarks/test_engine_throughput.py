@@ -5,7 +5,9 @@ The tentpole claims of the vectorized + sharded runtime, measured:
 - training B independent Q-DPM seeds lock-step on
   :class:`~repro.runtime.BatchedQDPM` sustains >= 5x the
   replica-slots/sec of the scalar :class:`~repro.core.QDPM` loop at
-  B = 64, with every replica bit-for-bit its scalar twin;
+  B = 64, with every replica bit-for-bit its scalar twin, and B = 128
+  beats B = 32 (both checked on the recorded artifact by
+  ``check_bench_artifacts.py``, not asserted here);
 - sharding a multi-chunk sweep across 4 worker processes
   (``SweepRunner(n_jobs=4)``) sustains >= 2x the wall-clock throughput
   of the serial chunk loop on a >= 4-core host (skipped, not failed,
@@ -102,20 +104,16 @@ def test_engine_throughput():
             f"batched B={b:3d}: {sps:12,.0f} "
             f"replica-slots/sec ({sps / scalar:5.1f}x)"
         )
+    # the acceptance bar (>= 5x scalar at B = 64) and monotone scaling
+    # (B = 128 above B = 32) are checked on the artifact, not here
     _record_bench("engine_throughput", {
         "n_slots": N_SLOTS,
         "scalar_slots_per_sec": scalar,
         "batched_replica_slots_per_sec": {
             f"replica_B{b}": sps for b, sps in results.items()
         },
+        "speedup": results[64] / scalar,
     })
-
-    # the acceptance bar: >= 5x scalar throughput at B = 64
-    assert results[64] >= 5.0 * scalar, (
-        f"batched engine only {results[64] / scalar:.1f}x scalar at B=64"
-    )
-    # monotone scaling: more replicas per batch amortize better
-    assert results[128] > results[32]
 
 
 @pytest.mark.slow

@@ -21,6 +21,13 @@ def _as_schedule(value: Union[float, Schedule]) -> Schedule:
     return value if isinstance(value, Schedule) else Constant(float(value))
 
 
+def _epsilon_schedule(epsilon: Union[float, Schedule]) -> Schedule:
+    """``epsilon`` as a schedule; a constant must be in [0, 1]."""
+    if not isinstance(epsilon, Schedule) and not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    return _as_schedule(epsilon)
+
+
 class ExplorationStrategy(ABC):
     """Picks an action given the Q-table and the allowed action set."""
 
@@ -58,7 +65,7 @@ class EpsilonGreedy(ExplorationStrategy):
     """
 
     def __init__(self, epsilon: Union[float, Schedule] = 0.1) -> None:
-        self._epsilon = _as_schedule(epsilon)
+        self._epsilon = _epsilon_schedule(epsilon)
 
     def epsilon_at(self, step: int) -> float:
         """Exploration probability at a given step."""
@@ -102,7 +109,7 @@ class FixedDrawEpsilonGreedy(ExplorationStrategy):
 
     def __init__(self, epsilon: Union[float, Schedule] = 0.1,
                  tolerance: float = 1e-12) -> None:
-        self._epsilon = _as_schedule(epsilon)
+        self._epsilon = _epsilon_schedule(epsilon)
         self._tolerance = float(tolerance)
 
     def epsilon_at(self, step: int) -> float:

@@ -30,9 +30,7 @@ independent idle gaps:
 :func:`run_gap_batched` runs this over all gaps of R traces at once:
 the traces lie end to end in flat arrays, the prefix max resets at each
 trace boundary, and each pass asks the policy once for every trace's
-gaps, laid out trace by trace (each trace's trailing gap last).  The
-shutdown targets' constants are one lookup table per call, one row per
-state plus a zero "stay" row for every negative target index.  A
+gaps, laid out trace by trace (each trace's trailing gap last).  A
 converged trace is a fixed point, so passes that other traces still
 need leave it unchanged, and each report is bit-identical to the trace
 run alone; :func:`run_vectorized` is the R = 1 call.  Equivalence with
@@ -56,6 +54,10 @@ once, each realized busy period is the pure one shifted by the opener's
 wake delay (``completion = max(pure, shift + cum_demand)``), and a gap
 swallowed by a wake delay merges its pure period into the running one.
 
+Both batched engines share one shutdown-target table per call, one
+decision check, one shutdown rule and one gap fold that turns the
+realized gaps, laid out run by run, into reports.
+
 :func:`simulate_traces_batch` picks the engine by
 :func:`policy_batch_mode`; other policies and exotic decision targets
 fall back per trace to :func:`simulate_trace`, the kernel or else the
@@ -68,13 +70,18 @@ plain residency accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..checks import check_positive
 from ..device import PowerStateMachine
-from ..sim.policy_api import BatchIdleContext, EventPolicy, StepBatchContext
+from ..sim.policy_api import (
+    BatchIdleContext,
+    BatchIdleDecision,
+    EventPolicy,
+    StepBatchContext,
+)
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
 from ..sim.stats import SimReport, compile_report
 from ..workload.trace import Trace
@@ -126,48 +133,194 @@ def _target_costs(
     )
 
 
-def _compile_run(
+class _TargetTable(NamedTuple):
+    """Every state's shutdown-target constants, built once per engine
+    call: one row per state plus a trailing zero row that every negative
+    ("stay") target index reads."""
+
+    costs: List[Optional[_TargetCosts]]
+    usable: np.ndarray
+    down: np.ndarray
+    up: np.ndarray
+    break_even: np.ndarray
+
+
+def _target_table(device: PowerStateMachine, home: str, wait: str) -> _TargetTable:
+    costs = [_target_costs(device, home, wait, i)
+             for i in range(len(device.state_names))]
+    return _TargetTable(
+        costs=costs,
+        usable=np.array([tc is not None for tc in costs] + [True]),
+        down=np.array([tc.down_latency if tc else 0.0 for tc in costs] + [0.0]),
+        up=np.array([tc.up_latency if tc else 0.0 for tc in costs] + [0.0]),
+        break_even=np.array([tc.break_even if tc else 0.0 for tc in costs] + [0.0]),
+    )
+
+
+def _check_decision(
+    decision: Optional[BatchIdleDecision],
+    n: int,
+    usable: np.ndarray,
+    active: Optional[np.ndarray] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A policy's decisions for ``n`` gaps as (timeouts, target_idx),
+    or None when they fall outside the shapes the engines model: no
+    decision, arrays not of length ``n``, a negative timeout, or a
+    target past the last state or without usable constants.
+
+    Rows outside ``active`` read as "stay".  Every "stay" (negative)
+    target comes back as -1, the target table's zero row.
+    """
+    if decision is None:
+        return None
+    timeouts = np.asarray(decision.timeouts, dtype=float)
+    target_idx = np.asarray(decision.target_idx, dtype=np.int64)
+    if timeouts.shape != (n,) or target_idx.shape != (n,):
+        return None
+    if active is not None:
+        timeouts = np.where(active, timeouts, 0.0)
+        target_idx = np.where(active, target_idx, -1)
+    if (timeouts < 0).any():
+        return None
+    target_idx = np.maximum(target_idx, -1)
+    if target_idx.max() >= usable.size - 1 or not usable[target_idx].all():
+        return None
+    return timeouts, target_idx
+
+
+def _shutdown_rule(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    timeouts: np.ndarray,
+    target_idx: np.ndarray,
+) -> np.ndarray:
+    """Which gaps shut down, matching the event loop's tie-breaking.
+
+    A zero timeout executes inline at idle start (no horizon check); a
+    positive timeout is a TIMEOUT event that fires only strictly before
+    the gap's rule end: the gap-ending arrival (arrivals pre-empt
+    same-time timeouts) or, for the trailing gap, the observation
+    window's end.
+    """
+    return (target_idx >= 0) & (
+        (timeouts == 0.0)
+        | (np.isfinite(timeouts) & (starts + timeouts < ends))
+    )
+
+
+def _fold_runs(
     device: PowerStateMachine,
     home: str,
     wait: str,
-    busy_time: float,
-    wait_total: float,
-    folds: Sequence[Tuple[_TargetCosts, int, int, float]],
-    **fields,
-) -> SimReport:
-    """One run's residency and energy, compiled to its report.
+    table: _TargetTable,
+    n_arr: np.ndarray,
+    demands: np.ndarray,
+    latencies: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    timeouts: np.ndarray,
+    target_idx: np.ndarray,
+    gap_bounds: np.ndarray,
+    keep_latencies: bool,
+) -> List[SimReport]:
+    """Every run's report from its realized gaps; both engines end here.
 
-    ``folds`` holds each used shutdown target's (costs, downs, ups, span)
-    in fold order.  Shared by the all-gaps kernel and the lock-step
-    engine so the two cannot drift in how transition labels and energies
-    are derived.  Residency keys mirror the scalar meter exactly,
-    including the zero-span entries its set_condition sequence creates.
+    Run r owns ``n_arr[r]`` consecutive requests (``demands``,
+    ``latencies``) and the gaps from ``gap_bounds[r]`` on, its trailing
+    gap last.  A gap is its start, its rule end (the arrival that ends
+    it; the observation window for the trailing gap) and the policy's
+    decision for it.  Elementwise work runs on the flat arrays and sums
+    per run slice, and targets fold in index order, so each report is
+    bit-identical to its run alone.  Residency keys mirror the scalar
+    meter exactly, including the zero-span entries its set_condition
+    sequence creates.
     """
+    shutdown = _shutdown_rule(starts, ends, timeouts, target_idx)
+    shutdown_times = starts + timeouts
+    down_lat = table.down[target_idx]
+    down_done = shutdown_times + down_lat
+    trail_gap = gap_bounds[1:] - 1
+    mid = np.ones(starts.size, dtype=bool)
+    mid[trail_gap] = False
+    durations = ends[trail_gap]
+    final_shutdown = shutdown[trail_gap]
+    final_target = np.where(final_shutdown, target_idx[trail_gap], -1).tolist()
+    # the window, stretched by a final service completion past it and by
+    # a trailing down transition in flight
+    end_times = np.where(n_arr > 0, np.maximum(durations, starts[trail_gap]),
+                         durations)
+    stretch = final_shutdown & (down_lat[trail_gap] > 0)
+    end_times = np.where(stretch, np.maximum(end_times, down_done[trail_gap]),
+                         end_times)
+    phase_ends = ends.copy()
+    phase_ends[trail_gap] = end_times
+    idle_lengths = phase_ends - starts
+    wait_spans = np.where(shutdown, shutdown_times, phase_ends) - starts
+    break_even = table.break_even[target_idx]
+    wrong = shutdown & mid & (ends - shutdown_times < break_even)
+    with np.errstate(invalid="ignore"):
+        target_spans = np.where(shutdown & mid,
+                                np.maximum(0.0, ends - down_done), 0.0)
+    target_spans[trail_gap] = np.where(
+        final_shutdown, end_times - down_done[trail_gap], 0.0)
+
+    n_shutdowns = np.add.reduceat(shutdown, gap_bounds[:-1], dtype=np.int64)
+    n_wrong = np.add.reduceat(wrong, gap_bounds[:-1], dtype=np.int64)
+    # per target some run shut down to, in index order: the shutdown
+    # spans compacted, and each run's offsets into them
+    by_target = []
+    for idx in np.unique(target_idx[shutdown]).tolist():
+        sel = shutdown & (target_idx == idx)
+        cum = np.concatenate(([0], np.cumsum(sel)))[gap_bounds].tolist()
+        by_target.append((table.costs[idx], idx, target_spans[sel], cum))
+
     home_power = device.state(home).power
-    residency: Dict[str, float] = {home: busy_time}
-    if wait != home:
-        residency[wait] = wait_total
-    else:
-        residency[home] += wait_total
-    total_energy = home_power * busy_time + device.state(wait).power * wait_total
-    for tc, n_down, n_up, span in folds:
-        residency[tc.name] = residency.get(tc.name, 0.0) + span
-        total_energy += tc.power * span
-        if tc.down_latency > 0:
-            label = f"{wait}->{tc.name}"
-            residency[label] = residency.get(label, 0.0) + n_down * tc.down_latency
-            total_energy += tc.down_mean_power * tc.down_latency * n_down
+    wait_power = device.state(wait).power
+    req_bounds = np.concatenate(([0], np.cumsum(n_arr))).tolist()
+    bounds = gap_bounds.tolist()
+    reports: List[SimReport] = []
+    for r in range(n_arr.size):
+        s, e = req_bounds[r], req_bounds[r + 1]
+        g0, g1 = bounds[r], bounds[r + 1]
+        busy_time = float(demands[s:e].sum())
+        wait_total = float(wait_spans[g0:g1].sum())
+        residency: Dict[str, float] = {home: busy_time}
+        if wait != home:
+            residency[wait] = wait_total
         else:
-            total_energy += tc.down_energy * n_down
-        if n_up:
-            if tc.up_latency > 0:
-                label = f"{tc.name}->{home}"
-                residency[label] = residency.get(label, 0.0) + n_up * tc.up_latency
-                total_energy += tc.up_mean_power * tc.up_latency * n_up
+            residency[home] += wait_total
+        total_energy = home_power * busy_time + wait_power * wait_total
+        for tc, idx, spans, cum in by_target:
+            n_down = cum[r + 1] - cum[r]
+            if not n_down:
+                continue
+            n_up = n_down - (1 if idx == final_target[r] else 0)
+            span = float(spans[cum[r]:cum[r + 1]].sum())
+            residency[tc.name] = span
+            total_energy += tc.power * span
+            if tc.down_latency > 0:
+                residency[f"{wait}->{tc.name}"] = n_down * tc.down_latency
+                total_energy += tc.down_mean_power * tc.down_latency * n_down
             else:
-                total_energy += tc.up_energy * n_up
-    return compile_report(home_power=home_power, total_energy=total_energy,
-                          state_residency=residency, **fields)
+                total_energy += tc.down_energy * n_down
+            if n_up:
+                if tc.up_latency > 0:
+                    residency[f"{tc.name}->{home}"] = n_up * tc.up_latency
+                    total_energy += tc.up_mean_power * tc.up_latency * n_up
+                else:
+                    total_energy += tc.up_energy * n_up
+        reports.append(compile_report(
+            home_power=home_power,
+            end_time=float(end_times[r]),
+            total_energy=total_energy,
+            latencies=latencies[s:e],
+            idle_lengths=idle_lengths[g0:g1],
+            n_shutdowns=int(n_shutdowns[r]),
+            n_wrong_shutdowns=int(n_wrong[r]),
+            state_residency=residency,
+            keep_latencies=keep_latencies,
+        ))
+    return reports
 
 
 def run_gap_batched(
@@ -224,14 +377,7 @@ def run_gap_batched(
     slot_start = np.zeros(slot_end.size)  # previous completion (0.0 first)
 
     policy.reset()
-    # every state's target constants, once per call; the trailing zero
-    # entry serves every negative ("stay") target index
-    n_states = len(device.state_names)
-    costs = [_target_costs(device, home, wait, i) for i in range(n_states)]
-    usable = np.array([tc is not None for tc in costs] + [True])
-    down_tab = np.array([tc.down_latency if tc else 0.0 for tc in costs] + [0.0])
-    up_tab = np.array([tc.up_latency if tc else 0.0 for tc in costs] + [0.0])
-    be_tab = np.array([tc.break_even if tc else 0.0 for tc in costs] + [0.0])
+    table = _target_table(device, home, wait)
 
     # ---- fixpoint over wake-up delays --------------------------------- #
     wake = np.zeros(n)
@@ -255,31 +401,13 @@ def run_gap_batched(
                 wait_state=wait,
             )
         )
-        if decision is None:
+        checked = _check_decision(decision, starts.size, table.usable)
+        if checked is None:
             return None
-        timeouts = np.asarray(decision.timeouts, dtype=float)
-        target_idx = np.asarray(decision.target_idx, dtype=np.int64)
-        if (timeouts.shape != starts.shape or target_idx.shape != starts.shape
-                or (timeouts < 0).any()):
-            return None
-        key = np.maximum(target_idx, -1)
-        if key.max() >= n_states or not usable[key].all():
-            return None
-
-        # Shutdown rule, matching the event loop's tie-breaking: a zero
-        # timeout executes inline at idle start (no horizon check); a
-        # positive timeout is a TIMEOUT event that fires only strictly
-        # before the gap-ending arrival (arrivals pre-empt same-time
-        # timeouts) and, for the trailing gap, strictly before the
-        # observation window ends.
-        shutdown = (target_idx >= 0) & (
-            (timeouts == 0.0)
-            | (np.isfinite(timeouts) & (starts + timeouts < ends))
-        )
-        down_lat = down_tab[key]
-        up_lat = up_tab[key]
-        shutdown_times = starts + timeouts
-        down_done = shutdown_times + down_lat
+        timeouts, target_idx = checked
+        shutdown = _shutdown_rule(starts, ends, timeouts, target_idx)
+        up_lat = table.up[target_idx]
+        down_done = starts + timeouts + table.down[target_idx]
 
         # a mid-trace gap's opener starts service only after the device
         # finishes any in-flight down transition and wakes
@@ -294,70 +422,19 @@ def run_gap_batched(
         # the flat layout holds every trace at once: free each pass's
         # arrays before the next pass (and the fixpoint's before the
         # accounting) allocates, to bound peak memory
-        del gap_slot, starts, ends, mid, decision, timeouts, target_idx, key
-        del shutdown, down_lat, up_lat, shutdown_times, down_done, delays
+        del gap_slot, starts, ends, mid, decision, checked, timeouts
+        del target_idx, shutdown, up_lat, down_done, delays
     else:  # pragma: no cover - n+1 passes provably suffice
         return None
 
-    # ---- accounting: elementwise on the flat arrays, sums per trace --- #
     del wake, new_wake, slot_wake, slot_start, slot_end, total_demand, demand_before
-    del delays, up_lat, forced, after_req
+    del mid, decision, shutdown, up_lat, down_done, delays, forced, after_req
     # gap_bounds[r]: trace r's first gap (every trace has at least one)
     gap_bounds = np.append(np.searchsorted(gap_slot, first_slot), gap_slot.size)
-    trail_gap = gap_bounds[1:] - 1
-    final_shutdown = shutdown[trail_gap]
-    final_target = target_idx[trail_gap]
-    # the window, stretched by a final service completion past it and by
-    # a trailing down transition in flight
-    end_times = np.where(n_arr > 0, np.maximum(durations, starts[trail_gap]),
-                         durations)
-    stretch = final_shutdown & (down_lat[trail_gap] > 0)
-    end_times = np.where(stretch, np.maximum(end_times, down_done[trail_gap]),
-                         end_times)
-    phase_ends = ends.copy()
-    phase_ends[trail_gap] = end_times
-    idle_lengths = phase_ends - starts
-    wait_spans = np.where(shutdown, shutdown_times, phase_ends) - starts
-    wrong = shutdown & mid & (ends - shutdown_times < be_tab[key])
-    with np.errstate(invalid="ignore"):
-        target_spans = np.where(shutdown & mid,
-                                np.maximum(0.0, ends - down_done), 0.0)
-    target_spans[trail_gap] = np.where(
-        final_shutdown, end_times - down_done[trail_gap], 0.0)
     latencies = np.subtract(completions, arrivals, out=completions)
-
-    n_shutdowns = np.add.reduceat(shutdown, gap_bounds[:-1], dtype=np.int64)
-    n_wrong = np.add.reduceat(wrong, gap_bounds[:-1], dtype=np.int64)
-    # per target the final pass shut down to, in index order (so the
-    # fold order never depends on which traces share the batch): the
-    # shutdown spans compacted, and each trace's offsets into them
-    by_target = []
-    for idx in np.unique(target_idx[shutdown]).tolist():
-        sel = shutdown & (target_idx == idx)
-        cum = np.concatenate(([0], np.cumsum(sel)))[gap_bounds].tolist()
-        by_target.append((costs[idx], idx, target_spans[sel], cum))
-
-    reports: List[SimReport] = []
-    for r, (s, e) in enumerate(req_spans):
-        g0, g1 = int(gap_bounds[r]), int(gap_bounds[r + 1])
-        final = int(final_target[r]) if final_shutdown[r] else -1
-        folds = []
-        for tc, idx, spans, cum in by_target:
-            c0, c1 = cum[r], cum[r + 1]
-            if c1 > c0:
-                folds.append((tc, c1 - c0, c1 - c0 - (1 if idx == final else 0),
-                              float(spans[c0:c1].sum())))
-        reports.append(_compile_run(
-            device, home, wait, float(demands[s:e].sum()),
-            float(wait_spans[g0:g1].sum()), folds,
-            end_time=float(end_times[r]),
-            latencies=latencies[s:e],
-            idle_lengths=idle_lengths[g0:g1],
-            n_shutdowns=int(n_shutdowns[r]),
-            n_wrong_shutdowns=int(n_wrong[r]),
-            keep_latencies=keep_latencies,
-        ))
-    return reports
+    return _fold_runs(device, home, wait, table, n_arr, demands, latencies,
+                      starts, ends, timeouts, target_idx, gap_bounds,
+                      keep_latencies)
 
 
 def run_vectorized(
@@ -459,6 +536,10 @@ def run_step_batched(
     gap openers are always pure openers (delays only push completions
     later), so per-replica state is just (next pure period, previous
     completion, policy state) and every round is O(R) array work.
+
+    Each round records its gaps' starts, rule ends and decisions; after
+    the last round they go, replica by replica, through the gap fold of
+    :func:`run_gap_batched`, which shares its target table and rule.
     """
     check_positive("service_time", service_time)
     home = device.initial_state
@@ -514,30 +595,14 @@ def run_step_batched(
     starts[open_rows, within] = open_cols
     starts[np.arange(n_reps), n_periods] = n_arr
 
-    # ---- per-replica run state + accumulators ------------------------- #
+    # ---- per-replica run state --------------------------------------- #
     rows = np.arange(n_reps)
     k = np.zeros(n_reps, dtype=np.int64)      # next pure period to realize
     prev_done = np.zeros(n_reps)              # completion of previous period
     done = np.zeros(n_reps, dtype=bool)
     shift_at = np.full((n_reps, n_max), np.nan)
-
-    wait_total = np.zeros(n_reps)
-    n_shutdowns = np.zeros(n_reps, dtype=np.int64)
-    n_wrong = np.zeros(n_reps, dtype=np.int64)
-    end_times = np.zeros(n_reps)
-    final_target = np.full(n_reps, -1, dtype=np.int64)
-    final_shutdown = np.zeros(n_reps, dtype=bool)
-    span_by_target: Dict[int, np.ndarray] = {}
-    ndown_by_target: Dict[int, np.ndarray] = {}
-    idle_rounds: List[Tuple[np.ndarray, np.ndarray]] = []
-    costs: Dict[int, _TargetCosts] = {}
-    # dense per-target-state transition constants (gathered per round;
-    # filled lazily as decisions reveal which targets the policy uses)
-    n_states = len(device.state_names)
-    tbl_down_lat = np.zeros(n_states)
-    tbl_up_lat = np.zeros(n_states)
-    tbl_break_even = np.zeros(n_states)
-    known_target = np.zeros(n_states, dtype=bool)
+    table = _target_table(device, home, wait)
+    rounds = []  # each round's (active, gap start, rule end, timeout, target)
 
     # ---- lock-step rounds: one idle gap per replica ------------------- #
     # invariant: k <= n_periods, and starts[r, k] <= n_arr[r] (sentinel),
@@ -551,10 +616,7 @@ def run_step_batched(
         pos = starts[rows, k]
         gap_start = prev_done
         gap_end = np.where(mid, arrivals_s[rows, pos], np.nan)
-        if oracle:
-            next_arrivals = np.where(mid, gap_end, np.nan)
-        else:
-            next_arrivals = np.full(n_reps, np.nan)
+        next_arrivals = gap_end.copy() if oracle else np.full(n_reps, np.nan)
         decision = policy.decide_step_batch(
             states,
             StepBatchContext(
@@ -565,89 +627,26 @@ def run_step_batched(
                 wait_state=wait,
             ),
         )
-        if decision is None:
+        checked = _check_decision(decision, n_reps, table.usable, active)
+        if checked is None:
             return None
-        timeouts = np.asarray(decision.timeouts, dtype=float)
-        target_idx = np.asarray(decision.target_idx, dtype=np.int64)
-        if timeouts.shape != (n_reps,) or target_idx.shape != (n_reps,):
-            return None
-        if (timeouts[active] < 0).any():
-            return None
-        targeted = target_idx[active & (target_idx >= 0)]
-        if targeted.size and (targeted >= n_states).any():
-            return None
-        if targeted.size and not known_target[targeted].all():
-            for idx in np.unique(targeted):
-                idx = int(idx)
-                if idx not in costs:
-                    tc = _target_costs(device, home, wait, idx)
-                    if tc is None:
-                        return None
-                    costs[idx] = tc
-                    span_by_target[idx] = np.zeros(n_reps)
-                    ndown_by_target[idx] = np.zeros(n_reps, dtype=np.int64)
-                    tbl_down_lat[idx] = tc.down_latency
-                    tbl_up_lat[idx] = tc.up_latency
-                    tbl_break_even[idx] = tc.break_even
-                    known_target[idx] = True
-
-        # target -1 wraps to the last state's constants: harmless, every
-        # consumer below is masked on target_idx >= 0
-        safe_target = target_idx % n_states
-        down_lat = tbl_down_lat[safe_target]
-        up_lat = tbl_up_lat[safe_target]
-        break_even = tbl_break_even[safe_target]
-
-        # shutdown rule, identical to the all-gaps kernel: zero timeouts
-        # execute inline (no horizon check); positive ones fire strictly
-        # before the gap-ending arrival (mid) / the window end (trailing)
+        timeouts, target_idx = checked
         rule_end = np.where(mid, gap_end, durations)
-        with np.errstate(invalid="ignore"):
-            fires = np.isfinite(timeouts) & (gap_start + timeouts < rule_end)
-        shutdown = active & (target_idx >= 0) & ((timeouts == 0.0) | fires)
-        shutdown_time = gap_start + timeouts
-        down_done = shutdown_time + down_lat
-        n_shutdowns += shutdown
-        with np.errstate(invalid="ignore"):
-            wrong = shutdown & mid & (gap_end - shutdown_time < break_even)
-        n_wrong += wrong
-
-        # trailing-gap end time: the window, stretched by a final service
-        # completion past it and by a trailing down transition in flight
-        trail_end = np.maximum(durations, prev_done)
-        stretch = shutdown & (down_lat > 0)
-        trail_end = np.where(stretch, np.maximum(trail_end, down_done), trail_end)
-
-        with np.errstate(invalid="ignore"):
-            idle_len = np.where(mid, gap_end - gap_start, trail_end - gap_start)
-            wait_span = np.where(
-                shutdown, timeouts,
-                np.where(mid, gap_end, trail_end) - gap_start,
-            )
-            span_mid = np.maximum(0.0, gap_end - down_done)
-        span = np.where(mid, span_mid, trail_end - down_done)
-        wait_total += np.where(active, wait_span, 0.0)
-        for idx in costs:
-            sel = shutdown & (target_idx == idx)
-            span_by_target[idx] += np.where(sel, span, 0.0)
-            ndown_by_target[idx] += sel
-        idle_rounds.append((idle_len, active))
-        policy.end_step_batch(states, idle_len, active)
-
-        # trailing replicas are finished after their gap resolves
-        final_target[trail] = target_idx[trail]
-        final_shutdown[trail] = shutdown[trail]
-        end_times[trail] = trail_end[trail]
+        rounds.append((active, gap_start, rule_end, timeouts, target_idx))
+        # a trailing gap's feedback is dropped: no decision follows it
+        policy.end_step_batch(states, gap_end - gap_start, mid)
         done |= trail
-
         if not mid.any():
             continue
 
         # ---- advance mid replicas one realized busy period ------------ #
         # the opener starts service after any in-flight down transition
         # completes and the device wakes
+        shutdown = _shutdown_rule(gap_start, rule_end, timeouts, target_idx)
+        down_done = gap_start + timeouts + table.down[target_idx]
         service_start = np.where(
-            shutdown, np.maximum(gap_end, down_done) + up_lat, gap_end
+            shutdown, np.maximum(gap_end, down_done) + table.up[target_idx],
+            gap_end,
         )
         shift = service_start - cum_before_s[rows, pos]
         shift_at[rows[mid], pos[mid]] = shift[mid]
@@ -693,32 +692,15 @@ def run_step_batched(
         completions = np.maximum(pure, shift_full + cum)
         latencies = np.subtract(completions, arrivals, out=completions)
 
-    # (round, replica) idle-length matrix -> per-replica chronological runs
-    idle_mat = np.array([lengths for lengths, _ in idle_rounds])
-    idle_mask = np.array([mask for _, mask in idle_rounds])
-
-    # ---- per-replica accounting (mirrors run_gap_batched) ------------- #
-    reports: List[SimReport] = []
-    for r in range(n_reps):
-        n_r = int(n_arr[r])
-        folds = []
-        for idx, tc in costs.items():
-            n_down = int(ndown_by_target[idx][r])
-            if n_down:
-                is_final = bool(final_shutdown[r]) and int(final_target[r]) == idx
-                folds.append((tc, n_down, n_down - (1 if is_final else 0),
-                              float(span_by_target[idx][r])))
-        reports.append(_compile_run(
-            device, home, wait, float(demands[r, :n_r].sum()),
-            float(wait_total[r]), folds,
-            end_time=float(end_times[r]),
-            latencies=latencies[r, :n_r],
-            idle_lengths=idle_mat[idle_mask[:, r], r],
-            n_shutdowns=int(n_shutdowns[r]),
-            n_wrong_shutdowns=int(n_wrong[r]),
-            keep_latencies=keep_latencies,
-        ))
-    return reports
+    # (replica, round) matrices; a replica's active rounds are its gaps
+    # in order, the trailing one last
+    active, gap_start, rule_end, timeouts, target_idx = (
+        np.array(column).T for column in zip(*rounds))
+    gap_bounds = np.concatenate(([0], np.cumsum(active.sum(axis=1))))
+    return _fold_runs(device, home, wait, table, n_arr, demands[valid],
+                      latencies[valid], gap_start[active], rule_end[active],
+                      timeouts[active], target_idx[active], gap_bounds,
+                      keep_latencies)
 
 
 def simulate_traces_batch(

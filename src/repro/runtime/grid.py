@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..analysis.ascii_plot import format_table
 from ..analysis.bootstrap import CI
+from ..checks import check_count
 from ..device import get_preset
 from ..env import build_dpm_model
 from ..workload.nonstationary import ConstantRate, RateSchedule
@@ -248,7 +249,7 @@ class GridRunner(ChunkedRunner):
     def run(self, grid: GridSpec, seeds: Sequence[int]) -> GridResult:
         """Run every grid cell for every seed; bit-identical for any
         ``(batch_size, n_jobs)`` combination."""
-        seeds = [int(s) for s in seeds]
+        seeds = [check_count("seed", s, 0) for s in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
         cells = grid.cells()

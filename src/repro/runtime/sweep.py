@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..analysis.bootstrap import CI, bootstrap_ci
+from ..checks import check_count
 from ..core.exploration import FixedDrawEpsilonGreedy
 from ..core.qdpm import QDPM, RunHistory
 from ..core.qlearning import QLearningAgent
@@ -541,7 +542,7 @@ class SweepRunner(ChunkedRunner):
         ``.env`` with ``totals`` / ``energy_saving_ratio()`` (e.g. the
         model-based pipeline).  Closures cannot ship and run in-process.
         """
-        seeds = [int(s) for s in seeds]
+        seeds = [check_count("seed", s, 0) for s in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
         hooked = on_record is not None or on_chunk_done is not None

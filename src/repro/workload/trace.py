@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
+from ..checks import check_nonnegative
+
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -34,13 +36,14 @@ class Trace:
     Parameters
     ----------
     arrival_times:
-        Non-decreasing array of arrival instants (seconds).
+        Non-decreasing array of finite arrival instants (seconds).
     duration:
-        Observation-window length; defaults to the last arrival.  Needed so
-        an empty tail (a long final idle period) is not silently dropped.
+        Finite observation-window length; defaults to the last arrival.
+        Needed so an empty tail (a long final idle period) is not
+        silently dropped.
     service_demands:
-        Optional per-request service time demands (seconds); defaults to
-        None meaning "unit demand decided by the simulator".
+        Optional per-request service time demands (finite seconds);
+        defaults to None meaning "unit demand decided by the simulator".
     """
 
     def __init__(
@@ -53,18 +56,21 @@ class Trace:
             times = np.array(arrival_times, dtype=float)
         else:
             times = np.asarray(list(arrival_times), dtype=float)
+        if not np.isfinite(times).all():
+            raise ValueError("arrival_times must be finite")
         if times.size and np.any(np.diff(times) < 0):
             raise ValueError("arrival_times must be non-decreasing")
         if times.size and times[0] < 0:
             raise ValueError("arrival_times must be >= 0")
         if duration is None:
             duration = float(times[-1]) if times.size else 0.0
+        duration = check_nonnegative("duration", duration)
         if times.size and duration < times[-1]:
             raise ValueError(
                 f"duration {duration} ends before the last arrival {times[-1]}"
             )
         self._times = times
-        self._duration = float(duration)
+        self._duration = duration
         if service_demands is not None:
             if isinstance(service_demands, np.ndarray):
                 demands = np.array(service_demands, dtype=float)
@@ -72,6 +78,8 @@ class Trace:
                 demands = np.asarray(list(service_demands), dtype=float)
             if demands.shape != times.shape:
                 raise ValueError("service_demands must match arrival_times length")
+            if not np.isfinite(demands).all():
+                raise ValueError("service_demands must be finite")
             if demands.size and np.any(demands < 0):
                 raise ValueError("service_demands must be >= 0")
             self._demands: Optional[np.ndarray] = demands

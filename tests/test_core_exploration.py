@@ -12,6 +12,8 @@ from repro.core import (
     LinearDecay,
     QTable,
 )
+from repro.runtime import RolloutSpec, SweepRunner
+from repro.workload import ConstantRate
 
 
 @pytest.fixture
@@ -67,6 +69,26 @@ class TestEpsilonGreedy:
         assert all(
             strat.select(table, 0, [0, 1, 2, 3], 20, rng) == 2 for _ in range(20)
         )
+
+
+@pytest.mark.parametrize("strategy", [EpsilonGreedy, FixedDrawEpsilonGreedy])
+@pytest.mark.parametrize("epsilon", [2.0, -0.1, float("nan")])
+def test_constant_epsilon_outside_unit_interval_rejected(strategy, epsilon):
+    """The scalar stack refuses what the batched engine refuses, with
+    the same message."""
+    with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\]"):
+        strategy(epsilon)
+
+
+def test_sweep_refuses_bad_epsilon_at_every_width():
+    """One seed runs on the scalar stack, 32 on the batched engine:
+    both refuse an epsilon outside [0, 1]."""
+    spec = RolloutSpec(schedule=ConstantRate(0.15), n_slots=200,
+                       record_every=100, epsilon=2.0)
+    for seeds in ([0], list(range(32))):
+        with pytest.raises(RuntimeError) as info:
+            SweepRunner(batch_size=32).run_many(spec, seeds)
+        assert "epsilon must be in [0, 1]" in str(info.value.__cause__)
 
 
 class TestFixedDrawEpsilonGreedy:

@@ -26,6 +26,7 @@ from repro.baselines import (
 )
 from repro.device import get_preset
 from repro.sim import NEVER, DPMSimulator, EventPolicy, IdleContext, IdleDecision
+from repro.sim.policy_api import BatchIdleDecision
 from repro.runtime import (
     policy_batch_mode,
     run_step_batched,
@@ -223,6 +224,89 @@ class TestChunkingInvariance:
         assert batch is not None
         for ref, fast in zip(refs, batch):
             assert_reports_match(ref, fast)
+
+
+class _AlternatingTargets(EventPolicy):
+    """Stateful two-target policy with lock-step hooks.
+
+    The first idle gap stays in the wait state.  Every later gap shuts
+    down to one of two targets after ``timeout`` seconds, alternating
+    per gap; whether it starts with the first or the second target
+    depends on the first gap's length, so replicas of one batch reach
+    their targets in different orders."""
+
+    name = "alternating_targets"
+
+    def __init__(self, targets, timeout=1.0, threshold=20.0):
+        self.targets = tuple(targets)
+        self.timeout = timeout
+        self.threshold = threshold
+        self.reset()
+
+    def reset(self):
+        self._n = 0
+        self._phase = 0
+
+    def on_idle(self, ctx):
+        if self._n == 0:
+            return IdleDecision(target_state=None, timeout=NEVER)
+        return IdleDecision(
+            target_state=self.targets[(self._n + self._phase) % 2],
+            timeout=self.timeout,
+        )
+
+    def on_idle_end(self, idle_length):
+        if self._n == 0:
+            self._phase = int(idle_length > self.threshold)
+        self._n += 1
+
+    def make_step_state(self, n, device, wait_state):
+        return {
+            "n": np.zeros(n, dtype=np.int64),
+            "phase": np.zeros(n, dtype=np.int64),
+            "idx": np.array([device.state_names.index(t) for t in self.targets]),
+        }
+
+    def decide_step_batch(self, states, ctx):
+        first = states["n"] == 0
+        target = states["idx"][(states["n"] + states["phase"]) % 2]
+        return BatchIdleDecision(
+            target_idx=np.where(first, -1, target),
+            timeouts=np.where(first, NEVER, self.timeout),
+        )
+
+    def end_step_batch(self, states, idle_lengths, active):
+        first = active & (states["n"] == 0)
+        states["phase"][first] = idle_lengths[first] > self.threshold
+        states["n"] += active
+
+
+class TestTwoTargetInvariance:
+    @pytest.mark.parametrize("device_name,targets", [
+        ("sa1100", ("idle", "sleep")),
+        ("wlan", ("doze", "off")),
+        ("sensor_radio", ("idle", "down")),
+    ])
+    def test_each_replica_equals_its_run_alone(self, device_name, targets,
+                                               rng):
+        """With two shutdown targets, a replica's report must not depend
+        on which traces share its batch (exact equality), and must still
+        track the scalar loop."""
+        traces = replication_traces(rng, n=8)
+        device = get_preset(device_name)
+        batch = run_step_batched(device, _AlternatingTargets(targets), traces,
+                                 service_time=0.4)
+        assert batch is not None
+        for trace, fast in zip(traces, batch):
+            alone = run_step_batched(device, _AlternatingTargets(targets),
+                                     [trace], service_time=0.4)
+            assert alone == [fast]
+            ref = DPMSimulator(device, _AlternatingTargets(targets),
+                               service_time=0.4).run(trace)
+            assert_reports_match(ref, fast)
+        # both targets really were used, in different first orders
+        assert all(targets[0] in r.state_residency
+                   and targets[1] in r.state_residency for r in batch)
 
 
 STATELESS = [

@@ -72,6 +72,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridRunner().run(grid, seeds=[])
 
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_seeds_must_be_whole_numbers(self, base, seed):
+        grid = GridSpec(base=base, rates=(0.1,))
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            GridRunner().run(grid, seeds=[seed])
+
 
 class TestGridRunner:
     def test_cells_match_plain_sweeps(self, base):

@@ -110,6 +110,13 @@ class TestRunMany:
         with pytest.raises(ValueError):
             SweepRunner().run_many(spec, seeds=[])
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "x"])
+    def test_seeds_must_be_whole_numbers(self, spec, seed):
+        """A fractional seed is refused, never truncated to another
+        seed's run; a negative one is refused before any chunk runs."""
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SweepRunner().run_many(spec, seeds=[0, seed])
+
     def test_bad_batch_size_raises(self):
         with pytest.raises(ValueError):
             SweepRunner(batch_size=0)

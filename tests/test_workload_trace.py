@@ -42,6 +42,34 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace([1.0], service_demands=[-0.5])
 
+    @pytest.mark.parametrize("times", [[1.0, np.nan], [np.nan], [1.0, np.inf]])
+    def test_non_finite_arrival_rejected(self, times):
+        with pytest.raises(ValueError, match="arrival_times must be finite"):
+            Trace(times, duration=5.0)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            Trace([], duration=duration)
+        with pytest.raises(ValueError, match="duration"):
+            Trace([1.0], duration=duration)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_demand_rejected(self, bad):
+        with pytest.raises(ValueError, match="service_demands must be finite"):
+            Trace([1.0, 2.0], duration=5.0, service_demands=[0.5, bad])
+
+    def test_files_with_non_finite_values_rejected(self, tmp_path):
+        for text in ("# duration=nan\narrival_time,service_demand\n1.0,\n",
+                     "# duration=5.0\narrival_time,service_demand\nnan,\n",
+                     "# duration=5.0\narrival_time,service_demand\n1.0,nan\n"):
+            with pytest.raises(ValueError, match="finite"):
+                Trace.from_csv(text)
+            path = tmp_path / "trace.csv"
+            path.write_text(text)
+            with pytest.raises(ValueError, match="finite"):
+                Trace.load(str(path))
+
     def test_iteration(self):
         assert list(Trace([1.0, 2.0])) == [1.0, 2.0]
 
