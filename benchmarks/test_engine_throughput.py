@@ -196,7 +196,9 @@ def test_telemetry_overhead():
     gate on.
 
     The timed A/B is still recorded into the artifact (not asserted),
-    min-of-N each, for the same serial multi-chunk sweep:
+    min-of-N each, for the same serial multi-chunk sweep.  Each repeat
+    runs all three variants back to back, so host drift over the
+    measurement lands on every variant alike:
 
     - **baseline** — every instrumentation point stubbed to a no-op on
       the singleton, approximating the pre-telemetry runtime;
@@ -216,13 +218,10 @@ def test_telemetry_overhead():
     runner = SweepRunner(batch_size=batch_size)
     seeds = list(range(n_seeds))
 
-    def best_seconds() -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            runner.run_many(spec, seeds)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def disabled_seconds() -> float:
+        start = time.perf_counter()
+        runner.run_many(spec, seeds)
+        return time.perf_counter() - start
 
     TELEMETRY.reset()
     null_span = TELEMETRY.span("off")  # the shared no-op handle
@@ -234,19 +233,30 @@ def test_telemetry_overhead():
         "observe": lambda *a, **k: None,
         "resilience_event": lambda payload: payload,
     }
-    try:
-        for name, stub in stubs.items():
-            setattr(TELEMETRY, name, stub)
-        baseline = best_seconds()
-    finally:
-        for name in stubs:
-            delattr(TELEMETRY, name)
-    disabled = best_seconds()
-    TELEMETRY.enable_tracing()
-    try:
-        enabled = best_seconds()
-    finally:
-        TELEMETRY.reset()
+
+    def baseline_seconds() -> float:
+        try:
+            for name, stub in stubs.items():
+                setattr(TELEMETRY, name, stub)
+            return disabled_seconds()
+        finally:
+            for name in stubs:
+                delattr(TELEMETRY, name)
+
+    def enabled_seconds() -> float:
+        TELEMETRY.enable_tracing()
+        try:
+            return disabled_seconds()
+        finally:
+            TELEMETRY.reset()
+
+    variants = {"baseline": baseline_seconds, "disabled": disabled_seconds,
+                "enabled": enabled_seconds}
+    best = dict.fromkeys(variants, float("inf"))
+    for _ in range(repeats):
+        for name, seconds in variants.items():
+            best[name] = min(best[name], seconds())
+    baseline, disabled, enabled = (best[name] for name in variants)
 
     disabled_overhead = disabled / baseline - 1.0
     enabled_overhead = enabled / baseline - 1.0

@@ -16,20 +16,30 @@ pinned bit-identical against that loop:
 - **Stateless** routers (:class:`RoundRobinRouter`,
   :class:`RandomRouter`) are pure functions of the request index (plus a
   routing RNG stream), so :meth:`Router.route_batch` partitions the
-  whole trace with NumPy ops.
+  whole trace with NumPy ops.  ``random`` makes one stream draw per
+  decision on every path; its per-decision form maps values from a
+  pre-filled block with NumPy's own bounded-integer rule.
 - **Queue-aware** routers (:class:`JoinShortestQueueRouter`,
   :class:`PowerAwareRouter`) depend on the evolving per-device backlog,
   so they cannot decide all requests at once — but they *can* advance
   the whole fleet one routing epoch (one arrival) per round.
   :meth:`Router.route_step_batch` is that path: each epoch's choice
-  is an inlined scan of the backlog's Python lists.
+  is an inlined scan of the backlog's Python lists.  ``jsq``'s needs no
+  completion heap: its choice is the first idle device, and a device is
+  idle exactly when its last booked completion is not after the
+  arrival.
 
 Under faults or overload protection every router goes through one
 per-request loop, :func:`route_with_overload`: failover retries,
 circuit breakers, a retry budget and deadline shedding, each a no-op
-when its :class:`OverloadConfig` knob is off.  Every routing loop runs
-over the one per-device backlog, the heap-settled :class:`_Backlog`
-(amortized one completion-heap pop per request).
+when its :class:`OverloadConfig` knob is off.  It runs over the
+heap-settled per-device :class:`_Backlog` (amortized one
+completion-heap pop per request), with its settle and assign inlined,
+as ``power_aware``'s step loop does.  A request that lands at its first
+attempt costs one :meth:`~Router.decide_one` call and one severity
+read: the loop calls the breaker fleet only while a breaker is open or
+a booking can change one, and writes only the results that differ from
+a plain landing.
 
 Per-request routing state is Python lists end to end (backlogs,
 breaker and live masks): at fleet sizes of 1-64 a NumPy call costs
@@ -51,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Type
@@ -127,8 +138,7 @@ class Router(ABC):
 
         Second opt-in fast path, mirroring
         :meth:`~repro.sim.policy_api.EventPolicy.decide_step_batch`: a
-        queue-aware router advances its per-device backlog
-        (:class:`_Backlog`, or its settle and assign inlined) one epoch
+        queue-aware router advances its per-device backlog one epoch
         (one arrival) per round, with its decision scan inlined instead
         of a :meth:`decide_one` call.  It must reproduce :meth:`route`
         bit-for-bit (pinned in tests/test_fleet_dispatch.py).  Consulted
@@ -204,9 +214,15 @@ class RoundRobinRouter(Router):
 class RandomRouter(Router):
     """Uniform-random assignment from the routing stream.
 
-    Scalar and batch paths draw from the same generator state; NumPy's
-    bounded-integer sampling consumes the stream identically one-at-a-time
-    and batched, so the two are bit-identical (and pinned so).
+    One stream draw per decision: :meth:`route_batch` takes all of them
+    in one ``integers(0, n_devices, size=T)`` call, and
+    :meth:`decide_one` maps 32-bit values from a pre-filled block
+    (:data:`_DRAW_BLOCK` at a time, held in the :meth:`begin_route`
+    state) to ``[0, n)`` with NumPy's Lemire rule, its rejection loop
+    included.  That is ``Generator.integers(0, n)`` one call at a time,
+    bit for bit (pinned so), so every path picks the same devices.  How
+    far a route leaves the generator advanced is not part of the
+    contract: the block may hold values no decision used.
     """
 
     name = "random"
@@ -215,26 +231,66 @@ class RandomRouter(Router):
         return ctx.rng.integers(0, ctx.n_devices, size=ctx.arrivals.size,
                                 dtype=np.int64)
 
+    def begin_route(self, ctx: RouteContext) -> dict:
+        if ctx.n_devices > 1 << 32:
+            # past 2**32 NumPy switches to a 64-bit draw rule
+            raise ValueError(
+                f"random routing draws 32-bit values; n_devices must be "
+                f"<= 2**32, got {ctx.n_devices}"
+            )
+        return {"draws": []}
+
     def decide_one(self, state, queue_len, last_completion, now, ctx,
                    alive=None) -> int:
-        # one stream draw per decision in either mode; with every device
-        # alive the masked draw indexes the identity, so a no-fault pass
-        # consumes the stream exactly like route_batch()
+        # with every device alive the masked draw indexes the identity,
+        # so a no-fault pass consumes the stream exactly like
+        # route_batch()
         if alive is None:
-            return int(ctx.rng.integers(0, ctx.n_devices))
-        live = [d for d, ok in enumerate(alive) if ok]
-        return live[int(ctx.rng.integers(0, len(live)))]
+            live = None
+            n = ctx.n_devices
+        else:
+            live = [d for d, ok in enumerate(alive) if ok]
+            n = len(live)
+        if n == 1:
+            pick = 0  # integers(0, 1) draws nothing
+        else:
+            # Lemire: the high word of value * n, redrawn while the low
+            # word falls under 2**32 mod n; that threshold is below n,
+            # so it is computed only for a low word below n
+            draws = state["draws"]
+            m = (draws.pop() if draws else _refill(draws, ctx.rng)) * n
+            if (m & 0xFFFFFFFF) < n:
+                threshold = (0x100000000 - n) % n
+                while (m & 0xFFFFFFFF) < threshold:
+                    m = (draws.pop() if draws else _refill(draws, ctx.rng)) * n
+            pick = m >> 32
+        return pick if live is None else live[pick]
+
+
+#: 32-bit values a :class:`RandomRouter` route takes from its stream at once
+_DRAW_BLOCK = 256
+
+
+def _refill(draws: List[int], rng: np.random.Generator) -> int:
+    """Refill the empty stack ``draws`` with the stream's next
+    :data:`_DRAW_BLOCK` 32-bit values, and pop the first of them."""
+    block = rng.integers(0, 1 << 32, size=_DRAW_BLOCK, dtype=np.uint32)
+    draws.extend(block[::-1].tolist())
+    return draws.pop()
 
 
 class _Backlog:
     """Per-device FIFO backlog under the dispatcher-level service model.
 
     Exposes live ``queue_len: List[int]`` / ``last_completion:
-    List[float]`` (updated in place, so a routing loop can hold on to
-    them and bind :meth:`settle` / :meth:`assign` once per trace).  One
-    completion min-heap shared by all devices settles the backlog:
-    amortized one heap pop per request over a whole trace, instead of a
-    walk over every device's pending list per request.
+    List[float]`` and the completion heap ``_heap``, all updated in
+    place.  One completion min-heap shared by all devices settles the
+    backlog: amortized one heap pop per request over a whole trace,
+    instead of a walk over every device's pending list per request.
+    :meth:`settle` and :meth:`assign` are the semantics of record
+    (pinned against plain pending lists); the per-request loops bind
+    the lists and heap once per trace and inline the two bodies, whose
+    method calls would be a large share of a decision's cost.
     """
 
     def __init__(self, n_devices: int) -> None:
@@ -285,29 +341,39 @@ class JoinShortestQueueRouter(Router):
     name = "jsq"
 
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
-        # _Backlog's settle and assign inlined: the two method calls are
-        # a quarter of this loop's per-request cost, and the bench bar
-        # wants it >= 5x route(), which runs over _Backlog itself
-        heap: List[Tuple[float, int]] = []
-        queue_len = [0] * ctx.n_devices
-        last = [0.0] * ctx.n_devices
-        first_of = queue_len.index
+        # An empty queue is the minimum, so the choice is the first idle
+        # device, and a device is idle exactly when its last booked
+        # completion is not after ``now`` (it serves FIFO).  So this
+        # loop keeps no completion heap: each device's pending
+        # completions sit in its own deque, emptied when it is found
+        # idle, and settled and counted only when every device is busy
+        # (strict < keeps the lowest-index tie, as argmin).  The bench
+        # bar wants this loop >= 5x route()
+        n_devices = ctx.n_devices
+        pending = [deque() for _ in range(n_devices)]
+        last = [-math.inf] * n_devices  # never booked: idle at any instant
         out = []
         book = out.append
         for now, demand in zip(ctx.arrivals.tolist(), ctx.demands.tolist()):
-            while heap and heap[0][0] <= now:
-                queue_len[heappop(heap)[1]] -= 1
-            # an empty queue is the minimum: the first one found is the
-            # lowest-index tie, so the full min() scan runs only when
-            # every device is busy
-            choice = first_of(0) if 0 in queue_len else first_of(
-                min(queue_len)
-            )
-            lc = last[choice]
-            done = (lc if lc > now else now) + demand
+            for choice, lc in enumerate(last):
+                if lc <= now:
+                    pending[choice].clear()
+                    start = now
+                    break
+            else:
+                shortest = -1
+                for d, queue in enumerate(pending):
+                    # the device's last completion, still after ``now``,
+                    # ends this loop before the deque runs dry
+                    while queue[0] <= now:
+                        queue.popleft()
+                    if shortest < 0 or len(queue) < shortest:
+                        choice = d
+                        shortest = len(queue)
+                start = last[choice]
+            done = start + demand
             last[choice] = done
-            queue_len[choice] += 1
-            heappush(heap, (done, choice))
+            pending[choice].append(done)
             book(choice)
         return np.asarray(out, dtype=np.int64)
 
@@ -358,19 +424,19 @@ class PowerAwareRouter(Router):
     def route_step_batch(self, ctx: RouteContext) -> np.ndarray:
         # the decide_one tree inlined as one scan per branch: strict
         # < / > keep the lowest index on ties, as NumPy's argmin /
-        # argmax do
+        # argmax do; _Backlog's settle and assign are inlined as in
+        # jsq's loop
         window = self.resolve_window(ctx.device)
         max_queue = self._max_queue
         devices = range(ctx.n_devices)
-        backlog = _Backlog(ctx.n_devices)
-        settle = backlog.settle
-        assign = backlog.assign
-        qlen = backlog.queue_len
-        last = backlog.last_completion
+        heap: List[Tuple[float, int]] = []
+        qlen = [0] * ctx.n_devices
+        last = [0.0] * ctx.n_devices
         out = []
         book = out.append
         for now, demand in zip(ctx.arrivals.tolist(), ctx.demands.tolist()):
-            settle(now)
+            while heap and heap[0][0] <= now:
+                qlen[heappop(heap)[1]] -= 1
             # shortest awake queue with room; ``q < best`` from
             # max_queue is the room test and the argmin in one.  Awake
             # is ``now - last < window`` alone, provably equal to
@@ -396,7 +462,11 @@ class PowerAwareRouter(Router):
                 if choice < 0:
                     # every device awake and full: shortest queue
                     choice = qlen.index(min(qlen))
-            assign(choice, now, demand)
+            lc = last[choice]
+            done = (lc if lc > now else now) + demand
+            last[choice] = done
+            qlen[choice] += 1
+            heappush(heap, (done, choice))
             book(choice)
         return np.asarray(out, dtype=np.int64)
 
@@ -406,34 +476,34 @@ class PowerAwareRouter(Router):
     def decide_one(self, state, queue_len, last_completion, now, ctx,
                    alive=None) -> int:
         # the class docstring's decision tree with every eligibility
-        # test ANDed against the mask, on Python values; with alive=None
-        # (or all-True) each branch reduces to the unmasked tree
-        # route_step_batch inlines, so choices — and tie-breaks — match
-        # it exactly
+        # test ANDed against the mask, on Python values, scanning the
+        # lists in place; with alive=None (or all-True) each branch
+        # reduces to the unmasked tree route_step_batch inlines, so
+        # choices — and tie-breaks — match it exactly.  Awake keeps the
+        # ``q > 0`` half: callers may pass lists no backlog produced
         window = state["window"]
-        devices = range(len(queue_len))
-        eligible = [True] * len(queue_len) if alive is None else alive
-        awake = [q > 0 or now - lc < window
-                 for q, lc in zip(queue_len, last_completion)]
         choice = -1
         best = self._max_queue  # room test and argmin in one compare
-        for d in devices:
-            if queue_len[d] < best and awake[d] and eligible[d]:
+        for d, q in enumerate(queue_len):
+            if (q < best and (q > 0 or now - last_completion[d] < window)
+                    and (alive is None or alive[d])):
                 choice = d
-                best = queue_len[d]
+                best = q
         if choice >= 0:
             return choice
         # wake the most recently used sleeping (live) device
         recent = -math.inf
-        for d in devices:
-            lc = last_completion[d]
-            if lc > recent and not awake[d] and eligible[d]:
+        for d, lc in enumerate(last_completion):
+            if (lc > recent and not (queue_len[d] > 0 or now - lc < window)
+                    and (alive is None or alive[d])):
                 choice = d
                 recent = lc
         if choice >= 0:
             return choice
         # every live device awake and full: plain shortest live queue
-        return _shortest_live(queue_len, eligible)
+        if alive is None:
+            return queue_len.index(min(queue_len))
+        return _shortest_live(queue_len, alive)
 
 
 #: registry used by the sweep layer and the CLI ``--router`` flag
@@ -653,17 +723,22 @@ class _BreakerFleet:
     :meth:`routing_mask` returns None — the disabled path adds nothing
     to the failover semantics.  Per-device state lives in Python lists:
     the loop touches one device per call, and a mask list is built only
-    while some breaker is open.
+    while some breaker is open.  ``n_open``, ``state`` and ``failures``
+    exist whatever the config (a disabled fleet stays all-closed with
+    no failures), so the routing loop can skip the calls that provably
+    change nothing: :meth:`routing_mask` while ``n_open`` is 0, and
+    :meth:`record_outcome` for a timely booking on a closed breaker
+    with no failure run.
     """
 
     def __init__(self, n_devices: int, config: Optional[BreakerConfig]):
         self.config = config
         self.trips = 0
+        self.n_open = 0  # breakers in state open
+        self.state = [_BRK_CLOSED] * n_devices
+        self.failures = [0] * n_devices
         if config is None:
             return
-        self.state = [_BRK_CLOSED] * n_devices
-        self.n_open = 0  # breakers in state open
-        self.failures = [0] * n_devices
         self.successes = [0] * n_devices
         self.opened_at = [0.0] * n_devices
 
@@ -921,16 +996,28 @@ def route_with_overload(
     max_retries = failover.max_retries
     resubmit = failover.policy == "resubmit"
     n = int(ctx.arrivals.size)
+    # the backlog's settle and assign are inlined below (retries still
+    # call settle): with nothing failing, the per-request cost is the
+    # router's decision plus these few list operations
     backlog = _Backlog(ctx.n_devices)
     queue_len = backlog.queue_len
     last_completion = backlog.last_completion
+    heap = backlog._heap
     settle = backlog.settle
-    assign = backlog.assign
     state = router.begin_route(ctx)
     breaker = _BreakerFleet(ctx.n_devices, config.breaker)
     routing_mask = breaker.routing_mask
     record_failure = breaker.record_failure
     record_outcome = breaker.record_outcome
+    # a booking changes a breaker only when it is late, lands on a
+    # breaker that is not closed, or ends a failure run; anything else
+    # would reset a failure count that is already 0
+    breaker_state = breaker.state
+    breaker_failures = breaker.failures
+    latency_threshold = (
+        math.inf if config.breaker is None
+        else config.breaker.latency_threshold
+    )
     take_token = _RetryBudget(config.retry_budget).take
     deadlines = (
         np.full(n, math.inf)
@@ -942,32 +1029,35 @@ def route_with_overload(
     # (kept as a (T, N) array: no T x N Python objects); retries use the
     # point queries
     first_severity = faults.severity_rows(ctx.arrivals).item
+    arrivals = ctx.arrivals.tolist()
+    # per-request results pre-filled with what a first-attempt landing
+    # leaves, so only a retried or shed request writes more than its
+    # assignment
     assignments = [0] * n
-    dispatch_times = [0.0] * n
+    dispatch_times = list(arrivals)
     retries = [0] * n
     shed_reasons = [SHED_NONE] * n
     completions = [math.nan] * n
-
-    arrivals = ctx.arrivals.tolist()
     demands = ctx.demands.tolist()
     effective_demands = list(demands)
     deadline_list = deadlines.tolist()
     decide = router.decide_one
     severity_at = faults.severity_at
     alive_mask = faults.alive_mask
-    for i in range(n):
-        now = arrivals[i]
+    inf = math.inf
+    for i, now in enumerate(arrivals):
+        while heap and heap[0][0] <= now:
+            queue_len[heappop(heap)[1]] -= 1
+        # routing_mask only promotes open breakers, and with none open
+        # its mask is None
+        mask = routing_mask(now) if breaker.n_open else None
+        choice = decide(state, queue_len, last_completion, now, ctx, mask)
+        severity = first_severity(i, choice)
         t = now
         k = 0
-        deadline = deadline_list[i]
         reason = SHED_NONE
-        settle(t)
-        choice = decide(
-            state, queue_len, last_completion, t, ctx,
-            alive=routing_mask(t),
-        )
-        severity = first_severity(i, choice)
-        while severity == math.inf:  # the chosen device is down
+        deadline = deadline_list[i]
+        while severity == inf:  # the chosen device is down
             record_failure(choice, t)
             if k == max_retries:
                 choice = DROPPED_ASSIGNMENT
@@ -999,20 +1089,29 @@ def route_with_overload(
             severity = severity_at(choice, t)
         if choice >= 0:
             demand = demands[i] * severity
-            start = max(t, last_completion[choice])
+            lc = last_completion[choice]
+            start = lc if lc > t else t  # == max(t, lc)
             done = start + demand
             if done > deadline:
                 choice = SHED_ASSIGNMENT
                 reason = SHED_DEADLINE
             else:
-                assign(choice, t, demand)
+                last_completion[choice] = done
+                queue_len[choice] += 1
+                heappush(heap, (done, choice))
                 completions[i] = done
                 effective_demands[i] = demand
-                record_outcome(choice, t, start - t)
+                wait = start - t
+                if (wait > latency_threshold
+                        or breaker_state[choice] != _BRK_CLOSED
+                        or breaker_failures[choice]):
+                    record_outcome(choice, t, wait)
         assignments[i] = choice
-        dispatch_times[i] = t
-        retries[i] = k
-        shed_reasons[i] = reason
+        if k:  # t moves only with a backoff
+            dispatch_times[i] = t
+            retries[i] = k
+        if reason != SHED_NONE:
+            shed_reasons[i] = reason
     return OverloadOutcome(
         arrivals=ctx.arrivals,
         assignments=np.array(assignments, dtype=np.int64),

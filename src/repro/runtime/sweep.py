@@ -205,13 +205,15 @@ class SweepResult:
 #: Seed chunks narrower than these run on the scalar stack (one
 #: ``SlottedDPMEnv`` per seed) instead of the batched engine, whose
 #: per-slot NumPy overhead only pays off across enough replicas.
-#: Measured as the break-even of replica-slots per CPU second (2-core
-#: x86_64, Python 3.11.7, abstract3, 8,000 slots, best of 7): learning,
-#: scalar ~115-125k per seed against batched ~11k at B=1, parity at
-#: B=11-12; fixed policy, scalar ~400-425k against batched ~25k at B=1,
-#: parity at B=19-20.
-LEARNING_CROSSOVER = 12
-FIXED_POLICY_CROSSOVER = 20
+#: Each is the narrowest width at which the batched engine ran at least
+#: as many replica-slots per CPU second as the scalar stack in every
+#: reading (2-core x86_64, Python 3.11.7, abstract3, 8,000 slots, the
+#: two engines interleaved within each of 7 repeats, best of 7, three
+#: readings on a shared host): learning read 0.95-1.07x at B=7,
+#: 0.93-1.09x at B=8, 1.12-1.44x at B=9 and 1.50x at B=10; fixed
+#: policy read 0.82x at B=9, 1.02-1.13x at B=10 and 1.07-1.10x at B=11.
+LEARNING_CROSSOVER = 9
+FIXED_POLICY_CROSSOVER = 10
 
 
 def runs_scalar(spec: RolloutSpec, width: int) -> bool:

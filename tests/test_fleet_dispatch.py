@@ -28,6 +28,7 @@ from repro.fleet import (
     RoundRobinRouter,
     make_router,
 )
+from repro.fleet import dispatch
 from repro.fleet.dispatch import _Backlog
 from repro.workload import Exponential, Trace, renewal_trace
 
@@ -311,6 +312,105 @@ class TestRandom:
         assert a.min() >= 0 and a.max() < 5
 
 
+#: bounds of the block-draw pin: powers of two never reject, odd bounds
+#: can, and the largest rejects about three draws in ten
+DRAW_BOUNDS = (1, 2, 3, 7, 8, 64, 3_000_000_001)
+
+
+def _edge_draws(n):
+    """32-bit values whose Lemire low word, ``value * n mod 2**32``,
+    sits exactly at the rejection threshold ``2**32 mod n`` (accepted)
+    and one below it (redrawn).  Odd bounds only, which are invertible
+    mod 2**32; the bound 1 has no threshold to sit on."""
+    threshold = (1 << 32) % n
+    if n % 2 == 0 or threshold == 0:
+        return []
+    inverse = pow(n, -1, 1 << 32)
+    return [low * inverse % (1 << 32) for low in (threshold, threshold - 1)]
+
+
+def _generator(seed, first):
+    """``default_rng(seed)``, its next 32-bit value planted as ``first``
+    (PCG64 hands out the buffered upper half of a 64-bit draw first)."""
+    rng = np.random.default_rng(seed)
+    if first is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, first
+        rng.bit_generator.state = state
+    return rng
+
+
+@st.composite
+def block_draw_runs(draw):
+    """A bound, then decisions: unmasked (None) or masked with 1 to
+    N - 1 live devices, read from blocks of 1-40 values."""
+    n = draw(st.sampled_from(DRAW_BOUNDS))
+    decision = st.none()
+    if 1 < n <= 64:
+        decision = decision | st.sets(
+            st.integers(0, n - 1), min_size=1, max_size=n - 1
+        ).map(lambda live: [d in live for d in range(n)])
+    decisions = draw(st.lists(decision, min_size=1, max_size=60))
+    first = draw(st.none() | st.sampled_from(_edge_draws(n) or [None]))
+    return (n, decisions, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(1, 40)), first)
+
+
+def _edge_case(n, which):
+    return (n, [None] * 4, 17, 3, _edge_draws(n)[which])
+
+
+class TestRandomBlockDraw:
+    """``RandomRouter.decide_one`` maps 32-bit values from a pre-filled
+    block to ``[0, n)``; every decision must equal one
+    ``Generator.integers(0, n)`` call on the same stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_draw_runs())
+    # the low word exactly at the threshold, and one below it
+    @example(_edge_case(3, 0))
+    @example(_edge_case(3, 1))
+    @example(_edge_case(7, 0))
+    @example(_edge_case(7, 1))
+    @example(_edge_case(3_000_000_001, 0))
+    @example(_edge_case(3_000_000_001, 1))
+    # one live device draws nothing, and blocks of two refill often
+    @example((8, [[d == 5 for d in range(8)], None, None, None], 4, 2, None))
+    def test_one_integers_call_per_decision(self, run):
+        n, decisions, seed, block, first = run
+        want_rng = _generator(seed, first)
+        want = []
+        for alive in decisions:
+            if alive is None:
+                want.append(int(want_rng.integers(0, n)))
+            else:
+                live = np.flatnonzero(alive)
+                want.append(int(live[want_rng.integers(0, live.size)]))
+        ctx = RouteContext(arrivals=np.zeros(0), demands=np.zeros(0),
+                           n_devices=n, device=get_preset("mobile_hdd"),
+                           rng=_generator(seed, first))
+        router = RandomRouter()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dispatch, "_DRAW_BLOCK", block)
+            state = router.begin_route(ctx)
+            got = [router.decide_one(state, [], [], 0.0, ctx, alive=alive)
+                   for alive in decisions]
+        assert got == want
+
+    def test_edge_draws_sit_on_the_threshold(self):
+        for n in (3, 7, 3_000_000_001):
+            at, below = ((v * n) % (1 << 32) for v in _edge_draws(n))
+            assert at == (1 << 32) % n and below == at - 1
+
+    def test_fleet_past_32_bits_rejected(self):
+        ctx = RouteContext(arrivals=np.zeros(0), demands=np.zeros(0),
+                           n_devices=(1 << 32) + 1,
+                           device=get_preset("mobile_hdd"),
+                           rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_devices"):
+            RandomRouter().begin_route(ctx)
+
+
 class TestJoinShortestQueue:
     def test_spreads_simultaneous_burst(self):
         # four arrivals inside one service time: each must land on a
@@ -325,6 +425,16 @@ class TestJoinShortestQueue:
         trace = Trace([0.0, 5.0], duration=10.0)
         out = JoinShortestQueueRouter().route(make_context(trace, 2))
         assert out.tolist() == [0, 0]
+
+    def test_all_busy_settles_a_completion_at_the_arrival(self):
+        # at t=0.5 both devices are busy, and device 0's first
+        # completion lands exactly then: settled, it leaves one request
+        # per device, so the tie goes to device 0
+        trace = Trace([0.0, 0.0, 0.0, 0.5], duration=2.0,
+                      service_demands=[0.5, 1.0, 0.5, 0.25])
+        router = JoinShortestQueueRouter()
+        for route in (router.route, router.route_step_batch):
+            assert route(make_context(trace, 2)).tolist() == [0, 1, 0, 0]
 
 
 class TestPowerAware:
