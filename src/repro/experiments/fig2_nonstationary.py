@@ -78,8 +78,7 @@ class Fig2Result:
                 f"(target payoff {q.target:.3f})"
             )
         lines.append(
-            f"model-based re-optimizations: {self.mb_log.n_reoptimizations}, "
-            f"optimizer wall-clock {self.mb_log.optimize_seconds * 1e3:.1f} ms"
+            f"model-based re-optimizations: {self.mb_log.n_reoptimizations}"
         )
         if self.n_seeds > 1 and self.qdpm_reward_ci is not None:
             lines.append(

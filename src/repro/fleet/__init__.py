@@ -6,10 +6,11 @@ share a high-rate arrival stream behind a :class:`Dispatcher`, whose
 :class:`Router` decides which replica serves each request.  The
 resulting per-device sub-traces run on the existing single-device
 engines (the vectorized busy-period kernel of
-:mod:`repro.runtime.eventsim`, scalar event-loop fallback), and a
-:class:`FleetReport` folds the per-device results into fleet energy,
-per-device residency, and exact tail latency over the merged completion
-stream.  :class:`FleetSweepRunner` fans
+:mod:`repro.runtime.eventsim`, scalar event-loop fallback), and
+:func:`build_fleet_report` folds the per-device results into one
+:class:`FleetReport` — fleet energy, per-device residency, and exact
+tail latency over the merged completion stream — and drops them: the
+report is the aggregate alone.  :class:`FleetSweepRunner` fans
 (fleet size x router x policy x trace seed) grids across the executor
 layer with bootstrap-CI aggregation — the `fleet-sweep` CLI entry.
 

@@ -568,10 +568,11 @@ class FailoverConfig:
                 f"choose from {FAILOVER_POLICIES}"
             )
         check_count("max_retries", self.max_retries, 0)
-        # ``not x > y`` also rejects NaN
-        if not self.backoff_base > 0:
+        # ``not x < y`` also rejects NaN
+        if not 0 < self.backoff_base < math.inf:
             raise ValueError(
-                f"backoff_base must be > 0, got {self.backoff_base}"
+                f"backoff_base must be finite and > 0, "
+                f"got {self.backoff_base}"
             )
         if self.max_retries > 0 and not self.backoff_cap >= self.backoff_base:
             raise ValueError(
@@ -582,7 +583,11 @@ class FailoverConfig:
 
 def _backoff_delay(k: int, config: FailoverConfig) -> float:
     """Delay before retry ``k`` (1-based): capped exponential."""
-    return min(config.backoff_base * (2.0 ** (k - 1)), config.backoff_cap)
+    try:
+        delay = math.ldexp(config.backoff_base, k - 1)
+    except OverflowError:  # the doubling has passed every float, cap too
+        return config.backoff_cap
+    return min(delay, config.backoff_cap)
 
 
 # ---------------------------------------------------------------------- #

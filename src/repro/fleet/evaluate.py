@@ -4,7 +4,8 @@
 :func:`~repro.runtime.eventsim.simulate_trace`: route the shared arrival
 stream across N device replicas, evaluate every sub-trace on the
 single-device engine, and fold the per-device reports into a
-:class:`~repro.fleet.report.FleetReport`.
+:class:`~repro.fleet.report.FleetReport` (the fleet aggregate; the
+per-device reports are dropped after the fold).
 
 Routing makes one two-way decision per trace (:func:`_route`).  With
 no ``faults`` and no ``overload`` the dispatcher's plain path runs
@@ -105,7 +106,6 @@ def run_fleet(
     oracle: bool = False,
     route_seed: int = 0,
     engine: str = "auto",
-    keep_latencies: bool = True,
     faults=None,
     fault_seed: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
@@ -130,10 +130,8 @@ def run_fleet(
     metrics.  Brownout (finite-severity) intervals inflate the booked
     demands.
 
-    The fleet quantiles always merge the exact per-device completion
-    streams; ``keep_latencies=False`` drops the raw arrays from the
-    retained per-device reports *after* that merge (the fleet sweep
-    uses it so worker results pickle small).
+    The fleet quantiles merge the exact per-device completion streams;
+    the per-device reports are local to the call and are not returned.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -141,8 +139,7 @@ def run_fleet(
         return run_fleet_batch(
             device, policy, [trace], router, n_devices,
             service_time=service_time, oracle=oracle,
-            route_seeds=[route_seed], keep_latencies=keep_latencies,
-            faults=faults,
+            route_seeds=[route_seed], faults=faults,
             fault_seeds=None if fault_seed is None else [fault_seed],
             overload=overload,
         )[0]
@@ -169,7 +166,6 @@ def run_fleet(
             policy=policy.name,
             home_power=device.state(device.initial_state).power,
             reports=reports,
-            keep_latencies=keep_latencies,
             **fault_kwargs,
         )
 
@@ -183,7 +179,6 @@ def run_fleet_batch(
     service_time: float = 0.5,
     oracle: bool = False,
     route_seeds: Optional[Sequence[int]] = None,
-    keep_latencies: bool = True,
     faults=None,
     fault_seeds: Optional[Sequence[int]] = None,
     overload: Optional[OverloadConfig] = None,
@@ -216,7 +211,6 @@ def run_fleet_batch(
     )
     return evaluate_fleet_batch(
         device, policy, routed, service_time=service_time, oracle=oracle,
-        keep_latencies=keep_latencies,
     )
 
 
@@ -287,7 +281,6 @@ def evaluate_fleet_batch(
     routed: RoutedBatch,
     service_time: float = 0.5,
     oracle: bool = False,
-    keep_latencies: bool = True,
 ) -> List[FleetReport]:
     """The evaluation half of :func:`run_fleet_batch`: every sub-trace
     of ``routed`` under ``policy``, folded into one fleet report per
@@ -310,7 +303,6 @@ def evaluate_fleet_batch(
                 policy=policy.name,
                 home_power=home_power,
                 reports=reports[r * n:(r + 1) * n],
-                keep_latencies=keep_latencies,
                 **fields,
             )
             for r, fields in enumerate(routed.fields)

@@ -3,17 +3,17 @@
 A fleet run produces one :class:`~repro.sim.SimReport` per device (all
 assembled through :func:`~repro.sim.stats.compile_report`, whichever
 engine ran the device).  :func:`build_fleet_report` folds them into one
-:class:`FleetReport`: fleet energy and mean power, savings against an
-all-always-on fleet, per-device request counts and residency, and tail
-latency over the *merged* completion stream — per-request delays are
-carried on each device report precisely so the fleet quantiles are exact
-order statistics, not approximations from per-device summaries.
+:class:`FleetReport` and drops them: fleet energy and mean power,
+savings against an all-always-on fleet, per-device request counts and
+residency, and tail latency over the *merged* completion stream — the
+fold reads each device's per-request delays, so the fleet quantiles are
+exact order statistics, not approximations from per-device summaries.
+The report is the aggregate and nothing else.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -67,8 +67,6 @@ class FleetReport:
     #: requests offered to the dispatcher (0 for legacy reports built
     #: without the offered count; then conservation is unchecked)
     n_offered: int = 0
-    #: the per-device reports the aggregate was folded from
-    device_reports: Tuple[SimReport, ...] = field(default=(), repr=False)
 
     @property
     def load_imbalance(self) -> float:
@@ -83,7 +81,6 @@ def build_fleet_report(
     policy: str,
     home_power: float,
     reports: Sequence[SimReport],
-    keep_latencies: bool = True,
     availability: float = 1.0,
     n_retries: int = 0,
     n_dropped: int = 0,
@@ -99,10 +96,8 @@ def build_fleet_report(
 
     ``home_power`` is the replicated device's serving-state power, the
     per-device always-on reference the fleet saving is measured against.
-    ``keep_latencies=False`` strips the raw per-request arrays from the
-    retained ``device_reports`` once the exact merged-stream quantiles
-    are computed — the fold is the last consumer, so sweep workers can
-    ship the aggregate back without R x n_requests floats in the pickle.
+    The fold is the last reader of ``reports``: the returned report
+    keeps none of them, so sweep workers ship only the aggregate.
     The fault-injection and overload fields (``availability``, the
     failover counters, shed counts, goodput, SLO attainment, breaker
     trips) come from the fault-aware loop's
@@ -128,8 +123,6 @@ def build_fleet_report(
     for r in reports:
         for key, span in r.state_residency.items():
             residency[key] = residency.get(key, 0.0) + span
-    if not keep_latencies:
-        reports = [dataclasses.replace(r, latencies=()) for r in reports]
 
     return FleetReport(
         n_devices=n_devices,
@@ -159,5 +152,4 @@ def build_fleet_report(
         slo_attainment=float(slo_attainment),
         n_breaker_trips=int(n_breaker_trips),
         n_offered=int(n_offered),
-        device_reports=tuple(reports),
     )

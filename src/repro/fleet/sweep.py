@@ -311,9 +311,9 @@ def run_fleet_chunk(
     (:func:`~repro.fleet.evaluate.evaluate_fleet_batch`) — per policy,
     exactly :func:`~repro.fleet.evaluate.run_fleet_batch`.  Each seed's
     report is still a pure function of the arguments, so results are
-    identical for every ``(chunk_size, n_jobs)``.  Raw latency arrays
-    are dropped so the pickled results stay small.  Each replication's
-    fault stream realizes from ``seed + FAULT_SEED_OFFSET``,
+    identical for every ``(chunk_size, n_jobs)``.  The reports carry
+    only the fleet aggregate, so the pickled results stay small.  Each
+    replication's fault stream realizes from ``seed + FAULT_SEED_OFFSET``,
     decorrelated from its trace and routing streams; ``faults`` and
     ``overload`` route as in :func:`~repro.fleet.evaluate.run_fleet`."""
     with TELEMETRY.span("chunk", cat="sweep", kind="fleet",
@@ -332,10 +332,8 @@ def run_fleet_chunk(
             overload=overload,
         )
         return [
-            evaluate_fleet_batch(
-                device, p.policy, routed, service_time=service_time,
-                oracle=p.oracle, keep_latencies=False,
-            )
+            evaluate_fleet_batch(device, p.policy, routed,
+                                 service_time=service_time, oracle=p.oracle)
             for p in policy_specs
         ]
 
@@ -364,8 +362,8 @@ def reference_fleet_chunk(
                 make_router(router_name), n_devices,
                 service_time=service_time, oracle=p.oracle,
                 route_seed=seed + ROUTE_SEED_OFFSET, engine="scalar",
-                keep_latencies=False, faults=faults,
-                fault_seed=seed + FAULT_SEED_OFFSET, overload=overload,
+                faults=faults, fault_seed=seed + FAULT_SEED_OFFSET,
+                overload=overload,
             )
             for seed in seeds
         ]
@@ -439,9 +437,6 @@ class FleetSweepRunner(ChunkedRunner):
             check=partial(_check_fleet_report, spec.trace.name),
             reference=reference_fleet_chunk,
             reference_name="run_fleet scalar dispatcher",
-            # per-device sub-reports carry summation-order noise beyond
-            # the fleet-level pin; the folded fields are the contract
-            compare={"ignore": ("device_reports", "latencies")},
             estimate=self.estimate_chunk_seconds(spec),
         )
         per_cell, execution = self._sweep(

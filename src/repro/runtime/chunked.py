@@ -79,7 +79,7 @@ class SweepPlan:
     #: ``None`` = none exists
     reference: Optional[Callable[..., List[List[Any]]]] = None
     reference_name: str = ""
-    #: ``rtol`` / ``atol`` / ``ignore`` for the shadow comparison
+    #: ``rtol`` / ``atol`` for the shadow comparison
     compare: Dict[str, Any] = field(default_factory=dict)
     #: estimated wall seconds of one work unit (for ``resolve_n_jobs``)
     estimate: Optional[float] = None

@@ -399,10 +399,9 @@ def check_fleet_report(
     sum(requests_per_device)``; the overload conservation law
     ``dispatched + dropped + shed == offered requests`` whenever the
     offered count is known — ``expected_requests`` or the report's own
-    ``n_offered``), energy summing over the retained device reports,
-    residency summing over devices, fleet duration covering every
-    device, availability / goodput / SLO attainment in ``[0, 1]``,
-    goodput never above throughput, and ``load_imbalance >= 1``.
+    ``n_offered``), finite non-negative residency, availability /
+    goodput / SLO attainment in ``[0, 1]``, goodput never above
+    throughput, and ``load_imbalance >= 1``.
 
     Raises :class:`InvariantViolation` with field-level evidence.
     """
@@ -478,33 +477,6 @@ def check_fleet_report(
             p.add(f"state_residency[{label!r}]", "finite", span)
         elif span < -INVARIANT_ATOL:
             p.add(f"state_residency[{label!r}]", ">= 0", span)
-
-    if report.device_reports:
-        devs = report.device_reports
-        dev_energy = float(sum(r.total_energy for r in devs))
-        total = float(report.total_energy)
-        if not _close(dev_energy, total, INVARIANT_RTOL,
-                      INVARIANT_ATOL + INVARIANT_RTOL * max(abs(total), 1.0)):
-            p.add("total_energy == sum(device energies)", dev_energy, total)
-        dev_duration = max(float(r.duration) for r in devs)
-        if not _close(dev_duration, float(report.duration),
-                      INVARIANT_RTOL, INVARIANT_ATOL):
-            p.add("duration == max(device durations)", dev_duration,
-                  float(report.duration))
-        dev_requests = sum(int(r.n_requests) for r in devs)
-        if dev_requests != int(report.n_requests):
-            p.add("n_requests == sum(device n_requests)", dev_requests,
-                  int(report.n_requests))
-        dev_residency: Dict[str, float] = {}
-        for r in devs:
-            for label, span in r.state_residency.items():
-                dev_residency[label] = dev_residency.get(label, 0.0) + span
-        for label in set(dev_residency) | set(report.state_residency):
-            want = dev_residency.get(label, 0.0)
-            got = float(report.state_residency.get(label, 0.0))
-            if not _close(want, got, INVARIANT_RTOL,
-                          INVARIANT_ATOL + INVARIANT_RTOL * max(want, 1.0)):
-                p.add(f"state_residency[{label!r}] == device sum", want, got)
 
     p.raise_if_any()
 
@@ -651,7 +623,6 @@ def compare_reports(
     want: Any,
     rtol: float = SHADOW_RTOL,
     atol: float = SHADOW_ATOL,
-    ignore: Sequence[str] = (),
 ) -> List[Dict[str, Any]]:
     """Field-for-field diff of two report dataclasses.
 
@@ -660,17 +631,13 @@ def compare_reports(
     fast-path value (``got``).  Floats compare within
     ``rtol``/``atol`` — pass ``rtol=0, atol=0`` for bit-exact mode —
     ints and strings exactly; dicts key-wise; numeric sequences
-    element-wise; nested dataclasses recursively.  ``ignore`` skips
-    fields whose values are legitimately path-dependent (e.g. raw
-    latency arrays a sweep already dropped).
+    element-wise; nested dataclasses recursively.
     """
     if type(got) is not type(want):
         return [{"field": "__class__", "expected": type(want).__name__,
                  "got": type(got).__name__}]
     divergences: List[Dict[str, Any]] = []
     for field in dataclasses.fields(want):
-        if field.name in ignore:
-            continue
         _values_diverge(
             field.name, getattr(got, field.name), getattr(want, field.name),
             rtol, atol, divergences,
@@ -688,7 +655,6 @@ def shadow_verify_chunks(
     labels_of: Optional[Callable[[int], Sequence[Dict[str, Any]]]] = None,
     rtol: float = SHADOW_RTOL,
     atol: float = SHADOW_ATOL,
-    ignore: Sequence[str] = (),
     diagnostics_dir: Optional[Union[str, Path]] = None,
     spec: Any = None,
 ) -> Dict[str, Any]:
@@ -727,8 +693,7 @@ def shadow_verify_chunks(
             label = labels[k] if k < len(labels) else {"seed": None}
             divergences.extend(
                 {"chunk": t, **label, **d}
-                for d in compare_reports(g, w, rtol=rtol, atol=atol,
-                                         ignore=ignore)
+                for d in compare_reports(g, w, rtol=rtol, atol=atol)
             )
     if divergences:
         TELEMETRY.inc("verify.shadow_divergences", len(divergences))

@@ -114,6 +114,21 @@ class TestFig2:
         assert "per-switch response time" in text
         assert "re-optimizations" in text
 
+    def test_render_is_independent_of_optimizer_timing(self, fig2_result):
+        """The figure prints the re-optimization count, never a
+        wall-clock, so identical runs print identical text."""
+        log = fig2_result.mb_log
+        assert log.events
+        slowed = dataclasses.replace(log, events=[
+            dataclasses.replace(e, optimize_seconds=e.optimize_seconds + 1.5)
+            for e in log.events
+        ])
+        assert slowed.optimize_seconds != log.optimize_seconds
+        text = fig2_result.render()
+        assert dataclasses.replace(fig2_result, mb_log=slowed).render() == text
+        assert (f"model-based re-optimizations: {log.n_reoptimizations}"
+                in text.splitlines())
+
 
 class TestOverhead:
     @pytest.fixture(scope="class")

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from repro.fleet import (
     run_fleet,
     run_fleet_batch,
 )
-from repro.fleet.dispatch import RouteContext
+from repro.fleet.dispatch import RouteContext, _backoff_delay
 from repro.runtime.simsweep import PolicySpec, TraceSpec
 from repro.workload import (
     Exponential,
@@ -116,6 +118,8 @@ class TestFailoverConfig:
         {"backoff_base": math.nan},
         {"backoff_base": math.nan, "max_retries": 0},
         {"backoff_cap": math.nan, "max_retries": 8},
+        {"backoff_base": math.inf, "backoff_cap": math.inf},
+        {"backoff_base": math.inf, "max_retries": 0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -263,6 +267,37 @@ class TestFailoverSemantics:
         # delays 1, 2, 4, 4 — still inside the blackout, so it drops
         assert outcome.assignments.tolist() == [-1]
         assert outcome.dispatch_times.tolist() == [1.0 + 1.0 + 2.0 + 4.0 + 4.0]
+
+    @pytest.mark.parametrize("base, cap", [
+        (0.5, 8.0), (1.0, 4.0), (1e-3, 1e300), (5e-324, 8.0),
+        (0.25, math.inf),
+    ])
+    def test_backoff_delay_is_exact_capped_doubling(self, base, cap):
+        """Every delay equals min(base * 2**(k-1), cap) in exact rational
+        arithmetic, far past the retry where 2.0 ** (k - 1) overflows."""
+        config = FailoverConfig(max_retries=3000, backoff_base=base,
+                                backoff_cap=cap)
+        for k in list(range(1, 1100)) + [2000, 3000]:
+            doubled = Fraction(base) * 2 ** (k - 1)
+            want = (cap if doubled > min(cap, sys.float_info.max)
+                    else float(doubled))
+            assert _backoff_delay(k, config) == want, k
+
+    def test_thousands_of_retries_do_not_overflow(self):
+        """Both devices down over [0.5, 15000]: under the default 8 s
+        cap a request needs ~1,900 backoffs to outlast the blackout."""
+        trace = Trace([1.0, 2.0], duration=16000.0)
+        faults = FaultSchedule([[(0.5, 15000.0)], [(0.5, 15000.0)]],
+                               16000.0)
+        subs, outcome = Dispatcher(
+            "round_robin", 2, get_preset("mobile_hdd"),
+        ).dispatch_with_faults(trace, faults,
+                               FailoverConfig(max_retries=2000))
+        assert outcome.n_dropped == 0
+        assert outcome.retries.min() > 1025
+        assert np.all(outcome.dispatch_times >= 15000.0)
+        assert np.all(np.isfinite(outcome.dispatch_times))
+        assert sum(len(sub) for sub in subs) == 2
 
     def test_fleet_recovers_mid_backoff(self):
         """A blackout that ends inside the backoff window: the retry

@@ -11,6 +11,8 @@ every ``(chunk_size, n_jobs)`` combination.
 from __future__ import annotations
 
 import dataclasses
+import io
+import pickle
 
 import numpy as np
 import pytest
@@ -51,7 +53,13 @@ from repro.fleet.sweep import (
 )
 from repro.runtime import PolicySpec, TraceSpec
 from repro.runtime.simsweep import estimate_request_seconds
-from repro.workload import Exponential, FaultProcess, renewal_trace
+from repro.sim import DPMSimulator
+from repro.workload import (
+    Exponential,
+    FaultProcess,
+    FaultSchedule,
+    renewal_trace,
+)
 
 from test_runtime_eventsim_batch import _StatefulScalarOnly
 
@@ -364,33 +372,70 @@ class TestRoutingCostModel:
 
 
 class TestFleetReport:
-    def test_aggregates_fold_per_device_reports(self, rng):
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    @pytest.mark.parametrize("case", ["round_robin", "jsq", "faults_slo"])
+    def test_aggregates_fold_per_device_runs(self, rng, engine, case):
+        """Fold oracle: route with the dispatcher, run one DPMSimulator
+        per sub-trace, and fold by hand — sums, per-device counts and
+        the np.percentile / max / mean of the concatenated latencies."""
         trace = renewal_trace(Exponential(1.0), 500.0, rng)
         device = get_preset("mobile_hdd")
-        report = run_fleet(device, FixedTimeout(), trace,
-                           make_router("round_robin"), 4, service_time=0.4)
-        assert len(report.device_reports) == 4
-        assert report.n_requests == len(trace)
-        assert sum(report.requests_per_device) == len(trace)
+        policy = FixedTimeout()
+        router = "round_robin" if case == "round_robin" else "jsq"
+        dispatcher = Dispatcher(router, 4, device, service_time=0.4,
+                                seed=7)
+        kwargs = {}
+        if case == "faults_slo":
+            kwargs["faults"] = FaultSchedule(
+                [[(50.0, 120.0)], [(300.0, 400.0, 3.0)], [(200.0, 260.0)],
+                 []],
+                trace.duration,
+            )
+            kwargs["overload"] = OverloadConfig(slo=1.0)
+            subs, outcome = dispatcher.dispatch_with_overload(
+                trace, kwargs["faults"], kwargs["overload"],
+            )
+            assert outcome.n_retries > 0 and outcome.n_shed > 0
+        else:
+            subs = dispatcher.dispatch(trace)
+        devs = [DPMSimulator(device, policy, service_time=0.4).run(sub)
+                for sub in subs]
+        report = run_fleet(device, policy, trace, make_router(router), 4,
+                           service_time=0.4, route_seed=7, engine=engine,
+                           **kwargs)
+
+        assert report.requests_per_device == tuple(
+            r.n_requests for r in devs
+        )
+        assert report.n_requests == sum(r.n_requests for r in devs)
+        assert report.n_requests + report.n_dropped + report.n_shed == \
+            len(trace)
+        assert report.n_shutdowns == sum(r.n_shutdowns for r in devs)
+        assert report.n_wrong_shutdowns == sum(
+            r.n_wrong_shutdowns for r in devs
+        )
         assert report.total_energy == pytest.approx(
-            sum(r.total_energy for r in report.device_reports)
+            sum(r.total_energy for r in devs), rel=1e-9
         )
-        assert report.n_shutdowns == sum(
-            r.n_shutdowns for r in report.device_reports
+        assert report.duration == pytest.approx(
+            max(r.duration for r in devs), rel=1e-9
         )
-        merged = np.sort(np.concatenate(
-            [r.latencies for r in report.device_reports]
-        ))
-        assert report.p99_latency == pytest.approx(
-            float(np.percentile(merged, 99))
-        )
-        assert report.max_latency == pytest.approx(float(merged.max()))
-        # residency folds per key
-        for key, span in report.state_residency.items():
-            assert span == pytest.approx(sum(
-                r.state_residency.get(key, 0.0)
-                for r in report.device_reports
-            ))
+        keys = {k for r in devs for k in r.state_residency}
+        assert set(report.state_residency) == keys
+        for key in keys:
+            assert report.state_residency[key] == pytest.approx(sum(
+                r.state_residency.get(key, 0.0) for r in devs
+            ), rel=1e-9, abs=1e-9)
+        merged = np.concatenate([np.asarray(r.latencies) for r in devs])
+        assert merged.size == report.n_requests > 0
+        for q, got in ((50, report.p50_latency), (95, report.p95_latency),
+                       (99, report.p99_latency)):
+            assert got == pytest.approx(float(np.percentile(merged, q)),
+                                        rel=1e-9, abs=1e-12)
+        assert report.max_latency == pytest.approx(float(merged.max()),
+                                                   rel=1e-9, abs=1e-12)
+        assert report.mean_latency == pytest.approx(float(merged.mean()),
+                                                    rel=1e-9, abs=1e-12)
 
     def test_saving_is_vs_all_always_on_fleet(self, rng):
         trace = renewal_trace(Exponential(1.0), 500.0, rng)
@@ -494,24 +539,26 @@ class TestSweepExecution:
                 spec.service_time, [5, 16])
         assert run_fleet_chunk(*args) == run_fleet_chunk(*args)
 
-    def test_chunk_reports_strip_device_latency_arrays(self):
-        """The merged-stream quantiles are folded inside the worker, so
-        the per-device raw arrays never ride the result pickle — while a
-        direct run_fleet call still keeps them for downstream merging."""
+    def test_chunk_results_carry_no_device_report(self):
+        """A worker ships the fleet aggregate only: the pickled chunk
+        result names no per-device SimReport class."""
         spec = small_spec()
-        (chunk,) = run_fleet_chunk(
+        result = run_fleet_chunk(
             "mobile_hdd", 2, "round_robin", spec.policies[1:2], spec.trace,
             spec.service_time, [5],
         )
-        for fleet_report in chunk:
-            assert fleet_report.p99_latency >= 0.0
-            for device_report in fleet_report.device_reports:
-                assert device_report.latencies == ()
-        direct = run_fleet(
-            get_preset("mobile_hdd"), FixedTimeout(), spec.trace.realize(5),
-            make_router("round_robin"), 2, service_time=spec.service_time,
-        )
-        assert any(len(r.latencies) for r in direct.device_reports)
+        found = set()
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                found.add(name)
+                return super().find_class(module, name)
+
+        blob = pickle.dumps(result)
+        assert Recorder(io.BytesIO(blob)).load() == result
+        assert "FleetReport" in found
+        assert "SimReport" not in found
+        assert b"SimReport" not in blob
 
     def test_execution_metadata_recorded(self):
         spec = small_spec(fleet_sizes=(2,), routers=("round_robin",))

@@ -196,14 +196,6 @@ class TestCheckFleetReport:
         with pytest.raises(InvariantViolation):
             check_fleet_report(bad)
 
-    def test_device_report_folds_must_match(self):
-        report, _ = _fleet_report()
-        if not report.device_reports:
-            pytest.skip("fleet path dropped device reports")
-        bad = dataclasses.replace(report, total_energy=report.total_energy * 3)
-        with pytest.raises(InvariantViolation):
-            check_fleet_report(bad)
-
     def test_shed_conservation_must_balance(self):
         """dispatched + dropped + shed == offered, enforced from the
         report's own n_offered even without expected_requests."""
@@ -399,11 +391,6 @@ class TestCompareReports:
         )
         assert compare_reports(nudged, report) == []  # within shadow rtol
         assert compare_reports(nudged, report, rtol=0.0, atol=0.0)
-
-    def test_ignore_skips_fields(self):
-        report, _ = _sim_report("mobile_hdd", 0.1, 7)
-        other = dataclasses.replace(report, latencies=())
-        assert compare_reports(other, report, ignore=("latencies",)) == []
 
     def test_type_mismatch_reported(self):
         report, _ = _sim_report("mobile_hdd", 0.1, 7)
