@@ -59,3 +59,11 @@ SPEEDUP_BARS = {
         "queue_aware_routing": 5.0,
     },
 }
+
+#: bars that only hold with real cores: section -> (speedup bar, least
+#: recorded ``host.cpu_count`` at which the checker applies it).  The
+#: sharded sweep runs 4 worker processes, so a 2-core host records its
+#: speedup without being held to the bar.
+MULTICORE_BARS = {
+    "BENCH_engine.json": {"sharded_sweep": (2.0, 4)},
+}

@@ -10,8 +10,8 @@ The tentpole claims of the vectorized + sharded runtime, measured:
   ``check_bench_artifacts.py``, not asserted here);
 - sharding a multi-chunk sweep across 4 worker processes
   (``SweepRunner(n_jobs=4)``) sustains >= 2x the wall-clock throughput
-  of the serial chunk loop on a >= 4-core host (skipped, not failed,
-  on smaller machines).
+  of the serial chunk loop on a >= 4-core host (checked on the
+  artifact only when it was recorded on one).
 
 Every case records its numbers into ``BENCH_engine.json`` at the repo
 root (read-modify-write, so cases compose across pytest invocations),
@@ -31,6 +31,7 @@ import time
 import pytest
 
 from _bench_util import REPO_ROOT, record_bench
+from check_bench_artifacts import EXPECTED_KEYS, check_artifacts
 from repro.core import QDPM
 from repro.device import abstract_three_state
 from repro.env import SlottedDPMEnv
@@ -122,8 +123,9 @@ def test_sharded_sweep_speedup():
 
     16 seeds x batch 4 = 4 independent chunks; at ``n_jobs = 4`` each
     worker owns one chunk, so ideal scaling is ~4x and the bar is a
-    conservative 2x.  Requires real cores — skipped (not failed) on
-    hosts with fewer than 4.
+    conservative 2x.  It needs real cores, so ``check_bench_artifacts.py``
+    applies it to the recorded speedup only when the recording host has
+    at least 4.
     """
     n_cores = os.cpu_count() or 1
     n_seeds, batch_size, n_slots = 16, 4, 8_000
@@ -144,15 +146,7 @@ def test_sharded_sweep_speedup():
         "jobs4_seconds": sharded,
         "speedup": speedup,
     })
-    if n_cores < 4:
-        pytest.skip(
-            f"sharded-speedup bar needs >= 4 cores, host has {n_cores} "
-            f"(numbers recorded to {BENCH_PATH.name})"
-        )
-    assert speedup >= 2.0, (
-        f"sharded sweep only {speedup:.2f}x serial at 4 jobs on "
-        f"{n_cores} cores"
-    )
+    # the 2x bar is checked on the artifact, on hosts with >= 4 cores
 
 
 #: every instrumentation entry point of the telemetry singleton
@@ -303,3 +297,23 @@ def test_quick_throughput_snapshot():
     # host metadata makes artifacts from different runners comparable
     host = data["host"]
     assert host["platform"] and host["python_version"] and host["timestamp_utc"]
+
+
+@pytest.mark.parametrize("cores, speedup, failed", [
+    (2, 1.4, False), (4, 1.4, True), (4, 2.1, False), (8, 1.9, True),
+])
+def test_sharded_bar_is_checked_on_the_artifact(tmp_path, cores, speedup,
+                                                failed):
+    """The sharded sweep's 2x bar lives in the artifact checker and
+    applies only to speedups recorded on a host with >= 4 cores."""
+    for name, keys in EXPECTED_KEYS.items():
+        data = {key: {"speedup": 10.0} for key in keys}
+        data["host"] = {"cpu_count": cores}
+        if name == BENCH_PATH.name:
+            data["engine_throughput"]["batched_replica_slots_per_sec"] = {
+                "replica_B32": 1.0, "replica_B128": 2.0}
+            data["sharded_sweep"] = {"speedup": speedup}
+        (tmp_path / name).write_text(json.dumps(data))
+    problems = check_artifacts(tmp_path)
+    assert bool(problems) == failed
+    assert all("sharded_sweep" in p for p in problems)

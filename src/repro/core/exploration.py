@@ -124,11 +124,21 @@ class FixedDrawEpsilonGreedy(ExplorationStrategy):
         step: int,
         rng: np.random.Generator,
     ) -> int:
+        if len(allowed) == 0:  # checked before drawing
+            raise ValueError("allowed action set must be non-empty")
+        # the fixed per-slot block, in the batched engine's layout
+        return self.select_drawn(table, observation, allowed, step,
+                                 rng.random(3).tolist())
+
+    def select_drawn(self, table: QTable, observation: int,
+                     allowed: Sequence[int], step: int,
+                     draws: Sequence[float]) -> int:
+        """:meth:`select` on the call's three uniforms, drawn by the
+        caller (an agent drawing them from a block of its stream)."""
+        explore, pick, tie = draws
         n = len(allowed)
         if n == 0:
             raise ValueError("allowed action set must be non-empty")
-        # the fixed per-slot block, in the batched engine's layout
-        explore, pick, tie = rng.random(3).tolist()
         if explore < self._epsilon.value(step):
             return int(allowed[min(int(pick * n), n - 1)])
         ties = table.near_best(observation, allowed, self._tolerance)

@@ -216,22 +216,23 @@ class QDPM:
     # ------------------------------------------------------------------ #
 
     def control_step(self, learn: bool = True) -> tuple:
-        """Observe, act, (optionally) learn; returns (reward, info)."""
-        state = self.env.state
-        obs = self.observation.observe(state)
-        allowed = self.env.allowed_actions(state)
+        """Observe, act, (optionally) learn; returns (reward, info, delta)."""
+        env = self.env  # its allowed lists are per mode, shared read-only
+        identity = type(self.observation) is FullObservation
+        state = env.state
+        obs = state if identity else self.observation.observe(state)
+        allowed = env._allowed[state // env._qcap1]
         if learn:
             action = self.agent.select_action(obs, allowed)
         else:
             action = self.agent.greedy_action(obs, allowed)
-        next_state, reward, info = self.env.step(action)
+        next_state, reward, info = env.step(action)
         delta = 0.0
         if learn:
-            next_obs = self.observation.observe(next_state)
-            next_allowed = self.env.allowed_actions(next_state)
-            delta = self.agent.update(
-                obs, action, reward, next_obs, next_allowed
-            )
+            next_obs = (next_state if identity
+                        else self.observation.observe(next_state))
+            delta = self.agent.update(obs, action, reward, next_obs,
+                                      env._allowed[next_state // env._qcap1])
         return reward, info, delta
 
     def run(

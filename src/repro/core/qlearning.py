@@ -17,11 +17,11 @@ benches — they share every line except the bootstrap target.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .exploration import EpsilonGreedy, ExplorationStrategy
+from .exploration import EpsilonGreedy, ExplorationStrategy, FixedDrawEpsilonGreedy
 from .qtable import QTable
 from .schedules import Constant, Schedule
 
@@ -70,6 +70,8 @@ class TDAgent(ABC):
         self.exploration = exploration if exploration is not None else EpsilonGreedy(0.1)
         self._rng = np.random.default_rng(seed)
         self._step = 0
+        self._draws: List[float] = []  # see QLearningAgent.select_action
+        self._draw_pos = 0
 
     @property
     def steps(self) -> int:
@@ -78,7 +80,9 @@ class TDAgent(ABC):
 
     def learning_rate_for(self, observation: int, action: int) -> float:
         """Learning rate used for the next update of this pair."""
-        return self._lr.value(self.table.visits(observation, action))
+        lr = self._lr  # a constant rate needs no visit count
+        return (lr.value(0) if type(lr) is Constant
+                else lr.value(self.table.visits(observation, action)))
 
     def select_action(self, observation: int, allowed: Sequence[int]) -> int:
         """Behaviour-policy action (exploration included)."""
@@ -123,6 +127,19 @@ class TDAgent(ABC):
 
 class QLearningAgent(TDAgent):
     """Watkins' Q-learning — the Q-DPM agent (off-policy, max bootstrap)."""
+
+    def select_action(self, observation: int, allowed: Sequence[int]) -> int:
+        if type(self.exploration) is not FixedDrawEpsilonGreedy:
+            return super().select_action(observation, allowed)
+        # selection is this agent's only draw and always takes three
+        # uniforms, so they come from a block: the same doubles in order
+        if self._draw_pos == len(self._draws):
+            self._draws, self._draw_pos = self._rng.random(510).tolist(), 0
+        pos = self._draw_pos
+        self._draw_pos = pos + 3
+        return self.exploration.select_drawn(
+            self.table, observation, allowed, self._step,
+            self._draws[pos:pos + 3])
 
     def _bootstrap(self, next_observation: int, next_allowed: Sequence[int]) -> float:
         return self.table.max_value(next_observation, next_allowed)

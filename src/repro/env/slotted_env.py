@@ -107,6 +107,13 @@ class SlottedDPMEnv:
         Additional penalty per dropped request.
     seed:
         Seed for the internal random generator (reproducible episodes).
+
+    A slot's uniforms (a service draw when it can serve a non-empty
+    queue, then the arrival draw) come from a block of 512 values
+    pre-filled from the generator: each stream yields the same
+    doubles in the same order as one ``random()`` per uniform, and the
+    generator's position after a step is not part of the contract.
+    ``reset(seed=...)`` drops the block; ``reset()`` continues the stream.
     """
 
     def __init__(
@@ -131,10 +138,22 @@ class SlottedDPMEnv:
         self.slot_length = float(slot_length)
         self.p_serve = float(p_serve)
         self._rng = np.random.default_rng(seed)
-        # per-slot invariants: state stride and count, mode labels
+        self._draws: List[float] = []  # the draw block, read from _draw_pos
+        self._draw_pos = 0
+        # per-slot invariants: state stride and count, allowed actions per
+        # mode, and the step table read at ``mode * A + action``: (energy,
+        # next mode, can service, next mode's label), None if illegal
+        space = self.mode_space
         self._qcap1 = self.queue_capacity + 1
-        self._n_states = self.mode_space.n_modes * self._qcap1
-        self._mode_labels = [m.label for m in self.mode_space.modes]
+        self._n_states = space.n_modes * self._qcap1
+        self._n_actions = space.n_actions
+        self._allowed = [space.allowed_actions(m) for m in range(space.n_modes)]
+        labels = [m.label for m in space.modes]
+        t = space.dense_tables()
+        self._effects = [
+            (e, n, c, labels[n]) if n >= 0 else None for e, n, c in zip(
+                t.energy.ravel().tolist(), t.next_mode.ravel().tolist(),
+                t.can_service.ravel().tolist())]
 
         self._mode: int = self.mode_space.steady_mode_index(device.initial_state)
         self._queue: int = 0
@@ -214,6 +233,7 @@ class SlottedDPMEnv:
             mode if mode is not None else self.device.initial_state)
         if seed is not None:
             self._rng = np.random.default_rng(seed)
+            self._draws, self._draw_pos = [], 0
         self._mode = start
         self._queue = queue
         self._slot = 0
@@ -230,50 +250,40 @@ class SlottedDPMEnv:
         KeyError
             If ``action`` is not allowed in the current mode.
         """
-        effect = self.mode_space.effect(self._mode, action)
-        rate = self.schedule.rate_at(self._slot)
-
+        mode, queue, slot = self._mode, self._queue, self._slot
+        n_actions = self._n_actions
+        effect = (self._effects[mode * n_actions + action]
+                  if 0 <= action < n_actions else None)
+        if effect is None:
+            self.mode_space.effect(mode, action)  # raises its KeyError
+        energy, next_mode, can_service, label = effect
+        rate = self.schedule.rate_at(slot)
+        # a slot takes at most two uniforms: top the block up first
+        draws, pos = self._draws, self._draw_pos
+        if pos >= len(draws) - 1:
+            draws = self._draws = draws[pos:] + self._rng.random(512).tolist()
+            pos = 0
         served = False
-        if effect.can_service and self._queue > 0:
-            served = bool(self._rng.random() < self.p_serve)
-        queue = self._queue - int(served)
+        if can_service and queue > 0:
+            served = draws[pos] < self.p_serve
+            pos += 1
+            queue -= served
+        arrived = bool(draws[pos] < rate)
+        self._draw_pos = pos + 1
+        lost = arrived and queue == self.queue_capacity  # dropped when full
+        queue += arrived and not lost
+        reward = -energy - self.perf_weight * queue - self.loss_penalty * lost
+        info = StepInfo(slot, energy, queue, arrived, served, lost, label, rate)
+        totals = self.totals
+        totals.slots += 1
+        totals.energy += energy
+        totals.queue_integral += queue
+        totals.arrivals += arrived
+        totals.completions += served
+        totals.losses += lost
 
-        arrived = bool(self._rng.random() < rate)
-        lost = False
-        if arrived:
-            if queue < self.queue_capacity:
-                queue += 1
-            else:
-                lost = True
-
-        reward = (
-            -effect.energy
-            - self.perf_weight * queue
-            - self.loss_penalty * int(lost)
-        )
-
-        info = StepInfo(
-            slot=self._slot,
-            energy=effect.energy,
-            queue=queue,
-            arrived=arrived,
-            served=served,
-            lost=lost,
-            mode_label=self._mode_labels[effect.next_mode],
-            arrival_rate=rate,
-        )
-
-        self.totals.slots += 1
-        self.totals.energy += effect.energy
-        self.totals.queue_integral += queue
-        self.totals.arrivals += int(arrived)
-        self.totals.completions += int(served)
-        self.totals.losses += int(lost)
-
-        self._mode = effect.next_mode
-        self._queue = queue
-        self._slot += 1
-        return self.state, reward, info
+        self._mode, self._queue, self._slot = next_mode, queue, slot + 1
+        return next_mode * self._qcap1 + queue, reward, info
 
     # ------------------------------------------------------------------ #
     # reference quantities

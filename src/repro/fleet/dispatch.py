@@ -70,6 +70,7 @@ import numpy as np
 
 from ..checks import check_count, check_nonnegative, check_positive
 from ..device import PowerStateMachine
+from ..runtime.executor import retry_backoff_seconds
 from ..sim.simulator import resolve_demands
 from ..workload.faults import FaultSchedule, no_faults, resolve_fault_schedule
 from ..workload.trace import Trace
@@ -583,11 +584,7 @@ class FailoverConfig:
 
 def _backoff_delay(k: int, config: FailoverConfig) -> float:
     """Delay before retry ``k`` (1-based): capped exponential."""
-    try:
-        delay = math.ldexp(config.backoff_base, k - 1)
-    except OverflowError:  # the doubling has passed every float, cap too
-        return config.backoff_cap
-    return min(delay, config.backoff_cap)
+    return retry_backoff_seconds(k, config.backoff_base, config.backoff_cap)
 
 
 # ---------------------------------------------------------------------- #

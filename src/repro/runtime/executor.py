@@ -23,6 +23,7 @@ instead of crashing the pool.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -49,8 +50,12 @@ RETRY_BACKOFF_CAP = 8.0
 def retry_backoff_seconds(
     attempt: int, base: float, cap: float = RETRY_BACKOFF_CAP
 ) -> float:
-    """Sleep before pool retry ``attempt`` (1-based): capped exponential."""
-    return min(base * (2.0 ** (attempt - 1)), cap)
+    """Sleep before retry ``attempt`` (1-based): ``min(base *
+    2**(attempt - 1), cap)``, and ``cap`` once that passes every float."""
+    try:
+        return min(math.ldexp(base, attempt - 1), cap)
+    except OverflowError:
+        return cap
 
 
 class ChunkExecutionError(RuntimeError):

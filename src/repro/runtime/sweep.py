@@ -209,11 +209,11 @@ class SweepResult:
 #: as many replica-slots per CPU second as the scalar stack in every
 #: reading (2-core x86_64, Python 3.11.7, abstract3, 8,000 slots, the
 #: two engines interleaved within each of 7 repeats, best of 7, three
-#: readings on a shared host): learning read 0.95-1.07x at B=7,
-#: 0.93-1.09x at B=8, 1.12-1.44x at B=9 and 1.50x at B=10; fixed
-#: policy read 0.82x at B=9, 1.02-1.13x at B=10 and 1.07-1.10x at B=11.
-LEARNING_CROSSOVER = 9
-FIXED_POLICY_CROSSOVER = 10
+#: readings on a shared host): learning read 0.99-1.01x at B=10,
+#: 1.07-1.11x at B=11 and 1.16-1.20x at B=12; fixed policy read
+#: 0.97-1.02x at B=19, 1.02-1.07x at B=20 and 1.06-1.11x at B=21.
+LEARNING_CROSSOVER = 11
+FIXED_POLICY_CROSSOVER = 20
 
 
 def runs_scalar(spec: RolloutSpec, width: int) -> bool:

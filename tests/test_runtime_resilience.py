@@ -15,8 +15,11 @@ every ``(chunk_size, n_jobs)``.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +113,20 @@ class TestRetryBackoff:
     def test_custom_cap(self):
         assert retry_backoff_seconds(10, 1.0, cap=2.5) == 2.5
 
+    @pytest.mark.parametrize("base, cap", [
+        (0.5, RETRY_BACKOFF_CAP), (1e-3, 1e300), (5e-324, 8.0),
+        (0.25, math.inf), (0.0, 8.0),
+    ])
+    def test_exact_capped_doubling(self, base, cap):
+        """Every delay is min(base * 2**(k-1), cap) in exact rational
+        arithmetic, through attempt 1,025, where 2.0 ** (k - 1) stops
+        being a float, and on to 3,000."""
+        for k in range(1, 3001):
+            doubled = Fraction(base) * 2 ** (k - 1)
+            want = (cap if doubled > min(cap, sys.float_info.max)
+                    else float(doubled))
+            assert retry_backoff_seconds(k, base, cap) == want, k
+
 
 # --------------------------------------------------------------------- #
 # serial executor: retry then ChunkExecutionError
@@ -163,6 +180,22 @@ class TestPoolFailurePaths:
         assert pending.get() == [4, 9, 16]
         assert all(e["action"] == "retry" for e in pending.events)
         assert {e["chunk"] for e in pending.events} == {0, 1, 2}
+
+    def test_retries_past_the_overflow_of_the_doubling(self, tmp_path):
+        """A chunk that fails 1,030 times on the pool keeps retrying
+        past attempt 1,025 and then succeeds, in-process too."""
+        tasks = [(2, str(tmp_path / "marker0"), 1030),
+                 (3, str(tmp_path / "marker1"), 0)]
+        for executor in (MultiprocessExecutor(2), SerialExecutor()):
+            for marker in tmp_path.iterdir():
+                marker.unlink()
+            pending = executor.submit_all(
+                _fail_until, tasks, max_retries=1100, retry_backoff=0.0,
+            )
+            assert pending.get() == [4, 9]
+            retries = [e for e in pending.events if e["action"] == "retry"]
+            assert [e["attempt"] for e in retries] == list(range(1, 1031))
+            assert {e["backoff_seconds"] for e in retries} == {0.0}
 
     def test_persistent_worker_failure_degrades_to_in_process(self):
         tasks = [(x, os.getpid()) for x in (2, 3, 4)]
