@@ -17,7 +17,8 @@ benches — they share every line except the bootstrap target.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Union
+from array import array
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class TDAgent(ABC):
         self.exploration = exploration if exploration is not None else EpsilonGreedy(0.1)
         self._rng = np.random.default_rng(seed)
         self._step = 0
-        self._draws: List[float] = []  # see QLearningAgent.select_action
+        self._draws = array("d")  # see QLearningAgent.select_action
         self._draw_pos = 0
 
     @property
@@ -80,9 +81,7 @@ class TDAgent(ABC):
 
     def learning_rate_for(self, observation: int, action: int) -> float:
         """Learning rate used for the next update of this pair."""
-        lr = self._lr  # a constant rate needs no visit count
-        return (lr.value(0) if type(lr) is Constant
-                else lr.value(self.table.visits(observation, action)))
+        return self._lr.value(self.table.visits(observation, action))
 
     def select_action(self, observation: int, allowed: Sequence[int]) -> int:
         """Behaviour-policy action (exploration included)."""
@@ -133,9 +132,9 @@ class QLearningAgent(TDAgent):
             return super().select_action(observation, allowed)
         # selection is this agent's only draw and always takes three
         # uniforms, so they come from a block: the same doubles in order
-        if self._draw_pos == len(self._draws):
-            self._draws, self._draw_pos = self._rng.random(510).tolist(), 0
         pos = self._draw_pos
+        if pos == len(self._draws):
+            self._draws, pos = array("d", self._rng.random(510).tobytes()), 0
         self._draw_pos = pos + 3
         return self.exploration.select_drawn(
             self.table, observation, allowed, self._step,

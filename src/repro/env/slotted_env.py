@@ -20,6 +20,7 @@ same world.  Nonstationary schedules realize the Fig. 2 setting.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -138,11 +139,10 @@ class SlottedDPMEnv:
         self.slot_length = float(slot_length)
         self.p_serve = float(p_serve)
         self._rng = np.random.default_rng(seed)
-        self._draws: List[float] = []  # the draw block, read from _draw_pos
+        self._draws = array("d")  # the draw block, read from _draw_pos
         self._draw_pos = 0
         # per-slot invariants: state stride and count, allowed actions per
-        # mode, and the step table read at ``mode * A + action``: (energy,
-        # next mode, can service, next mode's label), None if illegal
+        # mode, the step table at mode * A + action (None if illegal)
         space = self.mode_space
         self._qcap1 = self.queue_capacity + 1
         self._n_states = space.n_modes * self._qcap1
@@ -233,7 +233,7 @@ class SlottedDPMEnv:
             mode if mode is not None else self.device.initial_state)
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-            self._draws, self._draw_pos = [], 0
+            self._draws, self._draw_pos = array("d"), 0
         self._mode = start
         self._queue = queue
         self._slot = 0
@@ -261,7 +261,8 @@ class SlottedDPMEnv:
         # a slot takes at most two uniforms: top the block up first
         draws, pos = self._draws, self._draw_pos
         if pos >= len(draws) - 1:
-            draws = self._draws = draws[pos:] + self._rng.random(512).tolist()
+            draws = self._draws = draws[pos:] + array(
+                "d", self._rng.random(512).tobytes())
             pos = 0
         served = False
         if can_service and queue > 0:
