@@ -27,6 +27,7 @@ from ..env.slotted_env import SlottedDPMEnv
 from ..mdp import DeterministicPolicy
 from .exploration import EpsilonGreedy, ExplorationStrategy
 from .qlearning import QLearningAgent, TDAgent
+from .qtable import QTable
 
 
 @dataclass
@@ -259,37 +260,48 @@ class QDPM:
     # ------------------------------------------------------------------ #
 
     def greedy_policy(self, prefer_visited: bool = True) -> DeterministicPolicy:
-        """Greedy environment-state policy induced by the current Q-table.
+        """Greedy environment-state policy induced by the current Q-table
+        (see :func:`greedy_policy_of`).
 
         Well-defined for coarse observations too (all states sharing an
         observation share an action); with
         :class:`~repro.env.FullObservation` this is directly comparable to
         the exact solver's policy.
-
-        ``prefer_visited`` (default) restricts the per-state argmax to
-        actions that have received at least one Q-update whenever any
-        exist, and falls back to the home-state command otherwise.
-        Without it, never-updated entries retain their (optimistic)
-        initial value and a frozen extraction can "choose" actions the
-        agent never tried — good for exploration while learning, nonsense
-        in a deployed snapshot.
         """
-        table = self.agent.table
-        home_action = self.env.mode_space.action_index(
-            self.env.device.initial_state
-        )
-        actions = np.empty(self.env.n_states, dtype=int)
-        for state in range(self.env.n_states):
-            obs = self.observation.observe(state)
-            allowed = self.env.allowed_actions(state)
-            if prefer_visited:
-                visited = [a for a in allowed if table.visits(obs, a) > 0]
-                if visited:
-                    actions[state] = table.best_action(obs, visited)
-                elif home_action in allowed:
-                    actions[state] = home_action
-                else:
-                    actions[state] = allowed[0]
-            else:
-                actions[state] = self.agent.greedy_action(obs, allowed)
-        return DeterministicPolicy(actions)
+        return greedy_policy_of(self.agent.table, self.env, self.observation,
+                                prefer_visited)
+
+
+def greedy_policy_of(table: QTable, env, observation: ObservationMap,
+                     prefer_visited: bool = True) -> DeterministicPolicy:
+    """Greedy environment-state policy of ``table`` over ``env``'s states,
+    each state read through ``observation``.
+
+    ``env`` is a :class:`~repro.env.SlottedDPMEnv` or a
+    :class:`~repro.runtime.BatchedSlottedEnv` (one replica's states).
+    ``prefer_visited`` (default) restricts the per-state argmax to
+    actions that have received at least one Q-update whenever any
+    exist, and falls back to the home-state command otherwise.  Without
+    it, never-updated entries retain their (optimistic) initial value
+    and a frozen extraction can "choose" actions the agent never tried
+    — good for exploration while learning, nonsense in a deployed
+    snapshot.
+    """
+    modes = env.mode_space
+    home_action = modes.action_index(env.device.initial_state)
+    qcap1 = env.queue_capacity + 1
+    actions = np.empty(env.n_states, dtype=int)
+    for state in range(env.n_states):
+        obs = observation.observe(state)
+        allowed = modes.allowed_actions(state // qcap1)
+        if prefer_visited:
+            candidates = [a for a in allowed if table.visits(obs, a) > 0]
+        else:
+            candidates = allowed
+        if candidates:
+            actions[state] = table.best_action(obs, candidates)
+        elif home_action in allowed:
+            actions[state] = home_action
+        else:
+            actions[state] = allowed[0]
+    return DeterministicPolicy(actions)

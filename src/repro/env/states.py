@@ -244,8 +244,11 @@ class ModeSpace:
         Raises
         ------
         KeyError
-            If the action is not allowed in the mode.
+            If the action index is out of range or not allowed in the mode.
         """
+        if not 0 <= action < self.n_actions:
+            raise KeyError(
+                f"action index {action} out of range [0, {self.n_actions})")
         try:
             return self._effects[(mode_index, action)]
         except KeyError:

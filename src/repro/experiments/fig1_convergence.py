@@ -19,18 +19,21 @@ energy-saving ratios as secondary data.
 Rollouts route through the batched :class:`~repro.runtime.SweepRunner`:
 ``config.sweep.n_seeds`` independent learners train lock-step, the chart
 shows the lead seed, and the across-seed payoff gets a bootstrap CI.
+The lead seed's greedy-policy snapshots come back with its chunk's
+results (``RolloutSpec.snapshot_seeds``), whichever process ran it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..analysis import CI, ascii_chart, convergence_point
 from ..device import get_preset
 from ..env import build_dpm_model
+from ..mdp import DeterministicPolicy
 from ..runtime import RolloutSpec
 from ..workload import ConstantRate
 from .config import Fig1Config
@@ -114,6 +117,7 @@ def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
     opt_perf = model.evaluate_policy(optimal.policy)
     opt_soft = model.evaluate_policy(optimal.policy, epsilon=config.epsilon)
 
+    seeds = config.seeds()
     spec = RolloutSpec.from_env_config(
         config.env,
         ConstantRate(config.arrival_rate),
@@ -121,41 +125,27 @@ def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
         record_every=config.record_every,
         learning_rate=config.learning_rate,
         epsilon=config.epsilon,
+        snapshot_seeds=(seeds[0],),
     )
-    seeds = config.seeds()
+    sweep = config.sweep.runner().run_many(spec, seeds)
+    lead = sweep.runs[0]
+    history = lead.history
 
-    snapshot_saving: List[float] = []
-    snapshot_reward: List[float] = []
-    lead: dict = {}
-
-    def on_record(_slot: int, driver, chunk_seeds) -> None:
-        # snapshot only the lead seed: evaluate the policy exactly *as
-        # deployed*, epsilon-soft.  Q-DPM never stops exploring, and the
-        # epsilon-soft chain is ergodic, so the evaluation is immune to
-        # the absorbing-trap artifacts a strictly-greedy reading of a
-        # half-trained table exhibits at rarely-visited states.
-        if chunk_seeds[0] != seeds[0]:
-            return
-        policy = driver.greedy_policy(0)
-        perf = model.evaluate_policy(policy, epsilon=config.epsilon)
-        snapshot_saving.append(perf.energy_saving_ratio)
-        snapshot_reward.append(perf.average_reward)
-
-    def on_chunk_done(driver, chunk_seeds) -> None:
-        if chunk_seeds[0] == seeds[0]:
-            lead["driver"] = driver
-
-    runner = config.sweep.runner()
-    sweep = runner.run_many(
-        spec, seeds, on_record=on_record, on_chunk_done=on_chunk_done
-    )
-    history = sweep.runs[0].history
-
-    # align: one snapshot per full window; drop a possible partial tail record
-    n = len(snapshot_saving)
+    # evaluate each full window's snapshot exactly *as deployed*,
+    # epsilon-soft (a possible partial tail record is dropped).  Q-DPM
+    # never stops exploring, and the epsilon-soft chain is ergodic, so
+    # the evaluation is immune to the absorbing-trap artifacts a
+    # strictly-greedy reading of a half-trained table exhibits at
+    # rarely-visited states.
+    n = config.n_slots // config.record_every
+    snapshots = [
+        model.evaluate_policy(DeterministicPolicy(actions),
+                              epsilon=config.epsilon)
+        for actions in lead.snapshots[:n]
+    ]
     slots = history.slots[:n]
 
-    final_policy = lead["driver"].greedy_policy(0)
+    final_policy = DeterministicPolicy(lead.snapshots[-1])
     agreement = final_policy.agreement(optimal.policy)
     conv = convergence_point(
         slots,
@@ -169,8 +159,8 @@ def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
         slots=np.asarray(slots),
         online_reward=history.reward[:n],
         online_saving=history.saving_ratio[:n],
-        snapshot_reward=np.asarray(snapshot_reward),
-        snapshot_saving=np.asarray(snapshot_saving),
+        snapshot_reward=np.array([p.average_reward for p in snapshots]),
+        snapshot_saving=np.array([p.energy_saving_ratio for p in snapshots]),
         optimal_reward=opt_perf.average_reward,
         optimal_saving=opt_perf.energy_saving_ratio,
         optimal_soft_reward=opt_soft.average_reward,

@@ -64,8 +64,7 @@ class FleetReport:
     slo_attainment: float = 1.0
     #: circuit-breaker trips (closed/half-open -> open) over the run
     n_breaker_trips: int = 0
-    #: requests offered to the dispatcher (0 for legacy reports built
-    #: without the offered count; then conservation is unchecked)
+    #: requests offered to the dispatcher
     n_offered: int = 0
 
     @property
@@ -103,8 +102,8 @@ def build_fleet_report(
     trips) come from the fault-aware loop's
     :class:`~repro.fleet.dispatch.OverloadOutcome`; their defaults
     describe a fault-free, shed-free run.  ``n_offered`` is the number
-    of requests the dispatcher was offered; when > 0 the runtime
-    verifier enforces ``n_requests + n_dropped + n_shed == n_offered``.
+    of requests the dispatcher was offered; the runtime verifier
+    enforces ``n_requests + n_dropped + n_shed == n_offered``.
     """
     if not reports:
         raise ValueError("need at least one device report")

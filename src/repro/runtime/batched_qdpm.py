@@ -35,9 +35,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 # the recording loop and its batched history live with the scalar ones
-from ..core.qdpm import BatchRunHistory, run_lockstep
+from ..core.qdpm import BatchRunHistory, greedy_policy_of, run_lockstep
 from ..core.qtable import QTable
 from ..core.schedules import Schedule
+from ..env.observation import FullObservation
 from ..mdp import DeterministicPolicy
 from .batched_env import BatchedSlottedEnv, _resolve_seeds
 
@@ -234,24 +235,8 @@ class BatchedQDPM:
     def greedy_policy(self, replica: int = 0,
                       prefer_visited: bool = True) -> DeterministicPolicy:
         """Greedy policy of one replica (semantics of ``QDPM.greedy_policy``)."""
-        env = self.env
-        table = self.replica_table(replica)
-        home_action = env.mode_space.action_index(env.device.initial_state)
-        qcap1 = env.queue_capacity + 1
-        actions = np.empty(env.n_states, dtype=int)
-        for state in range(env.n_states):
-            allowed = env.mode_space.allowed_actions(state // qcap1)
-            if prefer_visited:
-                visited = [a for a in allowed if table.visits(state, a) > 0]
-                if visited:
-                    actions[state] = table.best_action(state, visited)
-                elif home_action in allowed:
-                    actions[state] = home_action
-                else:
-                    actions[state] = allowed[0]
-            else:
-                actions[state] = table.best_action(state, allowed)
-        return DeterministicPolicy(actions)
+        return greedy_policy_of(self.replica_table(replica), self.env,
+                                FullObservation(self.env), prefer_visited)
 
     def __repr__(self) -> str:
         return (

@@ -158,13 +158,8 @@ class ChunkedRunner:
         self.diagnostics_dir = diagnostics_dir
 
     def _sweep(self, kind: str, plan: SweepPlan,
-               execute: Optional[Callable[..., Tuple]] = None,
                **span: Any) -> Tuple[List[List[Any]], Dict[str, Any]]:
-        """Run ``plan``: ``(per-cell result lists, execution block)``.
-
-        ``execute(plan, tasks, n_jobs) -> (chunk outputs, execution)``
-        replaces the checkpointed executor step.
-        """
+        """Run ``plan``: ``(per-cell result lists, execution block)``."""
         requested = self.n_jobs
         tasks = plan.tasks()
         if plan.serial_reason is not None and requested > 1:
@@ -184,8 +179,13 @@ class ChunkedRunner:
         with TELEMETRY.metrics_scope() as metrics:
             with TELEMETRY.span("sweep", cat="sweep", kind=kind,
                                 n_jobs=requested, **span):
-                outputs, executed = (execute or self._execute)(
-                    plan, tasks, n_jobs)
+                outputs, executed = run_chunks_checkpointed(
+                    get_executor(n_jobs), plan.fn, tasks, spec_key=spec_key,
+                    checkpoint=self.checkpoint, timeout=self.timeout,
+                    max_retries=self.max_retries,
+                    retry_backoff=self.retry_backoff,
+                    diagnostics_dir=self.diagnostics_dir, spec=plan.spec,
+                )
                 shares = _cell_results(plan, tasks, outputs)
                 # every chunk is in (and journaled) from here on
                 with sweep_interrupts(len(tasks), lambda: len(tasks),
@@ -200,14 +200,6 @@ class ChunkedRunner:
             for c, _, results in per_task:
                 per_cell[c].extend(results)
         return per_cell, execution
-
-    def _execute(self, plan: SweepPlan, tasks: List[Tuple], n_jobs: int):
-        return run_chunks_checkpointed(
-            get_executor(n_jobs), plan.fn, tasks, spec_key=plan.key(),
-            checkpoint=self.checkpoint, timeout=self.timeout,
-            max_retries=self.max_retries, retry_backoff=self.retry_backoff,
-            diagnostics_dir=self.diagnostics_dir, spec=plan.spec,
-        )
 
     def _check_invariants(self, plan: SweepPlan, spec_key: str,
                           shares: List[List[CellChunk]]) -> None:

@@ -353,15 +353,13 @@ class MultiprocessExecutor:
         retry_backoff: float = 0.5,
         on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> AsyncTasks:
-        """Dispatch tasks to workers and return immediately.
+        """Dispatch tasks to workers; collect with :meth:`AsyncTasks.get`.
 
-        Lets the parent overlap its own work (e.g. a callback-bearing
-        lead chunk) with the pool; collect with :meth:`AsyncTasks.get`.
         Fewer than two tasks (or a single-worker pool) run eagerly
-        in-process instead: pool spin-up costs more than the overlap a
-        lone task could buy (``BENCH_engine.json``'s quick snapshot
+        in-process instead: pool spin-up costs more than a lone task
+        could gain from a worker (``BENCH_engine.json``'s quick snapshot
         showed 2-job sweeps *slower* than serial for exactly this
-        reason), and one worker cannot overlap anything with itself.
+        reason), and one worker parallelizes nothing.
 
         Tasks are shipped as individual ``apply_async`` submissions (not
         one ``starmap``) so collection can wait on, retry, and degrade

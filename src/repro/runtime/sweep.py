@@ -32,8 +32,7 @@ dataclasses (``RolloutSpec.from_env_config``) and calls down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,9 +50,9 @@ from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
 from .batched_qdpm import BatchedQDPM, BatchRunHistory, run_lockstep
 from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, one_cell
-from .executor import get_executor, is_picklable
+from .executor import is_picklable
 from .telemetry import TELEMETRY
-from .verify import check_seed_run, sweep_interrupts
+from .verify import check_seed_run
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,9 @@ class RolloutSpec:
     :class:`~repro.mdp.DeterministicPolicy` rolls that fixed policy.
     Per-replica env streams are seeded ``seed + env_seed_offset`` (and
     ``seed + warmup_seed_offset`` during warmup), mirroring the seed
-    arithmetic the scalar experiments used.
+    arithmetic the scalar experiments used.  Every learning seed listed
+    in ``snapshot_seeds`` also returns its greedy policy at each record
+    point (:attr:`SeedRun.snapshots`).
     """
 
     schedule: RateSchedule
@@ -86,6 +87,12 @@ class RolloutSpec:
     warmup_slots: int = 0
     env_seed_offset: int = 0
     warmup_seed_offset: int = 0
+    snapshot_seeds: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.snapshot_seeds and self.policy is not None:
+            raise ValueError("snapshot_seeds needs a learning spec "
+                             "(policy=None): a fixed policy has no Q-table")
 
     @classmethod
     def from_env_config(cls, env_config, schedule: RateSchedule,
@@ -146,6 +153,10 @@ class SeedRun:
     mean_reward: float       #: reward/slot over the whole horizon
     saving_ratio: float      #: episode energy saving vs always-on
     totals: EnvTotals
+    #: greedy-policy actions at each record point, shape
+    #: ``(len(history), n_states)``, the last row the final policy; for
+    #: a seed in ``RolloutSpec.snapshot_seeds`` only, else ``None``
+    snapshots: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -261,7 +272,7 @@ def _horizon_mean(history: RunHistory, n_slots: int,
 
 
 def _seed_run(spec: RolloutSpec, seed: int, history: RunHistory,
-              env) -> SeedRun:
+              env, snapshots: Optional[np.ndarray] = None) -> SeedRun:
     """Summary of one scalar rollout over ``env``."""
     return SeedRun(
         seed=seed,
@@ -269,11 +280,30 @@ def _seed_run(spec: RolloutSpec, seed: int, history: RunHistory,
         mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
         saving_ratio=float(env.energy_saving_ratio()),
         totals=env.totals,
+        snapshots=snapshots,
     )
 
 
-def run_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
-              on_record=None, on_chunk_done=None) -> List[SeedRun]:
+def _run_snapshotted(spec: RolloutSpec, seeds: Sequence[int], run, greedy):
+    """``(run(callback), per-seed snapshots)``: ``run`` records through
+    :func:`run_lockstep`, whose ``callback`` appends ``greedy(i)`` of
+    each seed ``seeds[i]`` listed in ``spec.snapshot_seeds`` at every
+    full window; one more row follows a partial last window."""
+    rows = {i: [] for i, seed in enumerate(seeds)
+            if seed in spec.snapshot_seeds}
+
+    def record(_slot: Optional[int] = None) -> None:
+        for i, policies in rows.items():
+            policies.append(greedy(i).actions)
+
+    history = run(record if rows else None)
+    if rows and spec.n_slots % spec.record_every:
+        record()
+    return history, [np.array(rows[i]) if i in rows else None
+                     for i in range(len(seeds))]
+
+
+def run_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int]) -> List[SeedRun]:
     """Execute one seed chunk of ``spec`` — the sweep's unit of work.
 
     Chunks narrower than the crossover (:func:`runs_scalar`) run on the
@@ -281,20 +311,19 @@ def run_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
     bits per seed.  Pure function of ``(spec, chunk_seeds)``: every RNG
     stream is constructed from the chunk's seeds, so the same bits come
     out whether the chunk runs in the parent process or a pool worker.
-    The optional hooks are in-process callbacks and are never shipped to
-    workers.
     """
     engine = "scalar" if runs_scalar(spec, len(chunk_seeds)) else "batched"
     TELEMETRY.inc(f"engine.slotted.{engine}")
     with TELEMETRY.span("chunk", cat="sweep", kind="slotted",
                         seeds=list(chunk_seeds), engine=engine):
         body = _run_scalar_chunk if engine == "scalar" else _run_batched_chunk
-        return body(spec, chunk_seeds, on_record, on_chunk_done)
+        return body(spec, chunk_seeds)
 
 
-def _run_batched_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
-                       on_record=None, on_chunk_done=None) -> List[SeedRun]:
+def _run_batched_chunk(spec: RolloutSpec,
+                       chunk_seeds: Sequence[int]) -> List[SeedRun]:
     env = spec.build_env(chunk_seeds)
+    snapshots: List[Optional[np.ndarray]] = [None] * len(chunk_seeds)
     if spec.policy is not None:
         lut = _policy_action_lut(env, spec.policy)
         hist = _run_fixed_policy(
@@ -302,7 +331,7 @@ def _run_batched_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
         )
     else:
         warmup = spec.warmup_schedule is not None and spec.warmup_slots > 0
-        driver = BatchedQDPM(
+        learner = BatchedQDPM(
             spec.build_env(chunk_seeds, warmup=True) if warmup else env,
             discount=spec.discount,
             learning_rate=spec.learning_rate,
@@ -311,43 +340,23 @@ def _run_batched_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
             seed=[s + 1 for s in chunk_seeds],
         )
         if warmup:
-            driver.run(spec.warmup_slots, record_every=spec.warmup_slots)
-            driver.env = env
-        callback = None
-        if on_record is not None:
-            callback = lambda slot: on_record(slot, driver, chunk_seeds)
-        hist = driver.run(
-            spec.n_slots, record_every=spec.record_every,
-            callback=callback,
+            learner.run(spec.warmup_slots, record_every=spec.warmup_slots)
+            learner.env = env
+        hist, snapshots = _run_snapshotted(
+            spec, chunk_seeds,
+            lambda callback: learner.run(spec.n_slots,
+                                         record_every=spec.record_every,
+                                         callback=callback),
+            learner.greedy_policy,
         )
-        if on_chunk_done is not None:
-            on_chunk_done(driver, chunk_seeds)
     savings = env.energy_saving_ratio()
     runs: List[SeedRun] = []
     for i, seed in enumerate(chunk_seeds):
         history = hist.replica(i)
         mean = _horizon_mean(history, spec.n_slots, spec.record_every)
         runs.append(SeedRun(seed, history, mean, float(savings[i]),
-                            env.totals.replica(i)))
+                            env.totals.replica(i), snapshots[i]))
     return runs
-
-
-class ScalarChunkDriver:
-    """What the snapshot hooks see of a learning chunk run on the scalar
-    stack: :class:`BatchedQDPM`'s ``greedy_policy(i)`` over one scalar
-    :class:`~repro.core.QDPM` per seed."""
-
-    def __init__(self, controllers: List[QDPM]) -> None:
-        self.controllers = controllers
-
-    def greedy_policy(self, replica: int = 0,
-                      prefer_visited: bool = True) -> DeterministicPolicy:
-        """Greedy policy of one seed (semantics of ``QDPM.greedy_policy``)."""
-        return self.controllers[replica].greedy_policy(prefer_visited)
-
-
-#: what the snapshot hooks of :meth:`SweepRunner.run_many` are handed
-Driver = Union[BatchedQDPM, ScalarChunkDriver]
 
 
 def _scalar_learner(spec: RolloutSpec, seed: int,
@@ -383,49 +392,28 @@ def _fixed_policy_step(env: SlottedDPMEnv, actions: List[int]):
     return step
 
 
-def _run_in_turn(envs: Sequence[SlottedDPMEnv], steps, n_slots: int,
-                 record_every: int, callback=None) -> List[RunHistory]:
-    """One :func:`run_lockstep` history per scalar env.  With a callback
-    and several envs they advance one window at a time in turn, so the
-    callback sees all of them at the same slot."""
-    if callback is None or len(envs) == 1:
-        return [run_lockstep(env, step, n_slots, record_every=record_every,
-                             callback=callback)
-                for env, step in zip(envs, steps)]
-    parts: List[List[RunHistory]] = [[] for _ in envs]
-    for start in range(0, n_slots, record_every):
-        width = min(record_every, n_slots - start)
-        for env, step, part in zip(envs, steps, parts):
-            part.append(run_lockstep(env, step, width, record_every=width))
-        if width == record_every:
-            callback(envs[0].current_slot - 1)
-    names = [f.name for f in fields(RunHistory)]
-    return [RunHistory(*(np.concatenate([getattr(h, name) for h in part])
-                         for name in names))
-            for part in parts]
-
-
-def _run_scalar_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
-                      on_record=None, on_chunk_done=None) -> List[SeedRun]:
-    envs = [spec.scalar_env(seed) for seed in chunk_seeds]
-    callback = None
-    if spec.policy is not None:
-        actions = _policy_action_lut(envs[0], spec.policy).tolist()
-        steps = [_fixed_policy_step(env, actions) for env in envs]
-    else:
-        driver = ScalarChunkDriver([
-            _scalar_learner(spec, seed, env)
-            for seed, env in zip(chunk_seeds, envs)
-        ])
-        steps = [c.control_step for c in driver.controllers]
-        if on_record is not None:
-            callback = lambda slot: on_record(slot, driver, chunk_seeds)
-    histories = _run_in_turn(envs, steps, spec.n_slots, spec.record_every,
-                             callback)
-    if spec.policy is None and on_chunk_done is not None:
-        on_chunk_done(driver, chunk_seeds)
-    return [_seed_run(spec, seed, history, env)
-            for seed, history, env in zip(chunk_seeds, histories, envs)]
+def _run_scalar_chunk(spec: RolloutSpec,
+                      chunk_seeds: Sequence[int]) -> List[SeedRun]:
+    runs = []
+    for seed in chunk_seeds:
+        env = spec.scalar_env(seed)
+        snapshot = None
+        if spec.policy is not None:
+            actions = _policy_action_lut(env, spec.policy).tolist()
+            history = run_lockstep(env, _fixed_policy_step(env, actions),
+                                   spec.n_slots,
+                                   record_every=spec.record_every)
+        else:
+            learner = _scalar_learner(spec, seed, env)
+            history, (snapshot,) = _run_snapshotted(
+                spec, [seed],
+                lambda callback: run_lockstep(
+                    env, learner.control_step, spec.n_slots,
+                    record_every=spec.record_every, callback=callback),
+                lambda _: learner.greedy_policy(),
+            )
+        runs.append(_seed_run(spec, seed, history, env, snapshot))
+    return runs
 
 
 def reference_seed_runs(spec: RolloutSpec,
@@ -496,10 +484,8 @@ class SweepRunner(ChunkedRunner):
     shared ones of :class:`~repro.runtime.chunked.ChunkedRunner`, with
     two specifics:
 
-    - ``checkpoint`` does not compose with the snapshot hooks of
-      :meth:`run_many` (resumed chunks never execute, so the hooks could
-      not fire) nor with ``controller_factory`` (the journal key cannot
-      see the factory);
+    - ``checkpoint`` does not compose with ``controller_factory`` (the
+      journal key cannot see the factory);
     - ``verify_fraction`` re-runs each sampled chunk per seed on the
       engine it did *not* run on — batched chunks on the scalar stack,
       scalar chunks on the batched engine at ``B = 1`` — and results
@@ -520,44 +506,33 @@ class SweepRunner(ChunkedRunner):
         self,
         spec: RolloutSpec,
         seeds: Sequence[int],
-        on_record: Optional[Callable[[int, Driver, Sequence[int]], None]] = None,
-        on_chunk_done: Optional[Callable[[Driver, Sequence[int]], None]] = None,
         controller_factory: Optional[Callable[[int], object]] = None,
     ) -> SweepResult:
         """Run ``spec`` once per seed; batched and sharded wherever possible.
 
-        ``on_record(slot, driver, chunk_seeds)`` fires at every record
-        point of a learning chunk executed in the parent process
-        (snapshot hooks); ``on_chunk_done(driver, chunk_seeds)`` after
-        such a chunk finishes (final-table extraction).  With
-        ``n_jobs = 1`` that is every chunk; with ``n_jobs > 1`` only the
-        *first* chunk runs in the parent (overlapped with the worker
-        pool), so hooks see exactly the lead chunk — the contract the
-        figure experiments rely on.  The driver is a
-        :class:`BatchedQDPM` or, for a chunk on the scalar stack, a
-        :class:`ScalarChunkDriver`; on both, ``driver.greedy_policy(i)``
-        is seed ``chunk_seeds[i]``'s greedy policy at the hook's slot.
-        Hooks never change results.
+        Every chunk, in the parent or on a pool worker, goes through the
+        same checkpointed, retried and shadow-verified path; the greedy
+        policies of the seeds in ``spec.snapshot_seeds`` come back as
+        :attr:`SeedRun.snapshots`.
         ``controller_factory(seed)`` switches to the scalar fallback, one
-        work unit per seed (hooks do not apply): it returns an object
-        with ``.run(n_slots, record_every)`` -> ``RunHistory`` and an
-        ``.env`` with ``totals`` / ``energy_saving_ratio()`` (e.g. the
-        model-based pipeline).  Closures cannot ship and run in-process.
+        work unit per seed: it returns an object with
+        ``.run(n_slots, record_every)`` -> ``RunHistory`` and an ``.env``
+        with ``totals`` / ``energy_saving_ratio()`` (e.g. the model-based
+        pipeline); it takes no ``snapshot_seeds``.  Closures cannot ship
+        and run in-process.
         """
         seeds = [check_count("seed", s, 0) for s in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
-        hooked = on_record is not None or on_chunk_done is not None
-        if self.checkpoint is not None and (
-                hooked or controller_factory is not None):
-            raise ValueError(
-                "checkpointing does not compose with in-process snapshot "
-                "hooks or a controller_factory: resumed chunks load from "
-                "the journal without executing, so hooks could not fire, "
-                "and the journal key cannot see the factory"
-            )
-        execute = None
         if controller_factory is not None:
+            if self.checkpoint is not None:
+                raise ValueError(
+                    "checkpointing does not compose with a controller_factory: "
+                    "the journal key cannot see the factory"
+                )
+            if spec.snapshot_seeds:
+                raise ValueError("snapshot_seeds needs the slotted engines, "
+                                 "not a controller_factory")
             plan = SweepPlan(
                 spec=spec, cells=[spec], seeds=seeds, chunk_size=1,
                 fn=one_cell(_run_factory_chunk), seeds_at=1,
@@ -568,48 +543,7 @@ class SweepRunner(ChunkedRunner):
             )
         else:
             plan = slotted_plan(spec, [spec], seeds, self.batch_size)
-            if hooked:
-                execute = partial(self._run_hooked, on_record=on_record,
-                                  on_chunk_done=on_chunk_done)
         (runs,), execution = self._sweep(
-            "slotted", plan, execute,
-            n_seeds=len(seeds), batch_size=plan.chunk_size,
+            "slotted", plan, n_seeds=len(seeds), batch_size=plan.chunk_size,
         )
         return SweepResult(spec=spec, runs=runs, execution=execution)
-
-    def _run_hooked(self, plan: SweepPlan, tasks: List[Tuple], n_jobs: int,
-                    on_record=None, on_chunk_done=None):
-        """Execute step with snapshot hooks, the one case outside the
-        retry ladder: hook chunks run in the parent, never retried, so a
-        hook exception propagates as is and no hook fires twice.  With
-        ``n_jobs > 1`` only the lead chunk is one; the tail ships first
-        to ``n_jobs - 1`` workers and overlaps with it (a one-worker
-        pool runs eagerly in-process, so at ``n_jobs = 2`` nothing
-        overlaps)."""
-        tail = tasks[1:] if n_jobs > 1 else []
-        reporter = TELEMETRY.progress_reporter(
-            total=len(tasks), workers=min(n_jobs, len(tasks)), label="sweep",
-        )
-        tick = ((lambda *_: reporter.update()) if reporter is not None
-                else (lambda *_: None))
-        outputs: List[List[List[SeedRun]]] = []
-        with sweep_interrupts(len(tasks)):
-            pending = get_executor(max(n_jobs - 1, 1)).submit_all(
-                plan.fn, tail, timeout=self.timeout,
-                max_retries=self.max_retries,
-                retry_backoff=self.retry_backoff, on_result=tick,
-            )
-            try:
-                for task in tasks[:len(tasks) - len(tail)]:
-                    outputs.append(
-                        [run_chunk(*task, on_record, on_chunk_done)])
-                    TELEMETRY.inc("executor.chunks_completed")
-                    tick()
-            except BaseException:
-                # a lead chunk (or a user hook) failed: don't leak the pool
-                pending.cancel()
-                raise
-            outputs.extend(pending.get())
-        if reporter is not None:
-            reporter.finish()
-        return outputs, {}

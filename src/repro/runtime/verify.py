@@ -386,7 +386,6 @@ def check_sim_report(
 
 def check_fleet_report(
     report: Any,
-    expected_requests: Optional[int] = None,
     spec_key: Optional[str] = None,
     seed: Optional[int] = None,
     context: Optional[Dict[str, Any]] = None,
@@ -397,11 +396,9 @@ def check_fleet_report(
     Fleet-level conservation laws on top of the per-report numeric
     guards: request accounting (``n_requests ==
     sum(requests_per_device)``; the overload conservation law
-    ``dispatched + dropped + shed == offered requests`` whenever the
-    offered count is known — ``expected_requests`` or the report's own
-    ``n_offered``), finite non-negative residency, availability /
-    goodput / SLO attainment in ``[0, 1]``, goodput never above
-    throughput, and ``load_imbalance >= 1``.
+    ``dispatched + dropped + shed == n_offered``), finite non-negative
+    residency, availability / goodput / SLO attainment in ``[0, 1]``,
+    goodput never above throughput, and ``load_imbalance >= 1``.
 
     Raises :class:`InvariantViolation` with field-level evidence.
     """
@@ -445,26 +442,21 @@ def check_fleet_report(
     if dispatched != int(report.n_requests):
         p.add("n_requests == sum(requests_per_device)", dispatched,
               int(report.n_requests))
-    offered = (
-        int(expected_requests) if expected_requests is not None
-        else int(report.n_offered)
+    offered = int(report.n_offered)
+    accounted = (
+        int(report.n_requests) + int(report.n_dropped) + int(report.n_shed)
     )
-    if offered > 0 or expected_requests is not None:
-        accounted = (
-            int(report.n_requests) + int(report.n_dropped)
-            + int(report.n_shed)
-        )
-        if accounted != offered:
-            p.add("n_requests + n_dropped + n_shed == offered requests",
-                  offered, accounted)
-        # goodput counts deadline-met landed requests out of the offered
-        # load, so it can never exceed the dispatched fraction
-        if offered > 0:
-            throughput = int(report.n_requests) / offered
-            if float(report.goodput) > throughput + INVARIANT_ATOL \
-                    + INVARIANT_RTOL * throughput:
-                p.add("goodput <= throughput (n_requests / offered)",
-                      throughput, float(report.goodput))
+    if accounted != offered:
+        p.add("n_requests + n_dropped + n_shed == n_offered", offered,
+              accounted)
+    # goodput counts deadline-met landed requests out of the offered
+    # load, so it can never exceed the dispatched fraction
+    if offered > 0:
+        throughput = int(report.n_requests) / offered
+        if float(report.goodput) > throughput + INVARIANT_ATOL \
+                + INVARIANT_RTOL * throughput:
+            p.add("goodput <= throughput (n_requests / n_offered)",
+                  throughput, float(report.goodput))
 
     imbalance = float(report.load_imbalance)
     if p.finite("load_imbalance", imbalance):
@@ -494,7 +486,9 @@ def check_seed_run(
     that cannot exceed 1, int64-range counters, and request
     conservation: requests still queued at the horizon
     (``arrivals - completions - losses``) must lie in
-    ``[0, queue_capacity]`` (capacity read from ``spec`` when given).
+    ``[0, queue_capacity]`` (capacity read from ``spec`` when given),
+    and policy snapshots, one row per record, exactly for the seeds in
+    ``spec.snapshot_seeds``.
 
     Raises :class:`InvariantViolation` with field-level evidence.
     """
@@ -528,6 +522,13 @@ def check_seed_run(
         arr = np.asarray(getattr(history, name), dtype=float)
         if not np.all(np.isfinite(arr)):
             p.add(f"history.{name}", "all finite", "NaN/inf present")
+    if spec is not None and (run.seed in spec.snapshot_seeds) != (
+            run.snapshots is not None):
+        p.add("snapshots present", run.seed in spec.snapshot_seeds,
+              run.snapshots is not None)
+    elif run.snapshots is not None and len(run.snapshots) != len(history):
+        p.add("len(snapshots) == len(history)", len(history),
+              len(run.snapshots))
     p.raise_if_any()
 
 
@@ -561,6 +562,10 @@ def _values_diverge(field: str, got: Any, want: Any, rtol: float,
                     atol: float, out: List[Dict[str, Any]]) -> None:
     """Append a divergence record when ``got`` and ``want`` differ
     beyond tolerance; recurses into dicts/sequences/dataclasses."""
+    if (want is None) != (got is None):
+        out.append({"field": field, "expected": type(want).__name__,
+                    "got": type(got).__name__})
+        return
     if dataclasses.is_dataclass(want) and not isinstance(want, type):
         out.extend(
             {**d, "field": f"{field}.{d['field']}"}

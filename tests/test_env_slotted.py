@@ -153,6 +153,15 @@ class TestDynamics:
         with pytest.raises(KeyError):
             env.step(env.mode_space.action_index("idle"))
 
+    @pytest.mark.parametrize("action", [3, -3])
+    def test_out_of_range_action_raises(self, action):
+        # abstract3 has three actions; the text is the batched env's
+        env = make_env()
+        with pytest.raises(KeyError) as err:
+            env.step(action)
+        assert err.value.args[0] == (
+            f"action index {action} out of range [0, 3)")
+
     def test_seed_reproducibility(self):
         env_a = make_env(seed=3)
         env_b = make_env(seed=3)

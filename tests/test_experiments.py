@@ -70,9 +70,9 @@ class TestFig1:
         assert "convergence slot" in text
 
     def test_lead_seed_same_on_scalar_and_batched_engines(self):
-        """The snapshot hooks read ``driver.greedy_policy(0)`` whichever
-        engine ran the lead chunk: one seed (scalar stack) and a chunk at
-        the crossover width (batched engine) agree on the lead seed."""
+        """The lead seed's snapshots are the same whichever engine ran
+        its chunk: one seed (scalar stack) and a chunk at the crossover
+        width (batched engine) agree on the lead seed."""
         # early records, while some allowed actions are still unvisited:
         # there ``greedy_policy(prefer_visited=False)`` picks differently
         base = dataclasses.replace(Fig1Config(), n_slots=1_000,

@@ -10,12 +10,16 @@ every result they return (grid cells and model-based seeds included).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core import QDPM
 from repro.device import abstract_three_state
 from repro.env import SlottedDPMEnv
 from repro.fleet import FleetSweepRunner
+from repro.mdp import DeterministicPolicy
 from repro.runtime import (
     GridRunner,
     GridSpec,
@@ -81,6 +85,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="controller_factory"):
             runner.run_many(spec, [1], controller_factory=_factory)
 
+    def test_snapshot_seeds_need_a_learning_slotted_spec(self, spec):
+        # a fixed policy has no Q-table; a factory's controller is opaque
+        with pytest.raises(ValueError, match="snapshot_seeds"):
+            replace(spec, policy=DeterministicPolicy(np.zeros(4, dtype=int)),
+                    snapshot_seeds=(1,))
+        with pytest.raises(ValueError, match="snapshot_seeds"):
+            SweepRunner().run_many(replace(spec, snapshot_seeds=(1,)), [1],
+                                   controller_factory=_factory)
+
 
 class TestInterrupts:
     """A Ctrl-C inside any chunk surfaces as SweepInterrupted, never as
@@ -93,12 +106,13 @@ class TestInterrupts:
         assert err.value.n_total == 2
         assert "checkpoint" in err.value.resume_hint()
 
-    def test_sweep_with_hooks(self, spec, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "run_chunk", _interrupt)
-        with pytest.raises(SweepInterrupted):
+    def test_sweep_interrupted_while_snapshotting(self, spec, monkeypatch):
+        # Ctrl-C lands while the second chunk records a snapshot
+        monkeypatch.setattr(QDPM, "greedy_policy", _interrupt)
+        with pytest.raises(SweepInterrupted) as err:
             SweepRunner(batch_size=1).run_many(
-                spec, [1, 2], on_record=lambda *a: None,
-            )
+                replace(spec, snapshot_seeds=(2,)), [1, 2])
+        assert (err.value.n_completed, err.value.n_total) == (1, 2)
 
     def test_shadow_verification(self, spec, monkeypatch):
         monkeypatch.setattr(sweep_mod, "reference_seed_runs", _interrupt)

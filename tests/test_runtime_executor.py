@@ -10,6 +10,7 @@ factory can ship.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,45 +192,30 @@ class TestShardedDeterminism:
         _assert_identical(serial, result)
 
 
-class TestCallbackSemantics:
-    def test_hooks_fire_for_lead_chunk_only_when_sharded(self, spec):
+class TestSnapshotSemantics:
+    def test_snapshots_same_when_sharded(self, spec):
+        # three chunks on a three-worker pool: the lead seed's chunk runs
+        # on a worker and still returns the snapshots a serial run does
         seeds = [1, 2, 3, 4, 5, 6]
-        recorded, done = [], []
-        result = SweepRunner(batch_size=2, n_jobs=3).run_many(
-            spec, seeds,
-            on_record=lambda slot, driver, chunk: recorded.append((slot, tuple(chunk))),
-            on_chunk_done=lambda driver, chunk: done.append(tuple(chunk)),
-        )
-        # the lead chunk ran in the parent with hooks; workers ran dark
-        assert done == [(1, 2)]
-        assert {c for _, c in recorded} == {(1, 2)}
-        assert len(recorded) == spec.n_slots // spec.record_every
-        # hooks never change results
-        _assert_identical(
-            SweepRunner(batch_size=2, n_jobs=1).run_many(spec, seeds), result
-        )
+        snap = replace(spec, snapshot_seeds=(1,))
+        pooled = SweepRunner(batch_size=2, n_jobs=3).run_many(snap, seeds)
+        serial = SweepRunner(batch_size=2, n_jobs=1).run_many(snap, seeds)
+        assert pooled.execution["n_jobs_effective"] == 3
+        _assert_identical(serial, pooled)
+        lead = pooled.runs[0].snapshots
+        assert lead.shape == (spec.n_slots // spec.record_every,
+                              spec.scalar_env(1).n_states)
+        assert np.array_equal(lead, serial.runs[0].snapshots)
 
-    def test_failing_hook_does_not_leak_workers(self, spec):
-        import multiprocessing
-
-        before = len(multiprocessing.active_children())
-        with pytest.raises(RuntimeError, match="hook boom"):
-            SweepRunner(batch_size=2, n_jobs=2).run_many(
-                spec, [1, 2, 3, 4],
-                on_record=lambda *a: (_ for _ in ()).throw(RuntimeError("hook boom")),
-            )
-        # pool terminated on the failure path, nothing left running
-        for child in multiprocessing.active_children():
-            child.join(timeout=10)
-        assert len(multiprocessing.active_children()) <= before
-
-    def test_hooks_fire_for_every_chunk_when_serial(self, spec):
-        seeds = [1, 2, 3, 4]
-        done = []
-        SweepRunner(batch_size=2, n_jobs=1).run_many(
-            spec, seeds, on_chunk_done=lambda driver, chunk: done.append(tuple(chunk)),
-        )
-        assert done == [(1, 2), (3, 4)]
+    def test_only_listed_seeds_snapshot_in_every_chunk(self, spec):
+        seeds = [1, 2, 3, 4, 5, 6]
+        snap = replace(spec, snapshot_seeds=(2, 3, 6))
+        result = SweepRunner(batch_size=2).run_many(snap, seeds)
+        assert [r.seed for r in result.runs
+                if r.snapshots is not None] == [2, 3, 6]
+        for run in result.runs:
+            if run.snapshots is not None:
+                assert len(run.snapshots) == len(run.history)
 
 
 class TestValidation:

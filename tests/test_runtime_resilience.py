@@ -19,6 +19,7 @@ import math
 import os
 import pickle
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,7 @@ from repro.runtime import (
     spec_hash,
 )
 from repro.runtime.executor import RETRY_BACKOFF_CAP, retry_backoff_seconds
+from repro.runtime.verify import compare_reports
 from repro.workload import ConstantRate, Exponential
 
 # --------------------------------------------------------------------- #
@@ -509,9 +511,28 @@ class TestSweepRunnerCheckpointResume:
                 assert np.array_equal(a.history.reward, b.history.reward)
                 assert a.totals == b.totals
 
-    def test_checkpoint_rejects_snapshot_hooks(self, tmp_path):
-        runner = SweepRunner(batch_size=2, checkpoint=str(tmp_path / "ck"))
-        with pytest.raises(ValueError, match="snapshot hooks"):
-            runner.run_many(
-                self._spec(), [0, 1], on_record=lambda *a: None
-            )
+    def test_resume_keeps_snapshots(self, tmp_path):
+        spec = replace(self._spec(), snapshot_seeds=(0, 3))
+        seeds = list(range(4))
+        reference = SweepRunner(batch_size=2).run_many(spec, seeds)
+        ck = tmp_path / "rollout.ck"
+        SweepRunner(batch_size=2, checkpoint=str(ck)).run_many(spec, seeds)
+        # drop the last chunk's record, as an interrupted run leaves it
+        records = []
+        with open(ck, "rb") as fh:
+            while True:
+                try:
+                    records.append(pickle.load(fh))
+                except EOFError:
+                    break
+        with open(ck, "wb") as fh:
+            for record in records[:-1]:
+                pickle.dump(record, fh, protocol=4)
+        resumed = SweepRunner(batch_size=2, checkpoint=str(ck)).run_many(
+            spec, seeds)
+        assert resumed.execution["resumed_chunks"] == 1
+        assert resumed.execution["computed_chunks"] == 1
+        for a, b in zip(reference.runs, resumed.runs):
+            assert compare_reports(b, a, rtol=0.0, atol=0.0) == []
+        assert [r.seed for r in resumed.runs
+                if r.snapshots is not None] == [0, 3]

@@ -17,7 +17,6 @@ from repro.runtime import RolloutSpec, SweepRunner, reference_seed_runs, run_chu
 from repro.runtime.sweep import (
     FIXED_POLICY_CROSSOVER,
     LEARNING_CROSSOVER,
-    ScalarChunkDriver,
     runs_scalar,
 )
 from repro.workload import ConstantRate, SinusoidalRate
@@ -269,45 +268,37 @@ class TestEngineDispatch:
         assert runs_scalar(fixed, FIXED_POLICY_CROSSOVER - 1)
         assert not runs_scalar(fixed, FIXED_POLICY_CROSSOVER)
 
-    def test_scalar_hooks_see_batched_driver_interface(self, spec):
-        seen = []
+    def test_snapshots_same_on_scalar_and_batched_engines(self, spec):
+        snap = replace(spec, snapshot_seeds=(1, 2))
+        scalar = SweepRunner(batch_size=2).run_many(snap, [1, 2])
+        batched = SweepRunner(batch_size=LEARNING_CROSSOVER).run_many(
+            snap, range(1, LEARNING_CROSSOVER + 1))
+        assert self._engine_counts(scalar) == (1, 0)
+        assert self._engine_counts(batched) == (0, 1)
+        for a, b in zip(scalar.runs, batched.runs):
+            assert a.snapshots.shape == (4, spec.scalar_env(0).n_states)
+            assert np.array_equal(a.snapshots, b.snapshots)
 
-        def on_record(slot, driver, chunk_seeds):
-            assert isinstance(driver, ScalarChunkDriver)
-            seen.append((slot, [driver.greedy_policy(i)
-                                for i in range(len(chunk_seeds))]))
-
-        SweepRunner(batch_size=2).run_many(spec, [1, 2],
-                                           on_record=on_record)
-        assert [slot for slot, _ in seen] == [999, 1999, 2999, 3999]
-        # every seed snapshots at the hook's slot: the final record
-        # matches a batched-engine rerun's driver at the same slot
-        batched = []
-        rerun = SweepRunner(batch_size=LEARNING_CROSSOVER).run_many(
-            spec, range(1, LEARNING_CROSSOVER + 1),
-            on_chunk_done=lambda d, seeds: batched.extend(
-                d.greedy_policy(i) for i in range(2)),
-        )
-        assert self._engine_counts(rerun) == (0, 1)
-        assert seen[-1][1] == batched
-
-    def test_scalar_hooks_never_change_results(self, spec):
-        # with a hook the seeds advance one window at a time in turn;
-        # the histories, final partial window included, are unchanged
+    @pytest.mark.parametrize("n_seeds", [3, LEARNING_CROSSOVER])
+    def test_snapshots_never_change_results(self, spec, n_seeds):
+        # a final partial window adds one final-policy row
         partial = RolloutSpec(schedule=spec.schedule, n_slots=2_500,
                               record_every=1_000, queue_capacity=6)
-        slots = []
-        hooked = SweepRunner(batch_size=3).run_many(
-            partial, [4, 5, 6], on_record=lambda slot, d, s: slots.append(slot))
-        plain = SweepRunner(batch_size=3).run_many(partial, [4, 5, 6])
-        assert slots == [999, 1999]
-        for a, b in zip(hooked.runs, plain.runs):
+        seeds = list(range(4, 4 + n_seeds))
+        snap = replace(partial, snapshot_seeds=tuple(seeds))
+        runner = SweepRunner(batch_size=n_seeds)
+        snapped = runner.run_many(snap, seeds)
+        plain = runner.run_many(partial, seeds)
+        for a, b in zip(snapped.runs, plain.runs):
             assert list(a.history.slots) == [999, 1999, 2499]
             for name in ("slots", "energy", "reward", "queue",
                          "saving_ratio", "td_error"):
                 assert np.array_equal(getattr(a.history, name),
                                       getattr(b.history, name))
             assert a.mean_reward == b.mean_reward
+            assert a.totals == b.totals
+            assert len(a.snapshots) == len(a.history)
+            assert b.snapshots is None
 
 
 def _policy(n_states: int, n_actions: int, seed: int) -> DeterministicPolicy:

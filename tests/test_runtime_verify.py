@@ -22,8 +22,10 @@ from repro.baselines import AdaptiveTimeout, AlwaysOn, FixedTimeout
 from repro.device import PRESETS
 from repro.fleet import make_router, run_fleet
 from repro.runtime import (
+    BatchedQDPM,
     InvariantViolation,
     RolloutSpec,
+    SweepRunner,
     TraceSpec,
     check_fleet_report,
     check_seed_run,
@@ -35,6 +37,7 @@ from repro.runtime import (
     shadow_verify_chunks,
     simulate_trace,
 )
+from repro.runtime.sweep import LEARNING_CROSSOVER
 from repro.sim import DPMSimulator
 from repro.sim.stats import compile_report
 from repro.workload import ConstantRate, Exponential
@@ -159,7 +162,8 @@ class TestCheckFleetReport:
     def test_correct_reports_pass(self):
         for seed in (1, 2, 9):
             report, n_arrivals = _fleet_report(seed)
-            check_fleet_report(report, expected_requests=n_arrivals)
+            check_fleet_report(
+                dataclasses.replace(report, n_offered=n_arrivals))
 
     def test_request_accounting_must_balance(self):
         report, _ = _fleet_report()
@@ -172,7 +176,8 @@ class TestCheckFleetReport:
     def test_dispatched_plus_dropped_must_cover_trace(self):
         report, n_arrivals = _fleet_report()
         with pytest.raises(InvariantViolation) as err:
-            check_fleet_report(report, expected_requests=n_arrivals + 5)
+            check_fleet_report(
+                dataclasses.replace(report, n_offered=n_arrivals + 5))
         assert any("n_dropped" in str(d["field"]) for d in err.value.details)
 
     def test_availability_bounded(self):
@@ -198,7 +203,7 @@ class TestCheckFleetReport:
 
     def test_shed_conservation_must_balance(self):
         """dispatched + dropped + shed == offered, enforced from the
-        report's own n_offered even without expected_requests."""
+        report's own n_offered."""
         report, n_arrivals = _fleet_report()
         assert report.n_offered == n_arrivals
         check_fleet_report(report)
@@ -208,15 +213,16 @@ class TestCheckFleetReport:
         assert any("n_shed" in str(d["field"]) for d in err.value.details)
 
     def test_shed_requests_count_toward_expected(self):
-        """A report that sheds is conserved against expected_requests:
-        shifting landed requests into n_shed keeps the balance only if
-        n_requests shrinks to match."""
+        """A report that sheds is conserved against n_offered: shifting
+        landed requests into n_shed keeps the balance only if n_requests
+        shrinks to match."""
         report, n_arrivals = _fleet_report()
         shifted = dataclasses.replace(
             report, n_shed=4, n_requests=report.n_requests - 4)
         # conservation holds, but now requests_per_device disagrees
         with pytest.raises(InvariantViolation) as err:
-            check_fleet_report(shifted, expected_requests=n_arrivals)
+            check_fleet_report(
+                dataclasses.replace(shifted, n_offered=n_arrivals))
         assert all("n_shed" not in str(d["field"])
                    for d in err.value.details)
 
@@ -260,14 +266,16 @@ class TestCheckFleetReport:
             with pytest.raises(InvariantViolation):
                 check_fleet_report(bad)
 
-    def test_legacy_report_without_offered_is_unchecked(self):
-        """n_offered == 0 (a hand-built legacy report) disables the
-        conservation check unless expected_requests pins it."""
+    def test_report_without_offered_fails_the_check(self):
+        """n_offered == 0 on a report that dispatched requests breaks
+        the conservation law: no report is exempt from it."""
         report, _ = _fleet_report()
-        legacy = dataclasses.replace(report, n_offered=0, n_shed=2)
-        check_fleet_report(legacy)  # no conservation to enforce
-        with pytest.raises(InvariantViolation):
-            check_fleet_report(legacy, expected_requests=report.n_offered)
+        unoffered = dataclasses.replace(report, n_offered=0)
+        with pytest.raises(InvariantViolation) as err:
+            check_fleet_report(unoffered)
+        assert any("n_offered" in str(d["field"]) for d in err.value.details)
+        check_fleet_report(
+            dataclasses.replace(unoffered, n_offered=report.n_offered))
 
 
 # --------------------------------------------------------------------- #
@@ -301,6 +309,22 @@ class TestCheckSeedRun:
         with pytest.raises(InvariantViolation) as err:
             check_seed_run(bad, spec=spec)
         assert any("arrivals" in str(d["field"]) for d in err.value.details)
+
+    def test_snapshots_must_follow_the_spec(self):
+        spec, runs = self._runs()
+        snap = dataclasses.replace(spec, snapshot_seeds=(0,))
+        lead = run_chunk(snap, [0])[0]
+        check_seed_run(lead, spec=snap)
+        for bad, want in ((runs[0], snap), (lead, spec),
+                          (dataclasses.replace(lead,
+                                               snapshots=lead.snapshots[1:]),
+                           snap)):
+            with pytest.raises(InvariantViolation) as err:
+                check_seed_run(bad, spec=want)
+            assert "snapshots" in err.value.details[0]["field"]
+        # the shadow compare names a missing snapshot matrix too
+        assert compare_reports(runs[0], lead, rtol=0.0, atol=0.0)[-1] == {
+            "field": "snapshots", "expected": "ndarray", "got": "NoneType"}
 
     def test_horizon_must_match_spec(self):
         spec, runs = self._runs()
@@ -437,6 +461,26 @@ class TestShadowVerifyChunks:
         payload = json.loads(bundles[0].read_text())
         assert payload["kind"] == "shadow_divergence"
         assert payload["details"]
+
+    def test_snapshot_of_wrong_replica_is_caught(self, monkeypatch):
+        """A batched engine that snapshots replica ``i + 1`` diverges
+        from the scalar stack's snapshots, field ``snapshots``."""
+        spec = RolloutSpec(schedule=ConstantRate(0.15), n_slots=400,
+                           record_every=100, snapshot_seeds=(0,))
+        seeds = list(range(LEARNING_CROSSOVER))
+        runner = SweepRunner(batch_size=len(seeds), verify_fraction=1.0)
+        clean = runner.run_many(spec, seeds)
+        assert clean.execution["verification"]["n_divergences"] == 0
+        greedy = BatchedQDPM.greedy_policy
+        monkeypatch.setattr(
+            BatchedQDPM, "greedy_policy",
+            lambda self, i=0, prefer_visited=True: greedy(self, i + 1,
+                                                          prefer_visited))
+        with pytest.raises(InvariantViolation) as err:
+            runner.run_many(spec, seeds)
+        assert err.value.invariant == "shadow_divergence"
+        assert [d["field"].split("[")[0] for d in err.value.details] == [
+            "snapshots"]
 
 
 # --------------------------------------------------------------------- #
