@@ -2,12 +2,18 @@
 
 from .change_detect import BernoulliCUSUM
 from .estimator import SlidingWindowEstimator
-from .model_based import AdaptationEvent, AdaptationLog, ModelBasedAdaptiveDPM
+from .model_based import (
+    AdaptationEvent,
+    AdaptationLog,
+    ModelBasedAdaptiveDPM,
+    ModelBasedSpec,
+)
 
 __all__ = [
     "SlidingWindowEstimator",
     "BernoulliCUSUM",
     "ModelBasedAdaptiveDPM",
+    "ModelBasedSpec",
     "AdaptationEvent",
     "AdaptationLog",
 ]

@@ -15,6 +15,8 @@ embedded CPU.
 
 Interface-compatible with :class:`repro.core.QDPM` (same ``run`` /
 ``RunHistory``), so the Fig. 2 harness can overlay both.
+:class:`ModelBasedSpec` is the controller's picklable recipe: a sweep
+(``RolloutSpec.model_based``) builds one controller per seed from it.
 """
 
 from __future__ import annotations
@@ -186,3 +188,35 @@ class ModelBasedAdaptiveDPM:
             self.detector.reset(new_rate)
             self._pending_since = None
         return reward, info, 0.0
+
+
+@dataclass(frozen=True)
+class ModelBasedSpec:
+    """Picklable recipe of one :class:`ModelBasedAdaptiveDPM` per env:
+    a :class:`SlidingWindowEstimator` of ``window`` slots and a
+    :class:`BernoulliCUSUM` armed at ``initial_rate``; the other fields
+    are the controller's own settings."""
+
+    window: int = 2000
+    min_samples: int = 500
+    freeze_slots: int = 0
+    solver: str = "linear_programming"
+    initial_rate: float = 0.2
+    cusum_drift: float = 0.05
+    cusum_threshold: float = 20.0
+
+    def controller(self, env: SlottedDPMEnv,
+                   discount: float) -> ModelBasedAdaptiveDPM:
+        """A fresh controller of ``env``."""
+        return ModelBasedAdaptiveDPM(
+            env,
+            discount=discount,
+            solver=self.solver,
+            estimator=SlidingWindowEstimator(self.window),
+            detector=BernoulliCUSUM(self.initial_rate,
+                                    drift=self.cusum_drift,
+                                    threshold=self.cusum_threshold),
+            min_samples=self.min_samples,
+            freeze_slots=self.freeze_slots,
+            initial_rate=self.initial_rate,
+        )

@@ -103,6 +103,11 @@ class Fig1Result:
 
 def run_fig1(config: Fig1Config = Fig1Config()) -> Fig1Result:
     """Run the FIG1 experiment; deterministic given the config seeds."""
+    if config.n_slots < config.record_every:
+        raise ValueError(
+            f"n_slots ({config.n_slots}) must be at least record_every "
+            f"({config.record_every}): fig1 needs one full record window"
+        )
     device = get_preset(config.env.device)
     model = build_dpm_model(
         device,

@@ -14,20 +14,15 @@ per-switch response time of each controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..adaptive import (
-    AdaptationLog,
-    BernoulliCUSUM,
-    ModelBasedAdaptiveDPM,
-    SlidingWindowEstimator,
-)
+from ..adaptive import AdaptationLog, ModelBasedSpec
 from ..analysis import CI, SwitchResponse, ascii_chart, switch_responses
 from ..device import get_preset
-from ..env import SlottedDPMEnv, build_dpm_model
+from ..env import build_dpm_model
 from ..runtime import RolloutSpec, merge_verification_blocks
 from ..workload import PiecewiseConstantRate
 from .config import Fig2Config
@@ -129,23 +124,6 @@ def _segment_steady_levels(
     return targets
 
 
-def _make_env(config: Fig2Config, seed: int) -> SlottedDPMEnv:
-    device = get_preset(config.env.device)
-    schedule = PiecewiseConstantRate(
-        [(config.segment_slots, r) for r in config.segment_rates]
-    )
-    return SlottedDPMEnv(
-        device,
-        schedule,
-        slot_length=config.env.slot_length,
-        queue_capacity=config.env.queue_capacity,
-        p_serve=config.env.p_serve,
-        perf_weight=config.env.perf_weight,
-        loss_penalty=config.env.loss_penalty,
-        seed=seed,
-    )
-
-
 def _merged_execution(*sweeps) -> Optional[dict]:
     """One execution block covering every sweep arm, for the CLI summary."""
     merged = merge_verification_blocks(
@@ -158,11 +136,13 @@ def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
     """Run the FIG2 experiment; deterministic given the config seeds.
 
     Both controller arms route through the unified
-    :class:`~repro.runtime.SweepRunner`: the Q-DPM seeds train lock-step
-    on the batched engine, the model-based pipeline (stateful estimator +
-    CUSUM + LP re-optimizer — inherently scalar) uses the runner's
-    per-seed fallback.  With ``config.sweep.n_seeds > 1`` the plotted
-    curves are across-seed means.
+    :class:`~repro.runtime.SweepRunner` on the same workload seeds: the
+    Q-DPM seeds train on the slotted engines, and the model-based
+    pipeline (stateful estimator + CUSUM + LP re-optimizer — inherently
+    scalar) is the same spec with ``model_based`` set, one controller per
+    seed on the scalar stack; the first seed's adaptation log is the one
+    reported.  With ``config.sweep.n_seeds > 1`` the plotted curves are
+    across-seed means.
     """
     n_slots = config.segment_slots * len(config.segment_rates)
     schedule = PiecewiseConstantRate(
@@ -182,31 +162,16 @@ def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
     seeds = config.seeds()
     runner = config.sweep.runner()
 
-    # --- Q-DPM (batched) -----------------------------------------------
     sweep_q = runner.run_many(spec, seeds)
-
-    # --- model-based adaptive (scalar fallback) ------------------------
-    controllers: List[ModelBasedAdaptiveDPM] = []
-
-    def mb_factory(seed: int) -> ModelBasedAdaptiveDPM:
-        mb = ModelBasedAdaptiveDPM(
-            _make_env(config, seed),  # identical workload seed per arm
-            discount=config.env.discount,
-            solver=config.mb_solver,
-            estimator=SlidingWindowEstimator(config.mb_window),
-            detector=BernoulliCUSUM(
-                config.mb_initial_rate,
-                drift=config.mb_cusum_drift,
-                threshold=config.mb_cusum_threshold,
-            ),
-            min_samples=config.mb_min_samples,
-            freeze_slots=config.mb_freeze_slots,
-            initial_rate=config.mb_initial_rate,
-        )
-        controllers.append(mb)
-        return mb
-
-    sweep_m = runner.run_many(spec, seeds, controller_factory=mb_factory)
+    sweep_m = runner.run_many(replace(spec, model_based=ModelBasedSpec(
+        window=config.mb_window,
+        min_samples=config.mb_min_samples,
+        freeze_slots=config.mb_freeze_slots,
+        solver=config.mb_solver,
+        initial_rate=config.mb_initial_rate,
+        cusum_drift=config.mb_cusum_drift,
+        cusum_threshold=config.mb_cusum_threshold,
+    )), seeds)
 
     multi = len(seeds) > 1
     hist_q = sweep_q.mean_history() if multi else sweep_q.runs[0].history
@@ -246,7 +211,7 @@ def run_fig2(config: Fig2Config = Fig2Config()) -> Fig2Result:
         segment_optimal_saving=opt_savings,
         qdpm_responses=q_resp,
         mb_responses=m_resp,
-        mb_log=controllers[0].log,
+        mb_log=sweep_m.runs[0].adaptation,
         n_seeds=len(seeds),
         qdpm_reward_ci=sweep_q.reward_ci() if multi else None,
         mb_reward_ci=sweep_m.reward_ci() if multi else None,

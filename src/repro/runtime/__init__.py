@@ -55,7 +55,6 @@ from .executor import (
     MultiprocessExecutor,
     SerialExecutor,
     get_executor,
-    is_picklable,
     resolve_n_jobs,
 )
 from .grid import GridCell, GridCellResult, GridResult, GridRunner, GridSpec
@@ -124,7 +123,6 @@ __all__ = [
     "run_chunks_checkpointed",
     "spec_hash",
     "get_executor",
-    "is_picklable",
     "GridSpec",
     "GridCell",
     "GridCellResult",

@@ -83,8 +83,6 @@ class SweepPlan:
     compare: Dict[str, Any] = field(default_factory=dict)
     #: estimated wall seconds of one work unit (for ``resolve_n_jobs``)
     estimate: Optional[float] = None
-    #: decision that forces in-process execution, e.g. an unpicklable task
-    serial_reason: Optional[str] = None
     #: consecutive cells sharing one work unit (divides the cell count)
     group_size: int = 1
 
@@ -162,9 +160,7 @@ class ChunkedRunner:
         """Run ``plan``: ``(per-cell result lists, execution block)``."""
         requested = self.n_jobs
         tasks = plan.tasks()
-        if plan.serial_reason is not None and requested > 1:
-            n_jobs, decision = 1, plan.serial_reason
-        elif plan.estimate is None:  # no cost model: honour the request
+        if plan.estimate is None:  # no cost model: honour the request
             n_jobs = requested
             decision = "parallel" if requested > 1 else "serial_requested"
         else:

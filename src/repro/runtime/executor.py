@@ -15,10 +15,8 @@ supplies the executor abstraction that ships those units out:
 Work functions must be module-level (picklable by reference) and their
 arguments/results picklable by value — every runtime work unit
 (``RolloutSpec``, seed lists, ``SeedRun``) is a plain dataclass/NumPy
-composite, so this holds by construction.  :func:`is_picklable` lets
-callers probe user-supplied callables (e.g. scalar-fallback controller
-factories, which are often closures) and degrade to the serial path
-instead of crashing the pool.
+composite, so this holds by construction; no sweep takes an in-process
+callback.
 """
 
 from __future__ import annotations
@@ -26,21 +24,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..checks import check_count
 from .telemetry import TELEMETRY, TracedCall
-
-
-def is_picklable(obj: Any) -> bool:
-    """True when ``obj`` survives :func:`pickle.dumps` (pool-shippable)."""
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
 
 
 #: ceiling on the exponential retry backoff sleep (seconds)

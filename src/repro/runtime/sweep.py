@@ -14,8 +14,9 @@ summarize".  :class:`SweepRunner` owns that loop once:
   seed, and each is the other's shadow reference;
 - fixed policies (the frozen-optimal arms) run on either engine with a
   precomputed state->action lookup;
-- controllers that cannot be batched (the model-based adaptive pipeline)
-  fall back to one scalar rollout per seed, each its own work unit;
+- the model-based adaptive pipeline (``RolloutSpec.model_based``) runs
+  one scalar controller per seed; its chunks take the same path as every
+  other chunk but have no second engine to be shadow-verified against;
 - seed chunks are embarrassingly parallel, so ``n_jobs > 1`` ships
   ``(spec, chunk_seeds)`` work units across a process pool through the
   shared chunked-sweep core (:mod:`repro.runtime.chunked`), which
@@ -33,10 +34,11 @@ dataclasses (``RolloutSpec.from_env_config``) and calls down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..adaptive.model_based import AdaptationLog, ModelBasedSpec
 from ..analysis.bootstrap import CI, bootstrap_ci
 from ..checks import check_count
 from ..core.exploration import FixedDrawEpsilonGreedy
@@ -50,7 +52,6 @@ from ..workload.nonstationary import RateSchedule
 from .batched_env import BatchedSlottedEnv
 from .batched_qdpm import BatchedQDPM, BatchRunHistory, run_lockstep
 from .chunked import ChunkedRunner, SweepPlan, chunk_seeds, one_cell
-from .executor import is_picklable
 from .telemetry import TELEMETRY
 from .verify import check_seed_run
 
@@ -62,6 +63,9 @@ class RolloutSpec:
     ``policy`` switches the controller: ``None`` rolls a learning Q-DPM
     (with an optional pre-training phase on ``warmup_schedule``), a
     :class:`~repro.mdp.DeterministicPolicy` rolls that fixed policy.
+    ``model_based`` instead rolls one
+    :class:`~repro.adaptive.ModelBasedAdaptiveDPM` per seed, built from
+    that recipe (no ``policy``, warmup or snapshots).
     Per-replica env streams are seeded ``seed + env_seed_offset`` (and
     ``seed + warmup_seed_offset`` during warmup), mirroring the seed
     arithmetic the scalar experiments used.  Every learning seed listed
@@ -88,11 +92,17 @@ class RolloutSpec:
     env_seed_offset: int = 0
     warmup_seed_offset: int = 0
     snapshot_seeds: Tuple[int, ...] = ()
+    model_based: Optional[ModelBasedSpec] = None
 
     def __post_init__(self) -> None:
         if self.snapshot_seeds and self.policy is not None:
             raise ValueError("snapshot_seeds needs a learning spec "
                              "(policy=None): a fixed policy has no Q-table")
+        if self.model_based is not None and (
+                self.policy is not None or self.warmup_slots > 0
+                or self.snapshot_seeds):
+            raise ValueError("model_based runs its own controller: it takes "
+                             "no policy, warmup_slots or snapshot_seeds")
 
     @classmethod
     def from_env_config(cls, env_config, schedule: RateSchedule,
@@ -157,6 +167,10 @@ class SeedRun:
     #: ``(len(history), n_states)``, the last row the final policy; for
     #: a seed in ``RolloutSpec.snapshot_seeds`` only, else ``None``
     snapshots: Optional[np.ndarray] = None
+    #: the model-based controller's re-optimizations, for a
+    #: ``RolloutSpec.model_based`` spec only, else ``None``; its
+    #: ``*_seconds`` fields are wall-clock, so they differ between runs
+    adaptation: Optional[AdaptationLog] = None
 
 
 @dataclass
@@ -228,7 +242,10 @@ FIXED_POLICY_CROSSOVER = 20
 
 
 def runs_scalar(spec: RolloutSpec, width: int) -> bool:
-    """Whether a chunk of ``width`` seeds runs on the scalar stack."""
+    """Whether a chunk of ``width`` seeds runs on the scalar stack
+    (always, for a model-based spec)."""
+    if spec.model_based is not None:
+        return True
     crossover = (LEARNING_CROSSOVER if spec.policy is None
                  else FIXED_POLICY_CROSSOVER)
     return width < crossover
@@ -271,19 +288,6 @@ def _horizon_mean(history: RunHistory, n_slots: int,
     return float((history.reward * weights).sum() / weights.sum())
 
 
-def _seed_run(spec: RolloutSpec, seed: int, history: RunHistory,
-              env, snapshots: Optional[np.ndarray] = None) -> SeedRun:
-    """Summary of one scalar rollout over ``env``."""
-    return SeedRun(
-        seed=seed,
-        history=history,
-        mean_reward=_horizon_mean(history, spec.n_slots, spec.record_every),
-        saving_ratio=float(env.energy_saving_ratio()),
-        totals=env.totals,
-        snapshots=snapshots,
-    )
-
-
 def _run_snapshotted(spec: RolloutSpec, seeds: Sequence[int], run, greedy):
     """``(run(callback), per-seed snapshots)``: ``run`` records through
     :func:`run_lockstep`, whose ``callback`` appends ``greedy(i)`` of
@@ -308,15 +312,19 @@ def run_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int]) -> List[SeedRun]:
 
     Chunks narrower than the crossover (:func:`runs_scalar`) run on the
     scalar stack, the rest on the batched engine; both give the same
-    bits per seed.  Pure function of ``(spec, chunk_seeds)``: every RNG
-    stream is constructed from the chunk's seeds, so the same bits come
-    out whether the chunk runs in the parent process or a pool worker.
+    bits per seed.  Model-based chunks run on the scalar stack and count
+    as ``engine.slotted.model_based``.  Pure function of
+    ``(spec, chunk_seeds)``: every RNG stream is constructed from the
+    chunk's seeds, so the same bits come out whether the chunk runs in
+    the parent process or a pool worker.
     """
-    engine = "scalar" if runs_scalar(spec, len(chunk_seeds)) else "batched"
+    scalar = runs_scalar(spec, len(chunk_seeds))
+    engine = ("model_based" if spec.model_based is not None
+              else "scalar" if scalar else "batched")
     TELEMETRY.inc(f"engine.slotted.{engine}")
     with TELEMETRY.span("chunk", cat="sweep", kind="slotted",
                         seeds=list(chunk_seeds), engine=engine):
-        body = _run_scalar_chunk if engine == "scalar" else _run_batched_chunk
+        body = _run_scalar_chunk if scalar else _run_batched_chunk
         return body(spec, chunk_seeds)
 
 
@@ -397,8 +405,13 @@ def _run_scalar_chunk(spec: RolloutSpec,
     runs = []
     for seed in chunk_seeds:
         env = spec.scalar_env(seed)
-        snapshot = None
-        if spec.policy is not None:
+        snapshot = adaptation = None
+        if spec.model_based is not None:
+            controller = spec.model_based.controller(env, spec.discount)
+            history = controller.run(spec.n_slots,
+                                     record_every=spec.record_every)
+            adaptation = controller.log
+        elif spec.policy is not None:
             actions = _policy_action_lut(env, spec.policy).tolist()
             history = run_lockstep(env, _fixed_policy_step(env, actions),
                                    spec.n_slots,
@@ -412,7 +425,11 @@ def _run_scalar_chunk(spec: RolloutSpec,
                     record_every=spec.record_every, callback=callback),
                 lambda _: learner.greedy_policy(),
             )
-        runs.append(_seed_run(spec, seed, history, env, snapshot))
+        runs.append(SeedRun(
+            seed, history,
+            _horizon_mean(history, spec.n_slots, spec.record_every),
+            float(env.energy_saving_ratio()), env.totals, snapshot,
+            adaptation))
     return runs
 
 
@@ -424,25 +441,14 @@ def reference_seed_runs(spec: RolloutSpec,
     Scalar-run chunks re-run each seed on the batched engine at
     ``B = 1``; batched chunks re-run each seed on the scalar stack.
     Either way the comparison against the sweep's results is exact
-    (``rtol = 0``).
+    (``rtol = 0``).  A model-based spec has no reference path.
     """
+    if spec.model_based is not None:
+        raise ValueError("a model-based spec runs on the scalar stack only")
     if runs_scalar(spec, len(chunk_seeds)):
         return [run for seed in chunk_seeds
                 for run in _run_batched_chunk(spec, [seed])]
     return _run_scalar_chunk(spec, chunk_seeds)
-
-
-def _run_factory_chunk(spec: RolloutSpec, chunk_seeds: Sequence[int],
-                       controller_factory) -> List[SeedRun]:
-    """Scalar-fallback work unit: one ``controller_factory(seed)``
-    rollout per seed (module-level, so it can ship to a worker when the
-    factory itself is picklable)."""
-    runs = []
-    for seed in chunk_seeds:
-        controller = controller_factory(seed)
-        history = controller.run(spec.n_slots, record_every=spec.record_every)
-        runs.append(_seed_run(spec, seed, history, controller.env))
-    return runs
 
 
 def _check_seed_run(run: SeedRun, spec: RolloutSpec, seed: int, chunk: int,
@@ -458,19 +464,22 @@ def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
     """The :class:`SweepPlan` of ``cells`` x ``seeds`` on the slotted
     engines: one cell for :class:`SweepRunner`, one per grid coordinate
     for :class:`~repro.runtime.GridRunner`.  Each chunk is shadow-verified
-    on the engine it did *not* run on, bit-for-bit."""
+    on the engine it did *not* run on, bit-for-bit; model-based chunks
+    have no second engine and are not."""
     chunks = chunk_seeds(seeds, chunk)
-    scalar = [runs_scalar(spec, len(c)) for spec in cells for c in chunks]
+    engines = (set() if any(spec.model_based is not None for spec in cells)
+               else {runs_scalar(spec, len(c)) for spec in cells
+                     for c in chunks})
     return SweepPlan(
         spec=spec_id, cells=cells, seeds=seeds, chunk_size=chunk,
         fn=one_cell(run_chunk), task=lambda cell, c: (cell[0], c),
         seeds_at=1, check=_check_seed_run,
-        reference=one_cell(reference_seed_runs),
+        reference=one_cell(reference_seed_runs) if engines else None,
         reference_name=" + ".join(
             label for engine, label in (
                 (False, "scalar stack (batched chunks)"),
                 (True, "batched engine at B=1 (scalar chunks)"),
-            ) if engine in scalar
+            ) if engine in engines
         ),
         compare={"rtol": 0.0, "atol": 0.0},
     )
@@ -481,15 +490,12 @@ class SweepRunner(ChunkedRunner):
 
     ``batch_size`` is the maximum replicas per lock-step batch; longer
     seed lists run in consecutive chunks.  The other settings are the
-    shared ones of :class:`~repro.runtime.chunked.ChunkedRunner`, with
-    two specifics:
-
-    - ``checkpoint`` does not compose with ``controller_factory`` (the
-      journal key cannot see the factory);
-    - ``verify_fraction`` re-runs each sampled chunk per seed on the
-      engine it did *not* run on — batched chunks on the scalar stack,
-      scalar chunks on the batched engine at ``B = 1`` — and results
-      must match **bit-for-bit**.
+    shared ones of :class:`~repro.runtime.chunked.ChunkedRunner`;
+    ``verify_fraction`` re-runs each sampled chunk per seed on the
+    engine it did *not* run on — batched chunks on the scalar stack,
+    scalar chunks on the batched engine at ``B = 1`` — and results must
+    match **bit-for-bit**.  Model-based chunks have no second engine, so
+    they add no verification block.
     """
 
     def __init__(self, batch_size: int = 32, n_jobs: int = 1,
@@ -502,47 +508,20 @@ class SweepRunner(ChunkedRunner):
                         max_retries, retry_backoff, checkpoint,
                         verify_fraction, diagnostics_dir)
 
-    def run_many(
-        self,
-        spec: RolloutSpec,
-        seeds: Sequence[int],
-        controller_factory: Optional[Callable[[int], object]] = None,
-    ) -> SweepResult:
+    def run_many(self, spec: RolloutSpec,
+                 seeds: Sequence[int]) -> SweepResult:
         """Run ``spec`` once per seed; batched and sharded wherever possible.
 
         Every chunk, in the parent or on a pool worker, goes through the
         same checkpointed, retried and shadow-verified path; the greedy
         policies of the seeds in ``spec.snapshot_seeds`` come back as
-        :attr:`SeedRun.snapshots`.
-        ``controller_factory(seed)`` switches to the scalar fallback, one
-        work unit per seed: it returns an object with
-        ``.run(n_slots, record_every)`` -> ``RunHistory`` and an ``.env``
-        with ``totals`` / ``energy_saving_ratio()`` (e.g. the model-based
-        pipeline); it takes no ``snapshot_seeds``.  Closures cannot ship
-        and run in-process.
+        :attr:`SeedRun.snapshots`, and a model-based spec's adaptation
+        logs as :attr:`SeedRun.adaptation`.
         """
         seeds = [check_count("seed", s, 0) for s in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
-        if controller_factory is not None:
-            if self.checkpoint is not None:
-                raise ValueError(
-                    "checkpointing does not compose with a controller_factory: "
-                    "the journal key cannot see the factory"
-                )
-            if spec.snapshot_seeds:
-                raise ValueError("snapshot_seeds needs the slotted engines, "
-                                 "not a controller_factory")
-            plan = SweepPlan(
-                spec=spec, cells=[spec], seeds=seeds, chunk_size=1,
-                fn=one_cell(_run_factory_chunk), seeds_at=1,
-                check=_check_seed_run,
-                task=lambda cell, c: (cell[0], c, controller_factory),
-                serial_reason=(None if is_picklable(controller_factory)
-                               else "unpicklable_factory"),
-            )
-        else:
-            plan = slotted_plan(spec, [spec], seeds, self.batch_size)
+        plan = slotted_plan(spec, [spec], seeds, self.batch_size)
         (runs,), execution = self._sweep(
             "slotted", plan, n_seeds=len(seeds), batch_size=plan.chunk_size,
         )

@@ -497,6 +497,8 @@ class Telemetry:
         Scopes nest (an experiment driving several sweeps gets one block
         per sweep plus its own outer block); every scope keeps feeding
         the root registry, so the end-of-run summary still sees totals.
+        In a pool worker, :class:`TracedCall` scopes each work unit to
+        capture the metrics delta it ships back.
         """
         registry = MetricsRegistry()
         self._metrics_stack.append(registry)
@@ -521,18 +523,6 @@ class Telemetry:
         return payload
 
     # -- workers ------------------------------------------------------- #
-
-    @contextmanager
-    def worker_capture(self):
-        """Worker-side capture of a metrics delta: yields a registry
-        that records every counter the block bumps — the metrics half of
-        what :class:`TracedCall` ships back."""
-        delta = MetricsRegistry()
-        self._metrics_stack.append(delta)
-        try:
-            yield delta
-        finally:
-            self._metrics_stack.remove(delta)
 
     def absorb_envelope(self, envelope: "TelemetryEnvelope") -> Any:
         """Merge a worker's shipped telemetry; return the real result."""
@@ -616,7 +606,7 @@ class TracedCall:
 
     def __call__(self, *args: Any) -> TelemetryEnvelope:
         spans = TELEMETRY.tracer.capture() if self.tracing else nullcontext([])
-        with TELEMETRY.worker_capture() as delta, spans as buffer:
+        with TELEMETRY.metrics_scope() as delta, spans as buffer:
             with TELEMETRY.span("worker-run", cat="executor",
                                 chunk=self.chunk_index):
                 result = self.fn(*args)

@@ -487,8 +487,9 @@ def check_seed_run(
     conservation: requests still queued at the horizon
     (``arrivals - completions - losses``) must lie in
     ``[0, queue_capacity]`` (capacity read from ``spec`` when given),
-    and policy snapshots, one row per record, exactly for the seeds in
-    ``spec.snapshot_seeds``.
+    policy snapshots, one row per record, exactly for the seeds in
+    ``spec.snapshot_seeds``, and an adaptation log exactly for a
+    model-based spec.
 
     Raises :class:`InvariantViolation` with field-level evidence.
     """
@@ -529,6 +530,10 @@ def check_seed_run(
     elif run.snapshots is not None and len(run.snapshots) != len(history):
         p.add("len(snapshots) == len(history)", len(history),
               len(run.snapshots))
+    if spec is not None and (spec.model_based is not None) != (
+            run.adaptation is not None):
+        p.add("adaptation present", spec.model_based is not None,
+              run.adaptation is not None)
     p.raise_if_any()
 
 

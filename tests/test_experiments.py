@@ -18,6 +18,7 @@ from repro.experiments import (
     run_policy_table,
     run_variation,
 )
+from repro.runtime import SweepRunner
 from repro.runtime.sweep import LEARNING_CROSSOVER
 
 
@@ -68,6 +69,17 @@ class TestFig1:
         assert "Fig.1" in text
         assert "optimal payoff/slot" in text
         assert "convergence slot" in text
+
+    def test_horizon_shorter_than_a_record_window_raises(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("fig1 ran a sweep before checking")
+
+        monkeypatch.setattr(SweepRunner, "run_many", no_sweep)
+        config = dataclasses.replace(Fig1Config(), n_slots=500,
+                                     record_every=1_000)
+        with pytest.raises(ValueError,
+                           match=r"n_slots \(500\).*record_every \(1000\)"):
+            run_fig1(config)
 
     def test_lead_seed_same_on_scalar_and_batched_engines(self):
         """The lead seed's snapshots are the same whichever engine ran

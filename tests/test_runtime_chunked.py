@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import QDPM
-from repro.device import abstract_three_state
-from repro.env import SlottedDPMEnv
 from repro.fleet import FleetSweepRunner
 from repro.mdp import DeterministicPolicy
 from repro.runtime import (
@@ -59,15 +57,6 @@ def spec():
     )
 
 
-def _factory(seed):
-    """Module-level controller factory matching ``spec`` above."""
-    env = SlottedDPMEnv(
-        abstract_three_state(), ConstantRate(0.15), queue_capacity=6,
-        p_serve=0.9, seed=seed,
-    )
-    return QDPM(env, epsilon=0.08, seed=seed + 1)
-
-
 def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
@@ -80,19 +69,24 @@ class TestValidation:
                            else knob):
             runner(**{size_knob if knob == "size" else knob: value})
 
-    def test_factory_with_checkpoint_raises(self, spec, tmp_path):
-        runner = SweepRunner(checkpoint=str(tmp_path / "ck"))
-        with pytest.raises(ValueError, match="controller_factory"):
-            runner.run_many(spec, [1], controller_factory=_factory)
-
-    def test_snapshot_seeds_need_a_learning_slotted_spec(self, spec):
-        # a fixed policy has no Q-table; a factory's controller is opaque
+    def test_snapshot_seeds_need_a_learning_slotted_spec(self, spec,
+                                                         mb_spec):
+        # a fixed policy has no Q-table; a model-based controller has none
+        # either
         with pytest.raises(ValueError, match="snapshot_seeds"):
             replace(spec, policy=DeterministicPolicy(np.zeros(4, dtype=int)),
                     snapshot_seeds=(1,))
         with pytest.raises(ValueError, match="snapshot_seeds"):
-            SweepRunner().run_many(replace(spec, snapshot_seeds=(1,)), [1],
-                                   controller_factory=_factory)
+            replace(mb_spec, snapshot_seeds=(1,))
+
+    @pytest.mark.parametrize("field,value", [
+        ("policy", DeterministicPolicy(np.zeros(4, dtype=int))),
+        ("warmup_slots", 100),
+    ])
+    def test_model_based_takes_no_policy_or_warmup(self, mb_spec, field,
+                                                   value):
+        with pytest.raises(ValueError, match="model_based"):
+            replace(mb_spec, **{field: value})
 
 
 class TestInterrupts:
@@ -152,17 +146,15 @@ class TestInvariantPass:
             GridRunner().run(GridSpec(base=spec, rates=(0.1,)), [1])
         assert err.value.invariant == "seed_run"
 
-    def test_model_based_seeds_are_checked(self, spec):
-        result = SweepRunner().run_many(spec, [5, 6, 7],
-                                        controller_factory=_factory)
+    def test_model_based_seeds_are_checked(self, mb_spec):
+        result = SweepRunner(batch_size=1).run_many(mb_spec, [5, 6, 7])
         counters = result.execution["metrics"]["counters"]
         assert counters["verify.invariant_checks"] == 3
         assert counters["executor.chunks_completed"] == 3
 
-    def test_unpicklable_factory_runs_in_process(self, spec):
-        result = SweepRunner(n_jobs=2).run_many(
-            spec, [5, 6], controller_factory=lambda seed: _factory(seed),
-        )
-        assert result.execution["n_jobs_requested"] == 2
-        assert result.execution["n_jobs_effective"] == 1
-        assert result.execution["decision"] == "unpicklable_factory"
+    def test_model_based_adds_no_verification_block(self, mb_spec):
+        # no second engine runs a model-based controller
+        result = SweepRunner(verify_fraction=1.0).run_many(mb_spec, [5, 6])
+        assert "verification" not in result.execution
+        assert "verify.shadow_chunks" not in (
+            result.execution["metrics"]["counters"])

@@ -3,28 +3,27 @@
 The contract under test is the tentpole guarantee: per-seed sweep
 results are bit-identical for every ``(batch_size, n_jobs)``
 combination — chunks are pure functions of their seeds, the pool
-preserves task order, and the scalar fallback shards only when its
-factory can ship.
+preserves task order, and model-based chunks shard like any other.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import QDPM
 from repro.device import abstract_three_state
-from repro.env import SlottedDPMEnv, build_dpm_model
+from repro.env import build_dpm_model
 from repro.runtime import (
     MultiprocessExecutor,
     RolloutSpec,
     SerialExecutor,
     SweepRunner,
     get_executor,
-    is_picklable,
+    spec_hash,
 )
 from repro.runtime.sweep import LEARNING_CROSSOVER
 from repro.workload import ConstantRate
@@ -47,15 +46,6 @@ def _square(x):
 
 def _pid_square(x):
     return os.getpid(), x * x
-
-
-def _scalar_factory(seed):
-    """Module-level controller factory — picklable, so it shards."""
-    env = SlottedDPMEnv(
-        abstract_three_state(), ConstantRate(0.15), queue_capacity=6,
-        p_serve=0.9, seed=seed,
-    )
-    return QDPM(env, epsilon=0.08, seed=seed + 1)
 
 
 def _assert_identical(a, b):
@@ -123,9 +113,10 @@ class TestExecutorPrimitives:
         empty.cancel()  # no-op on the eager branch
         assert empty.get() == []  # eager results survive cancel
 
-    def test_is_picklable(self):
-        assert is_picklable(_square)
-        assert not is_picklable(lambda x: x)
+    def test_model_based_spec_survives_pickle(self, mb_spec):
+        copy = pickle.loads(pickle.dumps(mb_spec))
+        assert copy.model_based == mb_spec.model_based
+        assert spec_hash(copy, 1, 1) == spec_hash(mb_spec, 1, 1)
 
 
 class TestShardedDeterminism:
@@ -165,31 +156,22 @@ class TestShardedDeterminism:
         sharded = SweepRunner(batch_size=1, n_jobs=4).run_many(pspec, seeds)
         _assert_identical(serial, sharded)
 
-    def test_scalar_fallback_shards_picklable_factory(self, spec):
+    def test_model_based_bit_identical_across_n_jobs(
+            self, mb_spec, assert_same_mb_runs):
         seeds = [5, 6, 7]
-        serial = SweepRunner(n_jobs=1).run_many(
-            spec, seeds, controller_factory=_scalar_factory
-        )
-        sharded = SweepRunner(n_jobs=2).run_many(
-            spec, seeds, controller_factory=_scalar_factory
-        )
-        _assert_identical(serial, sharded)
+        serial = SweepRunner(batch_size=1, n_jobs=1).run_many(mb_spec, seeds)
+        sharded = SweepRunner(batch_size=1, n_jobs=2).run_many(mb_spec, seeds)
+        assert sharded.execution["n_jobs_effective"] == 2
+        assert_same_mb_runs(serial.runs, sharded.runs)
 
-    def test_scalar_fallback_closure_degrades_to_serial(self, spec):
-        built = []
-
-        def factory(seed):  # closure: unpicklable, must run in-process
-            built.append(seed)
-            return _scalar_factory(seed)
-
-        result = SweepRunner(n_jobs=4).run_many(
-            spec, seeds=[5, 6], controller_factory=factory
-        )
-        assert built == [5, 6]
-        serial = SweepRunner(n_jobs=1).run_many(
-            spec, seeds=[5, 6], controller_factory=_scalar_factory
-        )
-        _assert_identical(serial, result)
+    def test_model_based_chunks_run_on_the_pool(self, mb_spec):
+        result = SweepRunner(batch_size=1, n_jobs=2).run_many(mb_spec, [5, 6])
+        assert result.execution["decision"] == "parallel"
+        assert result.execution["n_jobs_effective"] == 2
+        # counted where each worker picks the engine, shipped home
+        counters = result.execution["metrics"]["counters"]
+        assert counters["engine.slotted.model_based"] == 2
+        assert "engine.slotted.scalar" not in counters
 
 
 class TestSnapshotSemantics:

@@ -536,3 +536,30 @@ class TestSweepRunnerCheckpointResume:
             assert compare_reports(b, a, rtol=0.0, atol=0.0) == []
         assert [r.seed for r in resumed.runs
                 if r.snapshots is not None] == [0, 3]
+
+    def test_model_based_resumes_from_journal(self, mb_spec, tmp_path,
+                                              assert_same_mb_runs):
+        seeds = [5, 6, 7]
+        reference = SweepRunner(batch_size=1).run_many(mb_spec, seeds)
+        ck = tmp_path / "rollout.ck"
+        first = SweepRunner(batch_size=1, checkpoint=str(ck)).run_many(
+            mb_spec, seeds)
+        # drop the last chunk's record, as an interrupted run leaves it
+        records = []
+        with open(ck, "rb") as fh:
+            while True:
+                try:
+                    records.append(pickle.load(fh))
+                except EOFError:
+                    break
+        with open(ck, "wb") as fh:
+            for record in records[:-1]:
+                pickle.dump(record, fh, protocol=4)
+        resumed = SweepRunner(batch_size=1, checkpoint=str(ck)).run_many(
+            mb_spec, seeds)
+        assert resumed.execution["resumed_chunks"] == 2
+        assert resumed.execution["computed_chunks"] == 1
+        assert_same_mb_runs(reference.runs, resumed.runs)
+        # journaled logs come back as written, wall-clock fields included
+        assert [r.adaptation for r in resumed.runs[:2]] == [
+            r.adaptation for r in first.runs[:2]]

@@ -1,4 +1,4 @@
-"""SweepRunner: chunking, CI aggregation, policy mode, scalar fallback."""
+"""SweepRunner: chunking, CI aggregation, policy mode, model-based arm."""
 
 from __future__ import annotations
 
@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import QDPM, HarmonicDecay
+from repro.adaptive import (
+    BernoulliCUSUM,
+    ModelBasedAdaptiveDPM,
+    SlidingWindowEstimator,
+)
+from repro.core import HarmonicDecay
 from repro.device import abstract_three_state
 from repro.env import SlottedDPMEnv, build_dpm_model
 from repro.mdp import DeterministicPolicy
@@ -189,27 +194,39 @@ class TestWarmup:
         assert run.mean_reward > cold.runs[0].mean_reward
 
 
-class TestScalarFallback:
-    def test_controller_factory_routes_per_seed(self, device, spec):
-        built = []
-
-        def factory(seed):
-            env = SlottedDPMEnv(
-                device, ConstantRate(0.15), queue_capacity=6, p_serve=0.9,
-                seed=seed,
-            )
-            controller = QDPM(env, epsilon=0.08, seed=seed + 1)
-            built.append(seed)
-            return controller
-
-        result = SweepRunner().run_many(
-            spec, seeds=[5, 6], controller_factory=factory
-        )
-        assert built == [5, 6]
-        assert result.n_seeds == 2
+class TestModelBased:
+    def test_sweep_matches_hand_built_controller(self, device, mb_spec):
+        """Oracle sharing no sweep code: each seed's run is the one a
+        hand-built controller on its own env produces."""
+        result = SweepRunner(batch_size=2).run_many(mb_spec, seeds=[5, 6])
         for run in result.runs:
-            assert run.totals.slots == 4_000
-            assert np.isfinite(run.mean_reward)
+            env = SlottedDPMEnv(device, mb_spec.schedule, queue_capacity=6,
+                                p_serve=0.9, seed=run.seed)
+            controller = ModelBasedAdaptiveDPM(
+                env, discount=0.95, solver="linear_programming",
+                estimator=SlidingWindowEstimator(300),
+                detector=BernoulliCUSUM(0.3, drift=0.05, threshold=20.0),
+                min_samples=200, freeze_slots=100, initial_rate=0.3,
+            )
+            history = controller.run(2_000, record_every=500)
+            for name in ("slots", "energy", "reward", "queue",
+                         "saving_ratio", "td_error"):
+                assert np.array_equal(getattr(run.history, name),
+                                      getattr(history, name))
+            assert run.totals == env.totals
+            assert run.saving_ratio == env.energy_saving_ratio()
+            assert run.mean_reward == pytest.approx(history.reward.mean(),
+                                                    rel=1e-12)
+            assert controller.log.events
+            assert ([(e.slot, e.detected_rate)
+                     for e in run.adaptation.events]
+                    == [(e.slot, e.detected_rate)
+                        for e in controller.log.events])
+
+    def test_runs_on_the_scalar_stack_only(self, mb_spec):
+        assert runs_scalar(mb_spec, 2 * FIXED_POLICY_CROSSOVER)
+        with pytest.raises(ValueError, match="model-based"):
+            reference_seed_runs(mb_spec, [5])
 
 
 class TestRolloutSpecHelpers:

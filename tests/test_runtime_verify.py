@@ -326,6 +326,18 @@ class TestCheckSeedRun:
         assert compare_reports(runs[0], lead, rtol=0.0, atol=0.0)[-1] == {
             "field": "snapshots", "expected": "ndarray", "got": "NoneType"}
 
+    def test_adaptation_log_must_follow_the_spec(self, mb_spec):
+        spec, runs = self._runs()
+        model_based = run_chunk(mb_spec, [0])[0]
+        check_seed_run(model_based, spec=mb_spec)
+        for bad, want in ((runs[0], dataclasses.replace(spec, model_based=
+                                                        mb_spec.model_based)),
+                          (dataclasses.replace(model_based, adaptation=None),
+                           mb_spec)):
+            with pytest.raises(InvariantViolation) as err:
+                check_seed_run(bad, spec=want)
+            assert err.value.details[0]["field"] == "adaptation present"
+
     def test_horizon_must_match_spec(self):
         spec, runs = self._runs()
         totals = dataclasses.replace(runs[0].totals, slots=999)
