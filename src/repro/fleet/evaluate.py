@@ -21,7 +21,7 @@ Two engines, mirroring the repo's batched/scalar split:
 
 - ``engine="auto"`` — :func:`run_fleet_batch` on the one trace: the
   vectorized routing paths (:func:`route_fleet_batch`), then one
-  :func:`~repro.runtime.eventsim.simulate_traces_batch` call on the
+  :func:`~repro.runtime.eventsim.simulate_runs_batch` call on the
   per-device sub-traces (:func:`evaluate_fleet_batch`) — the
   busy-period kernel over all gaps of all sub-traces for stateless
   policies, the lock-step engine over all sub-traces at once for stateful
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..device import PowerStateMachine
-from ..runtime.eventsim import simulate_traces_batch
+from ..runtime.eventsim import simulate_runs_batch
 from ..runtime.telemetry import TELEMETRY
 from ..sim.policy_api import EventPolicy
 from ..sim.simulator import DPMSimulator
@@ -190,7 +190,7 @@ def run_fleet_batch(
     of :func:`route_fleet_batch` and :func:`evaluate_fleet_batch`.  Each
     trace is routed once (the two-way decision of :func:`run_fleet`),
     and the R x N per-device sub-traces go to one
-    :func:`~repro.runtime.eventsim.simulate_traces_batch` call — one
+    :func:`~repro.runtime.eventsim.simulate_runs_batch` call — one
     lock-step call across all of them for step-mode policies, one
     busy-period kernel call for gap-mode policies, the scalar loop
     otherwise.  Each sub-trace's report is a pure function of its own
@@ -289,7 +289,7 @@ def evaluate_fleet_batch(
         return []
     with TELEMETRY.span("kernel", cat="fleet", engine="auto",
                         n_traces=len(routed.sub_traces)):
-        reports = simulate_traces_batch(
+        runs = simulate_runs_batch(
             device, policy, routed.sub_traces,
             service_time=service_time, oracle=oracle,
         )
@@ -302,7 +302,7 @@ def evaluate_fleet_batch(
                 router=routed.router,
                 policy=policy.name,
                 home_power=home_power,
-                reports=reports[r * n:(r + 1) * n],
+                reports=runs[r * n:(r + 1) * n],
                 **fields,
             )
             for r, fields in enumerate(routed.fields)

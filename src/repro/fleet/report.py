@@ -1,8 +1,8 @@
-"""Fleet-level aggregation of per-device simulation reports.
+"""Fleet-level aggregation of per-device simulation runs.
 
-A fleet run produces one :class:`~repro.sim.SimReport` per device (all
-assembled through :func:`~repro.sim.stats.compile_report`, whichever
-engine ran the device).  :func:`build_fleet_report` folds them into one
+A fleet run produces one :class:`~repro.sim.stats.RunTotals` per device
+(a :class:`~repro.sim.SimReport` from the scalar loop has the same
+attributes).  :func:`build_fleet_report` folds them into one
 :class:`FleetReport` and drops them: fleet energy and mean power,
 savings against an all-always-on fleet, per-device request counts and
 residency, and tail latency over the *merged* completion stream — the
@@ -14,12 +14,12 @@ The report is the aggregate and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.metrics import latency_percentiles
-from ..sim.stats import SimReport
+from ..sim.stats import RunTotals, SimReport
 
 
 @dataclass
@@ -79,7 +79,7 @@ def build_fleet_report(
     router: str,
     policy: str,
     home_power: float,
-    reports: Sequence[SimReport],
+    reports: Sequence[Union[RunTotals, SimReport]],
     availability: float = 1.0,
     n_retries: int = 0,
     n_dropped: int = 0,
@@ -91,7 +91,7 @@ def build_fleet_report(
     n_breaker_trips: int = 0,
     n_offered: int = 0,
 ) -> FleetReport:
-    """Fold per-device reports into the fleet aggregate.
+    """Fold per-device runs into the fleet aggregate.
 
     ``home_power`` is the replicated device's serving-state power, the
     per-device always-on reference the fleet saving is measured against.

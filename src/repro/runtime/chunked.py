@@ -173,6 +173,7 @@ class ChunkedRunner:
             execution["estimated_chunk_seconds"] = plan.estimate
         spec_key = plan.key()
         with TELEMETRY.metrics_scope() as metrics:
+            TELEMETRY.inc(f"executor.decision.{decision}")
             with TELEMETRY.span("sweep", cat="sweep", kind=kind,
                                 n_jobs=requested, **span):
                 outputs, executed = run_chunks_checkpointed(

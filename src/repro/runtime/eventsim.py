@@ -56,11 +56,11 @@ swallowed by a wake delay merges its pure period into the running one.
 
 Both batched engines share one shutdown-target table per call, one
 decision check, one shutdown rule and one gap fold that turns the
-realized gaps, laid out run by run, into reports.
+realized gaps, laid out run by run, into per-run totals.
 
-:func:`simulate_traces_batch` picks the engine by
-:func:`policy_batch_mode`; other policies and exotic decision targets
-fall back per trace to :func:`simulate_trace`, the kernel or else the
+:func:`simulate_runs_batch` picks the engine by
+:func:`policy_batch_mode`; other policies and declined batches fall back
+per trace to :func:`simulate_trace`, the kernel or else the
 scalar :class:`~repro.sim.DPMSimulator`.  Every engine parks the idle
 device in :func:`~repro.sim.simulator.default_wait_state`: home, or a
 state with a free, instant round trip from home, so the park folds into
@@ -70,7 +70,7 @@ plain residency accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,7 +83,7 @@ from ..sim.policy_api import (
     StepBatchContext,
 )
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
-from ..sim.stats import SimReport, compile_report
+from ..sim.stats import RunTotals, SimReport
 from ..workload.trace import Trace
 from .telemetry import TELEMETRY
 
@@ -162,29 +162,29 @@ def _check_decision(
     n: int,
     usable: np.ndarray,
     active: Optional[np.ndarray] = None,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """A policy's decisions for ``n`` gaps as (timeouts, target_idx),
-    or None when they fall outside the shapes the engines model: no
-    decision, arrays not of length ``n``, a negative timeout, or a
-    target past the last state or without usable constants.
+) -> Union[Tuple[np.ndarray, np.ndarray], str]:
+    """A policy's decisions for ``n`` gaps as (timeouts, target_idx), or
+    why they fall outside the shapes the engines model: ``no_decision``,
+    ``wrong_shape`` (not of length ``n``), ``negative_timeout``, or
+    ``bad_target`` (past the last state or without usable constants).
 
     Rows outside ``active`` read as "stay".  Every "stay" (negative)
     target comes back as -1, the target table's zero row.
     """
     if decision is None:
-        return None
+        return "no_decision"
     timeouts = np.asarray(decision.timeouts, dtype=float)
     target_idx = np.asarray(decision.target_idx, dtype=np.int64)
     if timeouts.shape != (n,) or target_idx.shape != (n,):
-        return None
+        return "wrong_shape"
     if active is not None:
         timeouts = np.where(active, timeouts, 0.0)
         target_idx = np.where(active, target_idx, -1)
     if (timeouts < 0).any():
-        return None
+        return "negative_timeout"
     target_idx = np.maximum(target_idx, -1)
     if target_idx.max() >= usable.size - 1 or not usable[target_idx].all():
-        return None
+        return "bad_target"
     return timeouts, target_idx
 
 
@@ -221,19 +221,18 @@ def _fold_runs(
     timeouts: np.ndarray,
     target_idx: np.ndarray,
     gap_bounds: np.ndarray,
-    keep_latencies: bool,
-) -> List[SimReport]:
-    """Every run's report from its realized gaps; both engines end here.
+) -> List[RunTotals]:
+    """Every run's totals from its realized gaps; both engines end here.
 
     Run r owns ``n_arr[r]`` consecutive requests (``demands``,
     ``latencies``) and the gaps from ``gap_bounds[r]`` on, its trailing
     gap last.  A gap is its start, its rule end (the arrival that ends
     it; the observation window for the trailing gap) and the policy's
     decision for it.  Elementwise work runs on the flat arrays and sums
-    per run slice, and targets fold in index order, so each report is
-    bit-identical to its run alone.  Residency keys mirror the scalar
-    meter exactly, including the zero-span entries its set_condition
-    sequence creates.
+    per run slice, and targets fold in index order, so each run's
+    totals are bit-identical to its run alone.  Residency keys mirror
+    the scalar meter exactly, including the zero-span entries its
+    set_condition sequence creates.
     """
     shutdown = _shutdown_rule(starts, ends, timeouts, target_idx)
     shutdown_times = starts + timeouts
@@ -278,7 +277,7 @@ def _fold_runs(
     wait_power = device.state(wait).power
     req_bounds = np.concatenate(([0], np.cumsum(n_arr))).tolist()
     bounds = gap_bounds.tolist()
-    reports: List[SimReport] = []
+    runs: List[RunTotals] = []
     for r in range(n_arr.size):
         s, e = req_bounds[r], req_bounds[r + 1]
         g0, g1 = bounds[r], bounds[r + 1]
@@ -309,18 +308,21 @@ def _fold_runs(
                     total_energy += tc.up_mean_power * tc.up_latency * n_up
                 else:
                     total_energy += tc.up_energy * n_up
-        reports.append(compile_report(
-            home_power=home_power,
-            end_time=float(end_times[r]),
-            total_energy=total_energy,
-            latencies=latencies[s:e],
-            idle_lengths=idle_lengths[g0:g1],
-            n_shutdowns=int(n_shutdowns[r]),
-            n_wrong_shutdowns=int(n_wrong[r]),
-            state_residency=residency,
-            keep_latencies=keep_latencies,
+        runs.append(RunTotals(
+            float(end_times[r]), total_energy, latencies[s:e],
+            idle_lengths[g0:g1], int(n_shutdowns[r]), int(n_wrong[r]),
+            residency, e - s,
         ))
-    return reports
+    return runs
+
+
+def _reports(device: PowerStateMachine, runs: Union[list, str],
+             keep_latencies: bool) -> Optional[List[SimReport]]:
+    """Each run as a report; None for a declined batch."""
+    home_power = device.state(device.initial_state).power
+    return None if isinstance(runs, str) else [
+        run.report(home_power, keep_latencies)
+        if isinstance(run, RunTotals) else run for run in runs]
 
 
 def run_gap_batched(
@@ -338,11 +340,19 @@ def run_gap_batched(
     validation; a None return means the caller should use the scalar
     loop, which either simulates the run or raises the error the
     configuration deserves.
+    """
+    return _reports(device, _gap_runs(device, policy, traces, service_time,
+                                      oracle), keep_latencies)
+
+
+def _gap_runs(device: PowerStateMachine, policy: EventPolicy, traces,
+              service_time, oracle) -> Union[List[RunTotals], str]:
+    """The kernel of :func:`run_gap_batched`: run totals or why not.
 
     A trace of n requests owns n + 1 consecutive *slots* of the flat
     arrays: one per request (the gap it ends, if one opens), then its
-    trailing gap.  Scans and sums run per trace slice, so each report
-    is bit-identical to the trace run alone.
+    trailing gap.  Scans and sums run per trace slice, so each run's
+    totals are bit-identical to the trace run alone.
     """
     check_positive("service_time", service_time)
     home = device.initial_state
@@ -402,8 +412,8 @@ def run_gap_batched(
             )
         )
         checked = _check_decision(decision, starts.size, table.usable)
-        if checked is None:
-            return None
+        if isinstance(checked, str):
+            return checked
         timeouts, target_idx = checked
         shutdown = _shutdown_rule(starts, ends, timeouts, target_idx)
         up_lat = table.up[target_idx]
@@ -425,7 +435,7 @@ def run_gap_batched(
         del gap_slot, starts, ends, mid, decision, checked, timeouts
         del target_idx, shutdown, up_lat, down_done, delays
     else:  # pragma: no cover - n+1 passes provably suffice
-        return None
+        return "no_fixpoint"
 
     del wake, new_wake, slot_wake, slot_start, slot_end, total_demand, demand_before
     del mid, decision, shutdown, up_lat, down_done, delays, forced, after_req
@@ -433,8 +443,7 @@ def run_gap_batched(
     gap_bounds = np.append(np.searchsorted(gap_slot, first_slot), gap_slot.size)
     latencies = np.subtract(completions, arrivals, out=completions)
     return _fold_runs(device, home, wait, table, n_arr, demands, latencies,
-                      starts, ends, timeouts, target_idx, gap_bounds,
-                      keep_latencies)
+                      starts, ends, timeouts, target_idx, gap_bounds)
 
 
 def run_vectorized(
@@ -524,6 +533,14 @@ def run_step_batched(
     :func:`run_gap_batched` resolves all gaps of R traces at once, where
     lock-step rounds would cost one round per idle gap of the busiest
     replica.
+    """
+    return _reports(device, _step_runs(device, policy, traces, service_time,
+                                       oracle), keep_latencies)
+
+
+def _step_runs(device: PowerStateMachine, policy: EventPolicy, traces,
+               service_time, oracle) -> Union[List[RunTotals], str]:
+    """The engine of :func:`run_step_batched`: run totals or why not.
 
     The busy-period trick per lock-step round: with zero wake delays a
     trace's busy periods are fixed ("pure" structure, one prefix-max
@@ -550,7 +567,7 @@ def run_step_batched(
         return []
     states = policy.make_step_state(n_reps, device, wait)
     if states is None:
-        return None
+        return "no_step_state"
 
     # ---- padded per-replica trace arrays ------------------------------ #
     n_arr = np.array([len(t) for t in traces], dtype=np.int64)
@@ -628,8 +645,8 @@ def run_step_batched(
             ),
         )
         checked = _check_decision(decision, n_reps, table.usable, active)
-        if checked is None:
-            return None
+        if isinstance(checked, str):
+            return checked
         timeouts, target_idx = checked
         rule_end = np.where(mid, gap_end, durations)
         rounds.append((active, gap_start, rule_end, timeouts, target_idx))
@@ -699,8 +716,7 @@ def run_step_batched(
     gap_bounds = np.concatenate(([0], np.cumsum(active.sum(axis=1))))
     return _fold_runs(device, home, wait, table, n_arr, demands[valid],
                       latencies[valid], gap_start[active], rule_end[active],
-                      timeouts[active], target_idx[active], gap_bounds,
-                      keep_latencies)
+                      timeouts[active], target_idx[active], gap_bounds)
 
 
 def simulate_traces_batch(
@@ -711,29 +727,41 @@ def simulate_traces_batch(
     oracle: bool = False,
     keep_latencies: bool = True,
 ) -> List[SimReport]:
+    """:func:`simulate_runs_batch` as reports."""
+    return _reports(device, simulate_runs_batch(
+        device, policy, traces, service_time, oracle, keep_latencies,
+    ), keep_latencies)
+
+
+def simulate_runs_batch(
+    device: PowerStateMachine, policy: EventPolicy, traces: Sequence[Trace],
+    service_time: float = 0.5, oracle: bool = False,
+    keep_latencies: bool = True,
+) -> List[Union[RunTotals, SimReport]]:
     """R replications of one (device, policy) cell, fastest valid engine.
 
     Gap-mode policies (:func:`policy_batch_mode`) run all gaps of the R
-    traces in one :func:`run_gap_batched` call, step-mode ones the
-    lock-step engine; the rest, or a declined batch, fall back to
-    per-trace :func:`simulate_trace`.  Reports come in trace order, each
-    a pure function of its own trace.  ``engine.eventsim.{vector,
-    lockstep,scalar}`` count the traces each path served, and
-    ``engine.eventsim.vector_declined`` the gap-mode batches declined.
+    traces in one kernel call, step-mode ones the lock-step engine; the
+    rest, or a declined batch, fall back to per-trace
+    :func:`simulate_trace`.  Runs come in trace order, each a pure
+    function of its own trace.  ``engine.eventsim.{vector,lockstep,
+    scalar}`` count the traces each path served,
+    ``engine.eventsim.{vector,lockstep}_declined[.<reason>]`` declines.
     """
     traces = list(traces)
     if not traces:
         return []
-    kwargs = dict(service_time=service_time, oracle=oracle,
-                  keep_latencies=keep_latencies)
     mode = policy_batch_mode(policy)
-    engine = {"gap": run_gap_batched, "step": run_step_batched}.get(mode)
-    reports = None if engine is None else engine(device, policy, traces, **kwargs)
-    if reports is not None:
-        name = "vector" if mode == "gap" else "lockstep"
-        TELEMETRY.inc(f"engine.eventsim.{name}", len(traces))
-        return reports
-    if mode == "gap":
-        TELEMETRY.inc("engine.eventsim.vector_declined")
+    if mode != "scalar":
+        engine, name = ((_gap_runs, "vector") if mode == "gap"
+                        else (_step_runs, "lockstep"))
+        runs = engine(device, policy, traces, service_time, oracle)
+        if not isinstance(runs, str):
+            TELEMETRY.inc(f"engine.eventsim.{name}", len(traces))
+            return runs
+        TELEMETRY.inc(f"engine.eventsim.{name}_declined")
+        TELEMETRY.inc(f"engine.eventsim.{name}_declined.{runs}")
     TELEMETRY.inc("engine.eventsim.scalar", len(traces))
-    return [simulate_trace(device, policy, trace, **kwargs) for trace in traces]
+    return [simulate_trace(device, policy, trace, service_time=service_time,
+                           oracle=oracle, keep_latencies=keep_latencies)
+            for trace in traces]

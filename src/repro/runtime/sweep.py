@@ -15,8 +15,8 @@ summarize".  :class:`SweepRunner` owns that loop once:
 - fixed policies (the frozen-optimal arms) run on either engine with a
   precomputed state->action lookup;
 - the model-based adaptive pipeline (``RolloutSpec.model_based``) runs
-  one scalar controller per seed; its chunks take the same path as every
-  other chunk but have no second engine to be shadow-verified against;
+  one scalar controller per seed, one seed per chunk; its chunks take
+  the same path as every other chunk but have no second engine;
 - seed chunks are embarrassingly parallel, so ``n_jobs > 1`` ships
   ``(spec, chunk_seeds)`` work units across a process pool through the
   shared chunked-sweep core (:mod:`repro.runtime.chunked`), which
@@ -465,9 +465,11 @@ def slotted_plan(spec_id: Any, cells: Sequence[RolloutSpec],
     engines: one cell for :class:`SweepRunner`, one per grid coordinate
     for :class:`~repro.runtime.GridRunner`.  Each chunk is shadow-verified
     on the engine it did *not* run on, bit-for-bit; model-based chunks
-    have no second engine and are not."""
+    have no second engine and are not, and hold one seed each."""
+    model_based = any(spec.model_based is not None for spec in cells)
+    chunk = 1 if model_based else chunk
     chunks = chunk_seeds(seeds, chunk)
-    engines = (set() if any(spec.model_based is not None for spec in cells)
+    engines = (set() if model_based
                else {runs_scalar(spec, len(c)) for spec in cells
                      for c in chunks})
     return SweepPlan(

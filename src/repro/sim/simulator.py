@@ -37,7 +37,7 @@ from ..device import PowerStateMachine
 from ..workload.trace import Trace
 from .events import ARRIVAL, SERVICE_DONE, TIMEOUT, TRANSITION_DONE, Event, EventQueue
 from .policy_api import NEVER, EventPolicy, IdleContext, IdleDecision
-from .stats import EnergyMeter, IdleTracker, LatencyTracker, SimReport, compile_report
+from .stats import EnergyMeter, IdleTracker, LatencyTracker, RunTotals, SimReport
 
 
 def resolve_demands(trace: Trace, service_time: float) -> np.ndarray:
@@ -271,17 +271,11 @@ class DPMSimulator:
             self.policy.on_idle_end(end_time - idle_since)
         meter.finish(end_time)
 
-        return compile_report(
-            home_power=self.device.state(self.home).power,
-            end_time=end_time,
-            total_energy=meter.total_energy,
-            latencies=latency.values,
-            idle_lengths=idle_stats.idle_lengths,
-            n_shutdowns=idle_stats.n_shutdowns,
-            n_wrong_shutdowns=idle_stats.n_wrong_shutdowns,
-            state_residency=meter.residency,
-            keep_latencies=self.keep_latencies,
-        )
+        return RunTotals(
+            end_time, meter.total_energy, latency.values,
+            idle_stats.idle_lengths, idle_stats.n_shutdowns,
+            idle_stats.n_wrong_shutdowns, meter.residency, latency.count,
+        ).report(self.device.state(self.home).power, self.keep_latencies)
 
     # ------------------------------------------------------------------ #
     # helpers

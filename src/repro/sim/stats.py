@@ -2,16 +2,16 @@
 
 :func:`compile_report` is the single report-assembly path: the scalar
 event loop (:class:`~repro.sim.simulator.DPMSimulator`) feeds it its
-trackers' raw sequences, the vectorized busy-period kernel
-(:mod:`repro.runtime.eventsim`) feeds it array aggregates — both produce
-a :class:`SimReport` through identical arithmetic.
+trackers' raw sequences, the busy-period engines
+(:mod:`repro.runtime.eventsim`) array aggregates, each as a
+:class:`RunTotals`, which the fleet fold reads without a report.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +37,7 @@ class SimReport:
     n_idle_periods: int
     mean_idle_length: float
     state_residency: Dict[str, float]  #: seconds per power condition
-    #: per-request completion delays in arrival order; kept so aggregation
-    #: layers (the fleet report) can merge completion streams exactly
-    #: instead of approximating tail quantiles from per-run summaries
+    #: per-request completion delays in arrival order, for exact fleet merges
     latencies: Tuple[float, ...] = field(default=(), repr=False)
 
 
@@ -116,6 +114,23 @@ class IdleTracker:
         self.n_shutdowns += 1
         if idle_length is not None and idle_length < break_even:
             self.n_wrong_shutdowns += 1
+
+
+class RunTotals(NamedTuple):
+    """One run's raw totals in :func:`compile_report`'s argument order."""
+
+    duration: float
+    total_energy: float
+    latencies: Sequence[float]
+    idle_lengths: Sequence[float]
+    n_shutdowns: int
+    n_wrong_shutdowns: int
+    state_residency: Dict[str, float]
+    n_requests: int
+
+    def report(self, home_power: float, keep_latencies: bool = True) -> SimReport:
+        """The run's :class:`SimReport`."""
+        return compile_report(home_power, *self[:7], keep_latencies)
 
 
 def compile_report(

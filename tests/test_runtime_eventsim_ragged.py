@@ -144,6 +144,7 @@ class TestEngineCounters:
 
         assert self._counters(Declines(), [long_trace(1)]) == {
             "engine.eventsim.vector_declined": 1,
+            "engine.eventsim.vector_declined.no_decision": 1,
             "engine.eventsim.scalar": 1,
         }
 

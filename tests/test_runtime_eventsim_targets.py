@@ -15,9 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import AdaptiveTimeout
 from repro.device import PRESETS, get_preset
 from repro.runtime import run_gap_batched, simulate_traces_batch
 from repro.runtime.telemetry import TELEMETRY
+from repro.sim import DPMSimulator
 from repro.sim.policy_api import BatchIdleDecision, EventPolicy, IdleDecision
 from repro.sim.simulator import default_wait_state
 from repro.workload import Exponential, Trace, renewal_trace
@@ -112,6 +114,69 @@ def test_declined_target_counted_and_served_by_scalar_loop():
         reports = simulate_traces_batch(device, Targets([home]), traces())
     assert registry.snapshot()["counters"] == {
         "engine.eventsim.vector_declined": 1,
+        "engine.eventsim.vector_declined.bad_target": 1,
         "engine.eventsim.scalar": 3,
     }
     assert len(reports) == 3
+
+
+def declined(reason, n):
+    """A decision for ``n`` gaps that both engines decline for
+    ``reason``; its first row is the bad one."""
+    if reason == "no_decision":
+        return None
+    timeouts = np.full(n, 0.5)
+    target_idx = np.full(n, -1, dtype=np.int64)
+    if reason == "wrong_shape":
+        timeouts = np.append(timeouts, 0.5)
+    elif reason == "negative_timeout":
+        timeouts[0] = -1.0
+    else:
+        assert reason == "bad_target"
+        target_idx[0] = 10**6
+    return BatchIdleDecision(target_idx=target_idx, timeouts=timeouts)
+
+
+class GapDeclines(Targets):
+    def __init__(self, reason):
+        super().__init__([-1])
+        self.reason = reason
+
+    def decide_batch(self, ctx):
+        return declined(self.reason, ctx.gap_starts.size)
+
+
+class StepDeclines(AdaptiveTimeout):
+    def __init__(self, reason):
+        super().__init__(initial_timeout=2.0)
+        self.reason = reason
+
+    def make_step_state(self, n, device, wait_state):
+        if self.reason == "no_step_state":
+            return None
+        return super().make_step_state(n, device, wait_state)
+
+    def decide_step_batch(self, states, ctx):
+        return declined(self.reason, ctx.active.size)
+
+
+REASONS = ("no_decision", "wrong_shape", "negative_timeout", "bad_target")
+
+
+@pytest.mark.parametrize("engine, policy_cls, reason", [
+    *[("vector", GapDeclines, r) for r in REASONS],
+    *[("lockstep", StepDeclines, r) for r in (*REASONS, "no_step_state")],
+])
+def test_declined_batch_counts_its_reason(engine, policy_cls, reason):
+    """A declined batch counts once in total and once under its reason;
+    every trace is then served, and counted, by the scalar fallback."""
+    device = get_preset("mobile_hdd")
+    policy = policy_cls(reason)
+    with TELEMETRY.metrics_scope() as registry:
+        reports = simulate_traces_batch(device, policy, traces())
+    assert registry.snapshot()["counters"] == {
+        f"engine.eventsim.{engine}_declined": 1,
+        f"engine.eventsim.{engine}_declined.{reason}": 1,
+        "engine.eventsim.scalar": 3,
+    }
+    assert reports == [DPMSimulator(device, policy).run(t) for t in traces()]

@@ -173,6 +173,18 @@ class TestShardedDeterminism:
         assert counters["engine.slotted.model_based"] == 2
         assert "engine.slotted.scalar" not in counters
 
+    def test_model_based_seeds_spread_one_per_chunk(
+            self, mb_spec, assert_same_mb_runs):
+        # the default batch_size is a lock-step width the model-based
+        # controller cannot use: its seeds still run one per chunk
+        seeds = [5, 6, 7, 8]
+        serial = SweepRunner(n_jobs=1).run_many(mb_spec, seeds)
+        pooled = SweepRunner(n_jobs=2).run_many(mb_spec, seeds)
+        assert pooled.execution["n_jobs_effective"] == 2
+        counters = pooled.execution["metrics"]["counters"]
+        assert counters["engine.slotted.model_based"] == 4
+        assert_same_mb_runs(serial.runs, pooled.runs)
+
 
 class TestSnapshotSemantics:
     def test_snapshots_same_when_sharded(self, spec):

@@ -240,6 +240,15 @@ class TestMetrics:
         assert (serial["verify.invariant_checks"]
                 == parallel["verify.invariant_checks"] == len(seeds))
 
+    def test_pool_decision_is_counted(self, spec):
+        """Whether a sweep kept its pool reads in its metrics."""
+        for n_jobs, decision in ((1, "serial_requested"), (3, "parallel")):
+            result = SweepRunner(batch_size=2, n_jobs=n_jobs).run_many(
+                spec, list(range(6)))
+            assert result.execution["decision"] == decision
+            counters = result.execution["metrics"]["counters"]
+            assert counters[f"executor.decision.{decision}"] == 1
+
     def test_sweep_result_carries_metrics_snapshot(self, spec):
         result = SweepRunner(batch_size=2).run_many(spec, [1, 2, 3])
         counters = result.execution["metrics"]["counters"]
