@@ -1,8 +1,8 @@
 """Fleet-level aggregation of per-device simulation runs.
 
 A fleet run produces one :class:`~repro.sim.stats.RunTotals` per device
-(a :class:`~repro.sim.SimReport` from the scalar loop has the same
-attributes).  :func:`build_fleet_report` folds them into one
+(the scalar reference dispatcher's :class:`~repro.sim.SimReport` has the
+same attributes).  :func:`build_fleet_report` folds them into one
 :class:`FleetReport` and drops them: fleet energy and mean power,
 savings against an all-always-on fleet, per-device request counts and
 residency, and tail latency over the *merged* completion stream — the

@@ -60,11 +60,12 @@ realized gaps, laid out run by run, into per-run totals.
 
 :func:`simulate_runs_batch` picks the engine by
 :func:`policy_batch_mode`; other policies and declined batches fall back
-per trace to :func:`simulate_trace`, the kernel or else the
-scalar :class:`~repro.sim.DPMSimulator`.  Every engine parks the idle
-device in :func:`~repro.sim.simulator.default_wait_state`: home, or a
-state with a free, instant round trip from home, so the park folds into
-plain residency accounting.
+per trace to the kernel or else the scalar
+:class:`~repro.sim.DPMSimulator`, as :func:`simulate_trace` does.  Every
+engine parks the idle device in
+:func:`~repro.sim.simulator.default_wait_state`: home, or a state with a
+free, instant round trip from home, so the park folds into plain
+residency accounting.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from ..sim.policy_api import (
     StepBatchContext,
 )
 from ..sim.simulator import DPMSimulator, default_wait_state, resolve_demands
-from ..sim.stats import RunTotals, SimReport
+from ..sim.stats import RunTotals, SimReport, compile_report
 from ..workload.trace import Trace
 from .telemetry import TELEMETRY
 
@@ -309,20 +310,20 @@ def _fold_runs(
                 else:
                     total_energy += tc.up_energy * n_up
         runs.append(RunTotals(
-            float(end_times[r]), total_energy, latencies[s:e],
-            idle_lengths[g0:g1], int(n_shutdowns[r]), int(n_wrong[r]),
-            residency, e - s,
+            duration=float(end_times[r]), total_energy=total_energy,
+            latencies=latencies[s:e], idle_lengths=idle_lengths[g0:g1],
+            n_shutdowns=int(n_shutdowns[r]), n_wrong_shutdowns=int(n_wrong[r]),
+            state_residency=residency, n_requests=e - s,
         ))
     return runs
 
 
-def _reports(device: PowerStateMachine, runs: Union[list, str],
+def _reports(device: PowerStateMachine, runs: Union[List[RunTotals], str],
              keep_latencies: bool) -> Optional[List[SimReport]]:
     """Each run as a report; None for a declined batch."""
     home_power = device.state(device.initial_state).power
     return None if isinstance(runs, str) else [
-        run.report(home_power, keep_latencies)
-        if isinstance(run, RunTotals) else run for run in runs]
+        compile_report(home_power, run, keep_latencies) for run in runs]
 
 
 def run_gap_batched(
@@ -480,16 +481,19 @@ def simulate_trace(
     :class:`~repro.sim.SimReport` either way.  Direct callers check a
     report's invariants with :func:`~repro.runtime.verify.check_sim_report`.
     """
-    report = run_vectorized(
-        device, policy, trace, service_time=service_time, oracle=oracle,
-        keep_latencies=keep_latencies,
-    )
-    if report is None:
-        report = DPMSimulator(
-            device, policy, service_time=service_time, oracle=oracle,
-            keep_latencies=keep_latencies,
-        ).run(trace)
-    return report
+    return _reports(device, [_trace_totals(device, policy, trace,
+                                           service_time, oracle)],
+                    keep_latencies)[0]
+
+
+def _trace_totals(device: PowerStateMachine, policy: EventPolicy,
+                  trace: Trace, service_time, oracle) -> RunTotals:
+    """One trace's totals: the kernel, or else the scalar event loop."""
+    runs = _gap_runs(device, policy, [trace], service_time, oracle)
+    if isinstance(runs, str):
+        return DPMSimulator(device, policy, service_time=service_time,
+                            oracle=oracle).totals(trace)
+    return runs[0]
 
 
 def policy_batch_mode(policy: EventPolicy) -> str:
@@ -729,21 +733,20 @@ def simulate_traces_batch(
 ) -> List[SimReport]:
     """:func:`simulate_runs_batch` as reports."""
     return _reports(device, simulate_runs_batch(
-        device, policy, traces, service_time, oracle, keep_latencies,
+        device, policy, traces, service_time, oracle,
     ), keep_latencies)
 
 
 def simulate_runs_batch(
     device: PowerStateMachine, policy: EventPolicy, traces: Sequence[Trace],
     service_time: float = 0.5, oracle: bool = False,
-    keep_latencies: bool = True,
-) -> List[Union[RunTotals, SimReport]]:
+) -> List[RunTotals]:
     """R replications of one (device, policy) cell, fastest valid engine.
 
     Gap-mode policies (:func:`policy_batch_mode`) run all gaps of the R
     traces in one kernel call, step-mode ones the lock-step engine; the
-    rest, or a declined batch, fall back to per-trace
-    :func:`simulate_trace`.  Runs come in trace order, each a pure
+    rest, or a declined batch, fall back per trace to the kernel or
+    else the scalar event loop.  Runs come in trace order, each a pure
     function of its own trace.  ``engine.eventsim.{vector,lockstep,
     scalar}`` count the traces each path served,
     ``engine.eventsim.{vector,lockstep}_declined[.<reason>]`` declines.
@@ -762,6 +765,5 @@ def simulate_runs_batch(
         TELEMETRY.inc(f"engine.eventsim.{name}_declined")
         TELEMETRY.inc(f"engine.eventsim.{name}_declined.{runs}")
     TELEMETRY.inc("engine.eventsim.scalar", len(traces))
-    return [simulate_trace(device, policy, trace, service_time=service_time,
-                           oracle=oracle, keep_latencies=keep_latencies)
+    return [_trace_totals(device, policy, trace, service_time, oracle)
             for trace in traces]

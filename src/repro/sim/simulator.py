@@ -37,7 +37,8 @@ from ..device import PowerStateMachine
 from ..workload.trace import Trace
 from .events import ARRIVAL, SERVICE_DONE, TIMEOUT, TRANSITION_DONE, Event, EventQueue
 from .policy_api import NEVER, EventPolicy, IdleContext, IdleDecision
-from .stats import EnergyMeter, IdleTracker, LatencyTracker, RunTotals, SimReport
+from .stats import (EnergyMeter, IdleTracker, LatencyTracker, RunTotals,
+                    SimReport, compile_report)
 
 
 def resolve_demands(trace: Trace, service_time: float) -> np.ndarray:
@@ -122,6 +123,11 @@ class DPMSimulator:
 
     def run(self, trace: Trace) -> SimReport:
         """Simulate the full trace; returns the final report."""
+        return compile_report(self.device.state(self.home).power,
+                              self.totals(trace), self.keep_latencies)
+
+    def totals(self, trace: Trace) -> RunTotals:
+        """Simulate the full trace; returns its raw totals."""
         self.policy.reset()
         queue: Deque[_Request] = deque()
         events = EventQueue()
@@ -272,10 +278,12 @@ class DPMSimulator:
         meter.finish(end_time)
 
         return RunTotals(
-            end_time, meter.total_energy, latency.values,
-            idle_stats.idle_lengths, idle_stats.n_shutdowns,
-            idle_stats.n_wrong_shutdowns, meter.residency, latency.count,
-        ).report(self.device.state(self.home).power, self.keep_latencies)
+            duration=end_time, total_energy=meter.total_energy,
+            latencies=latency.values, idle_lengths=idle_stats.idle_lengths,
+            n_shutdowns=idle_stats.n_shutdowns,
+            n_wrong_shutdowns=idle_stats.n_wrong_shutdowns,
+            state_residency=meter.residency, n_requests=latency.count,
+        )
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -4,7 +4,7 @@
 event loop (:class:`~repro.sim.simulator.DPMSimulator`) feeds it its
 trackers' raw sequences, the busy-period engines
 (:mod:`repro.runtime.eventsim`) array aggregates, each as a
-:class:`RunTotals`, which the fleet fold reads without a report.
+:class:`RunTotals`, which the fleet fold also reads without a report.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class IdleTracker:
 
 
 class RunTotals(NamedTuple):
-    """One run's raw totals in :func:`compile_report`'s argument order."""
+    """One run's raw totals, as every engine ends a run; the fleet fold
+    reads them as they are, :func:`compile_report` summarizes them."""
 
     duration: float
     total_energy: float
@@ -128,23 +129,10 @@ class RunTotals(NamedTuple):
     state_residency: Dict[str, float]
     n_requests: int
 
-    def report(self, home_power: float, keep_latencies: bool = True) -> SimReport:
-        """The run's :class:`SimReport`."""
-        return compile_report(home_power, *self[:7], keep_latencies)
 
-
-def compile_report(
-    home_power: float,
-    end_time: float,
-    total_energy: float,
-    latencies: Sequence[float],
-    idle_lengths: Sequence[float],
-    n_shutdowns: int,
-    n_wrong_shutdowns: int,
-    state_residency: Dict[str, float],
-    keep_latencies: bool = True,
-) -> SimReport:
-    """Assemble the final :class:`SimReport` from raw run aggregates.
+def compile_report(home_power: float, run: RunTotals,
+                   keep_latencies: bool = True) -> SimReport:
+    """Assemble the final :class:`SimReport` from one run's totals.
 
     Shared by the scalar event loop and the vectorized kernel so the two
     paths cannot drift in how summary metrics are derived.
@@ -155,8 +143,9 @@ def compile_report(
     per-replication reports shipped back from worker processes stay
     small.
     """
-    latencies = np.asarray(latencies, dtype=float)
-    idle_lengths = np.asarray(idle_lengths, dtype=float)
+    latencies = np.asarray(run.latencies, dtype=float)
+    idle_lengths = np.asarray(run.idle_lengths, dtype=float)
+    end_time, total_energy = run.duration, run.total_energy
     duration = end_time if end_time > 0 else 1.0
     mean_power = total_energy / duration
     saving = 1.0 - mean_power / home_power if home_power > 0 else 0.0
@@ -172,10 +161,10 @@ def compile_report(
         p95_latency=p95,
         p99_latency=p99,
         max_latency=float(np.max(latencies)) if latencies.size else 0.0,
-        n_shutdowns=int(n_shutdowns),
-        n_wrong_shutdowns=int(n_wrong_shutdowns),
+        n_shutdowns=int(run.n_shutdowns),
+        n_wrong_shutdowns=int(run.n_wrong_shutdowns),
         n_idle_periods=int(idle_lengths.size),
         mean_idle_length=float(np.mean(idle_lengths)) if idle_lengths.size else 0.0,
-        state_residency=dict(state_residency),
+        state_residency=dict(run.state_residency),
         latencies=tuple(latencies.tolist()) if keep_latencies else (),
     )

@@ -39,7 +39,7 @@ from repro.runtime import (
 )
 from repro.runtime.sweep import LEARNING_CROSSOVER
 from repro.sim import DPMSimulator
-from repro.sim.stats import compile_report
+from repro.sim.stats import RunTotals, compile_report
 from repro.workload import ConstantRate, Exponential
 
 DEVICES = ("mobile_hdd", "wlan", "sa1100", "sensor_radio")
@@ -521,20 +521,20 @@ class TestEmptyLatencyGuards:
     def test_compile_report_empty_trace_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = compile_report(
-                home_power=2.0, end_time=100.0, total_energy=120.0,
-                latencies=[], idle_lengths=[], n_shutdowns=0,
-                n_wrong_shutdowns=0, state_residency={"active": 100.0},
-            )
+            report = compile_report(2.0, RunTotals(
+                duration=100.0, total_energy=120.0, latencies=[],
+                idle_lengths=[], n_shutdowns=0, n_wrong_shutdowns=0,
+                state_residency={"active": 100.0}, n_requests=0,
+            ))
         assert report.n_requests == 0
         assert report.mean_latency == 0.0
         assert report.p99_latency == 0.0
         assert np.isfinite(report.max_latency)
 
     def test_empty_report_satisfies_invariants(self):
-        report = compile_report(
-            home_power=2.0, end_time=100.0, total_energy=200.0,
-            latencies=[], idle_lengths=[], n_shutdowns=0,
-            n_wrong_shutdowns=0, state_residency={"active": 100.0},
-        )
+        report = compile_report(2.0, RunTotals(
+            duration=100.0, total_energy=200.0, latencies=[],
+            idle_lengths=[], n_shutdowns=0, n_wrong_shutdowns=0,
+            state_residency={"active": 100.0}, n_requests=0,
+        ))
         check_sim_report(report)
