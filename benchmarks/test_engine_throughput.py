@@ -7,7 +7,9 @@ The tentpole claims of the vectorized + sharded runtime, measured:
   replica-slots/sec of the scalar :class:`~repro.core.QDPM` loop at
   B = 64, with every replica bit-for-bit its scalar twin, and B = 128
   beats B = 32 (both checked on the recorded artifact by
-  ``check_bench_artifacts.py``, not asserted here);
+  ``check_bench_artifacts.py``, not asserted here).  The scalar loop
+  is the one the sweep runs below the crossover: ``QDPM`` with
+  ``FixedDrawEpsilonGreedy``;
 - sharding a multi-chunk sweep across 4 worker processes
   (``SweepRunner(n_jobs=4)``) sustains >= 2x the wall-clock throughput
   of the serial chunk loop on a >= 4-core host (checked on the
@@ -32,7 +34,7 @@ import pytest
 
 from _bench_util import REPO_ROOT, record_bench
 from check_bench_artifacts import EXPECTED_KEYS, check_artifacts
-from repro.core import QDPM
+from repro.core import QDPM, FixedDrawEpsilonGreedy
 from repro.device import abstract_three_state
 from repro.env import SlottedDPMEnv
 from repro.runtime import BatchedQDPM, BatchedSlottedEnv, RolloutSpec, SweepRunner
@@ -51,13 +53,16 @@ def _record_bench(section: str, payload: dict) -> None:
 
 
 def _scalar_slots_per_sec(n_slots: int = N_SLOTS, repeats: int = 3) -> float:
-    """Best-of-N scalar training throughput (one seed)."""
+    """Best-of-N scalar training throughput (one seed) on the stack that
+    ``run_chunk`` runs below the crossover: ``QDPM`` with
+    ``FixedDrawEpsilonGreedy``, each seed a batched replica's twin."""
     best = 0.0
     for _ in range(repeats):
         env = SlottedDPMEnv(
             abstract_three_state(), ConstantRate(0.15), seed=0, **ENV_KW
         )
-        controller = QDPM(env, epsilon=0.08, seed=1)
+        controller = QDPM(env, epsilon=0.08, seed=1,
+                          exploration=FixedDrawEpsilonGreedy(0.08))
         start = time.perf_counter()
         controller.run(n_slots, record_every=n_slots)
         best = max(best, n_slots / (time.perf_counter() - start))

@@ -13,11 +13,15 @@ totals.  Semantics are bit-for-bit those of the scalar environment:
   then the arrival draw) — so replica ``i`` of a batched run reproduces
   a scalar run seeded ``seeds[i]`` to the last bit.
 
-Each replica's uniforms are pre-drawn in blocks (``Generator.random(n)``
-yields the same doubles as n scalar calls) and read through a
-per-replica cursor, so a slot costs a constant number of vectorized
-array ops instead of the scalar path's O(B) Python round-trips; the
-O(B) generator calls recur once per few hundred slots, at a refill.
+The step function is tabled per (state, action) pair — next mode, next
+state less its queue, energy, and whether the slot serves a request —
+so a slot reads all of them at one flat index ``state * n_actions +
+action`` and tests no queue.  Each replica's uniforms are pre-drawn in
+blocks (``Generator.random(n)`` yields the same doubles as n scalar
+calls) and read through a per-replica cursor, so a slot costs a
+constant number of vectorized array ops instead of the scalar path's
+O(B) Python round-trips; the O(B) generator calls recur once per few
+hundred slots, at a refill.
 """
 
 from __future__ import annotations
@@ -141,14 +145,46 @@ class BatchedSlottedEnv:
         self.p_serve = float(p_serve)
         self._qcap1 = self.queue_capacity + 1
         self._n_actions = self.mode_space.n_actions
-        # the step tables raveled once, read with one flat index
-        # ``mode * n_actions + action`` per slot (views: the dense tables
-        # are read-only and contiguous)
-        self._next_mode_flat = self.tables.next_mode.ravel()
-        self._energy_flat = self.tables.energy.ravel()
-        self._can_service_flat = self.tables.can_service.ravel()
+        self._build_step_tables()
         self._seed_rngs(seeds)
         self.reset()
+
+    def _build_step_tables(self) -> None:
+        """Per-(state, action) step tables, read with one flat index
+        ``state * n_actions + action`` per slot.
+
+        A state's mode picks the effect and its queue level whether the
+        slot has a request to serve, so a step tests no queue, and the
+        next state is one add.
+        """
+        qcap1, n_actions = self._qcap1, self._n_actions
+        t = self.tables
+        state = np.arange(self.n_states)
+        mode_of = state // qcap1
+        next_mode = t.next_mode[mode_of]
+        self._sa_next_mode = next_mode.ravel()
+        # the next state is this plus the queue at slot end
+        self._sa_next_base = (next_mode * qcap1).ravel()
+        self._sa_energy = t.energy[mode_of].ravel()
+        self._sa_serves = (t.can_service[mode_of]
+                           & (state % qcap1 > 0)[:, None]).ravel()
+        # actions are checked by indexing, not by reductions: an action
+        # in [-A, 0) or [A, 2A) reads column ``size``, which puts the
+        # index past every table, one outside [-2A, 2A) is past the
+        # column table, and an illegal pair maps to index ``size``
+        size = self.n_states * n_actions
+        self._action_columns = np.append(np.arange(n_actions),
+                                         np.full(n_actions, size))
+        self._sa_checked = np.where(t.allowed[mode_of].ravel(),
+                                    np.arange(size), size)
+        # ``state * n_actions`` split into its mode and queue parts: the
+        # mode and queue vectors are the replica state
+        self._mode_rows = np.arange(self.mode_space.n_modes) * (qcap1 * n_actions)
+        self._queue_rows = np.arange(qcap1) * n_actions
+        # per-queue-level and per-loss reward terms (same products as the
+        # scalar reward's, computed once)
+        self._queue_cost = self.perf_weight * np.arange(qcap1)
+        self._loss_cost = np.array([0.0, self.loss_penalty])
 
     def _seed_rngs(
         self, seeds: Optional[Union[int, Sequence[Optional[int]]]]
@@ -160,6 +196,7 @@ class BatchedSlottedEnv:
         for rng, row in zip(self._rngs, self._block):
             rng.random(out=row)
         self._flat = self._block.reshape(-1)
+        self._serves_flat = self._flat < self.p_serve
         self._base = np.arange(self.n_replicas) * self._DRAW_BLOCK
         self._at = self._base.copy()
         self._slots_left = self._DRAW_BLOCK // 2
@@ -175,6 +212,8 @@ class BatchedSlottedEnv:
             tail = self._DRAW_BLOCK - pos
             row[:tail] = row[pos:]
             rng.random(out=row[tail:])
+        # each uniform read as a service draw, compared once per block
+        self._serves_flat = self._flat < self.p_serve
         self._at = self._base.copy()
         self._slots_left = self._DRAW_BLOCK // 2
 
@@ -197,12 +236,6 @@ class BatchedSlottedEnv:
         """(B,) flattened state indices (read-only; kept until the next
         ``step`` or ``reset``)."""
         return self._states
-
-    def _cache_states(self) -> np.ndarray:
-        states = self._modes * self._qcap1 + self._queues
-        states.setflags(write=False)
-        self._states = states
-        return states
 
     @property
     def modes(self) -> np.ndarray:
@@ -238,7 +271,12 @@ class BatchedSlottedEnv:
         self._queues = np.full(b, queue, dtype=np.int64)
         self._slot = 0
         self.totals = BatchedEnvTotals.zeros(b)
-        return self._cache_states()
+        return self._set_states(self._modes * self._qcap1 + self._queues)
+
+    def _set_states(self, states: np.ndarray) -> np.ndarray:
+        states.setflags(write=False)
+        self._states = states
+        return states
 
     def step(
         self, actions: np.ndarray
@@ -257,48 +295,40 @@ class BatchedSlottedEnv:
             raise ValueError(
                 f"actions must have shape ({self.n_replicas},), got {actions.shape}"
             )
-        n_actions = self._n_actions
-        # one unsigned max catches negative indices too
-        if actions.view(np.uint64).max() >= n_actions:
-            bad = int(np.nonzero(actions.view(np.uint64) >= n_actions)[0][0])
-            raise KeyError(
-                f"action index {int(actions[bad])} out of range "
-                f"[0, {n_actions}) (replica {bad})"
-            )
-        modes = self._modes
-        ma = modes * n_actions + actions
-        next_modes = self._next_mode_flat.take(ma)
-        if next_modes.min() < 0:
-            bad = int(np.nonzero(next_modes < 0)[0][0])
-            raise KeyError(
-                f"action {self.mode_space.action_names[int(actions[bad])]!r} "
-                f"not allowed in mode "
-                f"{self.mode_space.mode(int(modes[bad])).label!r} "
-                f"(replica {bad})"
-            )
-        energy = self._energy_flat.take(ma)
+        modes, queues = self._modes, self._queues
+        try:
+            # the flat (state, action) index state * n_actions + action;
+            # a bad action makes one of these takes index past its table
+            sa = self._mode_rows.take(modes) + self._queue_rows.take(queues)
+            sa += self._action_columns.take(actions)
+            sa = self._sa_checked.take(sa)
+            next_modes = self._sa_next_mode.take(sa)
+        except IndexError:
+            self._check_actions(actions)
+            raise
+        energy = self._sa_energy.take(sa)
         rate = self.schedule.rate_at(self._slot)
 
-        need_serve = self._can_service_flat.take(ma) & (self._queues > 0)
+        need_serve = self._sa_serves.take(sa)
         # scalar draw order per replica: the service draw only where the
         # slot can serve, then the arrival draw
         at = self._at
-        served = need_serve & (self._flat.take(at) < self.p_serve)
-        queues = self._queues - served
+        served = need_serve & self._serves_flat.take(at)
+        queues = queues - served
         at = at + need_serve
         arrived = self._flat.take(at) < rate
         self._at = at + 1
         self._slots_left -= 1
         if not self._slots_left:
             self._refill()
-        lost = arrived & (queues >= self.queue_capacity)
         queues += arrived
+        lost = queues > self.queue_capacity  # an arrival at a full queue
         queues -= lost
 
         rewards = (
             -energy
-            - self.perf_weight * queues
-            - self.loss_penalty * lost
+            - self._queue_cost.take(queues)
+            - self._loss_cost.take(lost)
         )
 
         info = BatchStepInfo(
@@ -323,7 +353,29 @@ class BatchedSlottedEnv:
         self._modes = next_modes
         self._queues = queues
         self._slot += 1
-        return self._cache_states(), rewards, info
+        return (self._set_states(self._sa_next_base.take(sa) + queues),
+                rewards, info)
+
+    def _check_actions(self, actions: np.ndarray) -> None:
+        """Raise the KeyError that names the first replica whose action
+        is out of range, else the first whose action its mode forbids."""
+        n_actions = self._n_actions
+        out = np.nonzero((actions < 0) | (actions >= n_actions))[0]
+        if out.size:
+            bad = int(out[0])
+            raise KeyError(
+                f"action index {int(actions[bad])} out of range "
+                f"[0, {n_actions}) (replica {bad})"
+            )
+        illegal = np.nonzero(~self.tables.allowed[self._modes, actions])[0]
+        if illegal.size:
+            bad = int(illegal[0])
+            raise KeyError(
+                f"action {self.mode_space.action_names[int(actions[bad])]!r} "
+                f"not allowed in mode "
+                f"{self.mode_space.mode(int(self._modes[bad])).label!r} "
+                f"(replica {bad})"
+            )
 
     # ------------------------------------------------------------------ #
     # reference quantities

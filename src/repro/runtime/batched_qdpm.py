@@ -2,30 +2,38 @@
 
 Each replica is a *separate* Q-DPM training run (its own seed, its own
 Q-table), but all B tables live as disjoint row blocks of one
-:class:`~repro.core.QTable` with ``B * n_states`` rows, so one slot of
-training for all replicas is:
+:class:`~repro.core.QTable` with ``B * n_states`` rows.  Candidates are
+laid out K-major: a ``(K, B * n_states)`` table holds, for every global
+state, the flat Q index of each of its K allowed actions in
+allowed-list order, with padding pointed at one -inf cell past the
+table.  So one slot of training for all replicas is:
 
-1. one gather of each replica's Q row over its allowed actions (in
-   allowed-list order) and one masked max that marks the near-max ones,
-2. one column pick per replica: the k-th allowed action when the slot
-   explores, else the k-th near-max one, k from the slot's uniforms,
+1. one gather of the ``(K, B)`` candidate indices and their Q values,
+   and one max down the K rows,
+2. one pick per replica: the candidates are the values within the
+   slot's slack of that max (every allowed action when the slot
+   explores, else the near-max ones), and the pick is the first row
+   whose running count of them exceeds ``u * size``,
 3. one :meth:`BatchedSlottedEnv.step`,
-4. one masked-max bootstrap and the Eqn.-3 relaxation written in place
-   at the flat table indices ``obs * n_actions + action``.
+4. one bootstrap max over the next states' candidate rows and the
+   Eqn.-3 relaxation written in place at the picked flat Q indices.
 
-Replica row blocks are disjoint, so the vectorized update is exactly B
-sequential scalar updates.  The *environment* trajectories are bit-exact
-per replica (see :mod:`repro.runtime.batched_env`).  Exploration is also
-per-replica: each replica owns its own generator (seeded ``seed + i``
-for an int seed — the scalar experiments' ``agent seed = env seed + 1``
+Every reduction runs along axis 0 of a ``(K, B)`` array, and no slot
+gathers a mask.  Replica row blocks are disjoint, so the vectorized
+update is exactly B sequential scalar updates.  The *environment*
+trajectories are bit-exact per replica (see
+:mod:`repro.runtime.batched_env`).  Exploration is also per-replica:
+each replica owns its own generator (seeded ``seed + i`` for an int
+seed — the scalar experiments' ``agent seed = env seed + 1``
 convention composes naturally), drawing a fixed three-uniform block per
 slot (explore?, random-action pick, tie-break pick).  That makes every
 seed's trained outcome independent of how seeds are chunked into
-batches, and matches the scalar agent's *distribution* — including
-uniform random tie-breaking among near-max Q-values during training —
-though not its exact stream layout (the scalar path consumes a variable
-number of draws per slot, which cannot be vectorized without
-serializing the loop).
+batches.  A scalar :class:`~repro.core.QDPM` with
+:class:`~repro.core.FixedDrawEpsilonGreedy` consumes the same layout
+and reproduces a replica bit for bit; the default
+:class:`~repro.core.EpsilonGreedy` matches its *distribution* —
+including uniform random tie-breaking among near-max Q-values — but
+draws a variable number of uniforms per slot.
 """
 
 from __future__ import annotations
@@ -41,6 +49,13 @@ from ..core.schedules import Schedule
 from ..env.observation import FullObservation
 from ..mdp import DeterministicPolicy
 from .batched_env import BatchedSlottedEnv, _resolve_seeds
+
+#: near-max tolerance of the greedy choice (the scalar agent's)
+_TIE_TOLERANCE = 1e-12
+#: an exploring slot's slack: the row max minus it rounds to the lowest
+#: finite float (|Q| is far below 1e292), so every allowed action is a
+#: candidate and the -inf padding is not
+_EXPLORE_SLACK = np.finfo(np.float64).max
 
 
 class BatchedQDPM:
@@ -82,25 +97,31 @@ class BatchedQDPM:
         self._lr = learning_rate
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+        if not np.isfinite(initial_q):  # -inf is the padding's value
+            raise ValueError(f"initial_q must be finite, got {initial_q}")
         self.discount = float(discount)
-        self.epsilon = float(epsilon)
-        b, s = env.n_replicas, env.n_states
-        self.table = QTable(b * s, env.n_actions, initial_value=initial_q)
-        self._n_actions = env.n_actions
+        self._epsilon = float(epsilon)
+        b, s, n_actions = env.n_replicas, env.n_states, env.n_actions
+        self.table = QTable(b * s, n_actions, initial_value=initial_q)
+        # Q lives in a flat buffer with one -inf cell past the table:
+        # padded candidate slots point there, so no row max needs a mask
+        size = b * s * n_actions
+        self._q_flat = np.append(self.table._q.ravel(), -np.inf)
+        self.table._q = self._q_flat[:size].reshape(b * s, n_actions)
+        self._visits_flat = self.table._visits.reshape(size)
+        # the action of each flat Q index
+        self._action_of = np.tile(np.arange(n_actions), b * s)
         self._offsets = np.arange(b, dtype=np.int64) * s
+        self._lanes = np.arange(b)
         self.env = env
-        # evaluation slots read this fixed row: it never explores
-        # (epsilon <= 1) and picks the first near-max action
-        self._greedy_draws = np.tile([1.0, 0.0, 0.0], (b, 1))
+        # evaluation slots read this fixed row pair: they never explore
+        # and pick the first near-max action
+        self._greedy_draws = np.array([[_TIE_TOLERANCE] * b, [0.0] * b])
         self._rngs = [
             np.random.default_rng(sd) for sd in _resolve_seeds(seed, b)
         ]
-        # each learning slot consumes exactly DRAWS_PER_SLOT uniforms per
-        # replica, so streams can be pre-drawn in blocks: same values in
-        # the same order as per-slot calls, with the O(B) generator loop
-        # amortized over _DRAW_BLOCK_SLOTS slots.
-        self._draw_block = np.empty((b, self.DRAWS_PER_SLOT * self._DRAW_BLOCK_SLOTS))
-        self._draw_pos = self._draw_block.shape[1]
+        self._draws = np.empty((self._DRAW_BLOCK_SLOTS, 2, b))
+        self._draw_pos = self._DRAW_BLOCK_SLOTS
         self._steps = 0
 
     #: uniforms per replica per learning slot: explore?, random pick, tie pick
@@ -115,11 +136,31 @@ class BatchedQDPM:
 
     @env.setter
     def env(self, env: BatchedSlottedEnv) -> None:
-        # which columns of each mode's padded allowed-action row are real
-        padded = env.tables.allowed_padded
-        self._valid = np.arange(padded.shape[1]) < env.tables.n_allowed[:, None]
-        self._row_k = np.arange(env.n_replicas) * padded.shape[1]
+        b, s, n_actions = env.n_replicas, env.n_states, env.n_actions
+        size = self._q_flat.size - 1
+        if b * s * n_actions != size:
+            raise ValueError(
+                f"env has {b} x {s} x {n_actions} (replica, state, action) "
+                f"pairs; the table holds {size}"
+            )
+        # (K, S): each state's allowed actions in allowed-list order, the
+        # order exploration draws and tie-breaks index; -1 past the end
+        tables = env.tables
+        mode_of = np.arange(s) // (env.queue_capacity + 1)
+        k = np.arange(tables.allowed_padded.shape[1])[:, None]
+        allowed = np.where(k < tables.n_allowed[mode_of],
+                           tables.allowed_padded[mode_of].T, -1)
+        # (K, B * S): the flat Q index of candidate k of global state
+        # replica * S + state, the -inf cell where k is padding
+        allowed = np.tile(allowed, b)
+        self._candidates = np.where(
+            allowed >= 0, np.arange(b * s) * n_actions + allowed, size)
         self._env = env
+
+    @property
+    def epsilon(self) -> float:
+        """Exploration rate (fixed: draw blocks are resolved ahead)."""
+        return self._epsilon
 
     @property
     def n_replicas(self) -> int:
@@ -127,14 +168,28 @@ class BatchedQDPM:
         return self.env.n_replicas
 
     def _next_draws(self) -> np.ndarray:
-        """(B, DRAWS_PER_SLOT) view of this slot's per-replica uniforms."""
-        if self._draw_pos >= self._draw_block.shape[1]:
-            for i, rng in enumerate(self._rngs):
-                rng.random(out=self._draw_block[i])
+        """(2, B) view of this slot's candidate slack and pick uniform.
+
+        Each learning slot consumes exactly DRAWS_PER_SLOT uniforms per
+        replica, so streams are pre-drawn in blocks (the same values in
+        the same order as per-slot calls) and the O(B) generator loop and
+        the explore test run once per _DRAW_BLOCK_SLOTS slots.  A slot
+        that explores gets slack ``_EXPLORE_SLACK`` and its random-pick
+        uniform, one that exploits the tie tolerance and its tie-break
+        uniform.
+        """
+        if self._draw_pos == self._DRAW_BLOCK_SLOTS:
+            n = self._DRAW_BLOCK_SLOTS
+            raw = np.array([rng.random(self.DRAWS_PER_SLOT * n)
+                            for rng in self._rngs])
+            raw = raw.reshape(-1, n, self.DRAWS_PER_SLOT).transpose(2, 1, 0)
+            explore = raw[0] < self._epsilon  # (slot, replica)
+            self._draws[:, 0] = np.where(explore, _EXPLORE_SLACK,
+                                         _TIE_TOLERANCE)
+            self._draws[:, 1] = np.where(explore, raw[1], raw[2])
             self._draw_pos = 0
-        out = self._draw_block[:, self._draw_pos:self._draw_pos + self.DRAWS_PER_SLOT]
-        self._draw_pos += self.DRAWS_PER_SLOT
-        return out
+        self._draw_pos += 1
+        return self._draws[self._draw_pos - 1]
 
     @property
     def steps(self) -> int:
@@ -156,37 +211,29 @@ class BatchedQDPM:
         deterministic branch) and leave the table alone.
         """
         env = self._env
-        tables = env.tables
-        q = self.table._q
-        modes = env._modes
-        padded = tables.allowed_padded.take(modes, axis=0)  # (B, K) actions
-        valid = self._valid.take(modes, axis=0)
-        row = (env._states + self._offsets) * self._n_actions
-        values = q.take(row[:, None] + padded)
-        best = np.where(valid, values, -np.inf).max(axis=1, keepdims=True)
-        near = valid & (values >= best - 1e-12)
-        draws = self._next_draws() if learn else self._greedy_draws
-        explore = draws[:, 0] < self.epsilon
-        # the k-th member of the candidate set (every allowed action when
-        # exploring, the near-max ones otherwise) for k = floor(u * size):
-        # the first column whose running count exceeds u * size.  u < 1,
-        # so this is the scalar agent's min(int(u * n), n - 1).
-        counts = np.where(explore[:, None], valid, near).cumsum(axis=1)
-        u = np.where(explore, draws[:, 1], draws[:, 2])
-        column = (counts > (u * counts[:, -1])[:, None]).argmax(axis=1)
-        column += self._row_k
-        actions = padded.take(column)
-        old = values.take(column)
-        next_states, rewards, info = env.step(actions)
+        q = self._q_flat
+        # (K, B) candidate Q indices and values; padding reads -inf
+        candidates = self._candidates.take(env._states + self._offsets, axis=1)
+        values = q.take(candidates)
+        slack, u = self._next_draws() if learn else self._greedy_draws
+        # the candidate set: the values within the slack of the row max,
+        # which is every allowed action when the slot explores; its k-th
+        # member for k = floor(u * size) is the first row whose running
+        # count exceeds u * size.  u < 1, so this is the scalar agent's
+        # min(int(u * n), n - 1).
+        counts = (values >= np.maximum.reduce(values) - slack).cumsum(axis=0)
+        pick = (counts > u * counts[-1]).argmax(axis=0)
+        pick *= self._lanes.size  # row -> flat position in (K, B)
+        pick += self._lanes
+        index = candidates.take(pick)  # replica blocks: unique indices
+        old = values.take(pick)
+        next_states, rewards, info = env.step(self._action_of.take(index))
         if not learn:
             return rewards, info, np.zeros(self.n_replicas)
-        next_rows = q.take(next_states + self._offsets, axis=0)
-        bootstrap = np.where(tables.allowed.take(env._modes, axis=0),
-                             next_rows, -np.inf).max(axis=1)
+        bootstrap = np.maximum.reduce(q.take(
+            self._candidates.take(next_states + self._offsets, axis=1)))
         targets = rewards + self.discount * bootstrap
-        # replica row blocks are disjoint -> indices are unique
-        index = row + actions
-        visits = self.table._visits.take(index)
+        visits = self._visits_flat.take(index)
         lr = self._lr
         if isinstance(lr, Schedule):  # a constant rate was checked once
             lr = np.array([lr.value(n) for n in visits.tolist()])
@@ -194,7 +241,7 @@ class BatchedQDPM:
                 raise ValueError("learning rates must be in [0, 1]")
         new = (1.0 - lr) * old + lr * targets
         q.put(index, new)
-        self.table._visits.put(index, visits + 1)
+        self._visits_flat.put(index, visits + 1)
         self._steps += 1
         return rewards, info, np.abs(new - old)
 

@@ -232,13 +232,13 @@ class SweepResult:
 #: per-slot NumPy overhead only pays off across enough replicas.
 #: Each is the narrowest width at which the batched engine ran at least
 #: as many replica-slots per CPU second as the scalar stack in every
-#: reading (2-core x86_64, Python 3.11.7, abstract3, 8,000 slots, the
-#: two engines interleaved within each of 7 repeats, best of 7, three
-#: readings on a shared host): learning read 0.99-1.01x at B=10,
-#: 1.07-1.11x at B=11 and 1.16-1.20x at B=12; fixed policy read
-#: 0.97-1.02x at B=19, 1.02-1.07x at B=20 and 1.06-1.11x at B=21.
-LEARNING_CROSSOVER = 11
-FIXED_POLICY_CROSSOVER = 20
+#: reading (2-core x86_64, Python 3.11.7, NumPy 2.4.6, abstract3, 8,000
+#: slots, the two engines interleaved within each of 7 repeats, best of
+#: 7, three readings on a shared host): learning read 0.79-1.08x at
+#: B=7, 1.18-1.22x at B=8 and 1.24-1.39x at B=9; fixed policy read
+#: 0.98-1.03x at B=15, 1.04-1.08x at B=16 and 1.12-1.19x at B=17.
+LEARNING_CROSSOVER = 8
+FIXED_POLICY_CROSSOVER = 16
 
 
 def runs_scalar(spec: RolloutSpec, width: int) -> bool:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import QTable
-from repro.device import abstract_three_state, two_state
+from repro.device import PRESETS, abstract_three_state, get_preset, two_state
 from repro.env import SlottedDPMEnv
 from repro.runtime import BatchedQDPM, BatchedSlottedEnv
 from repro.workload import ConstantRate, PiecewiseConstantRate, SinusoidalRate
@@ -375,11 +375,16 @@ class TestBatchedQDPM:
             BatchedQDPM(env, discount=1.0)
         with pytest.raises(ValueError):
             BatchedQDPM(env, epsilon=-0.1)
+        with pytest.raises(ValueError):
+            BatchedQDPM(env, initial_q=-np.inf)
         driver = BatchedQDPM(env)
         with pytest.raises(ValueError):
             driver.run(0)
         with pytest.raises(ValueError):
             driver.replica_table(5)
+        with pytest.raises(ValueError):  # the table is sized by the env
+            driver.env = BatchedSlottedEnv(device3, ConstantRate(0.2),
+                                           n_replicas=2, queue_capacity=4)
 
 
 class TestFixedDrawStreamParity:
@@ -545,3 +550,78 @@ class TestFixedDrawStreamParity:
         assert np.array_equal(
             controller.agent.table.values, driver.replica_table(0).values
         )
+
+
+class TestPresetParity:
+    """Every device preset at B = 1 and B = 32, replica by replica
+    against its scalar twin.  The presets cover the degenerate shapes of
+    the K-major candidate table and the per-(state, action) step tables:
+    ``two_state`` has two actions, ``wlan`` three single-action modes,
+    and abstract3's modes allow 3, 3, 2, 1 and 1 actions."""
+
+    N_SLOTS, RECORD_EVERY = 600, 100  # past both draw-block refills
+    KW = dict(queue_capacity=3, p_serve=0.8)
+    SCHEDULE = PiecewiseConstantRate([(150, 0.6), (150, 0.05)] * 2)
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_learning_matches_fixed_draw_twins(self, preset, b):
+        from repro.core import FixedDrawEpsilonGreedy, QDPM, QLearningAgent
+
+        device = get_preset(preset)
+        seeds = [100 + 7 * i for i in range(b)]
+        benv = BatchedSlottedEnv(device, self.SCHEDULE, n_replicas=b,
+                                 seeds=seeds, **self.KW)
+        driver = BatchedQDPM(benv, epsilon=0.3, learning_rate=0.2,
+                             seed=[s + 1 for s in seeds])
+        batched = driver.run(self.N_SLOTS, record_every=self.RECORD_EVERY)
+        for i, seed in enumerate(seeds):
+            env = SlottedDPMEnv(device, self.SCHEDULE, seed=seed, **self.KW)
+            agent = QLearningAgent(
+                n_observations=env.n_states, n_actions=env.n_actions,
+                learning_rate=0.2, seed=seed + 1,
+                exploration=FixedDrawEpsilonGreedy(0.3),
+            )
+            scalar = QDPM(env, agent=agent).run(
+                self.N_SLOTS, record_every=self.RECORD_EVERY)
+            _assert_same_history(scalar, batched.replica(i))
+            table = driver.replica_table(i)
+            assert np.array_equal(agent.table.values, table.values)
+            assert np.array_equal(agent.table.visit_counts,
+                                  table.visit_counts)
+            assert env.totals == benv.totals.replica(i)
+
+    @pytest.mark.parametrize("b", [1, 32])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_fixed_policy_matches_scalar_rollout(self, preset, b):
+        from repro.core.qdpm import run_lockstep
+        from repro.mdp import DeterministicPolicy
+        from repro.runtime.sweep import (
+            _fixed_policy_step, _policy_action_lut, _run_fixed_policy)
+
+        device = get_preset(preset)
+        seeds = [200 + 5 * i for i in range(b)]
+        benv = BatchedSlottedEnv(device, self.SCHEDULE, n_replicas=b,
+                                 seeds=seeds, **self.KW)
+        # random picks, illegal ones included: those fall back to the
+        # mode's first allowed action on both engines
+        policy = DeterministicPolicy(np.random.default_rng(len(preset))
+                                     .integers(0, benv.n_actions,
+                                               benv.n_states))
+        batched = _run_fixed_policy(benv, _policy_action_lut(benv, policy),
+                                    self.N_SLOTS, self.RECORD_EVERY)
+        for i, seed in enumerate(seeds):
+            env = SlottedDPMEnv(device, self.SCHEDULE, seed=seed, **self.KW)
+            actions = _policy_action_lut(env, policy).tolist()
+            scalar = run_lockstep(env, _fixed_policy_step(env, actions),
+                                  self.N_SLOTS,
+                                  record_every=self.RECORD_EVERY)
+            _assert_same_history(scalar, batched.replica(i))
+            assert env.totals == benv.totals.replica(i)
+
+
+def _assert_same_history(scalar, replica):
+    for field in ("slots", "reward", "energy", "queue", "saving_ratio",
+                  "td_error"):
+        assert np.array_equal(getattr(scalar, field),
+                              getattr(replica, field)), field
