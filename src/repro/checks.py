@@ -58,3 +58,26 @@ def check_nonnegative(name: str, value: Any) -> float:
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return float(value)
+
+
+#: bound on the magnitude of a Q-table's initial value
+INITIAL_Q_LIMIT = 1e291
+
+
+def check_initial_q(value: Any) -> float:
+    """``value`` as a ``float``, or ``ValueError`` unless
+    ``|value| < 1e291`` (NaN and infinities fail).
+
+    The batched Q-DPM pads its candidate rows with -inf and lets an
+    exploring slot take every value within ``finfo.max`` of the row
+    max.  That threshold stays finite, so the padding is never a
+    candidate, only while the max is above about -1e292; Q values stay
+    between the initial value and the discounted reward scale, so this
+    bound keeps them there.  Both engines take the same rule.
+    """
+    if not abs(value) < INITIAL_Q_LIMIT:
+        raise ValueError(
+            f"initial_q must be finite with |initial_q| < {INITIAL_Q_LIMIT:g}, "
+            f"got {value}"
+        )
+    return float(value)

@@ -168,17 +168,15 @@ class BatchedSlottedEnv:
         self._sa_energy = t.energy[mode_of].ravel()
         self._sa_serves = (t.can_service[mode_of]
                            & (state % qcap1 > 0)[:, None]).ravel()
-        # actions are checked by indexing, not by reductions: an action
-        # in [-A, 0) or [A, 2A) reads column ``size``, which puts the
-        # index past every table, one outside [-2A, 2A) is past the
-        # column table, and an illegal pair maps to index ``size``
+        # an illegal (state, action) pair maps to index ``size``, past
+        # every table
         size = self.n_states * n_actions
-        self._action_columns = np.append(np.arange(n_actions),
-                                         np.full(n_actions, size))
         self._sa_checked = np.where(t.allowed[mode_of].ravel(),
                                     np.arange(size), size)
         # ``state * n_actions`` split into its mode and queue parts: the
-        # mode and queue vectors are the replica state
+        # mode and queue vectors stay the replica state, so a mode forced
+        # by writing ``_modes`` in place (as the action-check tests do)
+        # takes effect at the next step
         self._mode_rows = np.arange(self.mode_space.n_modes) * (qcap1 * n_actions)
         self._queue_rows = np.arange(qcap1) * n_actions
         # per-queue-level and per-loss reward terms (same products as the
@@ -295,15 +293,19 @@ class BatchedSlottedEnv:
             raise ValueError(
                 f"actions must have shape ({self.n_replicas},), got {actions.shape}"
             )
+        # one unsigned max catches negative actions too, which would
+        # otherwise wrap into the tables
+        if actions.view(np.uint64).max() >= self._n_actions:
+            self._check_actions(actions)
         modes, queues = self._modes, self._queues
+        # the flat (state, action) index state * n_actions + action
+        sa = self._mode_rows.take(modes)
+        sa += self._queue_rows.take(queues)
+        sa += actions
+        sa = self._sa_checked.take(sa)
         try:
-            # the flat (state, action) index state * n_actions + action;
-            # a bad action makes one of these takes index past its table
-            sa = self._mode_rows.take(modes) + self._queue_rows.take(queues)
-            sa += self._action_columns.take(actions)
-            sa = self._sa_checked.take(sa)
             next_modes = self._sa_next_mode.take(sa)
-        except IndexError:
+        except IndexError:  # an illegal pair indexes past the table
             self._check_actions(actions)
             raise
         energy = self._sa_energy.take(sa)

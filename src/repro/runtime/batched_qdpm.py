@@ -43,6 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 # the recording loop and its batched history live with the scalar ones
+from ..checks import check_initial_q
 from ..core.qdpm import BatchRunHistory, greedy_policy_of, run_lockstep
 from ..core.qtable import QTable
 from ..core.schedules import Schedule
@@ -53,8 +54,8 @@ from .batched_env import BatchedSlottedEnv, _resolve_seeds
 #: near-max tolerance of the greedy choice (the scalar agent's)
 _TIE_TOLERANCE = 1e-12
 #: an exploring slot's slack: the row max minus it rounds to the lowest
-#: finite float (|Q| is far below 1e292), so every allowed action is a
-#: candidate and the -inf padding is not
+#: finite float (``check_initial_q`` keeps |Q| below 1e291), so every
+#: allowed action is a candidate and the -inf padding is not
 _EXPLORE_SLACK = np.finfo(np.float64).max
 
 
@@ -97,8 +98,7 @@ class BatchedQDPM:
         self._lr = learning_rate
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        if not np.isfinite(initial_q):  # -inf is the padding's value
-            raise ValueError(f"initial_q must be finite, got {initial_q}")
+        initial_q = check_initial_q(initial_q)
         self.discount = float(discount)
         self._epsilon = float(epsilon)
         b, s, n_actions = env.n_replicas, env.n_states, env.n_actions
@@ -113,6 +113,7 @@ class BatchedQDPM:
         self._action_of = np.tile(np.arange(n_actions), b * s)
         self._offsets = np.arange(b, dtype=np.int64) * s
         self._lanes = np.arange(b)
+        self._shape = (b, s, n_actions)
         self.env = env
         # evaluation slots read this fixed row pair: they never explore
         # and pick the first near-max action
@@ -136,13 +137,14 @@ class BatchedQDPM:
 
     @env.setter
     def env(self, env: BatchedSlottedEnv) -> None:
-        b, s, n_actions = env.n_replicas, env.n_states, env.n_actions
-        size = self._q_flat.size - 1
-        if b * s * n_actions != size:
+        b, s, n_actions = shape = env.n_replicas, env.n_states, env.n_actions
+        if shape != self._shape:
             raise ValueError(
                 f"env has {b} x {s} x {n_actions} (replica, state, action) "
-                f"pairs; the table holds {size}"
+                f"pairs; the table was built for "
+                f"{' x '.join(map(str, self._shape))}"
             )
+        size = self._q_flat.size - 1
         # (K, S): each state's allowed actions in allowed-list order, the
         # order exploration draws and tie-breaks index; -1 past the end
         tables = env.tables

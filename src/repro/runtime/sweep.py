@@ -40,7 +40,7 @@ import numpy as np
 
 from ..adaptive.model_based import AdaptationLog, ModelBasedSpec
 from ..analysis.bootstrap import CI, bootstrap_ci
-from ..checks import check_count
+from ..checks import check_count, check_initial_q
 from ..core.exploration import FixedDrawEpsilonGreedy
 from ..core.qdpm import QDPM, RunHistory
 from ..core.qlearning import QLearningAgent
@@ -95,6 +95,9 @@ class RolloutSpec:
     model_based: Optional[ModelBasedSpec] = None
 
     def __post_init__(self) -> None:
+        # one rule for the scalar and the batched engine, whichever the
+        # chunk width picks
+        check_initial_q(self.initial_q)
         if self.snapshot_seeds and self.policy is not None:
             raise ValueError("snapshot_seeds needs a learning spec "
                              "(policy=None): a fixed policy has no Q-table")

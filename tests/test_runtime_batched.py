@@ -150,6 +150,21 @@ class TestEnvEquivalence:
         assert np.array_equal(s1, s2) and np.array_equal(r1, r2)
 
 
+class TestActionRange:
+    """An out-of-range action raises before the slot runs, whatever its
+    sign or size: no negative action wraps into the step tables."""
+
+    def test_every_bad_action_is_out_of_range(self, device3):
+        env = BatchedSlottedEnv(device3, ConstantRate(0.1), n_replicas=2, seeds=0)
+        n = env.n_actions
+        for bad in [*range(-3 * n, 0), *range(n, 3 * n), -2**62, 2**62]:
+            with pytest.raises(KeyError) as err:
+                env.step(np.array([0, bad]))
+            assert err.value.args[0] == (
+                f"action index {bad} out of range [0, {n}) (replica 1)")
+        assert env.current_slot == 0 and env.totals.slots == 0
+
+
 class TestBlockDrawParity:
     """Each replica reads its uniforms from a pre-drawn block through its
     own cursor, advancing one or two per slot.  Pinned slot by slot
@@ -375,8 +390,9 @@ class TestBatchedQDPM:
             BatchedQDPM(env, discount=1.0)
         with pytest.raises(ValueError):
             BatchedQDPM(env, epsilon=-0.1)
-        with pytest.raises(ValueError):
-            BatchedQDPM(env, initial_q=-np.inf)
+        for initial_q in (-np.inf, np.nan, -1e291, 1e291):
+            with pytest.raises(ValueError, match="initial_q"):
+                BatchedQDPM(env, initial_q=initial_q)
         driver = BatchedQDPM(env)
         with pytest.raises(ValueError):
             driver.run(0)
@@ -385,6 +401,35 @@ class TestBatchedQDPM:
         with pytest.raises(ValueError):  # the table is sized by the env
             driver.env = BatchedSlottedEnv(device3, ConstantRate(0.2),
                                            n_replicas=2, queue_capacity=4)
+        # 1 x 50 x 3 and 2 x 25 x 3 pairs: the same count, another width
+        narrow = BatchedQDPM(BatchedSlottedEnv(
+            device3, ConstantRate(0.2), n_replicas=1, queue_capacity=9))
+        with pytest.raises(ValueError, match="built for 1 x 50 x 3"):
+            narrow.env = BatchedSlottedEnv(device3, ConstantRate(0.2),
+                                           n_replicas=2, queue_capacity=4)
+
+    def test_exploring_at_the_initial_q_bound(self, device3):
+        """Just inside the bound, an always-exploring learner still takes
+        only allowed actions and matches its scalar twin."""
+        from repro.core import FixedDrawEpsilonGreedy, QDPM, QLearningAgent
+
+        initial_q, seeds = -9.9e290, [3, 4]
+        benv = BatchedSlottedEnv(device3, ConstantRate(0.3), n_replicas=2,
+                                 seeds=seeds)
+        driver = BatchedQDPM(benv, epsilon=1.0, initial_q=initial_q,
+                             seed=[s + 1 for s in seeds])
+        batched = driver.run(300, record_every=100)
+        for i, seed in enumerate(seeds):
+            env = SlottedDPMEnv(device3, ConstantRate(0.3), seed=seed)
+            agent = QLearningAgent(
+                n_observations=env.n_states, n_actions=env.n_actions,
+                initial_q=initial_q, seed=seed + 1,
+                exploration=FixedDrawEpsilonGreedy(1.0),
+            )
+            scalar = QDPM(env, agent=agent).run(300, record_every=100)
+            _assert_same_history(scalar, batched.replica(i))
+            assert np.array_equal(agent.table.values,
+                                  driver.replica_table(i).values)
 
 
 class TestFixedDrawStreamParity:

@@ -121,6 +121,13 @@ class TestRunMany:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             SweepRunner().run_many(spec, seeds=[0, seed])
 
+    @pytest.mark.parametrize("initial_q", [-np.inf, np.nan, -1e291, 1e300])
+    def test_initial_q_bound_holds_on_both_engines(self, spec, initial_q):
+        """The spec refuses an initial value the batched engine cannot
+        run, so the scalar stack refuses it too, at any chunk width."""
+        with pytest.raises(ValueError, match="initial_q"):
+            replace(spec, initial_q=initial_q)
+
     def test_bad_batch_size_raises(self):
         with pytest.raises(ValueError):
             SweepRunner(batch_size=0)
